@@ -21,10 +21,9 @@ pub enum InversionMethod {
 
 /// Which symmetric-eigendecomposition backend evaluates the factor
 /// spectra (all satisfy the same wire contract; tridiagonal QL is the
-/// faster LAPACK-style exact route for larger factors, Jacobi the
-/// simpler and ultra-robust default, and the randomized backend trades
-/// a controlled slice of spectral mass for several-fold speedups on
-/// factors with decaying spectra).
+/// exact default, Jacobi its 10–100× slower backstop and test oracle,
+/// and the randomized backend trades a controlled slice of spectral mass
+/// for a speedup on large factors with decaying spectra).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EigenSolver {
     /// Cyclic Jacobi sweeps (`kfac_tensor::eigh`).
@@ -114,7 +113,9 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandEigPolicy {
     /// Factors below this dimension always use the exact QL path: at
-    /// small `n` the sketch GEMMs cost more than the exact solve.
+    /// small `n` the sketch GEMMs cost more than the exact solve. The
+    /// default is the smallest dimension in `BENCH_eig.json` from which
+    /// the adaptive solve beats exact QL.
     pub min_dim: usize,
     /// Starting rank (also floored at `n/16`).
     pub init_rank: usize,
@@ -125,7 +126,9 @@ pub struct RandEigPolicy {
     /// Required captured spectral mass in `(0, 1]`.
     pub mass_threshold: f64,
     /// Rank cap as a fraction of `n`; past it the exact solver is both
-    /// faster and better, so the policy falls back.
+    /// faster and better, so the policy falls back. The default is the
+    /// largest fraction in `BENCH_eig.json` whose sketch beats exact QL
+    /// at every dimension from `min_dim` up.
     pub max_rank_frac: f64,
     /// Deterministic sketch seed (identical on every rank and rerun).
     pub seed: u64,
@@ -134,12 +137,12 @@ pub struct RandEigPolicy {
 impl Default for RandEigPolicy {
     fn default() -> Self {
         RandEigPolicy {
-            min_dim: 96,
+            min_dim: 64,
             init_rank: 16,
             oversample: 8,
             power_iters: 2,
             mass_threshold: 0.99,
-            max_rank_frac: 0.5,
+            max_rank_frac: 0.25,
             seed: 0x7A11_EED5,
         }
     }
@@ -244,7 +247,7 @@ impl Default for KfacConfig {
             factor_freq_multiplier: 10,
             running_avg: 0.95,
             inversion: InversionMethod::Eigen,
-            eigen_solver: EigenSolver::Jacobi,
+            eigen_solver: EigenSolver::TridiagonalQl,
             rand_eig: RandEigPolicy::default(),
             strategy: DistStrategy::Opt,
             placement: PlacementPolicy::RoundRobin,
@@ -402,7 +405,91 @@ mod tests {
         let p = RandEigPolicy::default();
         assert_eq!(p.initial_rank(8), 8, "clamped to n");
         assert_eq!(p.initial_rank(512), 32, "n/16 floor dominates at 512");
-        assert_eq!(p.max_rank(512), 256);
+        assert_eq!(p.max_rank(512), 128);
         assert_eq!(p.max_rank(1), 1);
+    }
+
+    /// Number following `"key": ` in one line of `BENCH_eig.json`,
+    /// searching from `from`; returns it with the offset just past it.
+    fn number_after(line: &str, key: &str, from: usize) -> Option<(f64, usize)> {
+        let start = from + line[from..].find(&format!("\"{key}\": "))? + key.len() + 4;
+        let len = line[start..].find([',', '}'])?;
+        Some((line[start..start + len].parse().ok()?, start + len))
+    }
+
+    /// The defaults must follow the committed `BENCH_eig.json` (one
+    /// benchmark per line): the default solver is the faster exact
+    /// backend wherever both were measured; `RandEigPolicy::min_dim` is
+    /// the smallest dimension from which the adaptive randomized solve
+    /// beats exact QL at every benchmarked dimension; `max_rank_frac` is
+    /// the largest benchmarked rank fraction whose sketch beats exact QL
+    /// at every dimension from `min_dim` up. Regenerating the file with a
+    /// faster or slower solver moves this test, not a guess.
+    #[test]
+    fn eig_defaults_sit_at_the_committed_crossovers() {
+        struct Row {
+            n: usize,
+            ql_ns: f64,
+            jacobi_ns: f64, // 0 where Jacobi was not run
+            rand_ns: f64,
+            fracs: Vec<(f64, f64)>,
+        }
+        let rows: Vec<Row> = include_str!("../../../BENCH_eig.json")
+            .lines()
+            .filter(|l| l.contains("\"ql_ns_per_iter\""))
+            .map(|l| {
+                let field = |key| number_after(l, key, 0).expect(key).0;
+                let mut fracs = Vec::new();
+                let mut at = l.find("\"rank_fractions\"").expect("rank_fractions");
+                while let Some((frac, next)) = number_after(l, "frac", at) {
+                    let (ns, next) = number_after(l, "ns_per_iter", next).expect("frac ns");
+                    fracs.push((frac, ns));
+                    at = next;
+                }
+                Row {
+                    n: field("n") as usize,
+                    ql_ns: field("ql_ns_per_iter"),
+                    jacobi_ns: field("jacobi_ns_per_iter"),
+                    rand_ns: field("rand_ns_per_iter"),
+                    fracs,
+                }
+            })
+            .collect();
+        assert!(rows.len() >= 5 && rows.windows(2).all(|w| w[0].n < w[1].n));
+
+        let measured_both = rows.iter().filter(|r| r.jacobi_ns > 0.0);
+        assert!(measured_both.clone().count() >= 3);
+        assert!(measured_both.clone().all(|r| r.ql_ns < r.jacobi_ns));
+        assert_eq!(
+            KfacConfig::default().eigen_solver,
+            EigenSolver::TridiagonalQl
+        );
+
+        let first_win = rows
+            .iter()
+            .rposition(|r| r.rand_ns >= r.ql_ns)
+            .map_or(0, |last_loss| last_loss + 1);
+        let policy = RandEigPolicy::default();
+        assert_eq!(
+            policy.min_dim, rows[first_win].n,
+            "min_dim is off the crossover"
+        );
+
+        let large = &rows[first_win..];
+        let ns_at = |r: &Row, frac: f64| r.fracs.iter().find(|p| p.0 == frac).map(|p| p.1);
+        let best_frac = large[0]
+            .fracs
+            .iter()
+            .map(|&(frac, _)| frac)
+            .filter(|&frac| {
+                large
+                    .iter()
+                    .all(|r| ns_at(r, frac).expect("same fractions") < r.ql_ns)
+            })
+            .fold(0.0, f64::max);
+        assert_eq!(
+            policy.max_rank_frac, best_frac,
+            "max_rank_frac is off the crossover"
+        );
     }
 }

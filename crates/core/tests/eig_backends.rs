@@ -84,11 +84,15 @@ fn frob(a: &Matrix) -> f64 {
         .sqrt()
 }
 
-/// Policy that exercises real truncation even on small test factors.
+/// Policy that exercises real truncation even on small test factors,
+/// on the rank schedule (16 → 32 → … → n/2) the error budgets below were
+/// set on; the default cap of n/4 is a speed crossover, not an accuracy
+/// one.
 fn eager_policy() -> RandEigPolicy {
     RandEigPolicy {
         min_dim: 1,
         mass_threshold: 0.999,
+        max_rank_frac: 0.5,
         ..Default::default()
     }
 }
@@ -221,5 +225,47 @@ fn boundary_dims_reconstruct_under_every_backend() {
             err <= 0.001 * trace + 5e-4 * scale + 1e-5,
             "dim {dim} randomized err {err}"
         );
+    }
+}
+
+/// Rank-deficient PSD factors — the tiny-batch capture shape, where a
+/// Gram of 16 rows leaves `n − 16` exactly-degenerate zero eigenvalues.
+/// Inside that cluster the eigenvectors are arbitrary, so the exact
+/// backends are compared where it matters: the preconditioned gradient
+/// of QL (the default) against the Jacobi oracle.
+#[test]
+fn rank_deficient_factors_precondition_alike_under_ql_and_jacobi() {
+    fn gram(rows: usize, n: usize, seed: u64) -> Matrix {
+        let mut rng = Rng64::new(seed);
+        let x = Matrix::from_vec(rows, n, (0..rows * n).map(|_| rng.normal_f32()).collect());
+        let mut f = x.gram();
+        f.scale(1.0 / rows as f32);
+        f
+    }
+    for (dim_a, dim_g) in [(144usize, 16usize), (288, 64)] {
+        let a = gram(16, dim_a, 5);
+        let g = gram(16, dim_g, 6);
+        let mut rng = Rng64::new(7);
+        let grad = Matrix::from_vec(
+            dim_g,
+            dim_a,
+            (0..dim_g * dim_a).map(|_| rng.normal_f32()).collect(),
+        );
+        let precondition = |solver| {
+            let pair = EigenPair {
+                a: decompose_factor_with(&a, solver).expect("a"),
+                g: decompose_factor_with(&g, solver).expect("g"),
+            };
+            assert_eq!(
+                pair.a.truncated_rank(),
+                None,
+                "exact solvers never truncate"
+            );
+            precondition_eigen(&pair, &grad, 1e-3)
+        };
+        let ql = precondition(EigenSolver::TridiagonalQl);
+        let jacobi = precondition(EigenSolver::Jacobi);
+        let rel = frob_diff(&ql, &jacobi) / frob(&jacobi);
+        assert!(rel < 1e-3, "dims ({dim_a}, {dim_g}): rel diff {rel}");
     }
 }

@@ -202,3 +202,74 @@ fn gradients_stay_finite_under_extreme_damping_and_lr() {
         }
     }
 }
+
+#[test]
+fn non_finite_factor_average_degrades_to_identity_without_stalling() {
+    // A NaN/Inf that reaches a running average must cost one O(n²) scan
+    // per factor, not an eigensolver's whole iteration budget (at
+    // n = 288 the Jacobi backstop would spin for seconds and then die on
+    // a NaN sort key), and must leave the layer on damped SGD.
+    let (dim_in, dim_out) = (287, 3); // A is 288×288 with the bias column
+    let damping = 0.03f32;
+    for solver in [
+        kfac::EigenSolver::TridiagonalQl,
+        kfac::EigenSolver::Jacobi,
+        kfac::EigenSolver::Randomized,
+    ] {
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut rng = Rng64::new(4);
+            let mut m = Sequential::from_layers(vec![Box::new(Linear::new(
+                "fc", dim_in, dim_out, true, &mut rng,
+            ))]);
+            let cfg = KfacConfig {
+                damping,
+                eigen_solver: solver,
+                ..KfacConfig::default()
+            };
+            let mut kfac = Kfac::new(&mut m, cfg);
+            let x = Tensor4::from_vec(
+                4,
+                dim_in,
+                1,
+                1,
+                (0..4 * dim_in).map(|_| rng.normal_f32()).collect(),
+            );
+            m.zero_grad();
+            m.set_capture(true);
+            let out = m.forward(&x, Mode::Train);
+            let (_, g) = CrossEntropyLoss::new().forward(&out, &[0, 1, 2, 0]);
+            let _ = m.backward(&g);
+            kfac.step(&mut m, &LocalComm::new(), 0.1);
+            assert_eq!(kfac.stats().eig_fallbacks, 0);
+
+            // Poison both factor averages past the validated unpack.
+            let mut fused = kfac.factor_pack();
+            fused[1] = bad;
+            *fused.last_mut().unwrap() = bad;
+            kfac.factor_unpack(&fused);
+
+            let start = std::time::Instant::now();
+            for id in 0..kfac.factors().len() {
+                kfac.eig_compute_one(id);
+            }
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_millis(50),
+                "{solver:?}/{bad}: fallback took {elapsed:?}"
+            );
+            assert_eq!(kfac.stats().eig_fallbacks, 2, "{solver:?}/{bad}");
+
+            let grad = Matrix::from_vec(
+                dim_out,
+                dim_in + 1,
+                (0..dim_out * (dim_in + 1))
+                    .map(|i| (i as f32).sin())
+                    .collect(),
+            );
+            let pg = kfac.precondition_one(0, &grad);
+            for (g, p) in grad.as_slice().iter().zip(pg.as_slice()) {
+                assert_eq!(p.to_bits(), (g / (1.0 + damping)).to_bits());
+            }
+        }
+    }
+}

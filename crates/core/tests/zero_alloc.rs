@@ -21,7 +21,7 @@
 use kfac::{Kfac, KfacConfig};
 use kfac_nn::im2col::{col2im_into, im2col_into};
 use kfac_nn::{Conv2d, CrossEntropyLoss, Flatten, Layer, Linear, Mode, ReLU, Sequential};
-use kfac_tensor::{Matrix, Rng64, Tensor4};
+use kfac_tensor::{eigh_tridiag, Matrix, Rng64, Tensor4};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -187,4 +187,28 @@ fn factor_update_allocates_nothing_when_warm() {
         allocs, 0,
         "steady-state factor update performed {allocs} heap allocations"
     );
+}
+
+/// The exact eigensolver: every f64 transient (the transposed
+/// eigenvector matrix, the tridiagonal, the rotation batch, the rotation
+/// panel of a matrix larger than one panel, the sort order) is one arena
+/// buffer, so a warm call allocates only the `EigenDecomposition` it
+/// returns — its eigenvalue vector and its eigenvector matrix.
+#[test]
+#[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
+fn eigh_tridiag_allocates_only_its_result_when_warm() {
+    let mut rng = Rng64::new(13);
+    // 64: one rotation panel, rotated in place; 400: 8n² > 1 MiB, so the
+    // panel scratch is in play.
+    for n in [64usize, 400] {
+        let mut a = random_matrix(n, n, &mut rng);
+        a.symmetrize();
+        drop(eigh_tridiag(&a).expect("warm-up"));
+        let (e, allocs) = armed(|| eigh_tridiag(&a).expect("ql"));
+        assert_eq!(e.eigenvalues.len(), n);
+        assert_eq!(
+            allocs, 2,
+            "warm eigh_tridiag(n={n}) performed {allocs} heap allocations, expected its 2 outputs"
+        );
+    }
 }

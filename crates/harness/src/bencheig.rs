@@ -9,9 +9,12 @@
 //! with the exact tridiagonal-QL and Jacobi backends (Jacobi only at the
 //! small dims where it terminates in bench-budget time), with the
 //! adaptive-rank randomized backend (`RandEigPolicy`, 99% captured-mass
-//! target), and with fixed rank fractions n/16, n/8 and n/4 to show the
-//! cost/capture trade-off. Results go to stdout as a table and, with
-//! `--json`, to `BENCH_eig.json` for the CI bench-smoke job.
+//! target), and with fixed rank fractions n/16, n/8, n/4 and n/2 to show
+//! the cost/capture trade-off and where it crosses the exact solver —
+//! `RandEigPolicy::default()`'s `min_dim` and `max_rank_frac` are pinned
+//! to the committed rows by a unit test in `kfac::config`. Results go to
+//! stdout as a table and, with `--json`, to `BENCH_eig.json` for the CI
+//! bench-smoke job.
 
 use kfac::math::decompose_factor_randomized;
 use kfac::RandEigPolicy;
@@ -168,7 +171,7 @@ pub fn run_all() -> Vec<EigBenchCase> {
         });
 
         let mut fracs = Vec::new();
-        for denom in [16usize, 8, 4] {
+        for denom in [16usize, 8, 4, 2] {
             let rank = (n / denom).max(1);
             let opts = RandEigOptions {
                 rank,

@@ -3,16 +3,17 @@
 //! The paper's optimized preconditioner never inverts the Kronecker factors
 //! explicitly; it eigendecomposes them (`A = Q_A Λ_A Q_Aᵀ`,
 //! `G = Q_G Λ_G Q_Gᵀ`) and applies Equations 13–15. On the authors'
-//! platform this is `torch.symeig` on a V100; here it is a from-scratch
-//! cyclic Jacobi solver.
+//! platform this is `torch.symeig` on a V100; here the production solver
+//! is the tridiagonal QL of [`crate::tridiag`], and this from-scratch
+//! cyclic Jacobi solver is its backstop and its test oracle.
 //!
-//! Jacobi was chosen over tridiagonalization+QL because (a) it is simple to
-//! make robust, (b) it is embarrassingly accurate for the symmetric
+//! Jacobi is simple to make robust (it converges on anything symmetric
+//! and finite) and embarrassingly accurate for the symmetric
 //! positive-semidefinite matrices K-FAC produces (relative eigenvalue error
-//! near machine epsilon), and (c) factor dimensions in this reproduction are
-//! a few hundred at most, where Jacobi's ~`10 n³` cost is acceptable and its
-//! cost curve still exhibits the cubic growth the paper's scaling analysis
-//! (Table V, Fig. 10) depends on.
+//! near machine epsilon) — the properties an oracle needs. Its ~`10 n³`
+//! sweeps are 10–100× slower than QL at every factor dimension in
+//! `BENCH_eig.json`, so nothing selects it by default: it runs when QL
+//! fails to converge, when `EigenSolver::Jacobi` is named, and in tests.
 //!
 //! The solver works on an `f64` copy for numerical headroom and rounds the
 //! results to `f32`.
@@ -97,6 +98,16 @@ impl EigenDecomposition {
     }
 }
 
+/// Reject NaN/∞ input up front (`O(n²)`): the iterative solvers cannot
+/// converge on it, and would only find out after their whole budget.
+pub(crate) fn check_finite(a: &Matrix) -> Result<(), LinAlgError> {
+    if a.as_slice().iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(LinAlgError::NonFinite)
+    }
+}
+
 /// Maximum number of full Jacobi sweeps before giving up. Converging
 /// symmetric matrices almost always finish in 6–12 sweeps.
 const MAX_SWEEPS: usize = 50;
@@ -109,10 +120,12 @@ const MAX_SWEEPS: usize = 50;
 /// does).
 ///
 /// # Errors
-/// Returns [`LinAlgError::NotConverged`] if the off-diagonal mass fails to
+/// Returns [`LinAlgError::NonFinite`] if `a` holds a NaN or infinity, and
+/// [`LinAlgError::NotConverged`] if the off-diagonal mass fails to
 /// vanish within the sweep budget (pathological inputs only).
 pub fn eigh(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     assert!(a.is_square(), "eigh requires a square matrix");
+    check_finite(a)?;
     let n = a.rows();
     if n == 0 {
         return Ok(EigenDecomposition {
@@ -208,7 +221,7 @@ pub fn eigh(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     // Extract, sort ascending, round to f32.
     let mut order: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| m[idx(i, i)]).collect();
-    order.sort_by(|&a, &b| diag[a].partial_cmp(&diag[b]).expect("NaN eigenvalue"));
+    order.sort_by(|&a, &b| diag[a].total_cmp(&diag[b]));
 
     let eigenvalues: Vec<f32> = order.iter().map(|&i| diag[i] as f32).collect();
     let mut eigenvectors = Matrix::zeros(n, n);

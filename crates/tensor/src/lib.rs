@@ -11,10 +11,11 @@
 //!   rayon-parallel GEMM ([`matmul`](Matrix::matmul)) and Gram-matrix
 //!   kernels ([`gram`](Matrix::gram)) used for Kronecker-factor
 //!   computation (`A = āāᵀ`, `G = ggᵀ`).
-//! * [`eigen`] — symmetric eigendecomposition via cyclic Jacobi sweeps,
-//!   the workhorse of the paper's *inverse-free* preconditioning path
-//!   (Equations 13–15); [`tridiag`] is the faster LAPACK-style exact
-//!   route, [`randeig`] the randomized truncated route for factors with
+//! * [`tridiag`] — symmetric eigendecomposition via Householder
+//!   tridiagonalization + implicit-shift QL, the workhorse of the paper's
+//!   *inverse-free* preconditioning path (Equations 13–15); [`eigen`]
+//!   holds the cyclic Jacobi solver kept as its backstop and test oracle,
+//!   [`randeig`] the randomized truncated route for factors with
 //!   decaying spectra (Puiu, arXiv:2206.15397).
 //! * [`cholesky`] / [`inverse`] — SPD Cholesky inverse and Gauss–Jordan
 //!   inverse with partial pivoting, implementing the paper's *explicit
@@ -26,8 +27,8 @@
 //! * [`tensor4`] — a minimal NCHW tensor for the neural-network substrate.
 //!
 //! All kernels are `f32` end-to-end (matching the paper's FP32 training,
-//! §VI-A) except where noted: the Jacobi eigensolver accumulates rotations
-//! in `f64` for stability and rounds the results back to `f32`.
+//! §VI-A) except where noted: the eigensolvers work in `f64` for
+//! stability and round the results back to `f32`.
 
 pub mod arena;
 pub mod cholesky;
@@ -55,7 +56,7 @@ pub use matrix::Matrix;
 pub use randeig::{eigh_randomized, RandEig, RandEigOptions};
 pub use rng::Rng64;
 pub use tensor4::Tensor4;
-pub use tridiag::eigh_tridiag;
+pub use tridiag::{eigh_exact, eigh_tridiag};
 
 /// Errors produced by numeric routines that can fail for data-dependent
 /// reasons (shape mismatches, by contrast, are programming errors and panic).
@@ -67,9 +68,11 @@ pub enum LinAlgError {
     /// Cholesky factorization failed because the matrix is not positive
     /// definite.
     NotPositiveDefinite,
-    /// An iterative method (Jacobi eigensolver) failed to converge within
-    /// its sweep budget.
+    /// An iterative method (QL or Jacobi eigensolver) failed to converge
+    /// within its iteration budget.
     NotConverged,
+    /// The input holds a NaN or an infinity; no iteration was attempted.
+    NonFinite,
 }
 
 impl std::fmt::Display for LinAlgError {
@@ -82,6 +85,7 @@ impl std::fmt::Display for LinAlgError {
             LinAlgError::NotConverged => {
                 write!(f, "iterative method failed to converge")
             }
+            LinAlgError::NonFinite => write!(f, "matrix has a non-finite entry"),
         }
     }
 }

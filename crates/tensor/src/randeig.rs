@@ -16,7 +16,7 @@
 //!    all `ℓ×n` transients come from the thread-local [`arena`], so warm
 //!    calls on repeating factor shapes allocate only the result.
 //! 3. **Rayleigh–Ritz**: `B = Q A Qᵀ` (small, `ℓ×ℓ`) solved exactly by
-//!    the tridiagonal QL backend ([`eigh_tridiag`], Jacobi fallback),
+//!    the tridiagonal QL backend ([`eigh_exact`], Jacobi fallback),
 //!    Ritz vectors lifted back as `V = SᵀQ`.
 //!
 //! The result is packaged as a **full-dimension** [`EigenDecomposition`]
@@ -29,10 +29,10 @@
 //! subspace as zero curvature (i.e. damped identity), the same limit the
 //! exact path reaches as eigenvalues go to zero.
 
-use crate::eigen::EigenDecomposition;
+use crate::eigen::{check_finite, EigenDecomposition};
 use crate::rng::Rng64;
-use crate::tridiag::eigh_tridiag;
-use crate::{arena, eigh, LinAlgError, Matrix};
+use crate::tridiag::eigh_exact;
+use crate::{arena, LinAlgError, Matrix};
 
 /// Tuning knobs for one randomized decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,10 +94,12 @@ const RANK_TOL: f64 = 1e-7;
 /// with [`eigh`].
 ///
 /// # Errors
-/// Returns the small dense solver's error if the `ℓ×ℓ` Rayleigh–Ritz
-/// problem fails to converge on both backends (pathological inputs only).
+/// [`LinAlgError::NonFinite`] if `a` holds a NaN or infinity; otherwise
+/// the small dense solver's error if the `ℓ×ℓ` Rayleigh–Ritz problem
+/// fails to converge on both backends (pathological inputs only).
 pub fn eigh_randomized(a: &Matrix, opts: &RandEigOptions) -> Result<RandEig, LinAlgError> {
     assert!(a.is_square(), "eigh_randomized requires a square matrix");
+    check_finite(a)?;
     let n = a.rows();
     if n == 0 {
         return Ok(RandEig {
@@ -113,7 +115,7 @@ pub fn eigh_randomized(a: &Matrix, opts: &RandEigOptions) -> Result<RandEig, Lin
     let sketch = (rank + opts.oversample).min(n);
     if sketch >= n {
         // No room to truncate — exact solve is both cheaper and better.
-        let eig = eigh_tridiag(a).or_else(|_| eigh(a))?;
+        let eig = eigh_exact(a)?;
         return Ok(RandEig {
             eig,
             rank: n,
@@ -169,8 +171,7 @@ pub fn eigh_randomized(a: &Matrix, opts: &RandEigOptions) -> Result<RandEig, Lin
     basis.matmul_into(a, &mut scratch); // scratch = Qᵗ·A   (kept×n)
     let mut small = scratch.matmul_nt(&basis); // (Qᵗ·A)·Q  (kept×kept)
     small.symmetrize();
-    let ritz = eigh_tridiag(&small).or_else(|_| eigh(&small));
-    let ritz = match ritz {
+    let ritz = match eigh_exact(&small) {
         Ok(r) => r,
         Err(e) => {
             arena::recycle_matrix(basis);
@@ -288,6 +289,7 @@ fn shrink_rows(m: &mut Matrix, rows: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigh;
 
     /// PSD test factor with an exponentially decaying spectrum — the
     /// shape K-FAC running averages actually have.

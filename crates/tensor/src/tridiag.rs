@@ -1,23 +1,46 @@
 //! Symmetric eigendecomposition via Householder tridiagonalization and
-//! implicit-shift QL iteration.
+//! implicit-shift QL iteration — the exact solver behind every K-FAC
+//! factor decomposition (the Jacobi solver of [`crate::eigen`] is its
+//! non-convergence backstop and test oracle). The classic LAPACK-style
+//! route (`ssyev`'s ancestor): `4n³/3` FLOPs to reduce, `4n³/3` to
+//! accumulate the transform, `3–4n³` of Givens rotations on the
+//! eigenvectors, all in `f64` (like Jacobi) and rounded to `f32` on output.
 //!
-//! A second eigensolver backend next to the cyclic Jacobi solver of
-//! [`crate::eigen`]. Tridiagonalization + QL is the classic LAPACK-style
-//! route (`ssyev`'s ancestor): `~4n³/3` FLOPs for the reduction plus
-//! `O(n²)` per eigenvalue, several times faster than Jacobi's repeated
-//! sweeps for the factor dimensions a real ResNet produces (hundreds to
-//! thousands). The distributed preconditioner can select either backend;
-//! the test suite cross-checks them against each other and against the
-//! spectral reconstruction property.
+//! The layout is the algorithm: every inner loop walks contiguous
+//! row-major storage, never a stride-`n` column (which aliases in cache
+//! at power-of-two `n`). The reduction touches only lower-triangle rows;
+//! the transform is accumulated *transposed*, each row finished while it
+//! sits in L1; the QL iteration runs on the tridiagonal alone and records
+//! its rotations, which then mix pairs of contiguous rows of `Zᵀ`, one
+//! L2-sized column panel per batch of sweeps; sorting and rounding ride
+//! on the transpose-out pass. DESIGN.md §4 has the per-phase budget.
 //!
-//! All computation is in `f64` (like the Jacobi backend) and rounded to
-//! `f32` on output.
+//! Every element's operation sequence is fixed by the source (explicit
+//! accumulator lanes, no pool, no FMA contraction), so results do not
+//! depend on vector width, `KFAC_POOL_THREADS` or the calling rank. The
+//! workspace is one [`arena`] buffer: a warm call allocates only its result.
 
-use crate::eigen::EigenDecomposition;
-use crate::{LinAlgError, Matrix};
+use crate::eigen::{check_finite, eigh, EigenDecomposition};
+use crate::{arena, LinAlgError, Matrix};
 
 /// Maximum QL iterations per eigenvalue before declaring failure.
 const MAX_QL_ITERS: usize = 60;
+
+/// Independent partial sums of a dot product (four 256-bit accumulators
+/// hide the add latency); this also fixes the summation order.
+const LANES: usize = 16;
+
+/// Bytes of `Zᵀ` in one rotation panel (`n` rows × panel width): half of
+/// a 2 MiB L2, leaving room for the stream of rotations.
+const PANEL_BYTES: usize = 1 << 20;
+
+/// Full-length QL sweeps recorded per batch: a panel is fetched once per
+/// batch, so the fetch is amortized over this many in-cache passes.
+const SWEEPS_PER_BATCH: usize = 32;
+
+/// Source columns per transpose-out pass: two cache lines per source row,
+/// few enough write streams to stay in L1 at power-of-two `n`.
+const OUT_TILE: usize = 16;
 
 /// Symmetric eigendecomposition via tridiagonal QL.
 ///
@@ -25,9 +48,11 @@ const MAX_QL_ITERS: usize = 60;
 /// eigenvector columns.
 ///
 /// # Errors
+/// [`LinAlgError::NonFinite`] if `a` holds a NaN or infinity,
 /// [`LinAlgError::NotConverged`] if the QL iteration stalls.
 pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     assert!(a.is_square(), "eigh_tridiag requires a square matrix");
+    check_finite(a)?;
     let n = a.rows();
     if n == 0 {
         return Ok(EigenDecomposition {
@@ -36,90 +61,161 @@ pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
         });
     }
 
-    // Working copy in f64; `z` accumulates the orthogonal transform.
-    let mut z: Vec<f64> = a.as_slice().iter().map(|&x| x as f64).collect();
-    let idx = |i: usize, j: usize| i * n + j;
+    // One buffer: Zᵀ (n²), diagonal, sub-diagonal, sort order, a batch of
+    // rotations, and the rotation panel if Zᵀ is more than one.
+    let rot_len = 2 * n * SWEEPS_PER_BATCH;
+    let panel_len = if 8 * n * n <= PANEL_BYTES {
+        0
+    } else {
+        n * (PANEL_BYTES / 8 / n).max(8)
+    };
+    let mut ws = arena::take_f64(n * n + 3 * n + rot_len + panel_len);
+    let (z, rest) = ws.split_at_mut(n * n);
+    let (d, rest) = rest.split_at_mut(n);
+    let (e, rest) = rest.split_at_mut(n);
+    let (order, rest) = rest.split_at_mut(n);
+    let (rot, panel) = rest.split_at_mut(rot_len);
+    for (dst, &src) in z.iter_mut().zip(a.as_slice()) {
+        *dst = f64::from(src);
+    }
 
-    // --- Householder reduction to tridiagonal form (Numerical Recipes
-    // `tred2`, with eigenvector accumulation). ---
-    let mut d = vec![0.0f64; n]; // diagonal
-    let mut e = vec![0.0f64; n]; // sub-diagonal
+    tridiagonalize(z, n, d, e);
+    accumulate_transposed(z, n, d);
+    let result = ql_implicit(z, n, d, e, rot, panel).map(|()| sorted_output(z, n, d, order));
+    arena::recycle_f64(ws);
+    result
+}
 
+/// [`eigh_tridiag`] with the Jacobi backstop: Jacobi converges on
+/// anything symmetric and finite, so a (rare) QL stall costs time, not
+/// the training run. A non-finite input fails both, so it is not retried.
+pub fn eigh_exact(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
+    match eigh_tridiag(a) {
+        Err(LinAlgError::NotConverged) => eigh(a),
+        result => result,
+    }
+}
+
+/// `Σ x[k]·y[k]` in a fixed order: lane `t` sums `k ≡ t (mod LANES)`,
+/// lanes are folded pairwise, the tail is added ascending.
+#[inline(always)]
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    let body = x.len() - x.len() % LANES;
+    let mut acc = [0.0f64; LANES];
+    for (xc, yc) in x[..body]
+        .chunks_exact(LANES)
+        .zip(y[..body].chunks_exact(LANES))
+    {
+        for t in 0..LANES {
+            acc[t] += xc[t] * yc[t];
+        }
+    }
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for t in 0..width {
+            acc[t] += acc[t + width];
+        }
+    }
+    let tail = x[body..].iter().zip(&y[body..]);
+    tail.fold(acc[0], |sum, (&a, &b)| sum + a * b)
+}
+
+/// Householder reduction to tridiagonal form (`tred2`'s arithmetic on the
+/// lower triangle). On return `e[i]` is the sub-diagonal, `d[i]` step
+/// `i`'s `h = |u|²/2` (0 for a skipped step), and row `i` holds its
+/// vector `u` in columns `0..i` and the diagonal entry in column `i`.
+fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
     for i in (1..n).rev() {
-        let l = i - 1;
+        let (above, row_i) = z.split_at_mut(i * n);
+        let u = &mut row_i[..i];
         let mut h = 0.0f64;
-        if l > 0 {
-            let scale: f64 = (0..=l).map(|k| z[idx(i, k)].abs()).sum();
-            if scale == 0.0 {
-                e[i] = z[idx(i, l)];
-            } else {
-                for k in 0..=l {
-                    z[idx(i, k)] /= scale;
-                    h += z[idx(i, k)] * z[idx(i, k)];
-                }
-                let mut f = z[idx(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                z[idx(i, l)] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    z[idx(j, i)] = z[idx(i, j)] / h;
-                    let mut g = 0.0f64;
-                    for k in 0..=j {
-                        g += z[idx(j, k)] * z[idx(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g += z[idx(k, j)] * z[idx(i, k)];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * z[idx(i, j)];
-                }
-                let hh = f / (h + h);
-                for j in 0..=l {
-                    let f = z[idx(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        z[idx(j, k)] -= f * e[k] + g * z[idx(i, k)];
-                    }
+        let scale: f64 = u.iter().map(|x| x.abs()).sum();
+        if i == 1 || scale == 0.0 {
+            e[i] = u[i - 1];
+        } else {
+            for x in u.iter_mut() {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = u[i - 1];
+            let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            u[i - 1] = f - g;
+
+            // p = A·u/h in e[..i]: row j supplies p[j]'s k ≤ j terms and,
+            // by symmetry, the k = j term of every p[k < j].
+            let p = &mut e[..i];
+            for j in 0..i {
+                let (p_head, p_tail) = p.split_at_mut(j);
+                let row = &above[j * n..=j * n + j];
+                p_tail[0] = dot(&row[..j], &u[..j]) + row[j] * u[j];
+                for (pk, &r) in p_head.iter_mut().zip(row) {
+                    *pk += r * u[j];
                 }
             }
-        } else {
-            e[i] = z[idx(i, l)];
+            let mut f = 0.0f64;
+            for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                *pj /= h;
+                f += *pj * uj;
+            }
+            // q = p − (uᵀp/2h)·u, then A ← A − u qᵀ − q uᵀ.
+            let hh = f / (h + h);
+            for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                *pj -= hh * uj;
+            }
+            for j in 0..i {
+                let (uj, qj) = (u[j], p[j]);
+                let row = &mut above[j * n..=j * n + j];
+                for ((a, &qk), &uk) in row.iter_mut().zip(p.iter()).zip(u.iter()) {
+                    *a -= uj * qk + qj * uk;
+                }
+            }
         }
         d[i] = h;
     }
+}
 
-    d[0] = 0.0;
-    e[0] = 0.0;
-    for i in 0..n {
-        if d[i] != 0.0 {
-            for j in 0..i {
-                let mut g = 0.0f64;
-                for k in 0..i {
-                    g += z[idx(i, k)] * z[idx(k, j)];
-                }
-                for k in 0..i {
-                    z[idx(k, j)] -= g * z[idx(k, i)];
+/// Accumulate the Householder transform in place, transposed: on return
+/// row `j` of `z` is the `j`-th basis vector of the tridiagonal form and
+/// `d` its diagonal. Row `j` is `e_jᵀ·H_{j+1}⋯H_{n-1}`, which needs only
+/// the vectors stored *below* it, so rows are finished top down, each
+/// staying in L1 while the reflectors stream past.
+fn accumulate_transposed(z: &mut [f64], n: usize, d: &mut [f64]) {
+    for j in 0..n {
+        let (head, below) = z.split_at_mut((j + 1) * n);
+        let row = &mut head[j * n..];
+        let diag = row[j];
+        row.fill(0.0);
+        row[j] = 1.0;
+        for (i, u) in (j + 1..n).zip(below.chunks_exact(n)) {
+            if d[i] != 0.0 {
+                let g = dot(&row[..i], &u[..i]) / d[i];
+                for (a, &uk) in row[..i].iter_mut().zip(u) {
+                    *a -= g * uk;
                 }
             }
         }
-        d[i] = z[idx(i, i)];
-        z[idx(i, i)] = 1.0;
-        for k in 0..i {
-            z[idx(k, i)] = 0.0;
-            z[idx(i, k)] = 0.0;
-        }
+        d[j] = diag;
     }
+}
 
-    // --- Implicit-shift QL on the tridiagonal (`tqli`), rotating the
-    // eigenvector matrix along. ---
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
+/// Implicit-shift QL on the tridiagonal `(d, e)` (`tqli`). The rotations
+/// never read the eigenvectors, so each sweep only records its `(c, s)`
+/// pairs in `rot` behind a `[first_row, last_row]` header; a full buffer
+/// is applied to `z` by [`rotate_rows`].
+fn ql_implicit(
+    z: &mut [f64],
+    n: usize,
+    d: &mut [f64],
+    e: &mut [f64],
+    rot: &mut [f64],
+    panel: &mut [f64],
+) -> Result<(), LinAlgError> {
+    e.copy_within(1.., 0);
     e[n - 1] = 0.0;
-
+    let mut used = 0usize;
     for l in 0..n {
         let mut iter = 0usize;
         loop {
@@ -139,6 +235,12 @@ pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
             if iter > MAX_QL_ITERS {
                 return Err(LinAlgError::NotConverged);
             }
+            if used + 2 * (m - l + 1) > rot.len() {
+                rotate_rows(z, n, &rot[..used], panel);
+                used = 0;
+            }
+            let head = used;
+            used += 2;
 
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
             let mut r = g.hypot(1.0);
@@ -149,16 +251,16 @@ pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
             // exactly zero mid-sweep we must restart the QL step rather
             // than apply the (now-stale) trailing updates — applying them
             // anyway corrupts the tridiagonal and stalls convergence.
-            let mut broke_early = false;
+            let mut first = l;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
                 if r == 0.0 {
                     d[i + 1] -= p;
                     e[m] = 0.0;
-                    broke_early = true;
+                    first = i + 1;
                     break;
                 }
                 s = f / r;
@@ -168,14 +270,13 @@ pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Rotate eigenvectors.
-                for k in 0..n {
-                    f = z[idx(k, i + 1)];
-                    z[idx(k, i + 1)] = s * z[idx(k, i)] + c * f;
-                    z[idx(k, i)] = c * z[idx(k, i)] - s * f;
-                }
+                rot[used] = c;
+                rot[used + 1] = s;
+                used += 2;
             }
-            if broke_early {
+            rot[head] = first as f64;
+            rot[head + 1] = m as f64;
+            if first > l {
                 continue;
             }
             d[l] -= p;
@@ -183,21 +284,76 @@ pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
             e[m] = 0.0;
         }
     }
+    rotate_rows(z, n, &rot[..used], panel);
+    Ok(())
+}
 
-    // Sort ascending and round to f32.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| d[x].partial_cmp(&d[y]).expect("NaN eigenvalue"));
-    let eigenvalues: Vec<f32> = order.iter().map(|&i| d[i] as f32).collect();
-    let mut eigenvectors = Matrix::zeros(n, n);
-    for (new_j, &old_j) in order.iter().enumerate() {
-        for i in 0..n {
-            eigenvectors[(i, new_j)] = z[idx(i, old_j)] as f32;
+/// Apply recorded QL sweeps to `Zᵀ` one column panel at a time: each is
+/// gathered into the contiguous `panel` scratch, takes the whole batch
+/// while it sits in L2, and is scattered back. A matrix that fits one
+/// panel (`panel` is then empty) is rotated where it lies.
+fn rotate_rows(z: &mut [f64], n: usize, rot: &[f64], panel: &mut [f64]) {
+    if panel.is_empty() {
+        return rotate_panel(z, n, rot);
+    }
+    let width = panel.len() / n;
+    for p0 in (0..n).step_by(width) {
+        let w = width.min(n - p0);
+        let panel = &mut panel[..n * w];
+        for (dst, src) in panel.chunks_exact_mut(w).zip(z.chunks_exact(n)) {
+            dst.copy_from_slice(&src[p0..p0 + w]);
+        }
+        rotate_panel(panel, w, rot);
+        for (src, dst) in panel.chunks_exact(w).zip(z.chunks_exact_mut(n)) {
+            dst[p0..p0 + w].copy_from_slice(src);
         }
     }
-    Ok(EigenDecomposition {
+}
+
+/// The sweeps of `rot` on a row-major matrix of row length `w`: the
+/// rotation of eigenvectors `i`, `i+1` mixes rows `i`, `i+1`.
+fn rotate_panel(z: &mut [f64], w: usize, rot: &[f64]) {
+    let mut at = 0usize;
+    while at < rot.len() {
+        let (first, last) = (rot[at] as usize, rot[at + 1] as usize);
+        at += 2;
+        for i in (first..last).rev() {
+            let (c, s) = (rot[at], rot[at + 1]);
+            at += 2;
+            let (zi, zi1) = z[i * w..(i + 2) * w].split_at_mut(w);
+            for (x, y) in zi.iter_mut().zip(zi1.iter_mut()) {
+                let f = *y;
+                *y = s * *x + c * f;
+                *x = c * *x - s * f;
+            }
+        }
+    }
+}
+
+/// Sort ascending, round to `f32` and transpose out in one tiled pass
+/// (`order` holds row indices as exact `f64`s: no allocation to sort).
+fn sorted_output(z: &[f64], n: usize, d: &[f64], order: &mut [f64]) -> EigenDecomposition {
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i as f64;
+    }
+    let value = |i: &f64| d[*i as usize];
+    order.sort_unstable_by(|x, y| value(x).total_cmp(&value(y)).then(x.total_cmp(y)));
+    let eigenvalues: Vec<f32> = order.iter().map(|&i| d[i as usize] as f32).collect();
+    let mut eigenvectors = Matrix::zeros(n, n);
+    let out = eigenvectors.as_mut_slice();
+    for k0 in (0..n).step_by(OUT_TILE) {
+        let k1 = (k0 + OUT_TILE).min(n);
+        for (new_j, &old_j) in order.iter().enumerate() {
+            let src = &z[old_j as usize * n..][k0..k1];
+            for (k, &v) in (k0..k1).zip(src) {
+                out[k * n + new_j] = v as f32;
+            }
+        }
+    }
+    EigenDecomposition {
         eigenvalues,
         eigenvectors,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -300,5 +456,37 @@ mod tests {
         assert!(e.eigenvalues.iter().all(|&l| (l - 1.0).abs() < 1e-6));
         let qtq = e.eigenvectors.matmul_tn(&e.eigenvectors);
         assert!(qtq.max_abs_diff(&Matrix::identity(6)) < 1e-5);
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut a = Matrix::identity(5);
+            a[(3, 1)] = bad;
+            a[(1, 3)] = bad;
+            assert_eq!(eigh_tridiag(&a).unwrap_err(), LinAlgError::NonFinite);
+            assert_eq!(eigh_exact(&a).unwrap_err(), LinAlgError::NonFinite);
+        }
+    }
+
+    /// A rotation radius that underflows to exactly zero mid-sweep must
+    /// restart the QL step. Unreachable from `f32` input (it needs
+    /// `f64`-subnormal entries), so the iteration is driven directly: in
+    /// units of the smallest subnormal, `d = [1, 1, -3]`, `e = [1, -1]`
+    /// zeroes `hypot(f, g)` at the second rotation of the first sweep.
+    #[test]
+    fn underflow_mid_sweep_restarts_the_ql_step() {
+        let tiny = f64::from_bits(1);
+        let mut d = [tiny, tiny, -3.0 * tiny];
+        let mut e = [0.0, tiny, -tiny]; // e[i] couples i-1 and i, as `tridiagonalize` leaves it
+        let mut z = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
+        let mut rot = [f64::NAN; 64];
+        ql_implicit(&mut z, 3, &mut d, &mut e, &mut rot, &mut []).expect("converges after restart");
+        // The first sweep targets eigenvalue 0 over rows 0..=2; the
+        // restart cut it short, so its header starts at row 1.
+        assert_eq!(rot[..2], [1.0, 2.0], "first sweep was not cut short");
+        // (Rotations built from subnormals are not orthonormal, so the
+        // eigenvectors are not checked; the trace survives exactly.)
+        assert_eq!(d.iter().sum::<f64>(), -tiny, "trace not preserved");
     }
 }

@@ -5,7 +5,9 @@
 //! factorization round-trips.
 
 use kfac_tensor::matmul::reference_matmul;
-use kfac_tensor::{eigh, invert, kron, kron_matvec, Matrix, Rng64};
+use kfac_tensor::{
+    eigh, eigh_tridiag, invert, kron, kron_matvec, EigenDecomposition, Matrix, Rng64,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random matrix with entries in [-3, 3].
@@ -273,5 +275,156 @@ fn packed_gemm_crosses_kc_blocks() {
             "({m},{k},{n}) diff {}",
             c.max_abs_diff(&r)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tridiagonal-QL eigensolver: residual and orthogonality bounds on every
+// spectrum shape K-FAC produces, with the Jacobi solver as the oracle.
+// ---------------------------------------------------------------------------
+
+/// `(‖AQ − QΛ‖_max, ‖QᵀQ − I‖_max)`, the first relative to `max(‖A‖_max, 1)`.
+fn eig_residuals(a: &Matrix, e: &EigenDecomposition) -> (f32, f32) {
+    let n = a.rows();
+    let q = &e.eigenvectors;
+    let mut q_lambda = q.clone();
+    for i in 0..n {
+        for (v, &l) in q_lambda.row_mut(i).iter_mut().zip(&e.eigenvalues) {
+            *v *= l;
+        }
+    }
+    let residual = a.matmul(q).max_abs_diff(&q_lambda) / a.max_abs().max(1.0);
+    let orthogonality = q.matmul_tn(q).max_abs_diff(&Matrix::identity(n));
+    (residual, orthogonality)
+}
+
+/// `XᵀX/rows` of a Gaussian `rows×n` matrix whose column `j` is scaled by
+/// `col_scale(j)`: rank `min(rows, n)`, spectrum shaped by the scales.
+fn scaled_gram(rows: usize, n: usize, seed: u64, col_scale: impl Fn(usize) -> f32) -> Matrix {
+    let mut x = seeded(rows, n, seed);
+    for i in 0..rows {
+        for (j, v) in x.row_mut(i).iter_mut().enumerate() {
+            *v *= col_scale(j);
+        }
+    }
+    let mut a = x.gram();
+    a.scale(1.0 / rows as f32);
+    a
+}
+
+/// The dimensions the solver's blocking has edges at: below/at/above the
+/// accumulator lane count and the transpose tile, the ResNet factor
+/// dims, power-of-two row strides (512), and both sides of the
+/// one-panel limit (8n² = 1 MiB at n = 362).
+const QL_DIMS: [usize; 13] = [1, 2, 3, 7, 8, 9, 63, 64, 65, 144, 288, 512, 576];
+
+#[test]
+fn tridiag_ql_residuals_are_bounded_on_every_spectrum_shape() {
+    for n in QL_DIMS {
+        let seed = 0xE16 ^ n as u64;
+        let mut indefinite = seeded(n, n, seed);
+        indefinite.symmetrize();
+        let cases: [(&str, Matrix); 6] = [
+            ("indefinite", indefinite),
+            ("spd", scaled_gram(2 * n, n, seed + 1, |_| 1.0)),
+            // Strongly graded: entries span ~12 orders of magnitude.
+            (
+                "graded",
+                scaled_gram(2 * n, n, seed + 2, |j| 1e-6f32.powf(j as f32 / n as f32)),
+            ),
+            // Two clusters: a dominant eighth and a weak, nearly flat bulk.
+            (
+                "clustered",
+                scaled_gram(2 * n, n, seed + 3, |j| {
+                    if j < n.div_ceil(8) {
+                        1.0
+                    } else {
+                        0.05
+                    }
+                }),
+            ),
+            ("identity", Matrix::identity(n)),
+            (
+                "diagonal",
+                Matrix::from_diag(
+                    &(0..n)
+                        .map(|i| ((i * 7) % n) as f32 - 3.0)
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ];
+        for (name, a) in &cases {
+            let e = eigh_tridiag(a).unwrap_or_else(|err| panic!("{name} n={n}: {err}"));
+            assert!(
+                e.eigenvalues.windows(2).all(|w| w[0] <= w[1]),
+                "{name} n={n}: not ascending"
+            );
+            let (residual, orthogonality) = eig_residuals(a, &e);
+            assert!(residual < 2e-5, "{name} n={n}: residual {residual}");
+            assert!(
+                orthogonality < 1e-5,
+                "{name} n={n}: orthogonality {orthogonality}"
+            );
+            // The oracle: Jacobi, where it finishes in test time.
+            if n <= 144 {
+                let oracle = eigh(a).expect("jacobi");
+                let scale = a.max_abs().max(1.0);
+                for (k, (x, y)) in e.eigenvalues.iter().zip(&oracle.eigenvalues).enumerate() {
+                    assert!(
+                        (x - y).abs() <= 2e-5 * scale,
+                        "{name} n={n} λ[{k}]: {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The `kfac_steady` capture shape: 16 rows at n = 576, so n − 16
+/// eigenvalues are an exactly-degenerate zero cluster.
+#[test]
+fn tridiag_ql_handles_rank_deficient_psd_factors() {
+    for (rows, n) in [(16, 576), (4, 64), (1, 9), (256, 576)] {
+        let a = scaled_gram(rows, n, 0x9A + n as u64, |_| 1.0);
+        let e = eigh_tridiag(&a).expect("ql");
+        let (residual, orthogonality) = eig_residuals(&a, &e);
+        assert!(residual < 2e-5, "rows={rows} n={n}: residual {residual}");
+        assert!(
+            orthogonality < 1e-5,
+            "rows={rows} n={n}: orthogonality {orthogonality}"
+        );
+        let top = *e.eigenvalues.last().unwrap();
+        let null = &e.eigenvalues[..n - rows];
+        assert!(
+            null.iter().all(|l| l.abs() <= 1e-5 * top),
+            "rows={rows} n={n}: null space leaked"
+        );
+        assert!(
+            e.eigenvalues[n - rows] > 1e-3 * top,
+            "rows={rows} n={n}: rank lost"
+        );
+        let trace: f32 = e.eigenvalues.iter().sum();
+        assert!((trace - a.trace()).abs() <= 1e-4 * a.trace());
+    }
+}
+
+/// The solver does not use the pool, and must stay bitwise independent of
+/// its size if it ever does: the cross-rank pins rest on it.
+#[test]
+fn tridiag_ql_bitwise_independent_of_pool_size() {
+    for n in [65, 400] {
+        let a = scaled_gram(2 * n, n, 77, |j| 0.97f32.powi(j as i32));
+        let runs: Vec<EigenDecomposition> = [1usize, 2, 4]
+            .iter()
+            .map(|&threads| {
+                rayon::set_pool_threads(threads);
+                eigh_tridiag(&a).expect("ql")
+            })
+            .collect();
+        rayon::set_pool_threads(1);
+        for r in &runs[1..] {
+            assert_eq!(r.eigenvalues, runs[0].eigenvalues);
+            assert_eq!(r.eigenvectors.as_slice(), runs[0].eigenvectors.as_slice());
+        }
     }
 }
