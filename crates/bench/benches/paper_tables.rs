@@ -17,10 +17,7 @@
 //! | `fig10`   | Fig. 10   | real factor computation across model depths |
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kfac::math::{
-    decompose_factor, invert_factor, precondition_eigen, precondition_inverse, EigenPair,
-    InversePair,
-};
+use kfac::math::{decompose_factor, invert_factor, precondition_eigen, precondition_inverse};
 use kfac::{distribution, Kfac, KfacConfig, PlacementPolicy};
 use kfac_cluster::{scaling_sweep, ClusterSpec, IterationModel, ModelProfile, TrainingBudget};
 use kfac_collectives::LocalComm;
@@ -54,20 +51,20 @@ fn bench_table1(c: &mut Criterion) {
 
     group.bench_function("eigen_update_and_precondition", |b| {
         b.iter(|| {
-            let pair = EigenPair {
-                a: decompose_factor(&a).expect("eig"),
-                g: decompose_factor(&g).expect("eig"),
-            };
-            std::hint::black_box(precondition_eigen(&pair, &grad, 0.05))
+            let (ea, eg) = (
+                decompose_factor(&a).expect("eig"),
+                decompose_factor(&g).expect("eig"),
+            );
+            std::hint::black_box(precondition_eigen(&ea, &eg, &grad, 0.05))
         });
     });
     group.bench_function("inverse_update_and_precondition", |b| {
         b.iter(|| {
-            let pair = InversePair {
-                a_inv: invert_factor(&a, 0.05).expect("inv"),
-                g_inv: invert_factor(&g, 0.05).expect("inv"),
-            };
-            std::hint::black_box(precondition_inverse(&pair, &grad))
+            let (a_inv, g_inv) = (
+                invert_factor(&a, 0.05).expect("inv"),
+                invert_factor(&g, 0.05).expect("inv"),
+            );
+            std::hint::black_box(precondition_inverse(&a_inv, &g_inv, &grad))
         });
     });
     group.finish();

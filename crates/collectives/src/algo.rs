@@ -38,7 +38,7 @@
 //! `tests/properties.rs`.
 
 use crate::communicator::{combine_into, finalize, Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass, TrafficCounter};
 use crate::transport::{make_tag, Transport};
 use kfac_telemetry::Span;

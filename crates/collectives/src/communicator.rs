@@ -6,7 +6,7 @@
 //! sequence of collective calls (the standard MPI/Horovod contract);
 //! violating it deadlocks, exactly as it would on the real stack.
 
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass};
 
 /// Reduction applied by [`Communicator::allreduce`].

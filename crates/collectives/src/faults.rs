@@ -41,7 +41,7 @@
 //! [`CollectiveError::RankFailed`] and the caller must checkpoint-restore.
 
 use crate::communicator::{Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,7 +12,7 @@
 //! and unpacked back to their owners.
 
 use crate::communicator::{Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::TrafficClass;
 use crate::wire;
 use kfac_tensor::half::Dtype;
@@ -134,16 +134,27 @@ impl FusionBuffer {
     /// NOTE: like Horovod, all ranks must queue the same tensors in the
     /// same order with the same sizes, so automatic flushes fire at the
     /// same point on every rank.
+    ///
+    /// # Panics
+    /// Panics if the automatic flush hits a collective fault; under
+    /// fault injection use [`FusionBuffer::queue`] +
+    /// [`FusionBuffer::try_flush`].
     pub fn push(&mut self, id: usize, data: Vec<f32>, comm: &dyn Communicator) {
-        // Threshold accounting at the *wire* width: the historical math
-        // hard-coded 4-byte elements, making bf16 payloads flush at 2×
-        // the configured threshold. All byte accounting now routes
-        // through `Dtype::size_of`.
-        self.pending_bytes += data.len() * self.dtype.size_of();
-        self.pending.push(Pending { id, data });
-        if self.pending_bytes >= self.threshold_bytes {
+        if self.queue(id, data) {
             self.flush(comm);
         }
+    }
+
+    /// Queue tensor `id` without communicating. Returns `true` once the
+    /// threshold is reached: the caller then owes a
+    /// [`FusionBuffer::try_flush`] (every rank at the same point, as for
+    /// [`FusionBuffer::push`]), which it can retry on `Err`.
+    pub fn queue(&mut self, id: usize, data: Vec<f32>) -> bool {
+        // Threshold accounting at the *wire* width: a bf16 buffer holds
+        // twice the elements per flush.
+        self.pending_bytes += data.len() * self.dtype.size_of();
+        self.pending.push(Pending { id, data });
+        self.pending_bytes >= self.threshold_bytes
     }
 
     /// Number of tensors queued but not yet reduced.

@@ -20,13 +20,8 @@
 //! * [`fusion::FusionBuffer`] — Horovod's fusion buffer (§II-D): small
 //!   tensors are coalesced and reduced in one operation once a byte
 //!   threshold is reached.
-//! * [`handle`] — deferred-completion handles mirroring Horovod's
-//!   asynchronous op registration (§V-A): ops are enqueued during the
-//!   backward pass and completed at `synchronize()`, polled with
-//!   `test()`, or driven incrementally with `progress_one()`.
-//! * [`progress`] — the background progress engine: submit from any
-//!   thread, poll/wait on handles, one dedicated thread per rank drives
-//!   the actual collectives (Horovod's progress-thread architecture).
+//! * [`error`] — [`CollectiveError`], the typed outcome of every fallible
+//!   (`try_*`) collective.
 //! * [`cost`] — the α/β analytic cost model for ring allreduce /
 //!   allgather / tree broadcast (Patarasuk & Yuan, the paper's [35]),
 //!   consumed by the `kfac-cluster` scaling simulator.
@@ -48,8 +43,6 @@
 //!   processes over localhost TCP (length-prefixed frames, broker
 //!   rendezvous, per-peer reader threads), running the same algorithm
 //!   layer for bit-identical results to [`ThreadComm`].
-//! * [`hier`] — [`HierComm`], the two-level (intra-node × inter-node)
-//!   composition of any two backends.
 //! * [`membership`] — elastic group membership: failure detection
 //!   (heartbeats on the proc fabric, injectable [`ThreadComm::mark_dead`]
 //!   on the thread fabric), a min-rank–coordinated agreement round, and
@@ -66,14 +59,12 @@ pub mod algo;
 pub mod backend;
 pub mod communicator;
 pub mod cost;
+pub mod error;
 pub mod faults;
 pub mod fusion;
-pub mod handle;
-pub mod hier;
 pub mod local;
 pub mod membership;
 pub mod proc;
-pub mod progress;
 pub mod retry;
 pub mod thread;
 pub mod traffic;
@@ -84,14 +75,12 @@ pub use algo::{AlgoComm, AlgoPolicy, CollectiveAlgo};
 pub use backend::CommBackend;
 pub use communicator::{Communicator, ReduceOp};
 pub use cost::LinkSpec;
+pub use error::CollectiveError;
 pub use faults::{ActiveFault, FaultKind, FaultPlan, FaultPlanConfig, FaultyCommunicator};
 pub use fusion::FusionBuffer;
-pub use handle::{CollectiveError, OpHandle, OpQueue, OpResult};
-pub use hier::HierComm;
 pub use local::LocalComm;
 pub use membership::{Elastic, GroupView, Membership, ShrunkComm, ViewTransport};
 pub use proc::{HeartbeatConfig, ProcComm, ProcConfig};
-pub use progress::ProgressEngine;
 pub use retry::RetryPolicy;
 pub use thread::ThreadComm;
 pub use traffic::{Traffic, TrafficClass};

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use crate::algo::{AlgoComm, AlgoPolicy};
 use crate::communicator::{Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass};
 use crate::transport::{commit_tag, fence_tag, propose_tag, Transport};
 use kfac_telemetry::Span;

@@ -22,7 +22,7 @@
 //! errors, so a failed launch is reported instead of hanging CI.
 
 use super::wire::{read_frame, write_frame};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};

@@ -4,7 +4,7 @@ use super::bootstrap::{establish, ProcConfig};
 use super::wire::{bytes_to_f32s, f32s_to_bytes, read_frame, write_frame};
 use crate::algo::{AlgoComm, AlgoPolicy};
 use crate::communicator::{Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::membership::{
     agree_on_survivors, Elastic, GroupView, Membership, ShrunkComm, ViewTransport,
     AGREEMENT_DEADLINE,

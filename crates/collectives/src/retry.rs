@@ -15,7 +15,7 @@
 //! collective call sequences stay aligned through the retries — the MPI
 //! ordering contract survives the fault handling.
 
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use std::time::Duration;
 
 /// Bounded-attempt retry schedule with exponential backoff.
@@ -31,7 +31,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// No retries: fail on the first error.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: Duration::ZERO,

@@ -26,7 +26,7 @@
 
 use crate::algo::AlgoPolicy;
 use crate::communicator::{combine_into, finalize, Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::membership::{
     agree_on_survivors, Elastic, GroupView, Membership, ShrunkComm, AGREEMENT_DEADLINE,
 };

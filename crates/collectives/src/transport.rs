@@ -22,7 +22,7 @@
 //!   may be in flight concurrently (the pipelined algorithms keep many
 //!   chunks outstanding). See [`make_tag`].
 
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 
 /// A rank's endpoint in a fully-connected point-to-point mesh.
 pub trait Transport: Send + Sync {

@@ -32,7 +32,7 @@
 //! `comm/wire/rejected` for decode rejections.
 
 use crate::communicator::{combine_into, finalize, Communicator, ReduceOp};
-use crate::handle::CollectiveError;
+use crate::error::CollectiveError;
 use crate::traffic::TrafficClass;
 use kfac_tensor::half::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, Dtype};
 

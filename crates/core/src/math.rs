@@ -24,24 +24,6 @@ use kfac_tensor::{
     eigh, eigh_exact, eigh_randomized, EigenDecomposition, LinAlgError, Matrix, RandEigOptions,
 };
 
-/// Eigen-path preconditioning state for one factor pair.
-#[derive(Debug, Clone)]
-pub struct EigenPair {
-    /// Eigendecomposition of the activation factor `A`.
-    pub a: EigenDecomposition,
-    /// Eigendecomposition of the gradient factor `G`.
-    pub g: EigenDecomposition,
-}
-
-/// Explicit-inverse state for one factor pair.
-#[derive(Debug, Clone)]
-pub struct InversePair {
-    /// `(A + γI)⁻¹`.
-    pub a_inv: Matrix,
-    /// `(G + γI)⁻¹`.
-    pub g_inv: Matrix,
-}
-
 /// Eigendecompose one (symmetrized) factor with the default backend
 /// (tridiagonal QL).
 pub fn decompose_factor(factor: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
@@ -223,7 +205,9 @@ fn invert_f32(a: &Matrix) -> Result<Matrix, LinAlgError> {
     Ok(Matrix::from_vec(n, n, inv))
 }
 
-/// Eigen-path preconditioned gradient (Eq. 13–15).
+/// Eigen-path preconditioned gradient (Eq. 13–15) from the
+/// eigendecompositions `a` of the activation factor and `g` of the
+/// gradient factor.
 ///
 /// Handles both exact and randomized-truncated decompositions. A
 /// truncated factor stores an incomplete eigenbasis (zero-padded
@@ -233,30 +217,27 @@ fn invert_f32(a: &Matrix) -> Result<Matrix, LinAlgError> {
 /// complement contribution collapses to `(∇L − Q_G V₁ Q_Aᵀ)/γ`. The
 /// exact path is untouched so full decompositions precondition
 /// bit-for-bit as before.
-pub fn precondition_eigen(pair: &EigenPair, grad: &Matrix, damping: f32) -> Matrix {
+pub fn precondition_eigen(
+    a: &EigenDecomposition,
+    g: &EigenDecomposition,
+    grad: &Matrix,
+    damping: f32,
+) -> Matrix {
     let (dg, da) = grad.shape();
-    assert_eq!(pair.g.eigenvectors.rows(), dg, "G dimension mismatch");
-    assert_eq!(pair.a.eigenvectors.rows(), da, "A dimension mismatch");
+    assert_eq!(g.eigenvectors.rows(), dg, "G dimension mismatch");
+    assert_eq!(a.eigenvectors.rows(), da, "A dimension mismatch");
 
     // V₁ = Q_Gᵀ ∇L Q_A
-    let v1 = pair
-        .g
-        .eigenvectors
-        .matmul_tn(grad)
-        .matmul(&pair.a.eigenvectors);
+    let v1 = g.eigenvectors.matmul_tn(grad).matmul(&a.eigenvectors);
 
-    let truncated = pair.g.truncated_rank().is_some() || pair.a.truncated_rank().is_some();
+    let truncated = g.truncated_rank().is_some() || a.truncated_rank().is_some();
     let complement = if truncated {
         // Residual of ∇L outside span(Q_G) ⊗ span(Q_A): padded columns
         // are exactly zero, so Q V₁ Qᵀ only reconstructs the kept modes.
-        let mut proj = pair
-            .g
-            .eigenvectors
-            .matmul(&v1)
-            .matmul_nt(&pair.a.eigenvectors);
+        let mut proj = g.eigenvectors.matmul(&v1).matmul_nt(&a.eigenvectors);
         let inv_gamma = 1.0 / damping;
-        for (p, g) in proj.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-            *p = (g - *p) * inv_gamma;
+        for (p, raw) in proj.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            *p = (raw - *p) * inv_gamma;
         }
         Some(proj)
     } else {
@@ -268,20 +249,16 @@ pub fn precondition_eigen(pair: &EigenPair, grad: &Matrix, damping: f32) -> Matr
     // sign of the damped denominator.
     let mut v2 = v1;
     for i in 0..dg {
-        let lg = pair.g.eigenvalues[i].max(0.0);
+        let lg = g.eigenvalues[i].max(0.0);
         let row = v2.row_mut(i);
         for (j, v) in row.iter_mut().enumerate() {
-            let la = pair.a.eigenvalues[j].max(0.0);
+            let la = a.eigenvalues[j].max(0.0);
             *v /= lg * la + damping;
         }
     }
 
     // precond = Q_G V₂ Q_Aᵀ (+ complement/γ when truncated)
-    let mut out = pair
-        .g
-        .eigenvectors
-        .matmul(&v2)
-        .matmul_nt(&pair.a.eigenvectors);
+    let mut out = g.eigenvectors.matmul(&v2).matmul_nt(&a.eigenvectors);
     if let Some(c) = complement {
         for (o, r) in out.as_mut_slice().iter_mut().zip(c.as_slice()) {
             *o += *r;
@@ -290,9 +267,10 @@ pub fn precondition_eigen(pair: &EigenPair, grad: &Matrix, damping: f32) -> Matr
     out
 }
 
-/// Explicit-inverse-path preconditioned gradient (Eq. 12).
-pub fn precondition_inverse(pair: &InversePair, grad: &Matrix) -> Matrix {
-    pair.g_inv.matmul(grad).matmul(&pair.a_inv)
+/// Explicit-inverse-path preconditioned gradient (Eq. 12) from
+/// `a_inv = (A + γI)⁻¹` and `g_inv = (G + γI)⁻¹`.
+pub fn precondition_inverse(a_inv: &Matrix, g_inv: &Matrix, grad: &Matrix) -> Matrix {
+    g_inv.matmul(grad).matmul(a_inv)
 }
 
 /// The KL-clip scale ν of Eq. 18:
@@ -349,11 +327,8 @@ mod tests {
         let grad = random_matrix(3, 4, &mut rng);
         let gamma = 0.05;
 
-        let pair = EigenPair {
-            a: decompose_factor(&a).unwrap(),
-            g: decompose_factor(&g).unwrap(),
-        };
-        let fast = precondition_eigen(&pair, &grad, gamma);
+        let (ea, eg) = (decompose_factor(&a).unwrap(), decompose_factor(&g).unwrap());
+        let fast = precondition_eigen(&ea, &eg, &grad, gamma);
         let dense = dense_reference(&a, &g, &grad, gamma);
         assert!(
             fast.max_abs_diff(&dense) < 1e-3,
@@ -372,11 +347,11 @@ mod tests {
         let grad = random_matrix(2, 3, &mut rng);
         let gamma = 0.1;
 
-        let pair = InversePair {
-            a_inv: invert_factor(&a, gamma).unwrap(),
-            g_inv: invert_factor(&g, gamma).unwrap(),
-        };
-        let fast = precondition_inverse(&pair, &grad);
+        let (a_inv, g_inv) = (
+            invert_factor(&a, gamma).unwrap(),
+            invert_factor(&g, gamma).unwrap(),
+        );
+        let fast = precondition_inverse(&a_inv, &g_inv, &grad);
 
         let mut ad = a.clone();
         ad.add_diag(gamma);
@@ -404,18 +379,14 @@ mod tests {
         let gamma = 1e-6;
 
         let e = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: decompose_factor(&g).unwrap(),
-            },
+            &decompose_factor(&a).unwrap(),
+            &decompose_factor(&g).unwrap(),
             &grad,
             gamma,
         );
         let i = precondition_inverse(
-            &InversePair {
-                a_inv: invert_factor(&a, gamma).unwrap(),
-                g_inv: invert_factor(&g, gamma).unwrap(),
-            },
+            &invert_factor(&a, gamma).unwrap(),
+            &invert_factor(&g, gamma).unwrap(),
             &grad,
         );
         assert!(e.max_abs_diff(&i) < 1e-2, "diff {}", e.max_abs_diff(&i));
@@ -430,10 +401,8 @@ mod tests {
         let grad = random_matrix(2, 3, &mut rng);
         let gamma = 0.5;
         let out = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: decompose_factor(&g).unwrap(),
-            },
+            &decompose_factor(&a).unwrap(),
+            &decompose_factor(&g).unwrap(),
             &grad,
             gamma,
         );
@@ -450,10 +419,8 @@ mod tests {
         let g = Matrix::identity(2);
         let grad = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let out = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: decompose_factor(&g).unwrap(),
-            },
+            &decompose_factor(&a).unwrap(),
+            &decompose_factor(&g).unwrap(),
             &grad,
             0.01,
         );
@@ -515,11 +482,8 @@ mod tests {
         }
         assert_eq!(ge.truncated_rank(), Some(2));
 
-        let pair = EigenPair {
-            a: decompose_factor(&a).unwrap(),
-            g: ge,
-        };
-        let fast = precondition_eigen(&pair, &grad, gamma);
+        let (ea, eg) = (decompose_factor(&a).unwrap(), ge);
+        let fast = precondition_eigen(&ea, &eg, &grad, gamma);
         let dense = dense_reference(&a, &g, &grad, gamma);
         assert!(
             fast.max_abs_diff(&dense) < 1e-3,
@@ -552,21 +516,12 @@ mod tests {
         assert!(rank < 96, "rank {rank} should be below full dimension");
 
         let exact = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: decompose_factor(&g).unwrap(),
-            },
+            &decompose_factor(&a).unwrap(),
+            &decompose_factor(&g).unwrap(),
             &grad,
             gamma,
         );
-        let approx = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: ge,
-            },
-            &grad,
-            gamma,
-        );
+        let approx = precondition_eigen(&decompose_factor(&a).unwrap(), &ge, &grad, gamma);
         let rel = approx.max_abs_diff(&exact) / exact.max_abs().max(1e-12);
         assert!(rel < 0.05, "relative precondition error {rel}");
     }
@@ -604,10 +559,8 @@ mod tests {
         let g = Matrix::identity(3);
         let grad = random_matrix(3, 4, &mut rng);
         let out = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor(&a).unwrap(),
-                g: decompose_factor(&g).unwrap(),
-            },
+            &decompose_factor(&a).unwrap(),
+            &decompose_factor(&g).unwrap(),
             &grad,
             0.001,
         );

@@ -50,7 +50,8 @@ pub struct PrecisionPolicy {
     pub precond: Dtype,
     /// Wire format of the fused gradient allreduce. F32 | Bf16 | F16.
     pub grad_wire: Dtype,
-    /// Wire format of the factor allreduce and eigen allgather payloads.
+    /// Wire format of every K-FAC collective: the factor allreduce, the
+    /// eigen allgather and K-FAC-lw's preconditioned-gradient allgather.
     /// F32 | Bf16 | F16.
     pub factor_wire: Dtype,
 }

@@ -2,7 +2,9 @@
 //!
 //! One [`Kfac`] instance lives on each rank. Per training iteration (after
 //! gradients have been allreduced, mirroring `optimizer.synchronize()` in
-//! Listing 1) the rank calls [`Kfac::step`], which:
+//! Listing 1) the rank calls [`Kfac::step`] — the infallible wrapper of
+//! [`Kfac::try_step`], the one straight-line composition of the public
+//! phase methods — which:
 //!
 //! 1. **Factor update** (every `update_freq / 10` iterations): computes
 //!    local Kronecker factors from the captured activations/gradients,
@@ -32,10 +34,10 @@
 //! [`Kfac::note_stale_factor`]); if an eigendecomposition fails to
 //! converge or a gathered payload is corrupted, the factor falls back to
 //! a damped-identity preconditioner (gradient scaled by `1/(1+γ)` —
-//! plain SGD for that layer) rather than poisoning the update. The
-//! staged [`Kfac::eig_compute_payload`] / [`Kfac::eig_apply_all`] pair
-//! keeps second-order state untouched until the allgather has succeeded,
-//! so a failed exchange leaves every rank identically stale. All
+//! plain SGD for that layer) rather than poisoning the update. If the
+//! eigendecomposition allgather fails, [`Kfac::try_step`] puts this
+//! rank's freshly computed entries back to their previous values, so a
+//! failed exchange leaves every rank identically stale. All
 //! degradations are counted (`kfac/stale_factor_steps`,
 //! `kfac/eig_fallbacks`, `kfac/identity_preconds`) and surfaced through
 //! [`Kfac::stats`]. [`Kfac::save_state`] / [`Kfac::restore_state`]
@@ -46,10 +48,10 @@ use crate::config::{DistStrategy, EigenSolver, InversionMethod, KfacConfig};
 use crate::distribution::{assign_factors, assign_layers_lw, factor_descs, FactorDesc};
 use crate::math::{
     decompose_factor_randomized, decompose_factor_with, invert_factor, kl_clip_nu,
-    precondition_eigen, precondition_inverse, EigenPair, InversePair,
+    precondition_eigen, precondition_inverse,
 };
 use crate::stats::StageStats;
-use kfac_collectives::{Communicator, ReduceOp, TrafficClass};
+use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
 use kfac_nn::{KfacEligible, Layer};
 use kfac_telemetry::{Registry, Span};
 use kfac_tensor::half::{bf16_to_f32, f32_to_bf16, round_bf16_in_place};
@@ -332,7 +334,42 @@ impl Kfac {
     /// Run one preconditioning step (Algorithm 1). Call after the
     /// gradient allreduce and before `optimizer.step()`, exactly like
     /// `preconditioner.step()` in Listing 1.
+    ///
+    /// The infallible wrapper of [`Kfac::try_step`]: no retries, and a
+    /// failed or degraded exchange panics.
     pub fn step(&mut self, model: &mut dyn Layer, comm: &dyn Communicator, lr: f32) {
+        let degraded = self
+            .try_step(model, comm, lr, &RetryPolicy::none())
+            .unwrap_or_else(|e| panic!("K-FAC collective failed: {e}"));
+        assert_eq!(degraded, 0, "K-FAC exchange degraded to stale state");
+    }
+
+    /// One preconditioning step with every collective fallible: the
+    /// straight-line composition of the phase methods below, for both
+    /// distribution strategies. Each K-FAC collective travels at
+    /// `precision.factor_wire` width under `retry`. Returns how many
+    /// exchanges degraded:
+    ///
+    /// * a **Factor** allreduce that exhausts its retries, or delivers a
+    ///   corrupted payload, is dropped: each rank keeps its own locally
+    ///   folded averages until the next exchange re-averages them
+    ///   (replicas stay in lockstep — preconditioning reads only
+    ///   second-order state, which is exchanged whole);
+    /// * a failed **Eigen** allgather puts this rank's freshly computed
+    ///   entries back, so every rank keeps the identical previous
+    ///   second-order state;
+    ///
+    /// each counted as a stale step ([`Kfac::note_stale_factor`]). A
+    /// failed **Precond** allgather (K-FAC-lw) leaves no usable update
+    /// and is returned as `Err` before the iteration advances, as is any
+    /// [`CollectiveError::RankFailed`].
+    pub fn try_step(
+        &mut self,
+        model: &mut dyn Layer,
+        comm: &dyn Communicator,
+        lr: f32,
+        retry: &RetryPolicy,
+    ) -> Result<u32, CollectiveError> {
         let mut layers = Vec::new();
         model.collect_kfac(&mut layers);
         assert_eq!(
@@ -340,59 +377,152 @@ impl Kfac {
             self.layer_dims.len(),
             "model structure changed since Kfac::new"
         );
+        let (world, rank) = (comm.size(), comm.rank());
+        let strategy = self.cfg.strategy;
+        let wire_dtype = self.cfg.precision.factor_wire;
+        let mut degraded = 0u32;
 
+        // Algorithm 1 lines 4–8: local factors, running averages, one
+        // fused allreduce.
         if self.is_factor_iteration() {
-            self.update_factors(&layers, comm);
-        }
-        let eig_update = self.is_eig_iteration();
-        match self.cfg.strategy {
-            DistStrategy::Opt => {
-                if eig_update {
-                    self.update_second_order_opt(comm);
-                }
-                self.precondition_opt(&mut layers, lr);
+            let comp_span = Span::enter("kfac/factor_comp")
+                .with("iter", self.iteration)
+                .with("layers", layers.len());
+            for (li, layer) in layers.iter().enumerate() {
+                self.factor_update_layer(li, &**layer);
             }
+            drop(comp_span);
+
+            let _comm_span = Span::enter("kfac/factor_comm").with("iter", self.iteration);
+            if world > 1 {
+                // Packed anew per attempt: a failed allreduce leaves its
+                // buffer unspecified.
+                let exchanged = retry.run(|| {
+                    let mut fused = self.factor_pack();
+                    wire::try_allreduce_half(
+                        comm,
+                        &mut fused,
+                        ReduceOp::Average,
+                        TrafficClass::Factor,
+                        wire_dtype,
+                    )?;
+                    Ok(fused)
+                });
+                match exchanged {
+                    Ok(fused) => degraded += u32::from(!self.factor_unpack_checked(&fused)),
+                    Err(e) => degraded += self.keep_stale(e)?,
+                }
+            }
+            self.note_factor_update();
+        }
+
+        // Lines 9–18: owners decompose their factors; K-FAC-opt
+        // allgathers the results, K-FAC-lw keeps them with the layer's
+        // owner (its preconditioned gradients travel instead).
+        if self.is_eig_iteration() {
+            let assignment = match strategy {
+                DistStrategy::Opt => self.eig_assignment(world),
+                DistStrategy::Lw => {
+                    let owners = assign_layers_lw(self.num_layers(), world);
+                    (0..self.factors.len()).map(|id| owners[id / 2]).collect()
+                }
+            };
+            let mine: Vec<usize> = (0..self.factors.len())
+                .filter(|&id| assignment[id] == rank)
+                .collect();
+            let comp_span = Span::enter("kfac/eig_comp")
+                .with("iter", self.iteration)
+                .with("factors", mine.len());
+            let previous: Vec<FactorSecondOrder> = mine
+                .iter()
+                .map(|&id| std::mem::replace(&mut self.second_order[id], FactorSecondOrder::None))
+                .collect();
+            for &id in &mine {
+                self.eig_compute_one(id);
+            }
+            drop(comp_span);
+
+            let mut refreshed = true;
+            if strategy == DistStrategy::Opt {
+                let _comm_span = Span::enter("kfac/eig_comm").with("iter", self.iteration);
+                if world > 1 {
+                    let payload = self.eig_local_payload(&assignment, rank);
+                    let gathered = retry.run(|| {
+                        wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, wire_dtype)
+                    });
+                    match gathered {
+                        Ok(gathered) => self.eig_apply_gathered(&assignment, rank, &gathered),
+                        Err(e) => {
+                            // Every rank puts its own entries back, so
+                            // the group stays identically stale.
+                            for (&id, prev) in mine.iter().zip(previous) {
+                                self.second_order[id] = prev;
+                            }
+                            degraded += self.keep_stale(e)?;
+                            refreshed = false;
+                        }
+                    }
+                }
+            }
+            if refreshed {
+                self.note_eig_update();
+            }
+        }
+
+        // Lines 19–21: precondition every layer, then KL-clip.
+        let _span = Span::enter("kfac/precond").with("iter", self.iteration);
+        let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
+        let preconds: Vec<Matrix> = match strategy {
+            DistStrategy::Opt => grads
+                .iter()
+                .enumerate()
+                .map(|(li, g)| self.precondition_one(li, g))
+                .collect(),
+            // K-FAC-lw: owners precondition their layers and the results
+            // are allgathered — the per-iteration communication that
+            // §IV-C eliminates in K-FAC-opt.
             DistStrategy::Lw => {
-                if eig_update {
-                    self.update_second_order_lw(comm);
+                let owners = assign_layers_lw(self.num_layers(), world);
+                let mut payload = Vec::new();
+                for (li, grad) in grads.iter().enumerate() {
+                    if owners[li] == rank {
+                        payload.extend_from_slice(self.precondition_one(li, grad).as_slice());
+                    }
                 }
-                self.precondition_lw(&mut layers, comm, lr);
+                let gathered = if world > 1 {
+                    retry.run(|| {
+                        wire::try_allgather_half(comm, &payload, TrafficClass::Precond, wire_dtype)
+                    })?
+                } else {
+                    vec![payload]
+                };
+                let mut offsets = vec![0usize; world];
+                self.layer_dims
+                    .iter()
+                    .zip(&owners)
+                    .map(|(&(da, dg), &owner)| {
+                        let start = offsets[owner];
+                        offsets[owner] += da * dg;
+                        let data = &gathered[owner][start..offsets[owner]];
+                        Matrix::from_vec(dg, da, data.to_vec())
+                    })
+                    .collect()
             }
-        }
+        };
+        self.apply_with_clip(&mut layers, &preconds, &grads, lr);
         self.advance();
+        Ok(degraded)
     }
 
-    /// Algorithm 1 lines 4–8: local factor computation, running-average
-    /// update, fused allreduce. Composed from the phase methods below so
-    /// the sequential and overlapped paths share identical numerics.
-    fn update_factors(&mut self, layers: &[&mut dyn KfacEligible], comm: &dyn Communicator) {
-        let comp_span = Span::enter("kfac/factor_comp")
-            .with("iter", self.iteration)
-            .with("layers", layers.len());
-        for (li, layer) in layers.iter().enumerate() {
-            self.factor_update_layer(li, &**layer);
+    /// A K-FAC exchange failed for good. A lost rank is the caller's to
+    /// handle; any other failure keeps the previous state, counted as
+    /// one stale step.
+    fn keep_stale(&mut self, e: CollectiveError) -> Result<u32, CollectiveError> {
+        if let CollectiveError::RankFailed(_) = e {
+            return Err(e);
         }
-        drop(comp_span);
-
-        let _comm_span = Span::enter("kfac/factor_comm").with("iter", self.iteration);
-        if comm.size() > 1 {
-            let mut fused = self.factor_pack();
-            // Route through the wire codec: `factor_wire == F32` is the
-            // communicator's own allreduce (bitwise unchanged), half
-            // widths halve the payload. The infallible contract of this
-            // phase is preserved by panicking on codec errors, exactly
-            // as `allreduce_tagged` itself panics on fabric faults.
-            kfac_collectives::wire::try_allreduce_half(
-                comm,
-                &mut fused,
-                ReduceOp::Average,
-                TrafficClass::Factor,
-                self.cfg.precision.factor_wire,
-            )
-            .expect("factor allreduce");
-            self.factor_unpack(&fused);
-        }
-        self.note_factor_update();
+        self.note_stale_factor();
+        Ok(1)
     }
 
     /// Phase: compute K-FAC-eligible layer `li`'s Kronecker factors from
@@ -535,8 +665,12 @@ impl Kfac {
     pub fn factor_unpack_checked(&mut self, fused: &[f32]) -> bool {
         // Bit-flip corruption in the exponent shows up as non-finite or
         // absurdly large magnitudes; factor entries are batch-averaged
-        // second moments and never legitimately reach 1e30.
-        if fused.iter().all(|v| v.is_finite() && v.abs() < 1e30) {
+        // second moments and never legitimately reach 1e30. `< 1e30` is
+        // false for NaN and ±∞ too, and testing whole chunks without an
+        // early exit lets the scan vectorize: `try_step` runs it on
+        // every exchanged payload.
+        let sane = |chunk: &[f32]| chunk.iter().fold(true, |ok, v| ok & (v.abs() < 1e30));
+        if fused.chunks(1024).all(sane) {
             self.factor_unpack(fused);
             true
         } else {
@@ -745,42 +879,6 @@ impl Kfac {
         }
     }
 
-    /// Algorithm 1 lines 9–18 (K-FAC-opt): round-robin factor assignment,
-    /// local decompositions, allgather. Composed from the phase methods
-    /// below so the sequential and overlapped paths share identical
-    /// numerics.
-    fn update_second_order_opt(&mut self, comm: &dyn Communicator) {
-        let world = comm.size();
-        let rank = comm.rank();
-        let assignment = self.eig_assignment(world);
-
-        let owned = assignment.iter().filter(|&&o| o == rank).count();
-        let comp_span = Span::enter("kfac/eig_comp")
-            .with("iter", self.iteration)
-            .with("factors", owned);
-        let mine: Vec<usize> = (0..self.factors.len())
-            .filter(|&id| assignment[id] == rank)
-            .collect();
-        for id in mine {
-            self.eig_compute_one(id);
-        }
-        drop(comp_span);
-
-        let _comm_span = Span::enter("kfac/eig_comm").with("iter", self.iteration);
-        if world > 1 {
-            let payload = self.eig_local_payload(&assignment, rank);
-            let gathered = kfac_collectives::wire::try_allgather_half(
-                comm,
-                &payload,
-                TrafficClass::Eigen,
-                self.cfg.precision.factor_wire,
-            )
-            .expect("eigen allgather");
-            self.eig_apply_gathered(&assignment, rank, &gathered);
-        }
-        self.note_eig_update();
-    }
-
     /// Phase: the factor→rank ownership map for a `world`-rank group
     /// (round-robin / cost-balanced per the placement policy, Fig. 3
     /// step 2). Deterministic: every rank computes the same map.
@@ -807,23 +905,33 @@ impl Kfac {
         payload
     }
 
-    /// Phase: decode every other rank's allgathered payload into local
+    /// Phase: decode every rank's allgathered payload into local
     /// second-order state. Walks factors in id order, consuming each
     /// owner's payload sequentially (the deterministic-assignment
     /// property makes the framing implicit).
+    ///
+    /// This rank's own partition is installed from `gathered` like
+    /// everyone else's, not kept from [`Kfac::eig_compute_one`]: what a
+    /// replica holds is what the group received, so a word corrupted in
+    /// flight — or rounded by a reduced-width wire — lands identically
+    /// on every rank. On a clean f32 wire the round trip is bit-neutral.
+    /// `_rank` is unused and stays only because the signature is part of
+    /// the benchmark's frozen surface.
     // Index loop: `decode_second_order` needs `&mut self`, which rules
     // out iterating `self.factors` directly.
     #[allow(clippy::needless_range_loop)]
-    pub fn eig_apply_gathered(&mut self, assignment: &[usize], rank: usize, gathered: &[Vec<f32>]) {
+    pub fn eig_apply_gathered(
+        &mut self,
+        assignment: &[usize],
+        _rank: usize,
+        gathered: &[Vec<f32>],
+    ) {
         let mut offsets = vec![0usize; gathered.len()];
         for fid in 0..self.factors.len() {
             let owner = assignment[fid];
             let len = self.wire_len(fid);
             let start = offsets[owner];
             offsets[owner] += len;
-            if owner == rank {
-                continue; // already stored locally
-            }
             let data = &gathered[owner][start..start + len];
             self.second_order[fid] = self.decode_second_order(fid, data);
         }
@@ -859,65 +967,6 @@ impl Kfac {
         }
     }
 
-    /// Staged second-order update, step 1: compute this rank's owned
-    /// decompositions and serialize them — **without storing anything**.
-    /// Paired with [`Kfac::eig_apply_all`], which installs every rank's
-    /// results (including this rank's own, decoded from its payload)
-    /// only after the allgather has succeeded. If the exchange fails,
-    /// no rank has mutated `second_order`, so the whole group stays
-    /// identically stale — the property the resilient trainer needs.
-    pub fn eig_compute_payload(&mut self, assignment: &[usize], rank: usize) -> Vec<f32> {
-        let mine: Vec<usize> = (0..self.factors.len())
-            .filter(|&id| assignment[id] == rank)
-            .collect();
-        let mut payload = Vec::new();
-        for id in mine {
-            let so = self.compute_second_order(id);
-            self.encode_second_order(&so, &mut payload);
-        }
-        payload
-    }
-
-    /// Staged second-order update, step 2: decode every owner's
-    /// gathered payload — own rank included — into local second-order
-    /// state. Decoding one's own payload is bitwise-neutral
-    /// (`decode(encode(x)) == x`: both sides are plain `f32` copies),
-    /// so the staged path matches [`Kfac::eig_apply_gathered`] exactly.
-    #[allow(clippy::needless_range_loop)]
-    pub fn eig_apply_all(&mut self, assignment: &[usize], gathered: &[Vec<f32>]) {
-        let mut offsets = vec![0usize; gathered.len()];
-        for fid in 0..self.factors.len() {
-            let owner = assignment[fid];
-            let len = self.wire_len(fid);
-            let start = offsets[owner];
-            offsets[owner] += len;
-            let data = &gathered[owner][start..start + len];
-            self.second_order[fid] = self.decode_second_order(fid, data);
-        }
-    }
-
-    /// K-FAC-lw second-order update: each layer's owner computes both of
-    /// its decompositions locally; nothing is communicated here (the
-    /// preconditioned gradients travel every iteration instead).
-    fn update_second_order_lw(&mut self, comm: &dyn Communicator) {
-        let world = comm.size();
-        let rank = comm.rank();
-        let owners = assign_layers_lw(self.num_layers(), world);
-
-        let owned = owners.iter().filter(|&&o| o == rank).count();
-        let _comp_span = Span::enter("kfac/eig_comp")
-            .with("iter", self.iteration)
-            .with("layers", owned);
-        for (li, &owner) in owners.iter().enumerate().take(self.num_layers()) {
-            if owner == rank {
-                for id in [2 * li, 2 * li + 1] {
-                    self.second_order[id] = self.compute_second_order(id);
-                }
-            }
-        }
-        self.note_eig_update();
-    }
-
     /// Phase: preconditioned gradient for one layer from stored
     /// second-order state (Eq. 13–15). Read-only; layers are
     /// independent, so calls may run in any order across `li`.
@@ -934,21 +983,12 @@ impl Kfac {
             grad
         };
         match (&self.second_order[2 * li], &self.second_order[2 * li + 1]) {
-            (FactorSecondOrder::Eigen(a), FactorSecondOrder::Eigen(g)) => precondition_eigen(
-                &EigenPair {
-                    a: a.clone(),
-                    g: g.clone(),
-                },
-                grad,
-                self.damping,
-            ),
-            (FactorSecondOrder::Inverse(a), FactorSecondOrder::Inverse(g)) => precondition_inverse(
-                &InversePair {
-                    a_inv: a.clone(),
-                    g_inv: g.clone(),
-                },
-                grad,
-            ),
+            (FactorSecondOrder::Eigen(a), FactorSecondOrder::Eigen(g)) => {
+                precondition_eigen(a, g, grad, self.damping)
+            }
+            (FactorSecondOrder::Inverse(a), FactorSecondOrder::Inverse(g)) => {
+                precondition_inverse(a, g, grad)
+            }
             // No (or partial) second-order state — a failed first
             // eigendecomposition exchange can leave a layer without any.
             // Degrade to the damped identity: `grad / (1 + γ)`, i.e.
@@ -964,66 +1004,6 @@ impl Kfac {
                 pg
             }
         }
-    }
-
-    /// Algorithm 1 lines 19–21 (K-FAC-opt): every rank preconditions all
-    /// layers locally, then KL-clips.
-    fn precondition_opt(&mut self, layers: &mut [&mut dyn KfacEligible], lr: f32) {
-        let _span = Span::enter("kfac/precond").with("iter", self.iteration);
-        let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
-        let preconds: Vec<Matrix> = grads
-            .iter()
-            .enumerate()
-            .map(|(li, g)| self.precondition_one(li, g))
-            .collect();
-        self.apply_with_clip(layers, &preconds, &grads, lr);
-    }
-
-    /// K-FAC-lw per-iteration path: owners precondition their layers and
-    /// the results are allgathered (the extra per-iteration communication
-    /// that §IV-C eliminates in K-FAC-opt).
-    fn precondition_lw(
-        &mut self,
-        layers: &mut [&mut dyn KfacEligible],
-        comm: &dyn Communicator,
-        lr: f32,
-    ) {
-        let world = comm.size();
-        let rank = comm.rank();
-        let owners = assign_layers_lw(self.num_layers(), world);
-
-        let _span = Span::enter("kfac/precond").with("iter", self.iteration);
-        let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
-        let mut payload = Vec::new();
-        for (li, grad) in grads.iter().enumerate() {
-            if owners[li] == rank {
-                let pg = self.precondition_one(li, grad);
-                payload.extend_from_slice(pg.as_slice());
-            }
-        }
-
-        let mut preconds: Vec<Option<Matrix>> = vec![None; self.num_layers()];
-        if world > 1 {
-            let gathered = comm.allgather_tagged(&payload, TrafficClass::Precond);
-            let mut offsets = vec![0usize; world];
-            for (li, &(da, dg)) in self.layer_dims.iter().enumerate() {
-                let owner = owners[li];
-                let len = da * dg;
-                let start = offsets[owner];
-                offsets[owner] += len;
-                let data = &gathered[owner][start..start + len];
-                preconds[li] = Some(Matrix::from_vec(dg, da, data.to_vec()));
-            }
-        } else {
-            let mut off = 0usize;
-            for (li, &(da, dg)) in self.layer_dims.iter().enumerate() {
-                let len = da * dg;
-                preconds[li] = Some(Matrix::from_vec(dg, da, payload[off..off + len].to_vec()));
-                off += len;
-            }
-        }
-        let preconds: Vec<Matrix> = preconds.into_iter().map(|p| p.expect("gathered")).collect();
-        self.apply_with_clip(layers, &preconds, &grads, lr);
     }
 
     /// Phase: apply the KL-clip ν (Eq. 18) and write preconditioned

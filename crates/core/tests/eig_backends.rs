@@ -8,9 +8,7 @@
 //! reconstruction `Q diag(λ) Qᵀ` and the preconditioned gradient.
 
 use kfac::config::RandEigPolicy;
-use kfac::math::{
-    decompose_factor_randomized, decompose_factor_with, precondition_eigen, EigenPair,
-};
+use kfac::math::{decompose_factor_randomized, decompose_factor_with, precondition_eigen};
 use kfac::EigenSolver;
 use kfac_tensor::{EigenDecomposition, Matrix, Rng64};
 use proptest::prelude::*;
@@ -180,10 +178,7 @@ proptest! {
         );
 
         let exact = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor_with(&a, EigenSolver::TridiagonalQl).expect("ql a"),
-                g: decompose_factor_with(&g, EigenSolver::TridiagonalQl).expect("ql g"),
-            },
+            &decompose_factor_with(&a, EigenSolver::TridiagonalQl).expect("ql a"), &decompose_factor_with(&g, EigenSolver::TridiagonalQl).expect("ql g"),
             &grad,
             gamma,
         );
@@ -196,10 +191,7 @@ proptest! {
             ..eager_policy()
         };
         let approx = precondition_eigen(
-            &EigenPair {
-                a: decompose_factor_randomized(&a, &tight).expect("rand a"),
-                g: decompose_factor_randomized(&g, &tight).expect("rand g"),
-            },
+            &decompose_factor_randomized(&a, &tight).expect("rand a"), &decompose_factor_randomized(&g, &tight).expect("rand g"),
             &grad,
             gamma,
         );
@@ -252,16 +244,12 @@ fn rank_deficient_factors_precondition_alike_under_ql_and_jacobi() {
             (0..dim_g * dim_a).map(|_| rng.normal_f32()).collect(),
         );
         let precondition = |solver| {
-            let pair = EigenPair {
-                a: decompose_factor_with(&a, solver).expect("a"),
-                g: decompose_factor_with(&g, solver).expect("g"),
-            };
-            assert_eq!(
-                pair.a.truncated_rank(),
-                None,
-                "exact solvers never truncate"
+            let (ea, eg) = (
+                decompose_factor_with(&a, solver).expect("a"),
+                decompose_factor_with(&g, solver).expect("g"),
             );
-            precondition_eigen(&pair, &grad, 1e-3)
+            assert_eq!(ea.truncated_rank(), None, "exact solvers never truncate");
+            precondition_eigen(&ea, &eg, &grad, 1e-3)
         };
         let ql = precondition(EigenSolver::TridiagonalQl);
         let jacobi = precondition(EigenSolver::Jacobi);

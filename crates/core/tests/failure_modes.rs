@@ -2,9 +2,13 @@
 //! specifically on protocol misuse, never silently corrupt training.
 
 use kfac::{Kfac, KfacConfig};
-use kfac_collectives::LocalComm;
+use kfac_collectives::{
+    Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, LocalComm, RetryPolicy,
+    ThreadComm, TrafficClass,
+};
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Linear, Sequential};
-use kfac_tensor::{Matrix, Rng64, Tensor4};
+use kfac_tensor::{EigenDecomposition, Matrix, Rng64, Tensor4};
+use std::sync::Arc;
 
 fn model() -> Sequential {
     let mut rng = Rng64::new(1);
@@ -133,26 +137,157 @@ fn missing_second_order_degrades_to_damped_identity() {
     assert_eq!(kfac.stats().identity_preconds, 1);
 }
 
+/// What one rank of [`run_pair`] saw after each iteration.
+struct RankTrace {
+    degraded: Vec<u32>,
+    states: Vec<Vec<u8>>,
+    factors: Vec<Vec<f32>>,
+    stale_factor_steps: u64,
+    /// Byte length of the second-order section that ends `save_state()`.
+    eigen_tail: usize,
+}
+
+/// Five `try_step`s without retries on a 2-rank thread group, optionally
+/// under a fault plan. Parameters never move (no optimizer), so the
+/// factor averages evolve identically with and without faults.
+fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
+    let comms = ThreadComm::create(2);
+    let plan = &plan;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|comm| {
+                s.spawn(move || {
+                    let rank = comm.rank();
+                    let comm: Box<dyn Communicator> = match plan {
+                        Some(p) => Box::new(FaultyCommunicator::new(comm, Arc::clone(p))),
+                        None => Box::new(comm),
+                    };
+                    let mut rng = Rng64::new(1);
+                    let mut m = Sequential::from_layers(vec![
+                        Box::new(Linear::new("fc1", 4, 5, true, &mut rng)),
+                        Box::new(Linear::new("fc2", 5, 3, true, &mut rng)),
+                    ]);
+                    let cfg = KfacConfig {
+                        update_freq: 2,
+                        ..KfacConfig::default()
+                    };
+                    let mut kfac = Kfac::new(&mut m, cfg);
+                    let mut data = Rng64::new(10 + rank as u64);
+                    let mut trace = RankTrace {
+                        degraded: Vec::new(),
+                        states: Vec::new(),
+                        factors: Vec::new(),
+                        stale_factor_steps: 0,
+                        eigen_tail: kfac
+                            .factors()
+                            .iter()
+                            .map(|f| 1 + 4 * EigenDecomposition::wire_len(f.dim))
+                            .sum(),
+                    };
+                    for _ in 0..5 {
+                        let x = Tensor4::from_vec(
+                            4,
+                            4,
+                            1,
+                            1,
+                            (0..16).map(|_| data.normal_f32()).collect(),
+                        );
+                        m.zero_grad();
+                        m.set_capture(kfac.needs_capture());
+                        let out = m.forward(&x, Mode::Train);
+                        let (_, g) = CrossEntropyLoss::new().forward(&out, &[0, 1, 2, 0]);
+                        let _ = m.backward(&g);
+                        let degraded = kfac
+                            .try_step(&mut m, &*comm, 0.1, &RetryPolicy::none())
+                            .expect("no rank is lost");
+                        trace.degraded.push(degraded);
+                        trace.states.push(kfac.save_state());
+                        trace.factors.push(kfac.factor_pack());
+                    }
+                    trace.stale_factor_steps = kfac.stats().stale_factor_steps;
+                    trace
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// A plan that faults the Eigen allgather of iteration 2 of
+/// [`run_pair`] and nothing else. update_freq 2 ⇒ factors every
+/// iteration, eig on even ones, so with no retries each rank's op cursor
+/// reads: it 0 Factor(0) Eigen(1) · it 1 Factor(2) · it 2 Factor(3)
+/// Eigen(4) · it 3 Factor(5) · it 4 Factor(6) Eigen(7) — op 4 it is.
+fn fault_eigen_exchange_of_iteration_2(base: FaultPlanConfig) -> Arc<FaultPlan> {
+    (0..)
+        .map(|seed| {
+            let cfg = FaultPlanConfig {
+                seed,
+                classes: vec![TrafficClass::Eigen],
+                ..base.clone()
+            };
+            FaultPlan::new(cfg, 2)
+        })
+        .find(|p| {
+            [1, 4, 7].map(|i| p.fault_at(i, TrafficClass::Eigen).is_some()) == [false, true, false]
+        })
+        .map(Arc::new)
+        .unwrap()
+}
+
+/// The second-order section that ends `save_state()` after iteration `it`.
+fn eigen(t: &RankTrace, it: usize) -> &[u8] {
+    &t.states[it][t.states[it].len() - t.eigen_tail..]
+}
+
 #[test]
-fn staged_eig_path_is_bitwise_neutral() {
-    let mut m = model();
-    let mut kfac = Kfac::new(&mut m, KfacConfig::default());
-    let comm = LocalComm::new();
-    fwd_bwd(&mut m, true);
-    kfac.step(&mut m, &comm, 0.1); // direct path stored second-order state
-                                   // Linear(4→3, bias): A is (in+1)=5, G is 3, grad is 3×5.
-    let grad = Matrix::from_vec(3, 5, (0..15).map(|i| (i as f32).sin()).collect());
-    let direct = kfac.precondition_one(0, &grad);
-    // Staged path: recompute + serialize + apply (own payload decoded
-    // too). Must reproduce the direct path bit-for-bit.
-    let assignment = kfac.eig_assignment(1);
-    let payload = kfac.eig_compute_payload(&assignment, 0);
-    kfac.eig_apply_all(&assignment, &[payload]);
-    let staged = kfac.precondition_one(0, &grad);
-    for (a, b) in direct.as_slice().iter().zip(staged.as_slice()) {
-        assert_eq!(a.to_bits(), b.to_bits());
+fn failed_eigen_allgather_keeps_the_group_identically_stale() {
+    let plan = fault_eigen_exchange_of_iteration_2(FaultPlanConfig {
+        timeout_prob: 0.2,
+        timeout_ops: 1,
+        ..FaultPlanConfig::default()
+    });
+    let clean = run_pair(None);
+    let faulty = run_pair(Some(plan));
+
+    // The fault-free update at iteration 2 does change the eigenbases,
+    // so "unchanged" below is the rollback's doing.
+    assert_ne!(eigen(&clean[0], 2), eigen(&clean[0], 1));
+    for t in &faulty {
+        assert_eq!(t.degraded, [0, 0, 1, 0, 0]);
+        assert_eq!(t.stale_factor_steps, 1);
+        assert_eq!(
+            eigen(t, 2),
+            eigen(t, 1),
+            "own fresh entries not rolled back"
+        );
     }
-    assert_eq!(kfac.stats().eig_fallbacks, 0);
+    assert_eq!(faulty[0].states[2], faulty[1].states[2], "ranks diverged");
+    // The factor exchange was untouched, and the next clean update
+    // lands on the fault-free second-order state.
+    for (c, f) in clean.iter().zip(&faulty) {
+        assert_eq!(c.degraded, [0; 5]);
+        assert_eq!(c.factors, f.factors);
+        assert_ne!(eigen(c, 3), eigen(f, 3), "stale interval");
+        assert_eq!(eigen(c, 4), eigen(f, 4), "did not converge back");
+    }
+}
+
+#[test]
+fn silently_corrupted_eigen_payload_lands_identically_on_every_rank() {
+    // One exponent bit of one gathered word flips, the same on every
+    // rank's copy — the owner of that word included, which must install
+    // what the group received rather than keep its clean local result.
+    let plan = fault_eigen_exchange_of_iteration_2(FaultPlanConfig {
+        bitflip_prob: 0.2,
+        ..FaultPlanConfig::default()
+    });
+    let clean = run_pair(None);
+    let faulty = run_pair(Some(plan));
+    assert_ne!(eigen(&faulty[0], 2), eigen(&clean[0], 2), "no flip landed");
+    assert_eq!(faulty[0].states[2], faulty[1].states[2], "ranks diverged");
+    assert_eq!(faulty[0].degraded, [0; 5], "silent: nothing to count");
 }
 
 #[test]

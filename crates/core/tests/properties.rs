@@ -4,7 +4,6 @@ use kfac::config::PlacementPolicy;
 use kfac::distribution::{assign_factors, assign_layers_lw, factor_descs, makespan, per_rank_cost};
 use kfac::math::{
     decompose_factor, invert_factor, kl_clip_nu, precondition_eigen, precondition_inverse,
-    EigenPair, InversePair,
 };
 use kfac_tensor::{kron, Matrix};
 use proptest::prelude::*;
@@ -39,11 +38,8 @@ proptest! {
         gamma in 0.01f32..0.5,
     ) {
         let grad = Matrix::from_vec(3, 4, grad);
-        let pair = EigenPair {
-            a: decompose_factor(&a).expect("eig"),
-            g: decompose_factor(&g).expect("eig"),
-        };
-        let fast = precondition_eigen(&pair, &grad, gamma);
+        let (ea, eg) = (decompose_factor(&a).expect("eig"), decompose_factor(&g).expect("eig"));
+        let fast = precondition_eigen(&ea, &eg, &grad, gamma);
         let dense = dense_eigen_reference(&a, &g, &grad, gamma);
         prop_assert!(
             fast.max_abs_diff(&dense) < 2e-2 * dense.max_abs().max(1.0),
@@ -61,11 +57,8 @@ proptest! {
         gamma in 0.05f32..0.5,
     ) {
         let grad = Matrix::from_vec(3, 4, grad);
-        let pair = InversePair {
-            a_inv: invert_factor(&a, gamma).expect("inv"),
-            g_inv: invert_factor(&g, gamma).expect("inv"),
-        };
-        let fast = precondition_inverse(&pair, &grad);
+        let (a_inv, g_inv) = (invert_factor(&a, gamma).expect("inv"), invert_factor(&g, gamma).expect("inv"));
+        let fast = precondition_inverse(&a_inv, &g_inv, &grad);
         let mut ad = a.clone();
         ad.add_diag(gamma);
         let mut gd = g.clone();
@@ -86,11 +79,8 @@ proptest! {
         gamma in 0.05f32..1.0,
     ) {
         let grad = Matrix::from_vec(3, 3, grad);
-        let pair = EigenPair {
-            a: decompose_factor(&a).expect("eig"),
-            g: decompose_factor(&g).expect("eig"),
-        };
-        let out = precondition_eigen(&pair, &grad, gamma);
+        let (ea, eg) = (decompose_factor(&a).expect("eig"), decompose_factor(&g).expect("eig"));
+        let out = precondition_eigen(&ea, &eg, &grad, gamma);
         prop_assert!(
             out.frobenius_norm() <= grad.frobenius_norm() / gamma * 1.01,
             "‖out‖ {} vs bound {}", out.frobenius_norm(), grad.frobenius_norm() / gamma

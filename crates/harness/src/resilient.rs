@@ -3,22 +3,29 @@
 //! [`ResilientTrainer::step`] runs one synchronous training iteration
 //! against a communicator that may fail (typically a
 //! [`FaultyCommunicator`](kfac_collectives::FaultyCommunicator) under a
-//! seeded fault plan), degrading instead of crashing:
+//! seeded fault plan), degrading instead of crashing. The iteration
+//! itself is [`train_iteration`] — the same function the plain trainer
+//! runs — called with this trainer's [`FaultTolerance`]; what lives here
+//! is the ladder's bookkeeping (counters, checkpoint cadence, flight
+//! recorder, watchdog mapping). The rungs:
 //!
 //! 1. **Retry** — every collective runs under the configured
 //!    [`RetryPolicy`]; transient faults and short outages heal here and
 //!    the iteration proceeds bit-identically to a fault-free run.
 //! 2. **Stale factors** — a factor allreduce or eigendecomposition
-//!    allgather that exhausts its retries is *skipped*: the rank keeps
-//!    its previous averages / eigenbasis (counted in
-//!    `kfac/stale_factor_steps`). Because every rank consults the same
-//!    fault plan, all ranks stay identically stale.
+//!    allgather that exhausts its retries is *dropped* and the step
+//!    proceeds on the previous eigenbases (counted in
+//!    `kfac/stale_factor_steps`; [`Kfac::try_step`] has the exact state
+//!    rules). Because every rank consults the same fault plan, all ranks
+//!    stay identically stale.
 //! 3. **Identity preconditioner** — a failed or corrupted
 //!    eigendecomposition falls back to damped SGD for that factor
 //!    (handled inside [`Kfac`], counted in `kfac/eig_fallbacks`).
-//! 4. **Skipped step** — non-finite loss or non-finite/absurd gradients
-//!    (silent bit-flip corruption that slipped past the factor guards)
-//!    skip the optimizer step entirely (`train/skipped_steps`).
+//! 4. **Skipped step** — non-finite loss or non-finite/absurd gradients,
+//!    checked before K-FAC folds the batch into its factors and again on
+//!    the preconditioned gradients (silent bit-flip corruption that
+//!    slipped past the factor guards), skip the update entirely
+//!    (`train/skipped_steps`).
 //! 5. **Shrink-world resume** — a permanent rank loss surfaces as
 //!    [`StepOutcome::RankLost`]; when the surviving ranks can still
 //!    agree on a membership view, the caller shrinks the group
@@ -38,13 +45,14 @@
 //! group skips the step together.
 
 use crate::checkpoint;
+use crate::trainer::train_iteration;
 use kfac::Kfac;
-use kfac_collectives::{CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
-use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
-use kfac_optim::{Optimizer, Sgd};
+use kfac_collectives::{Communicator, RetryPolicy};
+use kfac_nn::{CrossEntropyLoss, Sequential};
+use kfac_optim::Sgd;
 use kfac_telemetry::watchdog::RuleKind;
 use kfac_telemetry::{FlightRecorder, HealthReport, Severity};
-use kfac_tensor::{Matrix, Tensor4};
+use kfac_tensor::Tensor4;
 use std::path::PathBuf;
 
 /// Degradation knobs for [`ResilientTrainer`].
@@ -88,9 +96,10 @@ pub struct ResilientTrainer {
     /// Degradation configuration.
     pub ft: FaultTolerance,
     /// Steps skipped on rung 4 (gradient exchange failure or unhealthy
-    /// gradients).
+    /// gradients) — the events `train/skipped_steps` counts.
     pub skipped_steps: u64,
-    /// Collectives that exhausted their retries and degraded (rung 2).
+    /// Collectives that exhausted their retries or delivered a corrupted
+    /// payload (rungs 2 and 4).
     pub comm_faults: u64,
     steps_done: u64,
     latest_checkpoint: Option<Vec<u8>>,
@@ -147,13 +156,6 @@ impl ResilientTrainer {
     /// Iterations that completed with a parameter update.
     pub fn steps_done(&self) -> u64 {
         self.steps_done
-    }
-
-    fn note_skipped(&mut self) {
-        self.skipped_steps += 1;
-        if let Some((registry, _)) = &self.telemetry {
-            registry.counter("train/skipped_steps").inc();
-        }
     }
 
     /// Map a watchdog health report onto the degradation ladder.
@@ -214,10 +216,11 @@ impl ResilientTrainer {
         self.dump_recorder(&format!("shrink_resume_epoch_{epoch}"));
     }
 
-    /// Run one training iteration under the degradation ladder.
-    /// Returns the local batch loss and what happened. All ranks of a
-    /// group must call this in lockstep with the same fault plan so
-    /// degradation decisions agree group-wide.
+    /// Run one training iteration under the degradation ladder:
+    /// [`train_iteration`] with this trainer's tolerance, plus the
+    /// ladder's bookkeeping. Returns the local batch loss and what
+    /// happened. All ranks of a group must call this in lockstep with
+    /// the same fault plan so degradation decisions agree group-wide.
     ///
     /// With a flight recorder attached, every step captures a metrics
     /// snapshot, and an escalated outcome (skipped step or rank loss)
@@ -234,177 +237,37 @@ impl ResilientTrainer {
         criterion: &CrossEntropyLoss,
         lr: f32,
     ) -> (f32, StepOutcome) {
-        let (loss, outcome) =
-            self.step_inner(model, kfac, optimizer, comm, x, labels, criterion, lr);
+        let (loss, outcome, faults) = train_iteration(
+            model, kfac, optimizer, comm, x, labels, criterion, lr, None, &self.ft,
+        );
+        self.comm_faults += u64::from(faults);
         if let (Some((recorder, _)), Some((registry, _))) = (&self.recorder, &self.telemetry) {
             recorder.snapshot(registry);
-            match outcome {
-                StepOutcome::Stepped => {}
-                StepOutcome::SkippedStep => {
-                    self.dump_recorder("skipped_step");
+        }
+        match outcome {
+            StepOutcome::Stepped => {
+                self.steps_done += 1;
+                if self.ft.checkpoint_every > 0
+                    && (self.steps_done as usize).is_multiple_of(self.ft.checkpoint_every)
+                {
+                    self.latest_checkpoint = Some(checkpoint::save(
+                        model,
+                        optimizer,
+                        kfac.as_ref(),
+                        self.steps_done,
+                        0,
+                    ));
                 }
-                StepOutcome::RankLost(r) => {
-                    self.dump_recorder(&format!("rank_lost_{r}"));
-                }
+            }
+            StepOutcome::SkippedStep => {
+                self.skipped_steps += 1;
+                self.dump_recorder("skipped_step");
+            }
+            StepOutcome::RankLost(r) => {
+                self.dump_recorder(&format!("rank_lost_{r}"));
             }
         }
         (loss, outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step_inner(
-        &mut self,
-        model: &mut Sequential,
-        kfac: &mut Option<Kfac>,
-        optimizer: &mut Sgd,
-        comm: &dyn Communicator,
-        x: &Tensor4,
-        labels: &[usize],
-        criterion: &CrossEntropyLoss,
-        lr: f32,
-    ) -> (f32, StepOutcome) {
-        let capture = kfac.as_ref().map(|k| k.needs_capture()).unwrap_or(false);
-        model.zero_grad();
-        model.set_capture(capture);
-        let out = model.forward(x, Mode::Train);
-        let (loss, grad) = criterion.forward(&out, labels);
-        let _ = model.backward(&grad);
-
-        // Rung 1: gradient allreduce under retry. Unaveraged gradients
-        // are unusable, so exhausted retries skip the step (rung 4).
-        if comm.size() > 1 {
-            let mut flat = Vec::new();
-            model.visit_params("", &mut |_, _, g| flat.extend_from_slice(g));
-            let res = self.ft.retry.run(|| {
-                comm.try_allreduce_tagged(&mut flat, ReduceOp::Average, TrafficClass::Gradient)
-            });
-            match res {
-                Ok(()) => {
-                    let mut off = 0;
-                    model.visit_params("", &mut |_, _, g| {
-                        g.copy_from_slice(&flat[off..off + g.len()]);
-                        off += g.len();
-                    });
-                }
-                Err(CollectiveError::RankFailed(r)) => return (loss, StepOutcome::RankLost(r)),
-                Err(_) => {
-                    self.comm_faults += 1;
-                    self.note_skipped();
-                    return (loss, StepOutcome::SkippedStep);
-                }
-            }
-        }
-
-        // K-FAC stages with staleness degradation (rungs 2–3).
-        if let Some(k) = kfac.as_mut() {
-            if k.is_factor_iteration() {
-                let mut layers = Vec::new();
-                model.collect_kfac(&mut layers);
-                for (li, layer) in layers.iter().enumerate() {
-                    k.factor_update_layer(li, &**layer);
-                }
-                if comm.size() > 1 {
-                    let mut fused = k.factor_pack();
-                    let res = self.ft.retry.run(|| {
-                        comm.try_allreduce_tagged(
-                            &mut fused,
-                            ReduceOp::Average,
-                            TrafficClass::Factor,
-                        )
-                    });
-                    match res {
-                        // Silent corruption is caught by the checked
-                        // unpack, which keeps the stale averages.
-                        Ok(()) => {
-                            if !k.factor_unpack_checked(&fused) {
-                                self.comm_faults += 1;
-                            }
-                        }
-                        Err(CollectiveError::RankFailed(r)) => {
-                            return (loss, StepOutcome::RankLost(r))
-                        }
-                        Err(_) => {
-                            k.note_stale_factor();
-                            self.comm_faults += 1;
-                        }
-                    }
-                }
-                k.note_factor_update();
-            }
-            if k.is_eig_iteration() {
-                let world = comm.size();
-                let rank = comm.rank();
-                let assignment = k.eig_assignment(world);
-                // Staged: nothing is stored until the allgather lands,
-                // so a failure leaves every rank identically stale.
-                let payload = k.eig_compute_payload(&assignment, rank);
-                if world > 1 {
-                    let res = self
-                        .ft
-                        .retry
-                        .run(|| comm.try_allgather_tagged(&payload, TrafficClass::Eigen));
-                    match res {
-                        Ok(gathered) => {
-                            k.eig_apply_all(&assignment, &gathered);
-                            k.note_eig_update();
-                        }
-                        Err(CollectiveError::RankFailed(r)) => {
-                            return (loss, StepOutcome::RankLost(r))
-                        }
-                        Err(_) => {
-                            k.note_stale_factor();
-                            self.comm_faults += 1;
-                        }
-                    }
-                } else {
-                    k.eig_apply_all(&assignment, &[payload]);
-                    k.note_eig_update();
-                }
-            }
-            // Preconditioning is local; missing or degraded
-            // second-order state falls back inside precondition_one.
-            let mut layers = Vec::new();
-            model.collect_kfac(&mut layers);
-            let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
-            let preconds: Vec<Matrix> = grads
-                .iter()
-                .enumerate()
-                .map(|(li, g)| k.precondition_one(li, g))
-                .collect();
-            k.apply_with_clip(&mut layers, &preconds, &grads, lr);
-            k.advance();
-        }
-
-        // Rung 4: health gate on loss and gradients before the step.
-        let grad_limit = self.ft.grad_limit;
-        let mut healthy = loss.is_finite();
-        if healthy {
-            model.visit_params("", &mut |_, _, g| {
-                if !g.iter().all(|v| v.is_finite() && v.abs() <= grad_limit) {
-                    healthy = false;
-                }
-            });
-        }
-        if !healthy {
-            self.note_skipped();
-            return (loss, StepOutcome::SkippedStep);
-        }
-
-        optimizer.step(model, lr);
-        self.steps_done += 1;
-
-        if self.ft.checkpoint_every > 0
-            && (self.steps_done as usize).is_multiple_of(self.ft.checkpoint_every)
-        {
-            self.latest_checkpoint = Some(checkpoint::save(
-                model,
-                optimizer,
-                kfac.as_ref(),
-                self.steps_done,
-                0,
-            ));
-        }
-        (loss, StepOutcome::Stepped)
     }
 }
 
@@ -412,8 +275,10 @@ impl ResilientTrainer {
 mod tests {
     use super::*;
     use kfac::KfacConfig;
-    use kfac_collectives::{FaultPlan, FaultPlanConfig, FaultyCommunicator, ThreadComm};
-    use kfac_nn::Linear;
+    use kfac_collectives::{
+        FaultPlan, FaultPlanConfig, FaultyCommunicator, ThreadComm, TrafficClass,
+    };
+    use kfac_nn::{Layer, Linear};
     use kfac_tensor::Rng64;
     use std::sync::Arc;
     use std::thread;
@@ -520,6 +385,142 @@ mod tests {
             }
         }
         assert_eq!(faulty[0].1.skipped_steps, 0);
+    }
+
+    /// What one rank of [`clean_pair`] ends with: loss bits, parameter
+    /// bits, serialized K-FAC state, per-class traffic.
+    type RankWitness = (Vec<u32>, Vec<u32>, Vec<u8>, kfac_collectives::Traffic);
+
+    /// 12 iterations on a clean 2-rank thread group, through the ladder
+    /// or through the Listing-1 loop it must equal.
+    fn clean_pair(cfg: &KfacConfig, ladder: bool) -> Vec<RankWitness> {
+        use crate::trainer::allreduce_gradients_fused;
+        use kfac_nn::layer::Mode;
+        use kfac_optim::Optimizer;
+        thread::scope(|s| {
+            let handles: Vec<_> = ThreadComm::create(2)
+                .into_iter()
+                .map(|comm| {
+                    s.spawn(move || {
+                        let mut m = model(3);
+                        let mut opt = Sgd::new(0.9, 1e-4);
+                        let mut k = Some(Kfac::new(&mut m, cfg.clone()));
+                        let criterion = CrossEntropyLoss::new();
+                        let mut tr = ResilientTrainer::new(FaultTolerance::default());
+                        let mut losses = Vec::new();
+                        for round in 0..12 {
+                            // Distinct shards, so the exchanges matter.
+                            let (x, labels) = batch(2 * round + comm.rank());
+                            let loss = if ladder {
+                                let (loss, outcome) = tr.step(
+                                    &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
+                                );
+                                assert_eq!(outcome, StepOutcome::Stepped);
+                                loss
+                            } else {
+                                let k = k.as_mut().unwrap();
+                                m.zero_grad();
+                                m.set_capture(k.needs_capture());
+                                let out = m.forward(&x, Mode::Train);
+                                let (loss, grad) = criterion.forward(&out, &labels);
+                                let _ = m.backward(&grad);
+                                let wire = k.precision().grad_wire;
+                                allreduce_gradients_fused(&mut m, &comm, None, wire);
+                                k.step(&mut m, &comm, 0.05);
+                                opt.step(&mut m, 0.05);
+                                loss
+                            };
+                            losses.push(loss.to_bits());
+                        }
+                        assert_eq!((tr.skipped_steps, tr.comm_faults), (0, 0));
+                        let mut params = Vec::new();
+                        m.visit_params("", &mut |_, w, _| {
+                            params.extend(w.iter().map(|v| v.to_bits()))
+                        });
+                        (losses, params, k.unwrap().save_state(), comm.traffic())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// On a clean fabric the ladder *is* the Listing-1 loop
+    /// (`allreduce_gradients_fused → Kfac::step → optimizer.step`), bit
+    /// for bit and byte for byte on the wire — for both distribution
+    /// strategies and for reduced-width wires, which a private copy of
+    /// the iteration once ignored.
+    #[test]
+    fn clean_ladder_is_bitwise_the_listing1_loop() {
+        use kfac::{DistStrategy, PrecisionPolicy};
+        for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
+            for precision in [PrecisionPolicy::f32(), PrecisionPolicy::bf16()] {
+                let cfg = KfacConfig {
+                    update_freq: 4,
+                    strategy,
+                    precision,
+                    ..KfacConfig::default()
+                };
+                let reference = clean_pair(&cfg, false);
+                let ladder = clean_pair(&cfg, true);
+                let tag = format!("{strategy:?} / {precision:?}");
+                for (l, r) in ladder.iter().zip(&reference) {
+                    // `assert!`, not `assert_eq!`: a mismatch should
+                    // not print kilobytes of bits.
+                    assert!(l.0 == r.0, "{tag}: losses differ");
+                    assert!(l.1 == r.1, "{tag}: parameters differ");
+                    assert!(l.2 == r.2, "{tag}: K-FAC state differs");
+                    assert_eq!(l.3, r.3, "{tag}: traffic differs");
+                }
+                let traffic = reference[0].3;
+                assert_eq!(
+                    traffic.precond_bytes > 0,
+                    strategy == DistStrategy::Lw,
+                    "{tag}: {traffic:?}"
+                );
+            }
+        }
+    }
+
+    /// A NaN batch is stopped at the gate *before* K-FAC: the step is
+    /// skipped with the factor averages and the K-FAC iteration exactly
+    /// where they were, and the field and the telemetry counter agree.
+    #[test]
+    fn nan_batch_is_skipped_before_it_reaches_the_factors() {
+        let registry = kfac_telemetry::Registry::new();
+        let _guard = registry.install(0);
+        let mut m = model(3);
+        let mut opt = Sgd::new(0.9, 1e-4);
+        let mut k = Some(Kfac::new(&mut m, KfacConfig::default()));
+        let criterion = CrossEntropyLoss::new();
+        let comm = kfac_collectives::LocalComm::new();
+        let mut tr = ResilientTrainer::new(FaultTolerance::default());
+        let (x, labels) = batch(0);
+        let (_, outcome) = tr.step(
+            &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
+        );
+        assert_eq!(outcome, StepOutcome::Stepped);
+        let before = (
+            k.as_ref().unwrap().factor_pack(),
+            k.as_ref().unwrap().iteration(),
+        );
+
+        let poisoned = Tensor4::from_vec(4, 6, 1, 1, vec![f32::NAN; 24]);
+        let (loss, outcome) = tr.step(
+            &mut m, &mut k, &mut opt, &comm, &poisoned, &labels, &criterion, 0.05,
+        );
+        assert!(loss.is_nan());
+        assert_eq!(outcome, StepOutcome::SkippedStep);
+        let k = k.as_ref().unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&before.0) == bits(&k.factor_pack()),
+            "NaN captures reached the factor EMA"
+        );
+        assert_eq!(k.iteration(), before.1);
+        assert_eq!(tr.skipped_steps, 1);
+        let counters: std::collections::HashMap<_, _> = registry.counters().into_iter().collect();
+        assert_eq!(counters["train/skipped_steps"], 1);
     }
 
     /// Long outages on K-FAC traffic degrade to stale factors — the

@@ -4,21 +4,25 @@
 //! Listing 1): each rank runs on its own thread with a full model
 //! replica and a disjoint data shard; per iteration it computes
 //! forward/backward on its local mini-batch, allreduces gradients,
-//! optionally applies the K-FAC preconditioner, and takes an SGD step.
-//! Validation accuracy is computed with sharded evaluation and count
-//! allreduce at the end of each epoch.
+//! optionally applies the K-FAC preconditioner, and takes an SGD step —
+//! [`train_iteration`], the one straight-line definition of that
+//! iteration, which the fault ladder
+//! ([`ResilientTrainer`](crate::resilient::ResilientTrainer)) also
+//! drives. Validation accuracy is computed with sharded evaluation and
+//! count allreduce at the end of each epoch.
 
 use crate::overlap::{overlap_iteration, ExecStrategy};
+use crate::resilient::{FaultTolerance, StepOutcome};
 use kfac::{DistStrategy, Kfac, KfacConfig, StageStats};
 use kfac_collectives::{
-    CommBackend, Communicator, FusionBuffer, LocalComm, ProcComm, ReduceOp, ThreadComm, Traffic,
-    TrafficClass,
+    CollectiveError, CommBackend, Communicator, FusionBuffer, LocalComm, ProcComm, ReduceOp,
+    RetryPolicy, ThreadComm, Traffic, TrafficClass,
 };
 use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_nn::{layer::Mode, CrossEntropyLoss, KfacEligible, Layer, Sequential};
 use kfac_optim::{LrSchedule, Optimizer, Sgd};
 use kfac_telemetry::{Registry, Span};
-use kfac_tensor::Dtype;
+use kfac_tensor::{Dtype, Tensor4};
 use std::time::Instant;
 
 /// Full configuration of one training run.
@@ -175,14 +179,37 @@ impl TrainResult {
 /// several bandwidth-sized collectives. The split never changes the
 /// result bits: reduction is element-wise in pinned rank order, so the
 /// message partitioning is invisible to the math.
+///
+/// # Panics
+/// Panics on a collective fault; [`train_iteration`] runs the same
+/// exchange fallibly.
 pub fn allreduce_gradients_fused(
     model: &mut dyn Layer,
     comm: &dyn Communicator,
     threshold_bytes: Option<usize>,
     wire_dtype: Dtype,
 ) {
+    try_allreduce_gradients_fused(
+        model,
+        comm,
+        threshold_bytes,
+        wire_dtype,
+        &RetryPolicy::none(),
+    )
+    .unwrap_or_else(|e| panic!("fusion flush failed: {e}"));
+}
+
+/// The fused gradient exchange with every flush under `retry`. On `Err`
+/// the model's gradients are untouched (still this rank's local ones).
+fn try_allreduce_gradients_fused(
+    model: &mut dyn Layer,
+    comm: &dyn Communicator,
+    threshold_bytes: Option<usize>,
+    wire_dtype: Dtype,
+    retry: &RetryPolicy,
+) -> Result<(), CollectiveError> {
     if comm.size() == 1 {
-        return;
+        return Ok(());
     }
     // `wire_dtype` selects the wire width of each fused message
     // (`PrecisionPolicy::grad_wire`); `Dtype::F32` is the plain tagged
@@ -191,11 +218,15 @@ pub fn allreduce_gradients_fused(
         FusionBuffer::with_configured(threshold_bytes, ReduceOp::Average, TrafficClass::Gradient)
             .with_dtype(wire_dtype);
     let mut next_id = 0usize;
+    let mut flushed = Ok(());
     model.visit_params("", &mut |_, _, g| {
-        fb.push(next_id, g.to_vec(), comm);
+        if flushed.is_ok() && fb.queue(next_id, g.to_vec()) {
+            flushed = retry.run(|| fb.try_flush(comm));
+        }
         next_id += 1;
     });
-    fb.flush(comm);
+    flushed?;
+    retry.run(|| fb.try_flush(comm))?;
     let mut done = fb.take_completed();
     done.sort_unstable_by_key(|(id, _)| *id);
     let mut reduced = done.into_iter();
@@ -203,6 +234,7 @@ pub fn allreduce_gradients_fused(
         let (_, data) = reduced.next().expect("one reduced tensor per parameter");
         g.copy_from_slice(&data);
     });
+    Ok(())
 }
 
 /// [`allreduce_gradients_fused`] at the default/env-resolved threshold
@@ -214,13 +246,121 @@ pub fn allreduce_gradients(model: &mut dyn Layer, comm: &dyn Communicator) {
 /// True when every gradient entry is finite — the health gate that
 /// decides whether this iteration's update is applied at all.
 pub fn gradients_finite(model: &mut dyn Layer) -> bool {
+    gradients_within(model, f32::INFINITY)
+}
+
+/// True when every gradient entry is finite and at most `limit` in
+/// magnitude.
+fn gradients_within(model: &mut dyn Layer, limit: f32) -> bool {
     let mut ok = true;
     model.visit_params("", &mut |_, _, g| {
-        if ok && !g.iter().all(|v| v.is_finite()) {
+        if ok && !g.iter().all(|v| v.is_finite() && v.abs() <= limit) {
             ok = false;
         }
     });
     ok
+}
+
+/// One synchronous training iteration, straight-line — the definition
+/// every sequential caller shares ([`train`]'s sequential arm with no
+/// fault tolerance, [`ResilientTrainer`](crate::resilient::ResilientTrainer)
+/// with the ladder's): zero-grad, forward, loss, backward, fused gradient
+/// allreduce at `grad_wire` width, health gate, [`Kfac::try_step`], the
+/// gate again on the preconditioned gradients, optimizer step. Every
+/// collective runs under `ft.retry`. The overlapped task graph
+/// ([`overlap_iteration`]) is the one alternative schedule of the same
+/// phases and is pinned bitwise to this function.
+///
+/// Returns the local batch loss, what happened, and how many collectives
+/// failed for good (exhausted retries or delivered a corrupted payload):
+///
+/// * a failed gradient exchange or an unhealthy loss/gradient (non-finite
+///   or beyond `ft.grad_limit`) skips the update *before* K-FAC runs, so
+///   the factor averages never see the bad batch;
+/// * a degraded Factor/Eigen exchange keeps stale K-FAC state and the
+///   step proceeds; a failed K-FAC-lw Precond exchange skips the update;
+/// * a lost rank returns [`StepOutcome::RankLost`] at once.
+///
+/// Post-allreduce gradients and the shared fault plan are identical on
+/// every rank, so each outcome is group-consistent by construction.
+/// Every skip bumps the ambient `train/skipped_steps` counter.
+#[allow(clippy::too_many_arguments)]
+pub fn train_iteration(
+    model: &mut Sequential,
+    kfac: &mut Option<Kfac>,
+    optimizer: &mut Sgd,
+    comm: &dyn Communicator,
+    x: &Tensor4,
+    labels: &[usize],
+    criterion: &CrossEntropyLoss,
+    lr: f32,
+    fusion_threshold: Option<usize>,
+    ft: &FaultTolerance,
+) -> (f32, StepOutcome, u32) {
+    let capture = kfac.as_ref().is_some_and(|k| k.needs_capture());
+    let grad_wire = kfac
+        .as_ref()
+        .map(|k| k.precision())
+        .unwrap_or_default()
+        .grad_wire;
+    let skipped = |loss, faults| {
+        if let Some((registry, _)) = kfac_telemetry::current() {
+            registry.counter("train/skipped_steps").inc();
+        }
+        (loss, StepOutcome::SkippedStep, faults)
+    };
+    // A collective failed for good: a lost rank ends the iteration at
+    // once; otherwise there is nothing usable to apply and the whole
+    // group skips.
+    let failed = |loss, e| match e {
+        CollectiveError::RankFailed(r) => (loss, StepOutcome::RankLost(r), 0),
+        _ => skipped(loss, 1),
+    };
+
+    model.zero_grad();
+    model.set_capture(capture);
+    let (loss, grad) = {
+        let _span = Span::enter("train/forward").with("batch", labels.len());
+        let out = model.forward(x, Mode::Train);
+        criterion.forward(&out, labels)
+    };
+    {
+        let _span = Span::enter("train/backward");
+        let _ = model.backward(&grad);
+    }
+
+    let exchanged = {
+        let _span = Span::enter("train/grad_allreduce");
+        try_allreduce_gradients_fused(model, comm, fusion_threshold, grad_wire, &ft.retry)
+    };
+    if let Err(e) = exchanged {
+        return failed(loss, e);
+    }
+    if !loss.is_finite() || !gradients_within(model, ft.grad_limit) {
+        return skipped(loss, 0);
+    }
+
+    let mut faults = 0;
+    if let Some(k) = kfac {
+        let stepped = {
+            let _span = Span::enter("train/kfac_step").with("capture", capture as u64);
+            k.try_step(model, comm, lr, &ft.retry)
+        };
+        match stepped {
+            Ok(degraded) => faults = degraded,
+            Err(e) => return failed(loss, e),
+        }
+        // Silent corruption that slipped past the factor guards shows up
+        // in the preconditioned gradients.
+        if !gradients_within(model, ft.grad_limit) {
+            return skipped(loss, faults);
+        }
+    }
+    {
+        let _span = Span::enter("train/opt_step");
+        optimizer.step(model, lr);
+    }
+    (loss, StepOutcome::Stepped, faults)
 }
 
 /// Sharded validation: each rank evaluates a slice of the validation
@@ -256,6 +396,14 @@ fn validate(
     counts[0] as f64 / counts[1] as f64
 }
 
+/// What [`train`]'s sequential arm passes to [`train_iteration`]: no
+/// retries, no gradient-magnitude limit, no checkpoints.
+const NO_FAULT_TOLERANCE: FaultTolerance = FaultTolerance {
+    retry: RetryPolicy::none(),
+    grad_limit: f32::INFINITY,
+    checkpoint_every: 0,
+};
+
 /// Run one rank's training loop.
 fn run_rank(
     rank: usize,
@@ -283,7 +431,6 @@ fn run_rank(
     // kernels consume bf16-encoded captures, so the two knobs share the
     // storage format). The all-f32 default skips every conversion.
     let precision = cfg.kfac.as_ref().map(|k| k.precision).unwrap_or_default();
-    let grad_wire = precision.grad_wire;
     if precision.capture == Dtype::Bf16 || precision.factor_gram == Dtype::Bf16 {
         let mut layers: Vec<&mut dyn KfacEligible> = Vec::new();
         model.collect_kfac(&mut layers);
@@ -332,80 +479,62 @@ fn run_rank(
             let lr = cfg
                 .lr
                 .lr_at(epoch as f32 + bi as f32 / iters_per_epoch as f32);
-            let capture = kfac.as_ref().map(|k| k.needs_capture()).unwrap_or(false);
             let t_iter = Instant::now();
-            // Liveness + trajectory probes for the watchdog and the live
-            // metrics plane. Pure reads of already-computed values: the
-            // training math never consumes them.
-            let record_iter = |loss: f32| {
-                registry
-                    .gauge(kfac_telemetry::watchdog::names::LOSS)
-                    .set(loss as f64);
-                registry
-                    .gauge(kfac_telemetry::watchdog::names::HEARTBEAT_US)
-                    .set(registry.micros_at(Instant::now()) as f64);
-                registry
-                    .histogram("train/iter_time_us")
-                    .record(t_iter.elapsed().as_micros() as f64);
-            };
             let _iter_span = Span::enter("train/iteration")
                 .with("epoch", epoch)
                 .with("iter", bi);
             let (x, labels) = batch_of(train_ds, &indices, epoch as u64 + 1);
-            if let Some(mode) = cfg.exec.exec_mode() {
-                let loss = overlap_iteration(
-                    &mut model,
-                    &mut kfac,
-                    &mut optimizer,
-                    comm,
-                    &x,
-                    &labels,
-                    &criterion,
-                    lr,
-                    capture,
-                    mode,
-                );
-                loss_sum += loss as f64;
-                record_iter(loss);
-                continue;
-            }
-            model.zero_grad();
-            model.set_capture(capture);
-
-            let loss = {
-                let _span = Span::enter("train/forward").with("batch", indices.len());
-                let out = model.forward(&x, Mode::Train);
-                let (loss, grad) = criterion.forward(&out, &labels);
-                loss_sum += loss as f64;
-                drop(_span);
-                let _span = Span::enter("train/backward");
-                let _ = model.backward(&grad);
-                loss
+            let loss = match cfg.exec.exec_mode() {
+                Some(mode) => {
+                    let capture = kfac.as_ref().is_some_and(|k| k.needs_capture());
+                    overlap_iteration(
+                        &mut model,
+                        &mut kfac,
+                        &mut optimizer,
+                        comm,
+                        &x,
+                        &labels,
+                        &criterion,
+                        lr,
+                        capture,
+                        mode,
+                    )
+                }
+                None => {
+                    let (loss, outcome, faults) = train_iteration(
+                        &mut model,
+                        &mut kfac,
+                        &mut optimizer,
+                        comm,
+                        &x,
+                        &labels,
+                        &criterion,
+                        lr,
+                        cfg.fusion_threshold_bytes,
+                        &NO_FAULT_TOLERANCE,
+                    );
+                    // Without a ladder around it, a failed collective is
+                    // fatal; only the health gate may skip a step.
+                    if let StepOutcome::RankLost(r) = outcome {
+                        panic!("rank {r} failed permanently");
+                    }
+                    assert_eq!(faults, 0, "collective failed with no fault tolerance");
+                    loss
+                }
             };
-
-            {
-                let _span = Span::enter("train/grad_allreduce");
-                allreduce_gradients_fused(&mut model, comm, cfg.fusion_threshold_bytes, grad_wire);
-            }
-            // Health gate: a non-finite loss or gradient (overflow,
-            // data corruption) skips the K-FAC and optimizer updates
-            // rather than poisoning the parameters. Post-allreduce
-            // gradients are identical on every rank, so the skip is
-            // group-consistent by construction.
-            if !loss.is_finite() || !gradients_finite(&mut model) {
-                registry.counter("train/skipped_steps").inc();
-                record_iter(loss);
-                continue;
-            }
-            if let Some(k) = &mut kfac {
-                let _span = Span::enter("train/kfac_step").with("capture", capture as u64);
-                k.step(&mut model, comm, lr);
-            }
-            {
-                let _span = Span::enter("train/opt_step");
-                optimizer.step(&mut model, lr);
-            }
-            record_iter(loss);
+            loss_sum += loss as f64;
+            // Liveness + trajectory probes for the watchdog and the live
+            // metrics plane. Pure reads of already-computed values: the
+            // training math never consumes them.
+            registry
+                .gauge(kfac_telemetry::watchdog::names::LOSS)
+                .set(loss as f64);
+            registry
+                .gauge(kfac_telemetry::watchdog::names::HEARTBEAT_US)
+                .set(registry.micros_at(Instant::now()) as f64);
+            registry
+                .histogram("train/iter_time_us")
+                .record(t_iter.elapsed().as_micros() as f64);
         }
         let wall_s = t_epoch.elapsed().as_secs_f64();
 
@@ -443,7 +572,7 @@ fn run_rank(
 /// Run one rank of the training loop over a caller-provided
 /// communicator — the entry point for worker *processes* (`xp` in
 /// `KFAC_PROC_RANK` mode) and for tests that drive exotic fabrics
-/// ([`kfac_collectives::HierComm`], fault-wrapped comms). Returns
+/// (fault-wrapped comms). Returns
 /// `Some(TrainResult)` on global rank 0, `None` elsewhere. The caller
 /// must ensure every rank of `comm`'s group runs this with an identical
 /// `cfg`, datasets and `build_model`.
