@@ -1,6 +1,6 @@
 //! Kernel microbenchmarks: the primitive operations every experiment is
 //! built from (GEMM, symmetric eigendecomposition, explicit inverse,
-//! im2col, thread-rank allreduce).
+//! patch-block lowering, thread-rank allreduce).
 //!
 //! These are the numbers `kfac_cluster::calibrate_host` anchors the
 //! simulator to; run `cargo bench -p kfac-bench --bench kernels` to see
@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kfac_collectives::{Communicator, ReduceOp, ThreadComm};
 use kfac_harness::benchkernels::{self, Kind};
-use kfac_nn::im2col::im2col;
+use kfac_nn::lowering::{build_patches, Geometry, BLOCK};
 use kfac_tensor::{eigh, invert, Matrix, Rng64, Tensor4};
 use std::time::Duration;
 
@@ -137,8 +137,8 @@ fn bench_eig_and_inverse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_im2col(c: &mut Criterion) {
-    let mut group = c.benchmark_group("im2col");
+fn bench_patches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("patches");
     group
         .measurement_time(Duration::from_secs(3))
         .sample_size(20);
@@ -150,8 +150,14 @@ fn bench_im2col(c: &mut Criterion) {
         16,
         (0..16 * 16 * 16 * 16).map(|_| rng.normal_f32()).collect(),
     );
-    group.bench_function("3x3_pad1_b16c16s16", |bench| {
-        bench.iter(|| std::hint::black_box(im2col(&x, 3, 1, 1)));
+    // One 256-position block of a 3×3 / pad-1 convolution: 144 × 256.
+    let g = Geometry::new(x.shape(), 3, 1, 1);
+    let mut block = vec![0.0f32; g.fan_in() * BLOCK];
+    group.bench_function("3x3_pad1_c16s16_block", |bench| {
+        bench.iter(|| {
+            build_patches(&x, &g, 0..BLOCK, &mut block);
+            std::hint::black_box(&block);
+        });
     });
     group.finish();
 }
@@ -189,7 +195,7 @@ criterion_group!(
     bench_gemm,
     bench_resnet32_shapes,
     bench_eig_and_inverse,
-    bench_im2col,
+    bench_patches,
     bench_allreduce
 );
 criterion_main!(benches);

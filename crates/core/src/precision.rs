@@ -33,7 +33,7 @@ use kfac_tensor::Dtype;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrecisionPolicy {
     /// Storage for captured activations / backprop gradients (for conv
-    /// layers this is the im2col column scratch itself). F32 | Bf16.
+    /// layers the patch blocks are encoded as they are built). F32 | Bf16.
     pub capture: Dtype,
     /// Storage feeding the factor Gram kernels (`A = aᵀa/N`, `G`). Bf16
     /// selects the bf16-packed f32-accumulate GEMM path. F32 | Bf16.

@@ -1,7 +1,7 @@
 //! Steady-state kernel paths perform zero heap allocations.
 //!
 //! The compute substrate's contract (see `kfac_tensor::arena`): after one
-//! warm-up iteration, the `_into` kernels (GEMM, Gram, im2col/col2im) and
+//! warm-up iteration, the `_into` kernels (GEMM, Gram, patch blocks) and
 //! the K-FAC factor update serve every transient from per-layer scratch or
 //! the thread-local arena. This test pins that with a counting global
 //! allocator: it arms a thread-local counter, replays the hot path on
@@ -19,7 +19,7 @@
 //! ```
 
 use kfac::{Kfac, KfacConfig};
-use kfac_nn::im2col::{col2im_into, im2col_into};
+use kfac_nn::lowering::{build_patches, scatter_patches, Geometry};
 use kfac_nn::{Conv2d, CrossEntropyLoss, Flatten, Layer, Linear, Mode, ReLU, Sequential};
 use kfac_tensor::{eigh_tridiag, Matrix, Rng64, Tensor4};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,7 +85,7 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut Rng64) -> Matrix {
 }
 
 /// The raw `_into` kernels: GEMM in all orientations, both Grams, and the
-/// im2col/col2im pair, replayed on warmed outputs.
+/// patch-block build/scatter pair, replayed on warmed outputs.
 #[test]
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn into_kernels_allocate_nothing_when_warm() {
@@ -111,8 +111,9 @@ fn into_kernels_allocate_nothing_when_warm() {
     let mut out_nt = Matrix::zeros(0, 0);
     let mut gram = Matrix::zeros(0, 0);
     let mut gram_nt = Matrix::zeros(0, 0);
-    let mut cols = Matrix::zeros(0, 0);
-    let mut dx = Tensor4::zeros(0, 0, 0, 0);
+    let geom = Geometry::new(x.shape(), 3, 1, 1);
+    let mut patches = vec![0.0f32; geom.fan_in() * geom.positions()];
+    let mut dx = Tensor4::zeros(4, 3, 12, 12);
 
     let mut pass = |arena_warm: bool| {
         a.matmul_into(&b, &mut out);
@@ -120,8 +121,8 @@ fn into_kernels_allocate_nothing_when_warm() {
         a.matmul_nt_into(&bt, &mut out_nt);
         a.gram_into(&mut gram);
         a.gram_nt_into(&mut gram_nt);
-        im2col_into(&x, 3, 1, 1, &mut cols);
-        col2im_into(&cols, x.shape(), 3, 1, 1, &mut dx);
+        build_patches(&x, &geom, 0..geom.positions(), &mut patches);
+        scatter_patches(&mut patches, &geom, 0..geom.positions(), &mut dx);
         arena_warm
     };
 

@@ -1,17 +1,20 @@
 //! Kernel before/after benchmark: packed GEMM engine vs. legacy kernels.
 //!
 //! `xp bench-kernels` times every GEMM/Gram shape the ResNet-32 CIFAR
-//! pipeline actually runs (im2col forward products, weight-gradient
-//! products, Kronecker-factor Grams) plus square 256–1024 stress shapes,
-//! against byte-for-byte copies of the pre-packing `ikj` kernels this
-//! repo shipped with. Results go to stdout as a table and, with
-//! `--json`, to `BENCH_kernels.json` for the CI bench-smoke job.
+//! pipeline actually runs (convolution forward, weight-gradient and
+//! input-gradient products, Kronecker-factor Grams) plus square 256–1024
+//! stress shapes, against byte-for-byte copies of the pre-packing `ikj`
+//! kernels this repo shipped with, and then one whole `Conv2d`
+//! forward + backward per ResNet-32 stage beside the three bare GEMMs it
+//! is made of. Results go to stdout as a table and, with `--json`, to
+//! `BENCH_kernels.json` for the CI bench-smoke job.
 //!
 //! The legacy kernels live here (not in `kfac-tensor`) on purpose: they
 //! are a measurement baseline, not an API, and keeping them out of the
 //! tensor crate means nothing can accidentally call them.
 
-use kfac_tensor::{HalfMatrix, Matrix, Rng64};
+use kfac_nn::{Conv2d, Layer, Mode};
+use kfac_tensor::{HalfMatrix, Matrix, Rng64, Tensor4};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -84,8 +87,10 @@ pub const BF16_GATE_MIN: f64 = 1.4;
 /// The benchmark suite: ResNet-32/CIFAR layer shapes (batch 8) and the
 /// square 256–1024 shapes the acceptance criteria are stated over.
 ///
-/// ResNet-32 shape notes — an im2col'd 3×3 conv at width `c → oc` over a
-/// `b × s × s` feature map is the product `(b·s² × 9c) · (oc × 9c)ᵀ`; its
+/// ResNet-32 shape notes — a 3×3 conv at width `c → oc` over a
+/// `b × s × s` feature map is, as one whole-batch GEMM, the product
+/// `(b·s² × 9c) · (oc × 9c)ᵀ`; its weight gradient is `(b·s² × oc)ᵀ ·
+/// (b·s² × 9c)` and its input gradient `(b·s² × oc) · (oc × 9c)`; its
 /// activation factor is the Gram of the bias-augmented patch matrix
 /// `(b·s² × 9c+1)`, its gradient factor the Gram of `(b·s² × oc)` rows.
 pub fn cases() -> Vec<(&'static str, Kind, usize, usize, usize)> {
@@ -97,19 +102,108 @@ pub fn cases() -> Vec<(&'static str, Kind, usize, usize, usize)> {
         ("square_gram_256", Kind::Gram, 0, 256, 256),
         ("square_gram_512", Kind::Gram, 0, 512, 512),
         ("square_gram_1024", Kind::Gram, 0, 1024, 1024),
-        // ResNet-32 stage convolutions, forward (im2col · weightᵀ).
+        // ResNet-32 stage convolutions, forward (patches · weightᵀ).
         ("rn32_conv_in", Kind::MatmulNt, 8192, 27, 16),
         ("rn32_conv_s1", Kind::MatmulNt, 8192, 144, 16),
         ("rn32_conv_s2", Kind::MatmulNt, 2048, 288, 32),
         ("rn32_conv_s3", Kind::MatmulNt, 512, 576, 64),
-        // Weight gradient for the widest stage: dW = gᵀ · cols.
+        // Weight gradients, dW = gᵀ · patches, and input gradients,
+        // dP = g · weight: with the forward rows, the three products of
+        // each [`LAYER_CASES`] entry.
+        ("rn32_dw_s1", Kind::MatmulTn, 16, 8192, 144),
+        ("rn32_dw_s2", Kind::MatmulTn, 32, 2048, 288),
         ("rn32_dw_s3", Kind::MatmulTn, 64, 512, 576),
+        ("rn32_dx_s1", Kind::Matmul, 8192, 16, 144),
+        ("rn32_dx_s2", Kind::Matmul, 2048, 32, 288),
+        ("rn32_dx_s3", Kind::Matmul, 512, 64, 576),
         // Kronecker factors: activation Grams (bias-augmented patches)
         // and a gradient Gram.
         ("rn32_afactor_s2", Kind::Gram, 0, 2048, 289),
         ("rn32_afactor_s3", Kind::Gram, 0, 512, 577),
         ("rn32_gfactor_s3", Kind::GramNt, 512, 64, 0),
     ]
+}
+
+/// One whole convolution layer, forward + backward, beside the bare
+/// GEMMs of the same run: what the lowering around the products costs.
+pub struct LayerCase {
+    pub name: &'static str,
+    /// `Conv2d(channels → channels, 3×3, stride 1, pad 1)` …
+    pub channels: usize,
+    /// … over a `batch × channels × side × side` input.
+    pub batch: usize,
+    pub side: usize,
+    /// Training forward + backward of the layer, ns per iteration.
+    pub layer_ns: f64,
+    /// Sum of the packed timings of the layer's forward, weight-gradient
+    /// and input-gradient GEMM rows (`rn32_{conv,dw,dx}_<stage>`).
+    pub gemm_ns: f64,
+}
+
+impl LayerCase {
+    /// Multiply-adds of the three products.
+    pub fn madds(&self) -> u64 {
+        let c = self.channels;
+        3 * (self.batch * self.side * self.side * 9 * c * c) as u64
+    }
+    /// Effective rate of the whole layer over its GEMM FLOPs.
+    pub fn gflops(&self) -> f64 {
+        2.0 * self.madds() as f64 / self.layer_ns
+    }
+    /// Layer time over the time of its bare GEMMs (1.0 = free lowering);
+    /// the CI `perf` job fails above 2.0.
+    pub fn over_gemm(&self) -> f64 {
+        self.layer_ns / self.gemm_ns
+    }
+}
+
+/// The ResNet-32 stage layers (batch 8, as the GEMM rows): row name, the
+/// stage suffix of its GEMM rows, channels, feature-map side.
+pub const LAYER_CASES: [(&str, &str, usize, usize); 3] = [
+    ("rn32_layer_s1", "s1", 16, 32),
+    ("rn32_layer_s2", "s2", 32, 16),
+    ("rn32_layer_s3", "s3", 64, 8),
+];
+
+/// Time one `Conv2d` forward + backward per stage; `cases` supplies the
+/// bare GEMM timings of the same run.
+pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
+    const BATCH: usize = 8;
+    let mut rng = Rng64::new(0x1A7E5);
+    let random_tensor = |c: usize, side: usize, rng: &mut Rng64| {
+        let len = BATCH * c * side * side;
+        let data = (0..len).map(|_| rng.normal_f32()).collect();
+        Tensor4::from_vec(BATCH, c, side, side, data)
+    };
+    LAYER_CASES
+        .into_iter()
+        .map(|(name, stage, channels, side)| {
+            let mut conv = Conv2d::new("conv", channels, channels, 3, 1, 1, false, &mut rng);
+            let x = random_tensor(channels, side, &mut rng);
+            let gy = random_tensor(channels, side, &mut rng);
+            let layer_ns = time_ns(|| {
+                std::hint::black_box(conv.forward(&x, Mode::Train));
+                std::hint::black_box(conv.backward(&gy));
+            });
+            let gemm_ns = ["conv", "dw", "dx"]
+                .iter()
+                .map(|product| {
+                    let row = format!("rn32_{product}_{stage}");
+                    let case = cases.iter().find(|c| c.name == row);
+                    case.unwrap_or_else(|| panic!("no GEMM row {row}"))
+                        .packed_ns
+                })
+                .sum();
+            LayerCase {
+                name,
+                channels,
+                batch: BATCH,
+                side,
+                layer_ns,
+                gemm_ns,
+            }
+        })
+        .collect()
 }
 
 fn random_matrix(r: usize, c: usize, rng: &mut Rng64) -> Matrix {
@@ -252,7 +346,7 @@ pub fn run_all() -> Vec<BenchCase> {
 }
 
 /// Render the suite as an aligned text table.
-pub fn render_table(cases: &[BenchCase]) -> String {
+pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     let mut s = String::new();
     s.push_str(&format!(
         "{:<18} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>9} {:>8} {:>12} {:>9}\n",
@@ -292,11 +386,28 @@ pub fn render_table(cases: &[BenchCase]) -> String {
             bf16_speedup
         ));
     }
+    s.push_str(&format!(
+        "\n{:<18} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>9}\n",
+        "conv layer", "batch", "chan", "side", "fwd+bwd ns", "3 GEMMs ns", "GFLOP/s", "layer/G"
+    ));
+    for l in layers {
+        s.push_str(&format!(
+            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>12.0} {:>9.2} {:>8.2}x\n",
+            l.name,
+            l.batch,
+            l.channels,
+            l.side,
+            l.layer_ns,
+            l.gemm_ns,
+            l.gflops(),
+            l.over_gemm()
+        ));
+    }
     s
 }
 
 /// Serialize the suite as JSON (hand-rolled — no serde in this tree).
-pub fn to_json(cases: &[BenchCase]) -> String {
+pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, c) in cases.iter().enumerate() {
         let bf16_fields = match c.bf16 {
@@ -327,7 +438,31 @@ pub fn to_json(cases: &[BenchCase]) -> String {
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }
+    s.push_str("  ],\n  \"conv_layers\": [\n");
+    for (i, l) in layers.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"batch\": {}, \"channels\": {}, \"side\": {}, \
+             \"fwd_bwd_ns_per_iter\": {:.1}, \"gemm_sum_ns_per_iter\": {:.1}, \
+             \"gflops\": {:.3}, \"layer_over_gemm\": {:.3}}}{}\n",
+            l.name,
+            l.batch,
+            l.channels,
+            l.side,
+            l.layer_ns,
+            l.gemm_ns,
+            l.gflops(),
+            l.over_gemm(),
+            if i + 1 < layers.len() { "," } else { "" }
+        ));
+    }
     s.push_str("  ],\n");
+    // Conv-layer gate: the worst layer-over-GEMM ratio (a failing value,
+    // so the CI assertion is loud, when the layer rows are missing).
+    let layer_gate = layers
+        .iter()
+        .map(LayerCase::over_gemm)
+        .reduce(f64::max)
+        .unwrap_or(999.0);
     let gate: Vec<&BenchCase> = cases
         .iter()
         .filter(|c| c.name.starts_with("square_"))
@@ -352,13 +487,14 @@ pub fn to_json(cases: &[BenchCase]) -> String {
         .fold(f64::INFINITY, f64::min);
     s.push_str(&format!(
         "  \"min_square_speedup\": {:.3},\n  \"min_bf16_gate_speedup\": {:.3},\n  \
-         \"pool_threads\": {}\n}}\n",
+         \"max_layer_over_gemm\": {:.3},\n  \"pool_threads\": {}\n}}\n",
         if min.is_finite() { min } else { 0.0 },
         if bf16_gate.is_finite() {
             bf16_gate
         } else {
             0.0
         },
+        layer_gate,
         rayon::current_num_threads()
     ));
     s
@@ -536,7 +672,19 @@ mod tests {
                 }),
             },
         ];
-        let json = to_json(&cases);
+        let layers = [LayerCase {
+            name: "rn32_layer_s1",
+            channels: 16,
+            batch: 8,
+            side: 32,
+            layer_ns: 3000.0,
+            gemm_ns: 2000.0,
+        }];
+        let json = to_json(&cases, &layers);
+        assert!(json.contains("\"layer_over_gemm\": 1.500"));
+        assert!(json.contains("\"max_layer_over_gemm\": 1.500"));
+        // No layer rows → the loud failure value, not a passing 0.
+        assert!(to_json(&cases, &[]).contains("\"max_layer_over_gemm\": 999.000"));
         assert!(json.contains("\"speedup\": 4.000"));
         assert!(json.contains("\"min_square_speedup\": 4.000"));
         assert!(json.contains("\"bf16_ns_per_iter\": null"));
@@ -565,7 +713,7 @@ mod tests {
             .zip([1.9, 1.5, 1.7])
             .map(|(n, s)| mk(n, s))
             .collect();
-        let json = to_json(&cases);
+        let json = to_json(&cases, &[]);
         assert!(json.contains("\"min_bf16_gate_speedup\": 1.500"), "{json}");
     }
 }

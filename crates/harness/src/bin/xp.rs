@@ -274,7 +274,8 @@ fn run_prom_lint(args: &[String]) {
 }
 
 /// `xp bench-kernels [--json [FILE]]` — time the packed GEMM/Gram kernels
-/// against the legacy baseline on ResNet-32 and square stress shapes.
+/// against the legacy baseline on ResNet-32 and square stress shapes, and
+/// a whole `Conv2d` forward + backward per stage against its bare GEMMs.
 /// `--json` writes machine-readable results (default `BENCH_kernels.json`).
 fn run_bench_kernels(args: &[String]) {
     let mut json_path: Option<PathBuf> = None;
@@ -303,13 +304,17 @@ fn run_bench_kernels(args: &[String]) {
     );
     let started = std::time::Instant::now();
     let cases = kfac_harness::benchkernels::run_all();
-    print!("{}", kfac_harness::benchkernels::render_table(&cases));
+    let layers = kfac_harness::benchkernels::run_layers(&cases);
+    print!(
+        "{}",
+        kfac_harness::benchkernels::render_table(&cases, &layers)
+    );
     eprintln!(
         "=== bench-kernels done in {:.1}s ===",
         started.elapsed().as_secs_f64()
     );
     if let Some(path) = json_path {
-        let json = kfac_harness::benchkernels::to_json(&cases);
+        let json = kfac_harness::benchkernels::to_json(&cases, &layers);
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => {

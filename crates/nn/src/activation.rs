@@ -5,14 +5,20 @@ use kfac_tensor::Tensor4;
 
 /// Rectified linear unit, `y = max(x, 0)`.
 pub struct ReLU {
-    /// Mask of positive inputs from the last training forward.
-    mask: Option<Vec<bool>>,
+    /// Mask of positive inputs from the last training forward; the
+    /// buffer is kept between iterations.
+    mask: Vec<bool>,
+    /// Whether `mask` belongs to a forward not yet back-propagated.
+    cached: bool,
 }
 
 impl ReLU {
     /// New ReLU.
     pub fn new() -> Self {
-        ReLU { mask: None }
+        ReLU {
+            mask: Vec::new(),
+            cached: false,
+        }
     }
 }
 
@@ -22,48 +28,36 @@ impl Default for ReLU {
     }
 }
 
+/// `values` with the shape of `like`.
+fn shaped_like(like: &Tensor4, values: Vec<f32>) -> Tensor4 {
+    let (n, c, h, w) = like.shape();
+    Tensor4::from_vec(n, c, h, w, values)
+}
+
 impl Layer for ReLU {
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        let (n, c, h, w) = input.shape();
-        let mut out = Tensor4::zeros(n, c, h, w);
+        let x = input.as_slice();
         if mode == Mode::Train {
-            let mut mask = vec![false; input.len()];
-            for ((o, &v), m) in out
-                .as_mut_slice()
-                .iter_mut()
-                .zip(input.as_slice())
-                .zip(mask.iter_mut())
-            {
-                if v > 0.0 {
-                    *o = v;
-                    *m = true;
-                }
-            }
-            self.mask = Some(mask);
+            self.mask.clear();
+            self.mask.extend(x.iter().map(|&v| v > 0.0));
+            self.cached = true;
+            let out = x.iter().map(|&v| if v > 0.0 { v } else { 0.0 });
+            shaped_like(input, out.collect())
         } else {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                *o = v.max(0.0);
-            }
+            shaped_like(input, x.iter().map(|&v| v.max(0.0)).collect())
         }
-        out
     }
 
     fn backward(&mut self, grad_output: &Tensor4) -> Tensor4 {
-        let mask = self.mask.take().expect("backward without training forward");
-        assert_eq!(mask.len(), grad_output.len());
-        let (n, c, h, w) = grad_output.shape();
-        let mut dx = Tensor4::zeros(n, c, h, w);
-        for ((o, &g), &m) in dx
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_output.as_slice())
-            .zip(&mask)
-        {
-            if m {
-                *o = g;
-            }
-        }
-        dx
+        assert!(self.cached, "backward without training forward");
+        self.cached = false;
+        assert_eq!(self.mask.len(), grad_output.len());
+        let dx = grad_output
+            .as_slice()
+            .iter()
+            .zip(&self.mask)
+            .map(|(&g, &m)| if m { g } else { 0.0 });
+        shaped_like(grad_output, dx.collect())
     }
 
     fn output_shape(&self, input: (usize, usize, usize, usize)) -> (usize, usize, usize, usize) {

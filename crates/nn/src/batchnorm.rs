@@ -23,9 +23,11 @@ pub struct BatchNorm2d {
     /// Biased running variance (documented deviation from PyTorch's
     /// unbiased storage; only affects eval-mode scaling by m/(m−1)).
     running_var: Vec<f32>,
-    /// Cached normalized activations from the last training forward.
-    xhat: Option<Tensor4>,
-    /// Cached per-channel 1/√(var+eps).
+    /// Normalized activations of the last training forward (the buffer is
+    /// kept between iterations; `inv_std` says whether it is current).
+    xhat: Tensor4,
+    /// Cached per-channel 1/√(var+eps); `Some` between a training forward
+    /// and its backward.
     inv_std: Option<Vec<f32>>,
 }
 
@@ -43,7 +45,7 @@ impl BatchNorm2d {
             grad_beta: vec![0.0; channels],
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            xhat: None,
+            xhat: Tensor4::zeros(0, 0, 0, 0),
             inv_std: None,
         }
     }
@@ -66,7 +68,8 @@ impl Layer for BatchNorm2d {
 
         match mode {
             Mode::Train => {
-                let mut xhat = Tensor4::zeros(n, c, h, w);
+                let xhat = &mut self.xhat;
+                xhat.reset_for(n, c, h, w);
                 let mut inv_std = vec![0.0f32; c];
                 for ci in 0..c {
                     // Batch statistics over (N, H, W).
@@ -91,15 +94,13 @@ impl Layer for BatchNorm2d {
                     let g = self.gamma[ci];
                     let b = self.beta[ci];
                     for ni in 0..n {
-                        let xp = input.plane(ni, ci);
-                        let hp: Vec<f32> = xp.iter().map(|&v| (v - mean) * istd).collect();
-                        xhat.plane_mut(ni, ci).copy_from_slice(&hp);
-                        for (o, &hv) in out.plane_mut(ni, ci).iter_mut().zip(&hp) {
-                            *o = g * hv + b;
+                        let planes = xhat.plane_mut(ni, ci).iter_mut().zip(out.plane_mut(ni, ci));
+                        for ((hv, o), &v) in planes.zip(input.plane(ni, ci)) {
+                            *hv = (v - mean) * istd;
+                            *o = g * *hv + b;
                         }
                     }
                 }
-                self.xhat = Some(xhat);
                 self.inv_std = Some(inv_std);
             }
             Mode::Eval => {
@@ -122,11 +123,11 @@ impl Layer for BatchNorm2d {
 
     #[allow(clippy::needless_range_loop)]
     fn backward(&mut self, grad_output: &Tensor4) -> Tensor4 {
-        let xhat = self.xhat.take().expect("backward without training forward");
         let inv_std = self
             .inv_std
             .take()
             .expect("backward without training forward");
+        let xhat = &self.xhat;
         let (n, c, h, w) = grad_output.shape();
         let m = (n * h * w) as f32;
         let mut dx = Tensor4::zeros(n, c, h, w);

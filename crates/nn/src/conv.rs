@@ -1,17 +1,21 @@
-//! 2-D convolution (im2col + GEMM) with K-FAC capture.
+//! 2-D convolution (cache-blocked patch lowering + GEMM) with K-FAC capture.
 //!
 //! The K-FAC factors for convolution follow Grosse & Martens'
 //! convolutional factorization (the paper's \[33\]): the activation factor is
-//! the second moment of the receptive-field patches (the im2col rows,
-//! bias-augmented) and the gradient factor is the second moment of the
-//! per-position output gradients. The paper's implementation inherits this
-//! from kfac-pytorch; we implement it directly.
+//! the second moment of the receptive-field patches (bias-augmented) and
+//! the gradient factor is the second moment of the per-position output
+//! gradients. The paper's implementation inherits this from kfac-pytorch;
+//! we implement it directly, on the patch blocks the forward pass builds
+//! anyway (see [`lowering`](crate::lowering)).
 
-use crate::im2col::{col2im_into, conv_out_dim, im2col_into};
 use crate::layer::{Capture, KfacEligible, Layer, Mode};
+use crate::lowering::{
+    build_patches, conv_out_dim, gather_block, scatter_block, scatter_patches, Blocked, Geometry,
+    BLOCK,
+};
 use kfac_tensor::arena;
 use kfac_tensor::gemm::{gemm_into, View};
-use kfac_tensor::{init, Matrix, Rng64, Tensor4};
+use kfac_tensor::{f32_to_bf16, init, Dtype, Matrix, Rng64, Tensor4};
 
 /// `Conv2d(c_in → c_out, k×k, stride, pad)`, square kernels.
 pub struct Conv2d {
@@ -26,18 +30,15 @@ pub struct Conv2d {
     bias: Option<Vec<f32>>,
     grad_weight: Vec<f32>,
     grad_bias: Option<Vec<f32>>,
-    /// Cached patch matrix from the last training forward.
-    cols: Option<Matrix>,
-    in_shape: Option<(usize, usize, usize, usize)>,
-    capture: Capture,
-    /// Retired patch buffer, reused by the next forward (steady-state
-    /// forwards reshape it in place instead of allocating).
-    cols_pool: Option<Matrix>,
-    /// Persistent GEMM scratch: forward output rows, backward gradient
-    /// rows, and the backward patch-gradient matrix.
-    y_rows: Matrix,
-    gy_rows: Matrix,
-    dcols: Matrix,
+    /// Patch blocks of the last training forward (with a row of ones under
+    /// the patch rows when the layer has a bias), and their geometry.
+    patches: Option<(Blocked<f32>, Geometry)>,
+    /// Retired patch storage for the next forward. Never the buffer a
+    /// capture holds: backward hands the patches to the capture *instead
+    /// of* retiring them, and takes the capture's previous buffer in
+    /// exchange.
+    spare: Vec<f32>,
+    capture: Capture<Blocked<f32>, Blocked<u16>>,
 }
 
 impl Conv2d {
@@ -69,13 +70,9 @@ impl Conv2d {
             grad_bias: bias_v.as_ref().map(|b| vec![0.0; b.len()]),
             weight,
             bias: bias_v,
-            cols: None,
-            in_shape: None,
+            patches: None,
+            spare: Vec::new(),
             capture: Capture::default(),
-            cols_pool: None,
-            y_rows: Matrix::zeros(0, 0),
-            gy_rows: Matrix::zeros(0, 0),
-            dcols: Matrix::zeros(0, 0),
         }
     }
 
@@ -84,138 +81,161 @@ impl Conv2d {
         self.k
     }
 
-    /// Reshape NCHW gradient to GEMM row layout `(n·oh·ow) × c_out`,
-    /// matching the im2col row order. Every element of `m` is written.
-    fn grad_to_rows_into(grad: &Tensor4, m: &mut Matrix) {
-        let (n, c, oh, ow) = grad.shape();
-        m.reset_for(n * oh * ow, c);
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = grad.plane(ni, ci);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        m[((ni * oh + oy) * ow + ox, ci)] = plane[oy * ow + ox];
-                    }
-                }
+    /// Start a fresh capture. The activation half's buffer goes to
+    /// `spare` — the one way a buffer leaves a capture — and the rest
+    /// back to the arena.
+    fn reset_capture(&mut self) {
+        if let Some(a) = self.capture.a.take() {
+            let buf = a.into_storage();
+            if buf.capacity() > self.spare.capacity() {
+                self.spare = buf;
             }
         }
-    }
-
-    /// Reshape GEMM rows `(n·oh·ow) × c_out` back to NCHW.
-    fn rows_to_tensor(rows: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
-        let mut t = Tensor4::zeros(n, c, oh, ow);
-        for ni in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = rows.row((ni * oh + oy) * ow + ox);
-                    for (ci, &v) in row.iter().enumerate().take(c) {
-                        *t.at_mut(ni, ci, oy, ox) = v;
-                    }
-                }
-            }
-        }
-        t
+        self.capture.clear();
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor4, mode: Mode) -> Tensor4 {
-        let (n, c, h, w) = input.shape();
-        assert_eq!(c, self.c_in, "channel mismatch in {}", self.name);
-        let oh = conv_out_dim(h, self.k, self.stride, self.pad);
-        let ow = conv_out_dim(w, self.k, self.stride, self.pad);
+        assert_eq!(input.c(), self.c_in, "channel mismatch in {}", self.name);
+        let g = Geometry::new(input.shape(), self.k, self.stride, self.pad);
+        let (c_out, fan_in, positions) = (self.c_out, g.fan_in(), g.positions());
+        let mut out = Tensor4::zeros(g.n, c_out, g.oh, g.ow);
+        let capturing = mode == Mode::Train && self.capture.enabled;
+        if capturing {
+            // This pass replaces the previous capture.
+            self.reset_capture();
+        }
 
-        // Reuse the retired patch buffer from the previous iteration.
-        let mut cols = self.cols_pool.take().unwrap_or_else(|| Matrix::zeros(0, 0));
-        im2col_into(input, self.k, self.stride, self.pad, &mut cols);
-
-        // y = cols · Wᵀ, multiplying straight against the parameter slice.
-        let rows = cols.rows();
-        let fan_in = self.c_in * self.k * self.k;
-        self.y_rows.reset_for(rows, self.c_out);
-        gemm_into(
-            View::new(cols.as_slice(), rows, fan_in),
-            View::t(&self.weight, self.c_out, fan_in),
-            self.y_rows.as_mut_slice(),
-        );
-
-        if let Some(b) = &self.bias {
-            for r in 0..rows {
-                let row = self.y_rows.row_mut(r);
-                for (v, &bj) in row.iter_mut().zip(b.iter()) {
-                    *v += bj;
+        let features = fan_in + usize::from(self.bias.is_some());
+        let mut patches =
+            Blocked::from_storage(std::mem::take(&mut self.spare), features, positions);
+        let mut a16 = (capturing && self.capture.dtype == Dtype::Bf16).then(|| {
+            Blocked::from_storage(arena::take_u16(features * positions), features, positions)
+        });
+        let mut y = arena::take_f32(c_out * BLOCK.min(positions));
+        for (q, block) in patches.blocks_mut() {
+            let (p, ones) = block.split_at_mut(fan_in * q.len());
+            build_patches(input, &g, q.clone(), p);
+            ones.fill(1.0);
+            // y_b = W · P_b is channel-major: it goes to the output planes
+            // by run copies.
+            let y = &mut y[..c_out * q.len()];
+            gemm_into(
+                View::new(&self.weight, c_out, fan_in),
+                View::new(p, fan_in, q.len()),
+                y,
+            );
+            scatter_block(y, self.bias.as_deref(), q.clone(), &mut out);
+            if let Some(half) = &mut a16 {
+                // Encoded while the block is cache-hot; a bf16 capture
+                // never exists at f32 width.
+                for (h, &v) in half.block_mut(&q).iter_mut().zip(block.iter()) {
+                    *h = f32_to_bf16(v);
                 }
             }
         }
-
-        let out = Self::rows_to_tensor(&self.y_rows, n, self.c_out, oh, ow);
+        arena::recycle_f32(y);
 
         if mode == Mode::Train {
-            if self.capture.enabled {
-                // Bias-augmented patch matrix for the activation factor.
-                self.capture.store_a_augmented(&cols, self.bias.is_some());
-                self.capture.clear_g();
-            }
-            self.cols = Some(cols);
-            self.in_shape = Some((n, c, h, w));
+            self.capture.a16 = a16;
+            self.patches = Some((patches, g));
         } else {
-            self.cols_pool = Some(cols);
+            self.spare = patches.into_storage();
         }
-
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor4) -> Tensor4 {
-        let cols = self.cols.take().expect("backward without forward");
-        let in_shape = self.in_shape.expect("backward without forward");
-        Self::grad_to_rows_into(grad_output, &mut self.gy_rows); // rows × c_out
-        let gy = &self.gy_rows;
-        let rows = gy.rows();
-        let fan_in = self.c_in * self.k * self.k;
-
-        if self.capture.enabled {
-            // Undo the mean-loss 1/batch so G is the per-example gradient
-            // covariance; batch is n, not rows = n·oh·ow.
-            self.capture.store_g_scaled(gy, in_shape.0 as f32);
-        }
-
-        // dW = gyᵀ · cols  (c_out × c_in·k·k); the fresh product lands in
-        // arena scratch and is accumulated into the persistent gradient.
-        let mut dw = arena::take_matrix(self.c_out, fan_in);
-        gemm_into(
-            View::t(gy.as_slice(), rows, self.c_out),
-            View::new(cols.as_slice(), rows, fan_in),
-            dw.as_mut_slice(),
+        let (patches, g) = self.patches.take().expect("backward without forward");
+        assert_eq!(
+            grad_output.shape(),
+            (g.n, self.c_out, g.oh, g.ow),
+            "gradient shape mismatch in {}",
+            self.name
         );
-        for (gw, d) in self.grad_weight.iter_mut().zip(dw.as_slice()) {
-            *gw += d;
+        let (c_out, fan_in, positions) = (self.c_out, g.fan_in(), g.positions());
+        let capture_half = self.capture.enabled && self.capture.dtype == Dtype::Bf16;
+        let capture_full = self.capture.enabled && !capture_half;
+        if self.capture.enabled {
+            self.capture.clear_g();
         }
-        arena::recycle_matrix(dw);
-        if let Some(gb) = &mut self.grad_bias {
-            for r in 0..rows {
-                for (b, &v) in gb.iter_mut().zip(gy.row(r)) {
-                    *b += v;
+        let mut g32 = capture_full
+            .then(|| Blocked::from_storage(arena::take_f32(c_out * positions), c_out, positions));
+        let mut g16 = capture_half
+            .then(|| Blocked::from_storage(arena::take_u16(c_out * positions), c_out, positions));
+        // Undo the mean-loss 1/batch so G is the per-example gradient
+        // covariance; batch is n, not n·oh·ow.
+        let scale = g.n as f32;
+
+        let mut dx = Tensor4::zeros(g.n, g.c, g.h, g.w);
+        let block_len = BLOCK.min(positions);
+        let mut gy = arena::take_f32(c_out * block_len);
+        let mut dp = arena::take_f32(fan_in * block_len);
+        // dW is a reduction over positions: one product per block, summed
+        // in block order, then added to the persistent gradient.
+        let mut dw = arena::take_f32(c_out * fan_in);
+        let mut dw_block = arena::take_f32(c_out * fan_in);
+        for (q, block) in patches.blocks() {
+            let len = q.len();
+            let p = &block[..fan_in * len];
+            let gy = &mut gy[..c_out * len];
+            gather_block(grad_output, q.clone(), gy);
+            if let Some(rows) = &mut g32 {
+                for (d, &v) in rows.block_mut(&q).iter_mut().zip(gy.iter()) {
+                    *d = v * scale;
                 }
             }
-        }
+            if let Some(rows) = &mut g16 {
+                for (d, &v) in rows.block_mut(&q).iter_mut().zip(gy.iter()) {
+                    *d = f32_to_bf16(v * scale);
+                }
+            }
 
-        // dX = col2im(gy · W)
-        self.dcols.reset_for(rows, fan_in);
-        gemm_into(
-            View::new(gy.as_slice(), rows, self.c_out),
-            View::new(&self.weight, self.c_out, fan_in),
-            self.dcols.as_mut_slice(),
-        );
-        let mut dx = Tensor4::zeros(0, 0, 0, 0);
-        col2im_into(
-            &self.dcols,
-            in_shape,
-            self.k,
-            self.stride,
-            self.pad,
-            &mut dx,
-        );
-        self.cols_pool = Some(cols);
+            // dW_b = gy_b · P_bᵀ  (c_out × c_in·k·k)
+            let dst = if q.start == 0 { &mut dw } else { &mut dw_block };
+            gemm_into(View::new(gy, c_out, len), View::t(p, fan_in, len), dst);
+            if q.start > 0 {
+                for (d, &v) in dw.iter_mut().zip(dw_block.iter()) {
+                    *d += v;
+                }
+            }
+            if let Some(gb) = &mut self.grad_bias {
+                for (b, row) in gb.iter_mut().zip(gy.chunks_exact(len)) {
+                    for &v in row {
+                        *b += v;
+                    }
+                }
+            }
+
+            // dX += scatter(Wᵀ · gy_b)
+            let dp = &mut dp[..fan_in * len];
+            gemm_into(
+                View::t(&self.weight, c_out, fan_in),
+                View::new(gy, c_out, len),
+                dp,
+            );
+            scatter_patches(dp, &g, q, &mut dx);
+        }
+        for (gw, &d) in self.grad_weight.iter_mut().zip(dw.iter()) {
+            *gw += d;
+        }
+        arena::recycle_f32(dw_block);
+        arena::recycle_f32(dw);
+        arena::recycle_f32(dp);
+        arena::recycle_f32(gy);
+
+        if self.capture.enabled {
+            self.capture.g = g32;
+            self.capture.g16 = g16;
+        }
+        if capture_full {
+            // The capture takes the patch buffer itself: nothing is copied,
+            // and the next forward builds into `spare`, a different buffer.
+            self.capture.a = Some(patches);
+        } else {
+            self.spare = patches.into_storage();
+        }
         dx
     }
 
@@ -241,7 +261,7 @@ impl Layer for Conv2d {
     fn set_capture(&mut self, on: bool) {
         self.capture.enabled = on;
         if on {
-            self.capture.clear();
+            self.reset_capture();
         }
     }
 

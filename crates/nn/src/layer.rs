@@ -130,64 +130,160 @@ pub trait KfacEligible {
     }
 
     /// Select the capture storage dtype. [`Dtype::Bf16`] halves capture
-    /// bytes (for conv layers the capture of the im2col patch matrix IS
-    /// the half-width scratch) and routes the factor Grams through the
+    /// bytes (conv layers encode each patch block as it is built; the
+    /// capture never exists at f32 width) and routes the factor Grams through the
     /// bf16-packed f32-accumulate GEMM. The default implementation
     /// ignores the request, so custom `KfacEligible` impls stay f32.
     fn set_capture_dtype(&mut self, _dtype: Dtype) {}
 }
 
+/// Captured rows whose Gram is a Kronecker factor: `samples` rows (one per
+/// example, or per example and spatial position) of `features` values,
+/// in whatever layout the capturing layer finds cheapest to keep.
+pub trait FactorRows {
+    /// Rows the Gram sums over — the `m` of `āᵀā / m`.
+    fn samples(&self) -> usize;
+
+    /// Values per row — the side of the Gram.
+    fn features(&self) -> usize;
+
+    /// The `features × features` second-moment sum over all rows,
+    /// bitwise symmetric, into a reusable matrix.
+    fn gram_into(&self, out: &mut Matrix);
+
+    /// Hand pooled storage back to the arena (nothing, by default).
+    fn recycle(self)
+    where
+        Self: Sized,
+    {
+    }
+}
+
+impl FactorRows for Matrix {
+    fn samples(&self) -> usize {
+        self.rows()
+    }
+
+    fn features(&self) -> usize {
+        self.cols()
+    }
+
+    fn gram_into(&self, out: &mut Matrix) {
+        Matrix::gram_into(self, out);
+    }
+}
+
+impl FactorRows for HalfMatrix {
+    fn samples(&self) -> usize {
+        self.rows()
+    }
+
+    fn features(&self) -> usize {
+        self.cols()
+    }
+
+    fn gram_into(&self, out: &mut Matrix) {
+        HalfMatrix::gram_into(self, out);
+    }
+
+    fn recycle(self) {
+        HalfMatrix::recycle(self);
+    }
+}
+
 /// Storage for one captured-iteration pair used by `Linear`/`Conv2d`.
 ///
-/// With `dtype == Dtype::Bf16` the captured rows live in [`HalfMatrix`]
-/// storage (`a16`/`g16`) at half the bytes; the f32 slots stay empty and
+/// `F` holds f32 captures and `H` bf16 ones: row-major matrices for
+/// `Linear`, feature-major [`Blocked`](crate::lowering::Blocked) patch
+/// blocks for `Conv2d`. With `dtype == Dtype::Bf16` the captured rows
+/// live in `a16`/`g16` at half the bytes; the f32 slots stay empty and
 /// `compute_factors` runs the bf16 Gram kernels instead. The f32 path is
 /// untouched by the dtype plumbing (bitwise-identical default).
-#[derive(Debug, Default)]
-pub struct Capture {
+#[derive(Debug)]
+pub struct Capture<F = Matrix, H = HalfMatrix> {
     /// Whether capture is currently enabled.
     pub enabled: bool,
     /// Capture storage width (f32 default, bf16 opt-in).
     pub dtype: Dtype,
-    /// Bias-augmented activation rows `ā` (m × dim_A), f32 storage.
-    pub a: Option<Matrix>,
-    /// Output-gradient rows `ĝ` (m × dim_G), mean-loss scaling already
-    /// undone (multiplied by batch size), f32 storage.
-    pub g: Option<Matrix>,
+    /// Bias-augmented activation rows `ā` (dim_A features), f32 storage.
+    pub a: Option<F>,
+    /// Output-gradient rows `ĝ` (dim_G features), mean-loss scaling
+    /// already undone (multiplied by batch size), f32 storage.
+    pub g: Option<F>,
     /// bf16 activation capture (used when `dtype == Bf16`).
-    pub a16: Option<HalfMatrix>,
+    pub a16: Option<H>,
     /// bf16 gradient capture (used when `dtype == Bf16`).
-    pub g16: Option<HalfMatrix>,
+    pub g16: Option<H>,
 }
 
-impl Capture {
+impl<F, H> Default for Capture<F, H> {
+    fn default() -> Self {
+        Capture {
+            enabled: false,
+            dtype: Dtype::default(),
+            a: None,
+            g: None,
+            a16: None,
+            g16: None,
+        }
+    }
+}
+
+impl<F: FactorRows, H: FactorRows> Capture<F, H> {
     /// Both halves captured (in whichever storage width)?
     pub fn complete(&self) -> bool {
         (self.a.is_some() || self.a16.is_some()) && (self.g.is_some() || self.g16.is_some())
     }
 
     /// Drop stale captures (called when capture is re-enabled),
-    /// returning bf16 storage to the arena's pool.
+    /// returning pooled storage to the arena.
     pub fn clear(&mut self) {
-        self.a = None;
-        self.g = None;
+        if let Some(a) = self.a.take() {
+            a.recycle();
+        }
         if let Some(h) = self.a16.take() {
             h.recycle();
         }
-        if let Some(h) = self.g16.take() {
-            h.recycle();
-        }
+        self.clear_g();
     }
 
     /// Drop only the gradient half (a forward pass invalidates the
     /// previous iteration's `g` but keeps its own fresh `a`).
     pub fn clear_g(&mut self) {
-        self.g = None;
+        if let Some(g) = self.g.take() {
+            g.recycle();
+        }
         if let Some(h) = self.g16.take() {
             h.recycle();
         }
     }
 
+    /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` from whichever storage
+    /// holds the capture — the shared implementation behind
+    /// `Linear`/`Conv2d::compute_factors`. The bf16 path runs the
+    /// bf16-packed f32-accumulate Gram kernels.
+    pub fn factors(&self) -> (Matrix, Matrix) {
+        // Arena-backed factor scratch, recycled by the preconditioner
+        // after the running-average fold (see `Kfac::factor_update_layer`).
+        fn factor(rows: &impl FactorRows, m: f32) -> Matrix {
+            let n = rows.features();
+            let mut f = kfac_tensor::arena::take_matrix(n, n);
+            rows.gram_into(&mut f);
+            f.scale(1.0 / m);
+            f
+        }
+        if let (Some(a), Some(g)) = (&self.a16, &self.g16) {
+            let m = a.samples() as f32;
+            return (factor(a, m), factor(g, m));
+        }
+        let a = self.a.as_ref().expect("activation not captured");
+        let g = self.g.as_ref().expect("gradient not captured");
+        let m = a.samples() as f32;
+        (factor(a, m), factor(g, m))
+    }
+}
+
+impl Capture {
     /// Stash the activation rows, appending a homogeneous `1` column when
     /// `bias` is set (the bias-folding trick of §II-C). Reuses the
     /// previous capture's allocation (f32 buffer or pooled u16 storage),
@@ -231,36 +327,6 @@ impl Capture {
         }
         self.g = Some(g);
     }
-
-    /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` from whichever storage
-    /// holds the capture — the shared implementation behind
-    /// `Linear`/`Conv2d::compute_factors`. The bf16 path runs the
-    /// bf16-packed f32-accumulate Gram kernels.
-    pub fn factors(&self) -> (Matrix, Matrix) {
-        use kfac_tensor::arena;
-        if let (Some(a), Some(g)) = (&self.a16, &self.g16) {
-            let m = a.rows() as f32;
-            let mut fa = arena::take_matrix(a.cols(), a.cols());
-            a.gram_into(&mut fa);
-            fa.scale(1.0 / m);
-            let mut fg = arena::take_matrix(g.cols(), g.cols());
-            g.gram_into(&mut fg);
-            fg.scale(1.0 / m);
-            return (fa, fg);
-        }
-        let a = self.a.as_ref().expect("activation not captured");
-        let g = self.g.as_ref().expect("gradient not captured");
-        let m = a.rows() as f32;
-        // Arena-backed factor scratch, recycled by the preconditioner
-        // after the running-average fold (see `Kfac::factor_update_layer`).
-        let mut fa = arena::take_matrix(a.cols(), a.cols());
-        a.gram_into(&mut fa);
-        fa.scale(1.0 / m);
-        let mut fg = arena::take_matrix(g.cols(), g.cols());
-        g.gram_into(&mut fg);
-        fg.scale(1.0 / m);
-        (fa, fg)
-    }
 }
 
 #[cfg(test)]
@@ -269,7 +335,7 @@ mod tests {
 
     #[test]
     fn capture_lifecycle() {
-        let mut c = Capture::default();
+        let mut c: Capture = Capture::default();
         assert!(!c.complete());
         c.a = Some(Matrix::zeros(2, 2));
         assert!(!c.complete());

@@ -18,8 +18,8 @@
 //!
 //! * [`layer`] — `Layer` / `KfacEligible` traits, train/eval modes.
 //! * [`linear`], [`conv`], [`batchnorm`], [`activation`], [`pool`],
-//!   [`reshape`] — primitive layers (Conv2d lowers to GEMM via
-//!   [`im2col`]).
+//!   [`reshape`] — primitive layers (Conv2d lowers to GEMM block by
+//!   block via [`lowering`]).
 //! * [`sequential`], [`residual`] — containers; ResNets are built from
 //!   them in [`resnet`].
 //! * [`arch`] — *full-size* ResNet-50/101/152 dimension tables (metadata
@@ -33,10 +33,10 @@ pub mod activation;
 pub mod arch;
 pub mod batchnorm;
 pub mod conv;
-pub mod im2col;
 pub mod layer;
 pub mod linear;
 pub mod loss;
+pub mod lowering;
 pub mod metrics;
 pub mod pool;
 pub mod reshape;

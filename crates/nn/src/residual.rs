@@ -12,8 +12,11 @@ pub struct ResidualBlock {
     main: Box<dyn Layer>,
     /// `None` means the identity shortcut.
     shortcut: Option<Box<dyn Layer>>,
-    /// Mask of the final ReLU from the last training forward.
-    relu_mask: Option<Vec<bool>>,
+    /// Mask of the final ReLU from the last training forward; the
+    /// buffer is kept between iterations.
+    relu_mask: Vec<bool>,
+    /// Whether `relu_mask` belongs to a forward not yet back-propagated.
+    cached: bool,
 }
 
 impl ResidualBlock {
@@ -22,7 +25,8 @@ impl ResidualBlock {
         ResidualBlock {
             main,
             shortcut,
-            relu_mask: None,
+            relu_mask: Vec::new(),
+            cached: false,
         }
     }
 }
@@ -43,51 +47,31 @@ impl Layer for ResidualBlock {
         );
 
         let (n, c, h, w) = main_out.shape();
-        let mut out = Tensor4::zeros(n, c, h, w);
-        let mut mask = if mode == Mode::Train {
-            vec![false; out.len()]
-        } else {
-            Vec::new()
-        };
-        for (i, ((o, &m), &s)) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(main_out.as_slice())
+        let sum = main_out
+            .as_slice()
+            .iter()
             .zip(short_out.as_slice())
-            .enumerate()
-        {
-            let v = m + s;
-            if v > 0.0 {
-                *o = v;
-                if mode == Mode::Train {
-                    mask[i] = true;
-                }
-            }
-        }
+            .map(|(&m, &s)| m + s);
         if mode == Mode::Train {
-            self.relu_mask = Some(mask);
+            self.relu_mask.clear();
+            self.relu_mask.extend(sum.clone().map(|v| v > 0.0));
+            self.cached = true;
         }
-        out
+        let out = sum.map(|v| if v > 0.0 { v } else { 0.0 }).collect();
+        Tensor4::from_vec(n, c, h, w, out)
     }
 
     fn backward(&mut self, grad_output: &Tensor4) -> Tensor4 {
-        let mask = self
-            .relu_mask
-            .take()
-            .expect("backward without training forward");
+        assert!(self.cached, "backward without training forward");
+        self.cached = false;
         let (n, c, h, w) = grad_output.shape();
         // Gradient through the final ReLU.
-        let mut g = Tensor4::zeros(n, c, h, w);
-        for ((o, &gv), &m) in g
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_output.as_slice())
-            .zip(&mask)
-        {
-            if m {
-                *o = gv;
-            }
-        }
+        let masked = grad_output
+            .as_slice()
+            .iter()
+            .zip(&self.relu_mask)
+            .map(|(&gv, &m)| if m { gv } else { 0.0 });
+        let g = Tensor4::from_vec(n, c, h, w, masked.collect());
 
         // The add fans the gradient into both branches.
         let d_main = self.main.backward(&g);

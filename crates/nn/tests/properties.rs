@@ -1,11 +1,265 @@
 //! Property tests for the neural-network substrate: shape algebra,
-//! im2col adjointness, loss-gradient validity and capture invariants
-//! across randomized layer configurations.
+//! equivalence of the blocked convolution lowering with the whole-batch
+//! im2col lowering it replaced, loss-gradient validity and capture
+//! invariants across randomized layer configurations.
 
-use kfac_nn::im2col::{col2im, conv_out_dim, im2col};
+use kfac_nn::lowering::{conv_out_dim, BLOCK};
 use kfac_nn::{layer::Mode, Conv2d, CrossEntropyLoss, KfacEligible, Layer, Linear};
-use kfac_tensor::{Matrix, Rng64, Tensor4};
+use kfac_tensor::{Dtype, HalfMatrix, Matrix, Rng64, Tensor4};
 use proptest::prelude::*;
+
+/// The lowering `Conv2d` used before patch blocks, kept as the oracle:
+/// one position-major patch matrix for the whole batch
+/// (`(n·oh·ow) × (c·k·k)`, built element by element), one GEMM per
+/// product over all of it, element-wise transposes between NCHW and GEMM
+/// rows, and a position-by-position `col2im`.
+mod oracle {
+    use super::*;
+
+    pub fn im2col(input: &Tensor4, k: usize, stride: usize, pad: usize) -> Matrix {
+        let (n, c, h, w) = input.shape();
+        let (oh, ow) = (
+            conv_out_dim(h, k, stride, pad),
+            conv_out_dim(w, k, stride, pad),
+        );
+        let mut out = Matrix::zeros(n * oh * ow, c * k * k);
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = out.row_mut((ni * oh + oy) * ow + ox);
+                    let mut col = 0;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                let inside =
+                                    iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w;
+                                if inside {
+                                    row[col] = input.at(ni, ci, iy as usize, ix as usize);
+                                }
+                                col += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    pub fn col2im(
+        cols: &Matrix,
+        (n, c, h, w): (usize, usize, usize, usize),
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Tensor4 {
+        let (oh, ow) = (
+            conv_out_dim(h, k, stride, pad),
+            conv_out_dim(w, k, stride, pad),
+        );
+        let mut out = Tensor4::zeros(n, c, h, w);
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = cols.row((ni * oh + oy) * ow + ox);
+                    let mut col = 0;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                    *out.at_mut(ni, ci, iy as usize, ix as usize) += row[col];
+                                }
+                                col += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// NCHW → GEMM rows `(n·oh·ow) × c`.
+    pub fn grad_to_rows(grad: &Tensor4) -> Matrix {
+        let (n, c, oh, ow) = grad.shape();
+        let mut m = Matrix::zeros(n * oh * ow, c);
+        for ni in 0..n {
+            for ci in 0..c {
+                for (pos, &v) in grad.plane(ni, ci).iter().enumerate() {
+                    m[(ni * oh * ow + pos, ci)] = v;
+                }
+            }
+        }
+        m
+    }
+
+    /// GEMM rows `(n·oh·ow) × c` → NCHW.
+    pub fn rows_to_tensor(rows: &Matrix, n: usize, c: usize, oh: usize, ow: usize) -> Tensor4 {
+        let mut t = Tensor4::zeros(n, c, oh, ow);
+        for ni in 0..n {
+            for ci in 0..c {
+                for (pos, v) in t.plane_mut(ni, ci).iter_mut().enumerate() {
+                    *v = rows[(ni * oh * ow + pos, ci)];
+                }
+            }
+        }
+        t
+    }
+
+    /// Everything one forward/backward of the old layer produced, from
+    /// zeroed parameter gradients.
+    pub struct Pass {
+        pub y: Tensor4,
+        pub dw: Vec<f32>,
+        pub db: Vec<f32>,
+        pub dx: Tensor4,
+        /// Bias-augmented patch rows and batch-scaled gradient rows: the
+        /// matrices whose Grams are the K-FAC factors.
+        pub a_rows: Matrix,
+        pub g_rows: Matrix,
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn pass(
+        x: &Tensor4,
+        weight: &Matrix,
+        bias: Option<&[f32]>,
+        gy: &Tensor4,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Pass {
+        let n = x.n();
+        let (_, c_out, oh, ow) = gy.shape();
+        let cols = im2col(x, k, stride, pad);
+        let mut y_rows = cols.matmul_nt(weight);
+        if let Some(b) = bias {
+            for r in 0..y_rows.rows() {
+                for (v, &bj) in y_rows.row_mut(r).iter_mut().zip(b) {
+                    *v += bj;
+                }
+            }
+        }
+        let gy_rows = grad_to_rows(gy);
+        let mut dw = vec![0.0f32; weight.len()];
+        for (d, &v) in dw.iter_mut().zip(gy_rows.matmul_tn(&cols).as_slice()) {
+            *d += v;
+        }
+        let mut db = vec![0.0f32; c_out];
+        for r in 0..gy_rows.rows() {
+            for (b, &v) in db.iter_mut().zip(gy_rows.row(r)) {
+                *b += v;
+            }
+        }
+        let dx = col2im(&gy_rows.matmul(weight), x.shape(), k, stride, pad);
+
+        let extra = usize::from(bias.is_some());
+        let mut a_rows = Matrix::zeros(cols.rows(), cols.cols() + extra);
+        for r in 0..cols.rows() {
+            a_rows.row_mut(r)[..cols.cols()].copy_from_slice(cols.row(r));
+            if extra == 1 {
+                a_rows.row_mut(r)[cols.cols()] = 1.0;
+            }
+        }
+        let mut g_rows = gy_rows.clone();
+        g_rows.scale(n as f32);
+        Pass {
+            y: rows_to_tensor(&y_rows, n, c_out, oh, ow),
+            dw,
+            db,
+            dx,
+            a_rows,
+            g_rows,
+        }
+    }
+}
+
+/// Direct nested-loop convolution in f64.
+fn direct_conv(
+    x: &Tensor4,
+    weight: &Matrix,
+    bias: Option<&[f32]>,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> Vec<f64> {
+    let (n, c, h, w) = x.shape();
+    let (oh, ow) = (
+        conv_out_dim(h, k, stride, pad),
+        conv_out_dim(w, k, stride, pad),
+    );
+    let mut out = Vec::with_capacity(n * weight.rows() * oh * ow);
+    for ni in 0..n {
+        for co in 0..weight.rows() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias.map_or(0.0, |b| b[co] as f64);
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                    acc += x.at(ni, ci, iy as usize, ix as usize) as f64
+                                        * weight[(co, (ci * k + ky) * k + kx)] as f64;
+                                }
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A conv layer with random weights (and bias), and copies of both.
+fn random_conv(
+    c_in: usize,
+    c_out: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    bias: bool,
+    seed: u64,
+) -> (Conv2d, Matrix, Option<Vec<f32>>) {
+    let mut rng = Rng64::new(seed);
+    let mut conv = Conv2d::new("c", c_in, c_out, k, stride, pad, bias, &mut rng);
+    let mut weight = Matrix::zeros(0, 0);
+    let mut bias_v = None;
+    conv.visit_params("", &mut |name, value, _| {
+        if name.ends_with("bias") {
+            // Conv2d starts biases at zero; make them count.
+            value.iter_mut().for_each(|b| *b = rng.normal_f32());
+            bias_v = Some(value.to_vec());
+        } else {
+            weight = Matrix::from_vec(c_out, c_in * k * k, value.to_vec());
+        }
+    });
+    (conv, weight, bias_v)
+}
+
+/// `(grad_weight, grad_bias)` of a conv layer.
+fn conv_grads(conv: &mut Conv2d) -> (Vec<f32>, Vec<f32>) {
+    let (mut dw, mut db) = (Vec::new(), Vec::new());
+    conv.visit_params("", &mut |name, _, grad| {
+        if name.ends_with("bias") {
+            db = grad.to_vec();
+        } else {
+            dw = grad.to_vec();
+        }
+    });
+    (dw, db)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 fn random_tensor(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor4 {
     let mut rng = Rng64::new(seed);
@@ -16,6 +270,80 @@ fn random_tensor(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor4 {
         w,
         (0..n * c * h * w).map(|_| rng.normal_f32()).collect(),
     )
+}
+
+/// One forward/backward of a random `Conv2d` against the oracle.
+///
+/// Equality with the old lowering is **bitwise** for the output, the
+/// weight and bias gradients and the input gradient: every product
+/// reduces over the same `KC`-deep pieces in the same order (a block is
+/// one such piece of the position dimension), and the scatter adds each
+/// pixel's contributions in the old `(oy, ox)` order. Against the f64
+/// direct convolution the bound is 1e-4 of the largest output (f32 sums
+/// of at most 37 products). Returns the number of output positions.
+#[allow(clippy::too_many_arguments)]
+fn check_conv_against_oracle(
+    (c_in, c_out): (usize, usize),
+    (k, stride, pad): (usize, usize, usize),
+    (n, h, w): (usize, usize, usize),
+    bias: bool,
+    seed: u64,
+) -> usize {
+    let (mut conv, weight, bias_v) = random_conv(c_in, c_out, k, stride, pad, bias, seed);
+    let x = random_tensor(n, c_in, h, w, seed ^ 1);
+    let y = conv.forward(&x, Mode::Train);
+    let gy = random_tensor(n, c_out, y.h(), y.w(), seed ^ 2);
+    conv.zero_grad();
+    let dx = conv.backward(&gy);
+    let (dw, db) = conv_grads(&mut conv);
+
+    let old = oracle::pass(&x, &weight, bias_v.as_deref(), &gy, k, stride, pad);
+    assert_eq!(y.shape(), old.y.shape());
+    assert_eq!(bits(y.as_slice()), bits(old.y.as_slice()), "forward");
+    assert_eq!(bits(&dw), bits(&old.dw), "weight gradient");
+    if bias {
+        assert_eq!(bits(&db), bits(&old.db), "bias gradient");
+    }
+    assert_eq!(
+        bits(dx.as_slice()),
+        bits(old.dx.as_slice()),
+        "input gradient"
+    );
+
+    let direct = direct_conv(&x, &weight, bias_v.as_deref(), k, stride, pad);
+    let scale = direct.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+    for (&got, &want) in y.as_slice().iter().zip(&direct) {
+        assert!((got as f64 - want).abs() <= 1e-4 * scale, "{got} vs {want}");
+    }
+    // Evaluation forwards take the same path.
+    let eval = conv.forward(&x, Mode::Eval);
+    assert_eq!(bits(eval.as_slice()), bits(y.as_slice()), "eval forward");
+    y.len() / c_out
+}
+
+/// Batches that do not divide the block: the first block boundary falls
+/// inside a sample and inside an output row (405 = 256 + 149 positions,
+/// 256 = 3·81 + 13), at a sample boundary of a strided layer, and in a
+/// pointwise projection.
+#[test]
+fn conv_matches_im2col_across_ragged_block_boundaries() {
+    for pool in [1, 2] {
+        rayon::set_pool_threads(pool);
+        for (chans, kernel, shape) in [
+            ((3, 4), (3, 1, 1), (5, 9, 9)),
+            ((2, 5), (3, 2, 1), (19, 7, 9)),
+            ((4, 3), (1, 2, 0), (7, 13, 11)),
+            ((2, 2), (3, 1, 0), (6, 10, 9)),
+        ] {
+            for bias in [false, true] {
+                let positions = check_conv_against_oracle(chans, kernel, shape, bias, 99);
+                assert!(
+                    positions > BLOCK && !positions.is_multiple_of(BLOCK),
+                    "{positions}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -40,33 +368,96 @@ proptest! {
         prop_assert_eq!(y.shape(), expect);
     }
 
-    /// im2col/col2im adjointness for random geometries:
-    /// ⟨im2col(x), y⟩ = ⟨x, col2im(y)⟩.
+    /// The blocked lowering equals the whole-batch im2col lowering (see
+    /// `check_conv_against_oracle` for the bounds) over k ∈ {1, 3},
+    /// stride ∈ {1, 2}, pad ∈ {0, 1}, odd and even H/W, bias on/off,
+    /// pool sizes 1 and 2, and batches of up to 7·11·11 positions, so
+    /// one to four blocks with ragged ends.
     #[test]
-    fn im2col_adjoint(
-        c in 1usize..4,
-        k in 1usize..4,
+    fn blocked_conv_equals_im2col_conv(
+        chans in (1usize..5, 1usize..5),
+        k3 in any::<bool>(),
         stride in 1usize..3,
-        hw in 4usize..9,
+        pad in 0usize..2,
+        shape in (1usize..8, 4usize..12, 4usize..12),
+        bias in any::<bool>(),
+        pool in 1usize..3,
         seed in any::<u64>(),
     ) {
+        rayon::set_pool_threads(pool);
+        let k = if k3 { 3 } else { 1 };
+        check_conv_against_oracle(chans, (k, stride, pad), shape, bias, seed);
+    }
+
+    /// `compute_factors()` is the Gram of the oracle's patch matrix
+    /// (bias-augmented) and gradient rows: bitwise for f32 capture —
+    /// summing per-block Grams is the GEMM's own reduction order —
+    /// and within the bf16 tolerance the `Linear` test uses (1/64 of the
+    /// largest entry) for `Dtype::Bf16`, where a 256-position block spans
+    /// two of that engine's 128-deep pieces and the sums re-associate.
+    #[test]
+    fn conv_factors_are_the_patch_matrix_grams(
+        c_in in 1usize..5,
+        c_out in 1usize..5,
+        k3 in any::<bool>(),
+        stride in 1usize..3,
+        hw in 5usize..12,
+        n in 1usize..8,
+        bias in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let k = if k3 { 3 } else { 1 };
         let pad = k / 2;
-        prop_assume!(hw + 2 * pad >= k);
-        let shape = (2usize, c, hw, hw);
-        let x = random_tensor(shape.0, shape.1, shape.2, shape.3, seed);
-        let fx = im2col(&x, k, stride, pad);
-        let mut rng = Rng64::new(seed ^ 0xabc);
-        let y = Matrix::from_vec(
-            fx.rows(),
-            fx.cols(),
-            (0..fx.len()).map(|_| rng.normal_f32()).collect(),
-        );
-        let aty = col2im(&y, shape, k, stride, pad);
-        let lhs: f64 = fx.as_slice().iter().zip(y.as_slice())
-            .map(|(&a, &b)| a as f64 * b as f64).sum();
-        let rhs: f64 = x.as_slice().iter().zip(aty.as_slice())
-            .map(|(&a, &b)| a as f64 * b as f64).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
+        let (mut conv, weight, bias_v) = random_conv(c_in, c_out, k, stride, pad, bias, seed);
+        let x = random_tensor(n, c_in, hw, hw + 1, seed ^ 1);
+        conv.set_capture(true);
+        let y = conv.forward(&x, Mode::Train);
+        prop_assert!(!conv.has_capture(), "half a capture is not a capture");
+        let gy = random_tensor(n, c_out, y.h(), y.w(), seed ^ 2);
+        let _ = conv.backward(&gy);
+        prop_assert!(conv.has_capture());
+        let (a, g) = conv.compute_factors();
+
+        let old = oracle::pass(&x, &weight, bias_v.as_deref(), &gy, k, stride, pad);
+        let m = old.a_rows.rows() as f32;
+        let (mut want_a, mut want_g) = (old.a_rows.gram(), old.g_rows.gram());
+        want_a.scale(1.0 / m);
+        want_g.scale(1.0 / m);
+        prop_assert_eq!(a.shape(), want_a.shape());
+        prop_assert_eq!(bits(a.as_slice()), bits(want_a.as_slice()));
+        prop_assert_eq!(bits(g.as_slice()), bits(want_g.as_slice()));
+
+        // The capture is the layer's own: later passes that do not
+        // capture — training or evaluation, on other data — leave it be.
+        conv.set_capture(false);
+        let x2 = random_tensor(n + 1, c_in, hw, hw + 1, seed ^ 3);
+        let y2 = conv.forward(&x2, Mode::Train);
+        let _ = conv.backward(&random_tensor(n + 1, c_out, y2.h(), y2.w(), seed ^ 4));
+        let _ = conv.forward(&x2, Mode::Eval);
+        prop_assert!(conv.has_capture());
+        let (a_later, g_later) = conv.compute_factors();
+        prop_assert_eq!(bits(a_later.as_slice()), bits(a.as_slice()));
+        prop_assert_eq!(bits(g_later.as_slice()), bits(g.as_slice()));
+
+        // bf16 capture of the same pass.
+        conv.set_capture_dtype(Dtype::Bf16);
+        conv.set_capture(true);
+        prop_assert!(!conv.has_capture(), "re-enabling drops the old capture");
+        let _ = conv.forward(&x, Mode::Train);
+        let _ = conv.backward(&gy);
+        let (a16, g16) = conv.compute_factors();
+        let half_gram = |rows: &Matrix| {
+            let mut out = Matrix::zeros(0, 0);
+            let half = HalfMatrix::from_matrix(rows);
+            half.gram_into(&mut out);
+            half.recycle();
+            out.scale(1.0 / m);
+            out
+        };
+        for (got, want) in [(a16, half_gram(&old.a_rows)), (g16, half_gram(&old.g_rows))] {
+            prop_assert!(got.max_abs_diff(&want) <= want.max_abs().max(1.0) / 64.0);
+            prop_assert_eq!(got.asymmetry(), 0.0);
+        }
     }
 
     /// Conv out-dims follow the standard formula for all valid configs.

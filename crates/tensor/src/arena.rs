@@ -1,8 +1,8 @@
 //! Thread-local scratch arena: reusable buffers for the kernel hot path.
 //!
 //! Steady-state K-FAC iterations run the same kernels on the same shapes
-//! every step, so every transient buffer — GEMM packing panels, im2col
-//! patch matrices, Jacobi eigensolver workspace, per-layer factor
+//! every step, so every transient buffer — GEMM packing panels, conv
+//! patch-block operands, Jacobi eigensolver workspace, per-layer factor
 //! temporaries — can be recycled instead of reallocated. This module is
 //! the allocator those paths share: a per-thread free list of `Vec<f32>` /
 //! `Vec<f64>` buffers keyed by capacity.

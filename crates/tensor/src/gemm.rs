@@ -40,7 +40,11 @@ pub const MR: usize = 8;
 /// two AVX2 lanes or four SSE lanes — the kernel autovectorizes).
 pub const NR: usize = 16;
 /// Depth of a cache block: a `KC × NR` B panel is ~16 KiB (L1-resident).
-const KC: usize = 256;
+/// Public because it is also a unit of *accumulation order*: a product
+/// whose reduction dimension is cut into `KC`-aligned pieces and summed
+/// in ascending order reproduces the one-call result bit for bit (the
+/// convolution lowering in `kfac-nn` sizes its patch blocks by it).
+pub const KC: usize = 256;
 /// Rows per A block and per parallel task: an `MC × KC` A pack is
 /// 64 KiB (L2-resident), and one task owns `MC` full rows of C.
 const MC: usize = 64;
@@ -48,6 +52,13 @@ const MC: usize = 64;
 /// Below this many multiply-adds the packed path's setup overhead
 /// dominates; a plain triple loop wins and stays on the calling thread.
 const SMALL_FLOP_CUTOFF: usize = 24 * 24 * 24;
+
+/// Below this many multiply-adds (~150 µs on one core) a product stays on
+/// the calling thread: waking the pool costs tens of microseconds, more
+/// than splitting so little work saves. The convolution lowering issues
+/// thousands of 0.6–2.4 M-multiply-add products per step; forking each
+/// made a two-thread pool *slower* than one thread.
+const PAR_MIN_MADDS: usize = 1 << 22;
 
 /// Storage orientation of a [`View`].
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -208,7 +219,7 @@ fn gemm_impl(a: View<'_>, b: View<'_>, out: &mut [f32], upper_only: bool) {
         arena::recycle_f32(apack);
     };
 
-    if m > MC && rayon::current_num_threads() > 1 {
+    if m > MC && m * n * k >= PAR_MIN_MADDS && rayon::current_num_threads() > 1 {
         out.par_chunks_mut(MC * n)
             .enumerate()
             .for_each(|(t, out_block)| run_block(t * MC, out_block));
@@ -224,11 +235,9 @@ fn gemm_impl(a: View<'_>, b: View<'_>, out: &mut [f32], upper_only: bool) {
 /// columns `jp*NR..` with element `(p, jj)` at `panel[p*NR + jj]`,
 /// zero-padded past `n`. Every packed element is written (first-touch).
 fn pack_b_block(b: View<'_>, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
-    let mut panel_base = 0usize;
-    let mut j0 = 0usize;
-    while j0 < n {
+    for (jp, panel) in dst.chunks_exact_mut(kc * NR).enumerate() {
+        let j0 = jp * NR;
         let nr = NR.min(n - j0);
-        let panel = &mut dst[panel_base..panel_base + kc * NR];
         match b.op {
             Op::NoTrans => {
                 for p in 0..kc {
@@ -239,13 +248,12 @@ fn pack_b_block(b: View<'_>, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
                 }
             }
             Op::Trans => {
-                // Logical (p, j) lives at data[j * ld + p]: walk columns of
-                // the logical matrix (rows of storage) contiguously.
-                for (jj, col) in (j0..j0 + nr).enumerate() {
-                    let src = &b.data[col * b.ld + k0..col * b.ld + k0 + kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        panel[p * NR + jj] = v;
-                    }
+                // Logical (p, j) lives at data[j * ld + p]: each logical
+                // column is a contiguous storage row, interleaved into
+                // the panel eight columns at a time.
+                for jj0 in (0..nr).step_by(8) {
+                    let at = |jj: usize| (j0 + jj0 + jj) * b.ld + k0;
+                    interleave_rows(b.data, at, 8.min(nr - jj0), kc, &mut panel[jj0..], NR);
                 }
                 if nr < NR {
                     for p in 0..kc {
@@ -254,8 +262,6 @@ fn pack_b_block(b: View<'_>, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
                 }
             }
         }
-        panel_base += kc * NR;
-        j0 += NR;
     }
 }
 
@@ -270,12 +276,8 @@ fn pack_a_block(a: View<'_>, i0: usize, mc: usize, k0: usize, kc: usize, dst: &m
         let panel = &mut dst[panel_base..panel_base + kc * MR];
         match a.op {
             Op::NoTrans => {
-                for (ii, row) in (i0 + ii0..i0 + ii0 + mr).enumerate() {
-                    let src = &a.data[row * a.ld + k0..row * a.ld + k0 + kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        panel[p * MR + ii] = v;
-                    }
-                }
+                let at = |ii: usize| (i0 + ii0 + ii) * a.ld + k0;
+                interleave_rows(a.data, at, mr, kc, panel, MR);
                 if mr < MR {
                     for p in 0..kc {
                         panel[p * MR + mr..(p + 1) * MR].fill(0.0);
@@ -295,6 +297,51 @@ fn pack_a_block(a: View<'_>, i0: usize, mc: usize, k0: usize, kc: usize, dst: &m
         }
         panel_base += kc * MR;
         ii0 += MR;
+    }
+}
+
+/// Interleave up to eight storage rows into panel layout: row `i`
+/// (`rows ≤ 8`) starts at `data[at(i)]`, is `kc` long, and its element
+/// `p` lands at `dst[p * stride + i]` — the transposition both
+/// "against the grain" packs need (`pack_a` of a row-major operand,
+/// `pack_b` of a transposed one). Full groups of eight rows go through
+/// an 8×8 register transpose; pure data movement either way, so the
+/// packed values and every product are unchanged.
+fn interleave_rows(
+    data: &[f32],
+    at: impl Fn(usize) -> usize,
+    rows: usize,
+    kc: usize,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    debug_assert!(rows <= 8 && stride >= 8);
+    let mut done = 0usize;
+    #[cfg(target_arch = "x86_64")]
+    if rows == 8 && kc >= 8 && std::arch::is_x86_feature_detected!("avx") {
+        // The slices below prove every row readable for `kc` elements and
+        // `dst` writable up to the last element the transposes store.
+        let src: [&[f32]; 8] = std::array::from_fn(|i| &data[at(i)..at(i) + kc]);
+        let dst = &mut dst[..(kc - 1) * stride + 8];
+        while done + 8 <= kc {
+            // SAFETY: avx checked; each `src[i]` has `done + 8 ≤ kc`
+            // elements, and the stores cover `dst[(done + j) * stride..][..8]`
+            // for `j < 8`, within the length asserted by the reslice above.
+            unsafe {
+                simd::transpose8x8(
+                    src.map(|r| r.as_ptr().add(done)),
+                    dst.as_mut_ptr().add(done * stride),
+                    stride,
+                );
+            }
+            done += 8;
+        }
+    }
+    for i in 0..rows {
+        let src = &data[at(i) + done..at(i) + kc];
+        for (p, &v) in src.iter().enumerate() {
+            dst[(done + p) * stride + i] = v;
+        }
     }
 }
 
@@ -407,6 +454,42 @@ mod simd {
         }
     }
 
+    /// 8×8 transpose: element `p` of row `i` is stored at
+    /// `dst[p * stride + i]`.
+    ///
+    /// # Safety
+    /// Requires AVX; every `rows[i]` must expose 8 readable `f32`s and
+    /// `dst` must be writable at `[j * stride, j * stride + 8)` for
+    /// every `j < 8`.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn transpose8x8(rows: [*const f32; 8], dst: *mut f32, stride: usize) {
+        let r = rows.map(|p| _mm256_loadu_ps(p));
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+        let s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+        let s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+        let s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+        let s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+        let s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+        let s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+        let s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+        _mm256_storeu_ps(dst, _mm256_permute2f128_ps(s0, s4, 0x20));
+        _mm256_storeu_ps(dst.add(stride), _mm256_permute2f128_ps(s1, s5, 0x20));
+        _mm256_storeu_ps(dst.add(2 * stride), _mm256_permute2f128_ps(s2, s6, 0x20));
+        _mm256_storeu_ps(dst.add(3 * stride), _mm256_permute2f128_ps(s3, s7, 0x20));
+        _mm256_storeu_ps(dst.add(4 * stride), _mm256_permute2f128_ps(s0, s4, 0x31));
+        _mm256_storeu_ps(dst.add(5 * stride), _mm256_permute2f128_ps(s1, s5, 0x31));
+        _mm256_storeu_ps(dst.add(6 * stride), _mm256_permute2f128_ps(s2, s6, 0x31));
+        _mm256_storeu_ps(dst.add(7 * stride), _mm256_permute2f128_ps(s3, s7, 0x31));
+    }
+
     /// 8-lane variant: a tile row is two ymm registers, and the tile is
     /// processed in two 4-row halves so the live accumulators (8) plus
     /// the two B registers and the broadcast stay within the 16 ymm regs.
@@ -433,19 +516,26 @@ mod simd {
     }
 }
 
-/// Small-product fallback: a branch-free triple loop on the calling
-/// thread, still first-touch (each output element written exactly once).
+/// Small-product fallback: a triple loop on the calling thread, still
+/// first-touch (each output element written exactly once). It sums in
+/// the packed path's order — [`KC`]-deep partial sums, added in ascending
+/// order — so an element's bits do not depend on which path the shape of
+/// the *rest* of the product selected.
 fn gemm_naive(a: View<'_>, b: View<'_>, out: &mut [f32]) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
     for i in 0..m {
         for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a.at(i, p) * b.at(p, j);
+            let mut total = 0.0f32;
+            for k0 in (0..k).step_by(KC) {
+                let mut acc = 0.0f32;
+                for p in k0..(k0 + KC).min(k) {
+                    acc += a.at(i, p) * b.at(p, j);
+                }
+                total = if k0 == 0 { acc } else { total + acc };
             }
-            out[i * n + j] = acc;
+            out[i * n + j] = total;
         }
     }
 }
@@ -557,6 +647,35 @@ mod tests {
         let mut full = vec![f32::NAN; n * n];
         gemm_into(View::t(&x, k, n), View::new(&x, k, n), &mut full);
         assert!(max_diff(&g, &full) < 1e-3);
+    }
+
+    #[test]
+    fn small_products_round_like_packed_ones() {
+        // 2×9 over k = 600 takes the naive path; the same rows against a
+        // 64-column B take the packed one. Shared columns must agree bit
+        // for bit, including across the KC boundary.
+        let mut rng = Rng64::new(6);
+        let (m, k, n_small, n_big) = (2, 600, 9, 64);
+        assert!(m * n_small * k <= SMALL_FLOP_CUTOFF && m * n_big * k > SMALL_FLOP_CUTOFF);
+        let a = random(m * k, &mut rng);
+        let b_big = random(k * n_big, &mut rng);
+        let b_small: Vec<f32> = (0..k)
+            .flat_map(|p| b_big[p * n_big..p * n_big + n_small].to_vec())
+            .collect();
+        let mut small = vec![f32::NAN; m * n_small];
+        gemm_into(
+            View::new(&a, m, k),
+            View::new(&b_small, k, n_small),
+            &mut small,
+        );
+        let mut big = vec![f32::NAN; m * n_big];
+        gemm_into(View::new(&a, m, k), View::new(&b_big, k, n_big), &mut big);
+        for i in 0..m {
+            assert_eq!(
+                small[i * n_small..(i + 1) * n_small],
+                big[i * n_big..i * n_big + n_small]
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Activations flowing through the CNN are `(batch, channels, height,
 //! width)` blocks, matching PyTorch's memory layout. The type is a thin
 //! shape-checked wrapper over a contiguous `Vec<f32>`; all heavy math is
-//! done by reshaping into [`Matrix`](crate::Matrix) views (im2col, GEMM).
+//! done by reshaping into [`Matrix`](crate::Matrix) views (patch blocks, GEMM).
 
 /// Contiguous NCHW tensor of `f32`.
 #[derive(Debug, Clone, PartialEq)]
