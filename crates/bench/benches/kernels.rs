@@ -44,7 +44,7 @@ fn bench_gemm(c: &mut Criterion) {
         });
     }
     // The K-FAC factor kernel: tall-skinny Gram, plus the square Grams
-    // the packed-engine acceptance criteria are stated over.
+    // of the `xp bench-kernels` suite.
     let x = random_matrix(2048, 128, &mut rng);
     group.throughput(Throughput::Elements(2048 * 128 * 128));
     group.bench_function("gram_2048x128", |bench| {
@@ -65,8 +65,9 @@ fn bench_gemm(c: &mut Criterion) {
 }
 
 /// Every shape of the `xp bench-kernels` suite (ResNet-32/CIFAR layer
-/// products + the square acceptance shapes) on the packed engine, so
-/// criterion history tracks the exact shapes `BENCH_kernels.json` reports.
+/// products + the square shapes the CI gate reads) on the packed engine,
+/// so criterion history tracks the exact shapes `BENCH_kernels.json`
+/// reports.
 fn bench_resnet32_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("packed_kernels");
     group
@@ -150,7 +151,7 @@ fn bench_patches(c: &mut Criterion) {
         16,
         (0..16 * 16 * 16 * 16).map(|_| rng.normal_f32()).collect(),
     );
-    // One 256-position block of a 3×3 / pad-1 convolution: 144 × 256.
+    // One patch block of a 3×3 / pad-1 convolution: 144 × BLOCK.
     let g = Geometry::new(x.shape(), 3, 1, 1);
     let mut block = vec![0.0f32; g.fan_in() * BLOCK];
     group.bench_function("3x3_pad1_c16s16_block", |bench| {

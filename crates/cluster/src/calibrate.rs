@@ -40,8 +40,8 @@ pub struct BenchReport {
     pub ranks: usize,
     /// α/β fitted from the pipelined-ring series.
     pub link: LinkSpec,
-    /// Measured size at which halving-doubling stops beating the ring,
-    /// if the fits crossed.
+    /// The report's own summary of [`crossover_bracket`]: the bracket's
+    /// geometric midpoint, if a crossover was measured.
     pub crossover_bytes: Option<u64>,
     /// Raw measurements, all algorithms.
     pub points: Vec<MeasuredPoint>,
@@ -120,6 +120,31 @@ impl BenchReport {
         assert!(!errs.is_empty(), "no pipelined-ring points in report");
         errs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         errs[errs.len() / 2]
+    }
+}
+
+/// Where halving/doubling hands over to the pipelined ring, read off the
+/// measurements rather than off fitted lines: `(lo, hi)` with `lo` the
+/// largest size at which halving/doubling is at least as fast as the ring
+/// (0 when it never is) and `hi` the next measured size up, from which
+/// the ring wins. `None` when halving/doubling still wins at the largest
+/// size, or when a series is missing.
+pub fn crossover_bracket(points: &[MeasuredPoint]) -> Option<(u64, u64)> {
+    let seconds = |algo: &str, bytes: u64| {
+        let p = points.iter().find(|p| p.algo == algo && p.bytes == bytes);
+        p.map(|p| p.seconds)
+    };
+    let mut sizes: Vec<u64> = points.iter().map(|p| p.bytes).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let mut hd_wins = Vec::with_capacity(sizes.len());
+    for &bytes in &sizes {
+        let hd = seconds("halving-doubling", bytes)?;
+        hd_wins.push(hd <= seconds("pipelined-ring", bytes)?);
+    }
+    match hd_wins.iter().rposition(|&w| w) {
+        None => Some((0, *sizes.first()?)),
+        Some(i) => Some((sizes[i], *sizes.get(i + 1)?)),
     }
 }
 
@@ -223,19 +248,54 @@ mod tests {
         assert_eq!(sweep.len(), 5);
     }
 
-    /// The measured hd→ring crossover must agree with the auto-selection
-    /// policy's default threshold to within an order of magnitude — i.e.
-    /// the policy constant is not fiction.
+    /// `AlgoPolicy`'s size threshold is a constant read off the committed
+    /// sweep: halving/doubling up to it, the ring above. It must sit
+    /// between the largest size at which halving/doubling was measured
+    /// to win and the smallest from which the ring does.
     #[test]
-    fn measured_crossover_brackets_policy_default() {
+    fn policy_default_sits_inside_the_committed_crossover_bracket() {
         let report = committed_report();
-        if let Some(cross) = report.crossover_bytes {
-            let policy_default = kfac_collectives::AlgoPolicy::default().hd_max_bytes as u64;
-            assert!(
-                cross >= policy_default / 8 && cross <= policy_default * 8,
-                "measured crossover {cross} B vs policy default {policy_default} B"
-            );
-        }
+        let (lo, hi) = crossover_bracket(&report.points).expect("the committed sweep crosses over");
+        let policy_default = kfac_collectives::AlgoPolicy::default().hd_max_bytes as u64;
+        assert!(
+            lo <= policy_default && policy_default < hi,
+            "hd_max_bytes = {policy_default} B is outside the measured bracket [{lo}, {hi}) B"
+        );
+        // The file's own summary is derived from the same bracket.
+        let cross = report.crossover_bytes.expect("committed crossover_bytes");
+        assert!(lo <= cross && cross < hi, "{cross} outside [{lo}, {hi})");
+    }
+
+    #[test]
+    fn crossover_bracket_reads_the_measurements() {
+        let point = |bytes, algo: &str, seconds| MeasuredPoint {
+            bytes,
+            algo: algo.to_string(),
+            seconds,
+        };
+        let sweep = |hd: [f64; 3], ring: [f64; 3]| -> Vec<MeasuredPoint> {
+            let sizes = [1024, 4096, 16384];
+            let hd = sizes
+                .iter()
+                .zip(hd)
+                .map(|(&b, s)| point(b, "halving-doubling", s));
+            let ring = sizes
+                .iter()
+                .zip(ring)
+                .map(|(&b, s)| point(b, "pipelined-ring", s));
+            hd.chain(ring).collect()
+        };
+        // hd wins at 1 KiB and 4 KiB, loses at 16 KiB.
+        let crossing = sweep([1.0, 2.0, 9.0], [3.0, 3.0, 4.0]);
+        assert_eq!(crossover_bracket(&crossing), Some((4096, 16384)));
+        // hd never wins: the ring takes over below the smallest size.
+        let ring_only = sweep([5.0, 5.0, 9.0], [3.0, 3.0, 4.0]);
+        assert_eq!(crossover_bracket(&ring_only), Some((0, 1024)));
+        // hd wins everywhere: no crossover inside the sweep.
+        let hd_only = sweep([1.0, 2.0, 3.0], [3.0, 3.0, 4.0]);
+        assert_eq!(crossover_bracket(&hd_only), None);
+        // A series missing: nothing to compare.
+        assert_eq!(crossover_bracket(&crossing[..3]), None);
     }
 
     #[test]

@@ -102,8 +102,9 @@ pub struct AlgoPolicy {
     /// Pipelined-ring chunk size in elements (f32s).
     pub chunk_elems: usize,
     /// `Auto`: messages of at most this many bytes use halving/doubling.
-    /// The default comes from the measured crossover in
-    /// `BENCH_allreduce.json` (see `xp bench-allreduce`).
+    /// The default sits inside the measured crossover bracket of
+    /// `BENCH_allreduce.json` (see `xp bench-allreduce`; pinned by
+    /// `kfac_cluster::calibrate`'s tests).
     pub hd_max_bytes: usize,
 }
 
@@ -115,12 +116,14 @@ impl Default for AlgoPolicy {
             // small enough that 4-rank chains keep several chunks in
             // flight for megabyte gradients.
             chunk_elems: 16 * 1024,
-            // Measured pipelined-ring vs halving/doubling crossover on the
-            // 4-process localhost TCP backend: the α/β fits in
-            // BENCH_allreduce.json put it at 94,414 bytes (~94 KiB), so
-            // messages up to 94 KiB take the latency-optimal
-            // halving/doubling path.
-            hd_max_bytes: 94 * 1024,
+            // Both algorithms earn their place on the 4-process localhost
+            // TCP sweep in BENCH_allreduce.json: halving/doubling is 1.2–2.5×
+            // faster up to 16 KiB (log p latency-bound rounds against a
+            // 2(p−1)-hop chain), the pipelined ring 1.3–6× faster from
+            // 64 KiB up. The threshold is the geometric midpoint of that
+            // measured bracket. (At 2 processes the bracket is 64–256 KiB,
+            // so 32 KiB is on halving/doubling's side there too.)
+            hd_max_bytes: 32 * 1024,
         }
     }
 }
@@ -682,12 +685,12 @@ mod tests {
     fn policy_auto_selects_by_size() {
         let p = AlgoPolicy::default();
         assert_eq!(p.select(1024, 4), CollectiveAlgo::HalvingDoubling);
-        // The default threshold is the measured ~94 KiB crossover from
-        // BENCH_allreduce.json: 80 KiB is still latency-bound
-        // (halving/doubling), 128 KiB is bandwidth-bound (ring).
-        assert_eq!(p.select(80 * 1024, 4), CollectiveAlgo::HalvingDoubling);
-        assert_eq!(p.select(94 * 1024, 4), CollectiveAlgo::HalvingDoubling);
-        assert_eq!(p.select(128 * 1024, 4), CollectiveAlgo::PipelinedRing);
+        // The default threshold sits between the sizes BENCH_allreduce.json
+        // measured either side of the crossover: 16 KiB is latency-bound
+        // (halving/doubling), 64 KiB is bandwidth-bound (ring).
+        assert_eq!(p.select(16 * 1024, 4), CollectiveAlgo::HalvingDoubling);
+        assert_eq!(p.select(p.hd_max_bytes, 4), CollectiveAlgo::HalvingDoubling);
+        assert_eq!(p.select(64 * 1024, 4), CollectiveAlgo::PipelinedRing);
         assert_eq!(p.select(8 << 20, 4), CollectiveAlgo::PipelinedRing);
         assert_eq!(p.select(8 << 20, 1), CollectiveAlgo::Flat);
         let forced = AlgoPolicy {

@@ -1,11 +1,11 @@
-//! Half-width wire payloads: bf16/f16 encode/decode for collectives.
+//! Half-width wire payloads: bf16 encode/decode for collectives.
 //!
 //! The measured bottleneck on both fabrics is bytes on the wire —
 //! gradient fusion buffers and factor/eigen allgather payloads are all
 //! `f32` today. This module is the codec layer that halves them:
 //!
 //! * [`encode_payload`] packs an `f32` slice into half-width words (two
-//!   bf16/f16 values per `f32` wire word, RNE conversion, plus one
+//!   bf16 values per `f32` wire word, RNE conversion, plus one
 //!   length-prefix word), so an `n`-element tensor travels as
 //!   `⌈n/2⌉ + 1` words instead of `n`.
 //! * [`decode_payload`] widens back, rejecting any non-finite decoded
@@ -27,14 +27,14 @@
 //!
 //! Every payload sent through this module is additionally accounted
 //! under a per-dtype ambient counter (`comm/bytes/dtype/f32`,
-//! `comm/bytes/dtype/bf16`, `comm/bytes/dtype/f16`) — the counters the
-//! mixed-precision acceptance experiment asserts halving on — plus
-//! `comm/wire/rejected` for decode rejections.
+//! `comm/bytes/dtype/bf16`) — the counters the mixed-precision
+//! acceptance experiment asserts halving on — plus `comm/wire/rejected`
+//! for decode rejections.
 
 use crate::communicator::{combine_into, finalize, Communicator, ReduceOp};
 use crate::error::CollectiveError;
 use crate::traffic::TrafficClass;
-use kfac_tensor::half::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, Dtype};
+use kfac_tensor::half::{bf16_to_f32, f32_to_bf16, Dtype};
 
 /// Record `bytes` sent at `dtype` width on the ambient per-dtype wire
 /// counter (`comm/bytes/dtype/<name>`), when telemetry is installed.
@@ -57,31 +57,13 @@ fn record_rejection() {
 pub fn wire_words(n: usize, dtype: Dtype) -> usize {
     match dtype {
         Dtype::F32 => n,
-        Dtype::Bf16 | Dtype::F16 => n.div_ceil(2) + 1,
-    }
-}
-
-#[inline(always)]
-fn narrow(v: f32, dtype: Dtype) -> u16 {
-    match dtype {
-        Dtype::Bf16 => f32_to_bf16(v),
-        Dtype::F16 => f32_to_f16(v),
-        Dtype::F32 => unreachable!("f32 payloads are not word-packed"),
-    }
-}
-
-#[inline(always)]
-fn widen(h: u16, dtype: Dtype) -> f32 {
-    match dtype {
-        Dtype::Bf16 => bf16_to_f32(h),
-        Dtype::F16 => f16_to_f32(h),
-        Dtype::F32 => unreachable!("f32 payloads are not word-packed"),
+        Dtype::Bf16 => n.div_ceil(2) + 1,
     }
 }
 
 /// Encode `data` into half-width wire words: one `f32` length-prefix
 /// word (the element count as raw `u32` bits) followed by `⌈n/2⌉` words
-/// each packing two RNE-converted half values (low half first; the
+/// each packing two RNE-converted bf16 values (low half first; the
 /// final high half is zero-padded for odd `n`).
 ///
 /// For [`Dtype::F32`] the payload is returned unchanged (no prefix) —
@@ -94,12 +76,12 @@ pub fn encode_payload(data: &[f32], dtype: Dtype) -> Vec<f32> {
     words.push(f32::from_bits(data.len() as u32));
     let mut chunks = data.chunks_exact(2);
     for pair in &mut chunks {
-        let lo = narrow(pair[0], dtype) as u32;
-        let hi = narrow(pair[1], dtype) as u32;
+        let lo = f32_to_bf16(pair[0]) as u32;
+        let hi = f32_to_bf16(pair[1]) as u32;
         words.push(f32::from_bits(lo | (hi << 16)));
     }
     if let [last] = chunks.remainder() {
-        words.push(f32::from_bits(narrow(*last, dtype) as u32));
+        words.push(f32::from_bits(f32_to_bf16(*last) as u32));
     }
     words
 }
@@ -134,9 +116,9 @@ pub fn decode_payload(words: &[f32], dtype: Dtype) -> Result<Vec<f32>, Collectiv
     let mut out = Vec::with_capacity(n);
     for &w in packed {
         let bits = w.to_bits();
-        out.push(widen(bits as u16, dtype));
+        out.push(bf16_to_f32(bits as u16));
         if out.len() < n {
-            out.push(widen((bits >> 16) as u16, dtype));
+            out.push(bf16_to_f32((bits >> 16) as u16));
         }
     }
     if out.iter().any(|v| !v.is_finite()) {
@@ -235,15 +217,13 @@ mod tests {
 
     #[test]
     fn round_trip_even_and_odd_lengths() {
-        for dtype in [Dtype::Bf16, Dtype::F16] {
-            for n in [0usize, 1, 2, 3, 8, 17] {
-                let data: Vec<f32> = (0..n).map(|i| i as f32 - 4.0).collect();
-                let words = encode_payload(&data, dtype);
-                assert_eq!(words.len(), wire_words(n, dtype));
-                let back = decode_payload(&words, dtype).unwrap();
-                // Small integers are exactly representable in both formats.
-                assert_eq!(back, data, "{dtype:?} n={n}");
-            }
+        for n in [0usize, 1, 2, 3, 8, 17] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 - 4.0).collect();
+            let words = encode_payload(&data, Dtype::Bf16);
+            assert_eq!(words.len(), wire_words(n, Dtype::Bf16));
+            let back = decode_payload(&words, Dtype::Bf16).unwrap();
+            // Small integers are exactly representable in bf16.
+            assert_eq!(back, data, "n={n}");
         }
     }
 
@@ -264,9 +244,6 @@ mod tests {
         // bf16 keeps f32's exponent range, so Inf also travels — reject.
         let words = encode_payload(&[f32::INFINITY], Dtype::Bf16);
         assert!(decode_payload(&words, Dtype::Bf16).is_err());
-        // f16 encode saturates, so an f32 Inf decodes finite (65504).
-        let words = encode_payload(&[f32::INFINITY], Dtype::F16);
-        assert_eq!(decode_payload(&words, Dtype::F16).unwrap(), vec![65504.0]);
     }
 
     #[test]
@@ -352,7 +329,8 @@ mod tests {
                         // Different lengths per rank, like eig payloads.
                         let payload: Vec<f32> =
                             (0..3 + rank).map(|i| i as f32 + rank as f32).collect();
-                        try_allgather_half(comm, &payload, TrafficClass::Eigen, Dtype::F16).unwrap()
+                        try_allgather_half(comm, &payload, TrafficClass::Eigen, Dtype::Bf16)
+                            .unwrap()
                     })
                 })
                 .collect();

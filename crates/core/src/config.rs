@@ -311,7 +311,6 @@ impl KfacConfig {
             self.rand_eig.max_rank_frac > 0.0 && self.rand_eig.max_rank_frac <= 1.0,
             "rand_eig.max_rank_frac must be in (0, 1]"
         );
-        self.precision.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -9,14 +9,11 @@
 //! [`Dtype`]. The default is f32 everywhere, which is *bitwise identical*
 //! to the pre-policy behavior — mixed precision is strictly opt-in.
 //!
-//! Storage stages (`capture`, `factor_gram`, `factor_ema`, `eig`,
-//! `precond`) accept f32 or bf16: bf16 keeps f32's 8-bit exponent, so
-//! Gram accumulations and eigen-spectra keep their dynamic range and only
-//! give up mantissa. They reject f16 — its 5-bit exponent overflows at
-//! 65504, far below observed Gram diagonals. Wire stages (`grad_wire`,
-//! `factor_wire`) additionally accept f16, where the saturating encode in
-//! `kfac_collectives::wire` bounds the damage and the decode-side
-//! non-finite rejection catches true overflow.
+//! Every stage accepts f32 or bf16: bf16 keeps f32's 8-bit exponent, so
+//! Gram accumulations, eigen-spectra and wire payloads keep their dynamic
+//! range and only give up mantissa. It is the one half-width type the
+//! GEMM engine, the captures and the wire share; anything else in a
+//! `KFAC_PRECISION` spec is a typed [`ConfigError`].
 //!
 //! All kernels *accumulate* in f32 (or f64 for the compensated EMA)
 //! regardless of storage dtype — reduced precision here is a storage and
@@ -36,7 +33,8 @@ pub struct PrecisionPolicy {
     /// layers the patch blocks are encoded as they are built). F32 | Bf16.
     pub capture: Dtype,
     /// Storage feeding the factor Gram kernels (`A = aᵀa/N`, `G`). Bf16
-    /// selects the bf16-packed f32-accumulate GEMM path. F32 | Bf16.
+    /// halves the bytes the Gram streams; it accumulates in f32 either
+    /// way. F32 | Bf16.
     pub factor_gram: Dtype,
     /// Storage of the running-average factors (Eq. 16–17). Bf16 stores
     /// the EMA rounded to bf16 with an f64 residual compensation term so
@@ -48,23 +46,23 @@ pub struct PrecisionPolicy {
     /// Preconditioning-stage input rounding for the Eq. 13–15 GEMMs.
     /// F32 | Bf16.
     pub precond: Dtype,
-    /// Wire format of the fused gradient allreduce. F32 | Bf16 | F16.
+    /// Wire format of the fused gradient allreduce. F32 | Bf16.
     pub grad_wire: Dtype,
     /// Wire format of every K-FAC collective: the factor allreduce, the
     /// eigen allgather and K-FAC-lw's preconditioned-gradient allgather.
-    /// F32 | Bf16 | F16.
+    /// F32 | Bf16.
     pub factor_wire: Dtype,
 }
 
-/// `(field name, wire stage?)` — the parse/validate/display table.
-const STAGES: [(&str, bool); 7] = [
-    ("capture", false),
-    ("factor_gram", false),
-    ("factor_ema", false),
-    ("eig", false),
-    ("precond", false),
-    ("grad_wire", true),
-    ("factor_wire", true),
+/// The stage names — the parse/display table.
+const STAGES: [&str; 7] = [
+    "capture",
+    "factor_gram",
+    "factor_ema",
+    "eig",
+    "precond",
+    "grad_wire",
+    "factor_wire",
 ];
 
 impl PrecisionPolicy {
@@ -124,7 +122,7 @@ impl PrecisionPolicy {
 
     /// Parse a `KFAC_PRECISION` spec: an optional preset (`f32` | `bf16`)
     /// followed by comma-separated `stage=dtype` overrides, e.g.
-    /// `"bf16"`, `"capture=bf16,grad_wire=f16"`, or
+    /// `"bf16"`, `"capture=bf16,grad_wire=bf16"`, or
     /// `"bf16,factor_wire=f32"`. Overrides apply left to right on top of
     /// the preset (default preset: f32).
     pub fn parse(spec: &str) -> Result<PrecisionPolicy, ConfigError> {
@@ -156,21 +154,17 @@ impl PrecisionPolicy {
                 Some((field, value)) => {
                     let field = field.trim().to_ascii_lowercase();
                     let dtype = Dtype::parse(value.trim()).ok_or_else(|| {
-                        err(format!(
-                            "{value:?} invalid for {field}; expected f32|bf16|f16"
-                        ))
+                        err(format!("{value:?} invalid for {field}; expected f32|bf16"))
                     })?;
                     if !policy.set(&field, dtype) {
-                        let known: Vec<&str> = STAGES.iter().map(|(n, _)| *n).collect();
                         return Err(err(format!(
                             "unknown stage {field:?}; expected one of {}",
-                            known.join("|")
+                            STAGES.join("|")
                         )));
                     }
                 }
             }
         }
-        policy.validate()?;
         Ok(policy)
     }
 
@@ -190,31 +184,12 @@ impl PrecisionPolicy {
         }
     }
 
-    /// Check the stage/dtype compatibility table: storage stages must be
-    /// f32 or bf16 (f16's 5-bit exponent overflows on Gram diagonals);
-    /// wire stages may also be f16.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, is_wire) in STAGES {
-            let dtype = self.get(field).expect("table lists only real fields");
-            if dtype == Dtype::F16 && !is_wire {
-                return Err(ConfigError {
-                    knob: "KFAC_PRECISION",
-                    message: format!(
-                        "{field}=f16 unsupported; storage stages are f32|bf16 \
-                         (f16 overflows at 65504, below typical Gram diagonals)"
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Canonical `stage=dtype,...` spelling (stable telemetry label; the
     /// inverse of [`PrecisionPolicy::parse`]).
     pub fn spec_string(&self) -> String {
         STAGES
             .iter()
-            .map(|(field, _)| format!("{field}={}", self.get(field).unwrap().name()))
+            .map(|field| format!("{field}={}", self.get(field).unwrap().name()))
             .collect::<Vec<_>>()
             .join(",")
     }
@@ -231,11 +206,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_all_f32_and_valid() {
+    fn default_is_all_f32() {
         let p = PrecisionPolicy::default();
         assert!(p.is_all_f32());
-        p.validate().unwrap();
-        for (field, _) in STAGES {
+        for field in STAGES {
             assert_eq!(p.get(field), Some(Dtype::F32));
         }
     }
@@ -244,10 +218,9 @@ mod tests {
     fn bf16_preset_sets_every_stage() {
         let p = PrecisionPolicy::bf16();
         assert!(!p.is_all_f32());
-        for (field, _) in STAGES {
+        for field in STAGES {
             assert_eq!(p.get(field), Some(Dtype::Bf16), "{field}");
         }
-        p.validate().unwrap();
     }
 
     #[test]
@@ -260,17 +233,17 @@ mod tests {
             PrecisionPolicy::parse("bf16").unwrap(),
             PrecisionPolicy::bf16()
         );
-        let p = PrecisionPolicy::parse("capture=bf16,grad_wire=f16").unwrap();
+        let p = PrecisionPolicy::parse("capture=bf16,grad_wire=bf16").unwrap();
         assert_eq!(p.capture, Dtype::Bf16);
-        assert_eq!(p.grad_wire, Dtype::F16);
+        assert_eq!(p.grad_wire, Dtype::Bf16);
         assert_eq!(p.factor_gram, Dtype::F32, "untouched stages stay f32");
         // Preset then override: everything bf16 except the factor wire.
         let p = PrecisionPolicy::parse("bf16,factor_wire=f32").unwrap();
         assert_eq!(p.factor_wire, Dtype::F32);
         assert_eq!(p.capture, Dtype::Bf16);
         // Whitespace and empty segments are tolerated.
-        let p = PrecisionPolicy::parse(" bf16 , grad_wire = f16 ,").unwrap();
-        assert_eq!(p.grad_wire, Dtype::F16);
+        let p = PrecisionPolicy::parse(" bf16 , grad_wire = f32 ,").unwrap();
+        assert_eq!(p.grad_wire, Dtype::F32);
     }
 
     #[test]
@@ -280,20 +253,18 @@ mod tests {
             "capture=f64",
             "warp_drive=bf16",
             "capture=bf16,bf16", // preset after an override
-            "capture=f16",       // f16 on a storage stage
-            "eig=f16",
+            "eig=f16",           // f16 is no dtype here, on any stage
+            "grad_wire=f16",
         ] {
             let e = PrecisionPolicy::parse(bad).unwrap_err();
             assert_eq!(e.knob, "KFAC_PRECISION", "{bad}");
         }
-        // Wire stages do accept f16.
-        PrecisionPolicy::parse("grad_wire=f16,factor_wire=f16").unwrap();
     }
 
     #[test]
     fn env_spec_round_trips_through_display() {
         assert_eq!(PrecisionPolicy::from_env_spec(None).unwrap(), None);
-        let p = PrecisionPolicy::parse("bf16,grad_wire=f16").unwrap();
+        let p = PrecisionPolicy::parse("bf16,grad_wire=f32").unwrap();
         let reparsed = PrecisionPolicy::parse(&p.spec_string()).unwrap();
         assert_eq!(p, reparsed);
     }

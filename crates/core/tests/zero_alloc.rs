@@ -21,7 +21,7 @@
 use kfac::{Kfac, KfacConfig};
 use kfac_nn::lowering::{build_patches, scatter_patches, Geometry};
 use kfac_nn::{Conv2d, CrossEntropyLoss, Flatten, Layer, Linear, Mode, ReLU, Sequential};
-use kfac_tensor::{eigh_tridiag, Matrix, Rng64, Tensor4};
+use kfac_tensor::{eigh_tridiag, HalfMatrix, Matrix, Rng64, Tensor4};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,8 +84,9 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut Rng64) -> Matrix {
     )
 }
 
-/// The raw `_into` kernels: GEMM in all orientations, both Grams, and the
-/// patch-block build/scatter pair, replayed on warmed outputs.
+/// The raw `_into` kernels: GEMM in all orientations, both Grams, the
+/// bf16-stored Gram and `A·Bᵀ`, and the patch-block build/scatter pair,
+/// replayed on warmed outputs.
 #[test]
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn into_kernels_allocate_nothing_when_warm() {
@@ -98,6 +99,7 @@ fn into_kernels_allocate_nothing_when_warm() {
     let b = random_matrix(k, n, &mut rng);
     let at = a.transpose();
     let bt = b.transpose();
+    let (a16, bt16) = (HalfMatrix::from_matrix(&a), HalfMatrix::from_matrix(&bt));
     let x = Tensor4::from_vec(
         4,
         3,
@@ -111,6 +113,8 @@ fn into_kernels_allocate_nothing_when_warm() {
     let mut out_nt = Matrix::zeros(0, 0);
     let mut gram = Matrix::zeros(0, 0);
     let mut gram_nt = Matrix::zeros(0, 0);
+    let mut gram16 = Matrix::zeros(0, 0);
+    let mut out16 = Matrix::zeros(0, 0);
     let geom = Geometry::new(x.shape(), 3, 1, 1);
     let mut patches = vec![0.0f32; geom.fan_in() * geom.positions()];
     let mut dx = Tensor4::zeros(4, 3, 12, 12);
@@ -121,6 +125,8 @@ fn into_kernels_allocate_nothing_when_warm() {
         a.matmul_nt_into(&bt, &mut out_nt);
         a.gram_into(&mut gram);
         a.gram_nt_into(&mut gram_nt);
+        a16.gram_into(&mut gram16);
+        a16.matmul_nt_into(&bt16, &mut out16);
         build_patches(&x, &geom, 0..geom.positions(), &mut patches);
         scatter_patches(&mut patches, &geom, 0..geom.positions(), &mut dx);
         arena_warm

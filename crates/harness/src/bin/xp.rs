@@ -274,8 +274,9 @@ fn run_prom_lint(args: &[String]) {
 }
 
 /// `xp bench-kernels [--json [FILE]]` — time the packed GEMM/Gram kernels
-/// against the legacy baseline on ResNet-32 and square stress shapes, and
-/// a whole `Conv2d` forward + backward per stage against its bare GEMMs.
+/// on ResNet-32 and square stress shapes over f32- and bf16-stored
+/// operands, and a whole `Conv2d` forward + backward per stage against
+/// its bare GEMMs.
 /// `--json` writes machine-readable results (default `BENCH_kernels.json`).
 fn run_bench_kernels(args: &[String]) {
     let mut json_path: Option<PathBuf> = None;
@@ -375,8 +376,8 @@ fn run_bench_eig(args: &[String]) {
 
 /// `xp bench-allreduce [--ranks N] [--iters K] [--json [FILE]]` —
 /// measure ProcComm allreduce latency per algorithm across message sizes
-/// on a real multi-process world, fit the α/β link model, and locate the
-/// halving/doubling↔pipelined-ring crossover. `--json` writes the
+/// on a real multi-process world, fit the α/β link model, and bracket
+/// the halving/doubling↔pipelined-ring crossover between measured sizes. `--json` writes the
 /// machine-readable document (default `BENCH_allreduce.json`) that
 /// `kfac-cluster`'s calibration consumes.
 fn run_bench_allreduce(args: &[String]) {

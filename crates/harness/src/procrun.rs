@@ -9,10 +9,10 @@
 //! * `bench-allreduce` — the allreduce microbenchmark behind
 //!   `xp bench-allreduce`: every rank drives the same op sequence, rank 0
 //!   reports median seconds per message size on stdout. The launcher runs
-//!   one world per algorithm, fits `T(n) = A + B·n` to each, converts the
-//!   pipelined-ring fit into α/β link constants for the `kfac-cluster`
-//!   simulator, and locates the halving/doubling↔ring crossover
-//!   (`BENCH_allreduce.json`).
+//!   one world per algorithm, fits `T(n) = A + B·n` (`A ≥ 0`) to each,
+//!   converts the pipelined-ring fit into α/β link constants for the
+//!   `kfac-cluster` simulator, and brackets the halving/doubling↔ring
+//!   crossover between two measured sizes (`BENCH_allreduce.json`).
 //! * `train-cifar` — the canonical 4-process K-FAC CIFAR demo behind
 //!   `xp proc-train`: each worker trains the shared [`cifar_demo_config`]
 //!   over its `ProcComm`, and rank 0 emits the loss trajectory (exact
@@ -28,6 +28,7 @@
 
 use crate::trainer::{train_with_comm, TrainConfig, TrainResult};
 use kfac::KfacConfig;
+use kfac_cluster::calibrate::{crossover_bracket, MeasuredPoint};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
 use kfac_collectives::{CommBackend, Communicator, ReduceOp, TrafficClass};
 use kfac_data::{synthetic_cifar, SyntheticImages};
@@ -126,14 +127,6 @@ pub fn worker_main() -> i32 {
 // bench-allreduce
 // ---------------------------------------------------------------------
 
-/// One measured point: `algo` at `bytes` took a median `seconds` per op.
-#[derive(Debug, Clone)]
-pub struct BenchPoint {
-    pub bytes: usize,
-    pub algo: String,
-    pub seconds: f64,
-}
-
 /// An affine fit `T(n) = a_s + b_s_per_byte · n` for one algorithm.
 #[derive(Debug, Clone)]
 pub struct BenchFit {
@@ -201,11 +194,17 @@ fn bench_worker(comm: &ProcComm) -> i32 {
     0
 }
 
-/// Ordinary least squares for `y = a + b·x`.
+/// Least squares for `y = a + b·x` subject to `a ≥ 0`: a latency cannot
+/// be negative, and an unconstrained line through timings that bend
+/// upward (cache and socket-buffer effects at megabyte sizes) has a
+/// negative intercept — it once put halving/doubling's at −3.2 ms, and
+/// every quantity derived from that sign was an artefact. When ordinary
+/// least squares lands there, the constrained optimum is on the
+/// boundary: the best line through the origin.
 pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
     let n = points.len() as f64;
     if points.len() < 2 {
-        return (points.first().map(|p| p.1).unwrap_or(0.0), 0.0);
+        return (points.first().map(|p| p.1).unwrap_or(0.0).max(0.0), 0.0);
     }
     let sx: f64 = points.iter().map(|p| p.0).sum();
     let sy: f64 = points.iter().map(|p| p.1).sum();
@@ -213,41 +212,36 @@ pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
     let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
     let denom = n * sxx - sx * sx;
     if denom.abs() < f64::EPSILON {
-        return (sy / n, 0.0);
+        return ((sy / n).max(0.0), 0.0);
     }
     let b = (n * sxy - sx * sy) / denom;
     let a = (sy - b * sx) / n;
-    (a, b)
-}
-
-/// Crossover message size below which halving/doubling beats the
-/// pipelined ring, from the two fitted lines (`None` when the fits never
-/// cross in the positive quadrant — one algorithm dominates).
-pub fn fitted_crossover_bytes(hd: &BenchFit, ring: &BenchFit) -> Option<usize> {
-    let db = hd.b_s_per_byte - ring.b_s_per_byte;
-    if db <= 0.0 {
-        return None; // hd never loses on bandwidth → no crossover
+    if a < 0.0 {
+        (0.0, sxy / sxx)
+    } else {
+        (a, b)
     }
-    let n = (ring.a_s - hd.a_s) / db;
-    (n > 0.0).then_some(n as usize)
 }
 
 /// Outcome of a full `xp bench-allreduce` sweep.
 pub struct BenchOutcome {
     pub ranks: usize,
     pub iters: usize,
-    pub points: Vec<BenchPoint>,
+    pub points: Vec<MeasuredPoint>,
     pub fits: Vec<BenchFit>,
     /// Link constants for `kfac_collectives::LinkSpec`, from the
     /// pipelined-ring fit via the chain model `T = 2(p−1)α + 2nβ`.
     pub alpha_s: f64,
     pub beta_s_per_byte: f64,
-    pub crossover_bytes: usize,
+    /// The two measured sizes the halving/doubling→ring crossover lies
+    /// between (see [`crossover_bracket`]); `None` when halving/doubling
+    /// still wins at the largest size.
+    pub crossover: Option<(u64, u64)>,
 }
 
 /// Launcher half of `xp bench-allreduce`: one world per algorithm (the
 /// algorithm is forced through the same `KFAC_COMM_ALGO` knob users
-/// have), parse rank 0's medians, fit, and derive the policy constants.
+/// have), parse rank 0's medians, fit, and bracket the crossover.
 pub fn run_bench_allreduce(
     ranks: usize,
     iters: usize,
@@ -286,14 +280,14 @@ pub fn run_bench_allreduce(
             let (Some(b), Some(s)) = (it.next(), it.next()) else {
                 return Err(io::Error::other(format!("malformed bench line {line:?}")));
             };
-            let bytes: usize = b
+            let bytes: u64 = b
                 .parse()
                 .map_err(|_| io::Error::other(format!("malformed bench line {line:?}")))?;
             let seconds: f64 = s
                 .parse()
                 .map_err(|_| io::Error::other(format!("malformed bench line {line:?}")))?;
             algo_points.push((bytes as f64, seconds));
-            points.push(BenchPoint {
+            points.push(MeasuredPoint {
                 bytes,
                 algo: algo.to_string(),
                 seconds,
@@ -306,16 +300,14 @@ pub fn run_bench_allreduce(
             b_s_per_byte,
         });
     }
-    let hd = fits.iter().find(|f| f.algo == "halving-doubling").unwrap();
     let ring = fits.iter().find(|f| f.algo == "pipelined-ring").unwrap();
     // Chain-pipelined ring moves 2n bytes per rank through 2(p−1) hops of
     // pipeline fill: T ≈ 2(p−1)α + 2nβ, so the affine fit maps back as
     // α = A/(2(p−1)), β = B/2.
     let hops = 2.0 * (ranks.saturating_sub(1)).max(1) as f64;
-    let alpha_s = (ring.a_s / hops).max(0.0);
-    let beta_s_per_byte = (ring.b_s_per_byte / 2.0).max(0.0);
-    let crossover_bytes = fitted_crossover_bytes(hd, ring)
-        .unwrap_or(kfac_collectives::AlgoPolicy::default().hd_max_bytes);
+    let alpha_s = ring.a_s / hops;
+    let beta_s_per_byte = ring.b_s_per_byte / 2.0;
+    let crossover = crossover_bracket(&points);
     Ok(BenchOutcome {
         ranks,
         iters,
@@ -323,7 +315,7 @@ pub fn run_bench_allreduce(
         fits,
         alpha_s,
         beta_s_per_byte,
-        crossover_bytes,
+        crossover,
     })
 }
 
@@ -362,10 +354,15 @@ impl BenchOutcome {
             "  \"fitted\": {{\"alpha_s\": {:e}, \"beta_s_per_byte\": {:e}}},\n",
             self.alpha_s, self.beta_s_per_byte
         ));
-        s.push_str(&format!(
-            "  \"crossover_bytes\": {}\n",
-            self.crossover_bytes
-        ));
+        match self.crossover {
+            // The single number reported for a bracket is its geometric
+            // midpoint (the sweep is a geometric grid).
+            Some((lo, hi)) => s.push_str(&format!(
+                "  \"crossover_bracket_bytes\": [{lo}, {hi}],\n  \"crossover_bytes\": {}\n",
+                ((lo as f64) * (hi as f64)).sqrt() as u64
+            )),
+            None => s.push_str("  \"crossover_bracket_bytes\": null\n"),
+        }
         s.push_str("}\n");
         s
     }
@@ -380,10 +377,15 @@ impl BenchOutcome {
             ));
         }
         s.push_str(&format!(
-            "\nfitted link: alpha = {:.3e} s, beta = {:.3e} s/byte; \
-             hd→ring crossover ≈ {} bytes\n",
-            self.alpha_s, self.beta_s_per_byte, self.crossover_bytes
+            "\nfitted link: alpha = {:.3e} s, beta = {:.3e} s/byte; ",
+            self.alpha_s, self.beta_s_per_byte
         ));
+        match self.crossover {
+            Some((lo, hi)) => s.push_str(&format!(
+                "halving-doubling wins up to {lo} bytes, pipelined-ring from {hi}\n"
+            )),
+            None => s.push_str("halving-doubling wins at every measured size\n"),
+        }
         s
     }
 }
@@ -546,23 +548,26 @@ mod tests {
     }
 
     #[test]
-    fn crossover_from_fits() {
-        // hd: 1e-5 + 4e-9 n; ring: 5e-5 + 1e-9 n → cross at n where
-        // 1e-5 + 4e-9 n = 5e-5 + 1e-9 n → n = 4e-5/3e-9 ≈ 13333.
-        let hd = BenchFit {
-            algo: "halving-doubling".into(),
-            a_s: 1e-5,
-            b_s_per_byte: 4e-9,
-        };
-        let ring = BenchFit {
-            algo: "pipelined-ring".into(),
-            a_s: 5e-5,
-            b_s_per_byte: 1e-9,
-        };
-        let n = fitted_crossover_bytes(&hd, &ring).unwrap();
-        assert!((13000..14000).contains(&n), "n = {n}");
-        // Ring dominating everywhere → no crossover.
-        assert_eq!(fitted_crossover_bytes(&ring, &hd), None);
+    fn affine_fit_never_returns_a_negative_intercept() {
+        // The halving/doubling series committed before this fit was
+        // constrained (4 ranks, 7 iterations): ordinary least squares
+        // put its intercept at −3.2 ms.
+        let hd = [
+            (1024.0, 8.3362e-5),
+            (4096.0, 1.263e-4),
+            (16384.0, 2.84118e-4),
+            (65536.0, 1.553242e-3),
+            (262144.0, 6.553898e-3),
+            (1048576.0, 3.3655332e-2),
+            (4194304.0, 1.49177711e-1),
+            (8388608.0, 3.35895272e-1),
+        ];
+        let (a, b) = fit_affine(&hd);
+        assert_eq!(a, 0.0);
+        assert!((3.9e-8..4.1e-8).contains(&b), "b = {b}");
+        // Degenerate inputs keep the promise too.
+        assert_eq!(fit_affine(&[(1024.0, -1.0)]), (0.0, 0.0));
+        assert_eq!(fit_affine(&[]), (0.0, 0.0));
     }
 
     #[test]
@@ -579,7 +584,7 @@ mod tests {
         let outcome = BenchOutcome {
             ranks: 4,
             iters: 5,
-            points: vec![BenchPoint {
+            points: vec![MeasuredPoint {
                 bytes: 1024,
                 algo: "pipelined-ring".into(),
                 seconds: 1.5e-5,
@@ -591,14 +596,14 @@ mod tests {
             }],
             alpha_s: 1.6e-6,
             beta_s_per_byte: 1e-9,
-            crossover_bytes: 65536,
+            crossover: Some((16384, 65536)),
         };
         let json = outcome.to_json();
         let doc = kfac_telemetry::json::Json::parse(&json).expect("valid json");
         assert_eq!(doc.get("ranks").and_then(|v| v.as_f64()), Some(4.0));
         assert_eq!(
             doc.get("crossover_bytes").and_then(|v| v.as_f64()),
-            Some(65536.0)
+            Some(32768.0)
         );
     }
 }

@@ -131,9 +131,10 @@ pub trait KfacEligible {
 
     /// Select the capture storage dtype. [`Dtype::Bf16`] halves capture
     /// bytes (conv layers encode each patch block as it is built; the
-    /// capture never exists at f32 width) and routes the factor Grams through the
-    /// bf16-packed f32-accumulate GEMM. The default implementation
-    /// ignores the request, so custom `KfacEligible` impls stay f32.
+    /// capture never exists at f32 width), so the factor Grams stream
+    /// half-width operands into the same f32-accumulating GEMM. The
+    /// default implementation ignores the request, so custom
+    /// `KfacEligible` impls stay f32.
     fn set_capture_dtype(&mut self, _dtype: Dtype) {}
 }
 
@@ -260,8 +261,8 @@ impl<F: FactorRows, H: FactorRows> Capture<F, H> {
 
     /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` from whichever storage
     /// holds the capture — the shared implementation behind
-    /// `Linear`/`Conv2d::compute_factors`. The bf16 path runs the
-    /// bf16-packed f32-accumulate Gram kernels.
+    /// `Linear`/`Conv2d::compute_factors`. A bf16 capture runs the same
+    /// Gram kernels, widened to f32 as they pack.
     pub fn factors(&self) -> (Matrix, Matrix) {
         // Arena-backed factor scratch, recycled by the preconditioner
         // after the running-average fold (see `Kfac::factor_update_layer`).

@@ -27,8 +27,7 @@
 //! [`Blocked::gram_into`]).
 
 use crate::layer::FactorRows;
-use kfac_tensor::gemm::{gemm_symmetric_into, View, KC};
-use kfac_tensor::gemm_bf16::{gemm_bf16_symmetric_into, Bf16View};
+use kfac_tensor::gemm::{gemm_symmetric_into, Element, View, KC};
 use kfac_tensor::{arena, Matrix, Tensor4};
 use std::ops::Range;
 
@@ -455,21 +454,21 @@ impl<T: Copy + Default> Blocked<T> {
     }
 }
 
-/// `out = Σ_b gram(block_b)`, each block's Gram computed by `gram` into
-/// the scratch it is handed, blocks added in ascending order.
-fn sum_block_grams<T: Copy + Default>(
-    m: &Blocked<T>,
-    out: &mut Matrix,
-    gram: impl Fn(&[T], usize, &mut [f32]),
-) {
+/// `out = Σ_b P_b·P_bᵀ`, blocks added in ascending order. One Gram over
+/// the whole `features × positions` matrix would cut its reduction into
+/// the same `KC`-deep pieces and add their tiles in the same order, so
+/// the two agree bit for bit — for either stored element, which the
+/// engine widens to f32 as it packs.
+fn sum_block_grams<E: Element + Default>(m: &Blocked<E>, out: &mut Matrix) {
     let f = m.features;
     out.reset_for(f, f);
     let mut scratch = arena::take_f32(f * f);
     for (q, blk) in m.blocks() {
+        let (p, pt) = (View::new(blk, f, q.len()), View::t(blk, f, q.len()));
         if q.start == 0 {
-            gram(blk, q.len(), out.as_mut_slice());
+            gemm_symmetric_into(p, pt, out.as_mut_slice());
         } else {
-            gram(blk, q.len(), &mut scratch);
+            gemm_symmetric_into(p, pt, &mut scratch);
             for (o, &s) in out.as_mut_slice().iter_mut().zip(&scratch) {
                 *o += s;
             }
@@ -487,14 +486,8 @@ impl FactorRows for Blocked<f32> {
         self.features
     }
 
-    /// `Σ_b P_b·P_bᵀ`. One Gram over the whole `features × positions`
-    /// matrix would cut its reduction into the same `KC`-deep pieces and
-    /// add their tiles in the same order, so the two agree bit for bit.
     fn gram_into(&self, out: &mut Matrix) {
-        let f = self.features;
-        sum_block_grams(self, out, |blk, len, dst| {
-            gemm_symmetric_into(View::new(blk, f, len), View::t(blk, f, len), dst)
-        });
+        sum_block_grams(self, out);
     }
 
     fn recycle(self) {
@@ -511,12 +504,8 @@ impl FactorRows for Blocked<u16> {
         self.features
     }
 
-    /// The same sum through the bf16-packed, f32-accumulating kernels.
     fn gram_into(&self, out: &mut Matrix) {
-        let f = self.features;
-        sum_block_grams(self, out, |blk, len, dst| {
-            gemm_bf16_symmetric_into(Bf16View::new(blk, f, len), Bf16View::t(blk, f, len), dst)
-        });
+        sum_block_grams(self, out);
     }
 
     fn recycle(self) {
@@ -628,7 +617,7 @@ mod tests {
 
     #[test]
     fn blocked_gram_equals_the_whole_gram_bitwise() {
-        // 600 positions: two full blocks and a ragged third.
+        // 600 positions: full blocks and a ragged last one.
         let mut rng = Rng64::new(4);
         let (f, total) = (37, 600);
         let mut m = Blocked::from_storage(Vec::new(), f, total);

@@ -764,7 +764,6 @@ mod tests {
         for (name, bytes) in [
             ("comm/bytes/dtype/f32", 4096u64),
             ("comm/bytes/dtype/bf16", 2052),
-            ("comm/bytes/dtype/f16", 0),
         ] {
             registry.counter(name).add(bytes);
         }
@@ -790,7 +789,6 @@ mod tests {
         lint_prometheus(&doc).expect("mixed-precision families lint clean");
         assert!(doc.contains("# TYPE comm_bytes_dtype_bf16 counter"));
         assert!(doc.contains("comm_bytes_dtype_bf16 2052"));
-        assert!(doc.contains("comm_bytes_dtype_f16 0"));
         assert!(doc.contains("kfac_precision_grad_wire_bits 16"));
         assert!(doc.contains("# TYPE train_ema_compensation_mag histogram"));
         assert!(doc.contains("train_ema_compensation_mag_count 3"));

@@ -1,29 +1,30 @@
-//! Half-precision storage formats: `bf16`/`f16` scalars and matrices.
+//! Half-precision storage: the `bf16` scalar format and matrices of it.
 //!
-//! The packed GEMM engine is compute-dense but f32-only; the remaining
-//! bottleneck on factor Grams, im2col capture buffers, and collective
-//! payloads is memory bandwidth. This module supplies the storage half
-//! of a bf16-storage / f32-accumulate substrate:
+//! The packed GEMM engine always multiplies and accumulates in f32; what
+//! it *streams* — factor-Gram operands, capture buffers, collective
+//! payloads — is bounded by memory bandwidth. bf16 is the one half-width
+//! format the engine, the captures and the wire share:
 //!
 //! * [`Dtype`] — the storage/wire format vocabulary shared by the
 //!   precision policies, the fusion buffer, and the traffic accounting
 //!   (every byte count in the stack routes through [`Dtype::size_of`]).
 //! * Scalar conversions: `f32 ↔ bf16` (truncate-with-round-to-nearest-
-//!   even on the top 16 bits; widening is exact, `bits << 16`) and
-//!   `f32 ↔ f16` (IEEE binary16 with RNE, saturating to ±65504 instead
-//!   of overflowing to infinity so wire payloads built from finite
-//!   inputs stay finite).
+//!   even on the top 16 bits; widening is exact, `bits << 16`).
 //! * [`HalfMatrix`] — a `rows × cols` matrix stored as bf16 words,
 //!   backed by the arena's `u16` pool; the storage type behind bf16
-//!   capture/im2col scratch and the operand type of the bf16 GEMM
-//!   engine in [`gemm_bf16`](crate::gemm_bf16).
+//!   capture scratch. It is a storage format, not an engine: its
+//!   products are [`gemm`](crate::gemm) calls over `View<u16>`, whose
+//!   packers widen the words on the way into the same f32 panels every
+//!   f32 operand uses — so for bf16-representable values a `HalfMatrix`
+//!   product equals the [`Matrix`] product bit for bit.
 //!
 //! Numerics contract: `bf16_to_f32(f32_to_bf16(x))` is exact for every
 //! bf16-representable value, and within a relative error of `2^-8` for
-//! normal-range inputs (`2^-10` for f16) — pinned by the property suite
-//! in this module and in `tests/`.
+//! normal-range inputs — pinned by the property suite in this module and
+//! in `tests/`.
 
 use crate::arena;
+use crate::gemm::{gemm_into, gemm_symmetric_into, View};
 use crate::Matrix;
 
 /// Storage / wire element format.
@@ -35,8 +36,6 @@ pub enum Dtype {
     F32,
     /// bfloat16: f32's exponent range, 8-bit significand.
     Bf16,
-    /// IEEE binary16: 5-bit exponent, 11-bit significand.
-    F16,
 }
 
 impl Dtype {
@@ -46,7 +45,7 @@ impl Dtype {
     pub fn size_of(self) -> usize {
         match self {
             Dtype::F32 => 4,
-            Dtype::Bf16 | Dtype::F16 => 2,
+            Dtype::Bf16 => 2,
         }
     }
 
@@ -55,7 +54,6 @@ impl Dtype {
         match self {
             Dtype::F32 => "f32",
             Dtype::Bf16 => "bf16",
-            Dtype::F16 => "f16",
         }
     }
 
@@ -64,7 +62,6 @@ impl Dtype {
         match s {
             "f32" => Some(Dtype::F32),
             "bf16" => Some(Dtype::Bf16),
-            "f16" => Some(Dtype::F16),
             _ => None,
         }
     }
@@ -90,80 +87,6 @@ pub fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 
-/// `f32 → f16` (IEEE binary16) with round-to-nearest-even, saturating
-/// to ±65504 on overflow (the ML-standard saturating cast: finite in,
-/// finite out), flushing to signed zero below the smallest subnormal.
-#[inline(always)]
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-    if exp == 255 {
-        // NaN stays NaN; infinity saturates like any other overflow.
-        return if man != 0 {
-            sign | 0x7E00
-        } else {
-            sign | 0x7BFF
-        };
-    }
-    let e = exp - 127 + 15;
-    if e >= 31 {
-        return sign | 0x7BFF; // saturate to max finite
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign; // underflows even the subnormal range
-        }
-        // Subnormal: shift the 24-bit significand (implicit bit set)
-        // right past the exponent deficit, RNE on the dropped bits.
-        let man = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let base = man >> shift;
-        let rem = man & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let round = (rem > half || (rem == half && base & 1 == 1)) as u32;
-        return sign | (base + round) as u16;
-    }
-    // Normal: drop 13 significand bits with RNE; a carry that would
-    // round into the infinity encoding saturates instead.
-    let base = ((e as u32) << 10) | (man >> 13);
-    let rem = man & 0x1FFF;
-    let round = (rem > 0x1000 || (rem == 0x1000 && base & 1 == 1)) as u32;
-    let v = base + round;
-    if v >= 0x7C00 {
-        return sign | 0x7BFF;
-    }
-    sign | v as u16
-}
-
-/// `f16 → f32`: exact widening.
-#[inline(always)]
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let man = (h & 0x03FF) as u32;
-    let bits = if exp == 31 {
-        sign | 0x7F80_0000 | (man << 13)
-    } else if exp == 0 {
-        if man == 0 {
-            sign
-        } else {
-            // Subnormal: renormalize into an f32 exponent.
-            let mut m = man;
-            let mut e = 127 - 15 + 1;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | ((e as u32) << 23) | ((m & 0x03FF) << 13)
-        }
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
-}
-
 /// Round every element of `x` through bf16 storage in place — the
 /// "stored at half precision" numerics without changing the container.
 pub fn round_bf16_in_place(x: &mut [f32]) {
@@ -177,14 +100,6 @@ pub fn encode_bf16(src: &[f32], dst: &mut Vec<u16>) {
     dst.reserve(src.len());
     for &v in src {
         dst.push(f32_to_bf16(v));
-    }
-}
-
-/// Encode a slice to f16 words (RNE, saturating), appending onto `dst`.
-pub fn encode_f16(src: &[f32], dst: &mut Vec<u16>) {
-    dst.reserve(src.len());
-    for &v in src {
-        dst.push(f32_to_f16(v));
     }
 }
 
@@ -282,6 +197,27 @@ impl HalfMatrix {
         out
     }
 
+    /// Gram product `selfᵀ · self` (the K-FAC factor statistic) into a
+    /// `cols × cols` f32 matrix, bitwise symmetric.
+    pub fn gram_into(&self, out: &mut Matrix) {
+        out.reset_for(self.cols, self.cols);
+        gemm_symmetric_into(
+            View::t(&self.data, self.rows, self.cols),
+            View::new(&self.data, self.rows, self.cols),
+            out.as_mut_slice(),
+        );
+    }
+
+    /// `self · otherᵀ` into an f32 matrix (the conv G-factor shape).
+    pub fn matmul_nt_into(&self, other: &HalfMatrix, out: &mut Matrix) {
+        out.reset_for(self.rows, other.rows);
+        gemm_into(
+            View::new(&self.data, self.rows, self.cols),
+            View::t(&other.data, other.rows, other.cols),
+            out.as_mut_slice(),
+        );
+    }
+
     /// Return the storage to the arena's `u16` pool.
     pub fn recycle(self) {
         arena::recycle_u16(self.data);
@@ -357,45 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn f16_round_trip_exact_and_bounded() {
-        for v in [0.0f32, -0.0, 1.0, -2.0, 0.25, 65504.0, 6.1035156e-5] {
-            let r = f16_to_f32(f32_to_f16(v));
-            assert_eq!(v.to_bits(), r.to_bits(), "{v} not exact through f16");
-        }
-        let mut rng = Rng64::new(13);
-        for _ in 0..20_000 {
-            let v = rng.normal_f32() * 10f32.powi((rng.next_u64() % 8) as i32 - 3);
-            if !v.is_normal() || v.abs() < 6.2e-5 || v.abs() > 65000.0 {
-                continue;
-            }
-            let r = f16_to_f32(f32_to_f16(v));
-            let rel = ((r - v) / v).abs();
-            assert!(rel <= 1.0 / 1024.0, "f16 rel error {rel} for {v}");
-        }
-    }
-
-    #[test]
-    fn f16_saturates_and_handles_subnormals() {
-        assert_eq!(f16_to_f32(f32_to_f16(1e6)), 65504.0);
-        assert_eq!(f16_to_f32(f32_to_f16(-1e6)), -65504.0);
-        assert_eq!(f16_to_f32(f32_to_f16(f32::INFINITY)), 65504.0);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        // Smallest f16 subnormal round-trips exactly.
-        let tiny = 5.9604645e-8;
-        assert_eq!(f16_to_f32(f32_to_f16(tiny)), tiny);
-        // Below half the smallest subnormal flushes to (signed) zero.
-        assert_eq!(f16_to_f32(f32_to_f16(1e-9)), 0.0);
-        assert_eq!(f16_to_f32(f32_to_f16(-1e-9)).to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
     fn dtype_helpers() {
         assert_eq!(Dtype::F32.size_of(), 4);
         assert_eq!(Dtype::Bf16.size_of(), 2);
-        assert_eq!(Dtype::F16.size_of(), 2);
-        for d in [Dtype::F32, Dtype::Bf16, Dtype::F16] {
+        for d in [Dtype::F32, Dtype::Bf16] {
             assert_eq!(Dtype::parse(d.name()), Some(d));
         }
+        assert_eq!(Dtype::parse("f16"), None);
         assert_eq!(Dtype::parse("f64"), None);
         assert_eq!(Dtype::default(), Dtype::F32);
     }
@@ -411,5 +315,23 @@ mod tests {
         assert_eq!(m.as_slice(), back.as_slice());
         h.recycle();
         crate::arena::recycle_matrix(back);
+    }
+
+    #[test]
+    fn half_matrix_products_equal_the_f32_products_bitwise() {
+        // bf16-representable inputs: both matrices hold the same values,
+        // and the one engine multiplies them the same way.
+        let mut rng = Rng64::new(26);
+        let (m, n) = (240, 60);
+        let mut data: Vec<f32> = (0..m * n).map(|_| rng.normal_f32()).collect();
+        round_bf16_in_place(&mut data);
+        let mf = Matrix::from_vec(m, n, data);
+        let hf = HalfMatrix::from_matrix(&mf);
+        let mut out = Matrix::zeros(0, 0);
+        hf.gram_into(&mut out);
+        assert_eq!(out.as_slice(), mf.gram().as_slice());
+        hf.matmul_nt_into(&hf, &mut out);
+        assert_eq!(out.as_slice(), mf.matmul_nt(&mf).as_slice());
+        hf.recycle();
     }
 }

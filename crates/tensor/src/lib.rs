@@ -10,7 +10,10 @@
 //! * [`Matrix`] — row-major dense `f32` matrix with cache-blocked,
 //!   rayon-parallel GEMM ([`matmul`](Matrix::matmul)) and Gram-matrix
 //!   kernels ([`gram`](Matrix::gram)) used for Kronecker-factor
-//!   computation (`A = āāᵀ`, `G = ggᵀ`).
+//!   computation (`A = āāᵀ`, `G = ggᵀ`). Every product in the tree is a
+//!   call into the one packed engine, [`gemm`].
+//! * [`half`] — bf16 *storage* ([`HalfMatrix`], [`Dtype`]): operands the
+//!   same engine widens to `f32` as it packs them.
 //! * [`tridiag`] — symmetric eigendecomposition via Householder
 //!   tridiagonalization + implicit-shift QL, the workhorse of the paper's
 //!   *inverse-free* preconditioning path (Equations 13–15); [`eigen`]
@@ -26,7 +29,7 @@
 //!   normal sampling and Kaiming/Xavier initializers.
 //! * [`tensor4`] — a minimal NCHW tensor for the neural-network substrate.
 //!
-//! All kernels are `f32` end-to-end (matching the paper's FP32 training,
+//! All kernels compute in `f32` (matching the paper's FP32 training,
 //! §VI-A) except where noted: the eigensolvers work in `f64` for
 //! stability and round the results back to `f32`.
 
@@ -34,7 +37,6 @@ pub mod arena;
 pub mod cholesky;
 pub mod eigen;
 pub mod gemm;
-pub mod gemm_bf16;
 pub mod half;
 pub mod init;
 pub mod inverse;
@@ -49,7 +51,7 @@ pub mod tridiag;
 
 pub use cholesky::Cholesky;
 pub use eigen::{eigh, EigenDecomposition};
-pub use half::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, Dtype, HalfMatrix};
+pub use half::{bf16_to_f32, f32_to_bf16, Dtype, HalfMatrix};
 pub use inverse::invert;
 pub use kron::{kron, kron_matvec};
 pub use matrix::Matrix;

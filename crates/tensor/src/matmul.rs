@@ -155,8 +155,7 @@ impl Matrix {
 }
 
 /// Naive triple-loop reference multiply with `f64` accumulation — the
-/// oracle the packed kernels are property-tested against, and the "old
-/// kernel" baseline the kernel benchmarks report speedups over.
+/// oracle the packed kernels are property-tested against.
 #[doc(hidden)]
 pub fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "reference_matmul dimension mismatch");

@@ -1,13 +1,14 @@
 //! Property-based tests over the half-precision substrate.
 //!
-//! The mixed-precision stack leans on two guarantees: the f32↔bf16/f16
-//! conversions are round-to-nearest-even with the textbook error bound,
-//! and the bf16-packed f32-accumulate GEMM is bitwise deterministic
-//! regardless of worker-pool size (the cross-rank reproducibility the
-//! distributed trainer requires). Both are pinned here over randomized
-//! inputs, alongside the NaN/Inf/subnormal edge cases of the encodings.
+//! The mixed-precision stack leans on two guarantees: the f32↔bf16
+//! conversion is round-to-nearest-even with the textbook error bound,
+//! and a GEMM over bf16 storage is bitwise deterministic regardless of
+//! worker-pool size (the cross-rank reproducibility the distributed
+//! trainer requires) and bitwise equal to the GEMM over the widened
+//! values. Both are pinned here over randomized inputs, alongside the
+//! NaN/Inf/subnormal edge cases of the encoding.
 
-use kfac_tensor::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, HalfMatrix, Matrix, Rng64};
+use kfac_tensor::{bf16_to_f32, f32_to_bf16, HalfMatrix, Matrix, Rng64};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary f32 bit patterns (all exponents, both signs),
@@ -16,8 +17,7 @@ fn any_bits() -> impl Strategy<Value = f32> {
     any::<u32>().prop_map(f32::from_bits)
 }
 
-/// Strategy: a finite normal f32 spanning the full bf16/f16 overlap
-/// range, assembled from sign/exponent/mantissa so every binade is hit
+/// Strategy: a finite normal f32 in the given binades, assembled from sign/exponent/mantissa so every binade is hit
 /// (a plain uniform range would almost never sample small magnitudes).
 fn normal_in(exp_lo: i32, exp_hi: i32) -> impl Strategy<Value = f32> {
     (any::<bool>(), exp_lo..(exp_hi + 1), 0u32..(1u32 << 23)).prop_map(|(neg, e, mant)| {
@@ -39,15 +39,6 @@ proptest! {
         prop_assert_eq!(f32_to_bf16(x), word);
     }
 
-    /// f16-representable values round-trip f32 → f16 → f32 bit-exactly,
-    /// including f16 subnormals.
-    #[test]
-    fn f16_representable_round_trips_exactly(word in any::<u16>()) {
-        let x = f16_to_f32(word);
-        prop_assume!(x.is_finite());
-        prop_assert_eq!(f32_to_f16(x), word);
-    }
-
     /// The bf16 RNE narrow keeps relative error ≤ 2⁻⁸ on normal values
     /// (half an ulp of a 7-bit-mantissa significand).
     #[test]
@@ -61,94 +52,53 @@ proptest! {
         );
     }
 
-    /// The f16 RNE narrow keeps relative error ≤ 2⁻¹⁰ on values inside
-    /// f16's normal range (exponents −14..=15, away from the 65504
-    /// saturation edge).
-    #[test]
-    fn f16_relative_error_bound(x in normal_in(-14, 14)) {
-        let back = f16_to_f32(f32_to_f16(x));
-        prop_assert!(back.is_finite(), "{x} widened non-finite");
-        let err = (back as f64 - x as f64).abs();
-        prop_assert!(
-            err <= x.abs() as f64 * (1.0 / 1024.0),
-            "x={x} back={back} rel={}", err / x.abs() as f64
-        );
-    }
-
     /// Total classification behaviour over arbitrary bit patterns: NaN
-    /// maps to NaN, infinities behave per format (bf16 keeps them, f16
-    /// saturates), and everything else stays finite with the right sign.
+    /// maps to NaN, infinities are kept, and everything else keeps its
+    /// sign.
     #[test]
     fn conversions_classify_arbitrary_bits(x in any_bits()) {
         let b = bf16_to_f32(f32_to_bf16(x));
-        let h = f16_to_f32(f32_to_f16(x));
         if x.is_nan() {
             prop_assert!(b.is_nan());
-            prop_assert!(h.is_nan());
         } else if x.is_infinite() {
             prop_assert!(b.is_infinite() && b.signum() == x.signum());
-            // f16 narrow saturates: ±Inf → ±65504.
-            prop_assert_eq!(h, 65504.0f32.copysign(x));
         } else {
             // bf16 can overflow to Inf only beyond f32::MAX/2ish rounding;
             // check sign preservation when nonzero either way.
             prop_assert!(!b.is_nan());
-            prop_assert!(h.is_finite());
-            prop_assert!(h.abs() <= 65504.0);
             if b != 0.0 && x != 0.0 {
                 prop_assert_eq!(b.signum(), x.signum());
-            }
-            if h != 0.0 && x != 0.0 {
-                prop_assert_eq!(h.signum(), x.signum());
             }
         }
     }
 }
 
-/// Explicit edge-case pins: NaN, ±Inf, subnormals, signed zero, and the
-/// format boundaries (tie-to-even behaviour is covered bit-exactly by
-/// the round-trip properties above).
+/// Explicit edge-case pins: NaN, ±Inf, subnormals and signed zero
+/// (tie-to-even behaviour is covered bit-exactly by the round-trip
+/// property above).
 #[test]
 fn conversion_edge_cases() {
-    // NaN survives both narrows as NaN (bf16 quiets the payload).
+    // NaN survives the narrow as NaN (the payload is quieted).
     assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-    assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-    // Infinities: bf16 preserves, f16 saturates to ±65504.
     assert_eq!(bf16_to_f32(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
     assert_eq!(
         bf16_to_f32(f32_to_bf16(f32::NEG_INFINITY)),
         f32::NEG_INFINITY
     );
-    assert_eq!(f16_to_f32(f32_to_f16(f32::INFINITY)), 65504.0);
-    assert_eq!(f16_to_f32(f32_to_f16(f32::NEG_INFINITY)), -65504.0);
-    // Values beyond the f16 range saturate rather than overflow.
-    assert_eq!(f16_to_f32(f32_to_f16(1e30)), 65504.0);
-    assert_eq!(f16_to_f32(f32_to_f16(-7e4)), -65504.0);
-    // Signed zero round-trips in both formats.
+    // Signed zero round-trips.
     assert_eq!(f32_to_bf16(-0.0).to_be_bytes()[0] & 0x80, 0x80);
     assert_eq!(bf16_to_f32(f32_to_bf16(-0.0)), 0.0);
-    assert_eq!(f16_to_f32(f32_to_f16(-0.0)), 0.0);
-    // f32 subnormals: far below both formats' subnormal ranges → flush
-    // toward zero without producing garbage.
+    // f32 subnormals flush toward zero without producing garbage.
     let tiny = f32::from_bits(1); // smallest positive f32 subnormal
-    assert_eq!(f16_to_f32(f32_to_f16(tiny)), 0.0);
     assert!(bf16_to_f32(f32_to_bf16(tiny)).abs() <= f32::MIN_POSITIVE);
-    // f16 subnormal range (2⁻²⁴ ≤ |x| < 2⁻¹⁴) is representable and
-    // round-trips through the dedicated subnormal paths.
-    let sub = 3.0e-6f32;
-    let back = f16_to_f32(f32_to_f16(sub));
-    assert!(back > 0.0 && (back - sub).abs() <= 6e-8, "{back}");
-    // Smallest f16 subnormal exactly.
-    let ulp16 = 5.960_464_5e-8f32; // 2^-24
-    assert_eq!(f16_to_f32(f32_to_f16(ulp16)), ulp16);
 }
 
 // ---------------------------------------------------------------------------
 // bf16 GEMM determinism across pool sizes.
 // ---------------------------------------------------------------------------
 
-/// Dimensions straddling the bf16 kernel's tile edges (MR=8 rows,
-/// NR=32 columns, KC=128-deep panels, MC=64-row blocks).
+/// Dimensions straddling the engine's tile edges (MR=8 rows, NR=32
+/// columns, KC=128-deep panels, MC=64-row blocks).
 fn edge_dim() -> impl Strategy<Value = usize> {
     const DIMS: [usize; 12] = [0, 1, 3, 7, 8, 9, 31, 32, 33, 64, 65, 130];
     (0usize..DIMS.len()).prop_map(|i| DIMS[i])
@@ -164,8 +114,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// bf16 Gram and A·Bᵀ products are bitwise identical across pool
-    /// sizes 1/2/4/8 — the mixed-precision kernels inherit the packed
-    /// f32 engine's structural-determinism guarantee.
+    /// sizes 1/2/4/8 — the engine's structural-determinism guarantee
+    /// does not depend on what the operands store.
     #[test]
     fn bf16_gemm_bitwise_deterministic_across_pool_sizes(
         m in edge_dim(), k in edge_dim(), n in edge_dim(), seed in any::<u64>(),
@@ -192,22 +142,18 @@ proptest! {
         }
     }
 
-    /// The bf16 Gram agrees with widening the storage to f32 and running
-    /// the f32 Gram — same operands, f32 accumulation on both sides — to
-    /// a tight tolerance (the engines differ only in summation order).
+    /// The bf16 Gram equals widening the storage to f32 and running the
+    /// f32 Gram, bit for bit: the operands hold the same values and one
+    /// engine multiplies them.
     #[test]
-    fn bf16_gram_matches_widened_f32_gram(
+    fn bf16_gram_equals_widened_f32_gram_bitwise(
         rows in edge_dim(), cols in edge_dim(), seed in any::<u64>(),
     ) {
         let a = seeded_half(rows, cols, seed);
         let mut g16 = Matrix::zeros(cols, cols);
         a.gram_into(&mut g16);
         let g32 = a.to_matrix().gram();
-        let tol = 1e-4 * ((rows as f32).sqrt() + 1.0);
-        prop_assert!(
-            g16.max_abs_diff(&g32) <= tol,
-            "diff {} tol {}", g16.max_abs_diff(&g32), tol
-        );
+        prop_assert_eq!(g16.as_slice(), g32.as_slice());
         prop_assert_eq!(g16.asymmetry(), 0.0);
     }
 }
