@@ -142,7 +142,7 @@ impl Default for RandEigPolicy {
             oversample: 8,
             power_iters: 2,
             mass_threshold: 0.99,
-            max_rank_frac: 0.25,
+            max_rank_frac: 0.125,
             seed: 0x7A11_EED5,
         }
     }
@@ -404,7 +404,7 @@ mod tests {
         let p = RandEigPolicy::default();
         assert_eq!(p.initial_rank(8), 8, "clamped to n");
         assert_eq!(p.initial_rank(512), 32, "n/16 floor dominates at 512");
-        assert_eq!(p.max_rank(512), 128);
+        assert_eq!(p.max_rank(512), 64);
         assert_eq!(p.max_rank(1), 1);
     }
 

@@ -504,7 +504,7 @@ mod tests {
         let gamma = 0.03;
 
         // The error bound below was set with the rank free to double to
-        // 32 of 96; the default cap would stop it at 24.
+        // 32 of 96; the default cap would stop it at 12.
         let policy = crate::config::RandEigPolicy {
             min_dim: 1,
             mass_threshold: 0.999,

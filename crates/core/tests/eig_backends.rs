@@ -84,7 +84,7 @@ fn frob(a: &Matrix) -> f64 {
 
 /// Policy that exercises real truncation even on small test factors,
 /// on the rank schedule (16 → 32 → … → n/2) the error budgets below were
-/// set on; the default cap of n/4 is a speed crossover, not an accuracy
+/// set on; the default cap of n/8 is a speed crossover, not an accuracy
 /// one.
 fn eager_policy() -> RandEigPolicy {
     RandEigPolicy {

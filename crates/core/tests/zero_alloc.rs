@@ -205,9 +205,10 @@ fn factor_update_allocates_nothing_when_warm() {
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn eigh_tridiag_allocates_only_its_result_when_warm() {
     let mut rng = Rng64::new(13);
-    // 64: one rotation panel, rotated in place; 400: 8n² > 1 MiB, so the
-    // panel scratch is in play.
-    for n in [64usize, 400] {
+    // 64: one rotation panel, rotated in place; 145: rows padded to a
+    // cache line and the buffer's aligned start in play; 400 and 577:
+    // more than one 768 KiB panel, so the panel scratch is too.
+    for n in [64usize, 145, 400, 577] {
         let mut a = random_matrix(n, n, &mut rng);
         a.symmetrize();
         drop(eigh_tridiag(&a).expect("warm-up"));

@@ -393,8 +393,9 @@ proptest! {
     /// (bias-augmented) and gradient rows: bitwise for f32 capture —
     /// summing per-block Grams is the GEMM's own reduction order —
     /// and within the bf16 tolerance the `Linear` test uses (1/64 of the
-    /// largest entry) for `Dtype::Bf16`, where a 256-position block spans
-    /// two of that engine's 128-deep pieces and the sums re-associate.
+    /// largest entry) for `Dtype::Bf16` (the tolerance dates from 256-position
+    /// blocks over a separate bf16 engine; a block is now 128 positions, the
+    /// one engine's reduction depth).
     #[test]
     fn conv_factors_are_the_patch_matrix_grams(
         c_in in 1usize..5,

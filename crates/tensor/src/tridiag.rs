@@ -7,36 +7,90 @@
 //! eigenvectors, all in `f64` (like Jacobi) and rounded to `f32` on output.
 //!
 //! The layout is the algorithm: every inner loop walks contiguous
-//! row-major storage, never a stride-`n` column (which aliases in cache
-//! at power-of-two `n`). The reduction touches only lower-triangle rows;
-//! the transform is accumulated *transposed*, each row finished while it
-//! sits in L1; the QL iteration runs on the tridiagonal alone and records
-//! its rotations, which then mix pairs of contiguous rows of `Zᵀ`, one
-//! L2-sized column panel per batch of sweeps; sorting and rounding ride
-//! on the transpose-out pass. DESIGN.md §4 has the per-phase budget.
+//! row-major storage, never a stride-`n` column, and every row of the
+//! working matrix starts on a cache line (leading dimension `n` rounded
+//! up to a line, zero pad columns). The reduction touches only
+//! lower-triangle rows; the transform is accumulated *transposed*. Both
+//! take four rows per pass: the reflector (or `u`, `p`, `q`) is loaded
+//! once for four independent dot → divide → update chains. The QL
+//! iteration runs on the tridiagonal alone and records its rotations,
+//! which are then applied to `Zᵀ` as a wavefront: [`WAVE`] consecutive
+//! sweeps travel up an 8-column strip together, each two rows behind the
+//! one before, so a row is loaded and stored once per [`WAVE`] rotations
+//! instead of once per rotation. Sorting and rounding ride on the
+//! transpose-out pass. DESIGN.md §4 has the per-phase budget.
 //!
-//! Every element's operation sequence is fixed by the source (explicit
-//! accumulator lanes, no pool, no FMA contraction), so results do not
+//! Blocking is schedule, not arithmetic: every element sees the
+//! operations of the one-row, one-rotation-at-a-time loops (kept as the
+//! test oracle) in their order — explicit accumulator lanes, separate
+//! multiply and add, no FMA contraction, no pool — so results do not
 //! depend on vector width, `KFAC_POOL_THREADS` or the calling rank. The
 //! workspace is one [`arena`] buffer: a warm call allocates only its result.
 
 use crate::eigen::{check_finite, eigh, EigenDecomposition};
 use crate::{arena, LinAlgError, Matrix};
+use std::time::Instant;
 
 /// Maximum QL iterations per eigenvalue before declaring failure.
 const MAX_QL_ITERS: usize = 60;
 
-/// Independent partial sums of a dot product (four 256-bit accumulators
-/// hide the add latency); this also fixes the summation order.
+/// Independent partial sums of a dot product (two 512-bit or four 256-bit
+/// accumulators hide the add latency); this also fixes the summation order.
 const LANES: usize = 16;
 
-/// Bytes of `Zᵀ` in one rotation panel (`n` rows × panel width): half of
-/// a 2 MiB L2, leaving room for the stream of rotations.
-const PANEL_BYTES: usize = 1 << 20;
+/// `f64`s per cache line: the leading dimension of `Zᵀ` is a multiple of
+/// it, and a rotation strip is this many columns wide.
+const LINE: usize = 8;
 
-/// Full-length QL sweeps recorded per batch: a panel is fetched once per
-/// batch, so the fetch is amortized over this many in-cache passes.
-const SWEEPS_PER_BATCH: usize = 32;
+/// Rows the reduction and the accumulation finish per pass.
+const ROWS: usize = 4;
+
+/// Sweeps applied together by the rotation wavefront: `2·WAVE` strip rows
+/// live in registers (16 of AVX-512's 32; the 256-bit instantiation spills
+/// to L1 and still runs at its FP-issue limit).
+const WAVE: usize = 8;
+
+/// Bytes of `Zᵀ` in one rotation panel (`n` rows × panel width), and the
+/// size up to which `Zᵀ` is one panel, rotated where it lies. The panel
+/// shares the reference box's 1.25 MiB of L2 per core with the batch of
+/// rotations streaming through it. Measured there, rotation apply at
+/// 96 sweeps per batch: in place wins while `Zᵀ` fits beside the batch
+/// (n = 289, 668 KiB: 2.8 ms against 3.0 in panels) and loses beyond
+/// (n = 512, 2 MiB: 17.9 against 15.6; n = 1024: 165 against 119); between
+/// 256 KiB and 1 MiB the panel size itself is flat (n = 577: 21.4, 21.4,
+/// 21.4, 21.9 ms at 256, 512, 768 KiB, 1 MiB).
+const PANEL_BYTES: usize = 768 << 10;
+
+/// Full-length QL sweeps recorded per batch when `Zᵀ` is rotated panel by
+/// panel: a panel is gathered and scattered once per batch, so the copy is
+/// amortized over this many in-cache passes (whole solve at n = 577:
+/// 68.1 ms at 32, 62.5 at 64, 60.9 at 96, 59.3 at 128).
+const SWEEPS_PER_BATCH: usize = 128;
+
+/// The same when `Zᵀ` is rotated where it lies. A flush then costs
+/// nothing, and the reference box's cores power their wide vector units
+/// down after ≈ 0.6 ms of scalar code — the next burst runs three times
+/// slower for up to 0.5 ms — so batches are kept short enough that the
+/// scalar QL iteration between two flushes stays under that (0.3 ms at
+/// n = 312). One constant for both would cost n = 577 15 % at 32 (above)
+/// or, at 128, leave the stage-1 factors no faster than the
+/// one-rotation-at-a-time solver this one replaced: `xp bench-eig`, this
+/// constant at 32 / at 128 / that solver, alternated, three runs each,
+/// ms — n = 144 1.71–1.74 / 1.95–2.02 / no row, 145 1.79–1.91 /
+/// 2.19–2.33 / 2.25–2.26, 289 9.37–9.53 / 9.95–10.19 / 13.85–13.93; 28
+/// and 64 do not tell them apart.
+const SWEEPS_IN_PLACE: usize = 32;
+
+/// Smallest dimension solved with 512-bit vectors. Half the time of a
+/// small solve is the scalar QL iteration, which runs slower on a core
+/// that is also issuing 512-bit arithmetic, so below this the 256-bit
+/// instantiation is faster end to end — and at n = 28 the 512-bit one is
+/// slower than the solver this one replaced. `xp bench-eig`, 256-bit /
+/// 512-bit / that solver, alternated, three runs each, µs: n = 28
+/// 42.6–42.7 / 48.9–49.2 / 47.8–48.1, n = 64 261–270 / 274–275 / 297–302.
+/// The crossover sits between 64 and 96 (one solve in a loop, 512-bit /
+/// 256-bit µs: n = 96 680 / 737, 128 1302 / 1698).
+const WIDE_MIN_DIM: usize = 96;
 
 /// Source columns per transpose-out pass: two cache lines per source row,
 /// few enough write streams to stay in L1 at power-of-two `n`.
@@ -51,39 +105,7 @@ const OUT_TILE: usize = 16;
 /// [`LinAlgError::NonFinite`] if `a` holds a NaN or infinity,
 /// [`LinAlgError::NotConverged`] if the QL iteration stalls.
 pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
-    assert!(a.is_square(), "eigh_tridiag requires a square matrix");
-    check_finite(a)?;
-    let n = a.rows();
-    if n == 0 {
-        return Ok(EigenDecomposition {
-            eigenvalues: vec![],
-            eigenvectors: Matrix::zeros(0, 0),
-        });
-    }
-
-    // One buffer: Zᵀ (n²), diagonal, sub-diagonal, sort order, a batch of
-    // rotations, and the rotation panel if Zᵀ is more than one.
-    let rot_len = 2 * n * SWEEPS_PER_BATCH;
-    let panel_len = if 8 * n * n <= PANEL_BYTES {
-        0
-    } else {
-        n * (PANEL_BYTES / 8 / n).max(8)
-    };
-    let mut ws = arena::take_f64(n * n + 3 * n + rot_len + panel_len);
-    let (z, rest) = ws.split_at_mut(n * n);
-    let (d, rest) = rest.split_at_mut(n);
-    let (e, rest) = rest.split_at_mut(n);
-    let (order, rest) = rest.split_at_mut(n);
-    let (rot, panel) = rest.split_at_mut(rot_len);
-    for (dst, &src) in z.iter_mut().zip(a.as_slice()) {
-        *dst = f64::from(src);
-    }
-
-    tridiagonalize(z, n, d, e);
-    accumulate_transposed(z, n, d);
-    let result = ql_implicit(z, n, d, e, rot, panel).map(|()| sorted_output(z, n, d, order));
-    arena::recycle_f64(ws);
-    result
+    solve(a, Isa::for_dim(a.rows()), &mut ())
 }
 
 /// [`eigh_tridiag`] with the Jacobi backstop: Jacobi converges on
@@ -96,38 +118,387 @@ pub fn eigh_exact(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     }
 }
 
-/// `Σ x[k]·y[k]` in a fixed order: lane `t` sums `k ≡ t (mod LANES)`,
-/// lanes are folded pairwise, the tail is added ascending.
-#[inline(always)]
-fn dot(x: &[f64], y: &[f64]) -> f64 {
-    let body = x.len() - x.len() % LANES;
-    let mut acc = [0.0f64; LANES];
-    for (xc, yc) in x[..body]
-        .chunks_exact(LANES)
-        .zip(y[..body].chunks_exact(LANES))
-    {
-        for t in 0..LANES {
-            acc[t] += xc[t] * yc[t];
+/// The solver's phases, in [`eigh_tridiag_phases`]' order: Householder
+/// reduction (with the `f32 → f64` copy-in), transform accumulation, the
+/// scalar QL iteration on `(d, e)`, rotation of `Zᵀ`, sorted transpose-out.
+#[doc(hidden)]
+pub const PHASES: [&str; 5] = ["reduce", "accumulate", "iterate", "rotate", "out"];
+
+/// [`eigh_tridiag`] with the nanoseconds each of [`PHASES`] took: the
+/// layer under `kfac.eig_comp_ms`, for `xp bench-eig` only.
+#[doc(hidden)]
+pub fn eigh_tridiag_phases(
+    a: &Matrix,
+) -> Result<(EigenDecomposition, [u64; PHASES.len()]), LinAlgError> {
+    let mut watch = Stopwatch {
+        last: Instant::now(),
+        ns: [0; PHASES.len()],
+    };
+    let eig = solve(a, Isa::for_dim(a.rows()), &mut watch)?;
+    Ok((eig, watch.ns))
+}
+
+/// Index into [`PHASES`].
+#[derive(Clone, Copy)]
+enum Phase {
+    Reduce,
+    Accumulate,
+    Iterate,
+    Rotate,
+    Out,
+}
+
+/// Charges the time since the previous lap to a phase; `()` is the
+/// production clock and compiles to nothing.
+trait Clock {
+    fn lap(&mut self, phase: Phase);
+}
+
+impl Clock for () {
+    #[inline(always)]
+    fn lap(&mut self, _: Phase) {}
+}
+
+struct Stopwatch {
+    last: Instant,
+    ns: [u64; PHASES.len()],
+}
+
+impl Clock for Stopwatch {
+    fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.ns[phase as usize] += (now - self.last).as_nanos() as u64;
+        self.last = now;
+    }
+}
+
+/// The instruction set a phase's loops are compiled for. The arithmetic is
+/// the portable body's on every one of them; only the vector width differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// The instruction set an `n × n` solve runs on: the widest this CPU
+    /// reports, 512-bit only from [`WIDE_MIN_DIM`] up.
+    fn for_dim(n: usize) -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if n >= WIDE_MIN_DIM && std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Portable
+    }
+}
+
+/// Run `$body($args)` compiled for `$isa`: the body is `#[inline(always)]`
+/// all the way down, so each wrapper is a full instantiation of it under
+/// its own `#[target_feature]` — one definition, three schedules. The
+/// bodies are `unsafe fn`s generic over [`Line`], whose one obligation (the
+/// CPU runs the line's instruction set) is discharged here and nowhere else.
+macro_rules! on_isa {
+    ($isa:expr, $body:ident($($arg:ident: $ty:ty),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512($($arg: $ty),*) {
+            $body::<std::arch::x86_64::__m512d>($($arg),*)
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2($($arg: $ty),*) {
+            $body::<[std::arch::x86_64::__m256d; 2]>($($arg),*)
+        }
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                assert!(std::arch::is_x86_feature_detected!("avx512f"));
+                // SAFETY: the CPU reports AVX-512F, checked on the line above.
+                unsafe { avx512($($arg),*) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                assert!(std::arch::is_x86_feature_detected!("avx2"));
+                // SAFETY: the CPU reports AVX2, checked on the line above.
+                unsafe { avx2($($arg),*) }
+            }
+            // SAFETY: the portable line asks nothing of the CPU.
+            Isa::Portable => unsafe { $body::<[f64; LINE]>($($arg),*) },
+        }
+    }};
+}
+
+fn solve<C: Clock>(a: &Matrix, isa: Isa, clock: &mut C) -> Result<EigenDecomposition, LinAlgError> {
+    assert!(a.is_square(), "eigh_tridiag requires a square matrix");
+    check_finite(a)?;
+    let n = a.rows();
+    if n == 0 {
+        return Ok(EigenDecomposition {
+            eigenvalues: vec![],
+            eigenvectors: Matrix::zeros(0, 0),
+        });
+    }
+
+    // One buffer: Zᵀ (n rows of `ld`, the first on a cache line), the
+    // rotation panel if Zᵀ is more than one, diagonal, sub-diagonal, sort
+    // order, and a batch of rotations.
+    let ld = n.next_multiple_of(LINE);
+    let (panel_len, rot_len) = if 8 * n * ld <= PANEL_BYTES {
+        (0, 2 * n * SWEEPS_IN_PLACE)
+    } else {
+        let width = (PANEL_BYTES / 8 / n / LINE).max(1) * LINE;
+        (n * width, 2 * n * SWEEPS_PER_BATCH)
+    };
+    let mut ws = arena::take_f64(LINE - 1 + n * ld + panel_len + 3 * n + rot_len);
+    let skew = ws.as_ptr().align_offset(8 * LINE).min(LINE - 1);
+    let (z, rest) = ws[skew..].split_at_mut(n * ld);
+    let (panel, rest) = rest.split_at_mut(panel_len);
+    let (d, rest) = rest.split_at_mut(n);
+    let (e, rest) = rest.split_at_mut(n);
+    let (order, rest) = rest.split_at_mut(n);
+    let rot = &mut rest[..rot_len];
+    for (dst, src) in z.chunks_exact_mut(ld).zip(a.as_slice().chunks_exact(n)) {
+        let (dst, pad) = dst.split_at_mut(n);
+        for (x, &v) in dst.iter_mut().zip(src) {
+            *x = f64::from(v);
+        }
+        pad.fill(0.0);
+    }
+
+    tridiagonalize(isa, z, ld, n, d, e);
+    clock.lap(Phase::Reduce);
+    accumulate_transposed(isa, z, ld, n, d);
+    clock.lap(Phase::Accumulate);
+    let converged = ql_implicit(n, d, e, rot, |batch| {
+        clock.lap(Phase::Iterate);
+        rotate_rows(isa, z, ld, batch, panel);
+        clock.lap(Phase::Rotate);
+    });
+    clock.lap(Phase::Iterate);
+    let result = converged.map(|()| sorted_output(z, ld, n, d, order));
+    clock.lap(Phase::Out);
+    arena::recycle_f64(ws);
+    result
+}
+
+/// One cache line of `f64`s held in the widest registers an instruction
+/// set has: the unit every blocked loop below is written in. Each
+/// operation is the plain IEEE one on all eight lanes — a separate multiply
+/// and add, never a fused one — so the implementations are interchangeable
+/// bit for bit and the portable one is the definition.
+///
+/// # Safety
+/// Every method runs instructions of the implementing type's instruction
+/// set without checking for it (`__m512d`: AVX-512F, `[__m256d; 2]`: AVX,
+/// `[f64; LINE]`: none), so the caller must know the CPU has it. The loops
+/// generic over `Line` are `unsafe fn`s that pass the obligation up to
+/// [`on_isa!`], which checks.
+trait Line: Copy {
+    /// The first [`LINE`] elements of `x`.
+    unsafe fn load(x: &[f64]) -> Self;
+    /// Overwrite the first [`LINE`] elements of `x`.
+    unsafe fn store(self, x: &mut [f64]);
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn mul(self, other: Self) -> Self;
+    unsafe fn add(self, other: Self) -> Self;
+    unsafe fn sub(self, other: Self) -> Self;
+    unsafe fn lanes(self) -> [f64; LINE];
+}
+
+impl Line for [f64; LINE] {
+    #[inline(always)]
+    unsafe fn load(x: &[f64]) -> Self {
+        x[..LINE].try_into().expect("a whole line")
+    }
+    #[inline(always)]
+    unsafe fn store(self, x: &mut [f64]) {
+        x[..LINE].copy_from_slice(&self);
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        [x; LINE]
+    }
+    #[inline(always)]
+    unsafe fn mul(mut self, other: Self) -> Self {
+        for l in 0..LINE {
+            self[l] *= other[l];
+        }
+        self
+    }
+    #[inline(always)]
+    unsafe fn add(mut self, other: Self) -> Self {
+        for l in 0..LINE {
+            self[l] += other[l];
+        }
+        self
+    }
+    #[inline(always)]
+    unsafe fn sub(mut self, other: Self) -> Self {
+        for l in 0..LINE {
+            self[l] -= other[l];
+        }
+        self
+    }
+    #[inline(always)]
+    unsafe fn lanes(self) -> [f64; LINE] {
+        self
+    }
+}
+
+/// The x86 lines. Beyond [`Line`]'s own obligation the bodies need only
+/// that a slice holds a whole line, which the `x[..LINE]` re-slice checks.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Line, LINE};
+    use std::arch::x86_64::*;
+
+    impl Line for __m512d {
+        #[inline(always)]
+        unsafe fn load(x: &[f64]) -> Self {
+            _mm512_loadu_pd(x[..LINE].as_ptr())
+        }
+        #[inline(always)]
+        unsafe fn store(self, x: &mut [f64]) {
+            _mm512_storeu_pd(x[..LINE].as_mut_ptr(), self)
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            _mm512_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, other: Self) -> Self {
+            _mm512_mul_pd(self, other)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm512_add_pd(self, other)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, other: Self) -> Self {
+            _mm512_sub_pd(self, other)
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f64; LINE] {
+            // Both are 64 bytes of plain `f64`s.
+            std::mem::transmute(self)
         }
     }
-    let mut width = LANES;
+
+    impl Line for [__m256d; 2] {
+        #[inline(always)]
+        unsafe fn load(x: &[f64]) -> Self {
+            let x = &x[..LINE];
+            [
+                _mm256_loadu_pd(x.as_ptr()),
+                _mm256_loadu_pd(x.as_ptr().add(4)),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn store(self, x: &mut [f64]) {
+            let x = &mut x[..LINE];
+            _mm256_storeu_pd(x.as_mut_ptr(), self[0]);
+            _mm256_storeu_pd(x.as_mut_ptr().add(4), self[1]);
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            [_mm256_set1_pd(x); 2]
+        }
+        #[inline(always)]
+        unsafe fn mul(self, other: Self) -> Self {
+            [
+                _mm256_mul_pd(self[0], other[0]),
+                _mm256_mul_pd(self[1], other[1]),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            [
+                _mm256_add_pd(self[0], other[0]),
+                _mm256_add_pd(self[1], other[1]),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn sub(self, other: Self) -> Self {
+            [
+                _mm256_sub_pd(self[0], other[0]),
+                _mm256_sub_pd(self[1], other[1]),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f64; LINE] {
+            // Both are 64 bytes of plain `f64`s.
+            std::mem::transmute(self)
+        }
+    }
+}
+
+/// The `R` rows of `block`, each `ld` long.
+#[inline(always)]
+fn rows_mut<const R: usize>(block: &mut [f64], ld: usize) -> [&mut [f64]; R] {
+    let mut rows = block.chunks_exact_mut(ld);
+    std::array::from_fn(|_| rows.next().expect("R whole rows"))
+}
+
+/// A dot product's [`LANES`] partial sums: lane `l` sums `k ≡ l (mod LANES)`.
+type Lanes<V> = [V; LANES / LINE];
+
+/// Lanes `k..k + LANES` of `x`.
+#[inline(always)]
+unsafe fn load_lanes<V: Line>(x: &[f64], k: usize) -> Lanes<V> {
+    [V::load(&x[k..]), V::load(&x[k + LINE..])]
+}
+
+/// `acc + x[k..k + LANES] ∘ y`, lane by lane.
+#[inline(always)]
+unsafe fn accumulate<V: Line>(acc: Lanes<V>, x: &[f64], k: usize, y: Lanes<V>) -> Lanes<V> {
+    let x = load_lanes::<V>(x, k);
+    [acc[0].add(x[0].mul(y[0])), acc[1].add(x[1].mul(y[1]))]
+}
+
+/// Finish a dot product: fold the lanes pairwise, then add the tail
+/// `x · y` ascending.
+#[inline(always)]
+unsafe fn finish<V: Line>(acc: Lanes<V>, x: &[f64], y: &[f64]) -> f64 {
+    let mut acc = acc[0].add(acc[1]).lanes();
+    let mut width = LINE;
     while width > 1 {
         width /= 2;
-        for t in 0..width {
-            acc[t] += acc[t + width];
+        for l in 0..width {
+            acc[l] += acc[l + width];
         }
     }
-    let tail = x[body..].iter().zip(&y[body..]);
-    tail.fold(acc[0], |sum, (&a, &b)| sum + a * b)
+    x.iter().zip(y).fold(acc[0], |sum, (&a, &b)| sum + a * b)
 }
 
 /// Householder reduction to tridiagonal form (`tred2`'s arithmetic on the
 /// lower triangle). On return `e[i]` is the sub-diagonal, `d[i]` step
 /// `i`'s `h = |u|²/2` (0 for a skipped step), and row `i` holds its
 /// vector `u` in columns `0..i` and the diagonal entry in column `i`.
-fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+fn tridiagonalize(isa: Isa, z: &mut [f64], ld: usize, n: usize, d: &mut [f64], e: &mut [f64]) {
+    on_isa!(
+        isa,
+        tridiagonalize_body(z: &mut [f64], ld: usize, n: usize, d: &mut [f64], e: &mut [f64])
+    )
+}
+
+#[inline(always)]
+unsafe fn tridiagonalize_body<V: Line>(
+    z: &mut [f64],
+    ld: usize,
+    n: usize,
+    d: &mut [f64],
+    e: &mut [f64],
+) {
     for i in (1..n).rev() {
-        let (above, row_i) = z.split_at_mut(i * n);
+        let (above, row_i) = z.split_at_mut(i * ld);
         let u = &mut row_i[..i];
         let mut h = 0.0f64;
         let scale: f64 = u.iter().map(|x| x.abs()).sum();
@@ -144,15 +515,15 @@ fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
             h -= f * g;
             u[i - 1] = f - g;
 
-            // p = A·u/h in e[..i]: row j supplies p[j]'s k ≤ j terms and,
-            // by symmetry, the k = j term of every p[k < j].
+            // p = A·u/h in e[..i], four rows of the triangle per pass.
             let p = &mut e[..i];
-            for j in 0..i {
-                let (p_head, p_tail) = p.split_at_mut(j);
-                let row = &above[j * n..=j * n + j];
-                p_tail[0] = dot(&row[..j], &u[..j]) + row[j] * u[j];
-                for (pk, &r) in p_head.iter_mut().zip(row) {
-                    *pk += r * u[j];
+            for (b, block) in above.chunks(ROWS * ld).enumerate() {
+                if block.len() == ROWS * ld {
+                    matvec_rows::<V, ROWS>(block, ld, b * ROWS, u, p);
+                } else {
+                    for (j, row) in (b * ROWS..).zip(block.chunks_exact(ld)) {
+                        matvec_rows::<V, 1>(row, ld, j, u, p);
+                    }
                 }
             }
             let mut f = 0.0f64;
@@ -165,11 +536,13 @@ fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
             for (pj, &uj) in p.iter_mut().zip(u.iter()) {
                 *pj -= hh * uj;
             }
-            for j in 0..i {
-                let (uj, qj) = (u[j], p[j]);
-                let row = &mut above[j * n..=j * n + j];
-                for ((a, &qk), &uk) in row.iter_mut().zip(p.iter()).zip(u.iter()) {
-                    *a -= uj * qk + qj * uk;
+            for (b, block) in above.chunks_mut(ROWS * ld).enumerate() {
+                if block.len() == ROWS * ld {
+                    rank2_rows::<V, ROWS>(block, ld, b * ROWS, u, p);
+                } else {
+                    for (j, row) in (b * ROWS..).zip(block.chunks_exact_mut(ld)) {
+                        rank2_rows::<V, 1>(row, ld, j, u, p);
+                    }
                 }
             }
         }
@@ -177,41 +550,161 @@ fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
     }
 }
 
+/// Rows `j0..j0 + R` of the symmetric mat-vec: row `j` supplies `p[j]`'s
+/// `k ≤ j` terms (a dot product in [`finish`]'s order) and, by symmetry, the
+/// `k = j` term of every `p[k < j]`. The `R` lengths must share one lane
+/// body (`R = 1`, or `R ≤ 4` with `4 | j0`): over it `u` and `p` are loaded
+/// once and `p` takes the rows' terms in row order; the tails and the
+/// triangle's corner stay scalar, row by row.
+#[inline(always)]
+unsafe fn matvec_rows<V: Line, const R: usize>(
+    block: &[f64],
+    ld: usize,
+    j0: usize,
+    u: &[f64],
+    p: &mut [f64],
+) {
+    let body = j0 - j0 % LANES;
+    let rows: [&[f64]; R] = std::array::from_fn(|t| &block[t * ld..t * ld + j0 + t + 1]);
+    let uj: [f64; R] = std::array::from_fn(|t| u[j0 + t]);
+    let mut acc = [[V::splat(0.0); LANES / LINE]; R];
+    for k in (0..body).step_by(LANES) {
+        let uc = load_lanes::<V>(u, k);
+        let mut pc = load_lanes::<V>(p, k);
+        for t in 0..R {
+            acc[t] = accumulate(acc[t], rows[t], k, uc);
+            pc = accumulate(pc, rows[t], k, [V::splat(uj[t]); LANES / LINE]);
+        }
+        pc[0].store(&mut p[k..]);
+        pc[1].store(&mut p[k + LINE..]);
+    }
+    for t in 0..R {
+        let (j, row) = (j0 + t, rows[t]);
+        p[j] = finish(acc[t], &row[body..j], &u[body..j]) + row[j] * uj[t];
+        for (pk, &r) in p[body..j].iter_mut().zip(&row[body..j]) {
+            *pk += r * uj[t];
+        }
+    }
+}
+
+/// Rows `j0..j0 + R` of `A ← A − u qᵀ − q uᵀ` on the lower triangle, `q`
+/// and `u` loaded once for the columns all `R` rows have.
+#[inline(always)]
+unsafe fn rank2_rows<V: Line, const R: usize>(
+    block: &mut [f64],
+    ld: usize,
+    j0: usize,
+    u: &[f64],
+    q: &[f64],
+) {
+    let rows = rows_mut::<R>(block, ld);
+    let uj: [f64; R] = std::array::from_fn(|t| u[j0 + t]);
+    let qj: [f64; R] = std::array::from_fn(|t| q[j0 + t]);
+    let body = j0 - j0 % LINE;
+    for k in (0..body).step_by(LINE) {
+        let (qc, uc) = (V::load(&q[k..]), V::load(&u[k..]));
+        for t in 0..R {
+            let update = V::splat(uj[t]).mul(qc).add(V::splat(qj[t]).mul(uc));
+            V::load(&rows[t][k..]).sub(update).store(&mut rows[t][k..]);
+        }
+    }
+    for t in 0..R {
+        let j = j0 + t;
+        let tail = rows[t][body..=j].iter_mut().zip(&q[body..=j]);
+        for ((a, &qk), &uk) in tail.zip(&u[body..=j]) {
+            *a -= uj[t] * qk + qj[t] * uk;
+        }
+    }
+}
+
 /// Accumulate the Householder transform in place, transposed: on return
 /// row `j` of `z` is the `j`-th basis vector of the tridiagonal form and
 /// `d` its diagonal. Row `j` is `e_jᵀ·H_{j+1}⋯H_{n-1}`, which needs only
-/// the vectors stored *below* it, so rows are finished top down, each
-/// staying in L1 while the reflectors stream past.
-fn accumulate_transposed(z: &mut [f64], n: usize, d: &mut [f64]) {
-    for j in 0..n {
-        let (head, below) = z.split_at_mut((j + 1) * n);
-        let row = &mut head[j * n..];
-        let diag = row[j];
-        row.fill(0.0);
-        row[j] = 1.0;
-        for (i, u) in (j + 1..n).zip(below.chunks_exact(n)) {
-            if d[i] != 0.0 {
-                let g = dot(&row[..i], &u[..i]) / d[i];
-                for (a, &uk) in row[..i].iter_mut().zip(u) {
-                    *a -= g * uk;
-                }
+/// the vectors stored *below* it, so rows are finished top down, four at
+/// a time, staying in L1 while the reflectors stream past.
+fn accumulate_transposed(isa: Isa, z: &mut [f64], ld: usize, n: usize, d: &mut [f64]) {
+    on_isa!(
+        isa,
+        accumulate_transposed_body(z: &mut [f64], ld: usize, n: usize, d: &mut [f64])
+    )
+}
+
+#[inline(always)]
+unsafe fn accumulate_transposed_body<V: Line>(z: &mut [f64], ld: usize, n: usize, d: &mut [f64]) {
+    for j0 in (0..n).step_by(ROWS) {
+        let (head, below) = z.split_at_mut((j0 + ROWS).min(n) * ld);
+        let block = &mut head[j0 * ld..];
+        // A row first takes the reflectors stored in its own block, which
+        // the rows under it are about to overwrite ...
+        for (t, j) in (j0..n.min(j0 + ROWS)).enumerate() {
+            let (top, under) = block.split_at_mut((t + 1) * ld);
+            let row = &mut top[t * ld..];
+            let diag = row[j];
+            row.fill(0.0);
+            row[j] = 1.0;
+            reflect_rows::<V, 1>(row, ld, under, j + 1, d);
+            d[j] = diag;
+        }
+        // ... then all four take every reflector below the block together.
+        if !below.is_empty() {
+            reflect_rows::<V, ROWS>(block, ld, below, j0 + ROWS, d);
+        }
+    }
+}
+
+/// Apply the reflectors stored in `below` (row `i0` first), ascending, to
+/// the `R` rows of `block`: per reflector `R` independent dot → divide →
+/// update chains over `[..i]`, the reflector loaded once for all of them.
+#[inline(always)]
+unsafe fn reflect_rows<V: Line, const R: usize>(
+    block: &mut [f64],
+    ld: usize,
+    below: &[f64],
+    i0: usize,
+    d: &[f64],
+) {
+    let rows = rows_mut::<R>(block, ld);
+    for (i, u) in (i0..).zip(below.chunks_exact(ld)) {
+        if d[i] == 0.0 {
+            continue;
+        }
+        let body = i - i % LANES;
+        let mut acc = [[V::splat(0.0); LANES / LINE]; R];
+        for k in (0..body).step_by(LANES) {
+            let uc = load_lanes::<V>(u, k);
+            for t in 0..R {
+                acc[t] = accumulate(acc[t], rows[t], k, uc);
             }
         }
-        d[j] = diag;
+        let mut g = [0.0f64; R];
+        for t in 0..R {
+            g[t] = finish(acc[t], &rows[t][body..i], &u[body..i]) / d[i];
+        }
+        let body = i - i % LINE;
+        for k in (0..body).step_by(LINE) {
+            let uc = V::load(&u[k..]);
+            for t in 0..R {
+                (V::load(&rows[t][k..]).sub(V::splat(g[t]).mul(uc))).store(&mut rows[t][k..]);
+            }
+        }
+        for t in 0..R {
+            for (a, &uk) in rows[t][body..i].iter_mut().zip(&u[body..i]) {
+                *a -= g[t] * uk;
+            }
+        }
     }
 }
 
 /// Implicit-shift QL on the tridiagonal `(d, e)` (`tqli`). The rotations
 /// never read the eigenvectors, so each sweep only records its `(c, s)`
 /// pairs in `rot` behind a `[first_row, last_row]` header; a full buffer
-/// is applied to `z` by [`rotate_rows`].
+/// is handed to `apply` (see [`rotate_rows`]).
 fn ql_implicit(
-    z: &mut [f64],
     n: usize,
     d: &mut [f64],
     e: &mut [f64],
     rot: &mut [f64],
-    panel: &mut [f64],
+    mut apply: impl FnMut(&[f64]),
 ) -> Result<(), LinAlgError> {
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
@@ -236,7 +729,7 @@ fn ql_implicit(
                 return Err(LinAlgError::NotConverged);
             }
             if used + 2 * (m - l + 1) > rot.len() {
-                rotate_rows(z, n, &rot[..used], panel);
+                apply(&rot[..used]);
                 used = 0;
             }
             let head = used;
@@ -284,55 +777,187 @@ fn ql_implicit(
             e[m] = 0.0;
         }
     }
-    rotate_rows(z, n, &rot[..used], panel);
+    apply(&rot[..used]);
     Ok(())
 }
 
-/// Apply recorded QL sweeps to `Zᵀ` one column panel at a time: each is
-/// gathered into the contiguous `panel` scratch, takes the whole batch
-/// while it sits in L2, and is scattered back. A matrix that fits one
-/// panel (`panel` is then empty) is rotated where it lies.
-fn rotate_rows(z: &mut [f64], n: usize, rot: &[f64], panel: &mut [f64]) {
+/// Apply recorded QL sweeps to `Zᵀ` one column panel (whole cache lines
+/// wide) at a time: each is gathered into the contiguous `panel` scratch,
+/// takes the whole batch while it sits in L2, and is scattered back. A
+/// matrix that fits one panel (`panel` is then empty) is rotated where it
+/// lies.
+fn rotate_rows(isa: Isa, z: &mut [f64], ld: usize, rot: &[f64], panel: &mut [f64]) {
     if panel.is_empty() {
-        return rotate_panel(z, n, rot);
+        return rotate_panel(isa, z, ld, rot);
     }
+    let n = z.len() / ld;
     let width = panel.len() / n;
-    for p0 in (0..n).step_by(width) {
-        let w = width.min(n - p0);
+    for p0 in (0..ld).step_by(width) {
+        let w = width.min(ld - p0);
         let panel = &mut panel[..n * w];
-        for (dst, src) in panel.chunks_exact_mut(w).zip(z.chunks_exact(n)) {
+        for (dst, src) in panel.chunks_exact_mut(w).zip(z.chunks_exact(ld)) {
             dst.copy_from_slice(&src[p0..p0 + w]);
         }
-        rotate_panel(panel, w, rot);
-        for (src, dst) in panel.chunks_exact(w).zip(z.chunks_exact_mut(n)) {
+        rotate_panel(isa, panel, w, rot);
+        for (src, dst) in panel.chunks_exact(w).zip(z.chunks_exact_mut(ld)) {
             dst[p0..p0 + w].copy_from_slice(src);
         }
     }
 }
 
-/// The sweeps of `rot` on a row-major matrix of row length `w`: the
-/// rotation of eigenvectors `i`, `i+1` mixes rows `i`, `i+1`.
-fn rotate_panel(z: &mut [f64], w: usize, rot: &[f64]) {
+/// The sweeps of `rot` on a row-major matrix of row length `w` (a
+/// multiple of [`LINE`]): the rotation of eigenvectors `i`, `i+1` mixes
+/// rows `i`, `i+1`. [`WAVE`] sweeps at a time, as a wavefront: at step `r`
+/// (descending) sweep `k` applies its rotation `r + 2k` to rows `r + 2k`,
+/// `r + 2k + 1`. Sweep `k+1`'s rotation `i` needs only sweep `k`'s
+/// rotation `i − 1` (the last of sweep `k` to touch rows `i`, `i + 1`),
+/// which ran one step earlier, and within a step the sweeps touch
+/// disjoint row pairs — so every element sees its rotations in the
+/// recorded order, and a row crosses the load/store ports once per
+/// [`WAVE`] rotations.
+fn rotate_panel(isa: Isa, z: &mut [f64], w: usize, rot: &[f64]) {
+    on_isa!(isa, rotate_panel_body(z: &mut [f64], w: usize, rot: &[f64]))
+}
+
+/// One recorded sweep: rotations `last − 1, …, first` in that order, the
+/// `(c, s)` of rotation `last − 1` at `rot[at]`.
+#[derive(Clone, Copy, Default)]
+struct Sweep {
+    first: usize,
+    last: usize,
+    at: usize,
+}
+
+#[inline(always)]
+unsafe fn rotate_panel_body<V: Line>(z: &mut [f64], w: usize, rot: &[f64]) {
+    debug_assert!(w.is_multiple_of(LINE));
     let mut at = 0usize;
     while at < rot.len() {
-        let (first, last) = (rot[at] as usize, rot[at + 1] as usize);
-        at += 2;
-        for i in (first..last).rev() {
-            let (c, s) = (rot[at], rot[at + 1]);
-            at += 2;
-            let (zi, zi1) = z[i * w..(i + 2) * w].split_at_mut(w);
-            for (x, y) in zi.iter_mut().zip(zi1.iter_mut()) {
-                let f = *y;
-                *y = s * *x + c * f;
-                *x = c * *x - s * f;
+        let mut group = [Sweep::default(); WAVE];
+        let mut len = 0usize;
+        while len < WAVE && at < rot.len() {
+            let (first, last) = (rot[at] as usize, rot[at + 1] as usize);
+            if first < last {
+                group[len] = Sweep {
+                    first,
+                    last,
+                    at: at + 2,
+                };
+                len += 1;
+            }
+            at += 2 + 2 * (last - first);
+        }
+        let group = &group[..len];
+
+        // Steps `lo..=hi` have every sweep of a whole group active. The
+        // sweeps' `[first, last)` differ (deflation, splits, the underflow
+        // restart), and a (sweep, step) outside its range must be skipped,
+        // never run as an identity rotation — `0·x + 1·y` turns a `−0.0`
+        // into `+0.0` — so the ragged ends above and below those steps are
+        // applied one sweep at a time: sweep `k`'s end touches no row that
+        // a full step of another sweep does, and the ends of different
+        // sweeps keep their recorded order.
+        let (mut lo, mut hi) = (0usize, Some(usize::MAX));
+        for (k, sweep) in group.iter().enumerate() {
+            lo = lo.max(sweep.first.saturating_sub(2 * k));
+            hi = hi.min((sweep.last - 1).checked_sub(2 * k));
+        }
+        let full = match hi {
+            Some(hi) if len == WAVE && lo <= hi => Some((lo, hi)),
+            _ => None,
+        };
+        for (k, sweep) in group.iter().enumerate() {
+            let from = full.map_or(sweep.first, |(_, hi)| hi + 1 + 2 * k);
+            sweep_rows::<V>(z, w, rot, sweep, from..sweep.last);
+        }
+        if let Some((lo, hi)) = full {
+            for c0 in (0..w).step_by(LINE) {
+                wavefront::<V>(z, w, c0, rot, group, lo, hi);
+            }
+            for (k, sweep) in group.iter().enumerate() {
+                sweep_rows::<V>(z, w, rot, sweep, sweep.first..lo + 2 * k);
             }
         }
     }
 }
 
+/// The rotated pair `(c·x − s·y, s·x + c·y)`.
+#[inline(always)]
+unsafe fn rotate_pair<V: Line>(x: V, y: V, c: f64, s: f64) -> (V, V) {
+    let (c, s) = (V::splat(c), V::splat(s));
+    (c.mul(x).sub(s.mul(y)), s.mul(x).add(c.mul(y)))
+}
+
+/// Rotations `which` of `sweep`, descending, each over the whole row pair.
+#[inline(always)]
+unsafe fn sweep_rows<V: Line>(
+    z: &mut [f64],
+    w: usize,
+    rot: &[f64],
+    sweep: &Sweep,
+    which: std::ops::Range<usize>,
+) {
+    for i in which.rev() {
+        let at = sweep.at + 2 * (sweep.last - 1 - i);
+        let (c, s) = (rot[at], rot[at + 1]);
+        let (xs, ys) = z[i * w..(i + 2) * w].split_at_mut(w);
+        for (xl, yl) in xs.chunks_exact_mut(LINE).zip(ys.chunks_exact_mut(LINE)) {
+            let (x, y) = rotate_pair(V::load(xl), V::load(yl), c, s);
+            x.store(xl);
+            y.store(yl);
+        }
+    }
+}
+
+/// Steps `lo..=hi` of a whole group on the strip `z[.., c0..c0 + LINE]`,
+/// with the `2·WAVE` rows the group is working on held in registers: slot
+/// `j` of the window is row `r + j`; before step `r` row `r` is loaded
+/// into slot 0, after it row `r + 2·WAVE − 1` is finished and stored.
+#[inline(always)]
+unsafe fn wavefront<V: Line>(
+    z: &mut [f64],
+    w: usize,
+    c0: usize,
+    rot: &[f64],
+    group: &[Sweep],
+    lo: usize,
+    hi: usize,
+) {
+    let mut win = [[V::splat(0.0); 2]; WAVE];
+    for j in 1..2 * WAVE {
+        win[j / 2][j % 2] = V::load(&z[(hi + j) * w + c0..]);
+    }
+    // Sweep `k`'s `(c, s)` pairs for these steps, in step order.
+    let mut cs = [&rot[..0]; WAVE];
+    for (k, sweep) in group.iter().enumerate() {
+        let at = sweep.at + 2 * (sweep.last - 1 - (hi + 2 * k));
+        cs[k] = &rot[at..at + 2 * (hi - lo + 1)];
+    }
+    for (t, r) in (lo..=hi).rev().enumerate() {
+        win[0][0] = V::load(&z[r * w + c0..]);
+        for k in 0..WAVE {
+            let (x, y) = rotate_pair(win[k][0], win[k][1], cs[k][2 * t], cs[k][2 * t + 1]);
+            win[k] = [x, y];
+        }
+        win[WAVE - 1][1].store(&mut z[(r + 2 * WAVE - 1) * w + c0..]);
+        for j in (1..2 * WAVE).rev() {
+            win[j / 2][j % 2] = win[(j - 1) / 2][(j - 1) % 2];
+        }
+    }
+    for j in 1..2 * WAVE {
+        win[j / 2][j % 2].store(&mut z[(lo + j - 1) * w + c0..]);
+    }
+}
+
 /// Sort ascending, round to `f32` and transpose out in one tiled pass
 /// (`order` holds row indices as exact `f64`s: no allocation to sort).
-fn sorted_output(z: &[f64], n: usize, d: &[f64], order: &mut [f64]) -> EigenDecomposition {
+fn sorted_output(
+    z: &[f64],
+    ld: usize,
+    n: usize,
+    d: &[f64],
+    order: &mut [f64],
+) -> EigenDecomposition {
     for (i, o) in order.iter_mut().enumerate() {
         *o = i as f64;
     }
@@ -344,7 +969,7 @@ fn sorted_output(z: &[f64], n: usize, d: &[f64], order: &mut [f64]) -> EigenDeco
     for k0 in (0..n).step_by(OUT_TILE) {
         let k1 = (k0 + OUT_TILE).min(n);
         for (new_j, &old_j) in order.iter().enumerate() {
-            let src = &z[old_j as usize * n..][k0..k1];
+            let src = &z[old_j as usize * ld..][k0..k1];
             for (k, &v) in (k0..k1).zip(src) {
                 out[k * n + new_j] = v as f32;
             }
@@ -353,6 +978,136 @@ fn sorted_output(z: &[f64], n: usize, d: &[f64], order: &mut [f64]) -> EigenDeco
     EigenDecomposition {
         eigenvalues,
         eigenvectors,
+    }
+}
+
+/// The solver as it stood before the blocked kernels — one row, one
+/// reflector, one rotation at a time on an unpadded `n × n` buffer — kept
+/// as the bit-for-bit oracle of the kernels above. It shares only the
+/// scalar QL iteration and the output pass with them.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    fn dot(x: &[f64], y: &[f64]) -> f64 {
+        let body = x.len() - x.len() % LANES;
+        let mut acc = [0.0f64; LANES];
+        for (xc, yc) in x[..body]
+            .chunks_exact(LANES)
+            .zip(y[..body].chunks_exact(LANES))
+        {
+            for t in 0..LANES {
+                acc[t] += xc[t] * yc[t];
+            }
+        }
+        let mut width = LANES;
+        while width > 1 {
+            width /= 2;
+            for t in 0..width {
+                acc[t] += acc[t + width];
+            }
+        }
+        let tail = x[body..].iter().zip(&y[body..]);
+        tail.fold(acc[0], |sum, (&a, &b)| sum + a * b)
+    }
+
+    fn tridiagonalize(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+        for i in (1..n).rev() {
+            let (above, row_i) = z.split_at_mut(i * n);
+            let u = &mut row_i[..i];
+            let mut h = 0.0f64;
+            let scale: f64 = u.iter().map(|x| x.abs()).sum();
+            if i == 1 || scale == 0.0 {
+                e[i] = u[i - 1];
+            } else {
+                for x in u.iter_mut() {
+                    *x /= scale;
+                    h += *x * *x;
+                }
+                let f = u[i - 1];
+                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                e[i] = scale * g;
+                h -= f * g;
+                u[i - 1] = f - g;
+
+                let p = &mut e[..i];
+                for j in 0..i {
+                    let (p_head, p_tail) = p.split_at_mut(j);
+                    let row = &above[j * n..=j * n + j];
+                    p_tail[0] = dot(&row[..j], &u[..j]) + row[j] * u[j];
+                    for (pk, &r) in p_head.iter_mut().zip(row) {
+                        *pk += r * u[j];
+                    }
+                }
+                let mut f = 0.0f64;
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj /= h;
+                    f += *pj * uj;
+                }
+                let hh = f / (h + h);
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj -= hh * uj;
+                }
+                for j in 0..i {
+                    let (uj, qj) = (u[j], p[j]);
+                    let row = &mut above[j * n..=j * n + j];
+                    for ((a, &qk), &uk) in row.iter_mut().zip(p.iter()).zip(u.iter()) {
+                        *a -= uj * qk + qj * uk;
+                    }
+                }
+            }
+            d[i] = h;
+        }
+    }
+
+    fn accumulate_transposed(z: &mut [f64], n: usize, d: &mut [f64]) {
+        for j in 0..n {
+            let (head, below) = z.split_at_mut((j + 1) * n);
+            let row = &mut head[j * n..];
+            let diag = row[j];
+            row.fill(0.0);
+            row[j] = 1.0;
+            for (i, u) in (j + 1..n).zip(below.chunks_exact(n)) {
+                if d[i] != 0.0 {
+                    let g = dot(&row[..i], &u[..i]) / d[i];
+                    for (a, &uk) in row[..i].iter_mut().zip(u) {
+                        *a -= g * uk;
+                    }
+                }
+            }
+            d[j] = diag;
+        }
+    }
+
+    pub fn rotate_panel(z: &mut [f64], w: usize, rot: &[f64]) {
+        let mut at = 0usize;
+        while at < rot.len() {
+            let (first, last) = (rot[at] as usize, rot[at + 1] as usize);
+            at += 2;
+            for i in (first..last).rev() {
+                let (c, s) = (rot[at], rot[at + 1]);
+                at += 2;
+                let (zi, zi1) = z[i * w..(i + 2) * w].split_at_mut(w);
+                for (x, y) in zi.iter_mut().zip(zi1.iter_mut()) {
+                    let f = *y;
+                    *y = s * *x + c * f;
+                    *x = c * *x - s * f;
+                }
+            }
+        }
+    }
+
+    pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
+        let n = a.rows();
+        let mut z: Vec<f64> = a.as_slice().iter().map(|&v| f64::from(v)).collect();
+        let (mut d, mut e, mut order) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut rot = vec![0.0; 2 * n * SWEEPS_PER_BATCH];
+        tridiagonalize(&mut z, n, &mut d, &mut e);
+        accumulate_transposed(&mut z, n, &mut d);
+        ql_implicit(n, &mut d, &mut e, &mut rot, |batch| {
+            rotate_panel(&mut z, n, batch)
+        })?;
+        Ok(sorted_output(&z, n, n, &d, &mut order))
     }
 }
 
@@ -377,6 +1132,206 @@ mod tests {
         a.scale(1.0 / (2 * n) as f32);
         a.add_diag(1e-3);
         a
+    }
+
+    /// Every instruction set this machine can run.
+    fn isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
+    /// The shapes of spectrum and sparsity that steer the solver down
+    /// different paths.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Symmetric,
+        /// `xp bench-eig`'s factor: SPD, geometrically decaying spectrum.
+        DecayingSpd,
+        /// Gram matrix of fewer rows than columns: many skipped reflectors.
+        RankDeficient,
+        Identity,
+        /// Mid-matrix splits: short sweeps with ragged `[first, last)`.
+        BlockDiagonal,
+        /// A diagonal with one tiny off-diagonal pair.
+        NearDiagonal,
+    }
+
+    const KINDS: [Kind; 6] = [
+        Kind::Symmetric,
+        Kind::DecayingSpd,
+        Kind::RankDeficient,
+        Kind::Identity,
+        Kind::BlockDiagonal,
+        Kind::NearDiagonal,
+    ];
+
+    fn sample(kind: Kind, n: usize, rng: &mut Rng64) -> Matrix {
+        let normal = |rows: usize, rng: &mut Rng64| {
+            Matrix::from_vec(rows, n, (0..rows * n).map(|_| rng.normal_f32()).collect())
+        };
+        match kind {
+            Kind::Symmetric => random_symmetric(n, rng),
+            Kind::DecayingSpd => {
+                let mut x = normal(n, rng);
+                let decay = (-4.605_170 * 6.0 / n as f64).exp();
+                for i in 0..n {
+                    let s = decay.powi(i as i32) as f32;
+                    x.row_mut(i).iter_mut().for_each(|v| *v *= s);
+                }
+                let mut a = x.gram();
+                a.scale(1.0 / n as f32);
+                a.add_diag(1e-6);
+                a
+            }
+            Kind::RankDeficient => normal((n / 3).max(1), rng).gram(),
+            Kind::Identity => Matrix::identity(n),
+            Kind::BlockDiagonal => {
+                let mut a = Matrix::zeros(n, n);
+                let (mut at, mut block) = (0, 1);
+                while at < n {
+                    let b = block.min(n - at);
+                    let m = random_symmetric(b, rng);
+                    for i in 0..b {
+                        for j in 0..b {
+                            a[(at + i, at + j)] = m[(i, j)];
+                        }
+                    }
+                    at += b;
+                    block = 1 + (3 * block + 4) % 23;
+                }
+                a
+            }
+            Kind::NearDiagonal => {
+                let diag: Vec<f32> = (0..n).map(|i| 1.0 + (i * 7 % n) as f32).collect();
+                let mut a = Matrix::from_diag(&diag);
+                if n >= 2 {
+                    a[(n / 2, n / 2 - 1)] = 1e-20;
+                    a[(n / 2 - 1, n / 2)] = 1e-20;
+                }
+                a
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &EigenDecomposition, want: &EigenDecomposition, what: &str) {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.eigenvalues),
+            bits(&want.eigenvalues),
+            "eigenvalues, {what}"
+        );
+        assert_eq!(
+            bits(got.eigenvectors.as_slice()),
+            bits(want.eigenvectors.as_slice()),
+            "eigenvectors, {what}"
+        );
+    }
+
+    /// The blocked kernels change how often a row crosses the load/store
+    /// ports, not one operation on one element: on every instruction set,
+    /// at sizes on both sides of every blocking boundary (four rows, a
+    /// line, a lane group, a wave, one panel), the output is the
+    /// one-at-a-time solver's to the last bit.
+    #[test]
+    fn every_path_matches_the_one_at_a_time_oracle_bit_for_bit() {
+        let multi_panel = (1..).find(|&n: &usize| 8 * n * n.next_multiple_of(LINE) > PANEL_BYTES);
+        let mut sizes = vec![
+            1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 144, 145, 288, 289, 512,
+            576, 577,
+        ];
+        sizes.push(multi_panel.expect("some size needs two panels"));
+        let mut rng = Rng64::new(54);
+        for n in sizes {
+            for kind in KINDS {
+                let a = sample(kind, n, &mut rng);
+                let want = oracle::eigh_tridiag(&a).expect("oracle converges");
+                for isa in isas() {
+                    let got = solve(&a, isa, &mut ()).expect("converges");
+                    assert_same_bits(&got, &want, &format!("n={n} {kind:?} {isa:?}"));
+                }
+            }
+        }
+    }
+
+    /// Hand-built batches the QL iteration rarely or never produces, on
+    /// rows holding `−0.0` (which an identity rotation standing in for a
+    /// skipped one would turn into `+0.0`).
+    #[test]
+    fn wavefront_matches_the_sweep_by_sweep_loop_on_ragged_groups() {
+        const N: usize = 41;
+        const LAST: usize = N - 1;
+        let w = 24usize;
+        let mut rng = Rng64::new(55);
+        type Range = fn(usize) -> (usize, usize);
+        let shapes: [(&str, usize, Range); 7] = [
+            ("full", 16, |_| (0, LAST)),
+            ("staggered", 8, |k| (k, LAST - k)),
+            ("descending", 16, |k| (2 * (7 - k % 8), LAST)),
+            ("nested", 8, |k| (2 * k, LAST - 2 * k)),
+            ("gaps", 24, |k| match k % 4 {
+                0 => (5, 5),               // empty
+                1 => (k % 30, k % 30 + 1), // a single rotation
+                2 => (0, LAST),
+                _ => (20, 23),
+            }),
+            ("far apart", 8, |k| [(0, 3), (30, LAST)][k % 2]),
+            ("partial group", 11, |_| (0, LAST)),
+        ];
+        for (name, sweeps, range) in shapes {
+            let mut rot = Vec::new();
+            for k in 0..sweeps {
+                let (first, last) = range(k);
+                rot.extend([first as f64, last as f64]);
+                for _ in first..last {
+                    let theta = f64::from(rng.normal_f32());
+                    rot.extend([theta.cos(), theta.sin()]);
+                }
+            }
+            let mut z: Vec<f64> = (0..N * w).map(|_| f64::from(rng.normal_f32())).collect();
+            for row in [0, 7, 8, 22, 40] {
+                z[row * w..(row + 1) * w].fill(-0.0);
+            }
+            let mut want = z.clone();
+            oracle::rotate_panel(&mut want, w, &rot);
+            for isa in isas() {
+                let mut got = z.clone();
+                rotate_panel(isa, &mut got, w, &rot);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{name} {isa:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_pool() {
+        let mut rng = Rng64::new(56);
+        let a = sample(Kind::DecayingSpd, 145, &mut rng);
+        rayon::set_pool_threads(1);
+        let want = eigh_tridiag(&a).unwrap();
+        for threads in [2, 4] {
+            rayon::set_pool_threads(threads);
+            let got = eigh_tridiag(&a).unwrap();
+            assert_same_bits(&got, &want, &format!("{threads} pool threads"));
+        }
+    }
+
+    #[test]
+    fn the_timed_entry_point_returns_the_same_decomposition() {
+        let mut rng = Rng64::new(57);
+        let a = sample(Kind::Symmetric, 40, &mut rng);
+        let (eig, ns) = eigh_tridiag_phases(&a).unwrap();
+        assert_same_bits(&eig, &eigh_tridiag(&a).unwrap(), "timed");
+        assert_eq!(ns.len(), PHASES.len());
+        assert!(ns.iter().sum::<u64>() > 0);
     }
 
     #[test]
@@ -479,12 +1434,20 @@ mod tests {
         let tiny = f64::from_bits(1);
         let mut d = [tiny, tiny, -3.0 * tiny];
         let mut e = [0.0, tiny, -tiny]; // e[i] couples i-1 and i, as `tridiagonalize` leaves it
-        let mut z = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
+        let mut z = [0.0f64; 3 * LINE];
+        (0..3).for_each(|i| z[i * LINE + i] = 1.0);
+        let mut by_sweep = z;
         let mut rot = [f64::NAN; 64];
-        ql_implicit(&mut z, 3, &mut d, &mut e, &mut rot, &mut []).expect("converges after restart");
+        ql_implicit(3, &mut d, &mut e, &mut rot, |batch| {
+            rotate_rows(Isa::for_dim(3), &mut z, LINE, batch, &mut []);
+            oracle::rotate_panel(&mut by_sweep, LINE, batch);
+        })
+        .expect("converges after restart");
         // The first sweep targets eigenvalue 0 over rows 0..=2; the
-        // restart cut it short, so its header starts at row 1.
+        // restart cut it short, so its header starts at row 1 — and the
+        // wavefront honours the truncated header.
         assert_eq!(rot[..2], [1.0, 2.0], "first sweep was not cut short");
+        assert_eq!(z.map(f64::to_bits), by_sweep.map(f64::to_bits));
         // (Rotations built from subnormals are not orthonormal, so the
         // eigenvectors are not checked; the trace survives exactly.)
         assert_eq!(d.iter().sum::<f64>(), -tiny, "trace not preserved");
