@@ -256,7 +256,10 @@ fn bench_table6(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fig. 10: real factor computation across depths.
+/// Fig. 10: real factor computation across depths — a factor iteration's
+/// capturing forward + backward (the convolutions sum their factor Grams
+/// inside backward) and the `compute_factors` finishing pass. `xp fig10`
+/// subtracts the plain backward pass; this group times the whole thing.
 fn bench_fig10(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10");
     group
@@ -266,19 +269,19 @@ fn bench_fig10(c: &mut Criterion) {
     let criterion_loss = CrossEntropyLoss::new();
     for depth in [50usize, 101, 152] {
         group.bench_with_input(
-            BenchmarkId::new("compute_factors_resnet", depth),
+            BenchmarkId::new("factor_iteration_resnet", depth),
             &depth,
             |b, &depth| {
                 let mut model = setup.model(depth, 7);
                 let indices: Vec<usize> = (0..8).collect();
                 let (x, labels) = batch_of(&setup.train, &indices, 0);
                 model.set_capture(true);
-                let out = model.forward(&x, Mode::Train);
-                let (_, grad) = criterion_loss.forward(&out, &labels);
-                let _ = model.backward(&grad);
-                let mut layers = Vec::new();
-                model.collect_kfac(&mut layers);
                 b.iter(|| {
+                    let out = model.forward(&x, Mode::Train);
+                    let (_, grad) = criterion_loss.forward(&out, &labels);
+                    let _ = model.backward(&grad);
+                    let mut layers = Vec::new();
+                    model.collect_kfac(&mut layers);
                     let mut acc = 0.0f32;
                     for layer in &layers {
                         let (a, g) = layer.compute_factors();

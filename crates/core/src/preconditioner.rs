@@ -54,6 +54,7 @@ use crate::stats::StageStats;
 use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
 use kfac_nn::{KfacEligible, Layer};
 use kfac_telemetry::{Registry, Span};
+use kfac_tensor::gemm::mirror_upper_to_lower;
 use kfac_tensor::half::{bf16_to_f32, f32_to_bf16, round_bf16_in_place};
 use kfac_tensor::{arena, Dtype, EigenDecomposition, Matrix};
 
@@ -588,7 +589,14 @@ impl Kfac {
     /// halves the payload exactly.
     pub fn factor_pack(&self) -> Vec<f32> {
         let triangular = self.cfg.triangular_factor_comm;
-        let mut fused = Vec::new();
+        let packed_len = |avg: &Matrix| {
+            if triangular {
+                avg.rows() * (avg.rows() + 1) / 2
+            } else {
+                avg.len()
+            }
+        };
+        let mut fused = Vec::with_capacity(self.averages.iter().flatten().map(packed_len).sum());
         for avg in self.averages.iter().flatten() {
             if triangular {
                 let n = avg.rows();
@@ -616,13 +624,7 @@ impl Kfac {
                     avg.row_mut(i)[i..].copy_from_slice(&fused[off..off + len]);
                     off += len;
                 }
-                // Mirror onto the lower triangle.
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        let v = avg[(i, j)];
-                        avg[(j, i)] = v;
-                    }
-                }
+                mirror_upper_to_lower(avg.as_mut_slice(), n);
             } else {
                 let len = avg.len();
                 avg.as_mut_slice().copy_from_slice(&fused[off..off + len]);

@@ -6,11 +6,13 @@
 //! stress shapes — over f32 operands and, for the products the bf16
 //! captures feed, over the same values stored as bf16 — and then one
 //! whole `Conv2d` forward + backward per ResNet-32 stage beside the three
-//! bare GEMMs it is made of. Results go to stdout as a table and, with
+//! bare GEMMs it is made of, plain and as a K-FAC factor iteration runs
+//! it (capturing, then `compute_factors`) beside those GEMMs plus the two
+//! bare factor Grams. Results go to stdout as a table and, with
 //! `--json`, to `BENCH_kernels.json`; the CI `perf` job gates on absolute
 //! statements about that file (see [`to_json`]).
 
-use kfac_nn::{Conv2d, Layer, Mode};
+use kfac_nn::{Conv2d, KfacEligible, Layer, Mode};
 use kfac_tensor::{HalfMatrix, Matrix, Rng64, Tensor4};
 use std::time::Instant;
 
@@ -127,6 +129,12 @@ pub struct LayerCase {
     /// Sum of the packed timings of the layer's forward, weight-gradient
     /// and input-gradient GEMM rows (`rn32_{conv,dw,dx}_<stage>`).
     pub gemm_ns: f64,
+    /// A factor iteration of the layer: forward, capturing backward (the
+    /// factor Grams summed block by block) and `compute_factors`.
+    pub capture_ns: f64,
+    /// The two Grams as single calls over whole-batch rows: the A factor
+    /// (`positions × 9·channels`) plus the G factor (`positions × channels`).
+    pub gram_ns: f64,
 }
 
 impl LayerCase {
@@ -144,6 +152,12 @@ impl LayerCase {
     pub fn over_gemm(&self) -> f64 {
         self.layer_ns / self.gemm_ns
     }
+    /// Factor-iteration time over its three bare GEMMs plus its two bare
+    /// Grams (1.0 = free lowering *and* free block-wise factor sums); the
+    /// CI `perf` job fails above 2.0.
+    pub fn capture_over_gemm(&self) -> f64 {
+        self.capture_ns / (self.gemm_ns + self.gram_ns)
+    }
 }
 
 /// The ResNet-32 stage layers (batch 8, as the GEMM rows): row name, the
@@ -154,8 +168,8 @@ pub const LAYER_CASES: [(&str, &str, usize, usize); 3] = [
     ("rn32_layer_s3", "s3", 64, 8),
 ];
 
-/// Time one `Conv2d` forward + backward per stage; `cases` supplies the
-/// bare GEMM timings of the same run.
+/// Time one `Conv2d` forward + backward per stage, plain and capturing;
+/// `cases` supplies the bare GEMM timings of the same run.
 pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
     const BATCH: usize = 8;
     let mut rng = Rng64::new(0x1A7E5);
@@ -174,6 +188,23 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
                 std::hint::black_box(conv.forward(&x, Mode::Train));
                 std::hint::black_box(conv.backward(&gy));
             });
+            conv.set_capture(true);
+            let capture_ns = time_ns(|| {
+                std::hint::black_box(conv.forward(&x, Mode::Train));
+                std::hint::black_box(conv.backward(&gy));
+                let (a, g) = conv.compute_factors();
+                kfac_tensor::arena::recycle_matrix(a);
+                kfac_tensor::arena::recycle_matrix(g);
+            });
+            let positions = BATCH * side * side;
+            let mut scratch = Matrix::zeros(1, 1);
+            let gram_ns: f64 = [9 * channels, channels]
+                .into_iter()
+                .map(|features| {
+                    let rows = random_matrix(positions, features, &mut rng);
+                    time_ns(|| rows.gram_into(&mut scratch))
+                })
+                .sum();
             let gemm_ns = ["conv", "dw", "dx"]
                 .iter()
                 .map(|product| {
@@ -190,6 +221,8 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
                 side,
                 layer_ns,
                 gemm_ns,
+                capture_ns,
+                gram_ns,
             }
         })
         .collect()
@@ -353,12 +386,22 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         ));
     }
     s.push_str(&format!(
-        "\n{:<18} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>9}\n",
-        "conv layer", "batch", "chan", "side", "fwd+bwd ns", "3 GEMMs ns", "GFLOP/s", "layer/G"
+        "\n{:<18} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>9} {:>12} {:>12} {:>9}\n",
+        "conv layer",
+        "batch",
+        "chan",
+        "side",
+        "fwd+bwd ns",
+        "3 GEMMs ns",
+        "GFLOP/s",
+        "layer/G",
+        "+factors ns",
+        "2 Grams ns",
+        "capt/G"
     ));
     for l in layers {
         s.push_str(&format!(
-            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>12.0} {:>9.2} {:>8.2}x\n",
+            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>12.0} {:>9.2} {:>8.2}x {:>12.0} {:>12.0} {:>8.2}x\n",
             l.name,
             l.batch,
             l.channels,
@@ -366,7 +409,10 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
             l.layer_ns,
             l.gemm_ns,
             l.gflops(),
-            l.over_gemm()
+            l.over_gemm(),
+            l.capture_ns,
+            l.gram_ns,
+            l.capture_over_gemm()
         ));
     }
     s
@@ -374,11 +420,11 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
 
 /// Serialize the suite as JSON (hand-rolled — no serde in this tree).
 ///
-/// Besides the rows it carries the two aggregates the CI `perf` job
+/// Besides the rows it carries the three aggregates the CI `perf` job
 /// asserts on — `max_bf16_over_f32` (≤ 1.1: the worst paired bf16/f32
-/// time ratio over [`BF16_GATE_CASES`]) and `max_layer_over_gemm`
-/// (≤ 2.0) — each a failing value when a row it needs is missing. The
-/// third gate reads the rows themselves: the square shapes' f32 GFLOP/s
+/// time ratio over [`BF16_GATE_CASES`]), `max_layer_over_gemm` and
+/// `max_capture_over_gemm` (both ≤ 2.0) — each a failing value when a
+/// row it needs is missing. The fourth gate reads the rows themselves: the square shapes' f32 GFLOP/s
 /// against 0.6 × the committed `BENCH_kernels.json`.
 pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
@@ -412,7 +458,9 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"batch\": {}, \"channels\": {}, \"side\": {}, \
              \"fwd_bwd_ns_per_iter\": {:.1}, \"gemm_sum_ns_per_iter\": {:.1}, \
-             \"gflops\": {:.3}, \"layer_over_gemm\": {:.3}}}{}\n",
+             \"gflops\": {:.3}, \"layer_over_gemm\": {:.3}, \
+             \"fwd_bwd_factors_ns_per_iter\": {:.1}, \"gram_sum_ns_per_iter\": {:.1}, \
+             \"capture_over_gemm\": {:.3}}}{}\n",
             l.name,
             l.batch,
             l.channels,
@@ -421,16 +469,18 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
             l.gemm_ns,
             l.gflops(),
             l.over_gemm(),
+            l.capture_ns,
+            l.gram_ns,
+            l.capture_over_gemm(),
             if i + 1 < layers.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n");
     const MISSING: f64 = 999.0;
-    let layer_gate = layers
-        .iter()
-        .map(LayerCase::over_gemm)
-        .reduce(f64::max)
-        .unwrap_or(MISSING);
+    let worst = |ratio: fn(&LayerCase) -> f64| {
+        let ratios = layers.iter().map(ratio);
+        ratios.reduce(f64::max).unwrap_or(MISSING)
+    };
     let bf16_gate = BF16_GATE_CASES
         .iter()
         .map(|name| {
@@ -440,9 +490,10 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         .fold(0.0, f64::max);
     s.push_str(&format!(
         "  \"max_bf16_over_f32\": {:.3},\n  \"max_layer_over_gemm\": {:.3},\n  \
-         \"pool_threads\": {}\n}}\n",
+         \"max_capture_over_gemm\": {:.3},\n  \"pool_threads\": {}\n}}\n",
         bf16_gate,
-        layer_gate,
+        worst(LayerCase::over_gemm),
+        worst(LayerCase::capture_over_gemm),
         rayon::current_num_threads()
     ));
     s
@@ -490,12 +541,17 @@ mod tests {
             side: 32,
             layer_ns: 3000.0,
             gemm_ns: 2000.0,
+            capture_ns: 5000.0,
+            gram_ns: 2000.0,
         }];
         let json = to_json(&cases, &layers);
         assert!(json.contains("\"layer_over_gemm\": 1.500"));
         assert!(json.contains("\"max_layer_over_gemm\": 1.500"));
+        assert!(json.contains("\"capture_over_gemm\": 1.250"));
+        assert!(json.contains("\"max_capture_over_gemm\": 1.250"));
         // No layer rows → the loud failure value, not a passing 0.
         assert!(to_json(&cases, &[]).contains("\"max_layer_over_gemm\": 999.000"));
+        assert!(to_json(&cases, &[]).contains("\"max_capture_over_gemm\": 999.000"));
         assert!(json.contains("\"packed_gflops\": 33554.432"));
         assert!(json.contains("\"bf16_ns_per_iter\": null"));
         assert!(json.contains("\"bf16_over_f32\": 0.900"));

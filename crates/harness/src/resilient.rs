@@ -278,7 +278,7 @@ mod tests {
     use kfac_collectives::{
         FaultPlan, FaultPlanConfig, FaultyCommunicator, ThreadComm, TrafficClass,
     };
-    use kfac_nn::{Layer, Linear};
+    use kfac_nn::{Conv2d, Flatten, Layer, Linear};
     use kfac_tensor::Rng64;
     use std::sync::Arc;
     use std::thread;
@@ -521,6 +521,53 @@ mod tests {
         assert_eq!(tr.skipped_steps, 1);
         let counters: std::collections::HashMap<_, _> = registry.counters().into_iter().collect();
         assert_eq!(counters["train/skipped_steps"], 1);
+    }
+
+    /// The convolutional twin. A `Conv2d` sums its factors inside the
+    /// backward pass, so a NaN batch does reach the layer's own sums — but
+    /// those reach the EMA only through `factor_update_layer`, behind the
+    /// gate, and the next capturing pass replaces them: the next healthy
+    /// factor iteration packs the bits of a run that never saw the batch.
+    #[test]
+    fn nan_batch_is_skipped_before_it_reaches_the_conv_factors() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let batch = |round: u64| {
+            let mut rng = Rng64::new(7 + round);
+            Tensor4::from_vec(4, 2, 5, 5, (0..200).map(|_| rng.normal_f32()).collect())
+        };
+        let run = |poison: bool| {
+            let mut rng = Rng64::new(3);
+            let mut m = Sequential::from_layers(vec![
+                Box::new(Conv2d::new("conv", 2, 3, 3, 1, 1, true, &mut rng)),
+                Box::new(Flatten::new()),
+                Box::new(Linear::new("fc", 3 * 5 * 5, 4, true, &mut rng)),
+            ]);
+            let mut opt = Sgd::new(0.9, 1e-4);
+            let mut k = Some(Kfac::new(&mut m, KfacConfig::default()));
+            let criterion = CrossEntropyLoss::new();
+            let comm = kfac_collectives::LocalComm::new();
+            let mut tr = ResilientTrainer::new(FaultTolerance::default());
+            let labels = [0, 1, 2, 3];
+            let mut step = |k: &mut Option<Kfac>, x: &Tensor4| {
+                tr.step(&mut m, k, &mut opt, &comm, x, &labels, &criterion, 0.05)
+                    .1
+            };
+            assert_eq!(step(&mut k, &batch(0)), StepOutcome::Stepped);
+            if poison {
+                let before = bits(&k.as_ref().unwrap().factor_pack());
+                let nan = Tensor4::from_vec(4, 2, 5, 5, vec![f32::NAN; 200]);
+                assert_eq!(step(&mut k, &nan), StepOutcome::SkippedStep);
+                assert!(
+                    before == bits(&k.as_ref().unwrap().factor_pack()),
+                    "NaN sums reached the factor EMA"
+                );
+            }
+            // Every iteration is a factor iteration at the default config.
+            assert!(k.as_ref().unwrap().is_factor_iteration());
+            assert_eq!(step(&mut k, &batch(1)), StepOutcome::Stepped);
+            bits(&k.as_ref().unwrap().factor_pack())
+        };
+        assert!(run(true) == run(false), "the NaN batch left a trace");
     }
 
     /// Long outages on K-FAC traffic degrade to stale factors — the

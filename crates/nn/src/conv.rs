@@ -6,16 +6,91 @@
 //! the gradient factor is the second moment of the per-position output
 //! gradients. The paper's implementation inherits this from kfac-pytorch;
 //! we implement it directly, on the patch blocks the forward pass builds
-//! anyway (see [`lowering`](crate::lowering)).
+//! anyway (see [`lowering`](crate::lowering)): both second moments are
+//! summed inside the backward block loop, while the block it multiplies
+//! is still cache-resident, so no whole-batch capture ever exists.
 
-use crate::layer::{Capture, KfacEligible, Layer, Mode};
+use crate::layer::{KfacEligible, Layer, Mode};
 use crate::lowering::{
     build_patches, conv_out_dim, gather_block, scatter_block, scatter_patches, Blocked, Geometry,
     BLOCK,
 };
 use kfac_tensor::arena;
-use kfac_tensor::gemm::{gemm_into, View};
+use kfac_tensor::gemm::{gemm_into, gemm_upper_into, mirror_upper_to_lower, Element, View};
 use kfac_tensor::{f32_to_bf16, init, Dtype, Matrix, Rng64, Tensor4};
+
+/// The K-FAC capture of a `Conv2d`: the two factor Grams themselves,
+/// summed block by block by a capturing `backward`. They are the layer's
+/// own until the next capturing `forward` — the preconditioner only reads
+/// them, after the trainer's health gate has seen the batch.
+struct FactorSums {
+    enabled: bool,
+    /// Width the rows are rounded to before they are multiplied.
+    dtype: Dtype,
+    /// `Σ_b P_b·P_bᵀ` (ones row included) and `Σ_b (n·gy_b)(n·gy_b)ᵀ`:
+    /// tiles on or above the diagonal only, neither mirrored nor scaled.
+    a: Matrix,
+    g: Matrix,
+    /// Positions summed, the `m` of both factors; 0 from a capturing
+    /// `forward` until its `backward` completes.
+    rows: usize,
+}
+
+impl FactorSums {
+    /// Add one block of `len` positions to both sums: `block · blockᵀ`
+    /// and `(scale·gy)(scale·gy)ᵀ`, the rows rounded to `dtype` first. A
+    /// block is one `KC`-deep piece of each Gram's reduction, so the sums
+    /// over blocks carry the bits of one Gram over all positions.
+    fn add_block(&mut self, block: &[f32], gy: &[f32], len: usize, scale: f32, first: bool) {
+        if self.dtype == Dtype::Bf16 {
+            let mut words = arena::take_u16(block.len().max(gy.len()));
+            for (d, &v) in words.iter_mut().zip(gy) {
+                *d = f32_to_bf16(v * scale);
+            }
+            Self::add(&mut self.g, &words[..gy.len()], len, first);
+            for (d, &v) in words.iter_mut().zip(block) {
+                *d = f32_to_bf16(v);
+            }
+            Self::add(&mut self.a, &words[..block.len()], len, first);
+            arena::recycle_u16(words);
+        } else {
+            let mut scaled = arena::take_f32(gy.len());
+            for (d, &v) in scaled.iter_mut().zip(gy) {
+                *d = v * scale;
+            }
+            Self::add(&mut self.g, &scaled, len, first);
+            Self::add(&mut self.a, block, len, first);
+            arena::recycle_f32(scaled);
+        }
+    }
+
+    /// `sum (+)= rows · rowsᵀ` above the diagonal, `rows` being
+    /// `features × len` row-major.
+    fn add<E: Element>(sum: &mut Matrix, rows: &[E], len: usize, first: bool) {
+        let f = rows.len() / len;
+        if first {
+            sum.reset_for(f, f);
+        }
+        let (x, xt) = (View::new(rows, f, len), View::t(rows, f, len));
+        gemm_upper_into(x, xt, sum.as_mut_slice(), first);
+    }
+
+    /// The factor a finished sum stands for: each row from its diagonal
+    /// on, over `m`, then mirrored once.
+    fn factor(&self, sum: &Matrix) -> Matrix {
+        let n = sum.rows();
+        let inv_m = 1.0 / self.rows as f32;
+        // Arena scratch the preconditioner recycles after its fold.
+        let mut f = arena::take_matrix(n, n);
+        for i in 0..n {
+            for (d, &s) in f.row_mut(i)[i..].iter_mut().zip(&sum.row(i)[i..]) {
+                *d = s * inv_m;
+            }
+        }
+        mirror_upper_to_lower(f.as_mut_slice(), n);
+        f
+    }
+}
 
 /// `Conv2d(c_in → c_out, k×k, stride, pad)`, square kernels.
 pub struct Conv2d {
@@ -32,13 +107,10 @@ pub struct Conv2d {
     grad_bias: Option<Vec<f32>>,
     /// Patch blocks of the last training forward (with a row of ones under
     /// the patch rows when the layer has a bias), and their geometry.
-    patches: Option<(Blocked<f32>, Geometry)>,
-    /// Retired patch storage for the next forward. Never the buffer a
-    /// capture holds: backward hands the patches to the capture *instead
-    /// of* retiring them, and takes the capture's previous buffer in
-    /// exchange.
+    patches: Option<(Blocked, Geometry)>,
+    /// The patch storage between a backward and the next forward.
     spare: Vec<f32>,
-    capture: Capture<Blocked<f32>, Blocked<u16>>,
+    capture: FactorSums,
 }
 
 impl Conv2d {
@@ -72,26 +144,19 @@ impl Conv2d {
             bias: bias_v,
             patches: None,
             spare: Vec::new(),
-            capture: Capture::default(),
+            capture: FactorSums {
+                enabled: false,
+                dtype: Dtype::default(),
+                a: Matrix::zeros(0, 0),
+                g: Matrix::zeros(0, 0),
+                rows: 0,
+            },
         }
     }
 
     /// Kernel size.
     pub fn kernel(&self) -> usize {
         self.k
-    }
-
-    /// Start a fresh capture. The activation half's buffer goes to
-    /// `spare` — the one way a buffer leaves a capture — and the rest
-    /// back to the arena.
-    fn reset_capture(&mut self) {
-        if let Some(a) = self.capture.a.take() {
-            let buf = a.into_storage();
-            if buf.capacity() > self.spare.capacity() {
-                self.spare = buf;
-            }
-        }
-        self.capture.clear();
     }
 }
 
@@ -101,18 +166,14 @@ impl Layer for Conv2d {
         let g = Geometry::new(input.shape(), self.k, self.stride, self.pad);
         let (c_out, fan_in, positions) = (self.c_out, g.fan_in(), g.positions());
         let mut out = Tensor4::zeros(g.n, c_out, g.oh, g.ow);
-        let capturing = mode == Mode::Train && self.capture.enabled;
-        if capturing {
+        if mode == Mode::Train && self.capture.enabled {
             // This pass replaces the previous capture.
-            self.reset_capture();
+            self.capture.rows = 0;
         }
 
         let features = fan_in + usize::from(self.bias.is_some());
         let mut patches =
             Blocked::from_storage(std::mem::take(&mut self.spare), features, positions);
-        let mut a16 = (capturing && self.capture.dtype == Dtype::Bf16).then(|| {
-            Blocked::from_storage(arena::take_u16(features * positions), features, positions)
-        });
         let mut y = arena::take_f32(c_out * BLOCK.min(positions));
         for (q, block) in patches.blocks_mut() {
             let (p, ones) = block.split_at_mut(fan_in * q.len());
@@ -126,19 +187,11 @@ impl Layer for Conv2d {
                 View::new(p, fan_in, q.len()),
                 y,
             );
-            scatter_block(y, self.bias.as_deref(), q.clone(), &mut out);
-            if let Some(half) = &mut a16 {
-                // Encoded while the block is cache-hot; a bf16 capture
-                // never exists at f32 width.
-                for (h, &v) in half.block_mut(&q).iter_mut().zip(block.iter()) {
-                    *h = f32_to_bf16(v);
-                }
-            }
+            scatter_block(y, self.bias.as_deref(), q, &mut out);
         }
         arena::recycle_f32(y);
 
         if mode == Mode::Train {
-            self.capture.a16 = a16;
             self.patches = Some((patches, g));
         } else {
             self.spare = patches.into_storage();
@@ -155,15 +208,6 @@ impl Layer for Conv2d {
             self.name
         );
         let (c_out, fan_in, positions) = (self.c_out, g.fan_in(), g.positions());
-        let capture_half = self.capture.enabled && self.capture.dtype == Dtype::Bf16;
-        let capture_full = self.capture.enabled && !capture_half;
-        if self.capture.enabled {
-            self.capture.clear_g();
-        }
-        let mut g32 = capture_full
-            .then(|| Blocked::from_storage(arena::take_f32(c_out * positions), c_out, positions));
-        let mut g16 = capture_half
-            .then(|| Blocked::from_storage(arena::take_u16(c_out * positions), c_out, positions));
         // Undo the mean-loss 1/batch so G is the per-example gradient
         // covariance; batch is n, not n·oh·ow.
         let scale = g.n as f32;
@@ -181,15 +225,8 @@ impl Layer for Conv2d {
             let p = &block[..fan_in * len];
             let gy = &mut gy[..c_out * len];
             gather_block(grad_output, q.clone(), gy);
-            if let Some(rows) = &mut g32 {
-                for (d, &v) in rows.block_mut(&q).iter_mut().zip(gy.iter()) {
-                    *d = v * scale;
-                }
-            }
-            if let Some(rows) = &mut g16 {
-                for (d, &v) in rows.block_mut(&q).iter_mut().zip(gy.iter()) {
-                    *d = f32_to_bf16(v * scale);
-                }
+            if self.capture.enabled {
+                self.capture.add_block(block, gy, len, scale, q.start == 0);
             }
 
             // dW_b = gy_b · P_bᵀ  (c_out × c_in·k·k)
@@ -226,16 +263,9 @@ impl Layer for Conv2d {
         arena::recycle_f32(gy);
 
         if self.capture.enabled {
-            self.capture.g = g32;
-            self.capture.g16 = g16;
+            self.capture.rows = positions;
         }
-        if capture_full {
-            // The capture takes the patch buffer itself: nothing is copied,
-            // and the next forward builds into `spare`, a different buffer.
-            self.capture.a = Some(patches);
-        } else {
-            self.spare = patches.into_storage();
-        }
+        self.spare = patches.into_storage();
         dx
     }
 
@@ -261,7 +291,8 @@ impl Layer for Conv2d {
     fn set_capture(&mut self, on: bool) {
         self.capture.enabled = on;
         if on {
-            self.reset_capture();
+            // Re-enabling starts a fresh capture.
+            self.capture.rows = 0;
         }
     }
 
@@ -283,11 +314,13 @@ impl KfacEligible for Conv2d {
     }
 
     fn has_capture(&self) -> bool {
-        self.capture.complete()
+        self.capture.rows > 0
     }
 
     fn compute_factors(&self) -> (Matrix, Matrix) {
-        self.capture.factors()
+        assert!(self.has_capture(), "{}: factors not captured", self.name);
+        let sums = &self.capture;
+        (sums.factor(&sums.a), sums.factor(&sums.g))
     }
 
     fn set_capture_dtype(&mut self, dtype: kfac_tensor::Dtype) {

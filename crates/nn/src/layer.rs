@@ -4,10 +4,11 @@
 //! output of each layer to save the activation of the previous layer and
 //! gradient with respect to the output of the current layer" (§IV-B).
 //! Here capture is a first-class part of the [`Layer`] contract instead:
-//! when capture is enabled, K-FAC-eligible layers ([`KfacEligible`]) stash
-//! the bias-augmented input-activation matrix `ā` during `forward` and the
-//! output-gradient matrix `g` during `backward`, from which the Kronecker
-//! factors `A = āᵀā / m` and `G` are computed on demand.
+//! when capture is enabled, K-FAC-eligible layers ([`KfacEligible`]) take
+//! what the Kronecker factors `A = āᵀā / m` and `G` need from the
+//! bias-augmented input activations `ā` and the output gradients `g`:
+//! `Linear` stashes the rows during `forward` / `backward` and multiplies
+//! on demand, `Conv2d` sums both Grams block by block inside `backward`.
 //!
 //! Only `Linear` and `Conv2d` are K-FAC eligible, matching §V: "Our
 //! implementation supports K-FAC updates for Linear and Conv2D layers. All
@@ -129,108 +130,42 @@ pub trait KfacEligible {
         a * g
     }
 
-    /// Select the capture storage dtype. [`Dtype::Bf16`] halves capture
-    /// bytes (conv layers encode each patch block as it is built; the
-    /// capture never exists at f32 width), so the factor Grams stream
-    /// half-width operands into the same f32-accumulating GEMM. The
+    /// Select the width captured rows are rounded to before the factor
+    /// Grams multiply them. With [`Dtype::Bf16`] a `Linear` stores its
+    /// rows as bf16 words (half the bytes) and a `Conv2d` rounds each
+    /// block into block-sized scratch inside backward; either way the
+    /// same f32-accumulating GEMM widens the words as it packs. The
     /// default implementation ignores the request, so custom
     /// `KfacEligible` impls stay f32.
     fn set_capture_dtype(&mut self, _dtype: Dtype) {}
 }
 
-/// Captured rows whose Gram is a Kronecker factor: `samples` rows (one per
-/// example, or per example and spatial position) of `features` values,
-/// in whatever layout the capturing layer finds cheapest to keep.
-pub trait FactorRows {
-    /// Rows the Gram sums over — the `m` of `āᵀā / m`.
-    fn samples(&self) -> usize;
-
-    /// Values per row — the side of the Gram.
-    fn features(&self) -> usize;
-
-    /// The `features × features` second-moment sum over all rows,
-    /// bitwise symmetric, into a reusable matrix.
-    fn gram_into(&self, out: &mut Matrix);
-
-    /// Hand pooled storage back to the arena (nothing, by default).
-    fn recycle(self)
-    where
-        Self: Sized,
-    {
-    }
-}
-
-impl FactorRows for Matrix {
-    fn samples(&self) -> usize {
-        self.rows()
-    }
-
-    fn features(&self) -> usize {
-        self.cols()
-    }
-
-    fn gram_into(&self, out: &mut Matrix) {
-        Matrix::gram_into(self, out);
-    }
-}
-
-impl FactorRows for HalfMatrix {
-    fn samples(&self) -> usize {
-        self.rows()
-    }
-
-    fn features(&self) -> usize {
-        self.cols()
-    }
-
-    fn gram_into(&self, out: &mut Matrix) {
-        HalfMatrix::gram_into(self, out);
-    }
-
-    fn recycle(self) {
-        HalfMatrix::recycle(self);
-    }
-}
-
-/// Storage for one captured-iteration pair used by `Linear`/`Conv2d`.
+/// `Linear`'s capture: the row-major activation and output-gradient
+/// rows of one iteration, copied as the passes run. (`Conv2d` keeps no
+/// rows — it sums the factor Grams inside its backward block loop.)
 ///
-/// `F` holds f32 captures and `H` bf16 ones: row-major matrices for
-/// `Linear`, feature-major [`Blocked`](crate::lowering::Blocked) patch
-/// blocks for `Conv2d`. With `dtype == Dtype::Bf16` the captured rows
-/// live in `a16`/`g16` at half the bytes; the f32 slots stay empty and
-/// `compute_factors` runs the bf16 Gram kernels instead. The f32 path is
-/// untouched by the dtype plumbing (bitwise-identical default).
-#[derive(Debug)]
-pub struct Capture<F = Matrix, H = HalfMatrix> {
+/// With `dtype == Dtype::Bf16` the captured rows live in `a16`/`g16` at
+/// half the bytes; the f32 slots stay empty and `factors` runs the Gram
+/// over the bf16 words instead. The f32 path is untouched by the dtype
+/// plumbing (bitwise-identical default).
+#[derive(Debug, Default)]
+pub struct Capture {
     /// Whether capture is currently enabled.
     pub enabled: bool,
     /// Capture storage width (f32 default, bf16 opt-in).
     pub dtype: Dtype,
     /// Bias-augmented activation rows `ā` (dim_A features), f32 storage.
-    pub a: Option<F>,
+    pub a: Option<Matrix>,
     /// Output-gradient rows `ĝ` (dim_G features), mean-loss scaling
     /// already undone (multiplied by batch size), f32 storage.
-    pub g: Option<F>,
+    pub g: Option<Matrix>,
     /// bf16 activation capture (used when `dtype == Bf16`).
-    pub a16: Option<H>,
+    pub a16: Option<HalfMatrix>,
     /// bf16 gradient capture (used when `dtype == Bf16`).
-    pub g16: Option<H>,
+    pub g16: Option<HalfMatrix>,
 }
 
-impl<F, H> Default for Capture<F, H> {
-    fn default() -> Self {
-        Capture {
-            enabled: false,
-            dtype: Dtype::default(),
-            a: None,
-            g: None,
-            a16: None,
-            g16: None,
-        }
-    }
-}
-
-impl<F: FactorRows, H: FactorRows> Capture<F, H> {
+impl Capture {
     /// Both halves captured (in whichever storage width)?
     pub fn complete(&self) -> bool {
         (self.a.is_some() || self.a16.is_some()) && (self.g.is_some() || self.g16.is_some())
@@ -239,9 +174,7 @@ impl<F: FactorRows, H: FactorRows> Capture<F, H> {
     /// Drop stale captures (called when capture is re-enabled),
     /// returning pooled storage to the arena.
     pub fn clear(&mut self) {
-        if let Some(a) = self.a.take() {
-            a.recycle();
-        }
+        self.a = None;
         if let Some(h) = self.a16.take() {
             h.recycle();
         }
@@ -251,40 +184,40 @@ impl<F: FactorRows, H: FactorRows> Capture<F, H> {
     /// Drop only the gradient half (a forward pass invalidates the
     /// previous iteration's `g` but keeps its own fresh `a`).
     pub fn clear_g(&mut self) {
-        if let Some(g) = self.g.take() {
-            g.recycle();
-        }
+        self.g = None;
         if let Some(h) = self.g16.take() {
             h.recycle();
         }
     }
 
     /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` from whichever storage
-    /// holds the capture — the shared implementation behind
-    /// `Linear`/`Conv2d::compute_factors`. A bf16 capture runs the same
-    /// Gram kernels, widened to f32 as they pack.
+    /// holds the capture. A bf16 capture runs the same Gram kernels,
+    /// widened to f32 as they pack.
     pub fn factors(&self) -> (Matrix, Matrix) {
         // Arena-backed factor scratch, recycled by the preconditioner
         // after the running-average fold (see `Kfac::factor_update_layer`).
-        fn factor(rows: &impl FactorRows, m: f32) -> Matrix {
-            let n = rows.features();
+        fn factor(n: usize, m: usize, gram_into: impl FnOnce(&mut Matrix)) -> Matrix {
             let mut f = kfac_tensor::arena::take_matrix(n, n);
-            rows.gram_into(&mut f);
-            f.scale(1.0 / m);
+            gram_into(&mut f);
+            f.scale(1.0 / m as f32);
             f
         }
         if let (Some(a), Some(g)) = (&self.a16, &self.g16) {
-            let m = a.samples() as f32;
-            return (factor(a, m), factor(g, m));
+            let m = a.rows();
+            return (
+                factor(a.cols(), m, |f| a.gram_into(f)),
+                factor(g.cols(), m, |f| g.gram_into(f)),
+            );
         }
         let a = self.a.as_ref().expect("activation not captured");
         let g = self.g.as_ref().expect("gradient not captured");
-        let m = a.samples() as f32;
-        (factor(a, m), factor(g, m))
+        let m = a.rows();
+        (
+            factor(a.cols(), m, |f| a.gram_into(f)),
+            factor(g.cols(), m, |f| g.gram_into(f)),
+        )
     }
-}
 
-impl Capture {
     /// Stash the activation rows, appending a homogeneous `1` column when
     /// `bias` is set (the bias-folding trick of §II-C). Reuses the
     /// previous capture's allocation (f32 buffer or pooled u16 storage),
@@ -336,7 +269,7 @@ mod tests {
 
     #[test]
     fn capture_lifecycle() {
-        let mut c: Capture = Capture::default();
+        let mut c = Capture::default();
         assert!(!c.complete());
         c.a = Some(Matrix::zeros(2, 2));
         assert!(!c.complete());

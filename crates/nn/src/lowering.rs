@@ -23,12 +23,12 @@
 //! Martens' convolutional factorization (the paper's \[33\]), transposed:
 //! the activation factor is `A = Σ_b P_b·P_bᵀ / positions`. Because
 //! [`BLOCK`] is the GEMM's reduction depth `KC`, that sum of per-block
-//! Grams is bit-identical to one Gram over the whole patch matrix (see
-//! [`Blocked::gram_into`]).
+//! Grams — which `Conv2d::backward` adds up while it holds each block —
+//! is bit-identical to one Gram over the whole patch matrix (see
+//! `kfac_tensor::gemm::gemm_upper_into`).
 
-use crate::layer::FactorRows;
-use kfac_tensor::gemm::{gemm_symmetric_into, Element, View, KC};
-use kfac_tensor::{arena, Matrix, Tensor4};
+use kfac_tensor::gemm::KC;
+use kfac_tensor::Tensor4;
 use std::ops::Range;
 
 /// Positions per patch block: the GEMM's reduction depth, so that a
@@ -400,29 +400,23 @@ pub fn scatter_block(block: &[f32], bias: Option<&[f32]>, q: Range<usize>, t: &m
 /// A `features × positions` matrix stored block by block: block `b` is
 /// the row-major `features × len_b` matrix of positions
 /// `b·BLOCK..b·BLOCK + len_b` (`len_b = BLOCK` for every block but
-/// possibly the last). The storage of the patch matrix and of the
-/// K-FAC captures taken from it.
+/// possibly the last). The storage of the patch matrix.
 #[derive(Debug)]
-pub struct Blocked<T> {
-    data: Vec<T>,
+pub struct Blocked {
+    data: Vec<f32>,
     features: usize,
-    positions: usize,
 }
 
-impl<T: Copy + Default> Blocked<T> {
+impl Blocked {
     /// A `features × positions` matrix in `data`'s allocation (kept when
     /// large enough). Contents are unspecified; callers write every block.
-    pub fn from_storage(mut data: Vec<T>, features: usize, positions: usize) -> Self {
-        data.resize(features * positions, T::default());
-        Blocked {
-            data,
-            features,
-            positions,
-        }
+    pub fn from_storage(mut data: Vec<f32>, features: usize, positions: usize) -> Self {
+        data.resize(features * positions, 0.0);
+        Blocked { data, features }
     }
 
     /// The blocks in order, each with its position range.
-    pub fn blocks(&self) -> impl Iterator<Item = (Range<usize>, &[T])> {
+    pub fn blocks(&self) -> impl Iterator<Item = (Range<usize>, &[f32])> {
         let f = self.features;
         self.data
             .chunks((f * BLOCK).max(1))
@@ -431,7 +425,7 @@ impl<T: Copy + Default> Blocked<T> {
     }
 
     /// Mutable twin of [`blocks`](Self::blocks).
-    pub fn blocks_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut [T])> {
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut [f32])> {
         let f = self.features;
         self.data
             .chunks_mut((f * BLOCK).max(1))
@@ -439,77 +433,9 @@ impl<T: Copy + Default> Blocked<T> {
             .map(move |(b, blk)| (b * BLOCK..b * BLOCK + blk.len() / f, blk))
     }
 
-    /// The block holding positions `q` (a range [`blocks`](Self::blocks)
-    /// yields), mutably.
-    pub fn block_mut(&mut self, q: &Range<usize>) -> &mut [T] {
-        debug_assert!(
-            q.start.is_multiple_of(BLOCK) && q.end == (q.start + BLOCK).min(self.positions)
-        );
-        &mut self.data[self.features * q.start..self.features * q.end]
-    }
-
     /// Give the allocation back.
-    pub fn into_storage(self) -> Vec<T> {
+    pub fn into_storage(self) -> Vec<f32> {
         self.data
-    }
-}
-
-/// `out = Σ_b P_b·P_bᵀ`, blocks added in ascending order. One Gram over
-/// the whole `features × positions` matrix would cut its reduction into
-/// the same `KC`-deep pieces and add their tiles in the same order, so
-/// the two agree bit for bit — for either stored element, which the
-/// engine widens to f32 as it packs.
-fn sum_block_grams<E: Element + Default>(m: &Blocked<E>, out: &mut Matrix) {
-    let f = m.features;
-    out.reset_for(f, f);
-    let mut scratch = arena::take_f32(f * f);
-    for (q, blk) in m.blocks() {
-        let (p, pt) = (View::new(blk, f, q.len()), View::t(blk, f, q.len()));
-        if q.start == 0 {
-            gemm_symmetric_into(p, pt, out.as_mut_slice());
-        } else {
-            gemm_symmetric_into(p, pt, &mut scratch);
-            for (o, &s) in out.as_mut_slice().iter_mut().zip(&scratch) {
-                *o += s;
-            }
-        }
-    }
-    arena::recycle_f32(scratch);
-}
-
-impl FactorRows for Blocked<f32> {
-    fn samples(&self) -> usize {
-        self.positions
-    }
-
-    fn features(&self) -> usize {
-        self.features
-    }
-
-    fn gram_into(&self, out: &mut Matrix) {
-        sum_block_grams(self, out);
-    }
-
-    fn recycle(self) {
-        arena::recycle_f32(self.data);
-    }
-}
-
-impl FactorRows for Blocked<u16> {
-    fn samples(&self) -> usize {
-        self.positions
-    }
-
-    fn features(&self) -> usize {
-        self.features
-    }
-
-    fn gram_into(&self, out: &mut Matrix) {
-        sum_block_grams(self, out);
-    }
-
-    fn recycle(self) {
-        arena::recycle_u16(self.data);
     }
 }
 
@@ -613,29 +539,5 @@ mod tests {
             scatter_block(&blk, None, q, &mut back);
         }
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn blocked_gram_equals_the_whole_gram_bitwise() {
-        // 600 positions: full blocks and a ragged last one.
-        let mut rng = Rng64::new(4);
-        let (f, total) = (37, 600);
-        let mut m = Blocked::from_storage(Vec::new(), f, total);
-        let mut whole = vec![0.0f32; f * total];
-        for (q, blk) in m.blocks_mut() {
-            for (i, v) in blk.iter_mut().enumerate() {
-                *v = rng.normal_f32();
-                whole[(i / q.len()) * total + q.start + i % q.len()] = *v;
-            }
-        }
-        let mut blocked = Matrix::zeros(0, 0);
-        m.gram_into(&mut blocked);
-        let mut one = vec![f32::NAN; f * f];
-        gemm_symmetric_into(
-            View::new(&whole, f, total),
-            View::t(&whole, f, total),
-            &mut one,
-        );
-        assert_eq!(blocked.as_slice(), &one[..]);
     }
 }
