@@ -71,7 +71,7 @@ pub enum CollectiveAlgo {
 }
 
 impl CollectiveAlgo {
-    /// Stable name used in telemetry tags and env configuration.
+    /// Stable name used in telemetry tags and accepted by [`CollectiveAlgo::parse`].
     pub fn name(self) -> &'static str {
         match self {
             CollectiveAlgo::Flat => "flat",
@@ -129,54 +129,25 @@ impl Default for AlgoPolicy {
 }
 
 impl AlgoPolicy {
-    /// Default policy with `KFAC_COMM_ALGO`, `KFAC_COMM_CHUNK_KB` and
-    /// `KFAC_COMM_HD_MAX_KB` env overrides applied.
+    /// The default policy with `KFAC_COMM_ALGO` read straight from the
+    /// process environment. Kept only for `stepbench`, which calls it by
+    /// this name (and refuses to start under any `KFAC_*` variable, so it
+    /// always gets the default); everything in this workspace takes the
+    /// policy as a value resolved by `kfac_harness::runtime`.
     ///
     /// # Panics
-    /// Panics with a clear message on an unparseable override — a typo in
-    /// an env knob should fail loudly, not silently select a default.
-    /// Fallible callers (worker bootstrap, recovery paths) use
-    /// [`AlgoPolicy::try_from_env`] instead.
+    /// Panics on a value [`CollectiveAlgo::parse`] rejects.
     pub fn from_env() -> AlgoPolicy {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`AlgoPolicy::from_env`] returning a typed error instead of
-    /// panicking on an unparseable override.
-    pub fn try_from_env() -> Result<AlgoPolicy, String> {
-        Self::from_env_spec(
-            std::env::var("KFAC_COMM_ALGO").ok().as_deref(),
-            std::env::var("KFAC_COMM_CHUNK_KB").ok().as_deref(),
-            std::env::var("KFAC_COMM_HD_MAX_KB").ok().as_deref(),
-        )
-    }
-
-    /// Pure parse of the three env overrides (testable without touching
-    /// the process environment).
-    pub fn from_env_spec(
-        algo: Option<&str>,
-        chunk_kb: Option<&str>,
-        hd_max_kb: Option<&str>,
-    ) -> Result<AlgoPolicy, String> {
-        let mut p = AlgoPolicy::default();
-        if let Some(s) = algo {
-            p.algo = CollectiveAlgo::parse(s).ok_or_else(|| {
-                format!("KFAC_COMM_ALGO={s:?} invalid; expected flat|ring|hd|auto")
-            })?;
+        let algo = match std::env::var("KFAC_COMM_ALGO") {
+            Ok(s) => CollectiveAlgo::parse(&s).unwrap_or_else(|| {
+                panic!("KFAC_COMM_ALGO={s:?} invalid; expected flat|ring|hd|auto")
+            }),
+            Err(_) => CollectiveAlgo::Auto,
+        };
+        AlgoPolicy {
+            algo,
+            ..AlgoPolicy::default()
         }
-        if let Some(s) = chunk_kb {
-            let kb: usize = s.parse().map_err(|_| {
-                format!("KFAC_COMM_CHUNK_KB={s:?} invalid; expected an integer KiB count")
-            })?;
-            p.chunk_elems = (kb.max(1) * 1024) / std::mem::size_of::<f32>();
-        }
-        if let Some(s) = hd_max_kb {
-            let kb: usize = s.parse().map_err(|_| {
-                format!("KFAC_COMM_HD_MAX_KB={s:?} invalid; expected an integer KiB count")
-            })?;
-            p.hd_max_bytes = kb * 1024;
-        }
-        Ok(p)
     }
 
     /// Resolve the algorithm for a message of `bytes` across `size` ranks.
@@ -565,21 +536,6 @@ impl<T: Transport> Communicator for AlgoComm<T> {
 
     fn size(&self) -> usize {
         self.transport.size()
-    }
-
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
-        self.try_allreduce_tagged(buf, op, class)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
-        self.try_allgather_tagged(payload, class)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        self.try_broadcast_tagged(buf, root, class)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn try_allreduce_tagged(

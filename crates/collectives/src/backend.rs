@@ -1,11 +1,10 @@
 //! Unified communicator-backend selection.
 //!
-//! One enum, one env knob: `KFAC_COMM_BACKEND=thread|proc` decides whether
-//! rank groups are in-process threads ([`crate::ThreadComm`]) or separate
-//! processes over TCP ([`crate::proc::ProcComm`]). Everything that used to
-//! construct a backend ad hoc (`xp`, the trainer, tests) goes through
-//! here, so a misspelled override fails with one clear message instead of
-//! silently training on the wrong fabric.
+//! One enum decides whether rank groups are in-process threads
+//! ([`crate::ThreadComm`]) or ranks over TCP ([`crate::proc::ProcComm`]).
+//! Everything that constructs a backend (`xp`, the trainer, tests) names
+//! it through here; `KFAC_COMM_BACKEND=thread|proc` reaches it through
+//! `kfac_harness::runtime`, which calls [`CommBackend::parse`].
 
 use std::fmt;
 
@@ -37,16 +36,6 @@ impl CommBackend {
                 "unknown comm backend {other:?}: expected \"thread\" or \"proc\" \
                  (set via KFAC_COMM_BACKEND or --backend)"
             )),
-        }
-    }
-
-    /// Resolve from `KFAC_COMM_BACKEND`, defaulting to
-    /// [`CommBackend::Thread`] when unset. `Err` carries a clear
-    /// misconfiguration message for the caller to surface.
-    pub fn from_env() -> Result<CommBackend, String> {
-        match std::env::var("KFAC_COMM_BACKEND") {
-            Ok(s) => CommBackend::parse(&s).map_err(|e| format!("KFAC_COMM_BACKEND: {e}")),
-            Err(_) => Ok(CommBackend::Thread),
         }
     }
 }

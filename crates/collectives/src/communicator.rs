@@ -38,23 +38,65 @@ pub trait Communicator: Send + Sync {
 
     /// In-place collective reduction of `buf` across all ranks, recording
     /// the bytes under `class` for the communication analysis of §IV-C.
+    /// Transport faults surface as a [`CollectiveError`] instead of a
+    /// panic or a hang.
     ///
-    /// All ranks must pass buffers of identical length. On return every
-    /// rank's `buf` holds the reduced result.
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass);
+    /// All ranks must pass buffers of identical length. On `Ok` every
+    /// rank's `buf` holds the reduced result. On `Err` the buffer contents
+    /// are unspecified but the caller's source data (if retained) can be
+    /// replayed: implementations must make a failed attempt side-effect
+    /// free on the *group* state so retrying is sound.
+    fn try_allreduce_tagged(
+        &self,
+        buf: &mut [f32],
+        op: ReduceOp,
+        class: TrafficClass,
+    ) -> Result<(), CollectiveError>;
 
     /// Gather each rank's payload on every rank, recording bytes under
-    /// `class`.
+    /// `class`; failures as for
+    /// [`try_allreduce_tagged`](Communicator::try_allreduce_tagged).
     ///
     /// Payload lengths may differ across ranks (Horovod's allgather
     /// likewise only requires matching trailing dimensions): the result is
     /// indexed by rank. Used to exchange eigendecompositions in
     /// Algorithm 1 line 18, where ranks own different numbers of factors.
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>>;
+    fn try_allgather_tagged(
+        &self,
+        payload: &[f32],
+        class: TrafficClass,
+    ) -> Result<Vec<Vec<f32>>, CollectiveError>;
 
     /// Broadcast `buf` from `root` to all ranks in place, recording bytes
-    /// under `class`.
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass);
+    /// under `class`; failures as for
+    /// [`try_allreduce_tagged`](Communicator::try_allreduce_tagged).
+    fn try_broadcast_tagged(
+        &self,
+        buf: &mut [f32],
+        root: usize,
+        class: TrafficClass,
+    ) -> Result<(), CollectiveError>;
+
+    /// [`try_allreduce_tagged`](Communicator::try_allreduce_tagged) for
+    /// callers with no recovery story: panics on a collective fault.
+    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
+        self.try_allreduce_tagged(buf, op, class)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`try_allgather_tagged`](Communicator::try_allgather_tagged),
+    /// panicking on a collective fault.
+    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
+        self.try_allgather_tagged(payload, class)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`try_broadcast_tagged`](Communicator::try_broadcast_tagged),
+    /// panicking on a collective fault.
+    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
+        self.try_broadcast_tagged(buf, root, class)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 
     /// [`allreduce_tagged`](Communicator::allreduce_tagged) with class
     /// [`TrafficClass::Other`].
@@ -72,50 +114,6 @@ pub trait Communicator: Send + Sync {
     /// [`TrafficClass::Other`].
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.broadcast_tagged(buf, root, TrafficClass::Other);
-    }
-
-    /// Fallible [`allreduce_tagged`](Communicator::allreduce_tagged):
-    /// surfaces transport faults as [`CollectiveError`] instead of
-    /// panicking or hanging. The default implementation delegates to the
-    /// infallible path (plain communicators cannot fail), so the
-    /// fault-free code path is bitwise unchanged; fault-aware wrappers
-    /// ([`crate::faults::FaultyCommunicator`]) and the hardened
-    /// [`crate::ThreadComm`] override it.
-    ///
-    /// On `Err` the buffer contents are unspecified but the caller's
-    /// source data (if retained) can be replayed: implementations must
-    /// make a failed attempt side-effect free on the *group* state so
-    /// retrying is sound.
-    fn try_allreduce_tagged(
-        &self,
-        buf: &mut [f32],
-        op: ReduceOp,
-        class: TrafficClass,
-    ) -> Result<(), CollectiveError> {
-        self.allreduce_tagged(buf, op, class);
-        Ok(())
-    }
-
-    /// Fallible [`allgather_tagged`](Communicator::allgather_tagged);
-    /// see [`try_allreduce_tagged`](Communicator::try_allreduce_tagged).
-    fn try_allgather_tagged(
-        &self,
-        payload: &[f32],
-        class: TrafficClass,
-    ) -> Result<Vec<Vec<f32>>, CollectiveError> {
-        Ok(self.allgather_tagged(payload, class))
-    }
-
-    /// Fallible [`broadcast_tagged`](Communicator::broadcast_tagged);
-    /// see [`try_allreduce_tagged`](Communicator::try_allreduce_tagged).
-    fn try_broadcast_tagged(
-        &self,
-        buf: &mut [f32],
-        root: usize,
-        class: TrafficClass,
-    ) -> Result<(), CollectiveError> {
-        self.broadcast_tagged(buf, root, class);
-        Ok(())
     }
 
     /// Block until every rank reaches the barrier.

@@ -382,21 +382,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         self.inner.size()
     }
 
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
-        self.try_allreduce_tagged(buf, op, class)
-            .unwrap_or_else(|e| panic!("unhandled injected fault: {e}"));
-    }
-
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
-        self.try_allgather_tagged(payload, class)
-            .unwrap_or_else(|e| panic!("unhandled injected fault: {e}"))
-    }
-
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        self.try_broadcast_tagged(buf, root, class)
-            .unwrap_or_else(|e| panic!("unhandled injected fault: {e}"));
-    }
-
     fn try_allreduce_tagged(
         &self,
         buf: &mut [f32],

@@ -29,36 +29,17 @@ pub const MIN_FUSION_BYTES: usize = 4 << 10;
 /// must stay under the wire frame ceiling with room to spare.
 pub const MAX_FUSION_BYTES: usize = 512 << 20;
 
-/// Resolve the effective flush threshold: the `KFAC_FUSION_MB` env
-/// override wins, then the caller's configured value (e.g. from
-/// `TrainConfig`), then [`DEFAULT_FUSION_BYTES`] — clamped to
-/// `[MIN_FUSION_BYTES, MAX_FUSION_BYTES]` either way, so no setting can
+/// The effective flush threshold: the caller's configured value (e.g.
+/// `TrainConfig::fusion_threshold_bytes`), else [`DEFAULT_FUSION_BYTES`],
+/// clamped to `[MIN_FUSION_BYTES, MAX_FUSION_BYTES]` so no setting can
 /// stall flushing or overflow a single wire frame. A tensor larger than
 /// the threshold still goes out in one message: `push` flushes the whole
 /// pending queue, oversized tail included, as soon as the threshold is
 /// crossed.
-///
-/// # Panics
-/// Panics with a clear message if `KFAC_FUSION_MB` is set but not an
-/// integer MiB count. Fallible callers use [`try_resolve_threshold`].
 pub fn resolve_threshold(configured: Option<usize>) -> usize {
-    try_resolve_threshold(configured).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`resolve_threshold`] returning a typed error instead of panicking on
-/// an unparseable `KFAC_FUSION_MB`.
-pub fn try_resolve_threshold(configured: Option<usize>) -> Result<usize, String> {
-    let env =
-        match std::env::var("KFAC_FUSION_MB") {
-            Ok(s) => Some(s.parse::<usize>().map(|mb| mb << 20).map_err(|_| {
-                format!("KFAC_FUSION_MB={s:?} invalid; expected an integer MiB count")
-            })?),
-            Err(_) => None,
-        };
-    Ok(env
-        .or(configured)
+    configured
         .unwrap_or(DEFAULT_FUSION_BYTES)
-        .clamp(MIN_FUSION_BYTES, MAX_FUSION_BYTES))
+        .clamp(MIN_FUSION_BYTES, MAX_FUSION_BYTES)
 }
 
 /// One queued tensor awaiting fusion.
@@ -116,10 +97,9 @@ impl FusionBuffer {
     }
 
     /// Buffer with the threshold resolved by [`resolve_threshold`]:
-    /// `KFAC_FUSION_MB` env override, then `configured`, then the
-    /// Horovod default — clamped either way. This is the constructor the
-    /// training stack uses; [`FusionBuffer::new`] keeps the raw threshold
-    /// for tests that pin exact flush points.
+    /// `configured`, else the Horovod default — clamped either way. This
+    /// is the constructor the training stack uses; [`FusionBuffer::new`]
+    /// keeps the raw threshold for tests that pin exact flush points.
     pub fn with_configured(configured: Option<usize>, op: ReduceOp, class: TrafficClass) -> Self {
         FusionBuffer::new(resolve_threshold(configured), op, class)
     }
@@ -395,8 +375,6 @@ mod tests {
 
     #[test]
     fn resolve_threshold_clamps_and_defaults() {
-        // Note: env-free process assumption — CI never sets KFAC_FUSION_MB
-        // for unit tests.
         assert_eq!(resolve_threshold(None), DEFAULT_FUSION_BYTES);
         assert_eq!(resolve_threshold(Some(0)), MIN_FUSION_BYTES);
         assert_eq!(resolve_threshold(Some(usize::MAX)), MAX_FUSION_BYTES);

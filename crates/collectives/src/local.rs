@@ -5,6 +5,7 @@
 //! is the identity.
 
 use crate::communicator::{finalize, Communicator, ReduceOp};
+use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass, TrafficCounter};
 use kfac_telemetry::Span;
 use std::sync::Arc;
@@ -38,30 +39,50 @@ impl Communicator for LocalComm {
         1
     }
 
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
+    fn try_allreduce_tagged(
+        &self,
+        buf: &mut [f32],
+        op: ReduceOp,
+        class: TrafficClass,
+    ) -> Result<(), CollectiveError> {
         let _span = Span::enter("comm/allreduce")
             .with("class", class.name())
             .with("bytes", (buf.len() * 4) as u64);
         self.traffic.record(class, (buf.len() * 4) as u64);
         // Average over one rank is the identity; Sum/Max likewise.
         finalize(buf, op, 1);
+        Ok(())
     }
 
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
+    fn try_allgather_tagged(
+        &self,
+        payload: &[f32],
+        class: TrafficClass,
+    ) -> Result<Vec<Vec<f32>>, CollectiveError> {
         let _span = Span::enter("comm/allgather")
             .with("class", class.name())
             .with("bytes", (payload.len() * 4) as u64);
         self.traffic.record(class, (payload.len() * 4) as u64);
-        vec![payload.to_vec()]
+        Ok(vec![payload.to_vec()])
     }
 
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        assert_eq!(root, 0, "broadcast root out of range for size-1 group");
+    fn try_broadcast_tagged(
+        &self,
+        buf: &mut [f32],
+        root: usize,
+        class: TrafficClass,
+    ) -> Result<(), CollectiveError> {
+        if root != 0 {
+            return Err(CollectiveError::Mismatch(
+                "broadcast root out of range for size-1 group",
+            ));
+        }
         let _span = Span::enter("comm/broadcast")
             .with("class", class.name())
             .with("bytes", (buf.len() * 4) as u64)
             .with("root", root);
         self.traffic.record(class, (buf.len() * 4) as u64);
+        Ok(())
     }
 
     fn barrier(&self) {}

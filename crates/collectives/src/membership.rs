@@ -393,14 +393,16 @@ pub trait Elastic: Communicator {
     fn epoch(&self) -> u64;
 }
 
-/// A full [`Communicator`] over the survivors of one or more shrinks:
-/// the algorithm layer running on an epoch-fenced [`ViewTransport`].
+/// A full [`Communicator`] over one membership view of a base transport:
+/// the algorithm layer running on an epoch-fenced [`ViewTransport`]. The
+/// survivors of a shrink run on one, and so does the proc fabric's boot
+/// group ([`crate::ProcComm`], the identity view at epoch 0).
 pub struct ShrunkComm<T: Membership> {
     inner: AlgoComm<ViewTransport<T>>,
 }
 
 impl<T: Membership + 'static> ShrunkComm<T> {
-    /// Build the survivor communicator for `view` over `base`.
+    /// Build the communicator for `view` over `base`.
     pub fn new(base: Arc<T>, view: GroupView, policy: AlgoPolicy) -> Self {
         ShrunkComm {
             inner: AlgoComm::new(ViewTransport::new(base, view), policy),
@@ -416,6 +418,13 @@ impl<T: Membership + 'static> ShrunkComm<T> {
     pub fn policy(&self) -> AlgoPolicy {
         self.inner.policy()
     }
+
+    /// Inject a failure observation (original rank id) into the base
+    /// transport — what chaos tests call; real failures on the proc
+    /// fabric are detected by its reader/heartbeat threads.
+    pub fn mark_dead(&self, original: usize) {
+        self.inner.transport().base().mark_dead(original);
+    }
 }
 
 impl<T: Membership + 'static> Communicator for ShrunkComm<T> {
@@ -425,18 +434,6 @@ impl<T: Membership + 'static> Communicator for ShrunkComm<T> {
 
     fn size(&self) -> usize {
         self.inner.size()
-    }
-
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
-        self.inner.allreduce_tagged(buf, op, class);
-    }
-
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
-        self.inner.allgather_tagged(payload, class)
-    }
-
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        self.inner.broadcast_tagged(buf, root, class);
     }
 
     fn try_allreduce_tagged(

@@ -6,7 +6,7 @@
 //! deadline-bounded end to end:
 //!
 //! 1. Every rank binds a *mesh listener* on an ephemeral localhost port.
-//! 2. Non-root ranks connect to the root address (`KFAC_PROC_ROOT`) and
+//! 2. Non-root ranks connect to the root address ([`ProcConfig::root`]) and
 //!    send a `HELLO` frame: `[rank: u64 LE][mesh addr, utf-8]`. Connects
 //!    retry with a short sleep until the rendezvous deadline, because rank
 //!    0 may not have bound its listener yet.
@@ -53,53 +53,6 @@ pub struct ProcConfig {
 impl ProcConfig {
     /// Default per-op / bootstrap deadline.
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
-
-    /// Read the `KFAC_PROC_*` environment: `Ok(None)` when
-    /// `KFAC_PROC_RANK` is unset (not a proc worker), `Err` with a
-    /// human-readable message on a malformed configuration.
-    pub fn from_env() -> Result<Option<ProcConfig>, String> {
-        let Ok(rank_s) = std::env::var("KFAC_PROC_RANK") else {
-            return Ok(None);
-        };
-        let rank: usize = rank_s
-            .parse()
-            .map_err(|_| format!("KFAC_PROC_RANK={rank_s:?} is not a rank index"))?;
-        let world_s = std::env::var("KFAC_PROC_WORLD")
-            .map_err(|_| "KFAC_PROC_RANK is set but KFAC_PROC_WORLD is missing".to_string())?;
-        let world: usize = world_s
-            .parse()
-            .map_err(|_| format!("KFAC_PROC_WORLD={world_s:?} is not a group size"))?;
-        if world == 0 || rank >= world {
-            return Err(format!(
-                "KFAC_PROC_RANK={rank} out of range for KFAC_PROC_WORLD={world}"
-            ));
-        }
-        let root = std::env::var("KFAC_PROC_ROOT")
-            .map_err(|_| "KFAC_PROC_RANK is set but KFAC_PROC_ROOT is missing".to_string())?;
-        let timeout =
-            match std::env::var("KFAC_PROC_TIMEOUT_MS") {
-                Ok(ms) => Duration::from_millis(ms.parse().map_err(|_| {
-                    format!("KFAC_PROC_TIMEOUT_MS={ms:?} is not a millisecond count")
-                })?),
-                Err(_) => Self::DEFAULT_TIMEOUT,
-            };
-        Ok(Some(ProcConfig {
-            rank,
-            world,
-            root,
-            timeout,
-        }))
-    }
-
-    /// The environment a launcher must set for worker `rank` of a `world`
-    /// group rendezvousing at `root`.
-    pub fn env_for_rank(rank: usize, world: usize, root: &str) -> Vec<(String, String)> {
-        vec![
-            ("KFAC_PROC_RANK".to_string(), rank.to_string()),
-            ("KFAC_PROC_WORLD".to_string(), world.to_string()),
-            ("KFAC_PROC_ROOT".to_string(), root.to_string()),
-        ]
-    }
 }
 
 fn io_timeout(deadline: Instant, start: Instant) -> CollectiveError {

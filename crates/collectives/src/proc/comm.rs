@@ -2,14 +2,9 @@
 
 use super::bootstrap::{establish, ProcConfig};
 use super::wire::{bytes_to_f32s, f32s_to_bytes, read_frame, write_frame};
-use crate::algo::{AlgoComm, AlgoPolicy};
-use crate::communicator::{Communicator, ReduceOp};
+use crate::algo::AlgoPolicy;
 use crate::error::CollectiveError;
-use crate::membership::{
-    agree_on_survivors, Elastic, GroupView, Membership, ShrunkComm, ViewTransport,
-    AGREEMENT_DEADLINE,
-};
-use crate::traffic::{Traffic, TrafficClass};
+use crate::membership::{GroupView, Membership, ShrunkComm};
 use crate::transport::{tag_epoch, Transport, CTRL_BIT, TAG_HEARTBEAT};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -46,26 +41,6 @@ impl Default for HeartbeatConfig {
 }
 
 impl HeartbeatConfig {
-    /// Read `KFAC_HEARTBEAT_MS` (period; `0` disables) and
-    /// `KFAC_HEARTBEAT_TIMEOUT_MS` (silence threshold), returning a
-    /// typed error on garbage instead of panicking.
-    pub fn try_from_env() -> Result<HeartbeatConfig, String> {
-        let mut cfg = HeartbeatConfig::default();
-        if let Ok(v) = std::env::var("KFAC_HEARTBEAT_MS") {
-            let ms: u64 = v
-                .parse()
-                .map_err(|_| format!("KFAC_HEARTBEAT_MS={v:?} invalid; expected milliseconds"))?;
-            cfg.interval = Duration::from_millis(ms);
-        }
-        if let Ok(v) = std::env::var("KFAC_HEARTBEAT_TIMEOUT_MS") {
-            let ms: u64 = v.parse().map_err(|_| {
-                format!("KFAC_HEARTBEAT_TIMEOUT_MS={v:?} invalid; expected milliseconds")
-            })?;
-            cfg.timeout = Duration::from_millis(ms);
-        }
-        Ok(cfg)
-    }
-
     fn enabled(&self) -> bool {
         self.interval > Duration::ZERO
     }
@@ -416,67 +391,37 @@ impl Drop for ProcTransport {
 
 /// Multi-process communicator over localhost TCP.
 ///
-/// Implements the full [`Communicator`] contract — infallible and
-/// fallible collectives, typed [`CollectiveError`]s, barrier, traffic
-/// accounting — by running the [`crate::algo`] algorithm layer over a
-/// [`ProcTransport`] mesh, wrapped in an epoch-fenced
-/// [`ViewTransport`]. At boot the view is the identity (epoch 0, members
+/// Implements the full [`Communicator`](crate::Communicator) contract —
+/// fallible and infallible collectives, typed [`CollectiveError`]s,
+/// barrier, traffic accounting — by running the [`crate::algo`] algorithm
+/// layer over a [`ProcTransport`] mesh, wrapped in an epoch-fenced
+/// [`ViewTransport`](crate::ViewTransport): the boot group *is* a
+/// [`ShrunkComm`] whose view is the identity (epoch 0, members
 /// `0..world`), which stamps every tag with epoch 0 — bitwise identical
 /// on the wire to the pre-membership protocol — so a `ProcComm` allreduce
 /// stays bitwise identical to a [`crate::ThreadComm`] allreduce of the
 /// same inputs, and [`crate::FaultyCommunicator`] / [`crate::RetryPolicy`]
-/// wrap it unchanged. After a rank dies, [`Elastic::shrink`] agrees on
-/// the survivors and returns a new `ProcComm` fenced to the next epoch.
-pub struct ProcComm {
-    inner: AlgoComm<ViewTransport<ProcTransport>>,
-}
+/// wrap it unchanged. After a rank dies,
+/// [`Elastic::shrink`](crate::Elastic::shrink) agrees on the survivors and
+/// returns a new `ProcComm` fenced to the next epoch.
+pub type ProcComm = ShrunkComm<ProcTransport>;
 
-impl ProcComm {
-    /// Join (or, for rank 0, host) the group described by `cfg`, with the
-    /// algorithm policy and heartbeat tuning taken from the environment.
-    pub fn connect(cfg: &ProcConfig) -> Result<ProcComm, CollectiveError> {
-        Self::connect_with(cfg, AlgoPolicy::from_env(), None)
-    }
-
-    /// [`ProcComm::connect`] with an explicit policy and optionally a
-    /// pre-bound root listener for rank 0 (in-process launches).
-    pub fn connect_with(
-        cfg: &ProcConfig,
-        policy: AlgoPolicy,
-        pre_bound_root: Option<TcpListener>,
-    ) -> Result<ProcComm, CollectiveError> {
-        let hb = HeartbeatConfig::try_from_env()
-            .map_err(|_| CollectiveError::Mismatch("invalid KFAC_HEARTBEAT_* environment"))?;
-        Self::connect_full(cfg, policy, hb, pre_bound_root)
-    }
-
-    /// Fully-explicit constructor: policy, heartbeat tuning, listener.
-    pub fn connect_full(
+impl ShrunkComm<ProcTransport> {
+    /// Join (or, for rank 0, host) the group described by `cfg` with an
+    /// explicit algorithm policy and heartbeat tuning; `pre_bound_root`
+    /// hands rank 0 an already-bound root listener (in-process launches).
+    pub fn connect(
         cfg: &ProcConfig,
         policy: AlgoPolicy,
         hb: HeartbeatConfig,
         pre_bound_root: Option<TcpListener>,
     ) -> Result<ProcComm, CollectiveError> {
         let transport = Arc::new(ProcTransport::establish(cfg, hb, pre_bound_root)?);
-        let view = GroupView::boot(cfg.rank, cfg.world);
-        Ok(ProcComm {
-            inner: AlgoComm::new(ViewTransport::new(transport, view), policy),
-        })
-    }
-
-    /// Join the group described by the `KFAC_PROC_*` environment.
-    /// `Ok(None)` when the environment does not describe a proc worker.
-    pub fn from_env() -> Result<Option<ProcComm>, String> {
-        match ProcConfig::from_env()? {
-            None => Ok(None),
-            Some(cfg) => {
-                let policy = AlgoPolicy::try_from_env()?;
-                let hb = HeartbeatConfig::try_from_env()?;
-                ProcComm::connect_full(&cfg, policy, hb, None)
-                    .map(Some)
-                    .map_err(|e| format!("proc rendezvous failed for rank {}: {e}", cfg.rank))
-            }
-        }
+        Ok(ShrunkComm::new(
+            transport,
+            GroupView::boot(cfg.rank, cfg.world),
+            policy,
+        ))
     }
 
     /// In-process group of `world` connected `ProcComm`s: real TCP
@@ -517,7 +462,7 @@ impl ProcComm {
                 std::thread::Builder::new()
                     .name(format!("kfac-proc-boot-{rank}"))
                     .spawn(move || {
-                        ProcComm::connect_full(&cfg, policy, HeartbeatConfig::default(), listener)
+                        ProcComm::connect(&cfg, policy, HeartbeatConfig::default(), listener)
                     })
                     .expect("spawn bootstrap thread")
             })
@@ -528,106 +473,4 @@ impl ProcComm {
         }
         Ok(comms)
     }
-
-    /// The active algorithm policy.
-    pub fn policy(&self) -> AlgoPolicy {
-        self.inner.policy()
-    }
-
-    /// The membership view this communicator runs in.
-    pub fn view(&self) -> &GroupView {
-        self.inner.transport().view()
-    }
-
-    /// Inject a failure observation (original rank id) — the proc
-    /// equivalent of [`crate::ThreadComm::mark_dead`], used by chaos
-    /// tests; real failures are detected by the reader/heartbeat threads.
-    pub fn mark_dead(&self, original: usize) {
-        self.inner.transport().base().mark_dead(original);
-    }
 }
-
-impl Communicator for ProcComm {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
-        self.inner.allreduce_tagged(buf, op, class);
-    }
-
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
-        self.inner.allgather_tagged(payload, class)
-    }
-
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        self.inner.broadcast_tagged(buf, root, class);
-    }
-
-    fn try_allreduce_tagged(
-        &self,
-        buf: &mut [f32],
-        op: ReduceOp,
-        class: TrafficClass,
-    ) -> Result<(), CollectiveError> {
-        self.inner.try_allreduce_tagged(buf, op, class)
-    }
-
-    fn try_allgather_tagged(
-        &self,
-        payload: &[f32],
-        class: TrafficClass,
-    ) -> Result<Vec<Vec<f32>>, CollectiveError> {
-        self.inner.try_allgather_tagged(payload, class)
-    }
-
-    fn try_broadcast_tagged(
-        &self,
-        buf: &mut [f32],
-        root: usize,
-        class: TrafficClass,
-    ) -> Result<(), CollectiveError> {
-        self.inner.try_broadcast_tagged(buf, root, class)
-    }
-
-    fn barrier(&self) {
-        self.inner.barrier();
-    }
-
-    fn traffic(&self) -> Traffic {
-        self.inner.traffic()
-    }
-}
-
-impl Elastic for ProcComm {
-    type Shrunk = ProcComm;
-
-    fn shrink(&self, dead_hint: &[usize]) -> Result<ProcComm, CollectiveError> {
-        let vt = self.inner.transport();
-        let view = vt.view();
-        let hint: Vec<usize> = dead_hint
-            .iter()
-            .filter(|&&r| r < view.world())
-            .map(|&r| view.to_original(r))
-            .collect();
-        let next = agree_on_survivors(vt.base().as_ref(), view, &hint, AGREEMENT_DEADLINE)?;
-        Ok(ProcComm {
-            inner: AlgoComm::new(
-                ViewTransport::new(Arc::clone(vt.base()), next),
-                self.inner.policy(),
-            ),
-        })
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view().epoch
-    }
-}
-
-/// The communicator type [`Elastic::shrink`] would produce for a
-/// thread-fabric base — exported here for symmetry in user code.
-pub type ShrunkProcComm = ShrunkComm<ProcTransport>;

@@ -10,8 +10,8 @@
 //!
 //! * [`wire`] — length-prefixed frames: `[len u32][tag u64][payload]`,
 //!   `f32` payloads in little-endian.
-//! * [`bootstrap`] — broker rendezvous keyed by `KFAC_PROC_*` env
-//!   (`RANK`, `WORLD`, `ROOT`, `TIMEOUT_MS`) and pairwise mesh dialing,
+//! * [`bootstrap`] — broker rendezvous described by a [`ProcConfig`]
+//!   (rank, world, root address, deadline) and pairwise mesh dialing,
 //!   deadline-bounded with typed errors.
 //! * [`ProcTransport`] — per-peer persistent connections, one reader
 //!   thread per peer draining into tag-keyed mailboxes (sends never
@@ -22,9 +22,10 @@
 //!   to [`crate::ThreadComm`]; wraps cleanly in
 //!   [`crate::FaultyCommunicator`] and [`crate::RetryPolicy`].
 //!
-//! Launching: a parent picks a rendezvous port, spawns N workers with
-//! [`ProcConfig::env_for_rank`], and each worker calls
-//! [`ProcComm::from_env`] (the `xp` binary does this automatically — see
+//! Launching: a parent picks a rendezvous port and spawns N workers, each
+//! of which builds its [`ProcConfig`] and calls [`ProcComm::connect`] (the
+//! `xp` binary does both, passing the rendezvous through the
+//! `KFAC_PROC_*` variables `kfac_harness::runtime` resolves — see
 //! `kfac-harness::procrun`). Tests use [`ProcComm::create_local`], which
 //! drives the identical TCP stack from threads of one process.
 

@@ -495,8 +495,9 @@ impl Elastic for ThreadComm {
         let base = Arc::new(self.clone_handle());
         let view = GroupView::boot(self.rank, self.shared.size);
         let next = agree_on_survivors(base.as_ref(), &view, dead_hint, AGREEMENT_DEADLINE)?;
-        let policy = AlgoPolicy::try_from_env().unwrap_or_default();
-        Ok(ShrunkComm::new(base, next, policy))
+        // The mailbox mesh has no latency/bandwidth trade-off for the
+        // policy to tune, and every algorithm reduces in the same order.
+        Ok(ShrunkComm::new(base, next, AlgoPolicy::default()))
     }
 
     fn epoch(&self) -> u64 {
@@ -511,21 +512,6 @@ impl Communicator for ThreadComm {
 
     fn size(&self) -> usize {
         self.shared.size
-    }
-
-    fn allreduce_tagged(&self, buf: &mut [f32], op: ReduceOp, class: TrafficClass) {
-        self.try_allreduce_tagged(buf, op, class)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn allgather_tagged(&self, payload: &[f32], class: TrafficClass) -> Vec<Vec<f32>> {
-        self.try_allgather_tagged(payload, class)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn broadcast_tagged(&self, buf: &mut [f32], root: usize, class: TrafficClass) {
-        self.try_broadcast_tagged(buf, root, class)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn try_allreduce_tagged(

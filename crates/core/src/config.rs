@@ -39,7 +39,7 @@ pub enum EigenSolver {
 }
 
 impl EigenSolver {
-    /// Stable name used in telemetry tags and env configuration.
+    /// Stable name used in telemetry tags and accepted by [`EigenSolver::parse`].
     pub fn name(self) -> &'static str {
         match self {
             EigenSolver::Jacobi => "jacobi",
@@ -59,47 +59,7 @@ impl EigenSolver {
             _ => None,
         }
     }
-
-    /// The `KFAC_EIG_BACKEND` env override, if set, as a typed result:
-    /// `Ok(None)` when unset, `Err` with a clear message on an
-    /// unparseable value — a typo in an env knob must not silently select
-    /// a default, but it is the *caller's* decision whether to abort
-    /// (binary startup) or surface the error (library/recovery paths),
-    /// so the error is typed rather than a panic.
-    pub fn from_env() -> Result<Option<EigenSolver>, ConfigError> {
-        Self::from_env_spec(std::env::var("KFAC_EIG_BACKEND").ok().as_deref())
-    }
-
-    /// Pure parse of the `KFAC_EIG_BACKEND` override (testable without
-    /// touching the process environment).
-    pub fn from_env_spec(value: Option<&str>) -> Result<Option<EigenSolver>, ConfigError> {
-        match value {
-            None => Ok(None),
-            Some(s) => EigenSolver::parse(s).map(Some).ok_or_else(|| ConfigError {
-                knob: "KFAC_EIG_BACKEND",
-                message: format!("{s:?} invalid; expected jacobi|tridiag|randomized"),
-            }),
-        }
-    }
 }
-
-/// A malformed configuration knob (env override or programmatic value),
-/// carrying which knob failed and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The knob that failed to parse (e.g. `"KFAC_EIG_BACKEND"`).
-    pub knob: &'static str,
-    /// Human-readable description of the rejected value.
-    pub message: String,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={}", self.knob, self.message)
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// Adaptive-rank policy for the [`EigenSolver::Randomized`] backend.
 ///

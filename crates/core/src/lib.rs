@@ -61,7 +61,10 @@
 //! * [`preconditioner`] — [`Kfac`]: Algorithm 1 end-to-end over a
 //!   [`Communicator`](kfac_collectives::Communicator).
 //! * [`stats`] — per-stage timing (Table V / Fig. 10 instrumentation).
+//! * [`codec`] — the byte codec of the state blobs ([`Kfac::save_state`],
+//!   the harness checkpoint).
 
+pub mod codec;
 pub mod config;
 pub mod distribution;
 pub mod math;
@@ -70,8 +73,7 @@ pub mod preconditioner;
 pub mod stats;
 
 pub use config::{
-    ConfigError, DistStrategy, EigenSolver, InversionMethod, KfacConfig, PlacementPolicy,
-    RandEigPolicy,
+    DistStrategy, EigenSolver, InversionMethod, KfacConfig, PlacementPolicy, RandEigPolicy,
 };
 pub use distribution::{assign_factors, factor_descs, FactorDesc, FactorKind};
 pub use precision::PrecisionPolicy;

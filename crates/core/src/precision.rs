@@ -3,9 +3,10 @@
 //! The paper trains in mixed precision ("we use … mixed precision
 //! training", §V-B) but is silent on which K-FAC stages tolerate reduced
 //! width. [`PrecisionPolicy`] makes that an explicit, per-stage choice:
-//! each stage of the K-FAC pipeline (activation/gradient capture, factor
-//! Gram accumulation, the running-average EMA, eigendecomposition inputs,
-//! preconditioning inputs, and the two wire payloads) carries its own
+//! each stage of the K-FAC pipeline (activation/gradient capture — which
+//! is what the factor Grams stream —, the running-average EMA,
+//! eigendecomposition inputs, preconditioning inputs, and the two wire
+//! payloads) carries its own
 //! [`Dtype`]. The default is f32 everywhere, which is *bitwise identical*
 //! to the pre-policy behavior — mixed precision is strictly opt-in.
 //!
@@ -13,29 +14,27 @@
 //! Gram accumulations, eigen-spectra and wire payloads keep their dynamic
 //! range and only give up mantissa. It is the one half-width type the
 //! GEMM engine, the captures and the wire share; anything else in a
-//! `KFAC_PRECISION` spec is a typed [`ConfigError`].
+//! `KFAC_PRECISION` spec is rejected by [`PrecisionPolicy::parse`].
 //!
 //! All kernels *accumulate* in f32 (or f64 for the compensated EMA)
 //! regardless of storage dtype — reduced precision here is a storage and
 //! wire format, never an accumulator format.
 
-use crate::config::ConfigError;
 use kfac_tensor::Dtype;
 
 /// Which dtype each K-FAC pipeline stage stores or transmits at.
 ///
 /// Constructed via [`Default`] (f32 everywhere), [`PrecisionPolicy::bf16`]
-/// (the bf16-storage preset), or [`PrecisionPolicy::from_env`]
-/// (`KFAC_PRECISION`).
+/// (the bf16-storage preset), or [`PrecisionPolicy::parse`] (the
+/// `KFAC_PRECISION` spelling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrecisionPolicy {
     /// Storage for captured activations / backprop gradients (for conv
-    /// layers the patch blocks are encoded as they are built). F32 | Bf16.
+    /// layers the patch blocks are encoded as they are built), and so the
+    /// operand width of the factor Grams (`A = aᵀa/N`, `G`) summed from
+    /// them: Bf16 halves the bytes the Gram streams; it accumulates in
+    /// f32 either way. F32 | Bf16.
     pub capture: Dtype,
-    /// Storage feeding the factor Gram kernels (`A = aᵀa/N`, `G`). Bf16
-    /// halves the bytes the Gram streams; it accumulates in f32 either
-    /// way. F32 | Bf16.
-    pub factor_gram: Dtype,
     /// Storage of the running-average factors (Eq. 16–17). Bf16 stores
     /// the EMA rounded to bf16 with an f64 residual compensation term so
     /// the long-run average does not drift. F32 | Bf16.
@@ -55,9 +54,8 @@ pub struct PrecisionPolicy {
 }
 
 /// The stage names — the parse/display table.
-const STAGES: [&str; 7] = [
+const STAGES: [&str; 6] = [
     "capture",
-    "factor_gram",
     "factor_ema",
     "eig",
     "precond",
@@ -72,12 +70,11 @@ impl PrecisionPolicy {
         PrecisionPolicy::default()
     }
 
-    /// The bf16-storage preset: bf16 capture, Gram, EMA storage, eig and
-    /// precond inputs, and bf16 on both wires.
+    /// The bf16-storage preset: bf16 capture (and Gram operands), EMA
+    /// storage, eig and precond inputs, and bf16 on both wires.
     pub fn bf16() -> Self {
         PrecisionPolicy {
             capture: Dtype::Bf16,
-            factor_gram: Dtype::Bf16,
             factor_ema: Dtype::Bf16,
             eig: Dtype::Bf16,
             precond: Dtype::Bf16,
@@ -96,7 +93,6 @@ impl PrecisionPolicy {
     fn get(&self, field: &str) -> Option<Dtype> {
         Some(match field {
             "capture" => self.capture,
-            "factor_gram" => self.factor_gram,
             "factor_ema" => self.factor_ema,
             "eig" => self.eig,
             "precond" => self.precond,
@@ -109,7 +105,6 @@ impl PrecisionPolicy {
     fn set(&mut self, field: &str, dtype: Dtype) -> bool {
         match field {
             "capture" => self.capture = dtype,
-            "factor_gram" => self.factor_gram = dtype,
             "factor_ema" => self.factor_ema = dtype,
             "eig" => self.eig = dtype,
             "precond" => self.precond = dtype,
@@ -124,12 +119,8 @@ impl PrecisionPolicy {
     /// followed by comma-separated `stage=dtype` overrides, e.g.
     /// `"bf16"`, `"capture=bf16,grad_wire=bf16"`, or
     /// `"bf16,factor_wire=f32"`. Overrides apply left to right on top of
-    /// the preset (default preset: f32).
-    pub fn parse(spec: &str) -> Result<PrecisionPolicy, ConfigError> {
-        let err = |message: String| ConfigError {
-            knob: "KFAC_PRECISION",
-            message,
-        };
+    /// the preset (default preset: f32). `Err` says what was expected.
+    pub fn parse(spec: &str) -> Result<PrecisionPolicy, String> {
         let mut policy = PrecisionPolicy::default();
         for (i, part) in spec.split(',').enumerate() {
             let part = part.trim();
@@ -139,49 +130,38 @@ impl PrecisionPolicy {
             match part.split_once('=') {
                 None => {
                     if i != 0 {
-                        return Err(err(format!(
+                        return Err(format!(
                             "preset {part:?} must come first; overrides use stage=dtype"
-                        )));
+                        ));
                     }
                     policy = match part.to_ascii_lowercase().as_str() {
                         "f32" | "fp32" => PrecisionPolicy::f32(),
                         "bf16" | "bfloat16" => PrecisionPolicy::bf16(),
-                        _ => {
-                            return Err(err(format!("unknown preset {part:?}; expected f32|bf16")))
-                        }
+                        _ => return Err(format!("unknown preset {part:?}; expected f32|bf16")),
                     };
                 }
                 Some((field, value)) => {
                     let field = field.trim().to_ascii_lowercase();
                     let dtype = Dtype::parse(value.trim()).ok_or_else(|| {
-                        err(format!("{value:?} invalid for {field}; expected f32|bf16"))
+                        format!("{value:?} invalid for {field}; expected f32|bf16")
                     })?;
+                    if field == "factor_gram" {
+                        return Err(
+                            "stage \"factor_gram\" was folded into \"capture\" (the Grams \
+                             stream the captures); set capture instead"
+                                .into(),
+                        );
+                    }
                     if !policy.set(&field, dtype) {
-                        return Err(err(format!(
+                        return Err(format!(
                             "unknown stage {field:?}; expected one of {}",
                             STAGES.join("|")
-                        )));
+                        ));
                     }
                 }
             }
         }
         Ok(policy)
-    }
-
-    /// The `KFAC_PRECISION` env override, if set. `Ok(None)` when unset;
-    /// typed error (not a panic) on a malformed value, mirroring
-    /// [`crate::config::EigenSolver::from_env`].
-    pub fn from_env() -> Result<Option<PrecisionPolicy>, ConfigError> {
-        Self::from_env_spec(std::env::var("KFAC_PRECISION").ok().as_deref())
-    }
-
-    /// Pure parse of the `KFAC_PRECISION` override (testable without
-    /// touching the process environment).
-    pub fn from_env_spec(value: Option<&str>) -> Result<Option<PrecisionPolicy>, ConfigError> {
-        match value {
-            None => Ok(None),
-            Some(s) => PrecisionPolicy::parse(s).map(Some),
-        }
     }
 
     /// Canonical `stage=dtype,...` spelling (stable telemetry label; the
@@ -236,7 +216,7 @@ mod tests {
         let p = PrecisionPolicy::parse("capture=bf16,grad_wire=bf16").unwrap();
         assert_eq!(p.capture, Dtype::Bf16);
         assert_eq!(p.grad_wire, Dtype::Bf16);
-        assert_eq!(p.factor_gram, Dtype::F32, "untouched stages stay f32");
+        assert_eq!(p.factor_ema, Dtype::F32, "untouched stages stay f32");
         // Preset then override: everything bf16 except the factor wire.
         let p = PrecisionPolicy::parse("bf16,factor_wire=f32").unwrap();
         assert_eq!(p.factor_wire, Dtype::F32);
@@ -257,13 +237,18 @@ mod tests {
             "grad_wire=f16",
         ] {
             let e = PrecisionPolicy::parse(bad).unwrap_err();
-            assert_eq!(e.knob, "KFAC_PRECISION", "{bad}");
+            assert!(
+                e.contains("expected") || e.contains("must come first"),
+                "{bad}: {e}"
+            );
         }
+        // The stage that was folded away names its survivor.
+        let e = PrecisionPolicy::parse("factor_gram=bf16").unwrap_err();
+        assert!(e.contains("capture"), "{e}");
     }
 
     #[test]
-    fn env_spec_round_trips_through_display() {
-        assert_eq!(PrecisionPolicy::from_env_spec(None).unwrap(), None);
+    fn spec_round_trips_through_display() {
         let p = PrecisionPolicy::parse("bf16,grad_wire=f32").unwrap();
         let reparsed = PrecisionPolicy::parse(&p.spec_string()).unwrap();
         assert_eq!(p, reparsed);

@@ -44,6 +44,7 @@
 //! round-trip the full optimizer state for checkpoint-based rank-loss
 //! recovery.
 
+use crate::codec::{put_f32s, put_u64, Reader};
 use crate::config::{DistStrategy, EigenSolver, InversionMethod, KfacConfig};
 use crate::distribution::{assign_factors, assign_layers_lw, factor_descs, FactorDesc};
 use crate::math::{
@@ -1074,14 +1075,6 @@ impl Kfac {
     /// instance reproduces continued training bitwise, which is what
     /// checkpoint-based rank-loss recovery requires.
     pub fn save_state(&self) -> Vec<u8> {
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-            for v in vs {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
         let mut out = Vec::new();
         out.extend_from_slice(b"KFAC");
         put_u64(&mut out, 1); // format version
@@ -1130,34 +1123,7 @@ impl Kfac {
     /// mismatched bytes, leaving `self` unspecified only in the
     /// already-consumed scalar fields.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        struct Reader<'a>(&'a [u8]);
-        impl Reader<'_> {
-            fn take(&mut self, n: usize) -> Result<&[u8], String> {
-                if self.0.len() < n {
-                    return Err("kfac state truncated".into());
-                }
-                let (head, tail) = self.0.split_at(n);
-                self.0 = tail;
-                Ok(head)
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn f32(&mut self) -> Result<f32, String> {
-                Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn f32s(&mut self, n: usize) -> Result<Vec<f32>, String> {
-                let raw = self.take(4 * n)?;
-                Ok(raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                    .collect())
-            }
-            fn u8(&mut self) -> Result<u8, String> {
-                Ok(self.take(1)?[0])
-            }
-        }
-        let mut r = Reader(bytes);
+        let mut r = Reader::new(bytes, "kfac state");
         if r.take(4)? != b"KFAC" {
             return Err("not a kfac state blob".into());
         }
@@ -1166,7 +1132,7 @@ impl Kfac {
         }
         self.iteration = r.u64()?;
         self.epoch = r.u64()? as usize;
-        self.damping = r.f32()?;
+        self.damping = r.f32s(1)?[0];
         self.update_freq = r.u64()? as usize;
         self.factor_updates = r.u64()?;
         self.eig_updates = r.u64()?;
@@ -1200,7 +1166,7 @@ impl Kfac {
                 t => return Err(format!("bad second-order tag {t}")),
             };
         }
-        if !r.0.is_empty() {
+        if !r.is_empty() {
             return Err("trailing bytes in kfac state".into());
         }
         // Probe state is not serialized (the version-1 format predates

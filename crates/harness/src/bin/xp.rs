@@ -29,10 +29,9 @@
 //! seconds so long runs stay observable without a scraper.
 
 use kfac_harness::experiments::{self, ALL_EXPERIMENTS};
-use kfac_harness::overlap::set_default_exec;
 use kfac_harness::presets::Scale;
 use kfac_harness::report::append_to_file;
-use kfac_harness::ExecStrategy;
+use kfac_harness::{runtime, ExecStrategy, RuntimeConfig};
 use kfac_telemetry::{export, MetricsServer, Registry, Watchdog, WatchdogConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,12 +44,28 @@ const DEFAULT_METRICS_PORT: u16 = 9184;
 /// Seconds between live stage-table refreshes while serving metrics.
 const STAGE_TABLE_REFRESH_S: u64 = 10;
 
+/// Install the resolved config for the rest of the process and say what
+/// it is (in a worker world, rank 0 speaks for the group).
+fn start(config: RuntimeConfig) {
+    if config.worker.as_ref().is_none_or(|w| w.rank == 0) {
+        eprintln!("config: {config}");
+    }
+    runtime::install(config);
+}
+
 fn main() {
+    // The environment is read here, once, before anything else: an
+    // unknown `KFAC_*` name or a malformed value stops the process now.
+    let mut config = RuntimeConfig::from_process_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     // Proc-worker mode: when spawned by `procrun::spawn_world` the
-    // rendezvous env is set, and this process is a rank, not a CLI — it
+    // rendezvous is set, and this process is a rank, not a CLI — it
     // joins the TCP mesh and runs the assigned job (before any flag
     // parsing, so a worker never misreads launcher arguments).
-    if std::env::var("KFAC_PROC_RANK").is_ok() {
+    if config.worker.is_some() {
+        start(config);
         std::process::exit(kfac_harness::procrun::worker_main());
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,20 +81,16 @@ fn main() {
         run_prom_lint(&args[1..]);
         return;
     }
-    if target == "bench-kernels" {
-        run_bench_kernels(&args[1..]);
-        return;
-    }
-    if target == "bench-eig" {
-        run_bench_eig(&args[1..]);
-        return;
-    }
-    if target == "bench-allreduce" {
-        run_bench_allreduce(&args[1..]);
-        return;
-    }
-    if target == "proc-train" {
-        run_proc_train(&args[1..]);
+    let subcommand: Option<fn(&[String])> = match target {
+        "bench-kernels" => Some(run_bench_kernels),
+        "bench-eig" => Some(run_bench_eig),
+        "bench-allreduce" => Some(run_bench_allreduce),
+        "proc-train" => Some(run_proc_train),
+        _ => None,
+    };
+    if let Some(run) = subcommand {
+        start(config);
+        run(&args[1..]);
         return;
     }
 
@@ -130,14 +141,16 @@ fn main() {
                     }
                     _ => 2,
                 };
-                set_default_exec(ExecStrategy::Overlapped {
+                config.exec = ExecStrategy::Overlapped {
                     compute_workers: workers,
-                });
+                };
             }
             other => flag_error(&format!("unknown flag {other}")),
         }
         i += 1;
     }
+
+    start(config);
 
     // One registry for the whole invocation: installing it on the main
     // thread makes it ambient, so every train() the drivers launch (and

@@ -12,45 +12,10 @@
 //! external dependencies; [`restore`] validates structure and sizes and
 //! errors on mismatched models rather than silently corrupting state.
 
+use kfac::codec::{put_f32s, put_u64, Reader};
 use kfac::Kfac;
 use kfac_nn::Layer;
 use kfac_optim::Sgd;
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.0.len() < n {
-            return Err("checkpoint truncated".into());
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, String> {
-        let raw = self.take(4 * n)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
 
 /// Serialize the full training state into a checkpoint blob.
 ///
@@ -109,7 +74,7 @@ pub fn restore(
     optimizer: &mut Sgd,
     kfac: Option<&mut Kfac>,
 ) -> Result<(u64, u64), String> {
-    let mut r = Reader(bytes);
+    let mut r = Reader::new(bytes, "checkpoint");
     if r.take(4)? != b"CKPT" {
         return Err("not a checkpoint blob".into());
     }
@@ -164,7 +129,7 @@ pub fn restore(
         }
         (t, _) => return Err(format!("bad kfac tag {t}")),
     }
-    if !r.0.is_empty() {
+    if !r.is_empty() {
         return Err("trailing bytes in checkpoint".into());
     }
     Ok((iteration, epoch))

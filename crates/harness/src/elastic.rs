@@ -31,7 +31,7 @@ use kfac_optim::Sgd;
 use kfac_telemetry::watchdog::names;
 use kfac_telemetry::{FlightRecorder, Registry, Watchdog, WatchdogConfig};
 use kfac_tensor::Rng64;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread;
 
 const LOCAL_BATCH: usize = 4;
@@ -41,7 +41,7 @@ const LR: f32 = 0.02;
 
 /// One elastic scenario: a `world`-rank run of `iters` iterations that
 /// loses `kill_rank` at the start of iteration `kill_step`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticSpec {
     /// Boot group size.
     pub world: usize,
@@ -66,43 +66,6 @@ impl ElasticSpec {
             kill_rank: 2,
             checkpoint_every: 2,
         }
-    }
-
-    /// Read the scenario from the `KFAC_ELASTIC_*` env (worker side of
-    /// the proc trial), with [`canonical`](Self::canonical) defaults.
-    /// Malformed values are typed errors, not panics.
-    pub fn from_env() -> Result<ElasticSpec, String> {
-        fn knob(name: &str, default: usize) -> Result<usize, String> {
-            match std::env::var(name) {
-                Ok(s) => s
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("{name}={s:?} is not a non-negative integer")),
-                Err(_) => Ok(default),
-            }
-        }
-        let iters = knob("KFAC_ELASTIC_ITERS", 8)?;
-        let mut spec = ElasticSpec::canonical(iters);
-        spec.world = knob("KFAC_ELASTIC_WORLD", spec.world)?;
-        spec.kill_step = knob("KFAC_ELASTIC_KILL_STEP", spec.kill_step)?;
-        spec.kill_rank = knob("KFAC_ELASTIC_KILL_RANK", spec.kill_rank)?;
-        spec.checkpoint_every = knob("KFAC_ELASTIC_CKPT_EVERY", spec.checkpoint_every)?;
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// The env the proc launcher sets so workers reconstruct this spec.
-    pub fn to_env(&self) -> Vec<(String, String)> {
-        vec![
-            ("KFAC_ELASTIC_ITERS".into(), self.iters.to_string()),
-            ("KFAC_ELASTIC_WORLD".into(), self.world.to_string()),
-            ("KFAC_ELASTIC_KILL_STEP".into(), self.kill_step.to_string()),
-            ("KFAC_ELASTIC_KILL_RANK".into(), self.kill_rank.to_string()),
-            (
-                "KFAC_ELASTIC_CKPT_EVERY".into(),
-                self.checkpoint_every.to_string(),
-            ),
-        ]
     }
 
     /// Structural sanity: the kill must land after the first checkpoint
@@ -484,26 +447,18 @@ pub fn elastic_summary_json(world_after: usize, epoch: u64, result: &ResumeResul
 /// Worker half of the proc-fabric trial (`xp` job `train-elastic`):
 /// the victim exits the process cold at the kill step — no goodbye, the
 /// peers' readers see EOF and the failure detector does the rest. Rank
-/// 0 persists the restore blob to `KFAC_ELASTIC_CKPT` (atomic
-/// write-to-temp + rename) so the launcher can drive the reference run,
-/// and prints the summary line.
-pub fn proc_elastic_worker(comm: &ProcComm) -> i32 {
-    let spec = match ElasticSpec::from_env() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+/// 0 persists the restore blob to `ckpt_path` (atomic write-to-temp +
+/// rename) so the launcher can drive the reference run, and prints the
+/// summary line.
+pub fn proc_elastic_worker(comm: &ProcComm, spec: &ElasticSpec, ckpt_path: &Path) -> i32 {
     if comm.size() != spec.world {
         eprintln!(
-            "train-elastic spawned with {} ranks but KFAC_ELASTIC_WORLD={}",
+            "train-elastic spawned with {} ranks but the scenario has world={}",
             comm.size(),
             spec.world
         );
         return 2;
     }
-    let ckpt_path = std::env::var_os("KFAC_ELASTIC_CKPT").map(PathBuf::from);
     let train_ds = demo_data();
     let registry = Registry::new();
     let _telemetry = registry.install(comm.rank());
@@ -512,21 +467,18 @@ pub fn proc_elastic_worker(comm: &ProcComm) -> i32 {
         // Simulate a crash: no Drop, no socket shutdown handshake.
         std::process::exit(0);
     };
-    let ckpt_path = &ckpt_path;
     let shrink = |hint: &[usize]| {
         let shrunk = comm.shrink(hint).expect("membership agreement");
         let epoch = shrunk.epoch();
         (Box::new(shrunk) as Box<dyn Communicator>, epoch)
     };
-    match survivor_loop(comm, &spec, &train_ds, &registry, None, &die, &shrink) {
+    match survivor_loop(comm, spec, &train_ds, &registry, None, &die, &shrink) {
         Some((resumed, blob, epoch)) => {
             if rank == 0 {
                 // Persist the restore blob (atomic write-to-temp +
                 // rename) so the launcher can drive the reference run
                 // against the exact bytes the survivors used.
-                if let Some(path) = ckpt_path {
-                    checkpoint::save_to_file(path, &blob).expect("persist restore blob");
-                }
+                checkpoint::save_to_file(ckpt_path, &blob).expect("persist restore blob");
                 println!("{}", elastic_summary_json(spec.world - 1, epoch, &resumed));
             }
             0
@@ -539,8 +491,10 @@ pub fn proc_elastic_worker(comm: &ProcComm) -> i32 {
 mod tests {
     use super::*;
 
+    /// The structural rules; `runtime`'s `job_specs_are_typed_not_panicking`
+    /// drives the same cases through the `KFAC_PROC_JOB` parser.
     #[test]
-    fn spec_env_parsing_is_typed_not_panicking() {
+    fn spec_validation_is_typed_not_panicking() {
         let base = ElasticSpec::canonical(8);
         assert!(base.validate().is_ok());
         // Rank 0 must survive to report.
@@ -555,17 +509,6 @@ mod tests {
         let mut bad = base;
         bad.kill_step = 8;
         assert!(bad.validate().unwrap_err().contains("budget"));
-        // Env round-trip covers every knob.
-        let keys: Vec<String> = base.to_env().into_iter().map(|(k, _)| k).collect();
-        for knob in [
-            "KFAC_ELASTIC_ITERS",
-            "KFAC_ELASTIC_WORLD",
-            "KFAC_ELASTIC_KILL_STEP",
-            "KFAC_ELASTIC_KILL_RANK",
-            "KFAC_ELASTIC_CKPT_EVERY",
-        ] {
-            assert!(keys.iter().any(|k| k == knob), "missing {knob}");
-        }
     }
 
     #[test]

@@ -54,9 +54,9 @@ fn run_with(
     backend: CommBackend,
 ) -> Arm {
     let mut cfg = base.clone().with_backend(backend);
-    // Set the policy directly (not through `with_kfac`) so a stray
-    // `KFAC_PRECISION` override cannot collapse the two arms of the
-    // comparison into the same policy.
+    // Assigned directly, which pins the policy (`RuntimeConfig`'s
+    // precedence rule): `with_kfac` would substitute an installed
+    // `KFAC_PRECISION` into both arms of the comparison.
     cfg.kfac = Some(KfacConfig {
         update_freq: 4,
         damping: 0.05,

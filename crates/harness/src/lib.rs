@@ -24,6 +24,9 @@
 //!   OS process per rank over the TCP collective fabric
 //!   (`xp proc-train`, `xp bench-allreduce`).
 //! * [`report`] — markdown rendering of results.
+//! * [`runtime`] — [`RuntimeConfig`]: the one reader of the `KFAC_*`
+//!   environment, resolved once at `xp`'s entry and installed
+//!   process-wide; everything else takes values.
 //!
 //! Regenerate any experiment with the `xp` binary:
 //!
@@ -42,9 +45,11 @@ pub mod presets;
 pub mod procrun;
 pub mod report;
 pub mod resilient;
+pub mod runtime;
 pub mod trainer;
 
 pub use overlap::ExecStrategy;
 pub use presets::{CifarSetup, ImagenetSetup, Scale};
 pub use resilient::{FaultTolerance, ResilientTrainer, StepOutcome};
+pub use runtime::RuntimeConfig;
 pub use trainer::{train, train_with_comm, TrainConfig, TrainResult};

@@ -65,37 +65,6 @@ impl ExecStrategy {
     }
 }
 
-/// Process-wide default strategy for new [`TrainConfig`]s, encoded as
-/// `tag | payload << 2` (replay seeds truncate to 62 bits, which the
-/// CLI never exceeds).
-///
-/// [`TrainConfig`]: crate::TrainConfig
-static DEFAULT_EXEC: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Set the process-wide default execution strategy — how `xp --overlap`
-/// routes every training run it drives through the task graph without
-/// threading a flag through each experiment.
-pub fn set_default_exec(exec: ExecStrategy) {
-    let v = match exec {
-        ExecStrategy::Sequential => 0,
-        ExecStrategy::Overlapped { compute_workers } => 1 | ((compute_workers as u64) << 2),
-        ExecStrategy::Replay { seed } => 2 | (seed << 2),
-    };
-    DEFAULT_EXEC.store(v, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide default execution strategy.
-pub fn default_exec() -> ExecStrategy {
-    let v = DEFAULT_EXEC.load(std::sync::atomic::Ordering::SeqCst);
-    match v & 3 {
-        0 => ExecStrategy::Sequential,
-        1 => ExecStrategy::Overlapped {
-            compute_workers: (v >> 2) as usize,
-        },
-        _ => ExecStrategy::Replay { seed: v >> 2 },
-    }
-}
-
 /// Run one training iteration as a task graph. Returns the batch loss.
 ///
 /// Mirrors one body of the sequential loop exactly: zero grads, forward,

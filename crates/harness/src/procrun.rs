@@ -1,10 +1,11 @@
 //! Multi-process run orchestration.
 //!
 //! The `xp` binary is both the launcher and the worker: `spawn_world`
-//! re-executes the current binary once per rank with the
-//! `KFAC_PROC_*` rendezvous env set plus a `KFAC_PROC_JOB` selector, and
-//! `worker_main` (invoked by `xp`'s `main` whenever `KFAC_PROC_RANK` is
-//! present) joins the TCP mesh and dispatches the job. Three jobs exist:
+//! re-executes the current binary once per rank under exactly the
+//! environment [`RuntimeConfig::to_env`] gives for the launcher's resolved
+//! config plus that rank's rendezvous and [`Job`], and `worker_main`
+//! (invoked by `xp`'s `main` whenever the resolved config describes a
+//! worker) joins the TCP mesh and dispatches the job. Three jobs exist:
 //!
 //! * `bench-allreduce` — the allreduce microbenchmark behind
 //!   `xp bench-allreduce`: every rank drives the same op sequence, rank 0
@@ -26,11 +27,12 @@
 //!   training resumes from the latest checkpoint on the smaller world
 //!   (see [`crate::elastic`]).
 
+use crate::runtime::{self, Job, RuntimeConfig, WorkerSpec};
 use crate::trainer::{train_with_comm, TrainConfig, TrainResult};
 use kfac::KfacConfig;
 use kfac_cluster::calibrate::{crossover_bracket, MeasuredPoint};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
-use kfac_collectives::{CommBackend, Communicator, ReduceOp, TrafficClass};
+use kfac_collectives::{CollectiveAlgo, Communicator, ReduceOp, TrafficClass};
 use kfac_data::{synthetic_cifar, SyntheticImages};
 use kfac_nn::{resnet::resnet_cifar, Sequential};
 use kfac_optim::LrSchedule;
@@ -38,13 +40,6 @@ use kfac_tensor::Rng64;
 use std::io;
 use std::process::{Command, Output, Stdio};
 use std::time::Instant;
-
-/// Env var selecting the worker job in spawned ranks.
-pub const JOB_ENV: &str = "KFAC_PROC_JOB";
-/// Comma-separated message sizes in bytes for `bench-allreduce` workers.
-const BENCH_SIZES_ENV: &str = "KFAC_BENCH_BYTES";
-/// Iterations per message size for `bench-allreduce` workers.
-const BENCH_ITERS_ENV: &str = "KFAC_BENCH_ITERS";
 
 /// Default benchmark message sizes: 1 KiB – 8 MiB, spanning both sides
 /// of the latency/bandwidth crossover.
@@ -61,16 +56,18 @@ pub const DEFAULT_BENCH_BYTES: &[usize] = &[
 /// Default timed iterations per (size, algorithm) point.
 pub const DEFAULT_BENCH_ITERS: usize = 5;
 /// The algorithms the benchmark compares (the auto-policy candidates).
-pub const BENCH_ALGOS: &[&str] = &["halving-doubling", "pipelined-ring"];
+pub const BENCH_ALGOS: [CollectiveAlgo; 2] = [
+    CollectiveAlgo::HalvingDoubling,
+    CollectiveAlgo::PipelinedRing,
+];
 
 /// Spawn `world` copies of the current executable as proc ranks running
-/// `job`, wait for all of them, and return their outputs (stdout
-/// captured, stderr inherited) in rank order.
-pub fn spawn_world(
-    world: usize,
-    job: &str,
-    extra_env: &[(String, String)],
-) -> io::Result<Vec<Output>> {
+/// `job` under `config` (the launcher's resolved one, or a variation of
+/// it), wait for all of them, and return what rank 0 printed (stderr is
+/// inherited); a rank that exits unsuccessfully is an error. Each
+/// child's `KFAC_*` environment is exactly `config.to_env()` with that
+/// rank's rendezvous.
+pub fn spawn_world(world: usize, job: &Job, config: &RuntimeConfig) -> io::Result<String> {
     // Pick a free broker port by bind-drop; rank 0 rebinds it. The small
     // race window is acceptable for localhost orchestration — a clash
     // fails the rendezvous loudly within its deadline.
@@ -81,45 +78,62 @@ pub fn spawn_world(
     let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(world);
     for rank in 0..world {
+        let child = RuntimeConfig {
+            worker: Some(WorkerSpec {
+                rank,
+                world,
+                root: root.clone(),
+                job: job.clone(),
+            }),
+            ..config.clone()
+        };
         let mut cmd = Command::new(&exe);
-        for (k, v) in ProcConfig::env_for_rank(rank, world, &root) {
-            cmd.env(k, v);
+        for name in runtime::KNOWN {
+            cmd.env_remove(name);
         }
-        cmd.env(JOB_ENV, job);
-        for (k, v) in extra_env {
-            cmd.env(k, v);
-        }
+        cmd.envs(child.to_env());
         cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
         children.push(cmd.spawn()?);
     }
-    children.into_iter().map(|c| c.wait_with_output()).collect()
+    let outputs: Vec<Output> = children
+        .into_iter()
+        .map(|c| c.wait_with_output())
+        .collect::<io::Result<_>>()?;
+    if let Some(rank) = outputs.iter().position(|out| !out.status.success()) {
+        return Err(io::Error::other(format!(
+            "worker rank {rank} of `{job}` exited with {}",
+            outputs[rank].status
+        )));
+    }
+    Ok(String::from_utf8_lossy(&outputs[0].stdout).into_owned())
 }
 
-/// Worker-side entry: join the mesh described by `KFAC_PROC_*` and run
-/// the job named by [`JOB_ENV`]. Returns the process exit code.
+/// Worker-side entry: join the mesh the installed config's
+/// [`WorkerSpec`] describes and run its job. Returns the process exit
+/// code.
 pub fn worker_main() -> i32 {
-    let comm = match ProcComm::from_env() {
-        Ok(Some(c)) => c,
-        Ok(None) => {
-            eprintln!("worker_main called without KFAC_PROC_RANK set");
-            return 2;
-        }
+    let config = runtime::current();
+    let Some(worker) = &config.worker else {
+        eprintln!("worker_main called in a process that is not a proc worker");
+        return 2;
+    };
+    let proc_config = ProcConfig {
+        rank: worker.rank,
+        world: worker.world,
+        root: worker.root.clone(),
+        timeout: config.proc_timeout,
+    };
+    let comm = match ProcComm::connect(&proc_config, config.algo_policy(), config.heartbeat, None) {
+        Ok(c) => c,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("proc rendezvous failed for rank {}: {e}", worker.rank);
             return 1;
         }
     };
-    let job = std::env::var(JOB_ENV).unwrap_or_default();
-    match job.as_str() {
-        "bench-allreduce" => bench_worker(&comm),
-        "train-cifar" => train_worker(&comm),
-        "train-elastic" => crate::elastic::proc_elastic_worker(&comm),
-        other => {
-            eprintln!(
-                "unknown {JOB_ENV}={other:?} (expected bench-allreduce|train-cifar|train-elastic)"
-            );
-            2
-        }
+    match &worker.job {
+        Job::BenchAllreduce { iters, bytes } => bench_worker(&comm, bytes, *iters),
+        Job::TrainCifar => train_worker(&comm),
+        Job::TrainElastic { spec, ckpt } => crate::elastic::proc_elastic_worker(&comm, spec, ckpt),
     }
 }
 
@@ -168,24 +182,10 @@ pub fn measure_allreduce(
     out
 }
 
-/// Worker half of `xp bench-allreduce`: sizes/iters from env, medians on
-/// rank 0's stdout as `bytes seconds` lines.
-fn bench_worker(comm: &ProcComm) -> i32 {
-    let sizes: Vec<usize> = match std::env::var(BENCH_SIZES_ENV) {
-        Ok(s) => match s.split(',').map(|p| p.trim().parse()).collect() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("{BENCH_SIZES_ENV}={s:?} invalid; expected comma-separated byte counts");
-                return 2;
-            }
-        },
-        Err(_) => DEFAULT_BENCH_BYTES.to_vec(),
-    };
-    let iters = std::env::var(BENCH_ITERS_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_BENCH_ITERS);
-    let points = measure_allreduce(comm, &sizes, iters);
+/// Worker half of `xp bench-allreduce`: medians on rank 0's stdout as
+/// `bytes seconds` lines.
+fn bench_worker(comm: &ProcComm, sizes: &[usize], iters: usize) -> i32 {
+    let points = measure_allreduce(comm, sizes, iters);
     if comm.rank() == 0 {
         for (bytes, seconds) in points {
             println!("{bytes} {seconds:e}");
@@ -240,40 +240,28 @@ pub struct BenchOutcome {
 }
 
 /// Launcher half of `xp bench-allreduce`: one world per algorithm (the
-/// algorithm is forced through the same `KFAC_COMM_ALGO` knob users
-/// have), parse rank 0's medians, fit, and bracket the crossover.
+/// launcher's config with [`RuntimeConfig::algo`] forced — the same
+/// `KFAC_COMM_ALGO` users have), parse rank 0's medians, fit, and bracket
+/// the crossover.
 pub fn run_bench_allreduce(
     ranks: usize,
     iters: usize,
     sizes: &[usize],
 ) -> io::Result<BenchOutcome> {
-    let csv = sizes
-        .iter()
-        .map(|b| b.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
+    let job = Job::BenchAllreduce {
+        iters,
+        bytes: sizes.to_vec(),
+    };
     let mut points = Vec::new();
     let mut fits = Vec::new();
-    for &algo in BENCH_ALGOS {
+    for algo in BENCH_ALGOS {
+        let config = RuntimeConfig {
+            algo,
+            ..runtime::current()
+        };
+        let algo = algo.name();
         eprintln!("bench-allreduce: {algo} across {ranks} processes ({iters} iters/size)");
-        let outputs = spawn_world(
-            ranks,
-            "bench-allreduce",
-            &[
-                ("KFAC_COMM_ALGO".to_string(), algo.to_string()),
-                (BENCH_SIZES_ENV.to_string(), csv.clone()),
-                (BENCH_ITERS_ENV.to_string(), iters.to_string()),
-            ],
-        )?;
-        for (rank, out) in outputs.iter().enumerate() {
-            if !out.status.success() {
-                return Err(io::Error::other(format!(
-                    "bench worker rank {rank} ({algo}) exited with {}",
-                    out.status
-                )));
-            }
-        }
-        let stdout = String::from_utf8_lossy(&outputs[0].stdout).into_owned();
+        let stdout = spawn_world(ranks, &job, &config)?;
         let mut algo_points = Vec::new();
         for line in stdout.lines().filter(|l| !l.trim().is_empty()) {
             let mut it = line.split_whitespace();
@@ -416,9 +404,6 @@ pub fn cifar_demo_config(ranks: usize) -> TrainConfig {
         update_freq: 2,
         ..KfacConfig::default()
     });
-    // The reference run is pinned to the thread fabric regardless of the
-    // ambient KFAC_COMM_BACKEND; proc workers bring their own comm.
-    cfg.backend = CommBackend::Thread;
     cfg
 }
 
@@ -467,18 +452,8 @@ fn train_worker(comm: &ProcComm) -> i32 {
 /// Launcher half of `xp proc-train`: spawn the world, relay rank 0's
 /// summary line to our stdout, propagate failures.
 pub fn run_proc_train(ranks: usize) -> io::Result<String> {
-    let outputs = spawn_world(ranks, "train-cifar", &[])?;
-    for (rank, out) in outputs.iter().enumerate() {
-        if !out.status.success() {
-            return Err(io::Error::other(format!(
-                "proc-train worker rank {rank} exited with {}",
-                out.status
-            )));
-        }
-    }
-    let summary = String::from_utf8_lossy(&outputs[0].stdout)
-        .trim()
-        .to_string();
+    let stdout = spawn_world(ranks, &Job::TrainCifar, &runtime::current())?;
+    let summary = stdout.trim().to_string();
     if summary.is_empty() {
         return Err(io::Error::other("proc-train rank 0 produced no summary"));
     }
@@ -495,7 +470,7 @@ pub struct ProcElasticOutcome {
 }
 
 /// Launcher half of the proc-fabric elastic trial: spawn the world with
-/// the scenario in `KFAC_ELASTIC_*`, let the victim die cold, collect
+/// the scenario in its [`Job`], let the victim die cold, collect
 /// the surviving rank 0's summary and the persisted restore blob. The
 /// victim's deliberate exit is also status 0, so any failure is real.
 pub fn run_proc_elastic(spec: &crate::elastic::ElasticSpec) -> io::Result<ProcElasticOutcome> {
@@ -503,23 +478,12 @@ pub fn run_proc_elastic(spec: &crate::elastic::ElasticSpec) -> io::Result<ProcEl
     let ckpt_path =
         std::env::temp_dir().join(format!("kfac-elastic-restore-{}.ckpt", std::process::id()));
     let _ = std::fs::remove_file(&ckpt_path);
-    let mut env = spec.to_env();
-    env.push((
-        "KFAC_ELASTIC_CKPT".to_string(),
-        ckpt_path.display().to_string(),
-    ));
-    let outputs = spawn_world(spec.world, "train-elastic", &env)?;
-    for (rank, out) in outputs.iter().enumerate() {
-        if !out.status.success() {
-            return Err(io::Error::other(format!(
-                "train-elastic worker rank {rank} exited with {}",
-                out.status
-            )));
-        }
-    }
-    let summary = String::from_utf8_lossy(&outputs[0].stdout)
-        .trim()
-        .to_string();
+    let job = Job::TrainElastic {
+        spec: *spec,
+        ckpt: ckpt_path.clone(),
+    };
+    let stdout = spawn_world(spec.world, &job, &runtime::current())?;
+    let summary = stdout.trim().to_string();
     if summary.is_empty() {
         return Err(io::Error::other(
             "train-elastic rank 0 produced no summary — did the survivors recover?",

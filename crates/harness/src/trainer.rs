@@ -55,21 +55,22 @@ pub struct TrainConfig {
     /// reference oracle), the overlapped task graph, or seeded replay.
     pub exec: ExecStrategy,
     /// Which communicator fabric carries the collectives: in-process
-    /// threads or the multi-process TCP backend. Resolved from
-    /// `KFAC_COMM_BACKEND` by [`TrainConfig::new`]; override with
-    /// [`TrainConfig::with_backend`]. Either way the loss trajectory is
-    /// bitwise identical — the algorithm layer pins one reduction order.
+    /// threads or the multi-process TCP backend. Either way the loss
+    /// trajectory is bitwise identical — the algorithm layer pins one
+    /// reduction order.
     pub backend: CommBackend,
-    /// Gradient fusion-buffer flush threshold in bytes; `None` defers to
-    /// the `KFAC_FUSION_MB` env override and then Horovod's 16 MiB
-    /// default. Clamped by the collectives crate so an oversized tensor
-    /// still flushes in one message.
+    /// Gradient fusion-buffer flush threshold in bytes; `None` is
+    /// Horovod's 16 MiB default. Clamped by the collectives crate so an
+    /// oversized tensor still flushes in one message.
     pub fusion_threshold_bytes: Option<usize>,
 }
 
 impl TrainConfig {
-    /// Paper-style defaults for a given worker count and schedule.
+    /// Paper-style defaults for a given worker count and schedule;
+    /// `exec` and `backend` default to the installed
+    /// [`RuntimeConfig`](crate::RuntimeConfig)'s (see its precedence rule).
     pub fn new(ranks: usize, local_batch: usize, epochs: usize, lr: LrSchedule) -> Self {
+        let runtime = crate::runtime::current();
         TrainConfig {
             ranks,
             local_batch,
@@ -81,32 +82,23 @@ impl TrainConfig {
             kfac: None,
             seed: 42,
             telemetry: None,
-            exec: crate::overlap::default_exec(),
-            backend: CommBackend::from_env().unwrap_or_else(|e| panic!("{e}")),
+            exec: runtime.exec,
+            backend: runtime.backend,
             fusion_threshold_bytes: None,
         }
     }
 
-    /// Attach a K-FAC preconditioner. A `KFAC_EIG_BACKEND` env knob
-    /// (jacobi|tridiag|randomized) overrides the configured eigensolver
-    /// here, so any experiment can be re-run under a different factor
-    /// backend without a rebuild; an unparseable value panics here at
-    /// the binary boundary (the parse itself returns a typed
-    /// [`kfac::ConfigError`] for fallible callers).
+    /// Attach a K-FAC preconditioner, with the installed
+    /// [`RuntimeConfig`](crate::RuntimeConfig)'s eigensolver and precision
+    /// policy — when it carries them — substituted for `cfg`'s (see its
+    /// precedence rule; assign `self.kfac` directly to pin both).
     pub fn with_kfac(mut self, mut cfg: KfacConfig) -> Self {
-        match kfac::EigenSolver::from_env() {
-            Ok(Some(solver)) => cfg.eigen_solver = solver,
-            Ok(None) => {}
-            Err(e) => panic!("{e}"),
+        let runtime = crate::runtime::current();
+        if let Some(solver) = runtime.eig {
+            cfg.eigen_solver = solver;
         }
-        // Same contract for the mixed-precision policy: `KFAC_PRECISION`
-        // (a preset and/or `stage=dtype` overrides) rebinds the per-stage
-        // dtypes of any experiment without a rebuild. Unset keeps the
-        // configured policy (f32 everywhere by default — bitwise legacy).
-        match kfac::PrecisionPolicy::from_env() {
-            Ok(Some(policy)) => cfg.precision = policy,
-            Ok(None) => {}
-            Err(e) => panic!("{e}"),
+        if let Some(policy) = runtime.precision {
+            cfg.precision = policy;
         }
         self.kfac = Some(cfg);
         self
@@ -118,8 +110,7 @@ impl TrainConfig {
         self
     }
 
-    /// Select the communicator backend (e.g. `--backend proc`),
-    /// overriding the `KFAC_COMM_BACKEND` resolution done by `new`.
+    /// Select the communicator backend.
     pub fn with_backend(mut self, backend: CommBackend) -> Self {
         self.backend = backend;
         self
@@ -237,8 +228,8 @@ fn try_allreduce_gradients_fused(
     Ok(())
 }
 
-/// [`allreduce_gradients_fused`] at the default/env-resolved threshold
-/// and full-width (f32) wire.
+/// [`allreduce_gradients_fused`] at the default threshold and
+/// full-width (f32) wire.
 pub fn allreduce_gradients(model: &mut dyn Layer, comm: &dyn Communicator) {
     allreduce_gradients_fused(model, comm, None, Dtype::F32);
 }
@@ -426,12 +417,11 @@ fn run_rank(
     let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut kfac = cfg.kfac.clone().map(|k| Kfac::new(&mut model, k));
     // Resolve the mixed-precision policy once per run. Gradients travel
-    // at `grad_wire` width; capture storage goes bf16 when either the
-    // capture or the factor-Gram stage asks for it (the bf16 Gram
-    // kernels consume bf16-encoded captures, so the two knobs share the
-    // storage format). The all-f32 default skips every conversion.
+    // at `grad_wire` width; capture storage (which the factor Grams
+    // stream) goes bf16 when the policy asks. The all-f32 default skips
+    // every conversion.
     let precision = cfg.kfac.as_ref().map(|k| k.precision).unwrap_or_default();
-    if precision.capture == Dtype::Bf16 || precision.factor_gram == Dtype::Bf16 {
+    if precision.capture == Dtype::Bf16 {
         let mut layers: Vec<&mut dyn KfacEligible> = Vec::new();
         model.collect_kfac(&mut layers);
         for layer in &mut layers {
@@ -443,7 +433,6 @@ fn run_rank(
         // = storage/wire width in bits (32 or 16).
         for (stage, dtype) in [
             ("capture", precision.capture),
-            ("factor_gram", precision.factor_gram),
             ("factor_ema", precision.factor_ema),
             ("eig", precision.eig),
             ("precond", precision.precond),
@@ -645,7 +634,7 @@ pub fn train(
         CommBackend::Proc => {
             let comms = ProcComm::create_local_with(
                 cfg.ranks,
-                kfac_collectives::AlgoPolicy::from_env(),
+                crate::runtime::current().algo_policy(),
                 kfac_collectives::ProcConfig::DEFAULT_TIMEOUT,
             )
             .unwrap_or_else(|e| panic!("proc backend rendezvous failed: {e}"));

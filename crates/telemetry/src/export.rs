@@ -348,9 +348,18 @@ fn prom_family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
+/// The info series carrying the process's resolved run configuration
+/// ([`crate::run_config`]) as its one label.
+fn prom_run_config(out: &mut String, config: &str) {
+    let name = "kfac_runtime_config_info";
+    prom_family(out, name, "gauge", "resolved run configuration");
+    let _ = writeln!(out, "{name}{{config=\"{}\"}} 1", prom_label(config));
+}
+
 /// Render the registry's metrics — counters, gauges, histograms (with
 /// cumulative buckets, `_sum`/`_count`, and p50/p95/p99 gauge series) and
-/// per-stage span aggregates — as a Prometheus text exposition document.
+/// per-stage span aggregates — as a Prometheus text exposition document,
+/// led by the run-configuration info series when one was recorded.
 ///
 /// The registry is shared by every rank of a run, so counter and
 /// histogram values are already the cross-rank aggregate; per-stage
@@ -358,6 +367,9 @@ fn prom_family(out: &mut String, name: &str, kind: &str, help: &str) {
 /// slash convention mapped to underscores (`kfac/cond` → `kfac_cond`).
 pub fn prometheus(registry: &Registry) -> String {
     let mut out = String::with_capacity(4096);
+    if let Some(config) = crate::run_config() {
+        prom_run_config(&mut out, config);
+    }
 
     for (name, value) in registry.counters() {
         let n = prom_name(&name);
@@ -769,7 +781,6 @@ mod tests {
         }
         for stage in [
             "capture",
-            "factor_gram",
             "factor_ema",
             "eig",
             "precond",
@@ -821,5 +832,16 @@ mod tests {
         let good = "# HELP h x\n# TYPE h histogram\n\
                     h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 5\nh_sum 9.5\nh_count 5\n";
         lint_prometheus(good).expect("good doc");
+        // So does the run-configuration info series: one labelled sample
+        // whose value holds spaces, `=`, `{` and an escaped quote.
+        let mut info = String::new();
+        prom_run_config(
+            &mut info,
+            "KFAC_COMM_BACKEND=proc job={a \"b\"} exec=sequential",
+        );
+        assert!(info.contains(
+            "kfac_runtime_config_info{config=\"KFAC_COMM_BACKEND=proc job={a \\\"b\\\"} exec=sequential\"} 1"
+        ));
+        lint_prometheus(&(info + good)).expect("info series lints clean");
     }
 }

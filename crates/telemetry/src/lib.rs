@@ -66,7 +66,25 @@ pub use server::MetricsServer;
 pub use watchdog::{HealthReport, Severity, Watchdog, WatchdogConfig};
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+static RUN_CONFIG: OnceLock<String> = OnceLock::new();
+
+/// Record the one-line resolved configuration this process runs under
+/// (`xp` passes its `RuntimeConfig`'s `Display`). Process-wide and
+/// write-once — the first call wins — so every exporter, whichever
+/// registry it reads, reports the same line: the
+/// `kfac_runtime_config_info` series of [`export::prometheus`] and the
+/// `config` header of [`FlightRecorder::dump_json`].
+pub fn set_run_config(line: String) {
+    let _ = RUN_CONFIG.set(line);
+}
+
+/// The line recorded by [`set_run_config`], if any.
+pub fn run_config() -> Option<&'static str> {
+    RUN_CONFIG.get().map(String::as_str)
+}
 
 /// Spans buffered per thread before a lock-free publish to the registry.
 const FLUSH_BATCH: usize = 256;

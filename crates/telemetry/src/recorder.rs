@@ -142,8 +142,10 @@ impl FlightRecorder {
         inner.snapshots.push_back(snap);
     }
 
-    /// Serialize the black box: dump reason, every buffered snapshot,
-    /// and the last `event_tail` span events from the registry.
+    /// Serialize the black box: dump reason, the process's resolved run
+    /// configuration ([`crate::run_config`], when recorded), every
+    /// buffered snapshot, and the last `event_tail` span events from the
+    /// registry.
     pub fn dump_json(&self, registry: &Registry, reason: &str) -> String {
         crate::flush(); // pull this thread's buffered spans in first
         let (snapshots, tail) = {
@@ -162,6 +164,10 @@ impl FlightRecorder {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"reason\": ");
         escape_into(&mut out, reason);
+        if let Some(config) = crate::run_config() {
+            out.push_str(", \"config\": ");
+            escape_into(&mut out, config);
+        }
         let _ = write!(
             &mut out,
             ", \"dumped_at_us\": {}, \"snapshots\": [",
