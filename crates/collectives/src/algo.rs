@@ -5,13 +5,15 @@
 //! recursive halving/doubling, bandwidth-bound large messages through a
 //! chunk-pipelined ring. This module reproduces that selection behind
 //! [`CollectiveAlgo`] / [`AlgoPolicy`] — on *any* transport, in-process
-//! thread mailboxes or multi-process TCP alike.
+//! thread mailboxes or multi-process TCP alike. It is the only
+//! implementation of the collectives in the crate: both fabrics' boot
+//! groups and every group a shrink returns run it.
 //!
 //! ## The determinism contract
 //!
 //! The whole repo pins one canonical reduction order: **left-associated
-//! rank order** `((x₀ + x₁) + x₂) + …`, exactly what [`crate::ThreadComm`]
-//! computes at its rendezvous. Floating-point addition is not associative,
+//! rank order** `((x₀ + x₁) + x₂) + …`, the bits a serial fold over the
+//! ranks' buffers produces. Floating-point addition is not associative,
 //! so the textbook versions of both fast algorithms would break
 //! bit-reproducibility (a scatter-reduce ring accumulates each chunk in a
 //! rotated rank order; halving/doubling combines pairwise like a tree).
@@ -33,9 +35,9 @@
 //! * **Flat** is a plain ring allgather + local rank-order reduce, the
 //!   reference the property tests compare everything against.
 //!
-//! All three produce bit-identical results to each other and to
-//! `ThreadComm`'s rendezvous reduction, pinned by proptests in
-//! `tests/properties.rs`.
+//! All three produce bit-identical results to each other and to that
+//! serial fold, written out in the tests as the reference: pinned by
+//! proptests in `tests/algos.rs`, on both transports.
 
 use crate::communicator::{combine_into, finalize, Communicator, ReduceOp};
 use crate::error::CollectiveError;
@@ -349,8 +351,7 @@ pub fn halving_doubling_allreduce(
         }
     }
 
-    // Local reduce in canonical rank order — bit-identical to the
-    // ThreadComm rendezvous completion loop.
+    // Local reduce in canonical rank order.
     let mut acc = blocks[0].take().expect("block 0 gathered");
     for b in blocks.iter().skip(1) {
         combine_into(&mut acc, b.as_ref().expect("block gathered"), op);
@@ -479,9 +480,10 @@ pub fn dissemination_barrier(t: &dyn Transport, seq: u64) -> Result<(), Collecti
 /// A [`Communicator`] built from a [`Transport`] plus an [`AlgoPolicy`].
 ///
 /// This is the bridge that gives any point-to-point backend the full
-/// Horovod-style primitive set: `AlgoComm<ThreadComm>` runs the fast
-/// algorithms over in-process mailboxes, and the multi-process
-/// [`crate::proc::ProcComm`] embeds one over its TCP mesh. Per-collective
+/// Horovod-style primitive set: [`crate::ThreadComm`] embeds one over
+/// in-process mailboxes and the multi-process [`crate::proc::ProcComm`]
+/// one over its TCP mesh, each behind an epoch-fenced membership view
+/// ([`crate::ShrunkComm`]). Per-collective
 /// sequence numbers keep concurrent chunk traffic of successive
 /// collectives disjoint; the MPI ordering contract (every rank issues the
 /// same collective sequence) keeps the numbers agreed group-wide.

@@ -3,8 +3,27 @@
 //! Mirrors the primitive set Horovod exposes to PyTorch (§II-D of the
 //! paper): `allreduce`, `allgather`, `broadcast`, with MPI `rank`/`size`
 //! identity. All implementations require that every rank issues the same
-//! sequence of collective calls (the standard MPI/Horovod contract);
-//! violating it deadlocks, exactly as it would on the real stack.
+//! sequence of collective calls (the standard MPI/Horovod contract).
+//!
+//! ## When the ranks' calls do not match
+//!
+//! A mismatched call is a caller bug, and the real stack answers it with a
+//! silent deadlock. Here, on both fabrics: **every rank gets a typed
+//! error within the receive deadline, none hangs, and the next collective
+//! on the group succeeds** (each collective has its own sequence number,
+//! so what a failed one left in flight is never mistaken for the next
+//! one's traffic). Which error depends on what a rank can see:
+//!
+//! * ranks that disagree on a *length* exchange frames the peer is waiting
+//!   for, so whoever receives one reports [`CollectiveError::Mismatch`];
+//!   a rank whose peer bailed out before sending to it reports
+//!   [`CollectiveError::Timeout`];
+//! * ranks that disagree on the *kind* of collective exchange frames
+//!   nobody is waiting for, so every receive expires:
+//!   [`CollectiveError::Timeout`] on every rank.
+//!
+//! `tests/contract.rs` runs this, and the rest of the trait's contract,
+//! over both fabrics.
 
 use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass};

@@ -6,7 +6,7 @@ use std::fmt;
 /// panic so callers can recover (or at least report) cleanly.
 ///
 /// These are *transport* outcomes raised by fault-aware communicators
-/// (see [`crate::faults`]), the hardened rendezvous and the wire codec.
+/// (see [`crate::faults`]), the transports and the wire codec.
 /// [`CollectiveError::is_retryable`] distinguishes transient faults
 /// (worth retrying with backoff) from permanent ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

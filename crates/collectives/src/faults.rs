@@ -17,7 +17,7 @@
 //!   plan before each collective. Every rank's wrapper advances its own
 //!   op cursor in lockstep (ranks issue identical call sequences — the
 //!   MPI contract), so a fault decision is *global*: all ranks fail, or
-//!   none do, and the group's rendezvous never desynchronizes.
+//!   none do, and the group's collective sequence never desynchronizes.
 //!
 //! ## Fault semantics
 //!
@@ -27,7 +27,7 @@
 //! healed by [`crate::RetryPolicy`]; a [`FaultKind::Timeout`] window
 //! longer than the budget forces the caller onto its degradation path
 //! (stale factors, skipped step). [`FaultKind::Delay`] makes only the
-//! culprit rank sleep — the others block at the rendezvous, which is
+//! culprit rank sleep — the others block in the collective, which is
 //! exactly a straggler. [`FaultKind::Corrupt`] models corruption caught
 //! by a transport checksum (the attempt fails, source data intact);
 //! [`FaultKind::BitFlip`] models *silent* corruption — the collective
@@ -50,7 +50,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Straggler: the culprit rank sleeps `micros` before joining the
-    /// collective; everyone else waits at the rendezvous.
+    /// collective; everyone else waits in it.
     Delay {
         /// Sleep applied to the culprit rank.
         micros: u64,

@@ -11,11 +11,12 @@
 //!
 //! * [`Communicator`] — the primitive set as a trait, with MPI-style
 //!   `rank`/`size` identity.
-//! * [`ThreadComm`] — N ranks as threads within one process, synchronized
-//!   by generation-counted rendezvous (no spinning). This substitutes for
-//!   Horovod+NCCL: it preserves the *synchronization structure* of the
-//!   algorithm (who contributes what, when everyone blocks), which is what
-//!   the correctness experiments need.
+//! * [`ThreadComm`] — N ranks as threads within one process, exchanging
+//!   messages through per-rank in-memory mailboxes (blocking waits, no
+//!   spinning). This substitutes for Horovod+NCCL: it preserves the
+//!   *synchronization structure* of the algorithm (who contributes what,
+//!   when everyone blocks), which is what the correctness experiments
+//!   need.
 //! * [`LocalComm`] — the trivial single-rank communicator.
 //! * [`fusion::FusionBuffer`] — Horovod's fusion buffer (§II-D): small
 //!   tensors are coalesced and reduced in one operation once a byte
@@ -34,17 +35,22 @@
 //!   from one seed — plus [`RetryPolicy`], the bounded
 //!   exponential-backoff retry loop the hardened paths use.
 
-//! * [`algo`] — the collective *algorithm* layer: chunk-pipelined ring
-//!   and recursive halving/doubling allreduce (plus ring allgather and
-//!   binomial broadcast) over any point-to-point [`Transport`], with
-//!   size-based auto-selection behind a [`CollectiveAlgo`] policy and a
-//!   bitwise-pinned rank-order reduction.
+//! * [`algo`] — the one implementation of every collective, on both
+//!   fabrics, before and after a shrink: chunk-pipelined ring and
+//!   recursive halving/doubling allreduce (plus ring allgather, binomial
+//!   broadcast and a dissemination barrier) over any point-to-point
+//!   [`Transport`], with size-based auto-selection behind a
+//!   [`CollectiveAlgo`] policy and a bitwise-pinned rank-order reduction.
+//! * [`mailbox`] — [`Mailbox`], the receive side both transports share:
+//!   tagged queues, the dead/fenced view of the peers, the epoch purge,
+//!   and the one deadline-bounded wait loop.
 //! * [`proc`] — the multi-process backend: [`ProcComm`] ranks as OS
 //!   processes over localhost TCP (length-prefixed frames, broker
-//!   rendezvous, per-peer reader threads), running the same algorithm
-//!   layer for bit-identical results to [`ThreadComm`].
+//!   rendezvous, per-peer reader threads delivering into the mailbox).
+//!   [`ThreadComm`] and [`ProcComm`] are the same [`ShrunkComm`] over two
+//!   transports, so their results are bit-identical by construction.
 //! * [`membership`] — elastic group membership: failure detection
-//!   (heartbeats on the proc fabric, injectable [`ThreadComm::mark_dead`]
+//!   (heartbeats on the proc fabric, injectable [`ShrunkComm::mark_dead`]
 //!   on the thread fabric), a min-rank–coordinated agreement round, and
 //!   epoch-fenced [`ShrunkComm`] communicators so survivors of a
 //!   permanent rank loss reconfigure and continue instead of aborting.
@@ -63,6 +69,7 @@ pub mod error;
 pub mod faults;
 pub mod fusion;
 pub mod local;
+pub mod mailbox;
 pub mod membership;
 pub mod proc;
 pub mod retry;
@@ -79,10 +86,11 @@ pub use error::CollectiveError;
 pub use faults::{ActiveFault, FaultKind, FaultPlan, FaultPlanConfig, FaultyCommunicator};
 pub use fusion::FusionBuffer;
 pub use local::LocalComm;
+pub use mailbox::{FailOn, Mailbox};
 pub use membership::{Elastic, GroupView, Membership, ShrunkComm, ViewTransport};
 pub use proc::{HeartbeatConfig, ProcComm, ProcConfig};
 pub use retry::RetryPolicy;
-pub use thread::ThreadComm;
+pub use thread::{MeshTransport, ThreadComm};
 pub use traffic::{Traffic, TrafficClass};
 pub use transport::Transport;
 pub use wire::{try_allgather_half, try_allreduce_half};

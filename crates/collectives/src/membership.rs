@@ -17,15 +17,14 @@
 //!   view's epoch ([`fence_tag`]). Epoch 0 is the identity mapping, so a
 //!   run that never shrinks is bitwise identical on the wire to a build
 //!   without fencing. Frames stamped with an old epoch key different
-//!   mailbox entries and are additionally purged/dropped by the backends —
+//!   mailbox entries and are additionally purged/dropped by the [`Mailbox`] —
 //!   stragglers from a dead epoch cannot corrupt the new group.
 //! * [`Membership`] — the backend surface the agreement protocol needs on
-//!   top of `Transport`: failure observations (`observed_dead`), failure
-//!   injection (`mark_dead`, which keeps chaos tests deterministic on the
-//!   thread fabric), epoch fencing (`fence`), and a deadline-bounded
-//!   point-to-point receive that fails only for the *addressed* peer
-//!   (`recv_deadline`) so agreement can keep polling while other peers
-//!   are dead.
+//!   top of `Transport`: the endpoint's [`Mailbox`] (failure
+//!   observations, epoch fencing, and a deadline-bounded receive that
+//!   fails only for the *addressed* peer so agreement can keep polling
+//!   while other peers are dead) and failure injection (`mark_dead`,
+//!   which keeps chaos tests deterministic on the thread fabric).
 //! * [`agree_on_survivors`] — the reconfiguration round. The minimum
 //!   believed-live original rank acts as coordinator; survivors resend
 //!   PROPOSE(dead-mask) and short-poll for COMMIT until the coordinator
@@ -35,8 +34,10 @@
 //!   and the caller falls back to the abort rung of the degradation
 //!   ladder.
 //! * [`ShrunkComm`] — an [`AlgoComm`] over a [`ViewTransport`], i.e. a
-//!   full [`Communicator`] for the survivors, itself re-shrinkable via
-//!   [`Elastic`].
+//!   full [`Communicator`] for one membership view, itself re-shrinkable
+//!   via [`Elastic`]. Both fabrics' boot groups are one (the identity
+//!   view at epoch 0), so a group before a shrink and after it is the
+//!   same type running the same code.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,8 +45,9 @@ use std::time::{Duration, Instant};
 use crate::algo::{AlgoComm, AlgoPolicy};
 use crate::communicator::{Communicator, ReduceOp};
 use crate::error::CollectiveError;
+use crate::mailbox::{FailOn, Mailbox};
 use crate::traffic::{Traffic, TrafficClass};
-use crate::transport::{commit_tag, fence_tag, propose_tag, Transport};
+use crate::transport::{commit_tag, fence_tag, gave_up_tag, propose_tag, Transport};
 use kfac_telemetry::Span;
 
 /// Default wall-clock budget for one membership-agreement round.
@@ -103,38 +105,23 @@ impl GroupView {
     }
 }
 
-/// Backend surface the membership plane needs beyond [`Transport`].
+/// Backend surface the membership plane needs beyond [`Transport`]: the
+/// endpoint's [`Mailbox`] — failure observations
+/// ([`Mailbox::observed_dead`]), epoch fencing ([`Mailbox::fence`]) and
+/// the receive that fails only for the addressed peer
+/// ([`FailOn::SenderDead`]) all live there — and failure injection.
 ///
 /// All rank arguments are *original* (epoch-0) ids: membership operates
 /// beneath the view translation.
 pub trait Membership: Transport {
-    /// Original ranks currently observed dead and not yet fenced out of
-    /// the group (EOF/torn frame on the proc fabric, [`Membership::mark_dead`] on
-    /// the thread fabric, missed heartbeats on either).
-    fn observed_dead(&self) -> Vec<usize>;
+    /// This endpoint's receive side.
+    fn mailbox(&self) -> &Mailbox;
 
     /// Inject a failure observation for `original` (used by the victim or
     /// by chaos tests; also called on survivors when agreement learns of
-    /// a death second-hand). Wakes any blocked receivers.
+    /// a death second-hand). Wakes any blocked receivers. A rank that
+    /// marks *itself* dead is from then on observed dead by every peer.
     fn mark_dead(&self, original: usize);
-
-    /// Acknowledge `dead` as removed from the group as of `new_epoch`:
-    /// stop reporting them from in-flight receives, purge their pending
-    /// messages plus any data frame stamped with an epoch `< new_epoch`,
-    /// and reject stale-epoch data frames from now on.
-    fn fence(&self, dead: &[usize], new_epoch: u64);
-
-    /// Deadline-bounded receive that fails with
-    /// [`CollectiveError::RankFailed`] only if `from` itself is dead —
-    /// unlike [`Transport::try_recv`], which fails promptly when *any*
-    /// unfenced peer is dead. Agreement uses this to keep polling the
-    /// coordinator while unrelated peers are down.
-    fn recv_deadline(
-        &self,
-        from: usize,
-        tag: u64,
-        deadline: Instant,
-    ) -> Result<Vec<f32>, CollectiveError>;
 }
 
 /// A [`Transport`] restricted to a [`GroupView`]: ranks are translated
@@ -162,17 +149,24 @@ impl<T: Transport> ViewTransport<T> {
         &self.view
     }
 
-    /// Map a base-transport error naming an original rank into view-rank
-    /// space where possible, so callers above the view see culprits in
-    /// their own coordinates.
-    fn map_err(&self, e: CollectiveError) -> CollectiveError {
-        match e {
-            CollectiveError::RankFailed(orig) => match self.view.from_original(orig) {
-                Some(v) => CollectiveError::RankFailed(v),
-                None => CollectiveError::RankFailed(orig),
-            },
-            other => other,
+    /// A failed send or receive ends this rank's part in the epoch's
+    /// collectives. If a death caused it, tell the other members so that
+    /// whoever is waiting on this rank fails now, with the same culprit,
+    /// rather than at its deadline ([`gave_up_tag`]); then map the culprit
+    /// into view-rank space where possible, so callers above the view see
+    /// it in their own coordinates.
+    fn give_up(&self, e: CollectiveError) -> CollectiveError {
+        let CollectiveError::RankFailed(orig) = e else {
+            return e;
+        };
+        let notice = gave_up_tag(self.view.epoch);
+        for &peer in &self.view.members {
+            if peer != self.view.original_rank() {
+                // Best effort: the culprit, for one, is not listening.
+                let _ = self.base.try_send(peer, notice, &[orig as f32]);
+            }
         }
+        CollectiveError::RankFailed(self.view.from_original(orig).unwrap_or(orig))
     }
 }
 
@@ -192,13 +186,13 @@ impl<T: Transport> Transport for ViewTransport<T> {
                 fence_tag(self.view.epoch, tag),
                 payload,
             )
-            .map_err(|e| self.map_err(e))
+            .map_err(|e| self.give_up(e))
     }
 
     fn try_recv(&self, from: usize, tag: u64) -> Result<Vec<f32>, CollectiveError> {
         self.base
             .try_recv(self.view.to_original(from), fence_tag(self.view.epoch, tag))
-            .map_err(|e| self.map_err(e))
+            .map_err(|e| self.give_up(e))
     }
 }
 
@@ -236,6 +230,7 @@ pub fn agree_on_survivors<T: Membership + ?Sized>(
 ) -> Result<GroupView, CollectiveError> {
     let me = view.original_rank();
     let world = base.size();
+    let mailbox = base.mailbox();
     let next_epoch = view.epoch + 1;
     let overall = Instant::now() + deadline;
 
@@ -261,7 +256,7 @@ pub fn agree_on_survivors<T: Membership + ?Sized>(
                 waited_ms: deadline.as_millis() as u64,
             });
         }
-        for r in base.observed_dead() {
+        for r in mailbox.observed_dead() {
             if r < world {
                 dead[r] = true;
             }
@@ -282,7 +277,12 @@ pub fn agree_on_survivors<T: Membership + ?Sized>(
             have[me] = true;
             for &peer in survivors.iter().skip(1) {
                 let poll = Instant::now() + AGREE_POLL;
-                match base.recv_deadline(peer, propose_tag(next_epoch), poll.min(overall)) {
+                match mailbox.recv(
+                    peer,
+                    propose_tag(next_epoch),
+                    poll.min(overall),
+                    FailOn::SenderDead,
+                ) {
                     Ok(mask) => {
                         let grew = merge_mask(&mut dead, &mask);
                         have[peer] = true;
@@ -318,7 +318,12 @@ pub fn agree_on_survivors<T: Membership + ?Sized>(
                 continue 'round;
             }
             let poll = Instant::now() + AGREE_POLL;
-            match base.recv_deadline(coordinator, commit_tag(next_epoch), poll.min(overall)) {
+            match mailbox.recv(
+                coordinator,
+                commit_tag(next_epoch),
+                poll.min(overall),
+                FailOn::SenderDead,
+            ) {
                 Ok(mask) => {
                     // Adopt the committed mask *exactly* — every survivor
                     // must end up with the identical view. If we know of
@@ -349,7 +354,7 @@ pub fn agree_on_survivors<T: Membership + ?Sized>(
     for &r in &newly_dead {
         base.mark_dead(r);
     }
-    base.fence(&newly_dead, next_epoch);
+    mailbox.fence(&newly_dead, next_epoch);
     let rank = members
         .iter()
         .position(|&r| r == me)
@@ -395,8 +400,9 @@ pub trait Elastic: Communicator {
 
 /// A full [`Communicator`] over one membership view of a base transport:
 /// the algorithm layer running on an epoch-fenced [`ViewTransport`]. The
-/// survivors of a shrink run on one, and so does the proc fabric's boot
-/// group ([`crate::ProcComm`], the identity view at epoch 0).
+/// survivors of a shrink run on one, and so do both fabrics' boot groups
+/// ([`crate::ThreadComm`], [`crate::ProcComm`]: the identity view at
+/// epoch 0).
 pub struct ShrunkComm<T: Membership> {
     inner: AlgoComm<ViewTransport<T>>,
 }
@@ -498,6 +504,59 @@ impl<T: Membership + 'static> Elastic for ShrunkComm<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::make_tag;
+
+    /// A send to a rank already observed dead fails with the culprit and
+    /// queues nothing: nobody would ever drain or purge it.
+    fn send_to_a_dead_rank_fails_and_queues_nothing<T: Membership + 'static>(
+        comms: Vec<ShrunkComm<T>>,
+    ) {
+        let [sender, victim] = [0, 1].map(|r| comms[r].inner.transport().base());
+        let tag = make_tag(0, 0, 0);
+        sender.try_send(1, tag, &[1.0]).expect("live peer");
+        sender.mark_dead(1);
+        assert_eq!(
+            sender.try_send(1, tag, &[2.0]),
+            Err(CollectiveError::RankFailed(1))
+        );
+        // Inspect the victim's queue from outside (`SenderDead`: on the
+        // thread mesh its own mailbox carries the injected death too).
+        let soon = || Instant::now() + Duration::from_millis(200);
+        let inbox = victim.mailbox();
+        assert_eq!(
+            inbox.recv(0, tag, soon(), FailOn::SenderDead),
+            Ok(vec![1.0])
+        );
+        assert!(matches!(
+            inbox.recv(0, tag, soon(), FailOn::SenderDead),
+            Err(CollectiveError::Timeout { waited_ms }) if waited_ms >= 200
+        ));
+    }
+
+    #[test]
+    fn send_to_a_dead_rank_fails_on_both_fabrics() {
+        send_to_a_dead_rank_fails_and_queues_nothing(crate::ThreadComm::create(2));
+        send_to_a_dead_rank_fails_and_queues_nothing(crate::ProcComm::create_local(2));
+    }
+
+    #[test]
+    fn a_shrunken_group_keeps_its_parents_policy() {
+        let policy = AlgoPolicy {
+            algo: crate::CollectiveAlgo::Flat,
+            ..AlgoPolicy::default()
+        };
+        let comms = crate::ThreadComm::create_with(3, policy, Duration::from_secs(20));
+        comms[2].mark_dead(2);
+        std::thread::scope(|s| {
+            for comm in &comms[..2] {
+                s.spawn(move || {
+                    let shrunk = comm.shrink(&[2]).expect("membership agreement");
+                    assert_eq!((shrunk.epoch(), shrunk.size()), (1, 2));
+                    assert_eq!(shrunk.policy().algo, crate::CollectiveAlgo::Flat);
+                });
+            }
+        });
+    }
 
     #[test]
     fn boot_view_is_identity() {

@@ -1,15 +1,19 @@
-//! The multi-process communicator: TCP mesh transport + algorithm layer.
+//! The multi-process communicator: a TCP mesh transport under the same
+//! [`ShrunkComm`] stack the thread fabric runs. What is specific to TCP
+//! is here — sockets, per-peer reader threads, wire framing, the
+//! heartbeat detector; queues, failure flags and the receive wait loop
+//! are the shared [`Mailbox`] the readers deliver into.
 
 use super::bootstrap::{establish, ProcConfig};
 use super::wire::{bytes_to_f32s, f32s_to_bytes, read_frame, write_frame};
 use crate::algo::AlgoPolicy;
 use crate::error::CollectiveError;
+use crate::mailbox::{FailOn, Mailbox};
 use crate::membership::{GroupView, Membership, ShrunkComm};
-use crate::transport::{tag_epoch, Transport, CTRL_BIT, TAG_HEARTBEAT};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use crate::transport::{Transport, TAG_HEARTBEAT};
+use parking_lot::Mutex;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,44 +50,18 @@ impl HeartbeatConfig {
     }
 }
 
-/// Mailbox state shared between reader threads and collective callers.
-struct MailState {
-    /// Delivered-but-unclaimed messages, keyed by `(from, tag)`.
-    boxes: HashMap<(usize, u64), VecDeque<Vec<f32>>>,
-    /// Peers whose connection has closed, errored, or gone silent past
-    /// the heartbeat timeout.
-    dead: Vec<bool>,
-    /// Peers acknowledged as removed from the group by a membership
-    /// shrink: excluded from the any-dead failure scan so the survivor
-    /// group keeps communicating.
-    fenced: Vec<bool>,
-    /// Last time anything (heartbeat or data) arrived from each peer.
-    last_heard: Vec<Instant>,
-}
-
 /// State shared by callers, reader threads and the heartbeat thread.
 struct SharedState {
-    mail: Mutex<MailState>,
-    cv: Condvar,
-    /// Current membership epoch; readers drop data frames stamped with
-    /// an older epoch on arrival (straggler fencing).
-    epoch: AtomicU64,
-}
-
-impl SharedState {
-    fn mark_dead(&self, peer: usize) {
-        let mut st = self.mail.lock();
-        if !st.dead[peer] {
-            st.dead[peer] = true;
-            self.cv.notify_all();
-        }
-    }
+    /// This rank's receive side: the reader threads deliver into it.
+    mailbox: Mailbox,
+    /// Last time anything (heartbeat or data) arrived from each peer.
+    last_heard: Mutex<Vec<Instant>>,
 }
 
 /// TCP mesh endpoint implementing [`Transport`].
 ///
 /// One dedicated reader thread per peer drains that peer's socket into
-/// the tag-keyed mailboxes, so sends never deadlock against receives
+/// this rank's [`Mailbox`], so sends never deadlock against receives
 /// (both sides of an exchange can write first; the kernel plus the reader
 /// thread buffer everything in flight). Writes go directly to the socket
 /// under a per-peer mutex. A heartbeat thread ([`HeartbeatConfig`])
@@ -107,16 +85,9 @@ impl ProcTransport {
         pre_bound_root: Option<TcpListener>,
     ) -> Result<ProcTransport, CollectiveError> {
         let streams = establish(cfg, pre_bound_root)?;
-        let now = Instant::now();
         let state = Arc::new(SharedState {
-            mail: Mutex::new(MailState {
-                boxes: HashMap::new(),
-                dead: vec![false; cfg.world],
-                fenced: vec![false; cfg.world],
-                last_heard: vec![now; cfg.world],
-            }),
-            cv: Condvar::new(),
-            epoch: AtomicU64::new(0),
+            mailbox: Mailbox::new(cfg.rank, cfg.world),
+            last_heard: Mutex::new(vec![Instant::now(); cfg.world]),
         });
         let mut writers: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(cfg.world);
         let mut readers = Vec::new();
@@ -132,34 +103,19 @@ impl ProcTransport {
             let handle = std::thread::Builder::new()
                 .name(format!("kfac-proc-r{}-p{}", cfg.rank, peer))
                 .spawn(move || loop {
-                    match read_frame(&mut read_half) {
-                        Ok((tag, payload)) => match bytes_to_f32s(&payload) {
-                            Some(msg) => {
-                                let mut st = state.mail.lock();
-                                st.last_heard[peer] = Instant::now();
-                                if tag == TAG_HEARTBEAT {
-                                    continue; // liveness only, nothing to deliver
-                                }
-                                // Fence stragglers: a data frame stamped
-                                // with a pre-shrink epoch is dropped on
-                                // arrival.
-                                if tag & CTRL_BIT == 0
-                                    && tag_epoch(tag) < state.epoch.load(Ordering::Relaxed)
-                                {
-                                    continue;
-                                }
-                                st.boxes.entry((peer, tag)).or_default().push_back(msg);
-                                state.cv.notify_all();
+                    // A torn frame poisons the peer like a closed socket:
+                    // callers see RankFailed, never silent corruption.
+                    let frame = read_frame(&mut read_half).ok();
+                    match frame.and_then(|(tag, bytes)| Some((tag, bytes_to_f32s(&bytes)?))) {
+                        Some((tag, msg)) => {
+                            state.last_heard.lock()[peer] = Instant::now();
+                            // Heartbeats are liveness only.
+                            if tag != TAG_HEARTBEAT {
+                                state.mailbox.deliver(peer, tag, msg);
                             }
-                            None => {
-                                // Torn frame: poison the peer, callers see
-                                // RankFailed rather than silent corruption.
-                                state.mark_dead(peer);
-                                return;
-                            }
-                        },
-                        Err(_) => {
-                            state.mark_dead(peer);
+                        }
+                        None => {
+                            state.mailbox.mark_dead(peer);
                             return;
                         }
                     }
@@ -172,7 +128,6 @@ impl ProcTransport {
         let heartbeat = if hb.enabled() && cfg.world > 1 {
             Some(spawn_heartbeat(
                 cfg.rank,
-                cfg.world,
                 hb,
                 Arc::clone(&state),
                 Arc::clone(&writers),
@@ -191,9 +146,12 @@ impl ProcTransport {
         })
     }
 
-    /// First peer that is dead and not yet fenced, if any.
-    fn unfenced_dead(st: &MailState) -> Option<usize> {
-        st.dead.iter().zip(&st.fenced).position(|(&d, &f)| d && !f)
+    /// Close every peer connection: peers' readers see EOF, and this
+    /// rank's readers wake out of their blocking reads.
+    fn shutdown_links(&self) {
+        for writer in self.writers.iter().flatten() {
+            let _ = writer.lock().shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -201,7 +159,6 @@ impl ProcTransport {
 /// dead after `hb.timeout` of silence.
 fn spawn_heartbeat(
     rank: usize,
-    world: usize,
     hb: HeartbeatConfig,
     state: Arc<SharedState>,
     writers: Arc<Vec<Option<Mutex<TcpStream>>>>,
@@ -212,39 +169,19 @@ fn spawn_heartbeat(
         .name(format!("kfac-proc-hb-{rank}"))
         .spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
-                for peer in 0..world {
-                    if peer == rank {
+                for (peer, writer) in writers.iter().enumerate() {
+                    let Some(writer) = writer else {
+                        continue; // this rank itself
+                    };
+                    if state.mailbox.check_alive(peer).is_err() {
                         continue;
                     }
-                    let already_dead = state.mail.lock().dead[peer];
-                    if already_dead {
-                        continue;
-                    }
-                    if let Some(writer) = &writers[peer] {
-                        let failed = write_frame(&mut *writer.lock(), TAG_HEARTBEAT, &[]).is_err();
-                        if failed {
-                            state.mark_dead(peer);
-                        }
+                    let silent = state.last_heard.lock()[peer].elapsed() > hb.timeout;
+                    if silent || write_frame(&mut *writer.lock(), TAG_HEARTBEAT, &[]).is_err() {
+                        state.mailbox.mark_dead(peer);
                     }
                 }
-                {
-                    let mut st = state.mail.lock();
-                    let now = Instant::now();
-                    let mut changed = false;
-                    for peer in 0..world {
-                        if peer != rank
-                            && !st.dead[peer]
-                            && now.duration_since(st.last_heard[peer]) > hb.timeout
-                        {
-                            st.dead[peer] = true;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        state.cv.notify_all();
-                    }
-                }
-                std::thread::sleep(hb.interval);
+                std::thread::park_timeout(hb.interval);
             }
         })
         .expect("spawn heartbeat thread");
@@ -264,109 +201,37 @@ impl Transport for ProcTransport {
         let Some(writer) = self.writers.get(to).and_then(|w| w.as_ref()) else {
             return Err(CollectiveError::Mismatch("send to invalid peer"));
         };
+        self.state.mailbox.check_alive(to)?;
         let bytes = f32s_to_bytes(payload);
         let failed = write_frame(&mut *writer.lock(), tag, &bytes).is_err();
         if failed {
-            self.state.mark_dead(to);
+            self.state.mailbox.mark_dead(to);
             return Err(CollectiveError::RankFailed(to));
         }
         Ok(())
     }
 
     fn try_recv(&self, from: usize, tag: u64) -> Result<Vec<f32>, CollectiveError> {
-        let key = (from, tag);
         let deadline = Instant::now() + self.timeout;
-        let mut st = self.state.mail.lock();
-        loop {
-            if let Some(q) = st.boxes.get_mut(&key) {
-                if let Some(msg) = q.pop_front() {
-                    if q.is_empty() {
-                        st.boxes.remove(&key);
-                    }
-                    return Ok(msg);
-                }
-            }
-            // A collective cannot complete once *any* group member is
-            // gone: fail promptly with the culprit instead of burning the
-            // deadline, so callers can start reconfiguring immediately.
-            // Fenced peers are acknowledged-dead (previous epochs) and
-            // don't count.
-            if from >= self.world {
-                return Err(CollectiveError::RankFailed(from));
-            }
-            if let Some(culprit) = Self::unfenced_dead(&st) {
-                return Err(CollectiveError::RankFailed(culprit));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CollectiveError::Timeout {
-                    waited_ms: self.timeout.as_millis() as u64,
-                });
-            }
-            self.state.cv.wait_for(&mut st, deadline - now);
-        }
+        self.state
+            .mailbox
+            .recv(from, tag, deadline, FailOn::SenderLeft)
     }
 }
 
 impl Membership for ProcTransport {
-    fn observed_dead(&self) -> Vec<usize> {
-        let st = self.state.mail.lock();
-        st.dead
-            .iter()
-            .zip(&st.fenced)
-            .enumerate()
-            .filter(|(_, (&d, &f))| d && !f)
-            .map(|(i, _)| i)
-            .collect()
+    fn mailbox(&self) -> &Mailbox {
+        &self.state.mailbox
     }
 
+    /// Records the observation locally (real failures are detected by the
+    /// reader and heartbeat threads). A rank told that *it* is dead also
+    /// severs its links, so every peer observes the death as an EOF — the
+    /// in-process stand-in for the process exiting.
     fn mark_dead(&self, original: usize) {
-        if original < self.world {
-            self.state.mark_dead(original);
-        }
-    }
-
-    fn fence(&self, dead: &[usize], new_epoch: u64) {
-        let mut st = self.state.mail.lock();
-        for &d in dead {
-            if d < self.world {
-                st.dead[d] = true;
-                st.fenced[d] = true;
-            }
-        }
-        self.state.epoch.store(new_epoch, Ordering::Relaxed);
-        let fenced = st.fenced.clone();
-        st.boxes.retain(|&(peer, tag), _| {
-            !fenced[peer] && (tag & CTRL_BIT != 0 || tag_epoch(tag) >= new_epoch)
-        });
-        self.state.cv.notify_all();
-    }
-
-    fn recv_deadline(
-        &self,
-        from: usize,
-        tag: u64,
-        deadline: Instant,
-    ) -> Result<Vec<f32>, CollectiveError> {
-        let key = (from, tag);
-        let mut st = self.state.mail.lock();
-        loop {
-            if let Some(q) = st.boxes.get_mut(&key) {
-                if let Some(msg) = q.pop_front() {
-                    if q.is_empty() {
-                        st.boxes.remove(&key);
-                    }
-                    return Ok(msg);
-                }
-            }
-            if *st.dead.get(from).unwrap_or(&true) {
-                return Err(CollectiveError::RankFailed(from));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CollectiveError::Timeout { waited_ms: 0 });
-            }
-            self.state.cv.wait_for(&mut st, deadline - now);
+        self.state.mailbox.mark_dead(original);
+        if original == self.rank {
+            self.shutdown_links();
         }
     }
 }
@@ -378,11 +243,10 @@ impl Drop for ProcTransport {
         // reads and join them so no thread outlives the mailboxes.
         if let Some((stop, handle)) = self.heartbeat.take() {
             stop.store(true, Ordering::Relaxed);
+            handle.thread().unpark();
             let _ = handle.join();
         }
-        for writer in self.writers.iter().flatten() {
-            let _ = writer.lock().shutdown(Shutdown::Both);
-        }
+        self.shutdown_links();
         for handle in self.readers.drain(..) {
             let _ = handle.join();
         }
@@ -398,10 +262,10 @@ impl Drop for ProcTransport {
 /// [`ViewTransport`](crate::ViewTransport): the boot group *is* a
 /// [`ShrunkComm`] whose view is the identity (epoch 0, members
 /// `0..world`), which stamps every tag with epoch 0 — bitwise identical
-/// on the wire to the pre-membership protocol — so a `ProcComm` allreduce
-/// stays bitwise identical to a [`crate::ThreadComm`] allreduce of the
-/// same inputs, and [`crate::FaultyCommunicator`] / [`crate::RetryPolicy`]
-/// wrap it unchanged. After a rank dies,
+/// on the wire to the pre-membership protocol. [`crate::ThreadComm`] is
+/// the same type over the in-process mesh, so the two fabrics' results
+/// are bitwise identical by construction, and
+/// [`crate::FaultyCommunicator`] / [`crate::RetryPolicy`] wrap either. After a rank dies,
 /// [`Elastic::shrink`](crate::Elastic::shrink) agrees on the survivors and
 /// returns a new `ProcComm` fenced to the next epoch.
 pub type ProcComm = ShrunkComm<ProcTransport>;

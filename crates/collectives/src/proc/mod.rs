@@ -14,13 +14,14 @@
 //!   (rank, world, root address, deadline) and pairwise mesh dialing,
 //!   deadline-bounded with typed errors.
 //! * [`ProcTransport`] — per-peer persistent connections, one reader
-//!   thread per peer draining into tag-keyed mailboxes (sends never
-//!   deadlock against receives), per-receive deadlines.
+//!   thread per peer delivering into the rank's [`crate::Mailbox`] (sends
+//!   never deadlock against receives), per-receive deadlines.
 //! * [`ProcComm`] — the [`crate::Communicator`] built by running the
 //!   [`crate::algo`] layer (pipelined ring / halving-doubling / flat,
-//!   auto-selected by size) over that mesh. Bitwise-identical reductions
-//!   to [`crate::ThreadComm`]; wraps cleanly in
-//!   [`crate::FaultyCommunicator`] and [`crate::RetryPolicy`].
+//!   auto-selected by size) over that mesh: the same
+//!   [`crate::ShrunkComm`] as [`crate::ThreadComm`], over a different
+//!   transport. Wraps cleanly in [`crate::FaultyCommunicator`] and
+//!   [`crate::RetryPolicy`].
 //!
 //! Launching: a parent picks a rendezvous port and spawns N workers, each
 //! of which builds its [`ProcConfig`] and calls [`ProcComm::connect`] (the

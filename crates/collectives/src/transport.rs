@@ -3,10 +3,12 @@
 //! The algorithm layer ([`crate::algo`]) expresses ring, halving/doubling
 //! and tree collectives purely in terms of tagged point-to-point messages
 //! between ranks. Anything that can move a tagged `f32` payload from one
-//! rank to another can host every algorithm: the in-process
-//! [`crate::ThreadComm`] mailbox mesh and the multi-process TCP
-//! [`crate::proc::ProcComm`] both implement this trait, which is what lets
-//! one algorithm implementation be *bitwise identical* across backends.
+//! rank to another can host every algorithm: the in-process mailbox mesh
+//! ([`crate::MeshTransport`]) and the multi-process TCP mesh
+//! ([`crate::proc::ProcTransport`]) both implement this trait and share
+//! their receive side ([`crate::Mailbox`]), so one algorithm
+//! implementation serves both fabrics and is *bitwise identical* across
+//! them by construction.
 //!
 //! Semantics:
 //!
@@ -16,8 +18,11 @@
 //!   order.
 //! * `try_recv` blocks until a message with the exact `(from, tag)` key is
 //!   available, up to the transport's configured deadline, then fails with
-//!   [`CollectiveError::Timeout`]. A permanently gone peer surfaces as
-//!   [`CollectiveError::RankFailed`].
+//!   [`CollectiveError::Timeout`] carrying the time it waited. A sender
+//!   that is permanently gone — or that has given up on the epoch's
+//!   collectives over someone else's death ([`gave_up_tag`]) — surfaces as
+//!   [`CollectiveError::RankFailed`] naming the dead rank. So does
+//!   `try_send` to a rank already known dead, which queues nothing.
 //! * Tags disambiguate messages of different operations/phases/chunks that
 //!   may be in flight concurrently (the pipelined algorithms keep many
 //!   chunks outstanding). See [`make_tag`].
@@ -105,6 +110,21 @@ pub fn commit_tag(epoch: u64) -> u64 {
     CTRL_BIT | (2 << 40) | (epoch & 0xffff_ffff)
 }
 
+/// Control tag: the sender has given up on the collectives of `epoch`
+/// because a member died (payload: the culprit's original rank). Whatever
+/// it had not sent by then will never come, so a peer waiting on it fails
+/// with the culprit now instead of at its deadline — and a peer waiting on
+/// anyone else keeps waiting: a death alone dooms no collective the
+/// victim had already completed.
+pub fn gave_up_tag(epoch: u64) -> u64 {
+    CTRL_BIT | (4 << 40) | (epoch & 0xffff_ffff)
+}
+
+/// The epoch of a [`gave_up_tag`], or `None` for any other tag.
+pub fn gave_up_epoch(tag: u64) -> Option<u64> {
+    (tag & !0xffff_ffff == gave_up_tag(0)).then_some(tag & 0xffff_ffff)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +168,9 @@ mod tests {
     fn control_tags_never_collide_with_fenced_data_tags() {
         let data = fence_tag(255, make_tag(u64::MAX >> 34, 15, (1 << 20) - 1));
         assert_eq!(data & CTRL_BIT, 0);
-        for ctrl in [TAG_HEARTBEAT, propose_tag(7), commit_tag(7)] {
+        for ctrl in [TAG_HEARTBEAT, propose_tag(7), commit_tag(7), gave_up_tag(7)] {
             assert_ne!(ctrl & CTRL_BIT, 0);
+            assert_eq!(gave_up_epoch(ctrl), (ctrl == gave_up_tag(7)).then_some(7));
         }
         assert_ne!(propose_tag(3), commit_tag(3));
         assert_ne!(propose_tag(3), propose_tag(4));

@@ -1,15 +1,16 @@
 //! Property tests for the collective algorithm layer.
 //!
 //! The contract under test (the repo's determinism invariant): pipelined
-//! ring, halving/doubling, and the legacy flat reduction produce
+//! ring, halving/doubling, and the flat reference reduction produce
 //! **bitwise-identical** allreduce results — across rank counts
 //! {1,2,3,4,8}, message sizes that straddle the pipeline chunk boundary,
 //! and on both backends (thread mailbox mesh and multi-process TCP).
-//! The reference is `ThreadComm`'s rendezvous reduction, the canonical
-//! left-associated rank-order combine.
+//! The reference is the canonical left-associated rank-order combine,
+//! written out serially here so it shares no code with what it judges.
 
-use kfac_collectives::algo::{AlgoComm, AlgoPolicy, CollectiveAlgo};
+use kfac_collectives::algo::{AlgoPolicy, CollectiveAlgo};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
+use kfac_collectives::thread::MESH_RECV_TIMEOUT;
 use kfac_collectives::{Communicator, ReduceOp, ThreadComm};
 use proptest::prelude::*;
 use std::thread;
@@ -29,26 +30,22 @@ fn payload(seed: u32, rank: usize, len: usize) -> Vec<f32> {
         .collect()
 }
 
-fn run_thread_group<R: Send>(size: usize, f: impl Fn(usize, &ThreadComm) -> R + Sync) -> Vec<R> {
-    let comms = ThreadComm::create(size);
-    let f = &f;
-    thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .iter()
-            .enumerate()
-            .map(|(rank, comm)| s.spawn(move || f(rank, comm)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-/// Rendezvous-reduction reference bits from the legacy ThreadComm path.
+/// Reference bits: `((x₀ + x₁) + x₂) + …` in rank order, then the
+/// average's one multiply; every rank must hold exactly these.
 fn reference_bits(size: usize, len: usize, seed: u32, op: ReduceOp) -> Vec<Vec<u32>> {
-    run_thread_group(size, |rank, comm| {
-        let mut buf = payload(seed, rank, len);
-        comm.allreduce(&mut buf, op);
-        buf.iter().map(|v| v.to_bits()).collect()
-    })
+    let mut acc = payload(seed, 0, len);
+    for rank in 1..size {
+        for (a, b) in acc.iter_mut().zip(payload(seed, rank, len)) {
+            *a += b;
+        }
+    }
+    if op == ReduceOp::Average {
+        let inv = 1.0 / size as f32;
+        for a in &mut acc {
+            *a *= inv;
+        }
+    }
+    vec![acc.iter().map(|v| v.to_bits()).collect(); size]
 }
 
 /// Allreduce bits via the algorithm layer on the thread mailbox mesh.
@@ -59,10 +56,7 @@ fn thread_algo_bits(
     op: ReduceOp,
     policy: AlgoPolicy,
 ) -> Vec<Vec<u32>> {
-    let comms: Vec<_> = ThreadComm::create(size)
-        .into_iter()
-        .map(|t| AlgoComm::new(t, policy))
-        .collect();
+    let comms = ThreadComm::create_with(size, policy, MESH_RECV_TIMEOUT);
     thread::scope(|s| {
         let handles: Vec<_> = comms
             .iter()
@@ -116,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// All three algorithms on the thread backend are bitwise identical
-    /// to the legacy rendezvous reduction, with message lengths chosen
+    /// to the serial rank-order fold, with message lengths chosen
     /// to straddle the pipeline chunk boundary (chunk = 16 elements,
     /// lengths 1..64 cover sub-chunk, exact-chunk and multi-chunk).
     #[test]
@@ -168,7 +162,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// All three algorithms on the TCP proc backend are bitwise
-    /// identical to the ThreadComm reference.
+    /// identical to the serial rank-order fold.
     #[test]
     fn proc_backend_algos_bitwise_match_flat(
         size_idx in 0usize..SIZES.len(),

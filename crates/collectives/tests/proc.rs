@@ -5,6 +5,8 @@
 //! algorithm layer — from threads of one process, so these tests exercise
 //! every byte of the wire path without spawning executables (the true
 //! multi-process path is covered by `kfac-harness/tests/proc_train.rs`).
+//! The contract both fabrics share is `tests/contract.rs`; what is here
+//! is what only sockets can do, plus the thread == TCP bit pin.
 
 use kfac_collectives::algo::{AlgoPolicy, CollectiveAlgo};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
@@ -34,8 +36,12 @@ fn run_proc_group<R: Send>(
     })
 }
 
-fn run_thread_group<R: Send>(size: usize, f: impl Fn(usize, &ThreadComm) -> R + Sync) -> Vec<R> {
-    let comms = ThreadComm::create(size);
+fn run_thread_group<R: Send>(
+    size: usize,
+    policy: AlgoPolicy,
+    f: impl Fn(usize, &ThreadComm) -> R + Sync,
+) -> Vec<R> {
+    let comms = ThreadComm::create_with(size, policy, kfac_collectives::thread::MESH_RECV_TIMEOUT);
     let f = &f;
     thread::scope(|s| {
         let handles: Vec<_> = comms
@@ -47,124 +53,28 @@ fn run_thread_group<R: Send>(size: usize, f: impl Fn(usize, &ThreadComm) -> R + 
     })
 }
 
-#[test]
-fn proc_allreduce_sum_all_sizes() {
-    for size in [1, 2, 3, 4] {
-        let results = run_proc_group(size, AlgoPolicy::default(), |rank, comm| {
-            let mut buf = vec![rank as f32, 1.0];
-            comm.allreduce(&mut buf, ReduceOp::Sum);
-            buf
-        });
-        let expect_sum: f32 = (0..size).map(|r| r as f32).sum();
-        for r in &results {
-            assert_eq!(r[0], expect_sum, "size {size}");
-            assert_eq!(r[1], size as f32);
+/// The canonical reduction, written out: `((x₀ + x₁) + x₂) + …` in rank
+/// order, then the average's one multiply.
+fn serial_fold_bits(contributions: &[Vec<f32>], op: ReduceOp) -> Vec<u32> {
+    let mut acc = contributions[0].clone();
+    for x in &contributions[1..] {
+        for (a, &b) in acc.iter_mut().zip(x) {
+            *a += b;
         }
     }
-}
-
-#[test]
-fn proc_allreduce_average_and_max() {
-    let results = run_proc_group(4, AlgoPolicy::default(), |rank, comm| {
-        let mut avg = vec![(rank * 2) as f32];
-        comm.allreduce(&mut avg, ReduceOp::Average);
-        let mut mx = vec![-(rank as f32), rank as f32];
-        comm.allreduce(&mut mx, ReduceOp::Max);
-        (avg[0], mx)
-    });
-    for (avg, mx) in results {
-        assert_eq!(avg, 3.0);
-        assert_eq!(mx, vec![0.0, 3.0]);
-    }
-}
-
-#[test]
-fn proc_allgather_variable_lengths() {
-    let results = run_proc_group(3, AlgoPolicy::default(), |rank, comm| {
-        let payload: Vec<f32> = (0..=rank).map(|i| (rank * 10 + i) as f32).collect();
-        comm.allgather(&payload)
-    });
-    for gathered in &results {
-        assert_eq!(gathered.len(), 3);
-        assert_eq!(gathered[0], vec![0.0]);
-        assert_eq!(gathered[1], vec![10.0, 11.0]);
-        assert_eq!(gathered[2], vec![20.0, 21.0, 22.0]);
-    }
-}
-
-#[test]
-fn proc_broadcast_from_each_root() {
-    for root in 0..3 {
-        let results = run_proc_group(3, AlgoPolicy::default(), move |rank, comm| {
-            let mut buf = if rank == root {
-                vec![42.0, 43.0]
-            } else {
-                vec![0.0, 0.0]
-            };
-            comm.broadcast(&mut buf, root);
-            buf
-        });
-        for r in results {
-            assert_eq!(r, vec![42.0, 43.0]);
+    if op == ReduceOp::Average {
+        let inv = 1.0 / contributions.len() as f32;
+        for a in &mut acc {
+            *a *= inv;
         }
     }
-}
-
-#[test]
-fn proc_barrier_orders_phases() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let before = AtomicUsize::new(0);
-    run_proc_group(4, AlgoPolicy::default(), |_rank, comm| {
-        before.fetch_add(1, Ordering::SeqCst);
-        comm.barrier();
-        assert_eq!(before.load(Ordering::SeqCst), 4);
-    });
-}
-
-#[test]
-fn proc_mixed_op_sequences() {
-    let results = run_proc_group(4, AlgoPolicy::default(), |rank, comm| {
-        let mut acc = 0.0f32;
-        for round in 0..10 {
-            let mut g = vec![rank as f32 + round as f32; 8];
-            comm.allreduce(&mut g, ReduceOp::Average);
-            acc += g[0];
-            let gathered = comm.allgather(&[rank as f32]);
-            assert_eq!(gathered.len(), 4);
-            let mut b = vec![if rank == round % 4 { 7.0 } else { 0.0 }];
-            comm.broadcast(&mut b, round % 4);
-            assert_eq!(b[0], 7.0);
-            comm.barrier();
-        }
-        acc
-    });
-    let expect: f32 = (0..10).map(|round| 1.5 + round as f32).sum();
-    for r in results {
-        assert!((r - expect).abs() < 1e-4);
-    }
-}
-
-#[test]
-fn proc_traffic_is_recorded_per_class() {
-    let results = run_proc_group(2, AlgoPolicy::default(), |_rank, comm| {
-        let mut buf = vec![0.0f32; 100];
-        comm.allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient);
-        comm.allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Factor);
-        let _ = comm.allgather_tagged(&buf, TrafficClass::Eigen);
-        comm.traffic()
-    });
-    for t in results {
-        assert_eq!(t.gradient_bytes, 400);
-        assert_eq!(t.factor_bytes, 400);
-        assert_eq!(t.eigen_bytes, 400);
-        assert_eq!(t.ops, 3);
-    }
+    acc.iter().map(|v| v.to_bits()).collect()
 }
 
 /// The acceptance-criterion invariant at the collectives level: a proc
-/// allreduce is bitwise identical to the ThreadComm rendezvous reduction,
-/// for every algorithm and awkward sizes (non-power-of-two ranks, lengths
-/// straddling the chunk size).
+/// allreduce and a thread allreduce are both bitwise the serial left fold
+/// of the contributions, for every algorithm and awkward sizes
+/// (non-power-of-two ranks, lengths straddling the chunk size).
 #[test]
 fn proc_allreduce_bitwise_matches_threadcomm() {
     // Values whose sum depends on association order, so any deviation
@@ -177,11 +87,8 @@ fn proc_allreduce_bitwise_matches_threadcomm() {
     for size in [2usize, 3, 4] {
         for len in [5usize, 16, 33, 100] {
             for op in [ReduceOp::Sum, ReduceOp::Average] {
-                let reference: Vec<Vec<u32>> = run_thread_group(size, |rank, comm| {
-                    let mut buf = data(rank, len);
-                    comm.allreduce(&mut buf, op);
-                    buf.iter().map(|v| v.to_bits()).collect()
-                });
+                let contributions: Vec<Vec<f32>> = (0..size).map(|r| data(r, len)).collect();
+                let reference = vec![serial_fold_bits(&contributions, op); size];
                 for algo in [
                     CollectiveAlgo::Flat,
                     CollectiveAlgo::PipelinedRing,
@@ -192,16 +99,21 @@ fn proc_allreduce_bitwise_matches_threadcomm() {
                         chunk_elems: 16, // force multi-chunk pipelines at len 33+
                         ..AlgoPolicy::default()
                     };
-                    let got: Vec<Vec<u32>> = run_proc_group(size, policy, |rank, comm| {
+                    let allreduce_bits = |rank: usize, comm: &dyn Communicator| -> Vec<u32> {
                         let mut buf = data(rank, len);
                         comm.allreduce(&mut buf, op);
                         buf.iter().map(|v| v.to_bits()).collect()
-                    });
-                    assert_eq!(
-                        got, reference,
-                        "algo {:?} size {size} len {len} op {op:?}",
-                        algo
-                    );
+                    };
+                    let on_threads =
+                        run_thread_group(size, policy, |rank, comm| allreduce_bits(rank, comm));
+                    let on_tcp =
+                        run_proc_group(size, policy, |rank, comm| allreduce_bits(rank, comm));
+                    for (fabric, got) in [("thread", on_threads), ("proc", on_tcp)] {
+                        assert_eq!(
+                            got, reference,
+                            "{fabric} algo {algo:?} size {size} len {len} op {op:?}"
+                        );
+                    }
                 }
             }
         }

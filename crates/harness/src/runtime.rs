@@ -212,8 +212,9 @@ pub struct WorkerSpec {
 pub struct RuntimeConfig {
     /// `KFAC_COMM_BACKEND`: the fabric `TrainConfig::new` selects.
     pub backend: CommBackend,
-    /// `KFAC_COMM_ALGO`: the allreduce algorithm of every proc-fabric
-    /// group (thresholds stay [`AlgoPolicy::default`]'s).
+    /// `KFAC_COMM_ALGO`: the allreduce algorithm of every group `train`
+    /// and the workers build, on either fabric (thresholds stay
+    /// [`AlgoPolicy::default`]'s).
     pub algo: CollectiveAlgo,
     /// `KFAC_EIG_BACKEND`: eigensolver `with_kfac` substitutes.
     pub eig: Option<EigenSolver>,
@@ -392,7 +393,7 @@ impl RuntimeConfig {
         env
     }
 
-    /// The proc-fabric algorithm policy: [`algo`](Self::algo) over the
+    /// The collective algorithm policy: [`algo`](Self::algo) over the
     /// default thresholds.
     pub fn algo_policy(&self) -> AlgoPolicy {
         AlgoPolicy {

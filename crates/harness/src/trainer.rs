@@ -622,9 +622,15 @@ pub fn train(
         return run_rank(0, &comm, &build_model, train_ds, val_ds, cfg, &registry)
             .expect("rank 0 returns");
     }
+    // Both fabrics run the same collective stack under the same policy.
+    let policy = crate::runtime::current().algo_policy();
     match cfg.backend {
         CommBackend::Thread => {
-            let comms = ThreadComm::create(cfg.ranks);
+            let comms = ThreadComm::create_with(
+                cfg.ranks,
+                policy,
+                kfac_collectives::thread::MESH_RECV_TIMEOUT,
+            );
             drive_group(&comms, &build_model, train_ds, val_ds, cfg, &registry)
         }
         // Same rank threads, but every collective crosses a real TCP
@@ -634,7 +640,7 @@ pub fn train(
         CommBackend::Proc => {
             let comms = ProcComm::create_local_with(
                 cfg.ranks,
-                crate::runtime::current().algo_policy(),
+                policy,
                 kfac_collectives::ProcConfig::DEFAULT_TIMEOUT,
             )
             .unwrap_or_else(|e| panic!("proc backend rendezvous failed: {e}"));

@@ -125,8 +125,8 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 }
 
 /// The registry's mirrored traffic counters must equal the merge of all
-/// per-rank counters — witnessed by the communicator's own group-wide
-/// accumulator — even when payload sizes differ across ranks.
+/// per-rank counters — the sum of every rank's own `traffic()` — even
+/// when payload sizes differ across ranks.
 #[test]
 fn registry_merge_equals_group_traffic() {
     let registry = Registry::new();
@@ -150,8 +150,15 @@ fn registry_merge_equals_group_traffic() {
                 })
             })
             .collect();
-        let comms: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        comms[0].group_traffic()
+        let mut group = kfac_collectives::Traffic::default();
+        for comm in handles.into_iter().map(|h| h.join().unwrap()) {
+            use kfac_collectives::Communicator;
+            let rank = comm.traffic();
+            group.gradient_bytes += rank.gradient_bytes;
+            group.eigen_bytes += rank.eigen_bytes;
+            group.ops += rank.ops;
+        }
+        group
     });
     assert!(group.eigen_bytes > 0 && group.gradient_bytes > 0);
     assert_eq!(
