@@ -207,16 +207,18 @@ fn invert_f32(a: &Matrix) -> Result<Matrix, LinAlgError> {
 
 /// Eigen-path preconditioned gradient (Eq. 13–15) from the
 /// eigendecompositions `a` of the activation factor and `g` of the
-/// gradient factor.
+/// gradient factor, each an `n × r` basis with `r ≤ n`.
 ///
-/// Handles both exact and randomized-truncated decompositions. A
-/// truncated factor stores an incomplete eigenbasis (zero-padded
-/// leading columns, see [`EigenDecomposition::truncated_rank`]); the
-/// discarded modes all carry eigenvalue ≈ 0, so every Kronecker-mode
-/// pair touching the complement shares the damped denominator γ and the
-/// complement contribution collapses to `(∇L − Q_G V₁ Q_Aᵀ)/γ`. The
-/// exact path is untouched so full decompositions precondition
-/// bit-for-bit as before.
+/// A short basis (`r < n`, the randomized backend) spans the modes that
+/// were kept; the discarded ones all carry eigenvalue ≈ 0, so every
+/// Kronecker-mode pair touching the complement shares the damped
+/// denominator γ. Writing the result as the all-γ answer `∇L/γ` plus a
+/// correction inside `span(Q_G) ⊗ span(Q_A)` gives
+/// `P = ∇L/γ + Q_G (V₁ ⊙ C) Q_Aᵀ` with
+/// `C_ij = 1/(λ_Gi λ_Aj + γ) − 1/γ = −λ_Gi λ_Aj / (γ (λ_Gi λ_Aj + γ))`,
+/// evaluated in the second form, which does not cancel. Two complete
+/// bases take the plain `Q_G (V₁ ⊘ (λ_G λ_Aᵀ + γ)) Q_Aᵀ`, operation for
+/// operation what it has always been.
 pub fn precondition_eigen(
     a: &EigenDecomposition,
     g: &EigenDecomposition,
@@ -226,42 +228,30 @@ pub fn precondition_eigen(
     let (dg, da) = grad.shape();
     assert_eq!(g.eigenvectors.rows(), dg, "G dimension mismatch");
     assert_eq!(a.eigenvectors.rows(), da, "A dimension mismatch");
+    let short = a.truncated_rank().is_some() || g.truncated_rank().is_some();
 
-    // V₁ = Q_Gᵀ ∇L Q_A
-    let v1 = g.eigenvectors.matmul_tn(grad).matmul(&a.eigenvectors);
+    // V₁ = Q_Gᵀ ∇L Q_A (r_G × r_A)
+    let mut v = g.eigenvectors.matmul_tn(grad).matmul(&a.eigenvectors);
 
-    let truncated = g.truncated_rank().is_some() || a.truncated_rank().is_some();
-    let complement = if truncated {
-        // Residual of ∇L outside span(Q_G) ⊗ span(Q_A): padded columns
-        // are exactly zero, so Q V₁ Qᵀ only reconstructs the kept modes.
-        let mut proj = g.eigenvectors.matmul(&v1).matmul_nt(&a.eigenvectors);
-        let inv_gamma = 1.0 / damping;
-        for (p, raw) in proj.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-            *p = (raw - *p) * inv_gamma;
-        }
-        Some(proj)
-    } else {
-        None
-    };
-
-    // V₂ = V₁ ⊘ (v_G v_Aᵀ + γ). Clamp eigenvalues at zero: factors are
-    // PSD in exact arithmetic; tiny negative round-off must not flip the
-    // sign of the damped denominator.
-    let mut v2 = v1;
-    for i in 0..dg {
-        let lg = g.eigenvalues[i].max(0.0);
-        let row = v2.row_mut(i);
-        for (j, v) in row.iter_mut().enumerate() {
-            let la = a.eigenvalues[j].max(0.0);
-            *v /= lg * la + damping;
+    // V₂ = V₁ ⊘ (v_G v_Aᵀ + γ), or V₁ ⊙ C. Clamp eigenvalues at zero:
+    // factors are PSD in exact arithmetic; tiny negative round-off must
+    // not flip the sign of the damped denominator.
+    for (i, &lg) in g.eigenvalues.iter().enumerate() {
+        let lg = lg.max(0.0);
+        for (x, &la) in v.row_mut(i).iter_mut().zip(&a.eigenvalues) {
+            let s = lg * la.max(0.0);
+            if short {
+                *x *= -s / (damping * (s + damping));
+            } else {
+                *x /= s + damping;
+            }
         }
     }
 
-    // precond = Q_G V₂ Q_Aᵀ (+ complement/γ when truncated)
-    let mut out = g.eigenvectors.matmul(&v2).matmul_nt(&a.eigenvectors);
-    if let Some(c) = complement {
-        for (o, r) in out.as_mut_slice().iter_mut().zip(c.as_slice()) {
-            *o += *r;
+    let mut out = g.eigenvectors.matmul(&v).matmul_nt(&a.eigenvectors);
+    if short {
+        for (o, raw) in out.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            *o += raw / damping;
         }
     }
     out
@@ -292,6 +282,69 @@ pub fn kl_clip_nu<'a>(
         return 1.0;
     }
     ((kappa as f64 / vg_sum).sqrt() as f32).min(1.0)
+}
+
+/// `precondition_eigen` as it was while a short basis was stored
+/// `n × n` with exact-zero leading columns: the full-size
+/// `Q_G · X · Q_Aᵀ` product run twice, once for `V₂` and once for the
+/// complement `(∇L − Q_G V₁ Q_Aᵀ)/γ`. The reference the compact body is
+/// held to.
+#[cfg(test)]
+mod oracle {
+    use kfac_tensor::{EigenDecomposition, Matrix};
+
+    /// The `n × n` layout the randomized solver used to emit: the kept
+    /// pairs in the trailing slots, exact zeros before them.
+    fn padded(e: &EigenDecomposition) -> EigenDecomposition {
+        let (n, r) = e.eigenvectors.shape();
+        let mut eigenvalues = vec![0.0f32; n];
+        eigenvalues[n - r..].copy_from_slice(&e.eigenvalues);
+        let mut eigenvectors = Matrix::zeros(n, n);
+        for i in 0..n {
+            eigenvectors.row_mut(i)[n - r..].copy_from_slice(e.eigenvectors.row(i));
+        }
+        EigenDecomposition {
+            eigenvalues,
+            eigenvectors,
+        }
+    }
+
+    pub fn precondition_eigen(
+        a: &EigenDecomposition,
+        g: &EigenDecomposition,
+        grad: &Matrix,
+        damping: f32,
+    ) -> Matrix {
+        let truncated = g.truncated_rank().is_some() || a.truncated_rank().is_some();
+        let (a, g) = (padded(a), padded(g));
+        let dg = grad.rows();
+
+        let v1 = g.eigenvectors.matmul_tn(grad).matmul(&a.eigenvectors);
+        let complement = truncated.then(|| {
+            let mut proj = g.eigenvectors.matmul(&v1).matmul_nt(&a.eigenvectors);
+            let inv_gamma = 1.0 / damping;
+            for (p, raw) in proj.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *p = (raw - *p) * inv_gamma;
+            }
+            proj
+        });
+        let mut v2 = v1;
+        for i in 0..dg {
+            let lg = g.eigenvalues[i].max(0.0);
+            let row = v2.row_mut(i);
+            for (j, v) in row.iter_mut().enumerate() {
+                let la = a.eigenvalues[j].max(0.0);
+                *v /= lg * la + damping;
+            }
+        }
+        let mut out = g.eigenvectors.matmul(&v2).matmul_nt(&a.eigenvectors);
+        if let Some(c) = complement {
+            for (o, r) in out.as_mut_slice().iter_mut().zip(c.as_slice()) {
+                *o += *r;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +513,88 @@ mod tests {
         a
     }
 
+    /// The top `r` modes of a decomposition (eigenvalues ascend, so the
+    /// last `r` columns): what the randomized backend returns.
+    fn top_modes(e: &EigenDecomposition, r: usize) -> EigenDecomposition {
+        let (n, full) = e.eigenvectors.shape();
+        let mut eigenvectors = Matrix::zeros(n, r);
+        for i in 0..n {
+            eigenvectors
+                .row_mut(i)
+                .copy_from_slice(&e.eigenvectors.row(i)[full - r..]);
+        }
+        EigenDecomposition {
+            eigenvalues: e.eigenvalues[full - r..].to_vec(),
+            eigenvectors,
+        }
+    }
+
+    #[test]
+    fn compact_bases_match_the_padded_oracle_at_every_rank_pair() {
+        let gamma = 0.03;
+        for (case, (na, ng)) in [(27, 16), (144, 64), (577, 64)].into_iter().enumerate() {
+            let mut rng = Rng64::new(40 + case as u64);
+            let ea = decompose_factor(&random_spd(na, &mut rng)).unwrap();
+            let eg = decompose_factor(&random_spd(ng, &mut rng)).unwrap();
+            let grad = random_matrix(ng, na, &mut rng);
+            for ra in [0, 1, na / 8, na] {
+                for rg in [0, 1, ng / 8, ng] {
+                    let (a, g) = (top_modes(&ea, ra), top_modes(&eg, rg));
+                    let new = precondition_eigen(&a, &g, &grad, gamma);
+                    let old = oracle::precondition_eigen(&a, &g, &grad, gamma);
+                    if (ra, rg) == (na, ng) {
+                        assert_eq!(new.as_slice(), old.as_slice(), "full bases: bit for bit");
+                    } else {
+                        let tol = 4.0 * f32::EPSILON * old.max_abs();
+                        let diff = new.max_abs_diff(&old);
+                        assert!(
+                            diff <= tol,
+                            "{na}×{ng} at ranks ({ra}, {rg}): {diff} > {tol}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_zero_bases_precondition_to_the_gradient_over_gamma() {
+        let mut rng = Rng64::new(41);
+        let full = decompose_factor(&random_spd(9, &mut rng)).unwrap();
+        let none = top_modes(&decompose_factor(&random_spd(5, &mut rng)).unwrap(), 0);
+        let grad = random_matrix(5, 9, &mut rng);
+        let gamma = 0.07f32;
+        let expect: Vec<f32> = grad.as_slice().iter().map(|v| v / gamma).collect();
+        for a in [&full, &top_modes(&full, 0)] {
+            let out = precondition_eigen(a, &none, &grad, gamma);
+            assert_eq!(out.as_slice(), expect);
+        }
+    }
+
+    /// FNV-1a over the result's bit patterns.
+    fn bits_hash(m: &Matrix) -> u64 {
+        m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn complete_bases_keep_the_bits_they_had_before_bases_could_be_short() {
+        // Arithmetic only, so the inputs need not be eigenpairs: the hash
+        // was taken from `precondition_eigen` at 91d069d, and moves only
+        // if the complete-basis path (or the GEMM under it) changes an
+        // operation or its order.
+        let mut rng = Rng64::new(42);
+        let mut basis = |n: usize| EigenDecomposition {
+            eigenvalues: (0..n).map(|_| rng.normal_f32().abs()).collect(),
+            eigenvectors: random_matrix(n, n, &mut rng),
+        };
+        let (a, g) = (basis(577), basis(64));
+        let grad = random_matrix(64, 577, &mut rng);
+        let out = precondition_eigen(&a, &g, &grad, 0.03);
+        assert_eq!(bits_hash(&out), 0xa6c0_66c9_4a50_dd61);
+    }
+
     #[test]
     fn truncated_pair_matches_dense_reference_when_tail_is_zero() {
         // Rank-deficient G: the dropped modes carry eigenvalue ≈ 0, so a
@@ -471,15 +606,9 @@ mod tests {
         let grad = random_matrix(4, 3, &mut rng);
         let gamma = 0.05;
 
-        let mut ge = decompose_factor(&g).unwrap();
-        // Zero the two near-null leading modes (ascending order) to forge
-        // the randomized backend's zero-padded layout.
-        for j in 0..2 {
-            ge.eigenvalues[j] = 0.0;
-            for i in 0..4 {
-                ge.eigenvectors[(i, j)] = 0.0;
-            }
-        }
+        // Drop the two near-null leading modes (ascending order): the
+        // randomized backend's short basis.
+        let ge = top_modes(&decompose_factor(&g).unwrap(), 2);
         assert_eq!(ge.truncated_rank(), Some(2));
 
         let (ea, eg) = (decompose_factor(&a).unwrap(), ge);

@@ -794,15 +794,12 @@ impl Kfac {
         if self.telemetry.is_none() {
             return;
         }
-        let n = eig.eigenvalues.len();
-        // λ_min over the *kept* modes: a randomized-truncated
-        // decomposition pads discarded leading modes with exact zeros,
-        // which are layout artifacts, not spectrum.
-        let rank = eig.truncated_rank().unwrap_or(n);
+        // The decomposition holds exactly the modes that were kept.
+        let rank = eig.eigenvalues.len();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut captured = 0.0f64;
-        for &v in &eig.eigenvalues[n - rank..] {
+        for &v in &eig.eigenvalues {
             lo = lo.min(v as f64);
             hi = hi.max(v as f64);
             captured += (v as f64).max(0.0);
@@ -846,15 +843,6 @@ impl Kfac {
         registry.histogram("kfac/eig_mass").record(mass);
     }
 
-    /// Wire length (f32 words) of one factor's second-order payload.
-    fn wire_len(&self, id: usize) -> usize {
-        let n = self.factors[id].dim;
-        match self.cfg.inversion {
-            InversionMethod::Eigen => EigenDecomposition::wire_len(n),
-            InversionMethod::ExplicitInverse => n * n,
-        }
-    }
-
     fn encode_second_order(&self, so: &FactorSecondOrder, out: &mut Vec<f32>) {
         match so {
             FactorSecondOrder::Eigen(e) => out.extend_from_slice(&e.to_bytes_f32()),
@@ -863,22 +851,37 @@ impl Kfac {
         }
     }
 
-    /// Decode one factor's wire payload. A payload carrying non-finite
-    /// values (silent corruption in flight) degrades to the damped
-    /// identity rather than installing poison into the preconditioner.
-    fn decode_second_order(&mut self, id: usize, data: &[f32]) -> FactorSecondOrder {
-        if !data.iter().all(|v| v.is_finite()) {
-            self.note_eig_fallback();
-            return self.identity_second_order(id);
-        }
+    /// Decode the frame that starts `words` as factor `id`'s
+    /// second-order state; also returns the words that follow it. `None`
+    /// when `words` does not start with a frame (an eigenbasis frame
+    /// carries its own length, see
+    /// [`EigenDecomposition::from_bytes_f32`]). A well-formed frame
+    /// carrying non-finite values (silent corruption in flight) decodes
+    /// to the damped identity, counted, rather than installing poison
+    /// into the preconditioner.
+    fn decode_second_order<'w>(
+        &mut self,
+        id: usize,
+        words: &'w [f32],
+    ) -> Option<(FactorSecondOrder, &'w [f32])> {
         let n = self.factors[id].dim;
-        match self.cfg.inversion {
+        let (so, rest) = match self.cfg.inversion {
             InversionMethod::Eigen => {
-                FactorSecondOrder::Eigen(EigenDecomposition::from_bytes_f32(n, data))
+                let (eig, rest) = EigenDecomposition::from_bytes_f32(n, words)?;
+                (FactorSecondOrder::Eigen(eig), rest)
             }
             InversionMethod::ExplicitInverse => {
-                FactorSecondOrder::Inverse(Matrix::from_vec(n, n, data.to_vec()))
+                let (frame, rest) = words.split_at_checked(n * n)?;
+                let inverse = Matrix::from_vec(n, n, frame.to_vec());
+                (FactorSecondOrder::Inverse(inverse), rest)
             }
+        };
+        let frame = &words[..words.len() - rest.len()];
+        if frame.iter().all(|v| v.is_finite()) {
+            Some((so, rest))
+        } else {
+            self.note_eig_fallback();
+            Some((self.identity_second_order(id), rest))
         }
     }
 
@@ -909,9 +912,17 @@ impl Kfac {
     }
 
     /// Phase: decode every rank's allgathered payload into local
-    /// second-order state. Walks factors in id order, consuming each
-    /// owner's payload sequentially (the deterministic-assignment
-    /// property makes the framing implicit).
+    /// second-order state. Each owner's payload is its factors' frames
+    /// in id order (the deterministic-assignment property says whose
+    /// frame comes next; an eigenbasis frame says how long it is).
+    ///
+    /// A payload is outside input. When what is left of one does not
+    /// start with a frame — a rank word that is no rank, a frame running
+    /// past the end — or words remain after its last frame, the framing
+    /// of everything from there on is unknown: that factor and every
+    /// later one of the same owner fall back to the damped identity,
+    /// each counted in `kfac/eig_fallbacks`. Every rank decodes the same
+    /// gathered words, so every rank degrades identically.
     ///
     /// This rank's own partition is installed from `gathered` like
     /// everyone else's, not kept from [`Kfac::eig_compute_one`]: what a
@@ -920,23 +931,34 @@ impl Kfac {
     /// on every rank. On a clean f32 wire the round trip is bit-neutral.
     /// `_rank` is unused and stays only because the signature is part of
     /// the benchmark's frozen surface.
-    // Index loop: `decode_second_order` needs `&mut self`, which rules
-    // out iterating `self.factors` directly.
-    #[allow(clippy::needless_range_loop)]
     pub fn eig_apply_gathered(
         &mut self,
         assignment: &[usize],
         _rank: usize,
         gathered: &[Vec<f32>],
     ) {
-        let mut offsets = vec![0usize; gathered.len()];
-        for fid in 0..self.factors.len() {
-            let owner = assignment[fid];
-            let len = self.wire_len(fid);
-            let start = offsets[owner];
-            offsets[owner] += len;
-            let data = &gathered[owner][start..start + len];
-            self.second_order[fid] = self.decode_second_order(fid, data);
+        debug_assert!(assignment.iter().all(|&owner| owner < gathered.len()));
+        for (owner, payload) in gathered.iter().enumerate() {
+            let owned: Vec<usize> = (0..self.factors.len())
+                .filter(|&id| assignment[id] == owner)
+                .collect();
+            let mut rest = Some(payload.as_slice());
+            for (k, &id) in owned.iter().enumerate() {
+                let decoded = rest
+                    .and_then(|words| self.decode_second_order(id, words))
+                    .filter(|(_, tail)| k + 1 < owned.len() || tail.is_empty());
+                self.second_order[id] = match decoded {
+                    Some((so, tail)) => {
+                        rest = Some(tail);
+                        so
+                    }
+                    None => {
+                        rest = None;
+                        self.note_eig_fallback();
+                        self.identity_second_order(id)
+                    }
+                };
+            }
         }
     }
 
@@ -1057,15 +1079,23 @@ impl Kfac {
                 .store(ratio.to_bits(), std::sync::atomic::Ordering::Relaxed);
             registry.gauge("kfac/precond_ratio").set(ratio);
         }
-        for (layer, pg) in layers.iter_mut().zip(preconds) {
-            if nu != 1.0 {
-                let mut scaled = pg.clone();
-                scaled.scale(nu);
-                layer.set_grad_matrix(&scaled);
-            } else {
+        if nu == 1.0 {
+            for (layer, pg) in layers.iter_mut().zip(preconds) {
                 layer.set_grad_matrix(pg);
             }
+            return;
         }
+        // One scratch, sized for the largest layer, carries every ν·pg.
+        let largest = preconds.iter().map(Matrix::len).max().unwrap_or(0);
+        let mut scaled = arena::take_matrix(largest, 1);
+        for (layer, pg) in layers.iter_mut().zip(preconds) {
+            scaled.reset_for(pg.rows(), pg.cols());
+            for (s, &p) in scaled.as_mut_slice().iter_mut().zip(pg.as_slice()) {
+                *s = p * nu;
+            }
+            layer.set_grad_matrix(&scaled);
+        }
+        arena::recycle_matrix(scaled);
     }
 
     /// Serialize the complete optimizer state — iteration counters,
@@ -1077,7 +1107,7 @@ impl Kfac {
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"KFAC");
-        put_u64(&mut out, 1); // format version
+        put_u64(&mut out, 2); // format version (1 stored every eigenbasis n × n)
         put_u64(&mut out, self.iteration);
         put_u64(&mut out, self.epoch as u64);
         out.extend_from_slice(&self.damping.to_le_bytes());
@@ -1106,7 +1136,9 @@ impl Kfac {
                 FactorSecondOrder::None => out.push(0),
                 FactorSecondOrder::Eigen(e) => {
                     out.push(1);
-                    put_f32s(&mut out, &e.to_bytes_f32());
+                    put_u64(&mut out, e.eigenvalues.len() as u64);
+                    put_f32s(&mut out, &e.eigenvalues);
+                    put_f32s(&mut out, e.eigenvectors.as_slice());
                 }
                 FactorSecondOrder::Inverse(m) => {
                     out.push(2);
@@ -1127,7 +1159,7 @@ impl Kfac {
         if r.take(4)? != b"KFAC" {
             return Err("not a kfac state blob".into());
         }
-        if r.u64()? != 1 {
+        if r.u64()? != 2 {
             return Err("unsupported kfac state version".into());
         }
         self.iteration = r.u64()?;
@@ -1158,10 +1190,19 @@ impl Kfac {
             let n = self.factors[id].dim;
             self.second_order[id] = match r.u8()? {
                 0 => FactorSecondOrder::None,
-                1 => FactorSecondOrder::Eigen(EigenDecomposition::from_bytes_f32(
-                    n,
-                    &r.f32s(EigenDecomposition::wire_len(n))?,
-                )),
+                1 => {
+                    let rank = r.u64()?;
+                    if rank > n as u64 {
+                        return Err(format!(
+                            "eigenbasis rank {rank} of a {n}-dimensional factor"
+                        ));
+                    }
+                    let rank = rank as usize;
+                    FactorSecondOrder::Eigen(EigenDecomposition {
+                        eigenvalues: r.f32s(rank)?,
+                        eigenvectors: Matrix::from_vec(n, rank, r.f32s(n * rank)?),
+                    })
+                }
                 2 => FactorSecondOrder::Inverse(Matrix::from_vec(n, n, r.f32s(n * n)?)),
                 t => return Err(format!("bad second-order tag {t}")),
             };
@@ -1169,9 +1210,9 @@ impl Kfac {
         if !r.is_empty() {
             return Err("trailing bytes in kfac state".into());
         }
-        // Probe state is not serialized (the version-1 format predates
-        // it and it never feeds the math); a restored instance starts
-        // with fresh second-order state, so staleness resets here.
+        // Probe state is not serialized (it never feeds the math); a
+        // restored instance starts with fresh second-order state, so
+        // staleness resets here.
         self.last_eig_iter = self.iteration;
         // EMA compensation residuals are likewise not serialized: they
         // restart from zero, costing at most one bf16 ulp of transient

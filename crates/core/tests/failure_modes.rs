@@ -3,11 +3,12 @@
 
 use kfac::{Kfac, KfacConfig};
 use kfac_collectives::{
-    Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, LocalComm, RetryPolicy,
+    wire, Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, LocalComm, RetryPolicy,
     ThreadComm, TrafficClass,
 };
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Linear, Sequential};
-use kfac_tensor::{EigenDecomposition, Matrix, Rng64, Tensor4};
+use kfac_tensor::half::round_bf16_in_place;
+use kfac_tensor::{Dtype, EigenDecomposition, Matrix, Rng64, Tensor4};
 use std::sync::Arc;
 
 fn model() -> Sequential {
@@ -163,11 +164,7 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
                         Some(p) => Box::new(FaultyCommunicator::new(comm, Arc::clone(p))),
                         None => Box::new(comm),
                     };
-                    let mut rng = Rng64::new(1);
-                    let mut m = Sequential::from_layers(vec![
-                        Box::new(Linear::new("fc1", 4, 5, true, &mut rng)),
-                        Box::new(Linear::new("fc2", 5, 3, true, &mut rng)),
-                    ]);
+                    let mut m = two_layer_model();
                     let cfg = KfacConfig {
                         update_freq: 2,
                         ..KfacConfig::default()
@@ -182,7 +179,8 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
                         eigen_tail: kfac
                             .factors()
                             .iter()
-                            .map(|f| 1 + 4 * EigenDecomposition::wire_len(f.dim))
+                            // tag, rank, then a complete basis (exact solver)
+                            .map(|f| 1 + 8 + 4 * (f.dim + f.dim * f.dim))
                             .sum(),
                     };
                     for _ in 0..5 {
@@ -288,6 +286,113 @@ fn silently_corrupted_eigen_payload_lands_identically_on_every_rank() {
     assert_ne!(eigen(&faulty[0], 2), eigen(&clean[0], 2), "no flip landed");
     assert_eq!(faulty[0].states[2], faulty[1].states[2], "ranks diverged");
     assert_eq!(faulty[0].degraded, [0; 5], "silent: nothing to count");
+
+    // An eigenbasis frame says how long it is, so a flipped rank word or
+    // a cut payload loses the framing of everything after it. Two
+    // replicas decode the same damaged words: neither panics, both fall
+    // back on exactly the factors whose frames are no longer known, and
+    // they end bit-identical. Round-robin gives rank 0 the A factors
+    // (ids 0, 2; dims 5, 6) and rank 1 the G factors (ids 1, 3; dims 5, 3).
+    let mut replicas = [two_layer_replica(), two_layer_replica()];
+    let assignment = replicas[0].1.eig_assignment(2);
+    assert_eq!(assignment, [0, 1, 0, 1]);
+    let clean: Vec<Vec<f32>> = (0..2)
+        .map(|rank| replicas[0].1.eig_local_payload(&assignment, rank))
+        .collect();
+    let damaged = |edit: &dyn Fn(&mut Vec<Vec<f32>>)| {
+        let mut gathered = clean.clone();
+        edit(&mut gathered);
+        gathered
+    };
+    let cases: [(&str, Vec<Vec<f32>>, u64); 5] = [
+        ("clean", clean.clone(), 0),
+        // Rank 1's first frame: the low rank digit 5.0 loses an exponent
+        // bit and is no integer; both of its factors are unframed.
+        (
+            "flipped rank word",
+            damaged(&|g| g[1][1] = f32::from_bits(g[1][1].to_bits() ^ (1 << 30))),
+            2,
+        ),
+        // A rank above the dimension is refused as well.
+        ("rank above n", damaged(&|g| g[1][1] = 6.0), 2),
+        // Rank 0's second frame runs past the end; its first is whole.
+        (
+            "truncated payload",
+            damaged(&|g| {
+                g[0].pop();
+            }),
+            1,
+        ),
+        // Words after an owner's last frame: that frame is suspect.
+        ("trailing word", damaged(&|g| g[1].push(1.0)), 1),
+    ];
+    for (what, gathered, fallbacks) in cases {
+        let states: Vec<Vec<u8>> = replicas
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, (_, kfac))| {
+                let before = kfac.stats().eig_fallbacks;
+                kfac.eig_apply_gathered(&assignment, rank, &gathered);
+                assert_eq!(kfac.stats().eig_fallbacks - before, fallbacks, "{what}");
+                kfac.save_state()
+            })
+            .collect();
+        assert_eq!(states[0], states[1], "{what}: replicas diverged");
+    }
+}
+
+/// The model [`run_pair`] trains: factor dimensions 5, 5, 6, 3.
+fn two_layer_model() -> Sequential {
+    let mut rng = Rng64::new(1);
+    Sequential::from_layers(vec![
+        Box::new(Linear::new("fc1", 4, 5, true, &mut rng)),
+        Box::new(Linear::new("fc2", 5, 3, true, &mut rng)),
+    ])
+}
+
+/// That model after one local step: every factor holds a second-order
+/// state.
+fn two_layer_replica() -> (Sequential, Kfac) {
+    let mut m = two_layer_model();
+    let mut kfac = Kfac::new(&mut m, KfacConfig::default());
+    fwd_bwd(&mut m, true);
+    kfac.step(&mut m, &LocalComm::new(), 0.1);
+    (m, kfac)
+}
+
+#[test]
+fn eigenbasis_frame_round_trips_a_bf16_wire_at_n_577() {
+    // 577 = 2·256 + 65 is not a bf16 value, and neither is 72 + 577·72:
+    // the rank has to travel as digits a bf16 word can hold.
+    let n = 577;
+    for r in [0, 72, 577] {
+        let mut rng = Rng64::new(r as u64);
+        let sent = EigenDecomposition {
+            eigenvalues: (0..r).map(|_| rng.normal_f32()).collect(),
+            eigenvectors: Matrix::from_vec(n, r, (0..n * r).map(|_| rng.normal_f32()).collect()),
+        };
+        let gathered = wire::try_allgather_half(
+            &LocalComm::new(),
+            &sent.to_bytes_f32(),
+            TrafficClass::Eigen,
+            Dtype::Bf16,
+        )
+        .expect("allgather");
+        let (got, rest) = EigenDecomposition::from_bytes_f32(n, &gathered[0]).expect("a frame");
+        assert!(rest.is_empty());
+        assert_eq!(got.eigenvectors.shape(), (n, r));
+        assert_eq!(got.truncated_rank(), (r < n).then_some(r));
+        let rounded = |words: &[f32]| {
+            let mut words = words.to_vec();
+            round_bf16_in_place(&mut words);
+            words
+        };
+        assert_eq!(got.eigenvalues, rounded(&sent.eigenvalues));
+        assert_eq!(
+            got.eigenvectors.as_slice(),
+            rounded(sent.eigenvectors.as_slice())
+        );
+    }
 }
 
 #[test]

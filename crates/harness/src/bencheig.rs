@@ -16,15 +16,23 @@
 //! `RandEigPolicy::default()`'s `min_dim` and `max_rank_frac` are pinned
 //! to the committed rows by a unit test in `kfac::config`. The QL time
 //! comes with the solver's own per-phase means (`phases_ns`), the layer
-//! under `kfac.eig_comp_ms`. Results go to
+//! under `kfac.eig_comp_ms`. Beside the cost of *computing* a basis sits
+//! the cost of *using* it, paid every iteration: one
+//! `precondition_eigen` of a 64-row gradient against the exact basis
+//! (`apply_exact_ns`) and against the adaptive one at the rank it kept
+//! (`apply_rand_ns`). Results go to
 //! stdout as a table and, with `--json`, to `BENCH_eig.json` for the CI
 //! bench-smoke job.
 
-use kfac::math::decompose_factor_randomized;
+use kfac::math::{decompose_factor, decompose_factor_randomized, precondition_eigen};
 use kfac::RandEigPolicy;
 use kfac_tensor::tridiag::{eigh_tridiag_phases, PHASES};
 use kfac_tensor::{eigh, eigh_randomized, eigh_tridiag, Matrix, RandEigOptions, Rng64};
 use std::time::Instant;
+
+/// Rows of the gradient the apply columns precondition: the output
+/// channels of ResNet-32's widest stage, whose G factor stays exact.
+pub const APPLY_ROWS: usize = 64;
 
 /// Jacobi is O(n³) *per sweep* with a sequential kernel; above this
 /// dimension a single decomposition blows the per-case bench budget.
@@ -54,6 +62,11 @@ pub struct EigBenchCase {
     pub rand_rank: usize,
     /// Spectral mass captured at that rank.
     pub rand_mass: f64,
+    /// One `precondition_eigen` of an [`APPLY_ROWS`]`× n` gradient with
+    /// the exact basis as the A side.
+    pub apply_exact_ns: f64,
+    /// The same with the adaptive basis (`n × rand_rank`).
+    pub apply_rand_ns: f64,
     pub fracs: Vec<FracPoint>,
 }
 
@@ -68,6 +81,10 @@ impl EigBenchCase {
     }
     pub fn speedup(&self) -> f64 {
         self.best_exact_ns() / self.rand_ns
+    }
+    /// Apply cost of the adaptive basis over the exact one's.
+    pub fn apply_ratio(&self) -> f64 {
+        self.apply_rand_ns / self.apply_exact_ns
     }
     /// The QL phases, each rendered by `entry(name, ns)`, comma-separated.
     fn phases(&self, entry: impl Fn(&str, u64) -> String) -> String {
@@ -161,6 +178,7 @@ pub fn bench_policy() -> RandEigPolicy {
 /// Run the full suite.
 pub fn run_all() -> Vec<EigBenchCase> {
     let mut out = Vec::new();
+    let g_side = decompose_factor(&bench_factor(APPLY_ROWS, 0x5EED)).expect("ql");
     for (name, n) in cases() {
         let f = bench_factor(n, 0x5EED ^ n as u64);
         let trace = f.trace() as f64;
@@ -190,10 +208,23 @@ pub fn run_all() -> Vec<EigBenchCase> {
 
         let policy = bench_policy();
         let adaptive = decompose_factor_randomized(&f, &policy).expect("randomized");
-        let rand_rank = adaptive.truncated_rank().unwrap_or(n);
+        let rand_rank = adaptive.eigenvalues.len();
         let rand_mass = captured_mass(&adaptive, trace);
         let rand_ns = time_ns(|| {
             std::hint::black_box(decompose_factor_randomized(&f, &policy).expect("randomized"));
+        });
+
+        let exact = eigh_tridiag(&m).expect("ql");
+        let mut rng = Rng64::new(0xA991 ^ n as u64);
+        let grad = Matrix::from_vec(
+            APPLY_ROWS,
+            n,
+            (0..APPLY_ROWS * n).map(|_| rng.normal_f32()).collect(),
+        );
+        let [apply_exact_ns, apply_rand_ns] = [&exact, &adaptive].map(|a_side| {
+            time_ns(|| {
+                std::hint::black_box(precondition_eigen(a_side, &g_side, &grad, 0.03));
+            })
         });
 
         let mut fracs = Vec::new();
@@ -226,6 +257,8 @@ pub fn run_all() -> Vec<EigBenchCase> {
             rand_ns,
             rand_rank,
             rand_mass,
+            apply_exact_ns,
+            apply_rand_ns,
             fracs,
         });
     }
@@ -236,12 +269,22 @@ pub fn run_all() -> Vec<EigBenchCase> {
 pub fn render_table(cases: &[EigBenchCase]) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "{:<18} {:>6} {:>12} {:>12} {:>12} {:>6} {:>6} {:>8}\n",
-        "case", "n", "ql ns", "jacobi ns", "rand ns", "rank", "mass", "speedup"
+        "{:<18} {:>6} {:>12} {:>12} {:>12} {:>6} {:>6} {:>8} {:>10} {:>10} {:>6}\n",
+        "case",
+        "n",
+        "ql ns",
+        "jacobi ns",
+        "rand ns",
+        "rank",
+        "mass",
+        "speedup",
+        "apply ql",
+        "apply rnd",
+        "ratio"
     ));
     for c in cases {
         s.push_str(&format!(
-            "{:<18} {:>6} {:>12.0} {:>12} {:>12.0} {:>6} {:>6.3} {:>7.2}x\n",
+            "{:<18} {:>6} {:>12.0} {:>12} {:>12.0} {:>6} {:>6.3} {:>7.2}x {:>10.0} {:>10.0} {:>6.2}\n",
             c.name,
             c.n,
             c.ql_ns,
@@ -253,7 +296,10 @@ pub fn render_table(cases: &[EigBenchCase]) -> String {
             c.rand_ns,
             c.rand_rank,
             c.rand_mass,
-            c.speedup()
+            c.speedup(),
+            c.apply_exact_ns,
+            c.apply_rand_ns,
+            c.apply_ratio()
         ));
         let phases = c.phases(|name, ns| format!("{name} {ns}"));
         s.push_str(&format!("  ql phases (ns): {phases}\n"));
@@ -278,9 +324,10 @@ pub fn render_table(cases: &[EigBenchCase]) -> String {
 ///
 /// `min_large_speedup` is the smallest adaptive-randomized speedup over
 /// the fastest exact backend across the n ≥ 512 cases, `min_large_mass`
-/// the worst captured mass among them. CI gates the mass (≥99%) and each
-/// of those rows' `rand_ns_per_iter`; the ratio — "≥2×" while the exact
-/// solver was slower — is reported.
+/// the worst captured mass among them. CI gates the mass (≥99%), each
+/// of those rows' `rand_ns_per_iter`, and their `apply_ratio` (a short
+/// basis must cost at most half a complete one to use); the speedup —
+/// "≥2×" while the exact solver was slower — is reported.
 pub fn to_json(cases: &[EigBenchCase]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, c) in cases.iter().enumerate() {
@@ -301,7 +348,9 @@ pub fn to_json(cases: &[EigBenchCase]) -> String {
              \"phases_ns\": {{{}}}, \
              \"jacobi_ns_per_iter\": {:.1}, \"rand_ns_per_iter\": {:.1}, \
              \"rand_rank\": {}, \"rand_mass\": {:.4}, \
-             \"speedup_vs_best_exact\": {:.3}, \"rank_fractions\": [{}]}}{}\n",
+             \"speedup_vs_best_exact\": {:.3}, \
+             \"apply_exact_ns\": {:.1}, \"apply_rand_ns\": {:.1}, \"apply_ratio\": {:.3}, \
+             \"rank_fractions\": [{}]}}{}\n",
             c.name,
             c.n,
             c.ql_ns,
@@ -311,6 +360,9 @@ pub fn to_json(cases: &[EigBenchCase]) -> String {
             c.rand_rank,
             c.rand_mass,
             c.speedup(),
+            c.apply_exact_ns,
+            c.apply_rand_ns,
+            c.apply_ratio(),
             fracs,
             if i + 1 < cases.len() { "," } else { "" }
         ));
@@ -362,6 +414,8 @@ mod tests {
             rand_ns: 2000.0,
             rand_rank: 64,
             rand_mass: 0.995,
+            apply_exact_ns: 900.0,
+            apply_rand_ns: 90.0,
             fracs: vec![FracPoint {
                 frac: 0.125,
                 ns: 1500.0,
@@ -371,6 +425,7 @@ mod tests {
         let json = to_json(&cases);
         assert!(json.contains("\"phases_ns\": {\"reduce\": 3000, \"accumulate\": 2000, "));
         assert!(json.contains("\"speedup_vs_best_exact\": 4.000"));
+        assert!(json.contains("\"apply_rand_ns\": 90.0, \"apply_ratio\": 0.100"));
         assert!(json.contains("\"min_large_speedup\": 4.000"));
         assert!(json.contains("\"min_large_mass\": 0.9950"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));

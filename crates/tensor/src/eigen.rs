@@ -20,12 +20,16 @@
 
 use crate::{arena, LinAlgError, Matrix};
 
-/// Result of [`eigh`]: `A ≈ Q · diag(λ) · Qᵀ` with orthonormal columns in `Q`.
+/// `A ≈ Q · diag(λ) · Qᵀ` with `r ≤ n` orthonormal columns in the `n × r`
+/// matrix `Q`. Every exact solver returns `r = n`; the randomized
+/// backend ([`crate::randeig`]) returns the top `r` pairs only, and the
+/// shape is what says so.
 #[derive(Debug, Clone)]
 pub struct EigenDecomposition {
-    /// Eigenvalues in ascending order.
+    /// The `r` eigenvalues, in ascending order.
     pub eigenvalues: Vec<f32>,
-    /// Orthonormal eigenvectors; column `j` pairs with `eigenvalues[j]`.
+    /// Orthonormal eigenvectors (`n × r`); column `j` pairs with
+    /// `eigenvalues[j]`.
     pub eigenvectors: Matrix,
 }
 
@@ -44,57 +48,53 @@ impl EigenDecomposition {
         scaled.matmul_nt(q)
     }
 
-    /// Serialize as `[eigenvalues..., eigenvectors row-major...]`.
-    ///
-    /// This is the wire format the distributed K-FAC step allgathers in
-    /// Algorithm 1 line 18.
+    /// Serialize as `[r / 256, r % 256, eigenvalues..., eigenvectors
+    /// row-major...]` — the frame the distributed K-FAC step allgathers in
+    /// Algorithm 1 line 18. The rank travels as two base-256 digits
+    /// because a bf16 wire rounds every word to eight significant bits: a
+    /// digit survives it, 577 would not.
     pub fn to_bytes_f32(&self) -> Vec<f32> {
-        let n = self.eigenvalues.len();
-        let mut out = Vec::with_capacity(n + n * n);
+        let (n, r) = self.eigenvectors.shape();
+        assert!(r < 1 << 16, "rank {r} does not fit two base-256 digits");
+        let mut out = Vec::with_capacity(Self::wire_len(n, r));
+        out.extend_from_slice(&[(r / 256) as f32, (r % 256) as f32]);
         out.extend_from_slice(&self.eigenvalues);
         out.extend_from_slice(self.eigenvectors.as_slice());
         out
     }
 
-    /// Inverse of [`to_bytes_f32`]; `n` is the factor dimension.
-    pub fn from_bytes_f32(n: usize, data: &[f32]) -> Self {
-        assert_eq!(data.len(), n + n * n, "eigendecomposition payload size");
-        EigenDecomposition {
-            eigenvalues: data[..n].to_vec(),
-            eigenvectors: Matrix::from_vec(n, n, data[n..].to_vec()),
+    /// Decode the frame that starts `data` for a factor of dimension
+    /// `n`; also returns the words that follow it. `None` when the words
+    /// are not a frame: a rank digit that is not an integer in `0..256`,
+    /// a rank above `n`, or fewer words than that rank needs.
+    pub fn from_bytes_f32(n: usize, data: &[f32]) -> Option<(Self, &[f32])> {
+        let digit = |w: &f32| (0.0..256.0).contains(w) && w.fract() == 0.0;
+        let r = match data {
+            [hi, lo, ..] if digit(hi) && digit(lo) => *hi as usize * 256 + *lo as usize,
+            _ => return None,
+        };
+        if r > n || data.len() < Self::wire_len(n, r) {
+            return None;
         }
+        let (frame, rest) = data.split_at(Self::wire_len(n, r));
+        let eig = EigenDecomposition {
+            eigenvalues: frame[2..2 + r].to_vec(),
+            eigenvectors: Matrix::from_vec(n, r, frame[2 + r..].to_vec()),
+        };
+        Some((eig, rest))
     }
 
-    /// Number of `f32` words in the wire format for dimension `n`.
-    pub fn wire_len(n: usize) -> usize {
-        n + n * n
+    /// Number of `f32` words in the frame of a rank-`r` basis of
+    /// dimension `n`.
+    pub fn wire_len(n: usize, r: usize) -> usize {
+        2 + r + n * r
     }
 
-    /// Detect a truncated decomposition (see [`crate::randeig`]): counts
-    /// the leading modes whose eigenvalue *and* entire eigenvector column
-    /// are exactly zero — the padding the randomized backend emits for
-    /// the discarded subspace — and returns `Some(kept_rank)` when any
-    /// exist. Exact decompositions return `None`: their columns are unit
-    /// vectors, so a zero column cannot occur, and the exact zeros
-    /// survive `f32` wire round trips bit-for-bit, making the detection
-    /// stable across the allgather and checkpoint paths.
+    /// `Some(r)` when the basis is short (`r < n` columns: the randomized
+    /// backend kept only the top `r` modes), `None` when it is complete.
     pub fn truncated_rank(&self) -> Option<usize> {
-        let n = self.eigenvalues.len();
-        let q = &self.eigenvectors;
-        let mut padded = 0usize;
-        for j in 0..n {
-            let zero_col = self.eigenvalues[j] == 0.0 && (0..n).all(|i| q[(i, j)] == 0.0);
-            if zero_col {
-                padded += 1;
-            } else {
-                break;
-            }
-        }
-        if padded == 0 {
-            None
-        } else {
-            Some(n - padded)
-        }
+        let (n, r) = self.eigenvectors.shape();
+        (r < n).then_some(r)
     }
 }
 
@@ -346,10 +346,32 @@ mod tests {
         let a = random_symmetric(9, &mut rng);
         let e = eigh(&a).unwrap();
         let wire = e.to_bytes_f32();
-        assert_eq!(wire.len(), EigenDecomposition::wire_len(9));
-        let back = EigenDecomposition::from_bytes_f32(9, &wire);
+        assert_eq!(wire.len(), EigenDecomposition::wire_len(9, 9));
+        let (back, rest) = EigenDecomposition::from_bytes_f32(9, &wire).unwrap();
+        assert!(rest.is_empty());
         assert_eq!(back.eigenvalues, e.eigenvalues);
         assert_eq!(back.eigenvectors, e.eigenvectors);
+    }
+
+    #[test]
+    fn words_that_are_not_a_frame_are_refused() {
+        let e = eigh(&Matrix::from_diag(&[3.0, 1.0, 2.0])).unwrap();
+        let wire = e.to_bytes_f32();
+        let refused = |w: &[f32]| EigenDecomposition::from_bytes_f32(3, w).is_none();
+        assert!(refused(&wire[..wire.len() - 1]), "short frame");
+        assert!(refused(&wire[..1]), "no rank");
+        for bad in [f32::NAN, f32::INFINITY, -1.0, 2.5, 256.0, 4.0] {
+            let mut w = wire.clone();
+            w[1] = bad;
+            assert!(refused(&w), "rank digit {bad}");
+        }
+        let mut w = wire.clone();
+        w[0] = 1.0; // rank 259 of 3
+        assert!(refused(&w));
+        // Trailing words are the caller's: handed back, not consumed.
+        let mut w = wire.clone();
+        w.push(7.0);
+        assert_eq!(EigenDecomposition::from_bytes_f32(3, &w).unwrap().1, [7.0]);
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //!    the tridiagonal QL backend ([`eigh_exact`], Jacobi fallback),
 //!    Ritz vectors lifted back as `V = SᵀQ`.
 //!
-//! The result is packaged as a **full-dimension** [`EigenDecomposition`]
-//! whose discarded `n−r` modes carry *exactly-zero* eigenvalues and
-//! *exactly-zero* eigenvector columns. That keeps the wire format
-//! (`n + n²` f32 words) — and therefore the allgather payload framing,
-//! checkpoint blobs and chaos-ladder handling — bit-for-bit identical to
-//! the exact backends, while [`EigenDecomposition::truncated_rank`]
-//! lets the preconditioner detect truncation and treat the discarded
-//! subspace as zero curvature (i.e. damped identity), the same limit the
-//! exact path reaches as eigenvalues go to zero.
+//! The result is the top `r` Ritz pairs as they come out of step 3: an
+//! [`EigenDecomposition`] with `r` eigenvalues and an `n × r` basis. The
+//! backend exists because a rank-`r` basis makes the per-iteration
+//! preconditioning `O(n·r)` (Puiu's argument), so the basis is kept,
+//! shipped and checkpointed at that shape. (It used to be scattered into
+//! an `n × n` matrix with exact-zero leading columns to keep one
+//! fixed-size wire frame; that made every consumer pay `n²` for a
+//! rank-`r` answer — the allgather, the checkpoint, and twice per
+//! iteration the preconditioner — and the frame now carries its rank
+//! instead.) The preconditioner treats the discarded subspace as zero
+//! curvature (i.e. damped identity), the same limit the exact path
+//! reaches as eigenvalues go to zero.
 
 use crate::eigen::{check_finite, EigenDecomposition};
 use crate::rng::Rng64;
@@ -66,8 +69,8 @@ impl Default for RandEigOptions {
 /// A randomized truncated decomposition plus its quality certificate.
 #[derive(Debug, Clone)]
 pub struct RandEig {
-    /// Full-dimension decomposition: the top `rank` Ritz pairs in the
-    /// trailing (ascending-order) slots, exact zeros elsewhere.
+    /// The top `rank` Ritz pairs, ascending (`n × rank` basis); the
+    /// complete decomposition when the call fell back to the exact solve.
     pub eig: EigenDecomposition,
     /// Effective rank actually captured (may be below the requested
     /// rank when the sketch detects numerical rank deficiency).
@@ -159,8 +162,8 @@ pub fn eigh_randomized(a: &Matrix, opts: &RandEigOptions) -> Result<RandEig, Lin
         arena::recycle_matrix(scratch);
         return Ok(RandEig {
             eig: EigenDecomposition {
-                eigenvalues: vec![0.0; n],
-                eigenvectors: Matrix::zeros(n, n),
+                eigenvalues: vec![],
+                eigenvectors: Matrix::zeros(n, 0),
             },
             rank: 0,
             captured_mass: if trace > 0.0 { 0.0 } else { 1.0 },
@@ -183,23 +186,15 @@ pub fn eigh_randomized(a: &Matrix, opts: &RandEigOptions) -> Result<RandEig, Lin
     // Lift: Ritz vectors (rows, ascending eigenvalue order) = Sᵀ·Qᵗ.
     ritz.eigenvectors.matmul_tn_into(&basis, &mut scratch);
 
-    // Keep the top `r = min(rank, kept)` pairs; park them in the
-    // trailing slots of a full-dimension decomposition (eigenvalues
-    // ascend, so the largest live at the end — matching the exact
-    // backends' layout) and leave exact zeros elsewhere.
+    // Keep the top `r = min(rank, kept)` pairs: eigenvalues ascend, so
+    // they are the last `r` rows of the lift, transposed into columns.
     let r = rank.min(kept);
-    let mut eigenvalues = vec![0.0f32; n];
-    let mut eigenvectors = Matrix::zeros(n, n);
-    let mut captured = 0.0f64;
+    let eigenvalues = ritz.eigenvalues[kept - r..].to_vec();
+    let captured: f64 = eigenvalues.iter().map(|&l| f64::from(l.max(0.0))).sum();
+    let mut eigenvectors = Matrix::zeros(n, r);
     for i in 0..r {
-        let src = kept - r + i; // ascending within the kept set
-        let dst = n - r + i;
-        let lambda = ritz.eigenvalues[src];
-        eigenvalues[dst] = lambda;
-        captured += f64::from(lambda.max(0.0));
-        let row = scratch.row(src);
-        for (j, &v) in row.iter().enumerate() {
-            eigenvectors[(j, dst)] = v;
+        for (j, &v) in scratch.row(kept - r + i).iter().enumerate() {
+            eigenvectors[(j, i)] = v;
         }
     }
     arena::recycle_matrix(basis);
@@ -311,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_format_matches_exact_backends() {
+    fn wire_frame_carries_the_rank() {
         let a = decaying_spd(40, 8.0, 1);
         let re = eigh_randomized(
             &a,
@@ -321,12 +316,13 @@ mod tests {
             },
         )
         .unwrap();
+        assert_eq!(re.eig.eigenvectors.shape(), (40, 10));
         let wire = re.eig.to_bytes_f32();
-        assert_eq!(wire.len(), EigenDecomposition::wire_len(40));
-        let back = EigenDecomposition::from_bytes_f32(40, &wire);
+        assert_eq!(wire.len(), EigenDecomposition::wire_len(40, 10));
+        let (back, rest) = EigenDecomposition::from_bytes_f32(40, &wire).unwrap();
+        assert!(rest.is_empty());
         assert_eq!(back.eigenvalues, re.eig.eigenvalues);
         assert_eq!(back.eigenvectors, re.eig.eigenvectors);
-        // Truncation survives the round trip (exact zeros are copied).
         assert_eq!(back.truncated_rank(), Some(re.rank));
     }
 
@@ -365,19 +361,9 @@ mod tests {
         )
         .unwrap();
         let q = &re.eig.eigenvectors;
+        assert_eq!(q.shape(), (64, re.rank));
         let qtq = q.matmul_tn(q);
-        // Trailing r×r block is the identity; the zero-padded block is 0.
-        let n = 64;
-        for i in 0..n {
-            for j in 0..n {
-                let expect = if i == j && i >= n - re.rank { 1.0 } else { 0.0 };
-                assert!(
-                    (qtq[(i, j)] - expect).abs() < 1e-4,
-                    "qtq[{i},{j}] = {}",
-                    qtq[(i, j)]
-                );
-            }
-        }
+        assert!(qtq.max_abs_diff(&Matrix::identity(re.rank)) < 1e-4);
     }
 
     #[test]
@@ -424,7 +410,7 @@ mod tests {
         .unwrap();
         assert_eq!(re.rank, 0);
         assert_eq!(re.captured_mass, 1.0);
-        assert!(re.eig.eigenvalues.iter().all(|&l| l == 0.0));
+        assert_eq!(re.eig.eigenvectors.shape(), (20, 0));
         assert_eq!(re.eig.truncated_rank(), Some(0));
     }
 
@@ -440,12 +426,11 @@ mod tests {
             },
         )
         .unwrap();
-        let n = 80;
         // The top few Ritz values converge tightly under 2 subspace
         // iterations on a decaying spectrum.
         for i in 0..8 {
-            let lam_exact = exact.eigenvalues[n - 1 - i];
-            let lam_rand = re.eig.eigenvalues[n - 1 - i];
+            let lam_exact = exact.eigenvalues[80 - 1 - i];
+            let lam_rand = re.eig.eigenvalues[re.rank - 1 - i];
             assert!(
                 (lam_exact - lam_rand).abs() <= 1e-3 * lam_exact.max(1e-3),
                 "mode {i}: exact {lam_exact} vs randomized {lam_rand}"
