@@ -20,14 +20,13 @@ pub enum InversionMethod {
 }
 
 /// Which symmetric-eigendecomposition backend evaluates the factor
-/// spectra (all satisfy the same wire contract; tridiagonal QL is the
-/// exact default, Jacobi its 10–100× slower backstop and test oracle,
-/// and the randomized backend trades a controlled slice of spectral mass
-/// for a speedup on large factors with decaying spectra).
+/// spectra (both satisfy the same wire contract; tridiagonal QL is the
+/// exact default, and the randomized backend trades a controlled slice
+/// of spectral mass for a speedup on large factors with decaying
+/// spectra). Cyclic Jacobi (`kfac_tensor::eigh`) is QL's non-convergence
+/// backstop and the test oracle, not a selectable backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EigenSolver {
-    /// Cyclic Jacobi sweeps (`kfac_tensor::eigh`).
-    Jacobi,
     /// Householder tridiagonalization + implicit-shift QL
     /// (`kfac_tensor::eigh_tridiag`).
     TridiagonalQl,
@@ -42,7 +41,6 @@ impl EigenSolver {
     /// Stable name used in telemetry tags and accepted by [`EigenSolver::parse`].
     pub fn name(self) -> &'static str {
         match self {
-            EigenSolver::Jacobi => "jacobi",
             EigenSolver::TridiagonalQl => "tridiag",
             EigenSolver::Randomized => "randomized",
         }
@@ -51,7 +49,6 @@ impl EigenSolver {
     /// Parse the `KFAC_EIG_BACKEND` spelling (aliases accepted).
     pub fn parse(s: &str) -> Option<EigenSolver> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "jacobi" => Some(EigenSolver::Jacobi),
             "tridiag" | "ql" | "tridiagonal-ql" | "tridiagonal_ql" => {
                 Some(EigenSolver::TridiagonalQl)
             }
@@ -192,9 +189,9 @@ pub struct KfacConfig {
     /// implementation of the paper's stated future work to "reduce
     /// communication quantity" (§VII).
     pub triangular_factor_comm: bool,
-    /// Per-stage precision policy (storage and wire dtypes). The default
-    /// — f32 everywhere — is bitwise identical to builds predating the
-    /// mixed-precision substrate.
+    /// Wire precision policy (gradient and K-FAC collective dtypes). The
+    /// default — f32 on both — is bitwise identical to builds predating
+    /// the half-width wire.
     pub precision: crate::precision::PrecisionPolicy,
 }
 
@@ -334,16 +331,13 @@ mod tests {
 
     #[test]
     fn eigen_solver_names_round_trip() {
-        for s in [
-            EigenSolver::Jacobi,
-            EigenSolver::TridiagonalQl,
-            EigenSolver::Randomized,
-        ] {
+        for s in [EigenSolver::TridiagonalQl, EigenSolver::Randomized] {
             assert_eq!(EigenSolver::parse(s.name()), Some(s));
         }
         assert_eq!(EigenSolver::parse("ql"), Some(EigenSolver::TridiagonalQl));
         assert_eq!(EigenSolver::parse("rsvd"), Some(EigenSolver::Randomized));
         assert_eq!(EigenSolver::parse("lapack"), None);
+        assert_eq!(EigenSolver::parse("jacobi"), None, "oracle only");
     }
 
     #[test]

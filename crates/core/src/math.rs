@@ -21,7 +21,7 @@
 
 use crate::config::{EigenSolver, RandEigPolicy};
 use kfac_tensor::{
-    eigh, eigh_exact, eigh_randomized, EigenDecomposition, LinAlgError, Matrix, RandEigOptions,
+    eigh_exact, eigh_randomized, EigenDecomposition, LinAlgError, Matrix, RandEigOptions,
 };
 
 /// Eigendecompose one (symmetrized) factor with the default backend
@@ -38,7 +38,6 @@ pub fn decompose_factor_with(
     let mut m = factor.clone();
     m.symmetrize();
     match solver {
-        EigenSolver::Jacobi => eigh(&m),
         EigenSolver::TridiagonalQl => eigh_exact(&m),
         EigenSolver::Randomized => decompose_symmetrized_randomized(&m, &RandEigPolicy::default()),
     }

@@ -56,8 +56,7 @@ use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolic
 use kfac_nn::{KfacEligible, Layer};
 use kfac_telemetry::{Registry, Span};
 use kfac_tensor::gemm::mirror_upper_to_lower;
-use kfac_tensor::half::{bf16_to_f32, f32_to_bf16, round_bf16_in_place};
-use kfac_tensor::{arena, Dtype, EigenDecomposition, Matrix};
+use kfac_tensor::{arena, EigenDecomposition, Matrix};
 
 /// Per-factor second-order state.
 enum FactorSecondOrder {
@@ -66,52 +65,14 @@ enum FactorSecondOrder {
     Inverse(Matrix),
 }
 
-/// One compensated EMA fold (Eq. 16–17 with bf16 storage): the running
-/// value is tracked exactly in f64 as `stored + residual`, the fold
-/// happens at f64, and only the *storage* is rounded to bf16 — so the
-/// long-run average carries no rounding drift, while everything
-/// downstream (allreduce, eig) sees a genuine bf16-width factor.
-/// Returns the largest |residual| after the fold (the drift an
-/// uncompensated bf16 EMA would have kept).
-fn fold_compensated(stored: &mut Matrix, residual: &mut Vec<f64>, new: &Matrix, xi: f64) -> f64 {
-    if residual.is_empty() {
-        // First compensated fold after a restore (residuals are not
-        // checkpointed) or after a policy change: start from zero.
-        residual.resize(stored.len(), 0.0);
-    }
-    debug_assert_eq!(residual.len(), stored.len());
-    let mut max_mag = 0.0f64;
-    for ((s, r), &n) in stored
-        .as_mut_slice()
-        .iter_mut()
-        .zip(residual.iter_mut())
-        .zip(new.as_slice())
-    {
-        let exact = xi * (*s as f64 + *r) + (1.0 - xi) * n as f64;
-        let rounded = bf16_to_f32(f32_to_bf16(exact as f32));
-        *r = exact - rounded as f64;
-        *s = rounded;
-        max_mag = max_mag.max(r.abs());
-    }
-    max_mag
-}
-
 /// Distributed K-FAC gradient preconditioner (one instance per rank).
 pub struct Kfac {
     cfg: KfacConfig,
     /// `(dim_A, dim_G)` per K-FAC-eligible layer, in structural order.
     layer_dims: Vec<(usize, usize)>,
     factors: Vec<FactorDesc>,
-    /// Running-average factors, indexed by factor id. With
-    /// `precision.factor_ema == Bf16` every element is kept bf16-rounded
-    /// (still materialized as f32) and the rounding remainder lives in
-    /// `ema_residual`.
+    /// Running-average factors, indexed by factor id.
     averages: Vec<Option<Matrix>>,
-    /// f64 Kahan-style residuals of the compensated factor EMA, indexed
-    /// by factor id; empty vectors until the bf16 EMA path first touches
-    /// a factor. Never serialized — a restored instance restarts the
-    /// compensation from zero (documented in [`Kfac::restore_state`]).
-    ema_residual: Vec<Vec<f64>>,
     /// Second-order state (eig or inverse), indexed by factor id.
     second_order: Vec<FactorSecondOrder>,
     iteration: u64,
@@ -125,12 +86,6 @@ pub struct Kfac {
     telemetry: Option<(Registry, usize)>,
     factor_updates: u64,
     eig_updates: u64,
-    /// Compensated-EMA folds performed (one per factor per bf16-EMA
-    /// factor update; 0 on the f32 path).
-    ema_comp_folds: u64,
-    /// Largest |residual| the compensated EMA has carried so far — the
-    /// drift the f32 path would silently have accumulated.
-    ema_comp_mag: f64,
     /// Iterations that reused stale factor averages because the factor
     /// allreduce failed or returned a corrupted payload.
     stale_factor_steps: u64,
@@ -188,7 +143,6 @@ impl Kfac {
             layer_dims,
             factors,
             averages: vec![None; n_factors],
-            ema_residual: vec![Vec::new(); n_factors],
             second_order: (0..n_factors).map(|_| FactorSecondOrder::None).collect(),
             iteration: 0,
             epoch: 0,
@@ -197,8 +151,6 @@ impl Kfac {
             telemetry: kfac_telemetry::current(),
             factor_updates: 0,
             eig_updates: 0,
-            ema_comp_folds: 0,
-            ema_comp_mag: 0.0,
             stale_factor_steps: 0,
             eig_fallbacks: 0,
             identity_preconds: std::sync::atomic::AtomicU64::new(0),
@@ -219,8 +171,8 @@ impl Kfac {
         self.layer_dims.len()
     }
 
-    /// The per-stage precision policy this instance runs under (for the
-    /// harness's overlap comm tasks and telemetry labels).
+    /// The wire precision policy this instance runs under (for the
+    /// harness's gradient allreduce and overlap comm tasks).
     pub fn precision(&self) -> crate::precision::PrecisionPolicy {
         self.cfg.precision
     }
@@ -243,8 +195,6 @@ impl Kfac {
         stats.steps = self.iteration;
         stats.stale_factor_steps = self.stale_factor_steps;
         stats.eig_fallbacks = self.eig_fallbacks;
-        stats.ema_comp_folds = self.ema_comp_folds;
-        stats.ema_comp_mag = self.ema_comp_mag;
         stats.identity_preconds = self
             .identity_preconds
             .load(std::sync::atomic::Ordering::Relaxed);
@@ -542,43 +492,15 @@ impl Kfac {
         );
         let (a, g) = layer.compute_factors();
         let xi = self.cfg.running_avg;
-        let compensated = self.cfg.precision.factor_ema == Dtype::Bf16;
-        for (id, mut new) in [(2 * li, a), (2 * li + 1, g)] {
+        for (id, new) in [(2 * li, a), (2 * li + 1, g)] {
             match &mut self.averages[id] {
                 Some(avg) => {
-                    if compensated {
-                        self.ema_comp_folds += 1;
-                        let mag =
-                            fold_compensated(avg, &mut self.ema_residual[id], &new, xi as f64);
-                        self.ema_comp_mag = self.ema_comp_mag.max(mag);
-                        if let Some((registry, _)) = &self.telemetry {
-                            registry.histogram("train/ema_compensation_mag").record(mag);
-                        }
-                    } else {
-                        // The legacy f32 fold — the f32-everywhere
-                        // policy's bitwise-pinned path.
-                        avg.axpby(xi, &new, 1.0 - xi);
-                    }
+                    avg.axpby(xi, &new, 1.0 - xi);
                     // `new` came from the layer's arena scratch; return it
                     // so steady-state factor updates allocate nothing.
                     arena::recycle_matrix(new);
                 }
-                slot @ None => {
-                    if compensated {
-                        // Seed the stored average at bf16 and bank the
-                        // rounding remainder so the very first fold is
-                        // already drift-free.
-                        let residual = &mut self.ema_residual[id];
-                        residual.clear();
-                        residual.reserve(new.len());
-                        for v in new.as_mut_slice() {
-                            let stored = bf16_to_f32(f32_to_bf16(*v));
-                            residual.push(*v as f64 - stored as f64);
-                            *v = stored;
-                        }
-                    }
-                    *slot = Some(new);
-                }
+                slot @ None => *slot = Some(new),
             }
         }
     }
@@ -630,27 +552,6 @@ impl Kfac {
                 let len = avg.len();
                 avg.as_mut_slice().copy_from_slice(&fused[off..off + len]);
                 off += len;
-            }
-        }
-        if self.cfg.precision.factor_ema == Dtype::Bf16 {
-            // The allreduce averaged bf16-stored values at f32, so the
-            // installed elements are no longer bf16-representable.
-            // Re-round the storage and re-bank the remainders so the
-            // stored+residual invariant holds across the exchange —
-            // deterministically, since every rank unpacks identical
-            // fused payloads.
-            for (id, avg) in self.averages.iter_mut().enumerate() {
-                let Some(avg) = avg else { continue };
-                let residual = &mut self.ema_residual[id];
-                if residual.is_empty() {
-                    residual.resize(avg.len(), 0.0);
-                }
-                for (s, r) in avg.as_mut_slice().iter_mut().zip(residual.iter_mut()) {
-                    let exact = *s as f64 + *r;
-                    let rounded = bf16_to_f32(f32_to_bf16(exact as f32));
-                    *r = exact - rounded as f64;
-                    *s = rounded;
-                }
             }
         }
     }
@@ -733,18 +634,6 @@ impl Kfac {
                     let avg = self.averages[id]
                         .as_ref()
                         .expect("factor average exists before second-order update");
-                    // Eig-input rounding: idempotent when the EMA already
-                    // stores bf16; a real narrowing when only `eig` is
-                    // reduced.
-                    let rounded;
-                    let avg = if self.cfg.precision.eig == Dtype::Bf16 {
-                        let mut m = avg.clone();
-                        round_bf16_in_place(m.as_mut_slice());
-                        rounded = m;
-                        &rounded
-                    } else {
-                        avg
-                    };
                     let trace = avg.trace() as f64;
                     let eig = match self.cfg.eigen_solver {
                         EigenSolver::Randomized => {
@@ -996,17 +885,6 @@ impl Kfac {
     /// second-order state (Eq. 13–15). Read-only; layers are
     /// independent, so calls may run in any order across `li`.
     pub fn precondition_one(&self, li: usize, grad: &Matrix) -> Matrix {
-        // Precond-input rounding (Eq. 13–15 run on a bf16-width gradient;
-        // the GEMMs themselves still accumulate in f32).
-        let rounded;
-        let grad = if self.cfg.precision.precond == Dtype::Bf16 {
-            let mut g = grad.clone();
-            round_bf16_in_place(g.as_mut_slice());
-            rounded = g;
-            &rounded
-        } else {
-            grad
-        };
         match (&self.second_order[2 * li], &self.second_order[2 * li + 1]) {
             (FactorSecondOrder::Eigen(a), FactorSecondOrder::Eigen(g)) => {
                 precondition_eigen(a, g, grad, self.damping)
@@ -1165,7 +1043,12 @@ impl Kfac {
         self.iteration = r.u64()?;
         self.epoch = r.u64()? as usize;
         self.damping = r.f32s(1)?[0];
-        self.update_freq = r.u64()? as usize;
+        self.update_freq = match r.u64()? {
+            // `KfacConfig::validate` forbids it, and no iteration is a
+            // multiple of it: every later eig update would be skipped.
+            0 => return Err("kfac state has update_freq 0".into()),
+            freq => freq as usize,
+        };
         self.factor_updates = r.u64()?;
         self.eig_updates = r.u64()?;
         self.stale_factor_steps = r.u64()?;
@@ -1214,85 +1097,6 @@ impl Kfac {
         // restored instance starts with fresh second-order state, so
         // staleness resets here.
         self.last_eig_iter = self.iteration;
-        // EMA compensation residuals are likewise not serialized: they
-        // restart from zero, costing at most one bf16 ulp of transient
-        // drift after a restore.
-        for r in &mut self.ema_residual {
-            r.clear();
-        }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The compensated fold tracks the f64 reference EMA exactly through
-    /// `stored + residual`, even after hundreds of folds where a naive
-    /// bf16 EMA visibly drifts (xi=0.95 shrinks each (1-xi)·new
-    /// contribution below bf16 resolution of the accumulated value, so
-    /// uncompensated rounding swallows updates wholesale).
-    #[test]
-    fn compensated_ema_matches_f64_reference() {
-        let n = 16;
-        let xi = 0.95f64;
-        let mut stored = Matrix::from_vec(4, 4, vec![0.0; n]);
-        // Seed at bf16 like the first-capture path does.
-        let seed: Vec<f32> = (0..n).map(|i| 1.0 + 0.01 * i as f32).collect();
-        let mut residual = Vec::new();
-        for (s, &v) in stored.as_mut_slice().iter_mut().zip(&seed) {
-            *s = bf16_to_f32(f32_to_bf16(v));
-            residual.push(v as f64 - *s as f64);
-        }
-        let mut reference: Vec<f64> = seed.iter().map(|&v| v as f64).collect();
-        let mut naive: Vec<f32> = stored.as_slice().to_vec();
-        for step in 1..400 {
-            let new: Vec<f32> = (0..n)
-                .map(|i| 1.0 + 0.01 * i as f32 + 0.001 * (step as f32 * 0.7).sin())
-                .collect();
-            let new = Matrix::from_vec(4, 4, new);
-            let mag = fold_compensated(&mut stored, &mut residual, &new, xi);
-            assert!(
-                mag <= 1.0 / 128.0,
-                "residual bounded by one bf16 ulp: {mag}"
-            );
-            for (r, &v) in reference.iter_mut().zip(new.as_slice()) {
-                *r = xi * *r + (1.0 - xi) * v as f64;
-            }
-            for (s, &v) in naive.iter_mut().zip(new.as_slice()) {
-                *s = bf16_to_f32(f32_to_bf16((xi as f32 * *s) + (1.0 - xi as f32) * v));
-            }
-        }
-        for ((&s, &r), &exact) in stored.as_slice().iter().zip(&residual).zip(&reference) {
-            // stored + residual IS the f64 trajectory (up to f64 fold
-            // associativity, far below bf16 scale).
-            assert!(
-                (s as f64 + r - exact).abs() < 1e-9,
-                "stored+residual drifted: {} vs {exact}",
-                s as f64 + r
-            );
-            // And the stored value is the bf16 rounding of it.
-            assert_eq!(s, bf16_to_f32(f32_to_bf16(s)), "storage stays bf16");
-            assert!((s as f64 - exact).abs() <= exact.abs() / 256.0);
-        }
-        // The uncompensated EMA drifts measurably further on at least
-        // some elements (it need not on all — drift depends on where
-        // values sit between bf16 grid points).
-        let comp_err: f64 = stored
-            .as_slice()
-            .iter()
-            .zip(&reference)
-            .map(|(&s, &e)| (s as f64 - e).abs())
-            .sum();
-        let naive_err: f64 = naive
-            .iter()
-            .zip(&reference)
-            .map(|(&s, &e)| (s as f64 - e).abs())
-            .sum();
-        assert!(
-            comp_err <= naive_err,
-            "compensation must not be worse: comp {comp_err} naive {naive_err}"
-        );
     }
 }

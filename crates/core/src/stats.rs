@@ -33,12 +33,6 @@ pub struct StageStats {
     /// Factors degraded to the damped-identity second-order state
     /// (eigendecomposition failure or corrupted payload).
     pub eig_fallbacks: u64,
-    /// Compensated factor-EMA folds performed (bf16 EMA storage only;
-    /// 0 on the default f32 policy).
-    pub ema_comp_folds: u64,
-    /// Largest |f64 residual| the compensated EMA has carried — the
-    /// drift an uncompensated bf16 EMA would have accumulated.
-    pub ema_comp_mag: f64,
     /// Layer preconditionings that ran with no second-order state at
     /// all (implicit damped identity).
     pub identity_preconds: u64,
@@ -120,8 +114,6 @@ impl StageStats {
         self.steps += other.steps;
         self.stale_factor_steps += other.stale_factor_steps;
         self.eig_fallbacks += other.eig_fallbacks;
-        self.ema_comp_folds += other.ema_comp_folds;
-        self.ema_comp_mag = self.ema_comp_mag.max(other.ema_comp_mag);
         self.identity_preconds += other.identity_preconds;
         // Numerics probes are point-in-time, not additive: a group-wide
         // view keeps the worst conditioning/staleness and the most

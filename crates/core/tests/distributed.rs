@@ -293,9 +293,11 @@ fn needs_capture_follows_factor_interval() {
 
 #[test]
 fn eigen_solver_backends_agree() {
-    // Jacobi and tridiagonal-QL must produce the same preconditioned
-    // gradients (eigendecompositions are unique up to sign/permutation,
-    // which the eigen path is invariant to).
+    // The two selectable backends must produce the same preconditioned
+    // gradients through a whole step. This model's factors all sit below
+    // `RandEigPolicy::min_dim`, where the randomized backend *is* the
+    // exact one, so the agreement is exact. (QL against the Jacobi
+    // oracle: `eig_backends.rs`.)
     use kfac::EigenSolver;
     let run = |solver: EigenSolver| {
         let cfg = KfacConfig {
@@ -305,13 +307,9 @@ fn eigen_solver_backends_agree() {
         };
         run_rank(&LocalComm::new(), cfg, 4)
     };
-    let jacobi = run(EigenSolver::Jacobi);
     let ql = run(EigenSolver::TridiagonalQl);
-    assert!(
-        max_diff(&jacobi, &ql) < 5e-4,
-        "solver backends diverged: {}",
-        max_diff(&jacobi, &ql)
-    );
+    assert!(ql.iter().any(|&g| g != 0.0));
+    assert_eq!(run(EigenSolver::Randomized), ql, "solver backends diverged");
 }
 
 #[test]

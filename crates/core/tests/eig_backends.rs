@@ -1,8 +1,9 @@
 //! Cross-backend eigensolver agreement on K-FAC-shaped factors.
 //!
-//! The three factor backends — cyclic Jacobi, tridiagonal QL, and the
-//! randomized truncated range-finder — must be interchangeable from the
-//! preconditioner's point of view. Eigenvectors are only defined up to
+//! The two factor backends — tridiagonal QL and the randomized truncated
+//! range-finder — and the cyclic-Jacobi oracle (`kfac_tensor::eigh`) must
+//! be interchangeable from the preconditioner's point of view.
+//! Eigenvectors are only defined up to
 //! sign (and rotation inside degenerate clusters), so agreement is
 //! checked on the invariants that matter downstream: the spectral
 //! reconstruction `Q diag(λ) Qᵀ` and the preconditioned gradient.
@@ -10,7 +11,7 @@
 use kfac::config::RandEigPolicy;
 use kfac::math::{decompose_factor_randomized, decompose_factor_with, precondition_eigen};
 use kfac::EigenSolver;
-use kfac_tensor::{EigenDecomposition, Matrix, Rng64};
+use kfac_tensor::{eigh, EigenDecomposition, Matrix, Rng64};
 use proptest::prelude::*;
 
 /// K-FAC-shaped factor of dimension `n`: a damped Gram matrix
@@ -94,10 +95,18 @@ fn eager_policy() -> RandEigPolicy {
     }
 }
 
-/// All three backends over one factor, same order as returned tuple.
+/// The oracle: cyclic Jacobi on the symmetrized factor.
+fn jacobi(f: &Matrix) -> EigenDecomposition {
+    let mut m = f.clone();
+    m.symmetrize();
+    eigh(&m).expect("jacobi")
+}
+
+/// The oracle and both backends over one factor, same order as returned
+/// tuple.
 fn all_backends(f: &Matrix) -> [EigenDecomposition; 3] {
     [
-        decompose_factor_with(f, EigenSolver::Jacobi).expect("jacobi"),
+        jacobi(f),
         decompose_factor_with(f, EigenSolver::TridiagonalQl).expect("ql"),
         decompose_factor_randomized(f, &eager_policy()).expect("randomized"),
     ]
@@ -241,17 +250,15 @@ fn rank_deficient_factors_precondition_alike_under_ql_and_jacobi() {
             dim_a,
             (0..dim_g * dim_a).map(|_| rng.normal_f32()).collect(),
         );
-        let precondition = |solver| {
-            let (ea, eg) = (
-                decompose_factor_with(&a, solver).expect("a"),
-                decompose_factor_with(&g, solver).expect("g"),
-            );
+        let precondition = |solve: &dyn Fn(&Matrix) -> EigenDecomposition| {
+            let (ea, eg) = (solve(&a), solve(&g));
             assert_eq!(ea.truncated_rank(), None, "exact solvers never truncate");
             precondition_eigen(&ea, &eg, &grad, 1e-3)
         };
-        let ql = precondition(EigenSolver::TridiagonalQl);
-        let jacobi = precondition(EigenSolver::Jacobi);
-        let rel = frob_diff(&ql, &jacobi) / frob(&jacobi);
+        let ql =
+            precondition(&|f| decompose_factor_with(f, EigenSolver::TridiagonalQl).expect("ql"));
+        let oracle = precondition(&jacobi);
+        let rel = frob_diff(&ql, &oracle) / frob(&oracle);
         assert!(rel < 1e-3, "dims ({dim_a}, {dim_g}): rel diff {rel}");
     }
 }

@@ -413,6 +413,25 @@ fn state_roundtrip_is_identical() {
     // Garbage is rejected, not installed.
     assert!(restored.restore_state(b"JUNKJUNKJUNK").is_err());
     assert!(restored.restore_state(&saved[..saved.len() - 2]).is_err());
+    // So is a blob whose update interval is 0 (magic, version, iteration,
+    // epoch, damping come first): installed, it would skip every later
+    // eig update.
+    let freq_at = 4 + 8 * 3 + 4;
+    assert_eq!(saved[freq_at..freq_at + 8], 10u64.to_le_bytes());
+    let mut zero_freq = saved.clone();
+    zero_freq[freq_at..freq_at + 8].fill(0);
+    let err = restored.restore_state(&zero_freq).unwrap_err();
+    assert!(err.contains("update_freq 0"), "{err}");
+}
+
+#[test]
+fn removed_precision_stages_are_unknown_names() {
+    // The four compute/storage stages are gone from the policy; naming
+    // one is told which two are left.
+    for removed in ["capture", "factor_ema", "eig", "precond", "factor_gram"] {
+        let e = kfac::PrecisionPolicy::parse(&format!("{removed}=bf16")).unwrap_err();
+        assert!(e.contains("grad_wire|factor_wire"), "{removed}: {e}");
+    }
 }
 
 #[test]
@@ -447,13 +466,12 @@ fn gradients_stay_finite_under_extreme_damping_and_lr() {
 fn non_finite_factor_average_degrades_to_identity_without_stalling() {
     // A NaN/Inf that reaches a running average must cost one O(n²) scan
     // per factor, not an eigensolver's whole iteration budget (at
-    // n = 288 the Jacobi backstop would spin for seconds and then die on
-    // a NaN sort key), and must leave the layer on damped SGD.
+    // n = 288 QL's Jacobi backstop would spin for seconds and then die
+    // on a NaN sort key), and must leave the layer on damped SGD.
     let (dim_in, dim_out) = (287, 3); // A is 288×288 with the bias column
     let damping = 0.03f32;
     for solver in [
         kfac::EigenSolver::TridiagonalQl,
-        kfac::EigenSolver::Jacobi,
         kfac::EigenSolver::Randomized,
     ] {
         for bad in [f32::NAN, f32::INFINITY] {

@@ -21,7 +21,7 @@
 use kfac::{Kfac, KfacConfig};
 use kfac_nn::lowering::{build_patches, scatter_patches, Geometry};
 use kfac_nn::{Conv2d, CrossEntropyLoss, Flatten, Layer, Linear, Mode, ReLU, Sequential};
-use kfac_tensor::{eigh_tridiag, Dtype, HalfMatrix, Matrix, Rng64, Tensor4};
+use kfac_tensor::{eigh_tridiag, HalfMatrix, Matrix, Rng64, Tensor4};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -199,8 +199,7 @@ fn factor_update_allocates_nothing_when_warm() {
 /// A `Conv2d` sums its factor Grams inside the capturing backward pass,
 /// into sums it owns: warm, a capturing forward + backward allocates
 /// exactly what a plain one does (the output and input-gradient tensors
-/// that escape each layer), and the factor update after it nothing — for
-/// f32 and bf16 capture alike.
+/// that escape each layer), and the factor update after it nothing.
 #[test]
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn conv_capture_allocates_nothing_when_warm() {
@@ -233,31 +232,26 @@ fn conv_capture_allocates_nothing_when_warm() {
         })
         .1
     };
-    for dtype in [Dtype::F32, Dtype::Bf16] {
+    // Rounds 0 and 1 size the sums, the averages and the arena; the
+    // counts of round 2 are the warm ones.
+    let (mut plain, mut capturing, mut update) = (0, 0, 0);
+    for _ in 0..3 {
+        plain = pass(&mut model, false);
+        capturing = pass(&mut model, true);
         let mut layers = Vec::new();
         model.collect_kfac(&mut layers);
-        layers.iter_mut().for_each(|l| l.set_capture_dtype(dtype));
-        // Rounds 0 and 1 size the sums, the averages and the arena; the
-        // counts of round 2 are the warm ones.
-        let (mut plain, mut capturing, mut update) = (0, 0, 0);
-        for _ in 0..3 {
-            plain = pass(&mut model, false);
-            capturing = pass(&mut model, true);
-            let mut layers = Vec::new();
-            model.collect_kfac(&mut layers);
-            update = armed(|| {
-                for (li, layer) in layers.iter().enumerate() {
-                    kfac.factor_update_layer(li, &**layer);
-                }
-            })
-            .1;
-        }
-        assert_eq!(
-            capturing, plain,
-            "{dtype:?}: capture changed a warm pass's allocations"
-        );
-        assert_eq!(update, 0, "{dtype:?}: warm factor update allocated");
+        update = armed(|| {
+            for (li, layer) in layers.iter().enumerate() {
+                kfac.factor_update_layer(li, &**layer);
+            }
+        })
+        .1;
     }
+    assert_eq!(
+        capturing, plain,
+        "capture changed a warm pass's allocations"
+    );
+    assert_eq!(update, 0, "warm factor update allocated");
 }
 
 /// The exact eigensolver: every f64 transient (the transposed

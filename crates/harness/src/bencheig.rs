@@ -8,9 +8,9 @@
 //! gradient factors `oc`) plus the ≥512 square stress dims the
 //! acceptance criteria are stated over, on SPD inputs with the decaying
 //! spectrum K-FAC factors exhibit in practice. Each dimension is solved
-//! with the exact tridiagonal-QL and Jacobi backends (Jacobi only at the
-//! small dims where it terminates in bench-budget time), with the
-//! adaptive-rank randomized backend (`RandEigPolicy`, 99% captured-mass
+//! with the exact tridiagonal-QL backend and its Jacobi oracle (Jacobi
+//! only at the small dims where it terminates in bench-budget time), with
+//! the adaptive-rank randomized backend (`RandEigPolicy`, 99% captured-mass
 //! target), and with fixed rank fractions n/16, n/8, n/4 and n/2 to show
 //! the cost/capture trade-off and where it crosses the exact solver —
 //! `RandEigPolicy::default()`'s `min_dim` and `max_rank_frac` are pinned

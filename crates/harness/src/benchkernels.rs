@@ -3,8 +3,9 @@
 //! `xp bench-kernels` times every GEMM/Gram shape the ResNet-32 CIFAR
 //! pipeline actually runs (convolution forward, weight-gradient and
 //! input-gradient products, Kronecker-factor Grams) plus square 256–1024
-//! stress shapes — over f32 operands and, for the products the bf16
-//! captures feed, over the same values stored as bf16 — and then one
+//! stress shapes — over f32 operands and, for the Gram and conv-forward
+//! shapes, over the same values stored as bf16 (what half-width
+//! *storage* costs the one engine; training stores f32) — and then one
 //! whole `Conv2d` forward + backward per ResNet-32 stage beside the three
 //! bare GEMMs it is made of, plain and as a K-FAC factor iteration runs
 //! it (capturing, then `compute_factors`) beside those GEMMs plus the two
@@ -45,8 +46,8 @@ pub struct Bf16Timing {
     pub over_f32: f64,
 }
 
-/// One benchmarked shape with its f32 and, where bf16 captures feed the
-/// product, bf16 timings.
+/// One benchmarked shape with its f32 and, for the Gram / NT kinds, bf16
+/// timings.
 pub struct BenchCase {
     pub name: &'static str,
     pub kind: Kind,
@@ -57,8 +58,7 @@ pub struct BenchCase {
     pub madds: u64,
     /// ns/iter over f32-stored operands.
     pub packed_ns: f64,
-    /// bf16-storage timing; `None` for kinds no bf16 pipeline stage runs
-    /// (plain / TN matmuls).
+    /// bf16-storage timing; `None` for plain / TN matmuls.
     pub bf16: Option<Bf16Timing>,
 }
 
@@ -70,9 +70,8 @@ impl BenchCase {
 
 /// The shapes the CI bf16 gate is stated over: the two bias-augmented
 /// activation-factor Grams of the deep ResNet-32 stages plus one
-/// convolution forward shape — the products the bf16 substrate actually
-/// routes in training. Half-width operands must not cost time: on each,
-/// bf16 ns ≤ 1.1 × f32 ns.
+/// convolution forward shape. Half-width operands must not cost time:
+/// on each, bf16 ns ≤ 1.1 × f32 ns.
 pub const BF16_GATE_CASES: [&str; 3] = ["rn32_afactor_s2", "rn32_afactor_s3", "rn32_conv_s3"];
 
 /// The benchmark suite: ResNet-32/CIFAR layer shapes (batch 8) and the
@@ -306,9 +305,9 @@ pub fn run_all() -> Vec<BenchCase> {
             Kind::Gram => a.gram_into(&mut scratch),
             Kind::GramNt => a.gram_nt_into(&mut scratch),
         });
-        // bf16 rows for the kinds half-width storage feeds: Gram
-        // (activation factors), GramNt (gradient factors, via the
-        // full-matrix A·Aᵀ product), and MatmulNt (conv forward).
+        // bf16 rows for three kinds: Gram (activation factors), GramNt
+        // (gradient factors, via the full-matrix A·Aᵀ product), and
+        // MatmulNt (conv forward).
         // Interleaved paired reps; see BF16_REPS.
         let bf16 = match kind {
             Kind::Gram | Kind::GramNt | Kind::MatmulNt => {

@@ -192,9 +192,6 @@ fn main() {
                 let events = registry.events();
                 if !events.is_empty() {
                     eprintln!("--- live stage table ---\n{}", export::stage_table(&events));
-                    if let Some(footer) = export::numerics_footer(&registry) {
-                        eprintln!("{footer}");
-                    }
                 }
             })
             .expect("spawn stage refresh thread");
@@ -240,9 +237,6 @@ fn main() {
     let events = registry.events();
     if !events.is_empty() {
         eprintln!("{}", export::stage_table(&events));
-        if let Some(footer) = export::numerics_footer(&registry) {
-            eprintln!("{footer}");
-        }
     }
     if let Some(path) = trace_out {
         match std::fs::write(&path, export::chrome_trace(&events)) {

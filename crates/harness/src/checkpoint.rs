@@ -103,8 +103,10 @@ pub fn restore(
         ));
     }
 
-    let n_vel = r.u64()? as usize;
-    let mut velocity = Vec::with_capacity(n_vel);
+    // Grown as entries decode: the count is outside input, and a damaged
+    // one must run into the end of the blob, not into the allocator.
+    let n_vel = r.u64()?;
+    let mut velocity = Vec::new();
     for _ in 0..n_vel {
         let name_len = r.u64()? as usize;
         let name = String::from_utf8(r.take(name_len)?.to_vec())
@@ -304,6 +306,15 @@ mod tests {
                 "cut={cut}: unexpected error {err:?}"
             );
         }
+
+        // A damaged count is as typed as a short file: the velocity
+        // count (the word after the parameters) with every bit set.
+        let n_params = flat_params(&mut m).len();
+        let count_at = 4 + 8 * 4 + 4 * n_params;
+        let mut flipped = blob.clone();
+        flipped[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = restore(&flipped, &mut m, &mut opt, None).unwrap_err();
+        assert!(err.contains("truncated"), "velocity count: {err:?}");
 
         // Atomic persistence leaves no temp file behind.
         save_to_file(&path, &blob).unwrap();

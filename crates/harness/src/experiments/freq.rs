@@ -62,9 +62,8 @@ pub fn run(scale: Scale) -> ExperimentOutput {
             update_freq: freq,
             damping: 0.1,
             kl_clip: Some(0.01),
-            // The QL backend makes the tight-interval sweep tractable on
-            // CPU (same results as Jacobi; cross-checked in the core
-            // crate's tests).
+            // The exact QL backend (the default, spelt out) keeps the
+            // tight-interval sweep tractable on CPU.
             eigen_solver: kfac::EigenSolver::TridiagonalQl,
             ..KfacConfig::default()
         });

@@ -1,11 +1,11 @@
-//! Mixed-precision loss parity — 4-rank CIFAR, f32 vs bf16 policies.
+//! Wire-precision loss parity — 4-rank CIFAR, f32 vs bf16 wires.
 //!
-//! The performance case for the bf16 substrate is made by
-//! `xp bench-kernels` (kernel speedups) and the traffic columns below
-//! (wire bytes); this experiment makes the *accuracy and determinism*
-//! case on the paper's 4-worker correctness platform:
+//! The case for the half-width wire is bytes (the traffic columns below);
+//! whether time follows is read off the wall-time column, in alternated
+//! runs (EXPERIMENTS.md). This experiment makes the *accuracy and
+//! determinism* case on the paper's 4-worker correctness platform:
 //!
-//! * the f32-everywhere policy and the bf16 policy each produce a
+//! * the f32 policy and the bf16 policy each produce a
 //!   **bitwise identical** trajectory (loss bits and final parameters)
 //!   on the thread fabric and the TCP proc fabric — the wire codec's
 //!   allgather-and-fold construction is fabric-independent;
@@ -26,9 +26,9 @@ use kfac_telemetry::Registry;
 
 /// Documented tolerance: absolute difference in final mean training loss
 /// between the bf16 and f32 policies. bf16 keeps f32's exponent with
-/// ~2⁻⁸ relative rounding per stored value; the compensated factor EMA
-/// and f32-accumulating kernels keep the compounded effect on a short
-/// CIFAR budget well inside this bound.
+/// ~2⁻⁸ relative rounding per transmitted value; every reduction still
+/// accumulates in f32, which keeps the compounded effect on a short CIFAR
+/// budget well inside this bound.
 pub const LOSS_TOL: f64 = 0.1;
 
 /// Upper bound on `bf16 bytes / f32 bytes` per traffic class. The exact
@@ -124,7 +124,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     let fabrics = [("thread", CommBackend::Thread), ("proc", CommBackend::Proc)];
 
     let mut table = Table::new(
-        "Mixed-precision policies — 4-rank CIFAR, both fabrics",
+        "Wire-precision policies — 4-rank CIFAR, both fabrics",
         &[
             "Policy",
             "Fabric",
@@ -133,6 +133,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
             "Grad KiB",
             "Factor KiB",
             "Eigen KiB",
+            "Wall s",
             "Params Hash",
         ],
     );
@@ -152,6 +153,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
                 format!("{:.1}", t.gradient_bytes as f64 / 1024.0),
                 format!("{:.1}", t.factor_bytes as f64 / 1024.0),
                 format!("{:.1}", t.eigen_bytes as f64 / 1024.0),
+                format!("{:.2}", arm.result.total_s),
                 format!("{:016x}", params_hash(&arm.result.final_params)),
             ]);
             runs.push(arm);

@@ -201,7 +201,7 @@ pub struct WorkerSpec {
 /// * the **override** [`TrainConfig::with_kfac`](crate::TrainConfig::with_kfac)
 ///   applies to the `eigen_solver` and `precision` of the `KfacConfig` it is
 ///   handed, whenever [`eig`](Self::eig) / [`precision`](Self::precision)
-///   are `Some` — which is what lets `KFAC_EIG_BACKEND=jacobi xp table1`
+///   are `Some` — which is what lets `KFAC_EIG_BACKEND=randomized xp table1`
 ///   re-run an experiment under another solver without a rebuild;
 /// * bypassed by assigning `cfg.kfac` directly, which pins both (what the
 ///   two-arm comparisons `randeig` and `mixed` do).
@@ -307,7 +307,7 @@ impl RuntimeConfig {
             cfg.algo = v;
         }
         cfg.eig = var(&set, "KFAC_EIG_BACKEND", |s| {
-            EigenSolver::parse(s).ok_or("jacobi|tridiag|randomized".into())
+            EigenSolver::parse(s).ok_or("tridiag|randomized".into())
         })?;
         cfg.precision = var(&set, "KFAC_PRECISION", PrecisionPolicy::parse)?;
         cfg.pool_threads = var(&set, "KFAC_POOL_THREADS", index("a thread count"))?;
@@ -500,8 +500,8 @@ mod tests {
         (
             "KFAC_PRECISION",
             "bf16,factor_wire=f32",
-            "capture=bf16,factor_ema=bf16,eig=bf16,precond=bf16,grad_wire=bf16,factor_wire=f32",
-            "factor_gram=bf16",
+            "grad_wire=bf16,factor_wire=f32",
+            "capture=bf16",
         ),
         ("KFAC_POOL_THREADS", "3", "3", "many"),
         ("KFAC_HEARTBEAT_MS", "0", "0", "fast"),
@@ -564,7 +564,7 @@ mod tests {
         let cfg = RuntimeConfig::parse(vars(&[
             ("KFAC_COMM_ALGO", "ring"),
             ("KFAC_EIG_BACKEND", "rsvd"),
-            ("KFAC_PRECISION", "capture=bf16"),
+            ("KFAC_PRECISION", "factor_wire=bf16"),
         ]))
         .unwrap();
         assert_eq!(cfg.algo_policy().algo, CollectiveAlgo::PipelinedRing);
@@ -578,20 +578,24 @@ mod tests {
             AlgoPolicy::default().hd_max_bytes
         );
         assert_eq!(cfg.eig, Some(EigenSolver::Randomized));
-        assert_eq!(cfg.precision.unwrap().capture, kfac_tensor::Dtype::Bf16);
+        assert_eq!(cfg.precision.unwrap().factor_wire, kfac_tensor::Dtype::Bf16);
         assert_eq!(cfg.precision.unwrap().grad_wire, kfac_tensor::Dtype::F32);
-        // The removed precision stage names its survivor; f16 is no dtype.
+        // A removed precision stage is told the two left; f16 is no dtype.
         let msg = |value| {
             RuntimeConfig::parse(vars(&[("KFAC_PRECISION", value)]))
                 .unwrap_err()
                 .to_string()
         };
-        assert!(msg("factor_gram=bf16").contains("capture"));
-        assert!(msg("eig=f16").contains("f32|bf16"));
+        assert!(msg("capture=bf16").contains("grad_wire|factor_wire"));
+        assert!(msg("grad_wire=f16").contains("f32|bf16"));
         let msg = RuntimeConfig::parse(vars(&[("KFAC_EIG_BACKEND", "lapack")]))
             .unwrap_err()
             .to_string();
-        assert!(msg.contains("jacobi|tridiag|randomized"), "{msg}");
+        assert!(msg.contains("expected tridiag|randomized"), "{msg}");
+        let msg = RuntimeConfig::parse(vars(&[("KFAC_EIG_BACKEND", "jacobi")]))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("expected tridiag|randomized"), "{msg}");
     }
 
     #[test]
@@ -701,7 +705,7 @@ mod tests {
             let cfg = RuntimeConfig {
                 backend: CommBackend::Proc,
                 algo: CollectiveAlgo::PipelinedRing,
-                eig: Some(EigenSolver::Jacobi),
+                eig: Some(EigenSolver::Randomized),
                 precision: Some(PrecisionPolicy::parse("bf16,grad_wire=f32").unwrap()),
                 pool_threads: Some(1),
                 heartbeat: HeartbeatConfig {

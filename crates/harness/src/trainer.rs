@@ -19,7 +19,7 @@ use kfac_collectives::{
     RetryPolicy, ThreadComm, Traffic, TrafficClass,
 };
 use kfac_data::{batch_of, Dataset, ShardedSampler};
-use kfac_nn::{layer::Mode, CrossEntropyLoss, KfacEligible, Layer, Sequential};
+use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::{LrSchedule, Optimizer, Sgd};
 use kfac_telemetry::{Registry, Span};
 use kfac_tensor::{Dtype, Tensor4};
@@ -416,26 +416,11 @@ fn run_rank(
     let mut model = build_model(cfg.seed);
     let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut kfac = cfg.kfac.clone().map(|k| Kfac::new(&mut model, k));
-    // Resolve the mixed-precision policy once per run. Gradients travel
-    // at `grad_wire` width; capture storage (which the factor Grams
-    // stream) goes bf16 when the policy asks. The all-f32 default skips
-    // every conversion.
     let precision = cfg.kfac.as_ref().map(|k| k.precision).unwrap_or_default();
-    if precision.capture == Dtype::Bf16 {
-        let mut layers: Vec<&mut dyn KfacEligible> = Vec::new();
-        model.collect_kfac(&mut layers);
-        for layer in &mut layers {
-            layer.set_capture_dtype(Dtype::Bf16);
-        }
-    }
     if !precision.is_all_f32() {
-        // Policy gauges for the live metrics plane: one per stage, value
-        // = storage/wire width in bits (32 or 16).
+        // Policy gauges for the live metrics plane: one per wire, value
+        // = width in bits (32 or 16).
         for (stage, dtype) in [
-            ("capture", precision.capture),
-            ("factor_ema", precision.factor_ema),
-            ("eig", precision.eig),
-            ("precond", precision.precond),
             ("grad_wire", precision.grad_wire),
             ("factor_wire", precision.factor_wire),
         ] {

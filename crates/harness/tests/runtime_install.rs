@@ -31,7 +31,7 @@ fn installed_config_is_default_for_new_and_override_for_with_kfac() {
         [
             ("KFAC_COMM_BACKEND", "proc"),
             ("KFAC_COMM_ALGO", "flat"),
-            ("KFAC_EIG_BACKEND", "jacobi"),
+            ("KFAC_EIG_BACKEND", "tridiag"),
             ("KFAC_PRECISION", "bf16"),
         ]
         .map(|(k, v)| (k.to_string(), v.to_string())),
@@ -66,7 +66,7 @@ fn installed_config_is_default_for_new_and_override_for_with_kfac() {
         ..KfacConfig::default()
     };
     let kfac = cfg.clone().with_kfac(handed.clone()).kfac.unwrap();
-    assert_eq!(kfac.eigen_solver, EigenSolver::Jacobi);
+    assert_eq!(kfac.eigen_solver, EigenSolver::TridiagonalQl);
     assert_eq!(kfac.precision, PrecisionPolicy::bf16());
     assert_eq!(kfac.damping, 0.05, "nothing else is touched");
     // … and direct assignment pins both.
@@ -79,7 +79,7 @@ fn installed_config_is_default_for_new_and_override_for_with_kfac() {
     // One `Display`, everywhere: /metrics and the flight-recorder dump.
     let line = installed.to_string();
     assert!(
-        line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_EIG_BACKEND=jacobi ")
+        line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_EIG_BACKEND=tridiag ")
             && line.ends_with(" exec=overlapped:3"),
         "{line}"
     );

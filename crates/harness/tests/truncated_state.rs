@@ -3,12 +3,15 @@
 //! `resilient` runs [`EigenSolver::Randomized`], so without these no
 //! `n × r` basis ever crosses the allgather, the task graph or a
 //! checkpoint in a test. Every run here asserts that at least one factor
-//! was in fact kept below its dimension.
+//! was in fact kept below its dimension. Each pin takes both precision
+//! policies: with bf16 wires the gradients, the factors and the short
+//! bases all cross rounded, and the relations must hold all the same.
 
-use kfac::{EigenSolver, Kfac, KfacConfig, RandEigPolicy};
-use kfac_collectives::{CommBackend, LocalComm};
+use kfac::{EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
+use kfac_collectives::{CommBackend, Communicator, LocalComm, ThreadComm};
 use kfac_data::{batch_of, Dataset};
 use kfac_harness::procrun::{cifar_demo_config, cifar_demo_data, cifar_demo_model};
+use kfac_harness::trainer::allreduce_gradients_fused;
 use kfac_harness::{checkpoint, train, ExecStrategy, TrainConfig, TrainResult};
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::{Optimizer, Sgd};
@@ -19,9 +22,10 @@ use kfac_telemetry::Registry;
 /// on a policy loose enough that six iterations from a random start
 /// already truncate: 90 % of the mass, ranks up to n/2. Retained ranks
 /// come out as 18 of 36, 16–36 of 72, 36 of 144 and 4 of 17.
-fn truncating_kfac() -> KfacConfig {
+fn truncating_kfac(precision: PrecisionPolicy) -> KfacConfig {
     KfacConfig {
         update_freq: 2,
+        precision,
         eigen_solver: EigenSolver::Randomized,
         rand_eig: RandEigPolicy {
             min_dim: 1,
@@ -34,10 +38,14 @@ fn truncating_kfac() -> KfacConfig {
     }
 }
 
-fn demo(ranks: usize) -> TrainConfig {
+fn demo(ranks: usize, precision: PrecisionPolicy) -> TrainConfig {
     let mut cfg = cifar_demo_config(ranks);
-    cfg.kfac = Some(truncating_kfac());
+    cfg.kfac = Some(truncating_kfac(precision));
     cfg
+}
+
+fn policies() -> [PrecisionPolicy; 2] {
+    [PrecisionPolicy::f32(), PrecisionPolicy::bf16()]
 }
 
 /// At least one factor's last eigenbasis has fewer columns than rows,
@@ -73,20 +81,22 @@ fn assert_same_trajectory(reference: &TrainResult, got: &TrainResult, what: &str
 #[test]
 fn sequential_equals_overlapped_with_short_bases() {
     let (train_ds, val_ds) = cifar_demo_data();
-    let cfg = demo(2);
-    let sequential = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
-    assert_some_basis_is_short(&sequential.telemetry);
-    for exec in [
-        ExecStrategy::Overlapped { compute_workers: 2 },
-        ExecStrategy::Replay { seed: 7 },
-    ] {
-        let overlapped = train(
-            cifar_demo_model,
-            &train_ds,
-            &val_ds,
-            &cfg.clone().with_exec(exec),
-        );
-        assert_same_trajectory(&sequential, &overlapped, &format!("{exec:?}"));
+    for policy in policies() {
+        let cfg = demo(2, policy);
+        let sequential = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+        assert_some_basis_is_short(&sequential.telemetry);
+        for exec in [
+            ExecStrategy::Overlapped { compute_workers: 2 },
+            ExecStrategy::Replay { seed: 7 },
+        ] {
+            let overlapped = train(
+                cifar_demo_model,
+                &train_ds,
+                &val_ds,
+                &cfg.clone().with_exec(exec),
+            );
+            assert_same_trajectory(&sequential, &overlapped, &format!("{policy} {exec:?}"));
+        }
     }
 }
 
@@ -96,17 +106,23 @@ fn sequential_equals_overlapped_with_short_bases() {
 #[test]
 fn thread_fabric_equals_tcp_fabric_with_short_bases() {
     let (train_ds, val_ds) = cifar_demo_data();
-    let cfg = demo(2);
-    let thread = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
-    assert_some_basis_is_short(&thread.telemetry);
-    let tcp = cfg.clone().with_backend(CommBackend::Proc);
-    let tcp = train(cifar_demo_model, &train_ds, &val_ds, &tcp);
-    assert_same_trajectory(&thread, &tcp, "tcp fabric");
-    let overlapped_tcp = cfg
-        .with_backend(CommBackend::Proc)
-        .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
-    let overlapped_tcp = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_tcp);
-    assert_same_trajectory(&thread, &overlapped_tcp, "overlapped over tcp");
+    for policy in policies() {
+        let cfg = demo(2, policy);
+        let thread = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+        assert_some_basis_is_short(&thread.telemetry);
+        let tcp = cfg.clone().with_backend(CommBackend::Proc);
+        let tcp = train(cifar_demo_model, &train_ds, &val_ds, &tcp);
+        assert_same_trajectory(&thread, &tcp, &format!("{policy} tcp fabric"));
+        let overlapped_tcp = cfg
+            .with_backend(CommBackend::Proc)
+            .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
+        let overlapped_tcp = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_tcp);
+        assert_same_trajectory(
+            &thread,
+            &overlapped_tcp,
+            &format!("{policy} overlapped over tcp"),
+        );
+    }
 }
 
 /// One rank's training state, stepped by hand so it can be interrupted.
@@ -117,9 +133,9 @@ struct Run {
 }
 
 impl Run {
-    fn new(seed: u64) -> Run {
+    fn new(seed: u64, precision: PrecisionPolicy) -> Run {
         let mut model = cifar_demo_model(seed);
-        let kfac = Kfac::new(&mut model, truncating_kfac());
+        let kfac = Kfac::new(&mut model, truncating_kfac(precision));
         Run {
             model,
             optimizer: Sgd::new(0.9, 1e-4),
@@ -127,15 +143,19 @@ impl Run {
         }
     }
 
-    fn iterate(&mut self, data: &dyn Dataset, it: u64) {
-        let indices: Vec<usize> = (0..8).map(|i| (8 * it as usize + i) % data.len()).collect();
+    /// One Listing-1 iteration on this rank's shard of batch `it`.
+    fn iterate(&mut self, data: &dyn Dataset, it: u64, comm: &dyn Communicator) {
+        let first = 8 * (it as usize * comm.size() + comm.rank());
+        let indices: Vec<usize> = (0..8).map(|i| (first + i) % data.len()).collect();
         let (x, labels) = batch_of(data, &indices, 1);
         self.model.zero_grad();
         self.model.set_capture(self.kfac.needs_capture());
         let out = self.model.forward(&x, Mode::Train);
         let (_, grad) = CrossEntropyLoss::new().forward(&out, &labels);
         let _ = self.model.backward(&grad);
-        self.kfac.step(&mut self.model, &LocalComm::new(), 0.05);
+        let wire = self.kfac.precision().grad_wire;
+        allreduce_gradients_fused(&mut self.model, comm, None, wire);
+        self.kfac.step(&mut self.model, comm, 0.05);
         self.optimizer.step(&mut self.model, 0.05);
     }
 
@@ -148,43 +168,69 @@ impl Run {
     }
 }
 
+/// Two ranks, so that every exchange is a real one and the bf16 policy's
+/// wires round what crosses them: each rank runs six iterations whole,
+/// then three, a checkpoint, a restore into a differently-seeded run, and
+/// the last three.
 #[test]
 fn checkpoint_resume_equals_uninterrupted_with_short_bases() {
     let (train_ds, _) = cifar_demo_data();
-    let registry = Registry::new();
-    let _guard = registry.install(0);
+    for policy in policies() {
+        let registry = Registry::new();
+        std::thread::scope(|s| {
+            for comm in ThreadComm::create(2) {
+                let (train_ds, registry) = (&train_ds, &registry);
+                s.spawn(move || {
+                    let _guard = registry.install(comm.rank());
+                    let mut whole = Run::new(3, policy);
+                    for it in 0..6 {
+                        whole.iterate(train_ds, it, &comm);
+                    }
 
-    let mut whole = Run::new(3);
-    for it in 0..6 {
-        whole.iterate(&train_ds, it);
+                    let mut first = Run::new(3, policy);
+                    for it in 0..3 {
+                        first.iterate(train_ds, it, &comm);
+                    }
+                    let blob = checkpoint::save(
+                        &mut first.model,
+                        &first.optimizer,
+                        Some(&first.kfac),
+                        3,
+                        0,
+                    );
+                    let mut resumed = Run::new(999, policy); // to be overwritten
+                    let (it, _) = checkpoint::restore(
+                        &blob,
+                        &mut resumed.model,
+                        &mut resumed.optimizer,
+                        Some(&mut resumed.kfac),
+                    )
+                    .expect("restore");
+                    for it in it..6 {
+                        resumed.iterate(train_ds, it, &comm);
+                    }
+                    assert_eq!(
+                        whole.params(),
+                        resumed.params(),
+                        "{policy}: resumed run diverged"
+                    );
+                    assert_eq!(
+                        whole.kfac.save_state(),
+                        resumed.kfac.save_state(),
+                        "{policy}"
+                    );
+                });
+            }
+        });
+        assert_some_basis_is_short(&registry);
     }
-    assert_some_basis_is_short(&registry);
-
-    let mut first = Run::new(3);
-    for it in 0..3 {
-        first.iterate(&train_ds, it);
-    }
-    let blob = checkpoint::save(&mut first.model, &first.optimizer, Some(&first.kfac), 3, 0);
-    let mut resumed = Run::new(999); // a different start, to be overwritten
-    let (it, _) = checkpoint::restore(
-        &blob,
-        &mut resumed.model,
-        &mut resumed.optimizer,
-        Some(&mut resumed.kfac),
-    )
-    .expect("restore");
-    for it in it..6 {
-        resumed.iterate(&train_ds, it);
-    }
-    assert_eq!(whole.params(), resumed.params(), "resumed run diverged");
-    assert_eq!(whole.kfac.save_state(), resumed.kfac.save_state());
 }
 
 #[test]
 fn version_1_state_blob_is_refused() {
     let (train_ds, _) = cifar_demo_data();
-    let mut run = Run::new(3);
-    run.iterate(&train_ds, 0);
+    let mut run = Run::new(3, PrecisionPolicy::f32());
+    run.iterate(&train_ds, 0, &LocalComm::new());
     let mut blob = run.kfac.save_state();
     assert_eq!(
         blob[4..12],

@@ -24,7 +24,7 @@ fn stderr(out: &Output) -> String {
 #[test]
 fn a_misspelt_variable_name_stops_xp_before_anything_runs() {
     let typo = "KFAC_EIG_BACKEND".replace("BACKEND", "BACKND");
-    let out = xp(&["list"], &[(&typo, "jacobi")]);
+    let out = xp(&["list"], &[(&typo, "tridiag")]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "nothing ran");
     let err = stderr(&out);
@@ -37,7 +37,7 @@ fn a_misspelt_variable_name_stops_xp_before_anything_runs() {
 
 #[test]
 fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
-    // A launcher (`xp table1`) in the first three rows, a worker world of
+    // A launcher (`xp table1`) in the first five rows, a worker world of
     // one in the last two: the offending variable on top of a rendezvous.
     let worker = [
         ("KFAC_PROC_RANK", "0"),
@@ -46,13 +46,16 @@ fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
         ("KFAC_PROC_JOB", "train-cifar"),
     ];
     let cases = [
+        (false, "KFAC_EIG_BACKEND", "lapack", "tridiag|randomized"),
+        // The oracle is not a backend, and a removed stage is not a wire.
+        (false, "KFAC_EIG_BACKEND", "jacobi", "tridiag|randomized"),
         (
             false,
-            "KFAC_EIG_BACKEND",
-            "lapack",
-            "jacobi|tridiag|randomized",
+            "KFAC_PRECISION",
+            "capture=bf16",
+            "grad_wire|factor_wire",
         ),
-        (false, "KFAC_PRECISION", "eig=f16", "f32|bf16"),
+        (false, "KFAC_PRECISION", "grad_wire=f16", "f32|bf16"),
         (false, "KFAC_COMM_BACKEND", "mpi", "thread|proc"),
         // Used to surface as `CollectiveError::Mismatch` from the mesh.
         (true, "KFAC_HEARTBEAT_MS", "fast", "millisecond"),

@@ -16,8 +16,8 @@ use crate::lowering::{
     BLOCK,
 };
 use kfac_tensor::arena;
-use kfac_tensor::gemm::{gemm_into, gemm_upper_into, mirror_upper_to_lower, Element, View};
-use kfac_tensor::{f32_to_bf16, init, Dtype, Matrix, Rng64, Tensor4};
+use kfac_tensor::gemm::{gemm_into, gemm_upper_into, mirror_upper_to_lower, View};
+use kfac_tensor::{init, Matrix, Rng64, Tensor4};
 
 /// The K-FAC capture of a `Conv2d`: the two factor Grams themselves,
 /// summed block by block by a capturing `backward`. They are the layer's
@@ -25,8 +25,6 @@ use kfac_tensor::{f32_to_bf16, init, Dtype, Matrix, Rng64, Tensor4};
 /// them, after the trainer's health gate has seen the batch.
 struct FactorSums {
     enabled: bool,
-    /// Width the rows are rounded to before they are multiplied.
-    dtype: Dtype,
     /// `Σ_b P_b·P_bᵀ` (ones row included) and `Σ_b (n·gy_b)(n·gy_b)ᵀ`:
     /// tiles on or above the diagonal only, neither mirrored nor scaled.
     a: Matrix,
@@ -38,35 +36,22 @@ struct FactorSums {
 
 impl FactorSums {
     /// Add one block of `len` positions to both sums: `block · blockᵀ`
-    /// and `(scale·gy)(scale·gy)ᵀ`, the rows rounded to `dtype` first. A
-    /// block is one `KC`-deep piece of each Gram's reduction, so the sums
-    /// over blocks carry the bits of one Gram over all positions.
+    /// and `(scale·gy)(scale·gy)ᵀ`. A block is one `KC`-deep piece of
+    /// each Gram's reduction, so the sums over blocks carry the bits of
+    /// one Gram over all positions.
     fn add_block(&mut self, block: &[f32], gy: &[f32], len: usize, scale: f32, first: bool) {
-        if self.dtype == Dtype::Bf16 {
-            let mut words = arena::take_u16(block.len().max(gy.len()));
-            for (d, &v) in words.iter_mut().zip(gy) {
-                *d = f32_to_bf16(v * scale);
-            }
-            Self::add(&mut self.g, &words[..gy.len()], len, first);
-            for (d, &v) in words.iter_mut().zip(block) {
-                *d = f32_to_bf16(v);
-            }
-            Self::add(&mut self.a, &words[..block.len()], len, first);
-            arena::recycle_u16(words);
-        } else {
-            let mut scaled = arena::take_f32(gy.len());
-            for (d, &v) in scaled.iter_mut().zip(gy) {
-                *d = v * scale;
-            }
-            Self::add(&mut self.g, &scaled, len, first);
-            Self::add(&mut self.a, block, len, first);
-            arena::recycle_f32(scaled);
+        let mut scaled = arena::take_f32(gy.len());
+        for (d, &v) in scaled.iter_mut().zip(gy) {
+            *d = v * scale;
         }
+        Self::add(&mut self.g, &scaled, len, first);
+        Self::add(&mut self.a, block, len, first);
+        arena::recycle_f32(scaled);
     }
 
     /// `sum (+)= rows · rowsᵀ` above the diagonal, `rows` being
     /// `features × len` row-major.
-    fn add<E: Element>(sum: &mut Matrix, rows: &[E], len: usize, first: bool) {
+    fn add(sum: &mut Matrix, rows: &[f32], len: usize, first: bool) {
         let f = rows.len() / len;
         if first {
             sum.reset_for(f, f);
@@ -146,7 +131,6 @@ impl Conv2d {
             spare: Vec::new(),
             capture: FactorSums {
                 enabled: false,
-                dtype: Dtype::default(),
                 a: Matrix::zeros(0, 0),
                 g: Matrix::zeros(0, 0),
                 rows: 0,
@@ -321,10 +305,6 @@ impl KfacEligible for Conv2d {
         assert!(self.has_capture(), "{}: factors not captured", self.name);
         let sums = &self.capture;
         (sums.factor(&sums.a), sums.factor(&sums.g))
-    }
-
-    fn set_capture_dtype(&mut self, dtype: kfac_tensor::Dtype) {
-        self.capture.dtype = dtype;
     }
 
     fn grad_matrix(&self) -> Matrix {

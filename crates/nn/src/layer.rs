@@ -15,7 +15,7 @@
 //! unsupported layers are ignored by the K-FAC preconditioner and updated
 //! normally using the user's choice of optimizer."
 
-use kfac_tensor::{Dtype, HalfMatrix, Matrix, Tensor4};
+use kfac_tensor::{Matrix, Tensor4};
 
 /// Whether the network is training (batch statistics, capture allowed) or
 /// evaluating (running statistics, no capture).
@@ -129,55 +129,31 @@ pub trait KfacEligible {
         let (a, g) = self.factor_dims();
         a * g
     }
-
-    /// Select the width captured rows are rounded to before the factor
-    /// Grams multiply them. With [`Dtype::Bf16`] a `Linear` stores its
-    /// rows as bf16 words (half the bytes) and a `Conv2d` rounds each
-    /// block into block-sized scratch inside backward; either way the
-    /// same f32-accumulating GEMM widens the words as it packs. The
-    /// default implementation ignores the request, so custom
-    /// `KfacEligible` impls stay f32.
-    fn set_capture_dtype(&mut self, _dtype: Dtype) {}
 }
 
 /// `Linear`'s capture: the row-major activation and output-gradient
 /// rows of one iteration, copied as the passes run. (`Conv2d` keeps no
 /// rows — it sums the factor Grams inside its backward block loop.)
-///
-/// With `dtype == Dtype::Bf16` the captured rows live in `a16`/`g16` at
-/// half the bytes; the f32 slots stay empty and `factors` runs the Gram
-/// over the bf16 words instead. The f32 path is untouched by the dtype
-/// plumbing (bitwise-identical default).
 #[derive(Debug, Default)]
 pub struct Capture {
     /// Whether capture is currently enabled.
     pub enabled: bool,
-    /// Capture storage width (f32 default, bf16 opt-in).
-    pub dtype: Dtype,
-    /// Bias-augmented activation rows `ā` (dim_A features), f32 storage.
+    /// Bias-augmented activation rows `ā` (dim_A features).
     pub a: Option<Matrix>,
     /// Output-gradient rows `ĝ` (dim_G features), mean-loss scaling
-    /// already undone (multiplied by batch size), f32 storage.
+    /// already undone (multiplied by batch size).
     pub g: Option<Matrix>,
-    /// bf16 activation capture (used when `dtype == Bf16`).
-    pub a16: Option<HalfMatrix>,
-    /// bf16 gradient capture (used when `dtype == Bf16`).
-    pub g16: Option<HalfMatrix>,
 }
 
 impl Capture {
-    /// Both halves captured (in whichever storage width)?
+    /// Both halves captured?
     pub fn complete(&self) -> bool {
-        (self.a.is_some() || self.a16.is_some()) && (self.g.is_some() || self.g16.is_some())
+        self.a.is_some() && self.g.is_some()
     }
 
-    /// Drop stale captures (called when capture is re-enabled),
-    /// returning pooled storage to the arena.
+    /// Drop stale captures (called when capture is re-enabled).
     pub fn clear(&mut self) {
         self.a = None;
-        if let Some(h) = self.a16.take() {
-            h.recycle();
-        }
         self.clear_g();
     }
 
@@ -185,51 +161,28 @@ impl Capture {
     /// previous iteration's `g` but keeps its own fresh `a`).
     pub fn clear_g(&mut self) {
         self.g = None;
-        if let Some(h) = self.g16.take() {
-            h.recycle();
-        }
     }
 
-    /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` from whichever storage
-    /// holds the capture. A bf16 capture runs the same Gram kernels,
-    /// widened to f32 as they pack.
+    /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` of the captured rows.
     pub fn factors(&self) -> (Matrix, Matrix) {
         // Arena-backed factor scratch, recycled by the preconditioner
         // after the running-average fold (see `Kfac::factor_update_layer`).
-        fn factor(n: usize, m: usize, gram_into: impl FnOnce(&mut Matrix)) -> Matrix {
-            let mut f = kfac_tensor::arena::take_matrix(n, n);
-            gram_into(&mut f);
-            f.scale(1.0 / m as f32);
+        fn factor(rows: &Matrix) -> Matrix {
+            let mut f = kfac_tensor::arena::take_matrix(rows.cols(), rows.cols());
+            rows.gram_into(&mut f);
+            f.scale(1.0 / rows.rows() as f32);
             f
-        }
-        if let (Some(a), Some(g)) = (&self.a16, &self.g16) {
-            let m = a.rows();
-            return (
-                factor(a.cols(), m, |f| a.gram_into(f)),
-                factor(g.cols(), m, |f| g.gram_into(f)),
-            );
         }
         let a = self.a.as_ref().expect("activation not captured");
         let g = self.g.as_ref().expect("gradient not captured");
-        let m = a.rows();
-        (
-            factor(a.cols(), m, |f| a.gram_into(f)),
-            factor(g.cols(), m, |f| g.gram_into(f)),
-        )
+        (factor(a), factor(g))
     }
 
     /// Stash the activation rows, appending a homogeneous `1` column when
     /// `bias` is set (the bias-folding trick of §II-C). Reuses the
-    /// previous capture's allocation (f32 buffer or pooled u16 storage),
-    /// so steady-state capture iterations allocate nothing.
+    /// previous capture's allocation, so steady-state capture iterations
+    /// allocate nothing.
     pub fn store_a_augmented(&mut self, x: &Matrix, bias: bool) {
-        if self.dtype == Dtype::Bf16 {
-            if let Some(h) = self.a16.take() {
-                h.recycle();
-            }
-            self.a16 = Some(HalfMatrix::from_augmented(x, bias));
-            return;
-        }
         let extra = usize::from(bias);
         let mut a = self.a.take().unwrap_or_else(|| Matrix::zeros(0, 0));
         a.reset_for(x.rows(), x.cols() + extra);
@@ -247,13 +200,6 @@ impl Capture {
     /// undoing the mean-loss 1/batch). Reuses the previous capture's
     /// allocation.
     pub fn store_g_scaled(&mut self, gy: &Matrix, scale: f32) {
-        if self.dtype == Dtype::Bf16 {
-            if let Some(h) = self.g16.take() {
-                h.recycle();
-            }
-            self.g16 = Some(HalfMatrix::from_scaled(gy, scale));
-            return;
-        }
         let mut g = self.g.take().unwrap_or_else(|| Matrix::zeros(0, 0));
         g.reset_for(gy.rows(), gy.cols());
         for (d, &s) in g.as_mut_slice().iter_mut().zip(gy.as_slice()) {

@@ -5,7 +5,7 @@
 
 use kfac_nn::lowering::{conv_out_dim, BLOCK};
 use kfac_nn::{layer::Mode, Conv2d, CrossEntropyLoss, KfacEligible, Layer, Linear};
-use kfac_tensor::{Dtype, HalfMatrix, Matrix, Rng64, Tensor4};
+use kfac_tensor::{Matrix, Rng64, Tensor4};
 use proptest::prelude::*;
 
 /// The lowering `Conv2d` used before patch blocks, kept as the oracle:
@@ -390,12 +390,8 @@ proptest! {
     }
 
     /// `compute_factors()` is the Gram of the oracle's patch matrix
-    /// (bias-augmented) and gradient rows: bitwise for f32 capture —
-    /// summing per-block Grams is the GEMM's own reduction order —
-    /// and within the bf16 tolerance the `Linear` test uses (1/64 of the
-    /// largest entry) for `Dtype::Bf16` (the tolerance dates from 256-position
-    /// blocks over a separate bf16 engine; a block is now 128 positions, the
-    /// one engine's reduction depth).
+    /// (bias-augmented) and gradient rows, bitwise: summing per-block
+    /// Grams is the GEMM's own reduction order.
     #[test]
     fn conv_factors_are_the_patch_matrix_grams(
         c_in in 1usize..5,
@@ -440,25 +436,16 @@ proptest! {
         prop_assert_eq!(bits(a_later.as_slice()), bits(a.as_slice()));
         prop_assert_eq!(bits(g_later.as_slice()), bits(g.as_slice()));
 
-        // bf16 capture of the same pass.
-        conv.set_capture_dtype(Dtype::Bf16);
+        // Re-enabling capture drops the old one; the same pass then sums
+        // the same factors again.
         conv.set_capture(true);
         prop_assert!(!conv.has_capture(), "re-enabling drops the old capture");
         let _ = conv.forward(&x, Mode::Train);
         let _ = conv.backward(&gy);
-        let (a16, g16) = conv.compute_factors();
-        let half_gram = |rows: &Matrix| {
-            let mut out = Matrix::zeros(0, 0);
-            let half = HalfMatrix::from_matrix(rows);
-            half.gram_into(&mut out);
-            half.recycle();
-            out.scale(1.0 / m);
-            out
-        };
-        for (got, want) in [(a16, half_gram(&old.a_rows)), (g16, half_gram(&old.g_rows))] {
-            prop_assert!(got.max_abs_diff(&want) <= want.max_abs().max(1.0) / 64.0);
-            prop_assert_eq!(got.asymmetry(), 0.0);
-        }
+        let (a_again, g_again) = conv.compute_factors();
+        prop_assert_eq!(bits(a_again.as_slice()), bits(a.as_slice()));
+        prop_assert_eq!(bits(g_again.as_slice()), bits(g.as_slice()));
+        prop_assert_eq!(a_again.asymmetry(), 0.0);
     }
 
     /// Conv out-dims follow the standard formula for all valid configs.

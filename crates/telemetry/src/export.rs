@@ -277,29 +277,6 @@ pub fn stage_table(events: &[SpanEvent]) -> String {
     out
 }
 
-/// One-line numerics footer for the live stage table: the compensated
-/// factor-EMA residual histogram (`train/ema_compensation_mag`), when
-/// the run has banked any compensation. Returns `None` on all-f32 runs
-/// so the footer never clutters the default configuration's output.
-pub fn numerics_footer(registry: &Registry) -> Option<String> {
-    let hist = registry
-        .histograms()
-        .into_iter()
-        .find(|(name, _)| name == "train/ema_compensation_mag")
-        .map(|(_, h)| h)?;
-    if hist.count() == 0 {
-        return None;
-    }
-    Some(format!(
-        "ema compensation |resid|: n {} | p50 {:.3e} | p95 {:.3e} | p99 {:.3e} | mean {:.3e}",
-        hist.count(),
-        hist.percentile(50.0),
-        hist.percentile(95.0),
-        hist.percentile(99.0),
-        hist.mean(),
-    ))
-}
-
 /// Sanitize a metric name for Prometheus: `[a-zA-Z0-9_:]` pass through,
 /// everything else becomes `_`, and a leading digit gets a `_` prefix.
 /// `kfac/eig_comp` → `kfac_eig_comp`.
@@ -766,12 +743,12 @@ mod tests {
         assert!(doc.contains("kfac_stage_count{stage=\"train/iteration\"} 1"));
     }
 
-    /// The mixed-precision metric families — per-dtype wire-byte
-    /// counters, precision-policy gauges, and the compensated-EMA
-    /// residual histogram — must survive name sanitization and lint
-    /// clean, since CI scrapes them off the live `/metrics` endpoint.
+    /// The wire-precision metric families — per-dtype wire-byte counters
+    /// and the two policy gauges — must survive name sanitization and
+    /// lint clean, since CI scrapes them off the live `/metrics`
+    /// endpoint.
     #[test]
-    fn mixed_precision_families_export_and_lint_clean() {
+    fn wire_precision_families_export_and_lint_clean() {
         let registry = Registry::new();
         for (name, bytes) in [
             ("comm/bytes/dtype/f32", 4096u64),
@@ -779,36 +756,17 @@ mod tests {
         ] {
             registry.counter(name).add(bytes);
         }
-        for stage in [
-            "capture",
-            "factor_ema",
-            "eig",
-            "precond",
-            "grad_wire",
-            "factor_wire",
-        ] {
+        for stage in ["grad_wire", "factor_wire"] {
             registry
                 .gauge(&format!("kfac/precision/{stage}_bits"))
                 .set(16.0);
         }
-        let h = registry.histogram("train/ema_compensation_mag");
-        for mag in [1e-6, 3e-5, 2e-4] {
-            h.record(mag);
-        }
 
         let doc = prometheus(&registry);
-        lint_prometheus(&doc).expect("mixed-precision families lint clean");
+        lint_prometheus(&doc).expect("wire-precision families lint clean");
         assert!(doc.contains("# TYPE comm_bytes_dtype_bf16 counter"));
         assert!(doc.contains("comm_bytes_dtype_bf16 2052"));
         assert!(doc.contains("kfac_precision_grad_wire_bits 16"));
-        assert!(doc.contains("# TYPE train_ema_compensation_mag histogram"));
-        assert!(doc.contains("train_ema_compensation_mag_count 3"));
-
-        // The stage-table footer summarizes the same histogram.
-        let footer = numerics_footer(&registry).expect("footer present");
-        assert!(footer.contains("n 3"), "{footer}");
-        // All-f32 runs bank nothing and emit no footer.
-        assert!(numerics_footer(&Registry::new()).is_none());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! positive-semidefinite matrices K-FAC produces (relative eigenvalue error
 //! near machine epsilon) — the properties an oracle needs. Its ~`10 n³`
 //! sweeps are 10–100× slower than QL at every factor dimension in
-//! `BENCH_eig.json`, so nothing selects it by default: it runs when QL
-//! fails to converge, when `EigenSolver::Jacobi` is named, and in tests.
+//! `BENCH_eig.json`, so it is not a selectable backend: it runs when QL
+//! fails to converge, in `xp bench-eig`'s oracle column, and in tests.
 //!
 //! The solver works on an `f64` copy for numerical headroom and rounds the
 //! results to `f32`.

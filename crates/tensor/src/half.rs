@@ -1,9 +1,9 @@
 //! Half-precision storage: the `bf16` scalar format and matrices of it.
 //!
 //! The packed GEMM engine always multiplies and accumulates in f32; what
-//! it *streams* — factor-Gram operands, capture buffers, collective
-//! payloads — is bounded by memory bandwidth. bf16 is the one half-width
-//! format the engine, the captures and the wire share:
+//! it *streams* — GEMM operands, collective payloads — is bounded by
+//! memory bandwidth. bf16 is the one half-width format the engine and
+//! the wire share:
 //!
 //! * [`Dtype`] — the storage/wire format vocabulary shared by the
 //!   precision policies, the fusion buffer, and the traffic accounting
@@ -11,12 +11,12 @@
 //! * Scalar conversions: `f32 ↔ bf16` (truncate-with-round-to-nearest-
 //!   even on the top 16 bits; widening is exact, `bits << 16`).
 //! * [`HalfMatrix`] — a `rows × cols` matrix stored as bf16 words,
-//!   backed by the arena's `u16` pool; the storage type behind bf16
-//!   capture scratch. It is a storage format, not an engine: its
-//!   products are [`gemm`](crate::gemm) calls over `View<u16>`, whose
-//!   packers widen the words on the way into the same f32 panels every
-//!   f32 operand uses — so for bf16-representable values a `HalfMatrix`
-//!   product equals the [`Matrix`] product bit for bit.
+//!   backed by the arena's `u16` pool. It is a storage format, not an
+//!   engine (only the kernel benches store one): its products are
+//!   [`gemm`](crate::gemm) calls over `View<u16>`, whose packers widen
+//!   the words on the way into the same f32 panels every f32 operand
+//!   uses — so for bf16-representable values a `HalfMatrix` product
+//!   equals the [`Matrix`] product bit for bit.
 //!
 //! Numerics contract: `bf16_to_f32(f32_to_bf16(x))` is exact for every
 //! bf16-representable value, and within a relative error of `2^-8` for
@@ -130,46 +130,6 @@ impl HalfMatrix {
             data: buf,
             rows,
             cols,
-        }
-    }
-
-    /// Build a bias-augmented bf16 capture of `x`: each row of `x`
-    /// rounded to bf16, with a homogeneous `1` column appended when
-    /// `bias` is set (the §II-C bias-folding trick, at capture width).
-    /// Encodes straight from the f32 source — there is no f32-width
-    /// intermediate, so this IS the half-width capture scratch.
-    pub fn from_augmented(x: &Matrix, bias: bool) -> HalfMatrix {
-        let extra = usize::from(bias);
-        let (rows, cols) = (x.rows(), x.cols() + extra);
-        let mut buf = arena::take_u16(rows * cols);
-        const ONE: u16 = 0x3F80; // f32_to_bf16(1.0)
-        for r in 0..rows {
-            let dst = &mut buf[r * cols..(r + 1) * cols];
-            for (d, &v) in dst.iter_mut().zip(x.row(r)) {
-                *d = f32_to_bf16(v);
-            }
-            if extra == 1 {
-                dst[cols - 1] = ONE;
-            }
-        }
-        HalfMatrix {
-            data: buf,
-            rows,
-            cols,
-        }
-    }
-
-    /// Build a bf16 capture of `x` with every element scaled by `scale`
-    /// before rounding (scale at f32, round once).
-    pub fn from_scaled(x: &Matrix, scale: f32) -> HalfMatrix {
-        let mut buf = arena::take_u16(x.len());
-        for (d, &v) in buf.iter_mut().zip(x.as_slice()) {
-            *d = f32_to_bf16(v * scale);
-        }
-        HalfMatrix {
-            data: buf,
-            rows: x.rows(),
-            cols: x.cols(),
         }
     }
 
