@@ -260,7 +260,11 @@ impl IterationModel {
     }
 
     /// K-FAC-opt iteration: stage costs amortized over their intervals;
-    /// preconditioning local (every iteration, no communication).
+    /// preconditioning local (every iteration, no communication). The
+    /// factor allreduce is charged per factor update — the paper's
+    /// schedule (Algorithm 1 line 8) on the paper's clusters, which is
+    /// what this model reproduces — although `kfac::Kfac` itself now
+    /// exchanges factors once per eigen update.
     pub fn kfac_opt_iteration(&self, cfg: KfacRunConfig) -> StageTimes {
         let (fc, fx) = self.factor_stage_s();
         let (ec, ex) = self.eig_stage_s(cfg.placement);

@@ -134,6 +134,16 @@ pub fn decode_payload(words: &[f32], dtype: Dtype) -> Result<Vec<f32>, Collectiv
 /// words; see module docs for the allgather-and-fold construction. For
 /// [`Dtype::F32`] this is exactly the communicator's own allreduce
 /// (bitwise unchanged from the pre-mixed-precision stack).
+///
+/// An empty `buf` is a non-event at either width: `Ok` before the
+/// communicator is reached — no bytes, no sequence number, no length
+/// prefix. An allreduce's length is the same on every rank by contract,
+/// so every rank takes this return together; it is how a phase driver
+/// spells "no factor exchange is due this iteration" without a branch
+/// (`Kfac::factor_pack`). [`try_allgather_half`] has no such return: its
+/// lengths legitimately differ by rank (a rank that owns no factor
+/// contributes nothing to the Eigen allgather), so an empty contribution
+/// must still take part.
 pub fn try_allreduce_half(
     comm: &dyn Communicator,
     buf: &mut [f32],
@@ -141,6 +151,9 @@ pub fn try_allreduce_half(
     class: TrafficClass,
     dtype: Dtype,
 ) -> Result<(), CollectiveError> {
+    if buf.is_empty() {
+        return Ok(());
+    }
     if dtype == Dtype::F32 {
         comm.try_allreduce_tagged(buf, op, class)?;
         record_dtype_bytes(dtype, buf.len() * dtype.size_of());

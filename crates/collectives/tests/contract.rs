@@ -9,9 +9,10 @@
 //! real worker process — stays in `tests/proc.rs` and the harness.
 
 use kfac_collectives::{
-    AlgoPolicy, CollectiveError, Communicator, Elastic, Membership, ProcComm, ReduceOp, ShrunkComm,
-    ThreadComm, TrafficClass,
+    wire, AlgoPolicy, CollectiveError, Communicator, Elastic, Membership, ProcComm, ReduceOp,
+    ShrunkComm, ThreadComm, Traffic, TrafficClass,
 };
+use kfac_tensor::Dtype;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -178,6 +179,56 @@ fn traffic_is_recorded_per_class<T: Membership + 'static>(make: &Make<T>) {
         assert_eq!(t.factor_bytes, 400);
         assert_eq!(t.eigen_bytes, 400);
         assert_eq!(t.ops, 3);
+    }
+}
+
+/// An allreduce of nothing is a non-event at both wire widths: `Ok`, no
+/// traffic, no op, and no sequence number — rank 0 "calls" it three times
+/// more often than rank 1, and the real allreduce that follows still
+/// pairs up. Under `Dtype::Bf16` that also means no length-prefix word:
+/// without the early return every rank would ship a one-word frame for
+/// every factor iteration that exchanges nothing.
+fn empty_allreduce_is_a_non_event<T: Membership + 'static>(make: &Make<T>) {
+    for dtype in [Dtype::F32, Dtype::Bf16] {
+        let results = run_group(make(2, SHORT), |rank, comm| {
+            for _ in 0..(1 + 3 * (1 - rank)) {
+                wire::try_allreduce_half(
+                    comm,
+                    &mut [],
+                    ReduceOp::Average,
+                    TrafficClass::Factor,
+                    dtype,
+                )
+                .expect("nothing to exchange");
+            }
+            assert_eq!(comm.traffic(), Traffic::default(), "{dtype:?}");
+            let mut buf = [rank as f32, 4.0];
+            wire::try_allreduce_half(comm, &mut buf, ReduceOp::Sum, TrafficClass::Factor, dtype)
+                .expect("sequence numbers still agree");
+            (buf, comm.traffic())
+        });
+        for (buf, traffic) in results {
+            assert_eq!(buf, [1.0, 8.0], "{dtype:?}");
+            assert_eq!(traffic.ops, 1, "{dtype:?}");
+            let words = wire::wire_words(2, dtype) as u64;
+            assert_eq!(traffic.factor_bytes, 4 * words, "{dtype:?}");
+        }
+    }
+}
+
+/// The allgather has no such shortcut, and must not: lengths differ by
+/// rank (a rank that owns no factor contributes nothing to the Eigen
+/// allgather), so an empty contribution still takes part — as a bare
+/// length prefix under `Dtype::Bf16` — and everyone receives it as empty.
+fn empty_allgather_contribution_still_takes_part<T: Membership + 'static>(make: &Make<T>) {
+    for dtype in [Dtype::F32, Dtype::Bf16] {
+        let results = run_group(make(3, PATIENT), |rank, comm| {
+            let payload = vec![rank as f32; rank]; // rank 0 sends nothing
+            wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, dtype).unwrap()
+        });
+        for gathered in results {
+            assert_eq!(gathered, [vec![], vec![1.0], vec![2.0, 2.0]], "{dtype:?}");
+        }
     }
 }
 
@@ -374,6 +425,8 @@ contract!(
     barrier_orders_phases,
     mixed_op_sequences,
     traffic_is_recorded_per_class,
+    empty_allreduce_is_a_non_event,
+    empty_allgather_contribution_still_takes_part,
     size_one_short_circuits,
     mismatched_kinds_time_out_on_every_rank,
     mismatched_lengths_are_typed_on_every_rank,

@@ -160,8 +160,10 @@ fn explicit_inverse_path_is_distributable_too() {
 #[test]
 fn stale_second_order_iterations_need_no_kfac_communication() {
     // With update_freq = 4 and 4 steps, only step 0 communicates factors
-    // and eigendecompositions; steps 1–3 must add zero Factor/Eigen bytes
-    // (the §IV-C communication-skipping property).
+    // and eigendecompositions; steps 1–3 — factor iterations all (the
+    // interval rounds down to 1), folding into rank-local averages — must
+    // add zero Factor/Eigen bytes (the §IV-C communication-skipping
+    // property, here without computing factors any less often).
     let comms = ThreadComm::create(2);
     let traffic: Vec<_> = thread::scope(|s| {
         let handles: Vec<_> = comms
@@ -170,13 +172,13 @@ fn stale_second_order_iterations_need_no_kfac_communication() {
                 s.spawn(move || {
                     let cfg = KfacConfig {
                         update_freq: 4,
-                        factor_freq_multiplier: 1,
                         ..KfacConfig::default()
                     };
                     let mut model = build_model(42);
                     let mut kfac = Kfac::new(&mut model, cfg);
                     let mut checkpoints = Vec::new();
                     for step in 0..4 {
+                        assert!(kfac.is_factor_iteration());
                         run_fwd_bwd(&mut model, kfac.needs_capture(), step as u64);
                         kfac.step(&mut model, comm, 0.1);
                         let t = comm.traffic();
@@ -360,8 +362,8 @@ fn triangular_factor_comm_matches_full_and_halves_traffic() {
 /// the exact composition the overlapped execution graph uses. Must be
 /// bitwise identical to `Kfac::step`.
 fn run_rank_phases(comm: &dyn Communicator, cfg: KfacConfig, steps: usize) -> Vec<f32> {
-    use kfac_collectives::{ReduceOp, TrafficClass};
-    use kfac_tensor::Matrix;
+    use kfac_collectives::{wire, ReduceOp, TrafficClass};
+    use kfac_tensor::{Dtype, Matrix};
     let mut model = build_model(42);
     let mut kfac = Kfac::new(&mut model, cfg);
     for s in 0..steps {
@@ -373,8 +375,17 @@ fn run_rank_phases(comm: &dyn Communicator, cfg: KfacConfig, steps: usize) -> Ve
                 kfac.factor_update_layer(li, &**layer);
             }
             if comm.size() > 1 {
+                // Empty unless an exchange is due; the wire does not send
+                // an empty payload.
                 let mut fused = kfac.factor_pack();
-                comm.allreduce_tagged(&mut fused, ReduceOp::Average, TrafficClass::Factor);
+                wire::try_allreduce_half(
+                    comm,
+                    &mut fused,
+                    ReduceOp::Average,
+                    TrafficClass::Factor,
+                    Dtype::F32,
+                )
+                .expect("factor allreduce");
                 kfac.factor_unpack(&fused);
             }
             kfac.note_factor_update();
@@ -409,8 +420,9 @@ fn run_rank_phases(comm: &dyn Communicator, cfg: KfacConfig, steps: usize) -> Ve
 
 #[test]
 fn phase_composition_is_bitwise_identical_to_step() {
+    // update_freq 3: two of three factor iterations exchange nothing.
     let cfg = KfacConfig {
-        update_freq: 2,
+        update_freq: 3,
         ..KfacConfig::default()
     };
     // Single rank.
@@ -421,13 +433,13 @@ fn phase_composition_is_bitwise_identical_to_step() {
     // Multi-rank: rank r runs step(), compared against rank r of a
     // separate group running the phase composition.
     for world in [2, 4] {
-        let whole = run_group(world, cfg.clone(), 5);
+        let whole = run_group(world, cfg.clone(), 7);
         let comms = ThreadComm::create(world);
         let cfg_ref = &cfg;
         let phased: Vec<Vec<f32>> = thread::scope(|s| {
             let handles: Vec<_> = comms
                 .iter()
-                .map(|comm| s.spawn(move || run_rank_phases(comm, cfg_ref.clone(), 5)))
+                .map(|comm| s.spawn(move || run_rank_phases(comm, cfg_ref.clone(), 7)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -435,4 +447,63 @@ fn phase_composition_is_bitwise_identical_to_step() {
             assert_eq!(w, p, "world={world} rank={rank} phases diverge from step()");
         }
     }
+}
+
+/// `factor_freq_multiplier` need not divide `update_freq`: with interval
+/// 5 / 2 = 2 the factors fold at 0, 2, 4, 6, … and the eigen updates fall
+/// on 0, 5, 10 — iteration 5 decomposes without folding. The folds of
+/// iterations 2 and 4 are still pending there and must be exchanged
+/// first, or each owner would decompose its own rank's averages.
+#[test]
+fn an_eigen_iteration_that_folds_nothing_still_exchanges_pending_folds() {
+    let comms = ThreadComm::create(2);
+    let per_rank: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = comms
+            .iter()
+            .map(|comm| {
+                s.spawn(move || {
+                    let cfg = KfacConfig {
+                        update_freq: 5,
+                        factor_freq_multiplier: 2,
+                        ..KfacConfig::default()
+                    };
+                    let mut model = build_model(42);
+                    let mut kfac = Kfac::new(&mut model, cfg);
+                    let mut trace = Vec::new();
+                    for step in 0..11u64 {
+                        let (folds, decomposes) =
+                            (kfac.is_factor_iteration(), kfac.is_eig_iteration());
+                        assert_eq!(kfac.factor_exchange_due(), decomposes, "step {step}");
+                        // Different data per rank: local averages differ.
+                        let seed = 10 * step + comm.rank() as u64;
+                        run_fwd_bwd(&mut model, kfac.needs_capture(), seed);
+                        kfac.step(&mut model, comm, 0.1);
+                        trace.push((
+                            folds,
+                            decomposes,
+                            comm.traffic().factor_bytes,
+                            kfac.factors_in_sync(),
+                            kfac.save_state(),
+                        ));
+                    }
+                    trace
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let payload = per_rank[0][0].2;
+    assert!(payload > 0);
+    let mut exchanges = 0;
+    for (step, (a, b)) in per_rank[0].iter().zip(&per_rank[1]).enumerate() {
+        let (folds, decomposes, bytes, in_sync, state) = a;
+        assert_eq!((*folds, *decomposes), (step % 2 == 0, step % 5 == 0));
+        exchanges += u64::from(*decomposes);
+        assert_eq!(*bytes, exchanges * payload, "step {step}");
+        // In sync from an exchange until the next fold; the whole state
+        // (averages and eigenbases) is then identical on both ranks.
+        assert_eq!(*in_sync, matches!(step, 0 | 1 | 5 | 10), "step {step}");
+        assert_eq!(*in_sync, *state == b.4, "step {step}");
+    }
+    assert_eq!(exchanges, 3);
 }

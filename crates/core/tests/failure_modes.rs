@@ -97,7 +97,13 @@ fn stale_steps_never_panic_without_capture() {
 #[test]
 fn corrupted_factor_payload_leaves_averages_stale() {
     let mut m = model();
-    let mut kfac = Kfac::new(&mut m, KfacConfig::default());
+    // update_freq 1: every iteration exchanges, so `factor_pack` reads
+    // the averages back whenever it is asked.
+    let cfg = KfacConfig {
+        update_freq: 1,
+        ..KfacConfig::default()
+    };
+    let mut kfac = Kfac::new(&mut m, cfg);
     let comm = LocalComm::new();
     fwd_bwd(&mut m, true);
     kfac.step(&mut m, &comm, 0.1);
@@ -143,6 +149,7 @@ struct RankTrace {
     degraded: Vec<u32>,
     states: Vec<Vec<u8>>,
     factors: Vec<Vec<f32>>,
+    in_sync: Vec<bool>,
     stale_factor_steps: u64,
     /// Byte length of the second-order section that ends `save_state()`.
     eigen_tail: usize,
@@ -175,6 +182,7 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
                         degraded: Vec::new(),
                         states: Vec::new(),
                         factors: Vec::new(),
+                        in_sync: Vec::new(),
                         stale_factor_steps: 0,
                         eigen_tail: kfac
                             .factors()
@@ -201,7 +209,11 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
                             .expect("no rank is lost");
                         trace.degraded.push(degraded);
                         trace.states.push(kfac.save_state());
+                        // This rank's averages where the next iteration
+                        // exchanges them (after iterations 1 and 3),
+                        // nothing elsewhere.
                         trace.factors.push(kfac.factor_pack());
+                        trace.in_sync.push(kfac.factors_in_sync());
                     }
                     trace.stale_factor_steps = kfac.stats().stale_factor_steps;
                     trace
@@ -212,24 +224,28 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
     })
 }
 
-/// A plan that faults the Eigen allgather of iteration 2 of
-/// [`run_pair`] and nothing else. update_freq 2 ⇒ factors every
-/// iteration, eig on even ones, so with no retries each rank's op cursor
-/// reads: it 0 Factor(0) Eigen(1) · it 1 Factor(2) · it 2 Factor(3)
-/// Eigen(4) · it 3 Factor(5) · it 4 Factor(6) Eigen(7) — op 4 it is.
-fn fault_eigen_exchange_of_iteration_2(base: FaultPlanConfig) -> Arc<FaultPlan> {
+/// A plan that faults one exchange of iteration 2 of [`run_pair`] — its
+/// Factor allreduce or its Eigen allgather, by `class` — and nothing
+/// else. update_freq 2 ⇒ factors fold every iteration and travel with the
+/// eig update on even ones, so with no retries each rank's op cursor
+/// reads: it 0 Factor(0) Eigen(1) · it 1 — · it 2 Factor(2) Eigen(3) ·
+/// it 3 — · it 4 Factor(4) Eigen(5).
+fn fault_exchange_of_iteration_2(class: TrafficClass, base: FaultPlanConfig) -> Arc<FaultPlan> {
+    let ops = match class {
+        TrafficClass::Factor => [0, 2, 4],
+        TrafficClass::Eigen => [1, 3, 5],
+        other => unreachable!("run_pair issues no {other:?} collective"),
+    };
     (0..)
         .map(|seed| {
             let cfg = FaultPlanConfig {
                 seed,
-                classes: vec![TrafficClass::Eigen],
+                classes: vec![class],
                 ..base.clone()
             };
             FaultPlan::new(cfg, 2)
         })
-        .find(|p| {
-            [1, 4, 7].map(|i| p.fault_at(i, TrafficClass::Eigen).is_some()) == [false, true, false]
-        })
+        .find(|p| ops.map(|i| p.fault_at(i, class).is_some()) == [false, true, false])
         .map(Arc::new)
         .unwrap()
 }
@@ -239,13 +255,92 @@ fn eigen(t: &RankTrace, it: usize) -> &[u8] {
     &t.states[it][t.states[it].len() - t.eigen_tail..]
 }
 
+/// `try_step`'s documented semantics for a Factor allreduce that fails
+/// for good: one stale step, the update goes ahead on each rank's own
+/// averages and still lands identically everywhere (owners decompose,
+/// the allgather shares), the averages stay rank-local — out of sync —
+/// until the next exchange, one eigen interval on, re-averages them.
+#[test]
+fn dropped_factor_exchange_decomposes_local_averages_identically_on_every_rank() {
+    let plan = fault_exchange_of_iteration_2(
+        TrafficClass::Factor,
+        FaultPlanConfig {
+            timeout_prob: 0.2,
+            timeout_ops: 1,
+            ..FaultPlanConfig::default()
+        },
+    );
+    let clean = run_pair(None);
+    let faulty = run_pair(Some(plan));
+    for t in &clean {
+        assert_eq!(t.degraded, [0; 5]);
+        assert_eq!(t.in_sync, [true, false, true, false, true]);
+    }
+    for t in &faulty {
+        assert_eq!(t.degraded, [0, 0, 1, 0, 0]);
+        assert_eq!(t.stale_factor_steps, 1);
+        // Nothing was exchanged at iteration 2, so nothing is in sync
+        // again before iteration 4.
+        assert_eq!(t.in_sync, [true, false, false, false, true]);
+    }
+    // The update of iteration 2 ran, on other inputs than the clean one,
+    // and both ranks hold its result.
+    assert_ne!(eigen(&faulty[0], 2), eigen(&faulty[0], 1), "no update");
+    assert_ne!(eigen(&faulty[0], 2), eigen(&clean[0], 2), "no fault landed");
+    assert_eq!(eigen(&faulty[0], 2), eigen(&faulty[1], 2), "ranks diverged");
+    // Averages are rank-local in between and the group's again at 4.
+    assert_ne!(faulty[0].states[2], faulty[1].states[2]);
+    assert_eq!(faulty[0].states[4], faulty[1].states[4]);
+}
+
+/// A lost rank is not absorbed by staleness: `try_step` returns it, and
+/// the iteration has not advanced.
+#[test]
+fn rank_loss_in_the_factor_exchange_is_returned_not_absorbed() {
+    let plan = Arc::new(FaultPlan::new(
+        FaultPlanConfig {
+            rank_loss_at: Some((0, 1)),
+            classes: vec![TrafficClass::Factor],
+            ..FaultPlanConfig::default()
+        },
+        2,
+    ));
+    let errors: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = ThreadComm::create(2)
+            .into_iter()
+            .map(|comm| {
+                let plan = Arc::clone(&plan);
+                s.spawn(move || {
+                    let comm = FaultyCommunicator::new(comm, plan);
+                    let mut m = two_layer_model();
+                    let mut kfac = Kfac::new(&mut m, KfacConfig::default());
+                    fwd_bwd(&mut m, true);
+                    let e = kfac
+                        .try_step(&mut m, &comm, 0.1, &RetryPolicy::none())
+                        .unwrap_err();
+                    assert_eq!(kfac.iteration(), 0);
+                    assert_eq!(kfac.stats().stale_factor_steps, 0);
+                    e
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for e in errors {
+        assert_eq!(e, kfac_collectives::CollectiveError::RankFailed(1));
+    }
+}
+
 #[test]
 fn failed_eigen_allgather_keeps_the_group_identically_stale() {
-    let plan = fault_eigen_exchange_of_iteration_2(FaultPlanConfig {
-        timeout_prob: 0.2,
-        timeout_ops: 1,
-        ..FaultPlanConfig::default()
-    });
+    let plan = fault_exchange_of_iteration_2(
+        TrafficClass::Eigen,
+        FaultPlanConfig {
+            timeout_prob: 0.2,
+            timeout_ops: 1,
+            ..FaultPlanConfig::default()
+        },
+    );
     let clean = run_pair(None);
     let faulty = run_pair(Some(plan));
 
@@ -277,10 +372,13 @@ fn silently_corrupted_eigen_payload_lands_identically_on_every_rank() {
     // One exponent bit of one gathered word flips, the same on every
     // rank's copy — the owner of that word included, which must install
     // what the group received rather than keep its clean local result.
-    let plan = fault_eigen_exchange_of_iteration_2(FaultPlanConfig {
-        bitflip_prob: 0.2,
-        ..FaultPlanConfig::default()
-    });
+    let plan = fault_exchange_of_iteration_2(
+        TrafficClass::Eigen,
+        FaultPlanConfig {
+            bitflip_prob: 0.2,
+            ..FaultPlanConfig::default()
+        },
+    );
     let clean = run_pair(None);
     let faulty = run_pair(Some(plan));
     assert_ne!(eigen(&faulty[0], 2), eigen(&clean[0], 2), "no flip landed");
@@ -479,8 +577,11 @@ fn non_finite_factor_average_degrades_to_identity_without_stalling() {
             let mut m = Sequential::from_layers(vec![Box::new(Linear::new(
                 "fc", dim_in, dim_out, true, &mut rng,
             ))]);
+            // update_freq 1: `factor_pack` below is asked on an exchange
+            // iteration and returns the averages.
             let cfg = KfacConfig {
                 damping,
+                update_freq: 1,
                 eigen_solver: solver,
                 ..KfacConfig::default()
             };

@@ -38,6 +38,10 @@ const LOCAL_BATCH: usize = 4;
 const MODEL_SEED: u64 = 3;
 const DATA_SEED: u64 = 11;
 const LR: f32 = 0.02;
+/// The trial preconditioner's eigen-update interval. Factors fold every
+/// iteration (interval / 10 rounds down to 1) and are exchanged on
+/// multiples of this, which is where checkpoints can be taken.
+const UPDATE_FREQ: usize = 2;
 
 /// One elastic scenario: a `world`-rank run of `iters` iterations that
 /// loses `kill_rank` at the start of iteration `kill_step`.
@@ -51,7 +55,8 @@ pub struct ElasticSpec {
     pub kill_step: usize,
     /// The victim (must not be rank 0: the original rank 0 reports).
     pub kill_rank: usize,
-    /// Checkpoint cadence in successful steps.
+    /// Checkpoint cadence in successful steps (see
+    /// [`FaultTolerance::checkpoint_every`] for when one is taken).
     pub checkpoint_every: usize,
 }
 
@@ -68,8 +73,17 @@ impl ElasticSpec {
         }
     }
 
+    /// The iteration the first checkpoint resumes at: it comes due once
+    /// `checkpoint_every` steps are done and is taken after the first
+    /// iteration from there on that exchanges the factor averages — until
+    /// then each rank's are its own, and survivors need identical blobs.
+    fn first_checkpoint(&self) -> usize {
+        (self.checkpoint_every - 1).next_multiple_of(UPDATE_FREQ) + 1
+    }
+
     /// Structural sanity: the kill must land after the first checkpoint
-    /// and before the budget runs out, and rank 0 must survive.
+    /// actually taken and before the budget runs out, and rank 0 must
+    /// survive.
     pub fn validate(&self) -> Result<(), String> {
         if self.world < 3 {
             return Err(format!(
@@ -83,10 +97,17 @@ impl ElasticSpec {
                 self.world, self.kill_rank
             ));
         }
-        if self.checkpoint_every == 0 || self.kill_step < self.checkpoint_every {
+        if self.checkpoint_every == 0 {
+            return Err("elastic trial needs checkpoints (ckpt_every >= 1)".into());
+        }
+        if self.kill_step < self.first_checkpoint() {
             return Err(format!(
-                "kill_step {} precedes the first checkpoint (every {})",
-                self.kill_step, self.checkpoint_every
+                "kill_step {} precedes the first checkpoint: due every {} steps, taken \
+                 where factors are next exchanged (every {UPDATE_FREQ}), so none exists \
+                 before iteration {}",
+                self.kill_step,
+                self.checkpoint_every,
+                self.first_checkpoint()
             ));
         }
         if self.kill_step >= self.iters {
@@ -111,7 +132,7 @@ pub fn demo_kfac(model: &mut Sequential) -> Kfac {
     Kfac::new(
         model,
         KfacConfig {
-            update_freq: 2,
+            update_freq: UPDATE_FREQ,
             damping: 0.003,
             ..KfacConfig::default()
         },
@@ -501,10 +522,17 @@ mod tests {
         let mut bad = base;
         bad.kill_rank = 0;
         assert!(bad.validate().unwrap_err().contains("rank 0"));
-        // The kill must land after a checkpoint exists.
-        let mut bad = base;
-        bad.kill_step = 1;
-        assert!(bad.validate().unwrap_err().contains("checkpoint"));
+        // The kill must land after a checkpoint exists: one is due after
+        // step 2, but iteration 1 folded rank-local factors, so the first
+        // is taken after iteration 2's exchange and resumes at 3.
+        for kill_step in [1, 2] {
+            let mut bad = base;
+            bad.kill_step = kill_step;
+            assert!(bad.validate().unwrap_err().contains("iteration 3"));
+        }
+        let mut earliest = base;
+        earliest.kill_step = 3;
+        assert!(earliest.validate().is_ok());
         // And inside the budget.
         let mut bad = base;
         bad.kill_step = 8;

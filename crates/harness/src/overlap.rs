@@ -10,9 +10,15 @@
 //!   as soon as that child's gradients are final, releasing the child's
 //!   gradient bucket for allreduce while earlier layers are still in
 //!   backprop;
-//! * per-layer factor updates overlap the remaining gradient traffic;
-//! * on factor-only iterations the factor allreduce overlaps
-//!   preconditioning, which does not read the averages.
+//! * per-layer factor updates overlap the remaining gradient traffic.
+//!
+//! The factor allreduce is a node only on the iterations
+//! [`Kfac::factor_exchange_due`] names — eigen updates — where it gates
+//! the decompositions that read the averages. Whether it is due is read
+//! with the rest of the iteration's plan, before the graph runs: a
+//! factor-only iteration orders nothing K-FAC before `OptimStep`, whose
+//! `advance()` moves the preconditioner to the next iteration, so a task
+//! body that asked would be answered for the wrong one.
 //!
 //! **Numerics are bitwise identical to the sequential path.** Per-bucket
 //! `Average` allreduces equal the one fused allreduce element-wise (the
@@ -110,17 +116,22 @@ pub fn overlap_iteration(
         .collect();
 
     // The K-FAC plan for this iteration, read before the graph borrows
-    // the preconditioner mutably.
-    let plan = kfac.as_ref().map(|k| {
-        (
-            k.is_factor_iteration(),
-            k.is_eig_iteration(),
-            k.num_layers(),
-            k.eig_assignment(world),
-            k.factors().len(),
-        )
+    // the preconditioner mutably (and before any task can `advance()` it).
+    struct Plan {
+        factor_iter: bool,
+        exchange_due: bool,
+        eig_iter: bool,
+        n_layers: usize,
+        assignment: Vec<usize>,
+    }
+    let plan = kfac.as_ref().map(|k| Plan {
+        factor_iter: k.is_factor_iteration(),
+        exchange_due: k.factor_exchange_due(),
+        eig_iter: k.is_eig_iteration(),
+        n_layers: k.num_layers(),
+        assignment: k.eig_assignment(world),
     });
-    let n_layers = plan.as_ref().map(|p| p.2).unwrap_or(0);
+    let n_layers = plan.as_ref().map_or(0, |p| p.n_layers);
 
     let loss_cell = Mutex::new(0.0f32);
     let model_mx = Mutex::new(model);
@@ -141,7 +152,8 @@ pub fn overlap_iteration(
     let optim_mx = &optim_mx;
     let grad_slots = &grad_slots;
     let precond_slots = &precond_slots;
-    let assignment: &[usize] = plan.as_ref().map(|p| p.3.as_slice()).unwrap_or(&[]);
+    let assignment: &[usize] = plan.as_ref().map_or(&[], |p| p.assignment.as_slice());
+    let factor_iter = plan.as_ref().is_some_and(|p| p.factor_iter);
 
     // Declared before the graph: closures inside `g` borrow this vector,
     // so it must outlive `g`.
@@ -222,15 +234,13 @@ pub fn overlap_iteration(
 
     // K-FAC phases (Opt strategy), partitioned along real dependencies.
     let mut precond_gate: Vec<TaskId> = Vec::new();
-    if let Some((factor_iter, eig_iter, _, _, n_factors)) =
-        plan.as_ref().map(|p| (p.0, p.1, p.2, (), p.4))
-    {
-        let mut factor_done: Vec<TaskId> = Vec::new();
-        if factor_iter {
-            // Per-layer factor computation: depends only on the sweep
-            // (captures are final after backward), so it overlaps the
-            // gradient allreduces still in flight.
-            let mut fu_ids = Vec::with_capacity(n_layers);
+    if let Some(plan) = &plan {
+        // Per-layer factor computation: depends only on the sweep
+        // (captures are final after backward), so it overlaps the
+        // gradient allreduces still in flight. Nothing waits for it on
+        // an iteration that exchanges nothing.
+        let mut fu_ids = Vec::new();
+        if plan.factor_iter {
             for li in 0..n_layers {
                 fu_ids.push(g.add(TaskKind::FactorUpdate(li), &[sweep], move |_| {
                     let mut model = model_mx.lock();
@@ -241,6 +251,11 @@ pub fn overlap_iteration(
                     k.factor_update_layer(li, &*layers[li]);
                 }));
             }
+        }
+        // Present only when due, and then always ahead of the
+        // decompositions (an exchange is due only on eig iterations).
+        let mut factor_done: Vec<TaskId> = Vec::new();
+        if plan.exchange_due {
             factor_done.push(g.add(TaskKind::FactorAllreduce(0), &fu_ids, move |_| {
                 let mut k = kfac_mx.as_ref().unwrap().lock();
                 let _span = Span::enter("kfac/factor_comm");
@@ -256,15 +271,14 @@ pub fn overlap_iteration(
                     .expect("factor allreduce");
                     k.factor_unpack(&fused);
                 }
-                k.note_factor_update();
             }));
         }
-        if eig_iter {
-            // Owned eigendecompositions read the freshly-averaged
-            // factors; on an eig-without-factor iteration they read
-            // last update's averages and can start immediately.
+        if plan.eig_iter {
+            // Owned eigendecompositions read the freshly exchanged
+            // averages; with no fold since the last exchange there is
+            // nothing to wait for and they start immediately.
             let mut ag_deps = factor_done.clone();
-            let mine = (0..n_factors).filter(|&id| assignment[id] == rank);
+            let mine = (0..assignment.len()).filter(|&id| assignment[id] == rank);
             for id in mine {
                 ag_deps.push(g.add(TaskKind::Eigendecomp(id), &factor_done, move |_| {
                     let mut k = kfac_mx.as_ref().unwrap().lock();
@@ -285,9 +299,6 @@ pub fn overlap_iteration(
                 k.note_eig_update();
             }));
         }
-        // NOTE: on factor-only iterations `precond_gate` stays empty —
-        // preconditioning never reads the averages, so the factor
-        // allreduce deliberately overlaps it (§V-C of the ISSUE design).
     }
 
     // Per-layer preconditioning: needs averaged gradients and (on eig
@@ -330,6 +341,9 @@ pub fn overlap_iteration(
                 .map(|s| s.lock().take().unwrap())
                 .collect();
             k.apply_with_clip(&mut layers, &preconds, &grads, lr);
+            if factor_iter {
+                k.note_factor_update();
+            }
             k.advance();
         }
         let _span = Span::enter("train/opt_step");

@@ -13,11 +13,11 @@
 //!    [`RetryPolicy`]; transient faults and short outages heal here and
 //!    the iteration proceeds bit-identically to a fault-free run.
 //! 2. **Stale factors** — a factor allreduce or eigendecomposition
-//!    allgather that exhausts its retries is *dropped* and the step
-//!    proceeds on the previous eigenbases (counted in
-//!    `kfac/stale_factor_steps`; [`Kfac::try_step`] has the exact state
-//!    rules). Because every rank consults the same fault plan, all ranks
-//!    stay identically stale.
+//!    allgather that exhausts its retries is *dropped*: the
+//!    decompositions read each rank's own averages, or the step proceeds
+//!    on the previous eigenbases (counted in `kfac/stale_factor_steps`;
+//!    [`Kfac::try_step`] has the exact state rules). Because every rank
+//!    consults the same fault plan, all ranks stay identically stale.
 //! 3. **Identity preconditioner** — a failed or corrupted
 //!    eigendecomposition falls back to damped SGD for that factor
 //!    (handled inside [`Kfac`], counted in `kfac/eig_fallbacks`).
@@ -63,7 +63,11 @@ pub struct FaultTolerance {
     /// Largest gradient magnitude accepted before the step is skipped
     /// (rung 4); non-finite values are always rejected.
     pub grad_limit: f32,
-    /// Take a checkpoint every N successful steps (0 = never).
+    /// A checkpoint comes due every N successful steps (0 = never) and is
+    /// taken at the first step after which the group's K-FAC state is
+    /// consistent ([`Kfac::factors_in_sync`]) — at most one eigen
+    /// interval later, since factor averages are rank-local between
+    /// exchanges.
     pub checkpoint_every: usize,
 }
 
@@ -102,6 +106,8 @@ pub struct ResilientTrainer {
     /// payload (rungs 2 and 4).
     pub comm_faults: u64,
     steps_done: u64,
+    /// The cadence asked for a checkpoint that has not been taken yet.
+    checkpoint_due: bool,
     latest_checkpoint: Option<Vec<u8>>,
     telemetry: Option<(kfac_telemetry::Registry, usize)>,
     recorder: Option<(FlightRecorder, Option<PathBuf>)>,
@@ -116,6 +122,7 @@ impl ResilientTrainer {
             skipped_steps: 0,
             comm_faults: 0,
             steps_done: 0,
+            checkpoint_due: false,
             latest_checkpoint: None,
             telemetry: kfac_telemetry::current(),
             recorder: None,
@@ -247,9 +254,14 @@ impl ResilientTrainer {
         match outcome {
             StepOutcome::Stepped => {
                 self.steps_done += 1;
-                if self.ft.checkpoint_every > 0
-                    && (self.steps_done as usize).is_multiple_of(self.ft.checkpoint_every)
-                {
+                self.checkpoint_due |= self.ft.checkpoint_every > 0
+                    && (self.steps_done as usize).is_multiple_of(self.ft.checkpoint_every);
+                // Between factor exchanges each rank's averages are its
+                // own: a blob saved then differs from rank to rank, and
+                // survivors of a later loss would restore different state.
+                let in_sync = kfac.as_ref().is_none_or(Kfac::factors_in_sync);
+                if self.checkpoint_due && in_sync {
+                    self.checkpoint_due = false;
                     self.latest_checkpoint = Some(checkpoint::save(
                         model,
                         optimizer,
@@ -500,8 +512,9 @@ mod tests {
             &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
         );
         assert_eq!(outcome, StepOutcome::Stepped);
+        // The serialized state holds the running averages whole.
         let before = (
-            k.as_ref().unwrap().factor_pack(),
+            k.as_ref().unwrap().save_state(),
             k.as_ref().unwrap().iteration(),
         );
 
@@ -512,9 +525,8 @@ mod tests {
         assert!(loss.is_nan());
         assert_eq!(outcome, StepOutcome::SkippedStep);
         let k = k.as_ref().unwrap();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert!(
-            bits(&before.0) == bits(&k.factor_pack()),
+            before.0 == k.save_state(),
             "NaN captures reached the factor EMA"
         );
         assert_eq!(k.iteration(), before.1);
@@ -527,10 +539,9 @@ mod tests {
     /// backward pass, so a NaN batch does reach the layer's own sums — but
     /// those reach the EMA only through `factor_update_layer`, behind the
     /// gate, and the next capturing pass replaces them: the next healthy
-    /// factor iteration packs the bits of a run that never saw the batch.
+    /// factor iteration leaves the state of a run that never saw the batch.
     #[test]
     fn nan_batch_is_skipped_before_it_reaches_the_conv_factors() {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let batch = |round: u64| {
             let mut rng = Rng64::new(7 + round);
             Tensor4::from_vec(4, 2, 5, 5, (0..200).map(|_| rng.normal_f32()).collect())
@@ -554,18 +565,18 @@ mod tests {
             };
             assert_eq!(step(&mut k, &batch(0)), StepOutcome::Stepped);
             if poison {
-                let before = bits(&k.as_ref().unwrap().factor_pack());
+                let before = k.as_ref().unwrap().save_state();
                 let nan = Tensor4::from_vec(4, 2, 5, 5, vec![f32::NAN; 200]);
                 assert_eq!(step(&mut k, &nan), StepOutcome::SkippedStep);
                 assert!(
-                    before == bits(&k.as_ref().unwrap().factor_pack()),
+                    before == k.as_ref().unwrap().save_state(),
                     "NaN sums reached the factor EMA"
                 );
             }
             // Every iteration is a factor iteration at the default config.
             assert!(k.as_ref().unwrap().is_factor_iteration());
             assert_eq!(step(&mut k, &batch(1)), StepOutcome::Stepped);
-            bits(&k.as_ref().unwrap().factor_pack())
+            k.as_ref().unwrap().save_state()
         };
         assert!(run(true) == run(false), "the NaN batch left a trace");
     }
@@ -601,6 +612,109 @@ mod tests {
         }
         // Replicas stayed in lockstep through identical degradation.
         assert_eq!(results[0].0, results[1].0);
+    }
+
+    /// The checkpoint rule. With `update_freq` 2 the factors are the
+    /// group's only after an even iteration's exchange, so a checkpoint
+    /// due every step is taken every other step; and when the exchange of
+    /// iteration 2 is dropped past its retries the averages stay
+    /// rank-local — a blob saved then would differ from rank to rank —
+    /// and none is taken until iteration 4's exchange succeeds. Every
+    /// rank decides alike and holds the same bytes.
+    #[test]
+    fn no_checkpoint_is_taken_while_factors_are_rank_local() {
+        let ft = FaultTolerance {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::ZERO,
+                max_backoff: Duration::ZERO,
+            },
+            checkpoint_every: 1,
+            ..FaultTolerance::default()
+        };
+        // Each rank's op cursor, two attempts for the doomed exchange:
+        // it 0 G0 F1 E2 · it 1 G3 · it 2 G4 F5 F6 E7 · it 3 G8 ·
+        // it 4 G9 F10 E11 — a Factor-only plan covering exactly 5 and 6.
+        let plan = (0..)
+            .map(|seed| {
+                FaultPlan::new(
+                    FaultPlanConfig {
+                        seed,
+                        timeout_prob: 0.2,
+                        timeout_ops: 2,
+                        classes: vec![TrafficClass::Factor],
+                        ..FaultPlanConfig::default()
+                    },
+                    2,
+                )
+            })
+            .find(|p| {
+                [1, 5, 6, 10].map(|i| p.fault_at(i, TrafficClass::Factor).is_some())
+                    == [false, true, true, false]
+            })
+            .map(Arc::new)
+            .unwrap();
+
+        // Per rank and step: the iteration the latest checkpoint resumes
+        // at, its bytes, and whether the factors were in sync.
+        let run = |plan: Option<Arc<FaultPlan>>| -> Vec<Vec<(u64, Vec<u8>, bool)>> {
+            let plan = &plan;
+            thread::scope(|s| {
+                let handles: Vec<_> = ThreadComm::create(2)
+                    .into_iter()
+                    .map(|comm| {
+                        s.spawn(move || {
+                            let rank = comm.rank();
+                            let comm: Box<dyn Communicator> = match plan {
+                                Some(p) => Box::new(FaultyCommunicator::new(comm, Arc::clone(p))),
+                                None => Box::new(comm),
+                            };
+                            let mut m = model(3);
+                            let mut opt = Sgd::new(0.9, 1e-4);
+                            let cfg = KfacConfig {
+                                update_freq: 2,
+                                ..KfacConfig::default()
+                            };
+                            let mut k = Some(Kfac::new(&mut m, cfg));
+                            let criterion = CrossEntropyLoss::new();
+                            let mut tr = ResilientTrainer::new(ft);
+                            let mut trace = Vec::new();
+                            for round in 0..5 {
+                                // Distinct shards: local averages differ.
+                                let (x, labels) = batch(2 * round + rank);
+                                let (_, outcome) = tr.step(
+                                    &mut m, &mut k, &mut opt, &*comm, &x, &labels, &criterion, 0.05,
+                                );
+                                assert_eq!(outcome, StepOutcome::Stepped);
+                                let blob = tr.latest_checkpoint().expect("step 0 saves").to_vec();
+                                // "CKPT", version, then the iteration.
+                                let it = u64::from_le_bytes(blob[12..20].try_into().unwrap());
+                                trace.push((it, blob, k.as_ref().unwrap().factors_in_sync()));
+                            }
+                            assert_eq!(tr.comm_faults, u64::from(plan.is_some()));
+                            trace
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
+
+        for (plan, resumes_at) in [(None, [1, 1, 3, 3, 5]), (Some(plan), [1, 1, 1, 1, 5])] {
+            let ranks = run(plan);
+            for (step, (a, b)) in ranks[0].iter().zip(&ranks[1]).enumerate() {
+                assert_eq!(
+                    (a.0, b.0),
+                    (resumes_at[step], resumes_at[step]),
+                    "step {step}"
+                );
+                assert!(a.1 == b.1, "step {step}: ranks hold different blobs");
+                // A checkpoint was taken at this step exactly when the
+                // factors were in sync after it.
+                assert_eq!(a.2, a.0 == step as u64 + 1, "step {step}");
+                assert_eq!(a.2, b.2);
+            }
+        }
     }
 
     /// Critical watchdog findings map onto the ladder's own typed

@@ -802,6 +802,72 @@ mod tests {
         }
     }
 
+    /// The graph decides whether the factor exchange is due from the
+    /// iteration's plan, not inside a task: on a factor-only iteration
+    /// nothing orders a K-FAC task before `OptimStep`'s `advance()`, and a
+    /// predicate read in a task body saw the *next* iteration — one
+    /// schedule in a few exchanged twice per cycle. 16 iterations at
+    /// `update_freq` 5 are four eigen updates (0, 5, 10, 15) with factors
+    /// folding every iteration; every schedule of the graph must move
+    /// exactly the sequential loop's `Factor` bytes — one payload per
+    /// eigen update — and land on its bits.
+    #[test]
+    fn every_graph_schedule_exchanges_factors_once_per_eigen_update() {
+        // 2 ranks × batch 8 × 16 batches.
+        let (train_ds, val_ds) = synthetic_cifar(8, 256, 32, 11);
+        let mut base = tiny_cfg(2, 1);
+        base.local_batch = 8;
+        base.kfac = Some(KfacConfig {
+            update_freq: 5,
+            ..KfacConfig::default()
+        });
+        let sequential = train(build, &train_ds, &val_ds, &base);
+        let stats = sequential.stage_stats.as_ref().expect("kfac ran");
+        assert_eq!(
+            (stats.steps, stats.factor_updates, stats.eig_updates),
+            (16, 16, 4)
+        );
+        let payload: u64 = {
+            let mut model = build(base.seed);
+            let kfac = Kfac::new(&mut model, KfacConfig::default());
+            // Upper triangles (`triangular_factor_comm`), f32 words.
+            let triangle = |n: usize| (4 * n * (n + 1) / 2) as u64;
+            kfac.factors().iter().map(|f| triangle(f.dim)).sum()
+        };
+        assert_eq!(sequential.traffic.factor_bytes, stats.eig_updates * payload);
+        let calls = sequential.telemetry.span_agg("kfac/factor_comm", Some(0));
+        assert_eq!(calls.count, stats.eig_updates);
+
+        let replays = (0..8).map(|seed| ExecStrategy::Replay { seed });
+        let overlapped = [1, 2].map(|compute_workers| ExecStrategy::Overlapped { compute_workers });
+        for exec in replays.chain(overlapped) {
+            let graph = train(build, &train_ds, &val_ds, &base.clone().with_exec(exec));
+            // Bytes per class; `ops` differs by design (per-bucket
+            // gradient allreduces).
+            let bytes = |t: &Traffic| (t.gradient_bytes, t.factor_bytes, t.eigen_bytes);
+            assert_eq!(
+                bytes(&sequential.traffic),
+                bytes(&graph.traffic),
+                "{exec:?}: bytes on the wire"
+            );
+            assert!(
+                sequential.final_params == graph.final_params,
+                "{exec:?}: weights diverge from sequential"
+            );
+            assert_eq!(
+                sequential.epochs[0].train_loss.to_bits(),
+                graph.epochs[0].train_loss.to_bits(),
+                "{exec:?}: loss diverges from sequential"
+            );
+            let stats = graph.stage_stats.as_ref().expect("kfac ran");
+            assert_eq!(
+                (stats.factor_updates, stats.eig_updates),
+                (16, 4),
+                "{exec:?}"
+            );
+        }
+    }
+
     /// SGD-only (no K-FAC) overlap must also match the oracle.
     #[test]
     fn overlap_matches_sequential_without_kfac() {

@@ -6,6 +6,9 @@
 //! was in fact kept below its dimension. Each pin takes both precision
 //! policies: with bf16 wires the gradients, the factors and the short
 //! bases all cross rounded, and the relations must hold all the same.
+//! And each takes two eigen intervals: 2, and 5 — where four factor
+//! iterations of five fold into rank-local averages and exchange nothing
+//! (twelve iterations: updates at 0, 5 and 10).
 
 use kfac::{EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ThreadComm};
@@ -22,9 +25,9 @@ use kfac_telemetry::Registry;
 /// on a policy loose enough that six iterations from a random start
 /// already truncate: 90 % of the mass, ranks up to n/2. Retained ranks
 /// come out as 18 of 36, 16–36 of 72, 36 of 144 and 4 of 17.
-fn truncating_kfac(precision: PrecisionPolicy) -> KfacConfig {
+fn truncating_kfac(precision: PrecisionPolicy, update_freq: usize) -> KfacConfig {
     KfacConfig {
-        update_freq: 2,
+        update_freq,
         precision,
         eigen_solver: EigenSolver::Randomized,
         rand_eig: RandEigPolicy {
@@ -38,14 +41,18 @@ fn truncating_kfac(precision: PrecisionPolicy) -> KfacConfig {
     }
 }
 
-fn demo(ranks: usize, precision: PrecisionPolicy) -> TrainConfig {
+fn demo(ranks: usize, (precision, update_freq): Variant) -> TrainConfig {
     let mut cfg = cifar_demo_config(ranks);
-    cfg.kfac = Some(truncating_kfac(precision));
+    cfg.kfac = Some(truncating_kfac(precision, update_freq));
     cfg
 }
 
-fn policies() -> [PrecisionPolicy; 2] {
-    [PrecisionPolicy::f32(), PrecisionPolicy::bf16()]
+/// Wire policy × eigen interval.
+type Variant = (PrecisionPolicy, usize);
+
+fn variants() -> [Variant; 4] {
+    let (f32, bf16) = (PrecisionPolicy::f32(), PrecisionPolicy::bf16());
+    [(f32, 2), (bf16, 2), (f32, 5), (bf16, 5)]
 }
 
 /// At least one factor's last eigenbasis has fewer columns than rows,
@@ -81,8 +88,8 @@ fn assert_same_trajectory(reference: &TrainResult, got: &TrainResult, what: &str
 #[test]
 fn sequential_equals_overlapped_with_short_bases() {
     let (train_ds, val_ds) = cifar_demo_data();
-    for policy in policies() {
-        let cfg = demo(2, policy);
+    for variant in variants() {
+        let cfg = demo(2, variant);
         let sequential = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
         assert_some_basis_is_short(&sequential.telemetry);
         for exec in [
@@ -95,7 +102,7 @@ fn sequential_equals_overlapped_with_short_bases() {
                 &val_ds,
                 &cfg.clone().with_exec(exec),
             );
-            assert_same_trajectory(&sequential, &overlapped, &format!("{policy} {exec:?}"));
+            assert_same_trajectory(&sequential, &overlapped, &format!("{variant:?} {exec:?}"));
         }
     }
 }
@@ -106,13 +113,13 @@ fn sequential_equals_overlapped_with_short_bases() {
 #[test]
 fn thread_fabric_equals_tcp_fabric_with_short_bases() {
     let (train_ds, val_ds) = cifar_demo_data();
-    for policy in policies() {
-        let cfg = demo(2, policy);
+    for variant in variants() {
+        let cfg = demo(2, variant);
         let thread = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
         assert_some_basis_is_short(&thread.telemetry);
         let tcp = cfg.clone().with_backend(CommBackend::Proc);
         let tcp = train(cifar_demo_model, &train_ds, &val_ds, &tcp);
-        assert_same_trajectory(&thread, &tcp, &format!("{policy} tcp fabric"));
+        assert_same_trajectory(&thread, &tcp, &format!("{variant:?} tcp fabric"));
         let overlapped_tcp = cfg
             .with_backend(CommBackend::Proc)
             .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
@@ -120,7 +127,7 @@ fn thread_fabric_equals_tcp_fabric_with_short_bases() {
         assert_same_trajectory(
             &thread,
             &overlapped_tcp,
-            &format!("{policy} overlapped over tcp"),
+            &format!("{variant:?} overlapped over tcp"),
         );
     }
 }
@@ -133,9 +140,9 @@ struct Run {
 }
 
 impl Run {
-    fn new(seed: u64, precision: PrecisionPolicy) -> Run {
+    fn new(seed: u64, (precision, update_freq): Variant) -> Run {
         let mut model = cifar_demo_model(seed);
-        let kfac = Kfac::new(&mut model, truncating_kfac(precision));
+        let kfac = Kfac::new(&mut model, truncating_kfac(precision, update_freq));
         Run {
             model,
             optimizer: Sgd::new(0.9, 1e-4),
@@ -169,36 +176,38 @@ impl Run {
 }
 
 /// Two ranks, so that every exchange is a real one and the bf16 policy's
-/// wires round what crosses them: each rank runs six iterations whole,
-/// then three, a checkpoint, a restore into a differently-seeded run, and
-/// the last three.
+/// wires round what crosses them: each rank runs twelve iterations whole,
+/// then seven, a checkpoint, a restore into a differently-seeded run, and
+/// the last five. At interval 5 the cut falls between exchanges: each
+/// rank saves, and restores, averages that are its own.
 #[test]
 fn checkpoint_resume_equals_uninterrupted_with_short_bases() {
     let (train_ds, _) = cifar_demo_data();
-    for policy in policies() {
+    for variant in variants() {
         let registry = Registry::new();
         std::thread::scope(|s| {
             for comm in ThreadComm::create(2) {
                 let (train_ds, registry) = (&train_ds, &registry);
                 s.spawn(move || {
                     let _guard = registry.install(comm.rank());
-                    let mut whole = Run::new(3, policy);
-                    for it in 0..6 {
+                    let mut whole = Run::new(3, variant);
+                    for it in 0..12 {
                         whole.iterate(train_ds, it, &comm);
                     }
 
-                    let mut first = Run::new(3, policy);
-                    for it in 0..3 {
+                    let mut first = Run::new(3, variant);
+                    for it in 0..7 {
                         first.iterate(train_ds, it, &comm);
                     }
+                    assert_eq!(first.kfac.factors_in_sync(), variant.1 == 2);
                     let blob = checkpoint::save(
                         &mut first.model,
                         &first.optimizer,
                         Some(&first.kfac),
-                        3,
+                        7,
                         0,
                     );
-                    let mut resumed = Run::new(999, policy); // to be overwritten
+                    let mut resumed = Run::new(999, variant); // to be overwritten
                     let (it, _) = checkpoint::restore(
                         &blob,
                         &mut resumed.model,
@@ -206,18 +215,16 @@ fn checkpoint_resume_equals_uninterrupted_with_short_bases() {
                         Some(&mut resumed.kfac),
                     )
                     .expect("restore");
-                    for it in it..6 {
+                    for it in it..12 {
                         resumed.iterate(train_ds, it, &comm);
                     }
-                    assert_eq!(
-                        whole.params(),
-                        resumed.params(),
-                        "{policy}: resumed run diverged"
+                    assert!(
+                        whole.params() == resumed.params(),
+                        "{variant:?}: resumed run diverged"
                     );
-                    assert_eq!(
-                        whole.kfac.save_state(),
-                        resumed.kfac.save_state(),
-                        "{policy}"
+                    assert!(
+                        whole.kfac.save_state() == resumed.kfac.save_state(),
+                        "{variant:?}: K-FAC state diverged"
                     );
                 });
             }
@@ -229,7 +236,7 @@ fn checkpoint_resume_equals_uninterrupted_with_short_bases() {
 #[test]
 fn version_1_state_blob_is_refused() {
     let (train_ds, _) = cifar_demo_data();
-    let mut run = Run::new(3, PrecisionPolicy::f32());
+    let mut run = Run::new(3, (PrecisionPolicy::f32(), 2));
     run.iterate(&train_ds, 0, &LocalComm::new());
     let mut blob = run.kfac.save_state();
     assert_eq!(
