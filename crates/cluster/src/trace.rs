@@ -205,9 +205,12 @@ pub fn emit_kfac_opt_trace(
 /// backward is split into `buckets` chunks whose gradient allreduces
 /// start as soon as the chunk finishes, factor computation overlaps the
 /// gradient traffic, and factor allreduces overlap preconditioning on
-/// non-eigendecomposition iterations — the schedule the `kfac-exec`
-/// runtime realises on real hardware. Returns the simulated wall time
-/// in seconds (the slowest lane's finish).
+/// non-eigendecomposition iterations — a pipelined schedule in the manner
+/// of Shi et al. (arXiv:2107.06533) under the paper's every-update factor
+/// exchange. Of it the `kfac-exec` runtime runs the bucketed gradient
+/// overlap only; the measured step exchanges factors once per eigen
+/// update and runs its K-FAC stages straight-line. Returns the simulated
+/// wall time in seconds (the slowest lane's finish).
 pub fn emit_kfac_opt_overlap_trace(
     registry: &Registry,
     model: &IterationModel,

@@ -49,21 +49,6 @@ impl TrafficClass {
             TrafficClass::Other => "comm/bytes/other",
         }
     }
-
-    /// Scheduling priority for the exec ready queue; higher runs first
-    /// when several tasks are ready. Gradient traffic blocks the next
-    /// optimizer step every iteration, so it outranks the K-FAC stages,
-    /// which are off the per-iteration critical path except on update
-    /// iterations.
-    pub fn priority(self) -> u8 {
-        match self {
-            TrafficClass::Gradient => 100,
-            TrafficClass::Precond => 80,
-            TrafficClass::Eigen => 60,
-            TrafficClass::Factor => 40,
-            TrafficClass::Other => 20,
-        }
-    }
 }
 
 /// Snapshot of cumulative traffic on one rank.

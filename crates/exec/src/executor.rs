@@ -24,11 +24,11 @@
 //! sat ready before a worker picked it up.
 
 use crate::graph::{TaskGraph, Work};
-use crate::queue::ReadyQueue;
 use crate::task::{Lane, TaskId, TaskKind};
 use kfac_collectives::CollectiveError;
 use kfac_telemetry::{Registry, Span, SpanEvent};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,8 +97,8 @@ impl std::error::Error for ExecError {}
 pub struct ExecReport {
     /// Tasks that ran to successful completion.
     pub executed: usize,
-    /// Tasks whose work returned a collective error (or externals
-    /// failed via [`ExecCtl::fail`]), with the error each surfaced.
+    /// Tasks whose work returned a collective error, with the error
+    /// each surfaced.
     pub failed: Vec<(TaskId, CollectiveError)>,
     /// Tasks skipped because a transitive dependency failed.
     pub poisoned: usize,
@@ -116,7 +116,8 @@ struct State {
     deps_done: Vec<bool>,
     signaled: Vec<bool>,
     completed: Vec<bool>,
-    ready_compute: ReadyQueue,
+    /// Ready compute-lane task ids, in the order they became ready.
+    ready_compute: VecDeque<usize>,
     /// Comm-lane task ids, ascending; `next_comm` indexes the next one
     /// the comm worker may execute.
     comm_order: Vec<usize>,
@@ -159,8 +160,7 @@ impl State {
         } else {
             self.ready_at[id] = Some(Instant::now());
             if self.kinds[id].lane() == Lane::Compute {
-                self.ready_compute
-                    .push(TaskId(id), self.kinds[id].priority());
+                self.ready_compute.push_back(id);
             }
             // Comm tasks need no queue entry: `deps_done` plus the fixed
             // `comm_order` cursor is the whole comm schedule.
@@ -244,23 +244,6 @@ impl ExecCtl<'_> {
             return Err(ExecError::NotExternal(id));
         }
         st.signal(id.0);
-        drop(st);
-        self.inner.cv.notify_all();
-        Ok(())
-    }
-
-    /// Signal external task `id` as *failed* — the collective backing
-    /// it errored out. The node is recorded in
-    /// [`ExecReport::failed`] and its transitive dependents are
-    /// poisoned, so the rest of the graph drains without hanging on a
-    /// completion that will never arrive. Errors if `id` is not an
-    /// external node; failing an already-completed node is a no-op.
-    pub fn fail(&self, id: TaskId, err: CollectiveError) -> Result<(), ExecError> {
-        let mut st = self.inner.state.lock();
-        if !st.external[id.0] {
-            return Err(ExecError::NotExternal(id));
-        }
-        st.fail(id.0, err);
         drop(st);
         self.inner.cv.notify_all();
         Ok(())
@@ -368,9 +351,9 @@ fn compute_worker(
                 if st.remaining == 0 || st.stalled {
                     break None;
                 }
-                if let Some(tid) = st.ready_compute.pop() {
+                if let Some(id) = st.ready_compute.pop_front() {
                     st.active += 1;
-                    break Some((tid.0, st.kinds[tid.0], st.ready_at[tid.0]));
+                    break Some((id, st.kinds[id], st.ready_at[id]));
                 }
                 if st.active == 0 && !st.comm_has_ready() {
                     st.stalled = true;
@@ -521,7 +504,7 @@ impl Executor {
             deps_done: vec![false; n],
             signaled: vec![false; n],
             completed: vec![false; n],
-            ready_compute: ReadyQueue::new(),
+            ready_compute: VecDeque::new(),
             comm_order,
             next_comm: 0,
             ready_at: vec![None; n],

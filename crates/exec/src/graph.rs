@@ -10,7 +10,7 @@
 //! [`ExecCtl::complete`](crate::ExecCtl::complete).
 
 use crate::executor::ExecCtl;
-use crate::task::{Lane, TaskId, TaskKind};
+use crate::task::{TaskId, TaskKind};
 use kfac_collectives::CollectiveError;
 
 /// Boxed task body: `Err` marks the node failed and poisons its
@@ -100,30 +100,6 @@ impl<'w> TaskGraph<'w> {
     pub fn add_external(&mut self, kind: TaskKind, deps: &[TaskId]) -> TaskId {
         self.push(kind, deps, Work::External)
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Kind of a node.
-    pub fn kind(&self, id: TaskId) -> TaskKind {
-        self.nodes[id.0].kind
-    }
-
-    /// Ids of communication-lane tasks, ascending — the order the
-    /// dedicated comm worker will execute them in.
-    pub fn comm_ids(&self) -> Vec<TaskId> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].kind.lane() == Lane::Comm)
-            .map(TaskId)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,27 +109,16 @@ mod tests {
     #[test]
     fn ids_are_dense_and_deps_must_precede() {
         let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| {});
+        let a = g.add(TaskKind::Custom("a"), &[], |_| {});
         let b = g.add(TaskKind::Custom("x"), &[a], |_| {});
         assert_eq!((a, b), (TaskId(0), TaskId(1)));
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.kind(b), TaskKind::Custom("x"));
+        assert_eq!(g.nodes.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "must be added before")]
     fn forward_dependency_panics() {
         let mut g = TaskGraph::new();
-        g.add(TaskKind::Forward, &[TaskId(5)], |_| {});
-    }
-
-    #[test]
-    fn comm_ids_are_ascending_comm_lane_tasks() {
-        let mut g = TaskGraph::new();
-        g.add(TaskKind::Forward, &[], |_| {});
-        g.add(TaskKind::GradAllreduce(0), &[], |_| {});
-        g.add(TaskKind::Backward(0), &[], |_| {});
-        g.add(TaskKind::EigenAllgather, &[], |_| {});
-        assert_eq!(g.comm_ids(), vec![TaskId(1), TaskId(3)]);
+        g.add(TaskKind::Custom("a"), &[TaskId(5)], |_| {});
     }
 }

@@ -3,16 +3,14 @@
 //! Deterministic task-graph execution engine for the distributed K-FAC
 //! pipeline (Pauloski et al., SC 2020 §V).
 //!
-//! The paper's K-FAC-opt hides factor communication behind backprop;
-//! follow-ups (Shi et al., arXiv:2107.06533; Zhang et al.,
-//! arXiv:2206.15143) show the general form: express the iteration as a
-//! dependency graph of typed tasks and let a scheduler overlap
-//! communication with computation instead of running barrier-separated
-//! phases. This crate is that scheduler:
+//! The paper's one overlap is Horovod's: gradient buckets are allreduced
+//! while backward is still running. This crate is the scheduler that
+//! runs that overlap as a dependency graph of typed tasks rather than
+//! hand-rolled threads (the general form — pipelining the K-FAC stages
+//! too — is Shi et al., arXiv:2107.06533):
 //!
-//! * [`TaskKind`] — typed nodes at pipeline granularity: per-layer
-//!   backward completion, per-bucket gradient allreduce, per-layer
-//!   factor updates and preconditioning, per-factor eigendecomposition.
+//! * [`TaskKind`] — typed nodes: per-layer backward completion,
+//!   per-bucket gradient allreduce, named glue.
 //! * [`TaskGraph`] — explicit dependency edges; acyclic by construction
 //!   (dependencies must precede dependents). External nodes model
 //!   completion events signaled mid-task via [`ExecCtl::complete`] —
@@ -24,12 +22,8 @@
 //!   ranks' collective sequences match); [`ExecMode::Replay`] runs the
 //!   same graph single-threaded in a seeded topological order, the
 //!   bit-for-bit oracle the overlapped path is tested against.
-//! * Priorities come from [`TrafficClass::priority`]
-//!   (`kfac-collectives`), so the ready queue agrees with the network
-//!   about what is urgent: gradient buckets preempt deferrable factor
-//!   traffic.
 //! * Failure containment — fallible nodes
-//!   ([`TaskGraph::add_fallible`], [`ExecCtl::fail`]) surface
+//!   ([`TaskGraph::add_fallible`]) surface
 //!   `CollectiveError`s as node outcomes: a failed node *poisons* its
 //!   transitive dependents (they are skipped, never run) while
 //!   unrelated branches drain normally, so a timed-out collective can
@@ -43,34 +37,29 @@
 //!
 //! let sum = AtomicUsize::new(0);
 //! let mut g = TaskGraph::new();
-//! let fwd = g.add(TaskKind::Forward, &[], |_| {
-//!     sum.fetch_add(1, Ordering::Relaxed);
-//! });
 //! let bwd = g.add_external(TaskKind::Backward(0), &[]);
-//! let sweep = g.add(TaskKind::Custom("backward_sweep"), &[fwd], |ctl| {
-//!     sum.fetch_add(10, Ordering::Relaxed);
+//! let sweep = g.add(TaskKind::Custom("backward_sweep"), &[], |ctl| {
+//!     sum.fetch_add(1, Ordering::Relaxed);
 //!     ctl.complete(bwd).unwrap(); // released mid-sweep
 //! });
-//! g.add(TaskKind::GradAllreduce(0), &[bwd], |_| {
+//! let reduce = g.add(TaskKind::GradAllreduce(0), &[bwd], |_| {
+//!     sum.fetch_add(10, Ordering::Relaxed);
+//! });
+//! g.add(TaskKind::Custom("grad_writeback"), &[sweep, reduce], |_| {
 //!     sum.fetch_add(100, Ordering::Relaxed);
 //! });
-//! g.add(TaskKind::OptimStep, &[sweep], |_| {
-//!     sum.fetch_add(1000, Ordering::Relaxed);
-//! });
 //! Executor::run(g, ExecMode::Overlapped { compute_workers: 2 }).unwrap();
-//! assert_eq!(sum.load(Ordering::Relaxed), 1111);
+//! assert_eq!(sum.load(Ordering::Relaxed), 111);
 //! ```
 
 #![warn(missing_docs)]
 
 mod executor;
 mod graph;
-mod queue;
 mod task;
 
 pub use executor::{ExecCtl, ExecError, ExecMode, ExecReport, Executor};
 pub use graph::TaskGraph;
-pub use queue::ReadyQueue;
 pub use task::{Lane, TaskId, TaskKind};
 
 #[cfg(test)]
@@ -85,14 +74,14 @@ mod tests {
         let order = Mutex::new(Vec::new());
         let push = |name: &'static str| order.lock().push(name);
         let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| push("a"));
+        let a = g.add(TaskKind::Custom("forward"), &[], |_| push("a"));
         let ext = g.add_external(TaskKind::Backward(0), &[]);
         let b = g.add(TaskKind::Custom("sweep"), &[a], |ctl| {
             push("b");
             ctl.complete(ext).unwrap();
         });
         let c = g.add(TaskKind::GradAllreduce(0), &[ext], |_| push("c"));
-        g.add(TaskKind::OptimStep, &[b, c], |_| push("d"));
+        g.add(TaskKind::Custom("writeback"), &[b, c], |_| push("d"));
         Executor::run(g, mode).unwrap();
         order.into_inner()
     }
@@ -128,7 +117,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let ext = g.add_external(TaskKind::Backward(0), &[]);
         g.add(TaskKind::GradAllreduce(0), &[ext], |_| {});
-        g.add(TaskKind::Forward, &[], |_| {});
+        g.add(TaskKind::Custom("free"), &[], |_| {});
         let err = Executor::run(g, ExecMode::Replay { seed: 1 }).unwrap_err();
         assert_eq!(
             err,
@@ -142,7 +131,7 @@ mod tests {
     #[test]
     fn complete_on_regular_task_errors() {
         let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| {});
+        let a = g.add(TaskKind::Custom("a"), &[], |_| {});
         let captured = Mutex::new(None);
         g.add(TaskKind::Custom("bad"), &[a], |ctl| {
             *captured.lock() = Some(ctl.complete(a));
@@ -167,7 +156,7 @@ mod tests {
             let kind = if i % 5 == 0 {
                 TaskKind::GradAllreduce(i)
             } else {
-                TaskKind::FactorUpdate(i)
+                TaskKind::Custom("compute")
             };
             ids.push(g.add(kind, &deps, move |_| {
                 c.fetch_add(1, Ordering::Relaxed);
@@ -185,7 +174,7 @@ mod tests {
         let registry = kfac_telemetry::Registry::new();
         let _g = registry.install(0);
         let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| {});
+        let a = g.add(TaskKind::Custom("a"), &[], |_| {});
         g.add(TaskKind::GradAllreduce(0), &[a], |_| {});
         Executor::run(g, ExecMode::Overlapped { compute_workers: 1 }).unwrap();
         kfac_telemetry::flush();
@@ -215,12 +204,14 @@ mod tests {
             let a = g.add_fallible(TaskKind::GradAllreduce(0), &[], |_| {
                 Err(CollectiveError::Timeout { waited_ms: 5 })
             });
-            let b = g.add(TaskKind::EigenAllgather, &[a], |_| ran.lock().push("b"));
-            g.add(TaskKind::OptimStep, &[b], |_| ran.lock().push("c"));
+            let b = g.add(TaskKind::GradAllreduce(1), &[a], |_| ran.lock().push("b"));
+            g.add(TaskKind::Custom("writeback"), &[b], |_| {
+                ran.lock().push("c")
+            });
             // Independent comm task AFTER the poisoned one in cursor
             // order: the comm worker must skip past `b` to reach it.
-            g.add(TaskKind::GradAllreduce(1), &[], |_| ran.lock().push("d"));
-            g.add(TaskKind::Forward, &[], |_| ran.lock().push("e"));
+            g.add(TaskKind::GradAllreduce(2), &[], |_| ran.lock().push("d"));
+            g.add(TaskKind::Custom("free"), &[], |_| ran.lock().push("e"));
             let report = Executor::run(g, mode).unwrap();
             assert_eq!(report.executed, 2, "{mode:?}");
             assert_eq!(report.poisoned, 2, "{mode:?}");
@@ -234,41 +225,6 @@ mod tests {
         }
     }
 
-    /// An external comm node failed via `ExecCtl::fail` mid-task
-    /// poisons its dependents; the rest of the graph completes.
-    #[test]
-    fn external_failure_poisons_dependents_and_drains() {
-        use kfac_collectives::CollectiveError;
-        let ran = Mutex::new(Vec::new());
-        let mut g = TaskGraph::new();
-        let ext = g.add_external(TaskKind::Backward(0), &[]);
-        let sweep = g.add(TaskKind::Custom("sweep"), &[], |ctl| {
-            ctl.fail(ext, CollectiveError::RankFailed(2)).unwrap();
-        });
-        g.add(TaskKind::GradAllreduce(0), &[ext], |_| {
-            ran.lock().push("dep")
-        });
-        g.add(TaskKind::OptimStep, &[sweep], |_| ran.lock().push("opt"));
-        let report = Executor::run(g, ExecMode::Overlapped { compute_workers: 2 }).unwrap();
-        assert_eq!(report.executed, 2);
-        assert_eq!(report.poisoned, 1);
-        assert_eq!(report.failed, vec![(ext, CollectiveError::RankFailed(2))]);
-        assert_eq!(ran.into_inner(), vec!["opt"]);
-    }
-
-    #[test]
-    fn fail_on_regular_task_errors() {
-        use kfac_collectives::CollectiveError;
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| {});
-        let captured = Mutex::new(None);
-        g.add(TaskKind::Custom("bad"), &[a], |ctl| {
-            *captured.lock() = Some(ctl.fail(a, CollectiveError::Corrupted));
-        });
-        Executor::run(g, ExecMode::Replay { seed: 0 }).unwrap();
-        assert_eq!(captured.into_inner(), Some(Err(ExecError::NotExternal(a))));
-    }
-
     /// A panicking task must terminate the whole pool (workers wake,
     /// drain, and the panic propagates) instead of leaving siblings
     /// parked on the condvar forever.
@@ -276,15 +232,15 @@ mod tests {
     #[should_panic]
     fn panicking_task_propagates_instead_of_hanging() {
         let mut g = TaskGraph::new();
-        let a = g.add(TaskKind::Forward, &[], |_| panic!("task body exploded"));
-        g.add(TaskKind::OptimStep, &[a], |_| {});
+        let a = g.add(TaskKind::Custom("a"), &[], |_| panic!("task body exploded"));
+        g.add(TaskKind::Custom("b"), &[a], |_| {});
         g.add(TaskKind::GradAllreduce(0), &[], |_| {});
         let _ = Executor::run(g, ExecMode::Overlapped { compute_workers: 4 });
     }
 
     /// Seeded replays of a graph whose tasks fold into an order-dependent
     /// accumulator DIFFER across seeds; the same graph with per-task slots
-    /// (order-independent, like the real K-FAC graph) is bit-identical.
+    /// (order-independent, like the real exchange graph) is bit-identical.
     #[test]
     fn replay_seeds_permute_order_but_not_independent_results() {
         let run_with = |seed: u64| -> (Vec<usize>, Vec<f32>) {
@@ -293,7 +249,7 @@ mod tests {
             let mut g = TaskGraph::new();
             for i in 0..8 {
                 let (order, slots) = (&order, &slots);
-                g.add(TaskKind::FactorUpdate(i), &[], move |_| {
+                g.add(TaskKind::Custom("slot"), &[], move |_| {
                     order.lock().push(i);
                     slots.lock()[i] = (i * i) as f32;
                 });

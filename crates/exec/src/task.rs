@@ -1,14 +1,9 @@
-//! Typed task nodes of the K-FAC execution graph.
+//! Typed task nodes of the gradient-exchange graph.
 //!
-//! The node vocabulary mirrors Algorithm 1's stages (Pauloski et al.,
-//! SC 2020) plus the per-layer/per-bucket granularity that makes
-//! overlap possible: backward completion is per layer, gradient
-//! traffic is per bucket, factor work is per layer, eigendecomposition
-//! per factor. Each kind carries a [`Lane`] (who may execute it) and a
-//! scheduling priority derived from the collectives' traffic classes so
-//! the ready queue agrees with the network's notion of urgency.
-
-use kfac_collectives::TrafficClass;
+//! The node vocabulary is what the one graph built outside this crate's
+//! tests uses (`kfac_harness::overlap`): backward completion per layer,
+//! gradient traffic per bucket, and named glue. Each kind carries a
+//! [`Lane`] — who may execute it.
 
 /// Identifies one node of a [`TaskGraph`](crate::TaskGraph). Ids are
 /// dense, 0-based, and topologically consistent: every dependency has a
@@ -31,26 +26,12 @@ pub enum Lane {
 /// What a task node does, at the granularity the scheduler cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
-    /// Whole-model forward pass.
-    Forward,
     /// Backward completion of one top-level layer (usually an external
     /// event signaled from inside the backward sweep).
     Backward(usize),
-    /// Fold one layer's fresh Kronecker factors into its running averages.
-    FactorUpdate(usize),
     /// Allreduce of one gradient bucket.
     GradAllreduce(usize),
-    /// Allreduce of one factor fusion bucket.
-    FactorAllreduce(usize),
-    /// Eigendecomposition of one assigned factor.
-    Eigendecomp(usize),
-    /// Allgather of locally computed eigendecompositions.
-    EigenAllgather,
-    /// Precondition one layer's gradient with its eigenbasis.
-    Precondition(usize),
-    /// Apply the optimizer update to the full parameter vector.
-    OptimStep,
-    /// Anything else (graph glue: pack/unpack, writeback, clipping).
+    /// Anything else (the backward sweep, gradient write-back).
     Custom(&'static str),
 }
 
@@ -58,55 +39,16 @@ impl TaskKind {
     /// The worker pool this task runs on.
     pub fn lane(self) -> Lane {
         match self {
-            TaskKind::GradAllreduce(_)
-            | TaskKind::FactorAllreduce(_)
-            | TaskKind::EigenAllgather => Lane::Comm,
+            TaskKind::GradAllreduce(_) => Lane::Comm,
             _ => Lane::Compute,
-        }
-    }
-
-    /// Traffic class of a communication task, if it is one.
-    pub fn traffic_class(self) -> Option<TrafficClass> {
-        match self {
-            TaskKind::GradAllreduce(_) => Some(TrafficClass::Gradient),
-            TaskKind::FactorAllreduce(_) => Some(TrafficClass::Factor),
-            TaskKind::EigenAllgather => Some(TrafficClass::Eigen),
-            _ => None,
-        }
-    }
-
-    /// Scheduling priority; higher runs first among ready tasks.
-    /// Communication tasks inherit [`TrafficClass::priority`]; compute
-    /// tasks are ordered so the per-iteration critical path (backward →
-    /// precondition → optimizer step) preempts deferrable factor work.
-    pub fn priority(self) -> u8 {
-        if let Some(class) = self.traffic_class() {
-            return class.priority();
-        }
-        match self {
-            TaskKind::OptimStep => 95,
-            TaskKind::Backward(_) => 90,
-            TaskKind::Precondition(_) => 80,
-            TaskKind::Forward => 70,
-            TaskKind::Eigendecomp(_) => 60,
-            TaskKind::Custom(_) => 50,
-            TaskKind::FactorUpdate(_) => 45,
-            _ => 50,
         }
     }
 
     /// Stable label for telemetry attributes and diagnostics.
     pub fn label(self) -> String {
         match self {
-            TaskKind::Forward => "forward".to_string(),
             TaskKind::Backward(i) => format!("backward[{i}]"),
-            TaskKind::FactorUpdate(i) => format!("factor_update[{i}]"),
             TaskKind::GradAllreduce(i) => format!("grad_allreduce[{i}]"),
-            TaskKind::FactorAllreduce(i) => format!("factor_allreduce[{i}]"),
-            TaskKind::Eigendecomp(i) => format!("eigendecomp[{i}]"),
-            TaskKind::EigenAllgather => "eigen_allgather".to_string(),
-            TaskKind::Precondition(i) => format!("precondition[{i}]"),
-            TaskKind::OptimStep => "optim_step".to_string(),
             TaskKind::Custom(name) => name.to_string(),
         }
     }
@@ -117,17 +59,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn comm_kinds_ride_the_comm_lane_with_traffic_priorities() {
+    fn gradient_buckets_ride_the_comm_lane() {
         assert_eq!(TaskKind::GradAllreduce(0).lane(), Lane::Comm);
-        assert_eq!(TaskKind::FactorAllreduce(1).lane(), Lane::Comm);
-        assert_eq!(TaskKind::EigenAllgather.lane(), Lane::Comm);
         assert_eq!(TaskKind::Backward(0).lane(), Lane::Compute);
-        assert_eq!(
-            TaskKind::GradAllreduce(0).priority(),
-            TrafficClass::Gradient.priority()
-        );
-        assert!(TaskKind::GradAllreduce(0).priority() > TaskKind::FactorAllreduce(0).priority());
-        assert!(TaskKind::Backward(0).priority() > TaskKind::FactorUpdate(0).priority());
+        assert_eq!(TaskKind::Custom("x").lane(), Lane::Compute);
     }
 
     #[test]

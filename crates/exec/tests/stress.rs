@@ -85,7 +85,7 @@ fn run_shaped(
                 let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
                 let order = &order;
                 let me = i;
-                ids.push(g.add(TaskKind::FactorUpdate(me), &deps, move |_| {
+                ids.push(g.add(TaskKind::Custom("compute"), &deps, move |_| {
                     order.lock().push(me);
                 }));
             }

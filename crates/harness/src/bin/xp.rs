@@ -8,10 +8,10 @@
 //! xp prom-lint FILE         # validate a Prometheus exposition snapshot
 //! ```
 //!
-//! With `--overlap`, every training run an experiment drives goes through
-//! the task-graph execution engine (`kfac-exec`) instead of the
-//! sequential reference loop: per-bucket gradient allreduces and K-FAC
-//! factor traffic overlap backprop on a worker pool. Results are
+//! With `--overlap`, every training run an experiment drives runs
+//! backward and its gradient exchange on the task-graph execution engine
+//! (`kfac-exec`) instead of exchanging after backward: per-bucket
+//! gradient allreduces overlap backprop on a worker pool. Results are
 //! bitwise identical either way (see the `overlap` experiment).
 //!
 //! With `--trace-out`, every run (measured CPU training and simulator

@@ -7,6 +7,9 @@
 //! * [`trainer`] — the distributed synchronous training loop (Fig. 1 +
 //!   Listing 1): thread-rank replicas, fused gradient allreduce, optional
 //!   K-FAC preconditioning, sharded validation.
+//! * [`overlap`] — the iteration's other gradient-exchange schedule:
+//!   backward on the `kfac-exec` task graph, per-child buckets allreduced
+//!   while it runs (`xp --overlap`).
 //! * [`resilient`] — fault-tolerant iterations: retry, stale-factor and
 //!   identity-preconditioner degradation, skipped steps, checkpoints.
 //! * [`elastic`] — shrink-world recovery trials: kill a rank mid-run,

@@ -1,49 +1,40 @@
-//! Graph-based training iteration with compute/communication overlap.
+//! The bucketed gradient exchange: backward with compute/communication
+//! overlap.
 //!
-//! The sequential loop in [`trainer`](crate::trainer) runs
-//! barrier-separated phases: backward, gradient allreduce, K-FAC step,
-//! optimizer step. This module expresses the same iteration as a
-//! [`TaskGraph`] (paper §V; Shi et al., arXiv:2107.06533) so the
-//! [`Executor`] can hide communication behind computation:
+//! [`train_iteration`] exchanges gradients on one of two schedules. The
+//! fused one runs after backward; this module is the other — Horovod's,
+//! the paper's only overlap (§V-B): a [`TaskGraph`] in which the backward
+//! sweep signals a per-child external `Backward(c)` node as soon as that
+//! child's gradients are final, releasing the child's gradient bucket for
+//! allreduce on the [`Executor`]'s communication worker while earlier
+//! layers are still in backprop. The graph ends where the overlap ends:
+//! everything after the exchange (health gate, K-FAC step, optimizer
+//! step) is [`train_iteration`]'s own straight-line code on both
+//! schedules.
 //!
-//! * the backward sweep signals a per-child external `Backward(c)` node
-//!   as soon as that child's gradients are final, releasing the child's
-//!   gradient bucket for allreduce while earlier layers are still in
-//!   backprop;
-//! * per-layer factor updates overlap the remaining gradient traffic.
-//!
-//! The factor allreduce is a node only on the iterations
-//! [`Kfac::factor_exchange_due`] names — eigen updates — where it gates
-//! the decompositions that read the averages. Whether it is due is read
-//! with the rest of the iteration's plan, before the graph runs: a
-//! factor-only iteration orders nothing K-FAC before `OptimStep`, whose
-//! `advance()` moves the preconditioner to the next iteration, so a task
-//! body that asked would be answered for the wrong one.
-//!
-//! **Numerics are bitwise identical to the sequential path.** Per-bucket
-//! `Average` allreduces equal the one fused allreduce element-wise (the
+//! **Numerics are bitwise identical to the fused exchange.** Per-bucket
+//! `Average` allreduces equal the one fused allreduce element-wise: the
 //! communicator reduces in rank order per element, independent of
-//! framing); the K-FAC phases are the exact methods `Kfac::step`
-//! composes, partitioned along their real data dependencies; and the
-//! task bodies lock shared state (model, preconditioner) so reorderings
-//! the dependencies do permit never race.
+//! framing.
 
+use crate::trainer::{expect_no_fault, train_iteration, NO_FAULT_TOLERANCE};
 use kfac::Kfac;
-use kfac_collectives::{wire, Communicator, ReduceOp, TrafficClass};
+use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
 use kfac_exec::{ExecMode, Executor, TaskGraph, TaskId, TaskKind};
-use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
-use kfac_optim::{Optimizer, Sgd};
+use kfac_nn::{CrossEntropyLoss, Sequential};
+use kfac_optim::Sgd;
 use kfac_telemetry::Span;
-use kfac_tensor::{Matrix, Tensor4};
+use kfac_tensor::{Dtype, Tensor4};
 use parking_lot::Mutex;
 
-/// How each rank executes its training iteration.
+/// How each rank exchanges its gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// Barrier-separated phases in program order (the reference oracle).
+    /// Backward, then one fused exchange (the reference oracle).
     Sequential,
     /// Task-graph execution: compute workers plus a dedicated
-    /// communication worker overlapping collectives with computation.
+    /// communication worker allreducing gradient buckets while backward
+    /// is still running.
     Overlapped {
         /// Compute worker threads per rank (≥ 1; the comm worker is
         /// extra).
@@ -71,13 +62,13 @@ impl ExecStrategy {
     }
 }
 
-/// Run one training iteration as a task graph. Returns the batch loss.
-///
-/// Mirrors one body of the sequential loop exactly: zero grads, forward,
-/// loss, backward, gradient allreduce, K-FAC step phases (factor /
-/// eigendecomposition / precondition, K-FAC-opt strategy), optimizer
-/// step. All ranks must call this with identically-shaped models and the
-/// same mode so their comm-task sequences match.
+/// One training iteration on the bucketed schedule, with no fault
+/// tolerance: [`train_iteration`] under `mode`, panicking on a failed
+/// collective or a lost rank exactly as [`train`](crate::train) does.
+/// Returns the batch loss. All ranks must call this with
+/// identically-shaped models and the same mode so their collective
+/// sequences match. `capture` is what the iteration derives itself
+/// ([`Kfac::needs_capture`]).
 #[allow(clippy::too_many_arguments)]
 pub fn overlap_iteration(
     model: &mut Sequential,
@@ -91,16 +82,41 @@ pub fn overlap_iteration(
     capture: bool,
     mode: ExecMode,
 ) -> f32 {
-    let world = comm.size();
-    let rank = comm.rank();
-    // Wire dtypes from the preconditioner's precision policy (f32 — the
-    // bitwise-legacy passthrough — when no K-FAC or policy is default).
-    // The sequential path reads the same policy, so overlap-vs-sequential
-    // bitwise identity holds per wire dtype, not just for f32.
-    let precision = kfac.as_ref().map(|k| k.precision()).unwrap_or_default();
-    let grad_wire = precision.grad_wire;
-    let factor_wire = precision.factor_wire;
+    debug_assert_eq!(capture, kfac.as_ref().is_some_and(Kfac::needs_capture));
+    let (loss, outcome, faults) = train_iteration(
+        model,
+        kfac,
+        optimizer,
+        comm,
+        x,
+        labels,
+        criterion,
+        lr,
+        None,
+        Some(mode),
+        &NO_FAULT_TOLERANCE,
+    );
+    expect_no_fault(outcome, faults);
+    loss
+}
 
+/// Backward from `loss_grad` with the gradient exchange overlapped: one
+/// bucket per parameterized top-level child, averaged at `grad_wire`
+/// width under `retry` while the sweep is still running, then written
+/// back. On `Err` — a bucket failed for good — the model's gradients are
+/// untouched (still this rank's local ones), as after a failed fused
+/// exchange; the remaining buckets still ran, so every rank issued the
+/// same collective sequence. A lost rank is reported ahead of any other
+/// failure.
+pub(crate) fn backward_exchanging_buckets(
+    model: &mut Sequential,
+    loss_grad: &Tensor4,
+    comm: &dyn Communicator,
+    grad_wire: Dtype,
+    retry: &RetryPolicy,
+    mode: ExecMode,
+) -> Result<(), CollectiveError> {
+    let world = comm.size();
     // Gradient buckets: one per parameterized top-level child, flattened
     // in visit_params order. (counts[c] == 0 children — activations,
     // pooling — have nothing to exchange.)
@@ -114,46 +130,14 @@ pub fn overlap_iteration(
         .iter()
         .map(|&c| Mutex::new(vec![0.0f32; counts[c]]))
         .collect();
-
-    // The K-FAC plan for this iteration, read before the graph borrows
-    // the preconditioner mutably (and before any task can `advance()` it).
-    struct Plan {
-        factor_iter: bool,
-        exchange_due: bool,
-        eig_iter: bool,
-        n_layers: usize,
-        assignment: Vec<usize>,
-    }
-    let plan = kfac.as_ref().map(|k| Plan {
-        factor_iter: k.is_factor_iteration(),
-        exchange_due: k.factor_exchange_due(),
-        eig_iter: k.is_eig_iteration(),
-        n_layers: k.num_layers(),
-        assignment: k.eig_assignment(world),
-    });
-    let n_layers = plan.as_ref().map_or(0, |p| p.n_layers);
-
-    let loss_cell = Mutex::new(0.0f32);
     let model_mx = Mutex::new(model);
-    let kfac_mx = kfac.as_mut().map(Mutex::new);
-    let optim_mx = Mutex::new(optimizer);
-    let grad_slots: Vec<Mutex<Option<Matrix>>> = (0..n_layers).map(|_| Mutex::new(None)).collect();
-    let precond_slots: Vec<Mutex<Option<Matrix>>> =
-        (0..n_layers).map(|_| Mutex::new(None)).collect();
 
     // Shadow everything as shared references so `move` closures capture
     // copies of the references, not the values.
     let buckets = &buckets;
     let bucket_of_child = &bucket_of_child;
     let bucket_bufs = &bucket_bufs;
-    let loss_cell = &loss_cell;
     let model_mx = &model_mx;
-    let kfac_mx = &kfac_mx;
-    let optim_mx = &optim_mx;
-    let grad_slots = &grad_slots;
-    let precond_slots = &precond_slots;
-    let assignment: &[usize] = plan.as_ref().map_or(&[], |p| p.assignment.as_slice());
-    let factor_iter = plan.as_ref().is_some_and(|p| p.factor_iter);
 
     // Declared before the graph: closures inside `g` borrow this vector,
     // so it must outlive `g`.
@@ -169,21 +153,12 @@ pub fn overlap_iteration(
     }
     let exts = &exts_storage;
 
-    // Forward + loss + backward as one compute task; each finished child
-    // drains its gradients into its bucket and signals its external.
-    // Lock order everywhere below: model before preconditioner.
+    // Backward as one compute task; each finished child drains its
+    // gradients into its bucket and signals its external.
     let sweep = g.add(TaskKind::Custom("backward_sweep"), &[], move |ctl| {
         let mut model = model_mx.lock();
-        model.zero_grad();
-        model.set_capture(capture);
-        let out = {
-            let _span = Span::enter("train/forward").with("batch", labels.len());
-            model.forward(x, Mode::Train)
-        };
-        let (loss, grad) = criterion.forward(&out, labels);
-        *loss_cell.lock() = loss;
         let _span = Span::enter("train/backward");
-        model.backward_each(&grad, &mut |c, layer| {
+        model.backward_each(loss_grad, &mut |c, layer| {
             if let Some(b) = bucket_of_child[c] {
                 {
                     let mut buf = bucket_bufs[b].lock();
@@ -193,34 +168,44 @@ pub fn overlap_iteration(
                         off += gs.len();
                     });
                 }
-                ctl.complete(exts[b]).unwrap();
+                ctl.complete(exts[b])
+                    .expect("bucket events are external nodes");
             }
         });
     });
 
-    // Per-bucket gradient allreduce, ids ascending in signal order.
-    let mut grad_comms = Vec::with_capacity(buckets.len());
+    // Per-bucket gradient allreduce, ids ascending in signal order. A
+    // failed bucket poisons the write-back and nothing else: the buckets
+    // after it depend only on their own externals.
+    let mut wb_deps = vec![sweep];
     for b in (0..buckets.len()).rev() {
-        grad_comms.push(g.add(TaskKind::GradAllreduce(b), &[exts[b]], move |_| {
-            let mut buf = bucket_bufs[b].lock();
-            if world > 1 {
-                wire::try_allreduce_half(
-                    comm,
-                    &mut buf,
-                    ReduceOp::Average,
-                    TrafficClass::Gradient,
-                    grad_wire,
-                )
-                .expect("gradient allreduce");
-            }
-        }));
+        wb_deps.push(
+            g.add_fallible(TaskKind::GradAllreduce(b), &[exts[b]], move |_| {
+                if world == 1 {
+                    return Ok(());
+                }
+                let mut buf = bucket_bufs[b].lock();
+                // A failed allreduce leaves its buffer unspecified, so each
+                // attempt reduces a fresh copy of the bucket.
+                *buf = retry.run(|| {
+                    let mut attempt = buf.clone();
+                    wire::try_allreduce_half(
+                        comm,
+                        &mut attempt,
+                        ReduceOp::Average,
+                        TrafficClass::Gradient,
+                        grad_wire,
+                    )?;
+                    Ok(attempt)
+                })?;
+                Ok(())
+            }),
+        );
     }
 
     // Averaged gradients back into the model (single writer; needs the
     // sweep done so the model lock is free and grads are final).
-    let mut wb_deps = grad_comms.clone();
-    wb_deps.push(sweep);
-    let writeback = g.add(TaskKind::Custom("grad_writeback"), &wb_deps, move |_| {
+    g.add(TaskKind::Custom("grad_writeback"), &wb_deps, move |_| {
         let mut model = model_mx.lock();
         for (b, &c) in buckets.iter().enumerate() {
             let buf = bucket_bufs[b].lock();
@@ -232,125 +217,10 @@ pub fn overlap_iteration(
         }
     });
 
-    // K-FAC phases (Opt strategy), partitioned along real dependencies.
-    let mut precond_gate: Vec<TaskId> = Vec::new();
-    if let Some(plan) = &plan {
-        // Per-layer factor computation: depends only on the sweep
-        // (captures are final after backward), so it overlaps the
-        // gradient allreduces still in flight. Nothing waits for it on
-        // an iteration that exchanges nothing.
-        let mut fu_ids = Vec::new();
-        if plan.factor_iter {
-            for li in 0..n_layers {
-                fu_ids.push(g.add(TaskKind::FactorUpdate(li), &[sweep], move |_| {
-                    let mut model = model_mx.lock();
-                    let mut k = kfac_mx.as_ref().unwrap().lock();
-                    let _span = Span::enter("kfac/factor_comp").with("layer", li);
-                    let mut layers = Vec::new();
-                    model.collect_kfac(&mut layers);
-                    k.factor_update_layer(li, &*layers[li]);
-                }));
-            }
-        }
-        // Present only when due, and then always ahead of the
-        // decompositions (an exchange is due only on eig iterations).
-        let mut factor_done: Vec<TaskId> = Vec::new();
-        if plan.exchange_due {
-            factor_done.push(g.add(TaskKind::FactorAllreduce(0), &fu_ids, move |_| {
-                let mut k = kfac_mx.as_ref().unwrap().lock();
-                let _span = Span::enter("kfac/factor_comm");
-                if world > 1 {
-                    let mut fused = k.factor_pack();
-                    wire::try_allreduce_half(
-                        comm,
-                        &mut fused,
-                        ReduceOp::Average,
-                        TrafficClass::Factor,
-                        factor_wire,
-                    )
-                    .expect("factor allreduce");
-                    k.factor_unpack(&fused);
-                }
-            }));
-        }
-        if plan.eig_iter {
-            // Owned eigendecompositions read the freshly exchanged
-            // averages; with no fold since the last exchange there is
-            // nothing to wait for and they start immediately.
-            let mut ag_deps = factor_done.clone();
-            let mine = (0..assignment.len()).filter(|&id| assignment[id] == rank);
-            for id in mine {
-                ag_deps.push(g.add(TaskKind::Eigendecomp(id), &factor_done, move |_| {
-                    let mut k = kfac_mx.as_ref().unwrap().lock();
-                    let _span = Span::enter("kfac/eig_comp").with("factor", id);
-                    k.eig_compute_one(id);
-                }));
-            }
-            precond_gate.push(g.add(TaskKind::EigenAllgather, &ag_deps, move |_| {
-                let mut k = kfac_mx.as_ref().unwrap().lock();
-                let _span = Span::enter("kfac/eig_comm");
-                if world > 1 {
-                    let payload = k.eig_local_payload(assignment, rank);
-                    let gathered =
-                        wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, factor_wire)
-                            .expect("eigen allgather");
-                    k.eig_apply_gathered(assignment, rank, &gathered);
-                }
-                k.note_eig_update();
-            }));
-        }
-    }
-
-    // Per-layer preconditioning: needs averaged gradients and (on eig
-    // iterations) the refreshed eigendecompositions.
-    let mut final_deps: Vec<TaskId> = Vec::new();
-    if kfac_mx.is_some() {
-        for li in 0..n_layers {
-            let deps: Vec<TaskId> = std::iter::once(writeback)
-                .chain(precond_gate.iter().copied())
-                .collect();
-            final_deps.push(g.add(TaskKind::Precondition(li), &deps, move |_| {
-                let mut model = model_mx.lock();
-                let k = kfac_mx.as_ref().unwrap().lock();
-                let _span = Span::enter("kfac/precond").with("layer", li);
-                let mut layers = Vec::new();
-                model.collect_kfac(&mut layers);
-                let grad = layers[li].grad_matrix();
-                let pg = k.precondition_one(li, &grad);
-                *grad_slots[li].lock() = Some(grad);
-                *precond_slots[li].lock() = Some(pg);
-            }));
-        }
-    } else {
-        final_deps.push(writeback);
-    }
-
-    // KL clip + writeback + SGD step close the iteration.
-    g.add(TaskKind::OptimStep, &final_deps, move |_| {
-        let mut model = model_mx.lock();
-        if let Some(kfac) = kfac_mx.as_ref() {
-            let mut k = kfac.lock();
-            let mut layers = Vec::new();
-            model.collect_kfac(&mut layers);
-            let grads: Vec<Matrix> = grad_slots
-                .iter()
-                .map(|s| s.lock().take().unwrap())
-                .collect();
-            let preconds: Vec<Matrix> = precond_slots
-                .iter()
-                .map(|s| s.lock().take().unwrap())
-                .collect();
-            k.apply_with_clip(&mut layers, &preconds, &grads, lr);
-            if factor_iter {
-                k.note_factor_update();
-            }
-            k.advance();
-        }
-        let _span = Span::enter("train/opt_step");
-        optim_mx.lock().step(&mut **model, lr);
-    });
-
-    Executor::run(g, mode).expect("overlap iteration graph completes");
-    let loss = *loss_cell.lock();
-    loss
+    let report = Executor::run(g, mode).expect("gradient-exchange graph completes");
+    let mut failures = report.failed.iter().map(|&(_, e)| e);
+    let lost = failures
+        .clone()
+        .find(|e| matches!(e, CollectiveError::RankFailed(_)));
+    lost.or(failures.next()).map_or(Ok(()), Err)
 }

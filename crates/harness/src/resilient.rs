@@ -48,6 +48,7 @@ use crate::checkpoint;
 use crate::trainer::train_iteration;
 use kfac::Kfac;
 use kfac_collectives::{Communicator, RetryPolicy};
+use kfac_exec::ExecMode;
 use kfac_nn::{CrossEntropyLoss, Sequential};
 use kfac_optim::Sgd;
 use kfac_telemetry::watchdog::RuleKind;
@@ -244,8 +245,26 @@ impl ResilientTrainer {
         criterion: &CrossEntropyLoss,
         lr: f32,
     ) -> (f32, StepOutcome) {
+        self.step_on(None, model, kfac, optimizer, comm, x, labels, criterion, lr)
+    }
+
+    /// [`step`](Self::step) on either gradient-exchange schedule (`exec`
+    /// as [`train_iteration`] takes it).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_on(
+        &mut self,
+        exec: Option<ExecMode>,
+        model: &mut Sequential,
+        kfac: &mut Option<Kfac>,
+        optimizer: &mut Sgd,
+        comm: &dyn Communicator,
+        x: &Tensor4,
+        labels: &[usize],
+        criterion: &CrossEntropyLoss,
+        lr: f32,
+    ) -> (f32, StepOutcome) {
         let (loss, outcome, faults) = train_iteration(
-            model, kfac, optimizer, comm, x, labels, criterion, lr, None, &self.ft,
+            model, kfac, optimizer, comm, x, labels, criterion, lr, None, exec, &self.ft,
         );
         self.comm_faults += u64::from(faults);
         if let (Some((recorder, _)), Some((registry, _))) = (&self.recorder, &self.telemetry) {
@@ -310,12 +329,24 @@ mod tests {
         (x, vec![0, 1, 2, 3])
     }
 
+    /// Both gradient-exchange schedules: the fused exchange, and the
+    /// bucketed one on the worker pool and in seeded replay.
+    const SCHEDULES: [Option<ExecMode>; 3] = [
+        None,
+        Some(ExecMode::Overlapped { compute_workers: 2 }),
+        Some(ExecMode::Replay { seed: 7 }),
+    ];
+
+    /// Up to `iters` ladder steps per rank on schedule `exec`, stopping
+    /// at a lost rank; each rank's final parameters, trainer and last
+    /// outcome.
     fn run_group(
         world: usize,
         iters: usize,
         ft: FaultTolerance,
         plan: Option<Arc<FaultPlan>>,
-    ) -> Vec<(Vec<f32>, ResilientTrainer)> {
+        exec: Option<ExecMode>,
+    ) -> Vec<(Vec<f32>, ResilientTrainer, StepOutcome)> {
         let comms = ThreadComm::create(world);
         let plan = &plan;
         let ft = &ft;
@@ -337,29 +368,29 @@ mod tests {
                         let mut tr = ResilientTrainer::new(*ft);
                         let mut run = |tr: &mut ResilientTrainer, c: &dyn Communicator| {
                             let (m, opt, k) = (&mut m, &mut opt, &mut k);
+                            let mut last = StepOutcome::Stepped;
                             for round in 0..iters {
                                 let (x, labels) = batch(round);
                                 let (loss, outcome) =
-                                    tr.step(m, k, opt, c, &x, &labels, &criterion, 0.05);
+                                    tr.step_on(exec, m, k, opt, c, &x, &labels, &criterion, 0.05);
                                 assert!(loss.is_finite());
-                                assert_ne!(
-                                    outcome,
-                                    StepOutcome::RankLost(usize::MAX),
-                                    "unreachable"
-                                );
+                                last = outcome;
+                                if let StepOutcome::RankLost(_) = outcome {
+                                    break;
+                                }
                             }
                             let mut p = Vec::new();
                             m.visit_params("", &mut |_, w, _| p.extend_from_slice(w));
-                            p
+                            (p, last)
                         };
-                        let params = match plan {
+                        let (params, last) = match plan {
                             Some(plan) => {
                                 let fc = FaultyCommunicator::new(comm, Arc::clone(plan));
                                 run(&mut tr, &fc)
                             }
                             None => run(&mut tr, &comm),
                         };
-                        (params, tr)
+                        (params, tr, last)
                     })
                 })
                 .collect();
@@ -368,7 +399,10 @@ mod tests {
     }
 
     /// Transient faults below the retry budget heal completely: the
-    /// trajectory is bitwise identical to the fault-free run.
+    /// trajectory is bitwise identical to the fault-free run — on the
+    /// bucketed schedule too, where a transient hits one bucket and each
+    /// retry must reduce the bucket's local gradients again, not the
+    /// remains of the failed attempt.
     #[test]
     fn transient_faults_heal_bitwise() {
         let ft = FaultTolerance {
@@ -379,7 +413,7 @@ mod tests {
             },
             ..FaultTolerance::default()
         };
-        let clean = run_group(2, 6, ft, None);
+        let clean = run_group(2, 6, ft, None, None);
         let plan = Arc::new(FaultPlan::new(
             FaultPlanConfig {
                 seed: 11,
@@ -389,14 +423,20 @@ mod tests {
             },
             2,
         ));
-        let faulty = run_group(2, 6, ft, Some(plan));
-        for (c, f) in clean.iter().zip(&faulty) {
-            assert_eq!(c.0.len(), f.0.len());
-            for (a, b) in c.0.iter().zip(&f.0) {
-                assert_eq!(a.to_bits(), b.to_bits(), "transient fault left a residue");
+        for exec in SCHEDULES {
+            let faulty = run_group(2, 6, ft, Some(Arc::clone(&plan)), exec);
+            for (c, f) in clean.iter().zip(&faulty) {
+                assert_eq!(c.0.len(), f.0.len());
+                for (a, b) in c.0.iter().zip(&f.0) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{exec:?}: transient fault left a residue"
+                    );
+                }
             }
+            assert_eq!(faulty[0].1.skipped_steps, 0, "{exec:?}");
         }
-        assert_eq!(faulty[0].1.skipped_steps, 0);
     }
 
     /// What one rank of [`clean_pair`] ends with: loss bits, parameter
@@ -496,43 +536,47 @@ mod tests {
 
     /// A NaN batch is stopped at the gate *before* K-FAC: the step is
     /// skipped with the factor averages and the K-FAC iteration exactly
-    /// where they were, and the field and the telemetry counter agree.
+    /// where they were, and the field and the telemetry counter agree —
+    /// on both schedules.
     #[test]
     fn nan_batch_is_skipped_before_it_reaches_the_factors() {
-        let registry = kfac_telemetry::Registry::new();
-        let _guard = registry.install(0);
-        let mut m = model(3);
-        let mut opt = Sgd::new(0.9, 1e-4);
-        let mut k = Some(Kfac::new(&mut m, KfacConfig::default()));
-        let criterion = CrossEntropyLoss::new();
-        let comm = kfac_collectives::LocalComm::new();
-        let mut tr = ResilientTrainer::new(FaultTolerance::default());
-        let (x, labels) = batch(0);
-        let (_, outcome) = tr.step(
-            &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
-        );
-        assert_eq!(outcome, StepOutcome::Stepped);
-        // The serialized state holds the running averages whole.
-        let before = (
-            k.as_ref().unwrap().save_state(),
-            k.as_ref().unwrap().iteration(),
-        );
+        for exec in SCHEDULES {
+            let registry = kfac_telemetry::Registry::new();
+            let _guard = registry.install(0);
+            let mut m = model(3);
+            let mut opt = Sgd::new(0.9, 1e-4);
+            let mut k = Some(Kfac::new(&mut m, KfacConfig::default()));
+            let criterion = CrossEntropyLoss::new();
+            let comm = kfac_collectives::LocalComm::new();
+            let mut tr = ResilientTrainer::new(FaultTolerance::default());
+            let (x, labels) = batch(0);
+            let (_, outcome) = tr.step_on(
+                exec, &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
+            );
+            assert_eq!(outcome, StepOutcome::Stepped);
+            // The serialized state holds the running averages whole.
+            let before = (
+                k.as_ref().unwrap().save_state(),
+                k.as_ref().unwrap().iteration(),
+            );
 
-        let poisoned = Tensor4::from_vec(4, 6, 1, 1, vec![f32::NAN; 24]);
-        let (loss, outcome) = tr.step(
-            &mut m, &mut k, &mut opt, &comm, &poisoned, &labels, &criterion, 0.05,
-        );
-        assert!(loss.is_nan());
-        assert_eq!(outcome, StepOutcome::SkippedStep);
-        let k = k.as_ref().unwrap();
-        assert!(
-            before.0 == k.save_state(),
-            "NaN captures reached the factor EMA"
-        );
-        assert_eq!(k.iteration(), before.1);
-        assert_eq!(tr.skipped_steps, 1);
-        let counters: std::collections::HashMap<_, _> = registry.counters().into_iter().collect();
-        assert_eq!(counters["train/skipped_steps"], 1);
+            let poisoned = Tensor4::from_vec(4, 6, 1, 1, vec![f32::NAN; 24]);
+            let (loss, outcome) = tr.step_on(
+                exec, &mut m, &mut k, &mut opt, &comm, &poisoned, &labels, &criterion, 0.05,
+            );
+            assert!(loss.is_nan());
+            assert_eq!(outcome, StepOutcome::SkippedStep, "{exec:?}");
+            let k = k.as_ref().unwrap();
+            assert!(
+                before.0 == k.save_state(),
+                "{exec:?}: NaN captures reached the factor EMA"
+            );
+            assert_eq!(k.iteration(), before.1);
+            assert_eq!(tr.skipped_steps, 1);
+            let counters: std::collections::HashMap<_, _> =
+                registry.counters().into_iter().collect();
+            assert_eq!(counters["train/skipped_steps"], 1);
+        }
     }
 
     /// The convolutional twin. A `Conv2d` sums its factors inside the
@@ -546,7 +590,7 @@ mod tests {
             let mut rng = Rng64::new(7 + round);
             Tensor4::from_vec(4, 2, 5, 5, (0..200).map(|_| rng.normal_f32()).collect())
         };
-        let run = |poison: bool| {
+        let run = |exec: Option<ExecMode>, poison: bool| {
             let mut rng = Rng64::new(3);
             let mut m = Sequential::from_layers(vec![
                 Box::new(Conv2d::new("conv", 2, 3, 3, 1, 1, true, &mut rng)),
@@ -560,17 +604,19 @@ mod tests {
             let mut tr = ResilientTrainer::new(FaultTolerance::default());
             let labels = [0, 1, 2, 3];
             let mut step = |k: &mut Option<Kfac>, x: &Tensor4| {
-                tr.step(&mut m, k, &mut opt, &comm, x, &labels, &criterion, 0.05)
-                    .1
+                tr.step_on(
+                    exec, &mut m, k, &mut opt, &comm, x, &labels, &criterion, 0.05,
+                )
+                .1
             };
             assert_eq!(step(&mut k, &batch(0)), StepOutcome::Stepped);
             if poison {
                 let before = k.as_ref().unwrap().save_state();
                 let nan = Tensor4::from_vec(4, 2, 5, 5, vec![f32::NAN; 200]);
-                assert_eq!(step(&mut k, &nan), StepOutcome::SkippedStep);
+                assert_eq!(step(&mut k, &nan), StepOutcome::SkippedStep, "{exec:?}");
                 assert!(
                     before == k.as_ref().unwrap().save_state(),
-                    "NaN sums reached the factor EMA"
+                    "{exec:?}: NaN sums reached the factor EMA"
                 );
             }
             // Every iteration is a factor iteration at the default config.
@@ -578,11 +624,18 @@ mod tests {
             assert_eq!(step(&mut k, &batch(1)), StepOutcome::Stepped);
             k.as_ref().unwrap().save_state()
         };
-        assert!(run(true) == run(false), "the NaN batch left a trace");
+        let clean = run(None, false);
+        for exec in SCHEDULES {
+            assert!(
+                run(exec, true) == clean,
+                "{exec:?}: the NaN batch left a trace"
+            );
+        }
     }
 
     /// Long outages on K-FAC traffic degrade to stale factors — the
-    /// run finishes with finite parameters and counts its degradations.
+    /// run finishes with finite parameters and counts its degradations,
+    /// on both schedules.
     #[test]
     fn timeouts_on_kfac_traffic_degrade_to_stale_factors() {
         let ft = FaultTolerance {
@@ -603,15 +656,20 @@ mod tests {
             },
             2,
         ));
-        let results = run_group(2, 8, ft, Some(plan));
-        for (params, tr) in &results {
-            assert!(params.iter().all(|v| v.is_finite()));
-            assert!(tr.comm_faults > 0, "plan injected no faults — weak test");
-            // Gradient traffic untouched → no skipped steps.
-            assert_eq!(tr.skipped_steps, 0);
+        for exec in SCHEDULES {
+            let results = run_group(2, 8, ft, Some(Arc::clone(&plan)), exec);
+            for (params, tr, _) in &results {
+                assert!(params.iter().all(|v| v.is_finite()));
+                assert!(
+                    tr.comm_faults > 0,
+                    "{exec:?}: plan injected no faults — weak test"
+                );
+                // Gradient traffic untouched → no skipped steps.
+                assert_eq!(tr.skipped_steps, 0, "{exec:?}");
+            }
+            // Replicas stayed in lockstep through identical degradation.
+            assert_eq!(results[0].0, results[1].0, "{exec:?}");
         }
-        // Replicas stayed in lockstep through identical degradation.
-        assert_eq!(results[0].0, results[1].0);
     }
 
     /// The checkpoint rule. With `update_freq` 2 the factors are the
@@ -842,8 +900,30 @@ mod tests {
             checkpoint_every: 2,
             ..FaultTolerance::default()
         };
+        // Rank 1 dies in iteration 4's gradient exchange, after four
+        // iterations of G F E · G · G F E · G: attempt 8 on the fused
+        // schedule; on the bucketed one, where each G is two buckets, the
+        // second of attempts 12 and 13 — the first bucket has been
+        // reduced by then. Either way it is `RankLost(1)` on every rank,
+        // with four steps done and a checkpoint to resume from.
+        for exec in SCHEDULES {
+            let plan = FaultPlan::new(
+                FaultPlanConfig {
+                    rank_loss_at: Some((if exec.is_none() { 8 } else { 13 }, 1)),
+                    classes: vec![TrafficClass::Gradient],
+                    ..FaultPlanConfig::default()
+                },
+                2,
+            );
+            for (_, tr, last) in run_group(2, 6, ft, Some(Arc::new(plan)), exec) {
+                assert_eq!(last, StepOutcome::RankLost(1), "{exec:?}");
+                assert_eq!(tr.steps_done(), 4, "{exec:?}");
+                assert!(tr.latest_checkpoint().is_some(), "{exec:?}");
+            }
+        }
+
         // Fault-free 6-iteration reference on a single rank.
-        let clean = run_group(1, 6, FaultTolerance::default(), None);
+        let clean = run_group(1, 6, FaultTolerance::default(), None, None);
 
         // Single rank, rank loss partway through: enough ops for 4
         // steps (~1 gradient + K-FAC ops each), then loss.

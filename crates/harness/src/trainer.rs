@@ -5,20 +5,21 @@
 //! replica and a disjoint data shard; per iteration it computes
 //! forward/backward on its local mini-batch, allreduces gradients,
 //! optionally applies the K-FAC preconditioner, and takes an SGD step —
-//! [`train_iteration`], the one straight-line definition of that
-//! iteration, which the fault ladder
+//! [`train_iteration`], the one definition of that iteration on both
+//! gradient-exchange schedules, which the fault ladder
 //! ([`ResilientTrainer`](crate::resilient::ResilientTrainer)) also
 //! drives. Validation accuracy is computed with sharded evaluation and
 //! count allreduce at the end of each epoch.
 
-use crate::overlap::{overlap_iteration, ExecStrategy};
+use crate::overlap::{backward_exchanging_buckets, ExecStrategy};
 use crate::resilient::{FaultTolerance, StepOutcome};
-use kfac::{DistStrategy, Kfac, KfacConfig, StageStats};
+use kfac::{Kfac, KfacConfig, StageStats};
 use kfac_collectives::{
     CollectiveError, CommBackend, Communicator, FusionBuffer, LocalComm, ProcComm, ReduceOp,
     RetryPolicy, ThreadComm, Traffic, TrafficClass,
 };
 use kfac_data::{batch_of, Dataset, ShardedSampler};
+use kfac_exec::ExecMode;
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::{LrSchedule, Optimizer, Sgd};
 use kfac_telemetry::{Registry, Span};
@@ -51,8 +52,11 @@ pub struct TrainConfig {
     /// creates a fresh registry per run; pass a shared one to collect
     /// several runs onto a single timeline (e.g. `xp --trace-out`).
     pub telemetry: Option<Registry>,
-    /// How each rank executes its iteration: sequential phases (the
-    /// reference oracle), the overlapped task graph, or seeded replay.
+    /// How each rank exchanges its gradients: fused after backward (the
+    /// reference oracle), or per-child buckets allreduced while backward
+    /// is still running — on the task graph's worker pool, or in its
+    /// seeded single-threaded replay. The rest of the iteration is the
+    /// same code either way.
     pub exec: ExecStrategy,
     /// Which communicator fabric carries the collectives: in-process
     /// threads or the multi-process TCP backend. Either way the loss
@@ -61,7 +65,8 @@ pub struct TrainConfig {
     pub backend: CommBackend,
     /// Gradient fusion-buffer flush threshold in bytes; `None` is
     /// Horovod's 16 MiB default. Clamped by the collectives crate so an
-    /// oversized tensor still flushes in one message.
+    /// oversized tensor still flushes in one message. The fused exchange
+    /// reads it; the bucketed one (`exec`) sends one message per child.
     pub fusion_threshold_bytes: Option<usize>,
 }
 
@@ -241,26 +246,32 @@ pub fn gradients_finite(model: &mut dyn Layer) -> bool {
 }
 
 /// True when every gradient entry is finite and at most `limit` in
-/// magnitude.
+/// magnitude. The iteration scans every gradient twice, so a tensor is
+/// folded without branches (which vectorizes) and the early exit is
+/// between tensors.
 fn gradients_within(model: &mut dyn Layer, limit: f32) -> bool {
     let mut ok = true;
     model.visit_params("", &mut |_, _, g| {
-        if ok && !g.iter().all(|v| v.is_finite() && v.abs() <= limit) {
-            ok = false;
-        }
+        ok = ok
+            && g.iter()
+                .fold(true, |ok, v| ok & v.is_finite() & (v.abs() <= limit));
     });
     ok
 }
 
-/// One synchronous training iteration, straight-line — the definition
-/// every sequential caller shares ([`train`]'s sequential arm with no
-/// fault tolerance, [`ResilientTrainer`](crate::resilient::ResilientTrainer)
-/// with the ladder's): zero-grad, forward, loss, backward, fused gradient
+/// One synchronous training iteration — the definition every caller
+/// shares ([`train`] with no fault tolerance,
+/// [`ResilientTrainer`](crate::resilient::ResilientTrainer) with the
+/// ladder's): zero-grad, forward, loss, backward and the gradient
 /// allreduce at `grad_wire` width, health gate, [`Kfac::try_step`], the
 /// gate again on the preconditioned gradients, optimizer step. Every
-/// collective runs under `ft.retry`. The overlapped task graph
-/// ([`overlap_iteration`]) is the one alternative schedule of the same
-/// phases and is pinned bitwise to this function.
+/// collective runs under `ft.retry`.
+///
+/// `exec` picks the gradient-exchange schedule and nothing else: `None`
+/// is backward followed by the fused exchange; `Some(mode)` allreduces
+/// per-child buckets while backward is still running
+/// ([`overlap`](crate::overlap), pinned bitwise to the fused exchange)
+/// and ignores `fusion_threshold`.
 ///
 /// Returns the local batch loss, what happened, and how many collectives
 /// failed for good (exhausted retries or delivered a corrupted payload):
@@ -286,6 +297,7 @@ pub fn train_iteration(
     criterion: &CrossEntropyLoss,
     lr: f32,
     fusion_threshold: Option<usize>,
+    exec: Option<ExecMode>,
     ft: &FaultTolerance,
 ) -> (f32, StepOutcome, u32) {
     let capture = kfac.as_ref().is_some_and(|k| k.needs_capture());
@@ -315,14 +327,16 @@ pub fn train_iteration(
         let out = model.forward(x, Mode::Train);
         criterion.forward(&out, labels)
     };
-    {
-        let _span = Span::enter("train/backward");
-        let _ = model.backward(&grad);
-    }
-
-    let exchanged = {
-        let _span = Span::enter("train/grad_allreduce");
-        try_allreduce_gradients_fused(model, comm, fusion_threshold, grad_wire, &ft.retry)
+    let exchanged = match exec {
+        None => {
+            {
+                let _span = Span::enter("train/backward");
+                let _ = model.backward(&grad);
+            }
+            let _span = Span::enter("train/grad_allreduce");
+            try_allreduce_gradients_fused(model, comm, fusion_threshold, grad_wire, &ft.retry)
+        }
+        Some(mode) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry, mode),
     };
     if let Err(e) = exchanged {
         return failed(loss, e);
@@ -387,13 +401,22 @@ fn validate(
     counts[0] as f64 / counts[1] as f64
 }
 
-/// What [`train`]'s sequential arm passes to [`train_iteration`]: no
-/// retries, no gradient-magnitude limit, no checkpoints.
-const NO_FAULT_TOLERANCE: FaultTolerance = FaultTolerance {
+/// What [`train`] passes to [`train_iteration`]: no retries, no
+/// gradient-magnitude limit, no checkpoints.
+pub(crate) const NO_FAULT_TOLERANCE: FaultTolerance = FaultTolerance {
     retry: RetryPolicy::none(),
     grad_limit: f32::INFINITY,
     checkpoint_every: 0,
 };
+
+/// Without a ladder around it, a failed collective is fatal; only the
+/// health gate may skip a step.
+pub(crate) fn expect_no_fault(outcome: StepOutcome, faults: u32) {
+    if let StepOutcome::RankLost(r) = outcome {
+        panic!("rank {r} failed permanently");
+    }
+    assert_eq!(faults, 0, "collective failed with no fault tolerance");
+}
 
 /// Run one rank's training loop.
 fn run_rank(
@@ -458,44 +481,20 @@ fn run_rank(
                 .with("epoch", epoch)
                 .with("iter", bi);
             let (x, labels) = batch_of(train_ds, &indices, epoch as u64 + 1);
-            let loss = match cfg.exec.exec_mode() {
-                Some(mode) => {
-                    let capture = kfac.as_ref().is_some_and(|k| k.needs_capture());
-                    overlap_iteration(
-                        &mut model,
-                        &mut kfac,
-                        &mut optimizer,
-                        comm,
-                        &x,
-                        &labels,
-                        &criterion,
-                        lr,
-                        capture,
-                        mode,
-                    )
-                }
-                None => {
-                    let (loss, outcome, faults) = train_iteration(
-                        &mut model,
-                        &mut kfac,
-                        &mut optimizer,
-                        comm,
-                        &x,
-                        &labels,
-                        &criterion,
-                        lr,
-                        cfg.fusion_threshold_bytes,
-                        &NO_FAULT_TOLERANCE,
-                    );
-                    // Without a ladder around it, a failed collective is
-                    // fatal; only the health gate may skip a step.
-                    if let StepOutcome::RankLost(r) = outcome {
-                        panic!("rank {r} failed permanently");
-                    }
-                    assert_eq!(faults, 0, "collective failed with no fault tolerance");
-                    loss
-                }
-            };
+            let (loss, outcome, faults) = train_iteration(
+                &mut model,
+                &mut kfac,
+                &mut optimizer,
+                comm,
+                &x,
+                &labels,
+                &criterion,
+                lr,
+                cfg.fusion_threshold_bytes,
+                cfg.exec.exec_mode(),
+                &NO_FAULT_TOLERANCE,
+            );
+            expect_no_fault(outcome, faults);
             loss_sum += loss as f64;
             // Liveness + trajectory probes for the watchdog and the live
             // metrics plane. Pure reads of already-computed values: the
@@ -584,16 +583,6 @@ pub fn train(
     cfg: &TrainConfig,
 ) -> TrainResult {
     assert!(cfg.ranks >= 1);
-    if cfg.exec != ExecStrategy::Sequential {
-        if let Some(k) = &cfg.kfac {
-            assert_eq!(
-                k.strategy,
-                DistStrategy::Opt,
-                "overlapped execution implements the K-FAC-opt phase graph only; \
-                 use ExecStrategy::Sequential for K-FAC-lw"
-            );
-        }
-    }
     // Precedence: explicit per-run registry, else the calling thread's
     // ambient one (so `xp --trace-out` captures every run it drives
     // without each driver threading a handle), else a fresh registry.
@@ -674,6 +663,7 @@ fn drive_group<C: Communicator + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfac::DistStrategy;
     use kfac_data::synthetic_cifar;
     use kfac_nn::resnet::resnet_cifar;
     use kfac_tensor::Rng64;
@@ -762,109 +752,149 @@ mod tests {
         }
     }
 
-    /// Satellite 4: the `--overlap` trainer must be bitwise identical to
-    /// the sequential oracle — weights AND losses — after 3 iterations
-    /// of 4-rank K-FAC CIFAR training.
+    /// The `--overlap` trainer must be bitwise identical to the
+    /// sequential oracle — weights AND losses — after 3 iterations of
+    /// 4-rank K-FAC CIFAR training, under either distribution strategy.
     #[test]
     fn overlap_is_bitwise_identical_to_sequential_on_4_rank_cifar() {
         // 4 ranks × batch 8 × 3 batches/epoch = 96 training samples.
         let (train_ds, val_ds) = synthetic_cifar(8, 96, 32, 11);
-        let base = {
-            let mut cfg = tiny_cfg(4, 1);
-            cfg.local_batch = 8;
-            cfg.kfac = Some(KfacConfig {
-                update_freq: 2,
+        for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
+            let base = {
+                let mut cfg = tiny_cfg(4, 1);
+                cfg.local_batch = 8;
+                cfg.kfac = Some(KfacConfig {
+                    update_freq: 2,
+                    strategy,
+                    ..KfacConfig::default()
+                });
+                cfg
+            };
+            let sequential = train(build, &train_ds, &val_ds, &base);
+            assert!(!sequential.final_params.is_empty());
+
+            for exec in [
+                ExecStrategy::Overlapped { compute_workers: 2 },
+                ExecStrategy::Replay { seed: 7 },
+            ] {
+                let mut cfg = base.clone();
+                cfg.exec = exec;
+                let overlapped = train(build, &train_ds, &val_ds, &cfg);
+                assert_eq!(
+                    sequential.final_params, overlapped.final_params,
+                    "{strategy:?} {exec:?} weights diverge from sequential"
+                );
+                for (s, o) in sequential.epochs.iter().zip(&overlapped.epochs) {
+                    assert_eq!(
+                        s.train_loss.to_bits(),
+                        o.train_loss.to_bits(),
+                        "{strategy:?} {exec:?} loss diverges from sequential"
+                    );
+                }
+            }
+        }
+    }
+
+    /// 16 iterations at `update_freq` 5 are four eigen updates (0, 5, 10,
+    /// 15) with factors folding every iteration; every schedule of the
+    /// graph must move exactly the sequential loop's bytes per traffic
+    /// class — one `Factor` payload per eigen update — and land on its
+    /// bits, under either distribution strategy.
+    #[test]
+    fn every_graph_schedule_exchanges_factors_once_per_eigen_update() {
+        // 2 ranks × batch 8 × 16 batches.
+        let (train_ds, val_ds) = synthetic_cifar(8, 256, 32, 11);
+        for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
+            let mut base = tiny_cfg(2, 1);
+            base.local_batch = 8;
+            base.kfac = Some(KfacConfig {
+                update_freq: 5,
+                strategy,
                 ..KfacConfig::default()
             });
-            cfg
-        };
-        let sequential = train(build, &train_ds, &val_ds, &base);
-        assert!(!sequential.final_params.is_empty());
-
-        for exec in [
-            ExecStrategy::Overlapped { compute_workers: 2 },
-            ExecStrategy::Replay { seed: 7 },
-        ] {
-            let mut cfg = base.clone();
-            cfg.exec = exec;
-            let overlapped = train(build, &train_ds, &val_ds, &cfg);
+            let sequential = train(build, &train_ds, &val_ds, &base);
+            let stats = sequential.stage_stats.as_ref().expect("kfac ran");
             assert_eq!(
-                sequential.final_params, overlapped.final_params,
-                "{exec:?} weights diverge from sequential"
+                (stats.steps, stats.factor_updates, stats.eig_updates),
+                (16, 16, 4)
             );
-            for (s, o) in sequential.epochs.iter().zip(&overlapped.epochs) {
+            let payload: u64 = {
+                let mut model = build(base.seed);
+                let kfac = Kfac::new(&mut model, KfacConfig::default());
+                // Upper triangles (`triangular_factor_comm`), f32 words.
+                let triangle = |n: usize| (4 * n * (n + 1) / 2) as u64;
+                kfac.factors().iter().map(|f| triangle(f.dim)).sum()
+            };
+            assert_eq!(sequential.traffic.factor_bytes, stats.eig_updates * payload);
+            let calls = sequential.telemetry.span_agg("kfac/factor_comm", Some(0));
+            assert_eq!(calls.count, stats.eig_updates);
+            assert_eq!(
+                sequential.traffic.precond_bytes > 0,
+                strategy == DistStrategy::Lw
+            );
+
+            let replays = (0..8).map(|seed| ExecStrategy::Replay { seed });
+            let overlapped =
+                [1, 2].map(|compute_workers| ExecStrategy::Overlapped { compute_workers });
+            for exec in replays.chain(overlapped) {
+                let graph = train(build, &train_ds, &val_ds, &base.clone().with_exec(exec));
+                // Bytes per class; `ops` differs by design (per-bucket
+                // gradient allreduces).
+                let bytes = |t: &Traffic| {
+                    (
+                        t.gradient_bytes,
+                        t.factor_bytes,
+                        t.eigen_bytes,
+                        t.precond_bytes,
+                    )
+                };
                 assert_eq!(
-                    s.train_loss.to_bits(),
-                    o.train_loss.to_bits(),
-                    "{exec:?} loss diverges from sequential"
+                    bytes(&sequential.traffic),
+                    bytes(&graph.traffic),
+                    "{strategy:?} {exec:?}: bytes on the wire"
+                );
+                assert!(
+                    sequential.final_params == graph.final_params,
+                    "{strategy:?} {exec:?}: weights diverge from sequential"
+                );
+                assert_eq!(
+                    sequential.epochs[0].train_loss.to_bits(),
+                    graph.epochs[0].train_loss.to_bits(),
+                    "{strategy:?} {exec:?}: loss diverges from sequential"
+                );
+                let stats = graph.stage_stats.as_ref().expect("kfac ran");
+                assert_eq!(
+                    (stats.factor_updates, stats.eig_updates),
+                    (16, 4),
+                    "{strategy:?} {exec:?}"
                 );
             }
         }
     }
 
-    /// The graph decides whether the factor exchange is due from the
-    /// iteration's plan, not inside a task: on a factor-only iteration
-    /// nothing orders a K-FAC task before `OptimStep`'s `advance()`, and a
-    /// predicate read in a task body saw the *next* iteration — one
-    /// schedule in a few exchanged twice per cycle. 16 iterations at
-    /// `update_freq` 5 are four eigen updates (0, 5, 10, 15) with factors
-    /// folding every iteration; every schedule of the graph must move
-    /// exactly the sequential loop's `Factor` bytes — one payload per
-    /// eigen update — and land on its bits.
+    /// The gate's predicate at its edges: the limit is inclusive and
+    /// compares magnitudes, and an infinity is rejected even when the
+    /// limit is infinite (what `train` passes).
     #[test]
-    fn every_graph_schedule_exchanges_factors_once_per_eigen_update() {
-        // 2 ranks × batch 8 × 16 batches.
-        let (train_ds, val_ds) = synthetic_cifar(8, 256, 32, 11);
-        let mut base = tiny_cfg(2, 1);
-        base.local_batch = 8;
-        base.kfac = Some(KfacConfig {
-            update_freq: 5,
-            ..KfacConfig::default()
-        });
-        let sequential = train(build, &train_ds, &val_ds, &base);
-        let stats = sequential.stage_stats.as_ref().expect("kfac ran");
-        assert_eq!(
-            (stats.steps, stats.factor_updates, stats.eig_updates),
-            (16, 16, 4)
-        );
-        let payload: u64 = {
-            let mut model = build(base.seed);
-            let kfac = Kfac::new(&mut model, KfacConfig::default());
-            // Upper triangles (`triangular_factor_comm`), f32 words.
-            let triangle = |n: usize| (4 * n * (n + 1) / 2) as u64;
-            kfac.factors().iter().map(|f| triangle(f.dim)).sum()
+    fn gate_rejects_non_finite_and_over_limit_entries() {
+        let mut model = build(1);
+        let set_first = |model: &mut Sequential, v: f32| {
+            model.zero_grad();
+            let mut first = true;
+            model.visit_params("", &mut |_, _, g| {
+                if std::mem::take(&mut first) {
+                    g[0] = v;
+                }
+            });
         };
-        assert_eq!(sequential.traffic.factor_bytes, stats.eig_updates * payload);
-        let calls = sequential.telemetry.span_agg("kfac/factor_comm", Some(0));
-        assert_eq!(calls.count, stats.eig_updates);
-
-        let replays = (0..8).map(|seed| ExecStrategy::Replay { seed });
-        let overlapped = [1, 2].map(|compute_workers| ExecStrategy::Overlapped { compute_workers });
-        for exec in replays.chain(overlapped) {
-            let graph = train(build, &train_ds, &val_ds, &base.clone().with_exec(exec));
-            // Bytes per class; `ops` differs by design (per-bucket
-            // gradient allreduces).
-            let bytes = |t: &Traffic| (t.gradient_bytes, t.factor_bytes, t.eigen_bytes);
-            assert_eq!(
-                bytes(&sequential.traffic),
-                bytes(&graph.traffic),
-                "{exec:?}: bytes on the wire"
-            );
-            assert!(
-                sequential.final_params == graph.final_params,
-                "{exec:?}: weights diverge from sequential"
-            );
-            assert_eq!(
-                sequential.epochs[0].train_loss.to_bits(),
-                graph.epochs[0].train_loss.to_bits(),
-                "{exec:?}: loss diverges from sequential"
-            );
-            let stats = graph.stage_stats.as_ref().expect("kfac ran");
-            assert_eq!(
-                (stats.factor_updates, stats.eig_updates),
-                (16, 4),
-                "{exec:?}"
-            );
+        set_first(&mut model, -3.0);
+        assert!(gradients_within(&mut model, 3.0));
+        assert!(!gradients_within(&mut model, 2.9));
+        assert!(gradients_finite(&mut model));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            set_first(&mut model, bad);
+            assert!(!gradients_finite(&mut model), "{bad}");
+            assert!(!gradients_within(&mut model, 1e6), "{bad}");
         }
     }
 

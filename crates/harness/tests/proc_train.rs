@@ -4,6 +4,7 @@
 //! the in-process proc backend (`TrainConfig::with_backend`) and the
 //! overlapped executor over the TCP fabric.
 
+use kfac::DistStrategy;
 use kfac_collectives::CommBackend;
 use kfac_harness::procrun::{
     cifar_demo_config, cifar_demo_data, cifar_demo_model, params_bit_hash,
@@ -39,24 +40,32 @@ fn proc_backend_train_matches_thread_backend_bitwise() {
     );
 }
 
-/// The overlapped task-graph executor drives its collectives through a
-/// dedicated in-order comm worker; over the proc fabric it must still
-/// reproduce the sequential thread-fabric oracle bit for bit.
+/// The overlapped task-graph executor drives its gradient buckets through
+/// a dedicated in-order comm worker; over the proc fabric it must still
+/// reproduce the sequential thread-fabric oracle bit for bit, under either
+/// distribution strategy.
 #[test]
 fn overlapped_exec_over_proc_fabric_matches_sequential_oracle() {
     let (train_ds, val_ds) = cifar_demo_data();
-    let cfg = cifar_demo_config(2);
-    let reference = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+    for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
+        let mut cfg = cifar_demo_config(2);
+        cfg.kfac.as_mut().expect("demo runs K-FAC").strategy = strategy;
+        let reference = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
 
-    let overlapped_proc = cfg
-        .clone()
-        .with_backend(CommBackend::Proc)
-        .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
-    let got = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_proc);
+        let overlapped_proc = cfg
+            .clone()
+            .with_backend(CommBackend::Proc)
+            .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
+        let got = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_proc);
 
-    assert_eq!(reference.final_params, got.final_params);
-    for (r, g) in reference.epochs.iter().zip(&got.epochs) {
-        assert_eq!(r.train_loss.to_bits(), g.train_loss.to_bits());
+        assert_eq!(reference.final_params, got.final_params, "{strategy:?}");
+        for (r, g) in reference.epochs.iter().zip(&got.epochs) {
+            assert_eq!(
+                r.train_loss.to_bits(),
+                g.train_loss.to_bits(),
+                "{strategy:?}"
+            );
+        }
     }
 }
 

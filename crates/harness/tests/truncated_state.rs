@@ -10,7 +10,7 @@
 //! iterations of five fold into rank-local averages and exchange nothing
 //! (twelve iterations: updates at 0, 5 and 10).
 
-use kfac::{EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
+use kfac::{DistStrategy, EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ThreadComm};
 use kfac_data::{batch_of, Dataset};
 use kfac_harness::procrun::{cifar_demo_config, cifar_demo_data, cifar_demo_model};
@@ -88,21 +88,28 @@ fn assert_same_trajectory(reference: &TrainResult, got: &TrainResult, what: &str
 #[test]
 fn sequential_equals_overlapped_with_short_bases() {
     let (train_ds, val_ds) = cifar_demo_data();
-    for variant in variants() {
-        let cfg = demo(2, variant);
-        let sequential = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
-        assert_some_basis_is_short(&sequential.telemetry);
-        for exec in [
-            ExecStrategy::Overlapped { compute_workers: 2 },
-            ExecStrategy::Replay { seed: 7 },
-        ] {
-            let overlapped = train(
-                cifar_demo_model,
-                &train_ds,
-                &val_ds,
-                &cfg.clone().with_exec(exec),
-            );
-            assert_same_trajectory(&sequential, &overlapped, &format!("{variant:?} {exec:?}"));
+    for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
+        for variant in variants() {
+            let mut cfg = demo(2, variant);
+            cfg.kfac.as_mut().unwrap().strategy = strategy;
+            let sequential = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+            assert_some_basis_is_short(&sequential.telemetry);
+            for exec in [
+                ExecStrategy::Overlapped { compute_workers: 2 },
+                ExecStrategy::Replay { seed: 7 },
+            ] {
+                let overlapped = train(
+                    cifar_demo_model,
+                    &train_ds,
+                    &val_ds,
+                    &cfg.clone().with_exec(exec),
+                );
+                assert_same_trajectory(
+                    &sequential,
+                    &overlapped,
+                    &format!("{strategy:?} {variant:?} {exec:?}"),
+                );
+            }
         }
     }
 }
