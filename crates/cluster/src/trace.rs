@@ -200,14 +200,14 @@ pub fn emit_kfac_opt_trace(
     wall_us as f64 / 1e6
 }
 
-/// Emit the overlapped (task-graph) variant of the K-FAC-opt timeline
+/// Emit the overlapped (pipelined) variant of the K-FAC-opt timeline
 /// into `registry`: each rank gets a compute lane plus a `comm` lane,
 /// backward is split into `buckets` chunks whose gradient allreduces
 /// start as soon as the chunk finishes, factor computation overlaps the
 /// gradient traffic, and factor allreduces overlap preconditioning on
 /// non-eigendecomposition iterations — a pipelined schedule in the manner
 /// of Shi et al. (arXiv:2107.06533) under the paper's every-update factor
-/// exchange. Of it the `kfac-exec` runtime runs the bucketed gradient
+/// exchange. Of it the harness's bucketed exchange runs the gradient
 /// overlap only; the measured step exchanges factors once per eigen
 /// update and runs its K-FAC stages straight-line. Returns the simulated
 /// wall time in seconds (the slowest lane's finish).

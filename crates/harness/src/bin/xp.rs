@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! xp <experiment> [--scale smoke|quick|full] [--out results/] [--trace-out trace.json]
-//!                 [--overlap [workers]] [--serve-metrics [PORT]]
+//!                 [--overlap] [--serve-metrics [PORT]]
 //! xp all [--scale …]        # everything
 //! xp list                   # available experiment ids
 //! xp prom-lint FILE         # validate a Prometheus exposition snapshot
 //! ```
 //!
-//! With `--overlap`, every training run an experiment drives runs
-//! backward and its gradient exchange on the task-graph execution engine
-//! (`kfac-exec`) instead of exchanging after backward: per-bucket
-//! gradient allreduces overlap backprop on a worker pool. Results are
-//! bitwise identical either way (see the `overlap` experiment).
+//! With `--overlap`, every training run an experiment drives exchanges
+//! its gradients per bucket on a background thread while backward is
+//! still running, instead of after backward. Results are bitwise
+//! identical either way (see the `overlap` experiment).
 //!
 //! With `--trace-out`, every run (measured CPU training and simulator
 //! projections alike) records spans into one shared telemetry registry;
@@ -131,20 +130,7 @@ fn main() {
                     None => DEFAULT_METRICS_PORT,
                 });
             }
-            "--overlap" => {
-                // Optional worker count; defaults to 2 compute workers
-                // (+ the dedicated communication worker).
-                let workers = match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(w) if w >= 1 => {
-                        i += 1;
-                        w
-                    }
-                    _ => 2,
-                };
-                config.exec = ExecStrategy::Overlapped {
-                    compute_workers: workers,
-                };
-            }
+            "--overlap" => config.exec = ExecStrategy::Overlapped { compute_workers: 1 },
             other => flag_error(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -493,7 +479,7 @@ fn flag_error(msg: &str) -> ! {
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: xp <experiment|all|list|bench-kernels|bench-eig|bench-allreduce|proc-train|prom-lint FILE> \
-         [--scale smoke|quick|full] [--out DIR] [--trace-out FILE] [--overlap [WORKERS]] \
+         [--scale smoke|quick|full] [--out DIR] [--trace-out FILE] [--overlap] \
          [--serve-metrics [PORT]] [--json [FILE]] [--ranks N] [--iters K]\n\
          experiments: {}",
         ALL_EXPERIMENTS.join(", ")

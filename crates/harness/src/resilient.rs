@@ -309,7 +309,7 @@ mod tests {
     use kfac_collectives::{
         FaultPlan, FaultPlanConfig, FaultyCommunicator, ThreadComm, TrafficClass,
     };
-    use kfac_nn::{Conv2d, Flatten, Layer, Linear};
+    use kfac_nn::{Conv2d, Flatten, KfacEligible, Layer, Linear, Mode};
     use kfac_tensor::Rng64;
     use std::sync::Arc;
     use std::thread;
@@ -329,13 +329,10 @@ mod tests {
         (x, vec![0, 1, 2, 3])
     }
 
-    /// Both gradient-exchange schedules: the fused exchange, and the
-    /// bucketed one on the worker pool and in seeded replay.
-    const SCHEDULES: [Option<ExecMode>; 3] = [
-        None,
-        Some(ExecMode::Overlapped { compute_workers: 2 }),
-        Some(ExecMode::Replay { seed: 7 }),
-    ];
+    /// Both gradient-exchange schedules: the fused exchange and the
+    /// bucketed one.
+    const SCHEDULES: [Option<ExecMode>; 2] =
+        [None, Some(ExecMode::Overlapped { compute_workers: 1 })];
 
     /// Up to `iters` ladder steps per rank on schedule `exec`, stopping
     /// at a lost rank; each rank's final parameters, trainer and last
@@ -437,6 +434,74 @@ mod tests {
             }
             assert_eq!(faulty[0].1.skipped_steps, 0, "{exec:?}");
         }
+    }
+
+    /// A layer whose backward panics, on the bucketed schedule of a
+    /// 2-rank group: the exchange thread is released and the panic reaches
+    /// every rank's caller of [`train_iteration`] instead of hanging it.
+    #[test]
+    fn panicking_backward_propagates_instead_of_hanging() {
+        struct Explodes;
+        impl Layer for Explodes {
+            fn forward(&mut self, input: &Tensor4, _: Mode) -> Tensor4 {
+                input.clone()
+            }
+            fn backward(&mut self, _: &Tensor4) -> Tensor4 {
+                panic!("backward exploded")
+            }
+            fn output_shape(
+                &self,
+                input: (usize, usize, usize, usize),
+            ) -> (usize, usize, usize, usize) {
+                input
+            }
+            fn visit_params(&mut self, _: &str, _: &mut dyn FnMut(&str, &mut [f32], &mut [f32])) {}
+            fn set_capture(&mut self, _: bool) {}
+            fn collect_kfac<'a>(&'a mut self, _: &mut Vec<&'a mut dyn KfacEligible>) {}
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let panicked = thread::scope(|s| {
+                let ranks: Vec<_> = ThreadComm::create(2)
+                    .into_iter()
+                    .map(|comm| {
+                        s.spawn(move || {
+                            let mut rng = Rng64::new(3);
+                            // fc2's bucket is in flight when backward
+                            // reaches the panicking layer.
+                            let mut m = Sequential::from_layers(vec![
+                                Box::new(Linear::new("fc1", 6, 5, true, &mut rng)),
+                                Box::new(Explodes),
+                                Box::new(Linear::new("fc2", 5, 4, true, &mut rng)),
+                            ]);
+                            let (x, labels) = batch(0);
+                            train_iteration(
+                                &mut m,
+                                &mut None,
+                                &mut Sgd::new(0.9, 1e-4),
+                                &comm,
+                                &x,
+                                &labels,
+                                &CrossEntropyLoss::new(),
+                                0.05,
+                                None,
+                                SCHEDULES[1],
+                                &FaultTolerance::default(),
+                            );
+                        })
+                    })
+                    .collect();
+                ranks
+                    .into_iter()
+                    .map(|r| r.join().is_err())
+                    .collect::<Vec<_>>()
+            });
+            let _ = done.send(panicked);
+        });
+        let panicked = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a rank hung after the panic");
+        assert_eq!(panicked, [true, true], "every rank panics");
     }
 
     /// What one rank of [`clean_pair`] ends with: loss bits, parameter

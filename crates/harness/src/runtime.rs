@@ -420,10 +420,7 @@ impl fmt::Display for RuntimeConfig {
         }
         match self.exec {
             ExecStrategy::Sequential => f.write_str("exec=sequential"),
-            ExecStrategy::Overlapped { compute_workers } => {
-                write!(f, "exec=overlapped:{compute_workers}")
-            }
-            ExecStrategy::Replay { seed } => write!(f, "exec=replay:{seed}"),
+            ExecStrategy::Overlapped { .. } => f.write_str("exec=overlapped"),
         }
     }
 }

@@ -53,10 +53,9 @@ pub struct TrainConfig {
     /// several runs onto a single timeline (e.g. `xp --trace-out`).
     pub telemetry: Option<Registry>,
     /// How each rank exchanges its gradients: fused after backward (the
-    /// reference oracle), or per-child buckets allreduced while backward
-    /// is still running — on the task graph's worker pool, or in its
-    /// seeded single-threaded replay. The rest of the iteration is the
-    /// same code either way.
+    /// reference oracle), or per-child buckets allreduced on a background
+    /// thread while backward is still running. The rest of the iteration
+    /// is the same code either way.
     pub exec: ExecStrategy,
     /// Which communicator fabric carries the collectives: in-process
     /// threads or the multi-process TCP backend. Either way the loss
@@ -268,10 +267,10 @@ fn gradients_within(model: &mut dyn Layer, limit: f32) -> bool {
 /// collective runs under `ft.retry`.
 ///
 /// `exec` picks the gradient-exchange schedule and nothing else: `None`
-/// is backward followed by the fused exchange; `Some(mode)` allreduces
-/// per-child buckets while backward is still running
-/// ([`overlap`](crate::overlap), pinned bitwise to the fused exchange)
-/// and ignores `fusion_threshold`.
+/// is backward followed by the fused exchange; `Some(_)` (either
+/// [`ExecMode`]) allreduces per-child buckets while backward is still
+/// running ([`overlap`](crate::overlap), pinned bitwise to the fused
+/// exchange) and ignores `fusion_threshold`.
 ///
 /// Returns the local batch loss, what happened, and how many collectives
 /// failed for good (exhausted retries or delivered a corrupted payload):
@@ -336,7 +335,7 @@ pub fn train_iteration(
             let _span = Span::enter("train/grad_allreduce");
             try_allreduce_gradients_fused(model, comm, fusion_threshold, grad_wire, &ft.retry)
         }
-        Some(mode) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry, mode),
+        Some(_) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry),
     };
     if let Err(e) = exchanged {
         return failed(loss, e);
@@ -666,6 +665,7 @@ mod tests {
     use kfac::DistStrategy;
     use kfac_data::synthetic_cifar;
     use kfac_nn::resnet::resnet_cifar;
+    use kfac_telemetry::AttrValue;
     use kfac_tensor::Rng64;
 
     fn tiny_cfg(ranks: usize, epochs: usize) -> TrainConfig {
@@ -773,33 +773,28 @@ mod tests {
             let sequential = train(build, &train_ds, &val_ds, &base);
             assert!(!sequential.final_params.is_empty());
 
-            for exec in [
-                ExecStrategy::Overlapped { compute_workers: 2 },
-                ExecStrategy::Replay { seed: 7 },
-            ] {
-                let mut cfg = base.clone();
-                cfg.exec = exec;
-                let overlapped = train(build, &train_ds, &val_ds, &cfg);
+            let bucketed = base.with_exec(ExecStrategy::Overlapped { compute_workers: 1 });
+            let overlapped = train(build, &train_ds, &val_ds, &bucketed);
+            assert_eq!(
+                sequential.final_params, overlapped.final_params,
+                "{strategy:?} weights diverge from sequential"
+            );
+            for (s, o) in sequential.epochs.iter().zip(&overlapped.epochs) {
                 assert_eq!(
-                    sequential.final_params, overlapped.final_params,
-                    "{strategy:?} {exec:?} weights diverge from sequential"
+                    s.train_loss.to_bits(),
+                    o.train_loss.to_bits(),
+                    "{strategy:?} loss diverges from sequential"
                 );
-                for (s, o) in sequential.epochs.iter().zip(&overlapped.epochs) {
-                    assert_eq!(
-                        s.train_loss.to_bits(),
-                        o.train_loss.to_bits(),
-                        "{strategy:?} {exec:?} loss diverges from sequential"
-                    );
-                }
             }
         }
     }
 
     /// 16 iterations at `update_freq` 5 are four eigen updates (0, 5, 10,
-    /// 15) with factors folding every iteration; every schedule of the
-    /// graph must move exactly the sequential loop's bytes per traffic
-    /// class — one `Factor` payload per eigen update — and land on its
-    /// bits, under either distribution strategy.
+    /// 15) with factors folding every iteration; the bucketed schedule
+    /// must move exactly the sequential loop's bytes per traffic class —
+    /// one `Factor` payload per eigen update — and land on its bits, under
+    /// either distribution strategy. Its gradient allreduces, one per
+    /// bucket and iteration, run on each rank's `comm` lane.
     #[test]
     fn every_graph_schedule_exchanges_factors_once_per_eigen_update() {
         // 2 ranks × batch 8 × 16 batches.
@@ -833,40 +828,56 @@ mod tests {
                 strategy == DistStrategy::Lw
             );
 
-            let replays = (0..8).map(|seed| ExecStrategy::Replay { seed });
-            let overlapped =
-                [1, 2].map(|compute_workers| ExecStrategy::Overlapped { compute_workers });
-            for exec in replays.chain(overlapped) {
-                let graph = train(build, &train_ds, &val_ds, &base.clone().with_exec(exec));
-                // Bytes per class; `ops` differs by design (per-bucket
-                // gradient allreduces).
-                let bytes = |t: &Traffic| {
-                    (
-                        t.gradient_bytes,
-                        t.factor_bytes,
-                        t.eigen_bytes,
-                        t.precond_bytes,
-                    )
-                };
-                assert_eq!(
-                    bytes(&sequential.traffic),
-                    bytes(&graph.traffic),
-                    "{strategy:?} {exec:?}: bytes on the wire"
-                );
+            let bucketed = base
+                .clone()
+                .with_exec(ExecStrategy::Overlapped { compute_workers: 1 });
+            let overlapped = train(build, &train_ds, &val_ds, &bucketed);
+            // Bytes per class; `ops` differs by design (per-bucket
+            // gradient allreduces).
+            let bytes = |t: &Traffic| {
+                (
+                    t.gradient_bytes,
+                    t.factor_bytes,
+                    t.eigen_bytes,
+                    t.precond_bytes,
+                )
+            };
+            assert_eq!(
+                bytes(&sequential.traffic),
+                bytes(&overlapped.traffic),
+                "{strategy:?}: bytes on the wire"
+            );
+            assert!(
+                sequential.final_params == overlapped.final_params,
+                "{strategy:?}: weights diverge from sequential"
+            );
+            assert_eq!(
+                sequential.epochs[0].train_loss.to_bits(),
+                overlapped.epochs[0].train_loss.to_bits(),
+                "{strategy:?}: loss diverges from sequential"
+            );
+            let stats = overlapped.stage_stats.as_ref().expect("kfac ran");
+            assert_eq!((stats.factor_updates, stats.eig_updates), (16, 4));
+
+            let buckets = build(base.seed)
+                .child_param_counts()
+                .iter()
+                .filter(|&&n| n > 0)
+                .count();
+            let events = overlapped.telemetry.events();
+            for rank in 0..2 {
+                let grad_allreduces: Vec<_> = events
+                    .iter()
+                    .filter(|e| {
+                        e.rank == rank
+                            && e.name == "comm/allreduce"
+                            && e.attr("class") == Some(&AttrValue::Str("gradient".into()))
+                    })
+                    .collect();
+                assert_eq!(grad_allreduces.len(), buckets * 16, "rank {rank}");
                 assert!(
-                    sequential.final_params == graph.final_params,
-                    "{strategy:?} {exec:?}: weights diverge from sequential"
-                );
-                assert_eq!(
-                    sequential.epochs[0].train_loss.to_bits(),
-                    graph.epochs[0].train_loss.to_bits(),
-                    "{strategy:?} {exec:?}: loss diverges from sequential"
-                );
-                let stats = graph.stage_stats.as_ref().expect("kfac ran");
-                assert_eq!(
-                    (stats.factor_updates, stats.eig_updates),
-                    (16, 4),
-                    "{strategy:?} {exec:?}"
+                    grad_allreduces.iter().all(|e| e.lane == Some("comm")),
+                    "rank {rank}: a bucket was exchanged off the comm lane"
                 );
             }
         }

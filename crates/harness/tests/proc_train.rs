@@ -2,7 +2,7 @@
 //! K-FAC CIFAR run driven through the `xp` binary produces the same loss
 //! trajectory — bitwise — as the 4-rank `ThreadComm` run. Also covers
 //! the in-process proc backend (`TrainConfig::with_backend`) and the
-//! overlapped executor over the TCP fabric.
+//! bucketed gradient exchange over the TCP fabric.
 
 use kfac::DistStrategy;
 use kfac_collectives::CommBackend;
@@ -40,10 +40,10 @@ fn proc_backend_train_matches_thread_backend_bitwise() {
     );
 }
 
-/// The overlapped task-graph executor drives its gradient buckets through
-/// a dedicated in-order comm worker; over the proc fabric it must still
-/// reproduce the sequential thread-fabric oracle bit for bit, under either
-/// distribution strategy.
+/// The bucketed exchange allreduces its gradient buckets in order on a
+/// background thread; over the proc fabric it must still reproduce the
+/// sequential thread-fabric oracle bit for bit, under either distribution
+/// strategy.
 #[test]
 fn overlapped_exec_over_proc_fabric_matches_sequential_oracle() {
     let (train_ds, val_ds) = cifar_demo_data();
@@ -55,7 +55,7 @@ fn overlapped_exec_over_proc_fabric_matches_sequential_oracle() {
         let overlapped_proc = cfg
             .clone()
             .with_backend(CommBackend::Proc)
-            .with_exec(ExecStrategy::Overlapped { compute_workers: 2 });
+            .with_exec(ExecStrategy::Overlapped { compute_workers: 1 });
         let got = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_proc);
 
         assert_eq!(reference.final_params, got.final_params, "{strategy:?}");

@@ -80,7 +80,7 @@ fn installed_config_is_default_for_new_and_override_for_with_kfac() {
     let line = installed.to_string();
     assert!(
         line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_EIG_BACKEND=tridiag ")
-            && line.ends_with(" exec=overlapped:3"),
+            && line.ends_with(" exec=overlapped"),
         "{line}"
     );
     let registry = Registry::new();

@@ -89,7 +89,7 @@ fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
 #[test]
 fn the_resolved_config_is_printed_once_and_redirects_the_run() {
     let out = xp(
-        &["table1", "--scale", "smoke", "--overlap", "1"],
+        &["table1", "--scale", "smoke", "--overlap"],
         &[("KFAC_EIG_BACKEND", "ql"), ("KFAC_COMM_ALGO", "ring")],
     );
     let err = stderr(&out);
@@ -100,8 +100,12 @@ fn the_resolved_config_is_printed_once_and_redirects_the_run() {
         [
             "config: KFAC_COMM_BACKEND=thread KFAC_COMM_ALGO=pipelined-ring \
           KFAC_EIG_BACKEND=tridiag KFAC_PRECISION=- KFAC_POOL_THREADS=- KFAC_HEARTBEAT_MS=500 \
-          KFAC_HEARTBEAT_TIMEOUT_MS=15000 KFAC_PROC_TIMEOUT_MS=30000 exec=overlapped:1"
+          KFAC_HEARTBEAT_TIMEOUT_MS=15000 KFAC_PROC_TIMEOUT_MS=30000 exec=overlapped"
         ],
         "{err}"
     );
+    // `--overlap` takes no worker count: a trailing number is a flag.
+    let out = xp(&["table1", "--overlap", "2"], &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag 2"), "{}", stderr(&out));
 }
