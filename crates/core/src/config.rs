@@ -20,15 +20,17 @@ pub enum InversionMethod {
 }
 
 /// Which symmetric-eigendecomposition backend evaluates the factor
-/// spectra (both satisfy the same wire contract; tridiagonal QL is the
-/// exact default, and the randomized backend trades a controlled slice
+/// spectra (both satisfy the same wire contract; the exact solver is the
+/// default, and the randomized backend trades a controlled slice
 /// of spectral mass for a speedup on large factors with decaying
-/// spectra). Cyclic Jacobi (`kfac_tensor::eigh`) is QL's non-convergence
-/// backstop and the test oracle, not a selectable backend.
+/// spectra). Cyclic Jacobi (`kfac_tensor::eigh`) is the exact solver's
+/// non-convergence backstop and the test oracle, not a selectable backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EigenSolver {
-    /// Householder tridiagonalization + implicit-shift QL
-    /// (`kfac_tensor::eigh_tridiag`).
+    /// The exact solver, `kfac_tensor::eigh_tridiag`: Householder
+    /// tridiagonalization, then divide and conquer and a blocked
+    /// back-transform (implicit-shift QL below its crossover). The name is
+    /// the one it had when QL was the whole route.
     TridiagonalQl,
     /// Randomized truncated decomposition (`kfac_tensor::eigh_randomized`)
     /// with adaptive rank selection per [`RandEigPolicy`]; falls back to

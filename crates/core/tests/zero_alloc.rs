@@ -255,17 +255,18 @@ fn conv_capture_allocates_nothing_when_warm() {
 }
 
 /// The exact eigensolver: every f64 transient (the transposed
-/// eigenvector matrix, the tridiagonal, the rotation batch, the rotation
-/// panel of a matrix larger than one panel, the sort order) is one arena
-/// buffer, so a warm call allocates only the `EigenDecomposition` it
-/// returns — its eigenvalue vector and its eigenvector matrix.
+/// eigenvector matrix, the tridiagonal, the rotation batch, the divide
+/// and conquer's matrices and vectors, the back-transform's blocks, the
+/// sort order) is one arena buffer, so a warm call allocates only the
+/// `EigenDecomposition` it returns — its eigenvalue vector and its
+/// eigenvector matrix.
 #[test]
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn eigh_tridiag_allocates_only_its_result_when_warm() {
     let mut rng = Rng64::new(13);
-    // 64: one rotation panel, rotated in place; 145: rows padded to a
-    // cache line and the buffer's aligned start in play; 400 and 577:
-    // more than one 768 KiB panel, so the panel scratch is too.
+    // 64: QL rotations on the accumulated transform; 145: divide and
+    // conquer, rows padded to a cache line and the buffer's aligned start
+    // in play; 400 and 577: several levels of merges.
     for n in [64usize, 145, 400, 577] {
         let mut a = random_matrix(n, n, &mut rng);
         a.symmetrize();

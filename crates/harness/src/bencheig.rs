@@ -8,14 +8,17 @@
 //! gradient factors `oc`) plus the ≥512 square stress dims the
 //! acceptance criteria are stated over, on SPD inputs with the decaying
 //! spectrum K-FAC factors exhibit in practice. Each dimension is solved
-//! with the exact tridiagonal-QL backend and its Jacobi oracle (Jacobi
-//! only at the small dims where it terminates in bench-budget time), with
+//! with the exact backend (`eigh_tridiag`; its `ql_*` keys keep the name
+//! of the `EigenSolver::TridiagonalQl` that selects it) and its Jacobi
+//! oracle (Jacobi only at the small dims where it terminates in
+//! bench-budget time), with
 //! the adaptive-rank randomized backend (`RandEigPolicy`, 99% captured-mass
 //! target), and with fixed rank fractions n/16, n/8, n/4 and n/2 to show
 //! the cost/capture trade-off and where it crosses the exact solver —
 //! `RandEigPolicy::default()`'s `min_dim` and `max_rank_frac` are pinned
-//! to the committed rows by a unit test in `kfac::config`. The QL time
-//! comes with the solver's own per-phase means (`phases_ns`), the layer
+//! to the committed rows by a unit test in `kfac::config`. The exact time
+//! comes with the solver's own per-phase means (`phases_ns`: reduction,
+//! the tridiagonal's eigenvectors, back-transform, output), the layer
 //! under `kfac.eig_comp_ms`. Beside the cost of *computing* a basis sits
 //! the cost of *using* it, paid every iteration: one
 //! `precondition_eigen` of a 64-row gradient against the exact basis
@@ -302,7 +305,7 @@ pub fn render_table(cases: &[EigBenchCase]) -> String {
             c.apply_ratio()
         ));
         let phases = c.phases(|name, ns| format!("{name} {ns}"));
-        s.push_str(&format!("  ql phases (ns): {phases}\n"));
+        s.push_str(&format!("  exact phases (ns): {phases}\n"));
         for p in &c.fracs {
             s.push_str(&format!(
                 "  rank n/{:<3}      {:>6} {:>12} {:>12} {:>12.0} {:>6} {:>6.3} {:>7.2}x\n",
@@ -409,7 +412,7 @@ mod tests {
             name: "square_512",
             n: 512,
             ql_ns: 8000.0,
-            ql_phases_ns: [3000, 2000, 500, 2400, 100],
+            ql_phases_ns: [3000, 2000, 2900, 100],
             jacobi_ns: 0.0,
             rand_ns: 2000.0,
             rand_rank: 64,
@@ -423,7 +426,9 @@ mod tests {
             }],
         }];
         let json = to_json(&cases);
-        assert!(json.contains("\"phases_ns\": {\"reduce\": 3000, \"accumulate\": 2000, "));
+        assert!(json.contains(
+            "\"phases_ns\": {\"reduce\": 3000, \"tridiagonal\": 2000, \"back_transform\": 2900, "
+        ));
         assert!(json.contains("\"speedup_vs_best_exact\": 4.000"));
         assert!(json.contains("\"apply_rand_ns\": 90.0, \"apply_ratio\": 0.100"));
         assert!(json.contains("\"min_large_speedup\": 4.000"));

@@ -3,17 +3,21 @@
 //! The paper's optimized preconditioner never inverts the Kronecker factors
 //! explicitly; it eigendecomposes them (`A = Q_A Λ_A Q_Aᵀ`,
 //! `G = Q_G Λ_G Q_Gᵀ`) and applies Equations 13–15. On the authors'
-//! platform this is `torch.symeig` on a V100; here the production solver
-//! is the tridiagonal QL of [`crate::tridiag`], and this from-scratch
-//! cyclic Jacobi solver is its backstop and its test oracle.
+//! platform this is `torch.symeig` on a V100, which MAGMA computes by the
+//! `?syevd` route — Householder reduction, divide and conquer on the
+//! tridiagonal, blocked back-transform; here the production solver is
+//! [`crate::tridiag`], which takes the same route (QL rotations below a
+//! crossover), and this from-scratch cyclic Jacobi solver is its backstop
+//! and its test oracle.
 //!
 //! Jacobi is simple to make robust (it converges on anything symmetric
 //! and finite) and embarrassingly accurate for the symmetric
 //! positive-semidefinite matrices K-FAC produces (relative eigenvalue error
 //! near machine epsilon) — the properties an oracle needs. Its ~`10 n³`
-//! sweeps are 10–100× slower than QL at every factor dimension in
-//! `BENCH_eig.json`, so it is not a selectable backend: it runs when QL
-//! fails to converge, in `xp bench-eig`'s oracle column, and in tests.
+//! sweeps are 10–100× slower than the exact solver at every factor
+//! dimension in `BENCH_eig.json`, so it is not a selectable backend: it
+//! runs when that solver fails to converge, in `xp bench-eig`'s oracle
+//! column, and in tests.
 //!
 //! The solver works on an `f64` copy for numerical headroom and rounds the
 //! results to `f32`.

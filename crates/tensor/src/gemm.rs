@@ -606,7 +606,13 @@ mod simd {
     /// Requires AVX2; every `rows[i]` must expose 8 readable `f32`s and
     /// `dst` must be writable at `[p * stride, p * stride + 8)` for
     /// every `p < 8`.
+    ///
+    /// `#[inline]` (here and on the bf16 step) makes the body available to
+    /// every codegen unit that instantiates a pack: when the partition put
+    /// this function apart from `interleave_rows::<f32>`, a call per 8×8
+    /// block cost the `A·Bᵀ` conv shapes 12–17 % (`xp bench-kernels`).
     #[target_feature(enable = "avx2")]
+    #[inline]
     pub unsafe fn transpose_f32_8x8(rows: [*const f32; 8], dst: *mut f32, stride: usize) {
         transpose8_store(rows.map(|p| _mm256_loadu_ps(p)), dst, stride);
     }
@@ -620,6 +626,7 @@ mod simd {
     /// `dst` must be writable at `[p * stride, p * stride + 8)` for
     /// every `p < 16`.
     #[target_feature(enable = "avx2")]
+    #[inline]
     pub unsafe fn widen_transpose_bf16_8x16(rows: [*const u16; 8], dst: *mut f32, stride: usize) {
         let words = rows.map(|p| _mm256_loadu_si256(p as *const __m256i));
         let widen =

@@ -15,7 +15,8 @@
 //! * [`half`] — bf16 *storage* ([`HalfMatrix`], [`Dtype`]): operands the
 //!   same engine widens to `f32` as it packs them.
 //! * [`tridiag`] — symmetric eigendecomposition via Householder
-//!   tridiagonalization + implicit-shift QL, the workhorse of the paper's
+//!   tridiagonalization, then divide and conquer (implicit-shift QL on
+//!   small matrices), the workhorse of the paper's
 //!   *inverse-free* preconditioning path (Equations 13–15); [`eigen`]
 //!   holds the cyclic Jacobi solver kept as its backstop and test oracle,
 //!   [`randeig`] the randomized truncated route for factors with
@@ -70,7 +71,7 @@ pub enum LinAlgError {
     /// Cholesky factorization failed because the matrix is not positive
     /// definite.
     NotPositiveDefinite,
-    /// An iterative method (QL or Jacobi eigensolver) failed to converge
+    /// An iterative method (a QL, secular-equation or Jacobi solve) failed to converge
     /// within its iteration budget.
     NotConverged,
     /// The input holds a NaN or an infinity; no iteration was attempted.

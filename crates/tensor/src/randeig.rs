@@ -16,8 +16,9 @@
 //!    all `ℓ×n` transients come from the thread-local [`arena`], so warm
 //!    calls on repeating factor shapes allocate only the result.
 //! 3. **Rayleigh–Ritz**: `B = Q A Qᵀ` (small, `ℓ×ℓ`) solved exactly by
-//!    the tridiagonal QL backend ([`eigh_exact`], Jacobi fallback),
-//!    Ritz vectors lifted back as `V = SᵀQ`.
+//!    [`eigh_exact`] (Jacobi backstop; at the default policy's `ℓ ≤ 80`
+//!    its QL route, below the divide-and-conquer crossover), Ritz vectors
+//!    lifted back as `V = SᵀQ`.
 //!
 //! The result is the top `r` Ritz pairs as they come out of step 3: an
 //! [`EigenDecomposition`] with `r` eigenvalues and an `n × r` basis. The
@@ -90,7 +91,7 @@ const RANK_TOL: f64 = 1e-7;
 ///
 /// When the requested subspace width `ℓ = rank + oversample` reaches
 /// `n`, the sketch buys nothing — the call transparently runs the exact
-/// tridiagonal-QL path (Jacobi fallback) and reports full rank and mass.
+/// solver ([`eigh_exact`]) and reports full rank and mass.
 ///
 /// # Panics
 /// Panics if `a` is not square. Callers symmetrize first, exactly as

@@ -1,31 +1,41 @@
-//! Symmetric eigendecomposition via Householder tridiagonalization and
-//! implicit-shift QL iteration — the exact solver behind every K-FAC
+//! Symmetric eigendecomposition — the exact solver behind every K-FAC
 //! factor decomposition (the Jacobi solver of [`crate::eigen`] is its
-//! non-convergence backstop and test oracle). The classic LAPACK-style
-//! route (`ssyev`'s ancestor): `4n³/3` FLOPs to reduce, `4n³/3` to
-//! accumulate the transform, `3–4n³` of Givens rotations on the
-//! eigenvectors, all in `f64` (like Jacobi) and rounded to `f32` on output.
+//! non-convergence backstop and test oracle), all in `f64` (like Jacobi)
+//! and rounded to `f32` on output. Householder reduction to a tridiagonal
+//! (`4n³/3` FLOPs) comes first; the eigenvectors then take one of two
+//! routes, split at [`DC_MIN_DIM`]:
+//!
+//! * **From [`DC_MIN_DIM`] up, LAPACK's `?syevd` route** (`dstedc` +
+//!   `dormtr`): the tridiagonal's own eigenvectors by divide and conquer
+//!   ([`dc`]; at most `4n³/3` FLOPs of products before deflation, and
+//!   K-FAC's clustered, rank-deficient spectra deflate much of it), then
+//!   the reflectors applied to them in compact-WY blocks `I − V T Vᵀ`
+//!   (`2n³`). Both are matrix products, and run through one
+//!   register-tiled `f64` product.
+//! * **Below it, the `?syev` route**: the transform accumulated
+//!   *transposed*, four rows per pass, then implicit-shift QL on the
+//!   tridiagonal alone, its recorded rotations applied to `Zᵀ` as a
+//!   wavefront: [`WAVE`] consecutive sweeps travel up an 8-column strip
+//!   together, each two rows behind the one before, so a row is loaded
+//!   and stored once per [`WAVE`] rotations instead of once per rotation.
+//!   The divide and conquer's leaves run this QL too, on an identity.
 //!
 //! The layout is the algorithm: every inner loop walks contiguous
-//! row-major storage, never a stride-`n` column, and every row of the
-//! working matrix starts on a cache line (leading dimension `n` rounded
-//! up to a line, zero pad columns). The reduction touches only
-//! lower-triangle rows; the transform is accumulated *transposed*. Both
-//! take four rows per pass: the reflector (or `u`, `p`, `q`) is loaded
-//! once for four independent dot → divide → update chains. The QL
-//! iteration runs on the tridiagonal alone and records its rotations,
-//! which are then applied to `Zᵀ` as a wavefront: [`WAVE`] consecutive
-//! sweeps travel up an 8-column strip together, each two rows behind the
-//! one before, so a row is loaded and stored once per [`WAVE`] rotations
-//! instead of once per rotation. Sorting and rounding ride on the
-//! transpose-out pass. DESIGN.md §4 has the per-phase budget.
+//! row-major storage, never a stride-`n` column, every row of a working
+//! matrix starts on a cache line (leading dimension rounded up to a
+//! line, zero pad columns), and eigenvectors are rows until the
+//! transpose-out pass, which also sorts and rounds. DESIGN.md §4 has the
+//! per-phase budget.
 //!
-//! Blocking is schedule, not arithmetic: every element sees the
-//! operations of the one-row, one-rotation-at-a-time loops (kept as the
-//! test oracle) in their order — explicit accumulator lanes, separate
-//! multiply and add, no FMA contraction, no pool — so results do not
-//! depend on vector width, `KFAC_POOL_THREADS` or the calling rank. The
-//! workspace is one [`arena`] buffer: a warm call allocates only its result.
+//! Blocking is schedule, not arithmetic. The reduction and the QL route
+//! do the operations of the one-row, one-rotation-at-a-time loops (kept
+//! as the test oracle) in their order — explicit accumulator lanes,
+//! separate multiply and add; the product does each element's fused
+//! multiply-adds in ascending order, and `mul_add` is IEEE 754
+//! `fusedMultiplyAdd` on every instruction set (the argument of
+//! [`crate::gemm`]). No pool: results do not depend on vector width,
+//! `KFAC_POOL_THREADS` or the calling rank. The workspace is one
+//! [`arena`] buffer: a warm call allocates only its result.
 
 use crate::eigen::{check_finite, eigh, EigenDecomposition};
 use crate::{arena, LinAlgError, Matrix};
@@ -50,36 +60,50 @@ const ROWS: usize = 4;
 /// to L1 and still runs at its FP-issue limit).
 const WAVE: usize = 8;
 
-/// Bytes of `Zᵀ` in one rotation panel (`n` rows × panel width), and the
-/// size up to which `Zᵀ` is one panel, rotated where it lies. The panel
-/// shares the reference box's 1.25 MiB of L2 per core with the batch of
-/// rotations streaming through it. Measured there, rotation apply at
-/// 96 sweeps per batch: in place wins while `Zᵀ` fits beside the batch
-/// (n = 289, 668 KiB: 2.8 ms against 3.0 in panels) and loses beyond
-/// (n = 512, 2 MiB: 17.9 against 15.6; n = 1024: 165 against 119); between
-/// 256 KiB and 1 MiB the panel size itself is flat (n = 577: 21.4, 21.4,
-/// 21.4, 21.9 ms at 256, 512, 768 KiB, 1 MiB).
-const PANEL_BYTES: usize = 768 << 10;
-
-/// Full-length QL sweeps recorded per batch when `Zᵀ` is rotated panel by
-/// panel: a panel is gathered and scattered once per batch, so the copy is
-/// amortized over this many in-cache passes (whole solve at n = 577:
-/// 68.1 ms at 32, 62.5 at 64, 60.9 at 96, 59.3 at 128).
-const SWEEPS_PER_BATCH: usize = 128;
-
-/// The same when `Zᵀ` is rotated where it lies. A flush then costs
-/// nothing, and the reference box's cores power their wide vector units
-/// down after ≈ 0.6 ms of scalar code — the next burst runs three times
-/// slower for up to 0.5 ms — so batches are kept short enough that the
-/// scalar QL iteration between two flushes stays under that (0.3 ms at
-/// n = 312). One constant for both would cost n = 577 15 % at 32 (above)
-/// or, at 128, leave the stage-1 factors no faster than the
-/// one-rotation-at-a-time solver this one replaced: `xp bench-eig`, this
-/// constant at 32 / at 128 / that solver, alternated, three runs each,
-/// ms — n = 144 1.71–1.74 / 1.95–2.02 / no row, 145 1.79–1.91 /
-/// 2.19–2.33 / 2.25–2.26, 289 9.37–9.53 / 9.95–10.19 / 13.85–13.93; 28
-/// and 64 do not tell them apart.
+/// Full-length QL sweeps recorded per batch of rotations. A flush costs
+/// nothing (`Zᵀ` is rotated where it lies), and the reference box's cores
+/// power their wide vector units down after ≈ 0.6 ms of scalar code — the
+/// next burst runs three times slower for up to 0.5 ms — so batches are
+/// kept short enough that the scalar QL iteration between two flushes
+/// stays under that (0.3 ms at n = 312). At 128 the stage-1 factors were
+/// no faster than the one-rotation-at-a-time solver this one replaced:
+/// `xp bench-eig`, this constant at 32 / at 128 / that solver,
+/// alternated, three runs each, ms — n = 144 1.71–1.74 / 1.95–2.02 / no
+/// row, 145 1.79–1.91 / 2.19–2.33 / 2.25–2.26; 28 and 64 do not tell them
+/// apart.
 const SWEEPS_IN_PLACE: usize = 32;
+
+/// Smallest dimension whose eigenvectors take the divide-and-conquer
+/// route ([`dc`] and the blocked back-transform) instead of accumulation
+/// and QL rotations. One solve of `xp bench-eig`'s factor in a loop,
+/// QL / divide and conquer, best of two alternated runs, ms: n = 28 0.04 /
+/// 0.05, 48 0.13 / 0.13–0.15, 64 0.25–0.26 / 0.24–0.27, 80 0.42–0.43 /
+/// 0.36–0.37, 96 0.63–0.66 / 0.52–0.53, 144 1.58–1.62 / 1.23–1.25. The
+/// crossover is between 64 and 80; the constant sits at the next measured
+/// row, above the largest Rayleigh–Ritz solve of the randomized backend's
+/// default policy (80: a rank-72 sketch plus 8), which so keeps its bits,
+/// and at [`WIDE_MIN_DIM`], so the route always runs 512-bit where the CPU
+/// has it.
+const DC_MIN_DIM: usize = 96;
+
+/// Reflectors the back-transform applies as one `I − V T Vᵀ`. Fewer cost
+/// more passes over the eigenvectors, more cost `T·Vᵀ` (`b²` per column)
+/// and the zero triangle of `V`: back-transform at n = 577, ms, 8.0 / 7.9
+/// / 8.1 / 8.3 at 16 / 32 / 48 / 64.
+const REFLECTOR_BLOCK: usize = 32;
+
+/// Eigenvector rows one reflector block is applied to at a time, so the
+/// rows stay in cache between the block's two products (32 and 64 measure
+/// alike).
+const PANEL_ROWS: usize = 32;
+
+/// Rows of [`product`]'s register tile. With [`TILE_LINES`]: 16 of
+/// AVX-512's 32 registers accumulate (8×2, 8×3 and 4×4 measure alike at
+/// n = 577; 4×2 was 10 % slower). The 256-bit instantiation spills.
+const TILE_ROWS: usize = 8;
+
+/// Lines of [`product`]'s register tile.
+const TILE_LINES: usize = 2;
 
 /// Smallest dimension solved with 512-bit vectors. Half the time of a
 /// small solve is the scalar QL iteration, which runs slower on a core
@@ -96,21 +120,22 @@ const WIDE_MIN_DIM: usize = 96;
 /// few enough write streams to stay in L1 at power-of-two `n`.
 const OUT_TILE: usize = 16;
 
-/// Symmetric eigendecomposition via tridiagonal QL.
+/// Symmetric eigendecomposition via Householder tridiagonalization.
 ///
 /// Same contract as [`crate::eigh`]: eigenvalues ascending, orthonormal
 /// eigenvector columns.
 ///
 /// # Errors
 /// [`LinAlgError::NonFinite`] if `a` holds a NaN or infinity,
-/// [`LinAlgError::NotConverged`] if the QL iteration stalls.
+/// [`LinAlgError::NotConverged`] if a QL iteration or a secular-equation
+/// solve stalls.
 pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     solve(a, Isa::for_dim(a.rows()), &mut ())
 }
 
 /// [`eigh_tridiag`] with the Jacobi backstop: Jacobi converges on
-/// anything symmetric and finite, so a (rare) QL stall costs time, not
-/// the training run. A non-finite input fails both, so it is not retried.
+/// anything symmetric and finite, so a (rare) stall costs time, not the
+/// training run. A non-finite input fails both, so it is not retried.
 pub fn eigh_exact(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
     match eigh_tridiag(a) {
         Err(LinAlgError::NotConverged) => eigh(a),
@@ -119,10 +144,12 @@ pub fn eigh_exact(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
 }
 
 /// The solver's phases, in [`eigh_tridiag_phases`]' order: Householder
-/// reduction (with the `f32 → f64` copy-in), transform accumulation, the
-/// scalar QL iteration on `(d, e)`, rotation of `Zᵀ`, sorted transpose-out.
+/// reduction (with the `f32 → f64` copy-in), the tridiagonal's
+/// eigenvectors (divide and conquer, or the QL iteration and its
+/// rotations), the back-transform (the blocked reflectors, or the
+/// accumulated transform), sorted transpose-out.
 #[doc(hidden)]
-pub const PHASES: [&str; 5] = ["reduce", "accumulate", "iterate", "rotate", "out"];
+pub const PHASES: [&str; 4] = ["reduce", "tridiagonal", "back_transform", "out"];
 
 /// [`eigh_tridiag`] with the nanoseconds each of [`PHASES`] took: the
 /// layer under `kfac.eig_comp_ms`, for `xp bench-eig` only.
@@ -142,9 +169,8 @@ pub fn eigh_tridiag_phases(
 #[derive(Clone, Copy)]
 enum Phase {
     Reduce,
-    Accumulate,
-    Iterate,
-    Rotate,
+    Tridiagonal,
+    BackTransform,
     Out,
 }
 
@@ -192,7 +218,9 @@ impl Isa {
             if n >= WIDE_MIN_DIM && std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 return Isa::Avx2;
             }
         }
@@ -209,11 +237,13 @@ macro_rules! on_isa {
     ($isa:expr, $body:ident($($arg:ident: $ty:ty),*)) => {{
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
+        #[allow(clippy::too_many_arguments)]
         unsafe fn avx512($($arg: $ty),*) {
             $body::<std::arch::x86_64::__m512d>($($arg),*)
         }
         #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
+        #[allow(clippy::too_many_arguments)]
         unsafe fn avx2($($arg: $ty),*) {
             $body::<[std::arch::x86_64::__m256d; 2]>($($arg),*)
         }
@@ -226,8 +256,11 @@ macro_rules! on_isa {
             }
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => {
-                assert!(std::arch::is_x86_feature_detected!("avx2"));
-                // SAFETY: the CPU reports AVX2, checked on the line above.
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
+                );
+                // SAFETY: the CPU reports AVX2 and FMA, checked on the line above.
                 unsafe { avx2($($arg),*) }
             }
             // SAFETY: the portable line asks nothing of the CPU.
@@ -235,6 +268,8 @@ macro_rules! on_isa {
         }
     }};
 }
+
+mod dc;
 
 fn solve<C: Clock>(a: &Matrix, isa: Isa, clock: &mut C) -> Result<EigenDecomposition, LinAlgError> {
     assert!(a.is_square(), "eigh_tridiag requires a square matrix");
@@ -246,25 +281,45 @@ fn solve<C: Clock>(a: &Matrix, isa: Isa, clock: &mut C) -> Result<EigenDecomposi
             eigenvectors: Matrix::zeros(0, 0),
         });
     }
+    decompose(a, isa, clock, |rows, ld, d, order| {
+        sorted_output(rows, ld, n, d, order)
+    })
+}
 
-    // One buffer: Zᵀ (n rows of `ld`, the first on a cache line), the
-    // rotation panel if Zᵀ is more than one, diagonal, sub-diagonal, sort
-    // order, and a batch of rotations.
+/// The decomposition in `f64`: `finish` gets the eigenvectors as rows of
+/// stride `ld`, their eigenvalues (unsorted) and an `n`-long scratch, and
+/// its result is returned once the workspace is recycled.
+fn decompose<C: Clock, R>(
+    a: &Matrix,
+    isa: Isa,
+    clock: &mut C,
+    finish: impl FnOnce(&[f64], usize, &[f64], &mut [f64]) -> R,
+) -> Result<R, LinAlgError> {
+    // One buffer: the working matrix (n rows of `ld`, the first on a cache
+    // line), then per route its matrices, then the diagonal, sub-diagonal
+    // and sort order.
+    let n = a.rows();
     let ld = n.next_multiple_of(LINE);
-    let (panel_len, rot_len) = if 8 * n * ld <= PANEL_BYTES {
-        (0, 2 * n * SWEEPS_IN_PLACE)
+    let by_dc = n >= DC_MIN_DIM;
+    // Eigenvector rows of the divide and conquer, with a line of slack for
+    // its products' last line; the scratch it shares with the
+    // back-transform.
+    let lds = ld + LINE;
+    let shared = back_transform_len(ld)
+        .max(dc::gather_len(n))
+        .next_multiple_of(LINE);
+    let route = if by_dc {
+        n * lds + shared + dc::Work::len(n) + n
     } else {
-        let width = (PANEL_BYTES / 8 / n / LINE).max(1) * LINE;
-        (n * width, 2 * n * SWEEPS_PER_BATCH)
+        2 * n * SWEEPS_IN_PLACE
     };
-    let mut ws = arena::take_f64(LINE - 1 + n * ld + panel_len + 3 * n + rot_len);
+    let mut ws = arena::take_f64(LINE - 1 + n * ld + route + 3 * n);
     let skew = ws.as_ptr().align_offset(8 * LINE).min(LINE - 1);
     let (z, rest) = ws[skew..].split_at_mut(n * ld);
-    let (panel, rest) = rest.split_at_mut(panel_len);
-    let (d, rest) = rest.split_at_mut(n);
-    let (e, rest) = rest.split_at_mut(n);
-    let (order, rest) = rest.split_at_mut(n);
-    let rot = &mut rest[..rot_len];
+    let (rest, vectors) = rest.split_at_mut(route);
+    let (d, vectors) = vectors.split_at_mut(n);
+    let (e, order) = vectors.split_at_mut(n);
+    let order = &mut order[..n];
     for (dst, src) in z.chunks_exact_mut(ld).zip(a.as_slice().chunks_exact(n)) {
         let (dst, pad) = dst.split_at_mut(n);
         for (x, &v) in dst.iter_mut().zip(src) {
@@ -275,15 +330,31 @@ fn solve<C: Clock>(a: &Matrix, isa: Isa, clock: &mut C) -> Result<EigenDecomposi
 
     tridiagonalize(isa, z, ld, n, d, e);
     clock.lap(Phase::Reduce);
-    accumulate_transposed(isa, z, ld, n, d);
-    clock.lap(Phase::Accumulate);
-    let converged = ql_implicit(n, d, e, rot, |batch| {
-        clock.lap(Phase::Iterate);
-        rotate_rows(isa, z, ld, batch, panel);
-        clock.lap(Phase::Rotate);
-    });
-    clock.lap(Phase::Iterate);
-    let result = converged.map(|()| sorted_output(z, ld, n, d, order));
+    let result = if by_dc {
+        let (s, rest) = rest.split_at_mut(n * lds);
+        let (shared, rest) = rest.split_at_mut(shared);
+        let (h, rest) = rest.split_at_mut(n);
+        h.copy_from_slice(d);
+        for (i, di) in d.iter_mut().enumerate() {
+            *di = z[i * ld + i];
+        }
+        let solved = {
+            let mut work = dc::Work::carve(rest, shared, n);
+            dc::tridiagonal_eigenvectors(isa, d, e, s, lds, &mut work)
+        };
+        clock.lap(Phase::Tridiagonal);
+        solved.map(|()| {
+            back_transform(isa, z, ld, h, s, lds, shared);
+            clock.lap(Phase::BackTransform);
+            finish(s, lds, d, order)
+        })
+    } else {
+        accumulate_transposed(isa, z, ld, n, d);
+        clock.lap(Phase::BackTransform);
+        let converged = ql_implicit(n, d, e, rest, |batch| rotate_rows(isa, z, ld, batch));
+        clock.lap(Phase::Tridiagonal);
+        converged.map(|()| finish(z, ld, d, order))
+    };
     clock.lap(Phase::Out);
     arena::recycle_f64(ws);
     result
@@ -291,16 +362,17 @@ fn solve<C: Clock>(a: &Matrix, isa: Isa, clock: &mut C) -> Result<EigenDecomposi
 
 /// One cache line of `f64`s held in the widest registers an instruction
 /// set has: the unit every blocked loop below is written in. Each
-/// operation is the plain IEEE one on all eight lanes — a separate multiply
-/// and add, never a fused one — so the implementations are interchangeable
-/// bit for bit and the portable one is the definition.
+/// operation is one correctly rounded IEEE 754 operation on all eight
+/// lanes — multiply, add, subtract, and the *fused* multiply-add — so the
+/// implementations are interchangeable bit for bit and the portable one
+/// is the definition.
 ///
 /// # Safety
 /// Every method runs instructions of the implementing type's instruction
-/// set without checking for it (`__m512d`: AVX-512F, `[__m256d; 2]`: AVX,
-/// `[f64; LINE]`: none), so the caller must know the CPU has it. The loops
-/// generic over `Line` are `unsafe fn`s that pass the obligation up to
-/// [`on_isa!`], which checks.
+/// set without checking for it (`__m512d`: AVX-512F, `[__m256d; 2]`: AVX2
+/// and FMA, `[f64; LINE]`: none), so the caller must know the CPU has it.
+/// The loops generic over `Line` are `unsafe fn`s that pass the
+/// obligation up to [`on_isa!`], which checks.
 trait Line: Copy {
     /// The first [`LINE`] elements of `x`.
     unsafe fn load(x: &[f64]) -> Self;
@@ -310,6 +382,8 @@ trait Line: Copy {
     unsafe fn mul(self, other: Self) -> Self;
     unsafe fn add(self, other: Self) -> Self;
     unsafe fn sub(self, other: Self) -> Self;
+    /// `self · a + b`, rounded once.
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self;
     unsafe fn lanes(self) -> [f64; LINE];
 }
 
@@ -344,6 +418,13 @@ impl Line for [f64; LINE] {
     unsafe fn sub(mut self, other: Self) -> Self {
         for l in 0..LINE {
             self[l] -= other[l];
+        }
+        self
+    }
+    #[inline(always)]
+    unsafe fn mul_add(mut self, a: Self, b: Self) -> Self {
+        for l in 0..LINE {
+            self[l] = self[l].mul_add(a[l], b[l]);
         }
         self
     }
@@ -384,6 +465,10 @@ mod x86 {
         #[inline(always)]
         unsafe fn sub(self, other: Self) -> Self {
             _mm512_sub_pd(self, other)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm512_fmadd_pd(self, a, b)
         }
         #[inline(always)]
         unsafe fn lanes(self) -> [f64; LINE] {
@@ -430,6 +515,13 @@ mod x86 {
             [
                 _mm256_sub_pd(self[0], other[0]),
                 _mm256_sub_pd(self[1], other[1]),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            [
+                _mm256_fmadd_pd(self[0], a[0], b[0]),
+                _mm256_fmadd_pd(self[1], a[1], b[1]),
             ]
         }
         #[inline(always)]
@@ -781,30 +873,6 @@ fn ql_implicit(
     Ok(())
 }
 
-/// Apply recorded QL sweeps to `Zᵀ` one column panel (whole cache lines
-/// wide) at a time: each is gathered into the contiguous `panel` scratch,
-/// takes the whole batch while it sits in L2, and is scattered back. A
-/// matrix that fits one panel (`panel` is then empty) is rotated where it
-/// lies.
-fn rotate_rows(isa: Isa, z: &mut [f64], ld: usize, rot: &[f64], panel: &mut [f64]) {
-    if panel.is_empty() {
-        return rotate_panel(isa, z, ld, rot);
-    }
-    let n = z.len() / ld;
-    let width = panel.len() / n;
-    for p0 in (0..ld).step_by(width) {
-        let w = width.min(ld - p0);
-        let panel = &mut panel[..n * w];
-        for (dst, src) in panel.chunks_exact_mut(w).zip(z.chunks_exact(ld)) {
-            dst.copy_from_slice(&src[p0..p0 + w]);
-        }
-        rotate_panel(isa, panel, w, rot);
-        for (src, dst) in panel.chunks_exact(w).zip(z.chunks_exact_mut(ld)) {
-            dst[p0..p0 + w].copy_from_slice(src);
-        }
-    }
-}
-
 /// The sweeps of `rot` on a row-major matrix of row length `w` (a
 /// multiple of [`LINE`]): the rotation of eigenvectors `i`, `i+1` mixes
 /// rows `i`, `i+1`. [`WAVE`] sweeps at a time, as a wavefront: at step `r`
@@ -815,8 +883,8 @@ fn rotate_rows(isa: Isa, z: &mut [f64], ld: usize, rot: &[f64], panel: &mut [f64
 /// disjoint row pairs — so every element sees its rotations in the
 /// recorded order, and a row crosses the load/store ports once per
 /// [`WAVE`] rotations.
-fn rotate_panel(isa: Isa, z: &mut [f64], w: usize, rot: &[f64]) {
-    on_isa!(isa, rotate_panel_body(z: &mut [f64], w: usize, rot: &[f64]))
+fn rotate_rows(isa: Isa, z: &mut [f64], w: usize, rot: &[f64]) {
+    on_isa!(isa, rotate_rows_body(z: &mut [f64], w: usize, rot: &[f64]))
 }
 
 /// One recorded sweep: rotations `last − 1, …, first` in that order, the
@@ -829,7 +897,7 @@ struct Sweep {
 }
 
 #[inline(always)]
-unsafe fn rotate_panel_body<V: Line>(z: &mut [f64], w: usize, rot: &[f64]) {
+unsafe fn rotate_rows_body<V: Line>(z: &mut [f64], w: usize, rot: &[f64]) {
     debug_assert!(w.is_multiple_of(LINE));
     let mut at = 0usize;
     while at < rot.len() {
@@ -946,6 +1014,205 @@ unsafe fn wavefront<V: Line>(
     }
     for j in 1..2 * WAVE {
         win[j / 2][j % 2].store(&mut z[(lo + j - 1) * w + c0..]);
+    }
+}
+
+/// `C ← A·B`, or `C ← C + A·B` with `accumulate`, on row-major views: `C`
+/// is `rows × cols` at stride `ldc`, `A` is `rows × depth` at `lda`, `B` is
+/// `depth × cols` at `ldb`, and `cols` is whole lines. Each element of `C`
+/// is one chain of fused multiply-adds over ascending depth, from zero or
+/// from its old value; the tiles decide how many chains run at once, not
+/// one operation of any of them.
+#[allow(clippy::too_many_arguments)]
+fn product(
+    isa: Isa,
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    rows: usize,
+    depth: usize,
+    cols: usize,
+    accumulate: bool,
+) {
+    on_isa!(
+        isa,
+        product_body(
+            c: &mut [f64],
+            ldc: usize,
+            a: &[f64],
+            lda: usize,
+            b: &[f64],
+            ldb: usize,
+            rows: usize,
+            depth: usize,
+            cols: usize,
+            accumulate: bool
+        )
+    )
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn product_body<V: Line>(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    rows: usize,
+    depth: usize,
+    cols: usize,
+    accumulate: bool,
+) {
+    debug_assert!(cols.is_multiple_of(LINE));
+    let (tall, wide) = (rows - rows % TILE_ROWS, cols - cols % (TILE_LINES * LINE));
+    let at = |i0, j0| Tile {
+        i0,
+        j0,
+        depth,
+        accumulate,
+    };
+    for i0 in (0..tall).step_by(TILE_ROWS) {
+        for j0 in (0..wide).step_by(TILE_LINES * LINE) {
+            tile::<V, TILE_ROWS, TILE_LINES>(c, ldc, a, lda, b, ldb, at(i0, j0));
+        }
+        for j0 in (wide..cols).step_by(LINE) {
+            tile::<V, TILE_ROWS, 1>(c, ldc, a, lda, b, ldb, at(i0, j0));
+        }
+    }
+    for i0 in tall..rows {
+        for j0 in (0..wide).step_by(TILE_LINES * LINE) {
+            tile::<V, 1, TILE_LINES>(c, ldc, a, lda, b, ldb, at(i0, j0));
+        }
+        for j0 in (wide..cols).step_by(LINE) {
+            tile::<V, 1, 1>(c, ldc, a, lda, b, ldb, at(i0, j0));
+        }
+    }
+}
+
+/// Where one register tile of [`product`] sits, and what it sums.
+#[derive(Clone, Copy)]
+struct Tile {
+    i0: usize,
+    j0: usize,
+    depth: usize,
+    accumulate: bool,
+}
+
+/// Rows `i0..i0 + R`, lines `j0..j0 + L·LINE` of [`product`]'s `C`, held
+/// in registers across the whole depth: per step `L` lines of `B` and `R`
+/// broadcasts of `A` feed `R·L` fused multiply-adds.
+#[inline(always)]
+unsafe fn tile<V: Line, const R: usize, const L: usize>(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    t: Tile,
+) {
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[(t.i0 + r) * lda..][..t.depth]);
+    let mut acc = [[V::splat(0.0); L]; R];
+    if t.accumulate {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            for (l, x) in acc.iter_mut().enumerate() {
+                *x = V::load(&c[(t.i0 + r) * ldc + t.j0 + l * LINE..]);
+            }
+        }
+    }
+    for p in 0..t.depth {
+        let b_row = &b[p * ldb + t.j0..][..L * LINE];
+        let bv: [V; L] = std::array::from_fn(|l| V::load(&b_row[l * LINE..]));
+        for r in 0..R {
+            let av = V::splat(a_rows[r][p]);
+            for l in 0..L {
+                acc[r][l] = av.mul_add(bv[l], acc[r][l]);
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (l, x) in acc.iter().enumerate() {
+            x.store(&mut c[(t.i0 + r) * ldc + t.j0 + l * LINE..]);
+        }
+    }
+}
+
+/// `f64`s [`back_transform`] needs beside its operands.
+fn back_transform_len(ld: usize) -> usize {
+    REFLECTOR_BLOCK * (3 * ld + 2 * REFLECTOR_BLOCK + PANEL_ROWS)
+}
+
+/// Eigenvectors of `A` from its tridiagonal's: the `n` rows of `s`
+/// (stride `lds`) times `H₁H₂⋯Hₙ₋₁`, the reflectors `tridiagonalize` left
+/// in `z` and their `h` (0 for a skipped step). [`REFLECTOR_BLOCK`]
+/// consecutive reflectors are one `I − V T Vᵀ` (`T` upper triangular,
+/// LAPACK's `dlarft` forward), applied to [`PANEL_ROWS`] rows at a time
+/// as three [`product`]s: `W = S·V`, `W ← −W·T`, `S += W·Vᵀ`.
+fn back_transform(
+    isa: Isa,
+    z: &[f64],
+    ld: usize,
+    h: &[f64],
+    s: &mut [f64],
+    lds: usize,
+    ws: &mut [f64],
+) {
+    const B: usize = REFLECTOR_BLOCK;
+    let n = h.len();
+    let (vt, rest) = ws.split_at_mut(B * ld);
+    let (v, rest) = rest.split_at_mut(ld * B);
+    let (gram, rest) = rest.split_at_mut(B * B);
+    let (t, rest) = rest.split_at_mut(B * B);
+    let (tv, rest) = rest.split_at_mut(B * ld);
+    let w = &mut rest[..PANEL_ROWS * B];
+    // Reflector `i` reaches columns `..i`; step 1 is always skipped.
+    for i0 in (1..n).step_by(B) {
+        let kb = B.min(n - i0);
+        let m = i0 + kb - 1;
+        let ml = m.next_multiple_of(LINE);
+        // Vᵀ: the reflectors as rows, zero past their own length and for
+        // a skipped step; V: the same, transposed, zero past `kb`.
+        for (j, row) in vt.chunks_exact_mut(ld).take(kb).enumerate() {
+            let i = i0 + j;
+            row[..ml].fill(0.0);
+            if h[i] != 0.0 {
+                row[..i].copy_from_slice(&z[i * ld..][..i]);
+            }
+        }
+        for (p, row) in v.chunks_exact_mut(B).take(m).enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = if j < kb { vt[j * ld + p] } else { 0.0 };
+            }
+        }
+        // T: τⱼ = 1/hⱼ on the diagonal, column j above it −τⱼ T (Vᵀvⱼ);
+        // stored negated, as the middle product wants it.
+        product(isa, gram, B, vt, ld, v, B, kb, m, B, false);
+        t.fill(0.0);
+        for j in 0..kb {
+            let tau = if h[i0 + j] == 0.0 {
+                0.0
+            } else {
+                1.0 / h[i0 + j]
+            };
+            for r in 0..j {
+                let sum = (r..j).fold(0.0, |sum, q| sum + t[r * B + q] * gram[q * B + j]);
+                t[r * B + j] = -tau * sum;
+            }
+            t[j * B + j] = tau;
+        }
+        t.iter_mut().for_each(|x| *x = -*x);
+        product(isa, tv, ld, t, B, vt, ld, kb, kb, ml, false);
+        for r0 in (0..n).step_by(PANEL_ROWS) {
+            let rows = PANEL_ROWS.min(n - r0);
+            let panel = &mut s[r0 * lds..];
+            product(isa, w, B, panel, lds, v, B, rows, m, B, false);
+            product(isa, panel, lds, w, B, tv, ld, rows, kb, ml, true);
+        }
     }
 }
 
@@ -1079,7 +1346,7 @@ mod oracle {
         }
     }
 
-    pub fn rotate_panel(z: &mut [f64], w: usize, rot: &[f64]) {
+    pub fn rotate_rows(z: &mut [f64], w: usize, rot: &[f64]) {
         let mut at = 0usize;
         while at < rot.len() {
             let (first, last) = (rot[at] as usize, rot[at + 1] as usize);
@@ -1097,15 +1364,29 @@ mod oracle {
         }
     }
 
+    /// The reduction's output: each row's lower triangle and diagonal,
+    /// then `h` and the sub-diagonal (index 0 of both is never written).
+    pub fn reduced(a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let mut z: Vec<f64> = a.as_slice().iter().map(|&v| f64::from(v)).collect();
+        let (mut d, mut e) = (vec![0.0; n], vec![0.0; n]);
+        tridiagonalize(&mut z, n, &mut d, &mut e);
+        let triangle = (0..n).flat_map(|i| z[i * n..=i * n + i].to_vec());
+        triangle
+            .chain(d.into_iter().skip(1))
+            .chain(e.into_iter().skip(1))
+            .collect()
+    }
+
     pub fn eigh_tridiag(a: &Matrix) -> Result<EigenDecomposition, LinAlgError> {
         let n = a.rows();
         let mut z: Vec<f64> = a.as_slice().iter().map(|&v| f64::from(v)).collect();
         let (mut d, mut e, mut order) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut rot = vec![0.0; 2 * n * SWEEPS_PER_BATCH];
+        let mut rot = vec![0.0; 2 * n * SWEEPS_IN_PLACE];
         tridiagonalize(&mut z, n, &mut d, &mut e);
         accumulate_transposed(&mut z, n, &mut d);
         ql_implicit(n, &mut d, &mut e, &mut rot, |batch| {
-            rotate_panel(&mut z, n, batch)
+            rotate_rows(&mut z, n, batch)
         })?;
         Ok(sorted_output(&z, n, n, &d, &mut order))
     }
@@ -1163,15 +1444,21 @@ mod tests {
         BlockDiagonal,
         /// A diagonal with one tiny off-diagonal pair.
         NearDiagonal,
+        /// Two eigenvalue clusters, 1 and 2, each spread by 10⁻⁶.
+        Clustered,
+        /// SPD, eigenvalues graded from 1 down to about 10⁻¹⁰.
+        Graded,
     }
 
-    const KINDS: [Kind; 6] = [
+    const KINDS: [Kind; 8] = [
         Kind::Symmetric,
         Kind::DecayingSpd,
         Kind::RankDeficient,
         Kind::Identity,
         Kind::BlockDiagonal,
         Kind::NearDiagonal,
+        Kind::Clustered,
+        Kind::Graded,
     ];
 
     fn sample(kind: Kind, n: usize, rng: &mut Rng64) -> Matrix {
@@ -1219,6 +1506,25 @@ mod tests {
                 }
                 a
             }
+            Kind::Clustered => {
+                let mut a = random_symmetric(n, rng);
+                a.scale(1e-6);
+                for i in 0..n {
+                    a[(i, i)] += if i < n / 2 { 1.0 } else { 2.0 };
+                }
+                a
+            }
+            Kind::Graded => {
+                let mut x = normal(2 * n, rng);
+                for i in 0..2 * n {
+                    for (j, v) in x.row_mut(i).iter_mut().enumerate() {
+                        *v *= 10f32.powf(-5.0 * j as f32 / n as f32);
+                    }
+                }
+                let mut a = x.gram();
+                a.scale(1.0 / (2 * n) as f32);
+                a
+            }
         }
     }
 
@@ -1236,30 +1542,154 @@ mod tests {
         );
     }
 
+    /// `tridiagonalize`'s output in [`oracle::reduced`]'s order.
+    fn reduced(a: &Matrix, isa: Isa) -> Vec<f64> {
+        let n = a.rows();
+        let ld = n.next_multiple_of(LINE);
+        let mut z = vec![0.0; n * ld];
+        for (dst, src) in z.chunks_exact_mut(ld).zip(a.as_slice().chunks_exact(n)) {
+            dst.iter_mut()
+                .zip(src)
+                .for_each(|(x, &v)| *x = f64::from(v));
+        }
+        let (mut d, mut e) = (vec![0.0; n], vec![0.0; n]);
+        tridiagonalize(isa, &mut z, ld, n, &mut d, &mut e);
+        let triangle = (0..n).flat_map(|i| z[i * ld..=i * ld + i].to_vec());
+        triangle
+            .chain(d.into_iter().skip(1))
+            .chain(e.into_iter().skip(1))
+            .collect()
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// The blocked kernels change how often a row crosses the load/store
     /// ports, not one operation on one element: on every instruction set,
     /// at sizes on both sides of every blocking boundary (four rows, a
-    /// line, a lane group, a wave, one panel), the output is the
-    /// one-at-a-time solver's to the last bit.
+    /// line, a lane group, a wave), the reduction is the one-at-a-time
+    /// loop's to the last bit, and so is the whole solve below
+    /// [`DC_MIN_DIM`].
     #[test]
     fn every_path_matches_the_one_at_a_time_oracle_bit_for_bit() {
-        let multi_panel = (1..).find(|&n: &usize| 8 * n * n.next_multiple_of(LINE) > PANEL_BYTES);
-        let mut sizes = vec![
-            1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 144, 145, 288, 289, 512,
-            576, 577,
+        let sizes = [
+            1,
+            2,
+            3,
+            4,
+            5,
+            7,
+            8,
+            9,
+            15,
+            16,
+            17,
+            31,
+            32,
+            33,
+            63,
+            64,
+            65,
+            DC_MIN_DIM - 1,
+            144,
+            145,
+            288,
+            289,
+            512,
+            576,
+            577,
         ];
-        sizes.push(multi_panel.expect("some size needs two panels"));
         let mut rng = Rng64::new(54);
         for n in sizes {
             for kind in KINDS {
                 let a = sample(kind, n, &mut rng);
-                let want = oracle::eigh_tridiag(&a).expect("oracle converges");
+                let want = bits(&oracle::reduced(&a));
                 for isa in isas() {
-                    let got = solve(&a, isa, &mut ()).expect("converges");
-                    assert_same_bits(&got, &want, &format!("n={n} {kind:?} {isa:?}"));
+                    let what = format!("n={n} {kind:?} {isa:?}");
+                    assert_eq!(bits(&reduced(&a, isa)), want, "reduction, {what}");
+                }
+                if n < DC_MIN_DIM {
+                    let want = oracle::eigh_tridiag(&a).expect("oracle converges");
+                    for isa in isas() {
+                        let got = solve(&a, isa, &mut ()).expect("converges");
+                        assert_same_bits(&got, &want, &format!("n={n} {kind:?} {isa:?}"));
+                    }
                 }
             }
         }
+    }
+
+    /// Both routes, on every spectrum shape — exact splits, repeated and
+    /// clustered eigenvalues, rank-deficient Grams, a graded spectrum —
+    /// at sizes around a divide-and-conquer leaf, the crossover and the
+    /// benchmark's largest: in `f64`, before rounding,
+    /// `‖A qⱼ − λⱼ qⱼ‖₂ ≤ c·n·ε·‖A‖_F` and `|QᵀQ − I| ≤ c·n·ε`, and every
+    /// instruction set returns the same bits.
+    #[test]
+    fn both_routes_are_accurate_to_working_precision_on_every_isa() {
+        const C: f64 = 2.0;
+        let leaf = dc::LEAF;
+        let sizes = [
+            1,
+            2,
+            leaf - 1,
+            leaf + 1,
+            DC_MIN_DIM - 1,
+            DC_MIN_DIM,
+            DC_MIN_DIM + 1,
+            577,
+        ];
+        let mut rng = Rng64::new(58);
+        for n in sizes {
+            for kind in KINDS {
+                let a = sample(kind, n, &mut rng);
+                let what = format!("n={n} {kind:?}");
+                let runs: Vec<Vec<f64>> = isas()
+                    .into_iter()
+                    .map(|isa| {
+                        decompose(&a, isa, &mut (), |rows, ld, d, _| {
+                            let rows = rows.chunks_exact(ld).flat_map(|r| r[..n].to_vec());
+                            d.iter().copied().chain(rows).collect()
+                        })
+                        .unwrap_or_else(|err| panic!("{what}: {err}"))
+                    })
+                    .collect();
+                for run in &runs[1..] {
+                    assert_eq!(bits(run), bits(&runs[0]), "{what}: instruction sets differ");
+                }
+                let (lam, q) = runs[0].split_at(n);
+                let a64: Vec<f64> = a.as_slice().iter().map(|&v| f64::from(v)).collect();
+                let norm = a64.iter().map(|v| v * v).sum::<f64>().sqrt();
+                let eps = C * n as f64 * f64::EPSILON;
+                let (mut residual, mut orth) = (0.0f64, 0.0f64);
+                for (j, qj) in q.chunks_exact(n).enumerate() {
+                    let r2: f64 = a64
+                        .chunks_exact(n)
+                        .zip(qj)
+                        .map(|(row, &qi)| {
+                            let aq: f64 = row.iter().zip(qj).map(|(x, y)| x * y).sum();
+                            (aq - lam[j] * qi).powi(2)
+                        })
+                        .sum();
+                    residual = residual.max(r2.sqrt());
+                    for (k, qk) in q.chunks_exact(n).enumerate().skip(j) {
+                        let dot: f64 = qj.iter().zip(qk).map(|(x, y)| x * y).sum();
+                        orth = orth.max((dot - if j == k { 1.0 } else { 0.0 }).abs());
+                    }
+                }
+                assert!(
+                    residual <= eps * norm,
+                    "{what}: residual {:e}",
+                    residual / norm
+                );
+                assert!(orth <= eps, "{what}: orthogonality {orth:e}");
+            }
+        }
+        assert!(eigh_tridiag(&Matrix::zeros(0, 0))
+            .unwrap()
+            .eigenvalues
+            .is_empty());
     }
 
     /// Hand-built batches the QL iteration rarely or never produces, on
@@ -1301,10 +1731,10 @@ mod tests {
                 z[row * w..(row + 1) * w].fill(-0.0);
             }
             let mut want = z.clone();
-            oracle::rotate_panel(&mut want, w, &rot);
+            oracle::rotate_rows(&mut want, w, &rot);
             for isa in isas() {
                 let mut got = z.clone();
-                rotate_panel(isa, &mut got, w, &rot);
+                rotate_rows(isa, &mut got, w, &rot);
                 let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{name} {isa:?}");
             }
@@ -1439,8 +1869,8 @@ mod tests {
         let mut by_sweep = z;
         let mut rot = [f64::NAN; 64];
         ql_implicit(3, &mut d, &mut e, &mut rot, |batch| {
-            rotate_rows(Isa::for_dim(3), &mut z, LINE, batch, &mut []);
-            oracle::rotate_panel(&mut by_sweep, LINE, batch);
+            rotate_rows(Isa::for_dim(3), &mut z, LINE, batch);
+            oracle::rotate_rows(&mut by_sweep, LINE, batch);
         })
         .expect("converges after restart");
         // The first sweep targets eigenvalue 0 over rows 0..=2; the
