@@ -46,8 +46,9 @@ pub enum ReduceOp {
 /// until every rank in the group has made the matching call.
 ///
 /// `Sync` is required so a rank's handle can be shared with that rank's
-/// execution-engine workers (the dedicated comm worker issues collectives
-/// from its own thread); collectives already take `&self`.
+/// bucketed gradient-exchange thread, which issues collectives while
+/// backward runs on the rank's own thread; collectives already take
+/// `&self`.
 pub trait Communicator: Send + Sync {
     /// This worker's rank in `0..size()`.
     fn rank(&self) -> usize;

@@ -4,47 +4,42 @@
 //! messages, and transient link failures are routine; follow-up work on
 //! distributed K-FAC (Zhang et al. 2022, Shi et al. 2021) notes that
 //! overlapped comm/compute pipelines amplify the blast radius of a single
-//! slow collective. This module makes those failures *injectable and
-//! reproducible* so the degradation paths in `core`/`harness` can be
-//! exercised deterministically:
+//! slow collective. An iteration is a fixed sequence of collectives, so
+//! *where* in that sequence a fault lands decides the outcome. This module
+//! places faults there:
 //!
-//! * [`FaultPlan`] — a seeded, stateless schedule mapping every logical
-//!   collective index to "no fault" or one [`FaultKind`]. Decisions are
-//!   pure hashes of `(seed, op_index)`, so two plans built from the same
-//!   [`FaultPlanConfig`] produce byte-identical schedules regardless of
-//!   query order.
-//! * [`FaultyCommunicator`] — wraps any [`Communicator`] and consults the
-//!   plan before each collective. Every rank's wrapper advances its own
-//!   op cursor in lockstep (ranks issue identical call sequences — the
-//!   MPI contract), so a fault decision is *global*: all ranks fail, or
-//!   none do, and the group's collective sequence never desynchronizes.
+//! * [`FaultPlan`] — a list of placed [`Fault`]s. A fault hits the
+//!   `attempt`-th attempt (counted from 0, retries included) of one
+//!   [`TrafficClass`], identically on every rank.
+//! * [`FaultyCommunicator`] — wraps any [`Communicator`] and keeps one
+//!   attempt counter per class. Ranks issue identical call sequences (the
+//!   MPI contract), so every rank's counters agree and a fault is
+//!   *global*: all ranks fail, or none do, and the group's collective
+//!   sequence never desynchronizes. Because each class counts on its own,
+//!   a Factor or Eigen position does not move when the gradient schedule
+//!   changes the number of Gradient buckets.
 //!
 //! ## Fault semantics
 //!
-//! Faults occupy *windows* of consecutive op indexes; each attempt
-//! (including each retry) consumes one index on every rank. A
-//! [`FaultKind::Transient`] window shorter than the retry budget is
-//! healed by [`crate::RetryPolicy`]; a [`FaultKind::Timeout`] window
-//! longer than the budget forces the caller onto its degradation path
-//! (stale factors, skipped step). [`FaultKind::Delay`] makes only the
-//! culprit rank sleep — the others block in the collective, which is
-//! exactly a straggler. [`FaultKind::Corrupt`] models corruption caught
-//! by a transport checksum (the attempt fails, source data intact);
-//! [`FaultKind::BitFlip`] models *silent* corruption — the collective
-//! succeeds but one word of the result has one exponent bit flipped,
-//! identically on every rank, so downstream finiteness/norm guards are
-//! what must catch it.
-//!
-//! Rank loss is configured explicitly ([`FaultPlanConfig::rank_loss_at`])
-//! rather than drawn, so tests can place it precisely; from that index
-//! on, every targeted collective fails with
-//! [`CollectiveError::RankFailed`] and the caller must checkpoint-restore.
+//! [`FaultKind::Delay`] makes only the culprit rank sleep — the others
+//! block in the collective, which is exactly a straggler. An
+//! [`FaultKind::Outage`] fails the attempts of its window with
+//! [`CollectiveError::Timeout`]: shorter than the retry budget it is
+//! healed by [`crate::RetryPolicy`], otherwise the caller degrades (stale
+//! factors, skipped step). [`FaultKind::Corrupt`] is corruption caught by
+//! a transport checksum (the attempt fails, source data intact);
+//! [`FaultKind::BitFlip`] is *silent* corruption — the collective succeeds
+//! but one bit of one result word flips, identically on every rank, so
+//! downstream finiteness/norm guards are what must catch it.
+//! [`FaultKind::RankLoss`] latches: from its attempt on, every collective
+//! of every class fails with [`CollectiveError::RankFailed`] and the
+//! caller must checkpoint-restore.
 
 use crate::communicator::{Communicator, ReduceOp};
 use crate::error::CollectiveError;
 use crate::traffic::{Traffic, TrafficClass};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,268 +50,85 @@ pub enum FaultKind {
         /// Sleep applied to the culprit rank.
         micros: u64,
     },
-    /// Short outage: attempts inside the window fail with
-    /// [`CollectiveError::Timeout`]; retries past the window succeed.
-    Transient {
-        /// Window length in op indexes.
-        ops: u32,
-    },
-    /// Long outage: like [`FaultKind::Transient`] but sized to outlast
-    /// any bounded retry budget, forcing graceful degradation.
-    Timeout {
-        /// Window length in op indexes.
-        ops: u32,
+    /// Outage: this many consecutive attempts of the class fail with
+    /// [`CollectiveError::Timeout`].
+    Outage {
+        /// Window length in attempts.
+        attempts: u32,
     },
     /// Corruption caught in flight (transport checksum): the attempt
     /// fails with [`CollectiveError::Corrupted`], source data intact.
     Corrupt,
-    /// Silent corruption: the collective succeeds but one exponent bit
-    /// of one result word is flipped, identically on every rank.
-    BitFlip,
-    /// The culprit rank is permanently gone; every targeted collective
-    /// from the loss index on fails with [`CollectiveError::RankFailed`].
+    /// Silent corruption: the collective succeeds but `bit` of result
+    /// word `word` flips, identically on every rank. The word is taken
+    /// modulo the buffer — for an allgather, modulo the culprit's
+    /// partition.
+    BitFlip {
+        /// Word index, taken modulo the corrupted buffer's length.
+        word: usize,
+        /// Bit of the `f32` to flip (23..=30 are the exponent).
+        bit: u32,
+    },
+    /// The culprit rank is permanently gone: this attempt and every later
+    /// collective of every class fail with [`CollectiveError::RankFailed`].
     RankLoss,
 }
 
-impl FaultKind {
-    /// How many consecutive op indexes the fault occupies.
-    fn window(&self) -> u64 {
-        match self {
-            FaultKind::Transient { ops } | FaultKind::Timeout { ops } => (*ops).max(1) as u64,
-            _ => 1,
-        }
-    }
-}
-
-/// A fault active at some op index.
+/// A fault placed on one attempt of one traffic class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActiveFault {
-    /// The op index at which the fault's window started.
-    pub started_at: u64,
-    /// The fault.
+pub struct Fault {
+    /// The traffic class whose attempts are counted.
+    pub class: TrafficClass,
+    /// The attempt the fault hits (its first, for an outage), counted
+    /// from 0 per class with retries included.
+    pub attempt: u64,
+    /// What happens there.
     pub kind: FaultKind,
-    /// Rank blamed for the fault (the straggler / the lost rank). For
-    /// global outcomes (timeouts, corruption) it is attribution only.
+    /// Rank blamed for the fault (the straggler, the corrupted partition,
+    /// the lost rank). For outages and caught corruption it is
+    /// attribution only.
     pub culprit: usize,
 }
 
-/// Probabilities and parameters from which a [`FaultPlan`] draws.
-///
-/// All probabilities are per *op index*; disabled kinds default to 0.
-#[derive(Debug, Clone)]
-pub struct FaultPlanConfig {
-    /// RNG seed; the entire schedule is a pure function of this.
-    pub seed: u64,
-    /// Probability an op index starts a straggler delay.
-    pub delay_prob: f64,
-    /// Straggler sleep in microseconds.
-    pub delay_micros: u64,
-    /// Probability an op index starts a transient outage window.
-    pub transient_prob: f64,
-    /// Transient window length (keep below the retry budget).
-    pub transient_ops: u32,
-    /// Probability an op index starts a long outage window.
-    pub timeout_prob: f64,
-    /// Long-outage window length (size above the retry budget).
-    pub timeout_ops: u32,
-    /// Probability of detected (checksummed) corruption.
-    pub corrupt_prob: f64,
-    /// Probability of silent bit-flip corruption.
-    pub bitflip_prob: f64,
-    /// Permanent rank loss at `(op_index, rank)`, if any.
-    pub rank_loss_at: Option<(u64, usize)>,
-    /// Traffic classes faults apply to. Collectives in other classes
-    /// (e.g. [`TrafficClass::Other`]: validation, model broadcast) pass
-    /// through untouched but still consume op indexes.
-    pub classes: Vec<TrafficClass>,
-}
-
-impl Default for FaultPlanConfig {
-    fn default() -> Self {
-        FaultPlanConfig {
-            seed: 0,
-            delay_prob: 0.0,
-            delay_micros: 200,
-            transient_prob: 0.0,
-            transient_ops: 2,
-            timeout_prob: 0.0,
-            timeout_ops: 8,
-            corrupt_prob: 0.0,
-            bitflip_prob: 0.0,
-            rank_loss_at: None,
-            classes: vec![
-                TrafficClass::Gradient,
-                TrafficClass::Factor,
-                TrafficClass::Eigen,
-            ],
-        }
+impl Fault {
+    fn covers(&self, class: TrafficClass, attempt: u64) -> bool {
+        let span = match self.kind {
+            FaultKind::Outage { attempts } => u64::from(attempts),
+            _ => 1,
+        };
+        self.class == class && (self.attempt..self.attempt + span).contains(&attempt)
     }
 }
 
-/// splitmix64-style stateless mixer: decision `lane` for op index `a`
-/// under `seed`. Pure, so schedules are order-independent.
-fn mix(seed: u64, a: u64, lane: u64) -> u64 {
-    let mut z =
-        seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lane.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Seeded, stateless fault schedule. See the [module docs](self).
-#[derive(Debug, Clone)]
+/// A list of placed faults. See the [module docs](self).
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    config: FaultPlanConfig,
-    world: usize,
-    /// Longest window any drawn fault can occupy; bounds the backward
-    /// scan in [`FaultPlan::fault_at`].
-    max_window: u64,
+    /// The faults; where two cover one attempt, the first listed wins.
+    faults: Vec<Fault>,
 }
 
 impl FaultPlan {
-    /// Build a plan for a `world`-rank group.
-    pub fn new(config: FaultPlanConfig, world: usize) -> Self {
-        assert!(world > 0, "fault plan needs at least one rank");
-        let max_window = [
-            1,
-            config.transient_ops.max(1) as u64,
-            config.timeout_ops.max(1) as u64,
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(1);
-        FaultPlan {
-            config,
-            world,
-            max_window,
-        }
+    /// A plan injecting exactly `faults`.
+    pub fn new(faults: Vec<Fault>) -> Self {
+        FaultPlan { faults }
     }
 
-    /// A plan that injects nothing (useful as a disabled default).
-    pub fn disabled(world: usize) -> Self {
-        FaultPlan::new(FaultPlanConfig::default(), world)
-    }
-
-    /// The configuration this plan draws from.
-    pub fn config(&self) -> &FaultPlanConfig {
-        &self.config
-    }
-
-    /// Does a fault window *start* at op index `i`? Pure hash draw.
-    fn draw_start(&self, i: u64) -> Option<(FaultKind, usize)> {
-        let c = &self.config;
-        let u = unit(mix(c.seed, i, 0));
-        let culprit = (mix(c.seed, i, 1) % self.world as u64) as usize;
-        let mut acc = c.delay_prob;
-        if u < acc {
-            return Some((
-                FaultKind::Delay {
-                    micros: c.delay_micros,
-                },
-                culprit,
-            ));
-        }
-        acc += c.transient_prob;
-        if u < acc {
-            return Some((
-                FaultKind::Transient {
-                    ops: c.transient_ops.max(1),
-                },
-                culprit,
-            ));
-        }
-        acc += c.timeout_prob;
-        if u < acc {
-            return Some((
-                FaultKind::Timeout {
-                    ops: c.timeout_ops.max(1),
-                },
-                culprit,
-            ));
-        }
-        acc += c.corrupt_prob;
-        if u < acc {
-            return Some((FaultKind::Corrupt, culprit));
-        }
-        acc += c.bitflip_prob;
-        if u < acc {
-            return Some((FaultKind::BitFlip, culprit));
-        }
-        None
-    }
-
-    /// The fault governing op index `i` for a collective of `class`, if
-    /// any. Rank loss dominates; otherwise the earliest window covering
-    /// `i` wins.
-    pub fn fault_at(&self, i: u64, class: TrafficClass) -> Option<ActiveFault> {
-        if !self.config.classes.contains(&class) {
-            return None;
-        }
-        if let Some((at, rank)) = self.config.rank_loss_at {
-            if i >= at {
-                return Some(ActiveFault {
-                    started_at: at,
-                    kind: FaultKind::RankLoss,
-                    culprit: rank,
-                });
-            }
-        }
-        let scan_from = i.saturating_sub(self.max_window.saturating_sub(1));
-        for start in scan_from..=i {
-            if let Some((kind, culprit)) = self.draw_start(start) {
-                if start + kind.window() > i {
-                    return Some(ActiveFault {
-                        started_at: start,
-                        kind,
-                        culprit,
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Render the first `n_ops` decisions for `class` as bytes — the
-    /// canonical form the determinism property tests compare.
-    pub fn schedule_bytes(&self, n_ops: u64, class: TrafficClass) -> Vec<u8> {
-        let mut out = String::new();
-        for i in 0..n_ops {
-            use std::fmt::Write;
-            let _ = writeln!(out, "{i}: {:?}", self.fault_at(i, class));
-        }
-        out.into_bytes()
-    }
-
-    /// Pick the word and exponent bit a [`FaultKind::BitFlip`] starting
-    /// at `started_at` flips in a `len`-word buffer. Deterministic, so
-    /// every rank corrupts the identical word the identical way.
-    fn bitflip_target(&self, started_at: u64, len: usize) -> Option<(usize, u32)> {
-        if len == 0 {
-            return None;
-        }
-        let word = (mix(self.config.seed, started_at, 2) % len as u64) as usize;
-        // Flip an exponent bit (23..=30): turns a well-scaled value into
-        // a huge-but-often-finite one, the nastiest case for guards that
-        // only check for NaN/inf.
-        let bit = 23 + (mix(self.config.seed, started_at, 3) % 8) as u32;
-        Some((word, bit))
+    /// The fault governing attempt `attempt` of `class`, if any.
+    fn fault_at(&self, class: TrafficClass, attempt: u64) -> Option<&Fault> {
+        self.faults.iter().find(|f| f.covers(class, attempt))
     }
 }
 
 /// A [`Communicator`] wrapper that injects the faults a [`FaultPlan`]
-/// schedules. See the [module docs](self) for the semantics.
-///
-/// Each collective attempt (including retries) consumes one op index
-/// from this rank's cursor; ranks issuing identical call sequences see
-/// identical indexes and therefore identical fault decisions.
+/// places. See the [module docs](self) for the semantics.
 pub struct FaultyCommunicator<C> {
     inner: C,
     plan: Arc<FaultPlan>,
-    cursor: AtomicU64,
+    /// Attempts issued so far, per [`TrafficClass`] (indexed by its
+    /// declaration order).
+    attempts: [AtomicU64; TrafficClass::Other as usize + 1],
+    /// The culprit of a [`FaultKind::RankLoss`] that has struck.
+    lost: OnceLock<usize>,
 }
 
 impl<C: Communicator> FaultyCommunicator<C> {
@@ -325,7 +137,8 @@ impl<C: Communicator> FaultyCommunicator<C> {
         FaultyCommunicator {
             inner,
             plan,
-            cursor: AtomicU64::new(0),
+            attempts: Default::default(),
+            lost: OnceLock::new(),
         }
     }
 
@@ -334,42 +147,49 @@ impl<C: Communicator> FaultyCommunicator<C> {
         &self.inner
     }
 
-    /// Number of collective attempts issued so far on this rank.
-    pub fn ops_issued(&self) -> u64 {
-        self.cursor.load(Ordering::SeqCst)
+    /// Attempts of `class` issued so far on this rank.
+    pub fn attempts(&self, class: TrafficClass) -> u64 {
+        self.attempts[class as usize].load(Ordering::SeqCst)
     }
 
-    /// Consume one op index and resolve this attempt's fate: `Ok(None)`
-    /// — run the collective clean; `Ok(Some(fault))` — run it, then
-    /// apply the fault's corruption; `Err` — the attempt fails without
-    /// touching the group (identically on every rank).
-    fn admit(&self, class: TrafficClass) -> Result<Option<ActiveFault>, CollectiveError> {
-        let index = self.cursor.fetch_add(1, Ordering::SeqCst);
-        match self.plan.fault_at(index, class) {
-            None => Ok(None),
-            Some(f) => match f.kind {
-                FaultKind::Delay { micros } => {
-                    if f.culprit == self.inner.rank() {
-                        std::thread::sleep(std::time::Duration::from_micros(micros));
-                    }
-                    Ok(None)
+    /// Count one attempt of `class` and resolve its fate: `Ok(None)` —
+    /// run the collective clean; `Ok(Some(fault))` — run it, then apply
+    /// the bit flip; `Err` — the attempt fails without touching the group
+    /// (identically on every rank).
+    fn admit(&self, class: TrafficClass) -> Result<Option<Fault>, CollectiveError> {
+        let attempt = self.attempts[class as usize].fetch_add(1, Ordering::SeqCst);
+        if let Some(&culprit) = self.lost.get() {
+            return Err(CollectiveError::RankFailed(culprit));
+        }
+        let Some(&fault) = self.plan.fault_at(class, attempt) else {
+            return Ok(None);
+        };
+        match fault.kind {
+            FaultKind::Delay { micros } => {
+                if fault.culprit == self.inner.rank() {
+                    std::thread::sleep(std::time::Duration::from_micros(micros));
                 }
-                FaultKind::Transient { .. } | FaultKind::Timeout { .. } => {
-                    Err(CollectiveError::Timeout {
-                        waited_ms: (index - f.started_at) + 1,
-                    })
-                }
-                FaultKind::Corrupt => Err(CollectiveError::Corrupted),
-                FaultKind::RankLoss => Err(CollectiveError::RankFailed(f.culprit)),
-                FaultKind::BitFlip => Ok(Some(f)),
-            },
+                Ok(None)
+            }
+            FaultKind::Outage { .. } => Err(CollectiveError::Timeout {
+                waited_ms: attempt - fault.attempt + 1,
+            }),
+            FaultKind::Corrupt => Err(CollectiveError::Corrupted),
+            FaultKind::RankLoss => {
+                let _ = self.lost.set(fault.culprit);
+                Err(CollectiveError::RankFailed(fault.culprit))
+            }
+            FaultKind::BitFlip { .. } => Ok(Some(fault)),
         }
     }
+}
 
-    fn flip_in(&self, fault: &ActiveFault, buf: &mut [f32]) {
-        if let Some((word, bit)) = self.plan.bitflip_target(fault.started_at, buf.len()) {
-            buf[word] = f32::from_bits(buf[word].to_bits() ^ (1 << bit));
-        }
+/// Apply a [`FaultKind::BitFlip`] to `buf` (an empty buffer has no word
+/// to flip).
+fn flip_in(fault: &Fault, buf: &mut [f32]) {
+    if let (FaultKind::BitFlip { word, bit }, false) = (fault.kind, buf.is_empty()) {
+        let w = &mut buf[word % buf.len()];
+        *w = f32::from_bits(w.to_bits() ^ (1 << bit));
     }
 }
 
@@ -391,7 +211,7 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         let fault = self.admit(class)?;
         self.inner.try_allreduce_tagged(buf, op, class)?;
         if let Some(f) = fault {
-            self.flip_in(&f, buf);
+            flip_in(&f, buf);
         }
         Ok(())
     }
@@ -404,11 +224,10 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         let fault = self.admit(class)?;
         let mut gathered = self.inner.try_allgather_tagged(payload, class)?;
         if let Some(f) = fault {
-            // Corrupt the culprit rank's partition (every rank applies
-            // the same flip to its own copy of the gathered result).
-            let part = f.culprit.min(gathered.len().saturating_sub(1));
-            if let Some(slice) = gathered.get_mut(part) {
-                self.flip_in(&f, slice);
+            // Every rank flips the same word of its own copy of the
+            // culprit's partition.
+            if let Some(part) = gathered.get_mut(f.culprit) {
+                flip_in(&f, part);
             }
         }
         Ok(gathered)
@@ -423,24 +242,14 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         let fault = self.admit(class)?;
         self.inner.try_broadcast_tagged(buf, root, class)?;
         if let Some(f) = fault {
-            self.flip_in(&f, buf);
+            flip_in(&f, buf);
         }
         Ok(())
     }
 
+    /// Barriers pass through uncounted: they carry no payload to corrupt
+    /// and have no error path to fail on.
     fn barrier(&self) {
-        // Barriers consume an index (keeping cursors aligned with the
-        // collective stream) but only straggler delays apply: a barrier
-        // carries no payload to corrupt and "failing" one has no
-        // degradation story.
-        let index = self.cursor.fetch_add(1, Ordering::SeqCst);
-        if let Some(f) = self.plan.fault_at(index, TrafficClass::Other) {
-            if let FaultKind::Delay { micros } = f.kind {
-                if f.culprit == self.inner.rank() {
-                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                }
-            }
-        }
         self.inner.barrier();
     }
 
@@ -456,120 +265,97 @@ mod tests {
     use crate::thread::ThreadComm;
     use std::thread;
 
-    fn chaos_config(seed: u64) -> FaultPlanConfig {
-        FaultPlanConfig {
-            seed,
-            delay_prob: 0.05,
-            transient_prob: 0.1,
-            timeout_prob: 0.02,
-            corrupt_prob: 0.05,
-            bitflip_prob: 0.02,
-            rank_loss_at: Some((1000, 1)),
-            ..FaultPlanConfig::default()
-        }
+    /// One fault on `class`'s attempt `attempt`, blaming `culprit`.
+    fn one(class: TrafficClass, attempt: u64, kind: FaultKind, culprit: usize) -> Arc<FaultPlan> {
+        Arc::new(FaultPlan::new(vec![Fault {
+            class,
+            attempt,
+            kind,
+            culprit,
+        }]))
     }
 
-    #[test]
-    fn same_seed_same_schedule() {
-        let a = FaultPlan::new(chaos_config(7), 4);
-        let b = FaultPlan::new(chaos_config(7), 4);
-        assert_eq!(
-            a.schedule_bytes(500, TrafficClass::Gradient),
-            b.schedule_bytes(500, TrafficClass::Gradient)
-        );
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let a = FaultPlan::new(chaos_config(7), 4);
-        let b = FaultPlan::new(chaos_config(8), 4);
-        assert_ne!(
-            a.schedule_bytes(500, TrafficClass::Gradient),
-            b.schedule_bytes(500, TrafficClass::Gradient)
-        );
-    }
-
-    #[test]
-    fn untargeted_classes_see_no_faults() {
-        let plan = FaultPlan::new(chaos_config(3), 4);
-        for i in 0..2000 {
-            assert_eq!(plan.fault_at(i, TrafficClass::Other), None);
-        }
-    }
-
-    #[test]
-    fn windows_cover_consecutive_indexes() {
-        let plan = FaultPlan::new(
-            FaultPlanConfig {
-                seed: 11,
-                transient_prob: 0.05,
-                transient_ops: 3,
-                ..FaultPlanConfig::default()
-            },
-            2,
-        );
-        // Find a window start and check it covers exactly `ops` indexes
-        // (unless overlapped by another window).
-        let mut checked = false;
-        for i in 0..5000u64 {
-            if let Some(f) = plan.fault_at(i, TrafficClass::Gradient) {
-                if f.started_at == i {
-                    for k in 0..3 {
-                        assert!(
-                            plan.fault_at(i + k, TrafficClass::Gradient).is_some(),
-                            "index {} inside window starting at {} must be faulty",
-                            i + k,
-                            i
-                        );
-                    }
-                    checked = true;
-                    break;
-                }
-            }
-        }
-        assert!(checked, "no window found in 5000 indexes at p=0.05");
-    }
-
-    #[test]
-    fn rank_loss_is_permanent_and_dominates() {
-        let plan = FaultPlan::new(
-            FaultPlanConfig {
-                seed: 5,
-                rank_loss_at: Some((10, 2)),
-                ..FaultPlanConfig::default()
-            },
-            4,
-        );
-        assert_eq!(plan.fault_at(9, TrafficClass::Gradient), None);
-        for i in 10..100 {
-            let f = plan.fault_at(i, TrafficClass::Gradient).unwrap();
-            assert_eq!(f.kind, FaultKind::RankLoss);
-            assert_eq!(f.culprit, 2);
-        }
-    }
-
-    #[test]
-    fn disabled_plan_is_transparent() {
-        let comms = ThreadComm::create(2);
-        let plan = Arc::new(FaultPlan::disabled(2));
-        let results: Vec<Vec<f32>> = thread::scope(|s| {
-            comms
+    /// Each rank of a `world`-rank thread group runs `f` on its wrapper.
+    fn on_group<R: Send>(
+        world: usize,
+        plan: &Arc<FaultPlan>,
+        f: impl Fn(&FaultyCommunicator<ThreadComm>) -> R + Sync,
+    ) -> Vec<R> {
+        let f = &f;
+        thread::scope(|s| {
+            let handles: Vec<_> = ThreadComm::create(world)
                 .into_iter()
-                .enumerate()
-                .map(|(rank, comm)| {
-                    let plan = Arc::clone(&plan);
-                    s.spawn(move || {
-                        let fc = FaultyCommunicator::new(comm, plan);
-                        let mut buf = vec![rank as f32, 1.0];
-                        fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient)
-                            .unwrap();
-                        buf
-                    })
+                .map(|comm| {
+                    let plan = Arc::clone(plan);
+                    s.spawn(move || f(&FaultyCommunicator::new(comm, plan)))
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn an_outage_covers_exactly_its_attempts_of_its_class() {
+        let plan = one(
+            TrafficClass::Factor,
+            2,
+            FaultKind::Outage { attempts: 3 },
+            0,
+        );
+        let hit: Vec<u64> = (0..8)
+            .filter(|&n| plan.fault_at(TrafficClass::Factor, n).is_some())
+            .collect();
+        assert_eq!(hit, [2, 3, 4]);
+        for class in [
+            TrafficClass::Gradient,
+            TrafficClass::Eigen,
+            TrafficClass::Other,
+        ] {
+            assert!(
+                (0..8).all(|n| plan.fault_at(class, n).is_none()),
+                "{class:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_class_counts_its_own_attempts() {
+        // Gradient traffic before and between never moves the Factor
+        // position: the Factor allreduce is Factor attempt 0 regardless.
+        let plan = one(TrafficClass::Factor, 0, FaultKind::Corrupt, 0);
+        let seen = on_group(2, &plan, |fc| {
+            let mut buf = [1.0];
+            let mut errors = Vec::new();
+            for class in [
+                TrafficClass::Gradient,
+                TrafficClass::Gradient,
+                TrafficClass::Factor,
+                TrafficClass::Factor,
+            ] {
+                errors.push(
+                    fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, class)
+                        .err(),
+                );
+            }
+            (
+                errors,
+                fc.attempts(TrafficClass::Gradient),
+                fc.attempts(TrafficClass::Factor),
+            )
+        });
+        for s in seen {
+            assert_eq!(s.0, [None, None, Some(CollectiveError::Corrupted), None]);
+            assert_eq!((s.1, s.2), (2, 2));
+        }
+    }
+
+    #[test]
+    fn empty_plan_is_transparent() {
+        let results = on_group(2, &Arc::new(FaultPlan::default()), |fc| {
+            let mut buf = vec![fc.rank() as f32, 1.0];
+            fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient)
+                .unwrap();
+            buf
         });
         for r in results {
             assert_eq!(r, vec![1.0, 2.0]);
@@ -577,150 +363,73 @@ mod tests {
     }
 
     #[test]
-    fn transient_window_heals_under_retry() {
-        // A plan whose very first indexes are a transient window: place
-        // it deterministically by scanning seeds.
-        let mut seed = 0;
-        let plan = loop {
-            let p = FaultPlan::new(
-                FaultPlanConfig {
-                    seed,
-                    transient_prob: 0.2,
-                    transient_ops: 2,
-                    ..FaultPlanConfig::default()
-                },
-                2,
-            );
-            if p.fault_at(0, TrafficClass::Gradient).is_some() {
-                break p;
-            }
-            seed += 1;
-        };
-        let plan = Arc::new(plan);
+    fn outage_below_the_budget_heals_under_retry() {
+        let plan = one(
+            TrafficClass::Gradient,
+            0,
+            FaultKind::Outage { attempts: 2 },
+            0,
+        );
         let policy = RetryPolicy {
-            max_attempts: 8,
+            max_attempts: 3,
             base_backoff: std::time::Duration::ZERO,
             max_backoff: std::time::Duration::ZERO,
         };
-        let comms = ThreadComm::create(2);
-        let results: Vec<f32> = thread::scope(|s| {
-            comms
-                .into_iter()
-                .enumerate()
-                .map(|(rank, comm)| {
-                    let plan = Arc::clone(&plan);
-                    s.spawn(move || {
-                        let fc = FaultyCommunicator::new(comm, plan);
-                        let mut buf = vec![rank as f32 + 1.0];
-                        policy
-                            .run(|| {
-                                fc.try_allreduce_tagged(
-                                    &mut buf,
-                                    ReduceOp::Sum,
-                                    TrafficClass::Gradient,
-                                )
-                            })
-                            .unwrap();
-                        buf[0]
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+        let results = on_group(2, &plan, |fc| {
+            let mut buf = vec![fc.rank() as f32 + 1.0];
+            policy
+                .run(|| fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient))
+                .unwrap();
+            (buf[0], fc.attempts(TrafficClass::Gradient))
         });
         for r in results {
-            assert_eq!(r, 3.0);
+            assert_eq!(r, (3.0, 3));
         }
     }
 
     #[test]
     fn bitflip_corrupts_identically_on_all_ranks() {
-        let mut seed = 0;
-        let plan = loop {
-            let p = FaultPlan::new(
-                FaultPlanConfig {
-                    seed,
-                    bitflip_prob: 0.5,
-                    ..FaultPlanConfig::default()
-                },
-                3,
-            );
-            if matches!(
-                p.fault_at(0, TrafficClass::Gradient),
-                Some(ActiveFault {
-                    kind: FaultKind::BitFlip,
-                    ..
-                })
-            ) {
-                break p;
-            }
-            seed += 1;
-        };
-        let plan = Arc::new(plan);
-        let comms = ThreadComm::create(3);
-        let results: Vec<Vec<f32>> = thread::scope(|s| {
-            comms
-                .into_iter()
-                .enumerate()
-                .map(|(rank, comm)| {
-                    let plan = Arc::clone(&plan);
-                    s.spawn(move || {
-                        let fc = FaultyCommunicator::new(comm, plan);
-                        let mut buf = vec![rank as f32, 2.0, 3.0];
-                        fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient)
-                            .unwrap();
-                        buf
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+        let plan = one(
+            TrafficClass::Gradient,
+            0,
+            FaultKind::BitFlip { word: 4, bit: 30 },
+            0,
+        );
+        let results = on_group(3, &plan, |fc| {
+            let mut buf = vec![fc.rank() as f32, 2.0, 3.0];
+            fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient)
+                .unwrap();
+            buf
         });
         // All ranks hold the same (corrupted) result — consistency is
-        // what keeps training deterministic even under silent faults.
+        // what keeps training deterministic even under silent faults —
+        // and it differs from the clean reduction in word 4 mod 3 only.
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
-        // And it differs from the clean reduction in exactly one word.
-        let clean = [3.0f32, 6.0, 9.0];
-        let diff = results[0]
-            .iter()
-            .zip(clean.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(diff, 1);
+        assert_eq!(results[0][0], 3.0);
+        assert_eq!(results[0][1], f32::from_bits(6.0f32.to_bits() ^ (1 << 30)));
+        assert_eq!(results[0][2], 9.0);
     }
 
     #[test]
-    fn rank_loss_fails_all_ranks_without_hanging() {
-        let plan = Arc::new(FaultPlan::new(
-            FaultPlanConfig {
-                seed: 1,
-                rank_loss_at: Some((0, 1)),
-                ..FaultPlanConfig::default()
-            },
-            2,
-        ));
-        let comms = ThreadComm::create(2);
-        let results: Vec<Result<(), CollectiveError>> = thread::scope(|s| {
-            comms
-                .into_iter()
-                .map(|comm| {
-                    let plan = Arc::clone(&plan);
-                    s.spawn(move || {
-                        let fc = FaultyCommunicator::new(comm, plan);
-                        let mut buf = vec![1.0];
-                        fc.try_allreduce_tagged(&mut buf, ReduceOp::Sum, TrafficClass::Gradient)
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+    fn rank_loss_latches_for_every_class_on_every_rank() {
+        let plan = one(TrafficClass::Gradient, 1, FaultKind::RankLoss, 1);
+        let results = on_group(2, &plan, |fc| {
+            [
+                TrafficClass::Factor,
+                TrafficClass::Gradient,
+                TrafficClass::Gradient,
+                TrafficClass::Eigen,
+                TrafficClass::Gradient,
+            ]
+            .map(|class| {
+                fc.try_allreduce_tagged(&mut [1.0], ReduceOp::Sum, class)
+                    .err()
+            })
         });
+        let lost = Some(CollectiveError::RankFailed(1));
         for r in results {
-            assert_eq!(r, Err(CollectiveError::RankFailed(1)));
+            assert_eq!(r, [None, None, lost, lost, lost]);
         }
     }
 }

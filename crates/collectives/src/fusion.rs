@@ -319,29 +319,16 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_pending_and_repacks_identically() {
-        use crate::faults::{FaultPlan, FaultPlanConfig, FaultyCommunicator};
+        use crate::faults::{Fault, FaultKind, FaultPlan, FaultyCommunicator};
         use std::sync::Arc;
 
-        // First index starts a 1-op transient window: the first flush
-        // fails, the retry succeeds.
-        let mut seed = 0;
-        let plan = loop {
-            let p = FaultPlan::new(
-                FaultPlanConfig {
-                    seed,
-                    transient_prob: 0.3,
-                    transient_ops: 1,
-                    ..FaultPlanConfig::default()
-                },
-                1,
-            );
-            if p.fault_at(0, TrafficClass::Factor).is_some()
-                && p.fault_at(1, TrafficClass::Factor).is_none()
-            {
-                break p;
-            }
-            seed += 1;
-        };
+        // The first Factor attempt fails; the retry succeeds.
+        let plan = FaultPlan::new(vec![Fault {
+            class: TrafficClass::Factor,
+            attempt: 0,
+            kind: FaultKind::Outage { attempts: 1 },
+            culprit: 0,
+        }]);
         let comm = FaultyCommunicator::new(LocalComm::new(), Arc::new(plan));
         let mut fb = FusionBuffer::new(usize::MAX, ReduceOp::Sum, TrafficClass::Factor);
         fb.push(3, vec![1.5, 2.5], comm.inner());

@@ -29,11 +29,11 @@
 //! * [`traffic`] — per-class byte accounting so experiments can report
 //!   communication volumes (gradients vs factors vs eigendecompositions).
 
-//! * [`faults`] — deterministic fault injection: a seeded [`FaultPlan`]
-//!   consulted by a [`FaultyCommunicator`] wrapper to inject stragglers,
-//!   transient/long outages, corruption, and rank loss — reproducibly,
-//!   from one seed — plus [`RetryPolicy`], the bounded
-//!   exponential-backoff retry loop the hardened paths use.
+//! * [`faults`] — deterministic fault injection: a [`FaultPlan`] of
+//!   faults placed on (traffic class, attempt) positions, injected by a
+//!   [`FaultyCommunicator`] wrapper — stragglers, outages, corruption,
+//!   rank loss — plus [`RetryPolicy`], the bounded exponential-backoff
+//!   retry loop the hardened paths use.
 
 //! * [`algo`] — the one implementation of every collective, on both
 //!   fabrics, before and after a shrink: chunk-pipelined ring and
@@ -83,7 +83,7 @@ pub use backend::CommBackend;
 pub use communicator::{Communicator, ReduceOp};
 pub use cost::LinkSpec;
 pub use error::CollectiveError;
-pub use faults::{ActiveFault, FaultKind, FaultPlan, FaultPlanConfig, FaultyCommunicator};
+pub use faults::{Fault, FaultKind, FaultPlan, FaultyCommunicator};
 pub use fusion::FusionBuffer;
 pub use local::LocalComm;
 pub use mailbox::{FailOn, Mailbox};

@@ -11,7 +11,7 @@
 use kfac_collectives::algo::{AlgoPolicy, CollectiveAlgo};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
 use kfac_collectives::{
-    CollectiveError, Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, ReduceOp,
+    CollectiveError, Communicator, Fault, FaultKind, FaultPlan, FaultyCommunicator, ReduceOp,
     RetryPolicy, ThreadComm, TrafficClass,
 };
 use std::sync::Arc;
@@ -157,20 +157,22 @@ fn proc_peer_disconnect_surfaces_rank_failed() {
 /// `FaultyCommunicator` + `RetryPolicy` wrap `ProcComm` exactly as they
 /// wrap `ThreadComm`: injected transient faults are retried through to
 /// the same reduced result. The plan is shared and every rank's wrapper
-/// advances its cursor in lockstep (each retry consumes one index on
-/// every rank), so the group never desynchronizes.
+/// counts attempts in lockstep (each retry is one attempt on every rank),
+/// so the group never desynchronizes.
 #[test]
 fn proc_wrapped_in_faulty_communicator_retries_to_success() {
     let world = 2;
-    let plan = Arc::new(FaultPlan::new(
-        FaultPlanConfig {
-            seed: 11,
-            transient_prob: 0.2,
-            transient_ops: 1,
-            ..FaultPlanConfig::default()
-        },
-        world,
-    ));
+    let outage = |attempt, attempts| Fault {
+        class: TrafficClass::Gradient,
+        attempt,
+        kind: FaultKind::Outage { attempts },
+        culprit: 0,
+    };
+    let plan = Arc::new(FaultPlan::new(vec![
+        outage(0, 1),
+        outage(5, 2),
+        outage(13, 3),
+    ]));
     let comms =
         ProcComm::create_local_with(world, AlgoPolicy::default(), ProcConfig::DEFAULT_TIMEOUT)
             .expect("local proc rendezvous");

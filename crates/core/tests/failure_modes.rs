@@ -3,7 +3,7 @@
 
 use kfac::{Kfac, KfacConfig};
 use kfac_collectives::{
-    wire, Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, LocalComm, RetryPolicy,
+    wire, Communicator, Fault, FaultKind, FaultPlan, FaultyCommunicator, LocalComm, RetryPolicy,
     ThreadComm, TrafficClass,
 };
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Linear, Sequential};
@@ -225,29 +225,18 @@ fn run_pair(plan: Option<Arc<FaultPlan>>) -> Vec<RankTrace> {
 }
 
 /// A plan that faults one exchange of iteration 2 of [`run_pair`] — its
-/// Factor allreduce or its Eigen allgather, by `class` — and nothing
-/// else. update_freq 2 ⇒ factors fold every iteration and travel with the
-/// eig update on even ones, so with no retries each rank's op cursor
-/// reads: it 0 Factor(0) Eigen(1) · it 1 — · it 2 Factor(2) Eigen(3) ·
-/// it 3 — · it 4 Factor(4) Eigen(5).
-fn fault_exchange_of_iteration_2(class: TrafficClass, base: FaultPlanConfig) -> Arc<FaultPlan> {
-    let ops = match class {
-        TrafficClass::Factor => [0, 2, 4],
-        TrafficClass::Eigen => [1, 3, 5],
-        other => unreachable!("run_pair issues no {other:?} collective"),
-    };
-    (0..)
-        .map(|seed| {
-            let cfg = FaultPlanConfig {
-                seed,
-                classes: vec![class],
-                ..base.clone()
-            };
-            FaultPlan::new(cfg, 2)
-        })
-        .find(|p| ops.map(|i| p.fault_at(i, class).is_some()) == [false, true, false])
-        .map(Arc::new)
-        .unwrap()
+/// Factor allreduce or its Eigen allgather, by `class` — with `kind`, and
+/// nothing else. update_freq 2 ⇒ factors fold every iteration and travel
+/// with the eig update on even ones, so with no retries iterations 0, 2
+/// and 4 issue attempts 0, 1 and 2 of each class. A bit flip lands in
+/// rank 1's partition.
+fn fault_exchange_of_iteration_2(class: TrafficClass, kind: FaultKind) -> Arc<FaultPlan> {
+    Arc::new(FaultPlan::new(vec![Fault {
+        class,
+        attempt: 1,
+        kind,
+        culprit: 1,
+    }]))
 }
 
 /// The second-order section that ends `save_state()` after iteration `it`.
@@ -262,14 +251,8 @@ fn eigen(t: &RankTrace, it: usize) -> &[u8] {
 /// until the next exchange, one eigen interval on, re-averages them.
 #[test]
 fn dropped_factor_exchange_decomposes_local_averages_identically_on_every_rank() {
-    let plan = fault_exchange_of_iteration_2(
-        TrafficClass::Factor,
-        FaultPlanConfig {
-            timeout_prob: 0.2,
-            timeout_ops: 1,
-            ..FaultPlanConfig::default()
-        },
-    );
+    let plan =
+        fault_exchange_of_iteration_2(TrafficClass::Factor, FaultKind::Outage { attempts: 1 });
     let clean = run_pair(None);
     let faulty = run_pair(Some(plan));
     for t in &clean {
@@ -297,14 +280,12 @@ fn dropped_factor_exchange_decomposes_local_averages_identically_on_every_rank()
 /// the iteration has not advanced.
 #[test]
 fn rank_loss_in_the_factor_exchange_is_returned_not_absorbed() {
-    let plan = Arc::new(FaultPlan::new(
-        FaultPlanConfig {
-            rank_loss_at: Some((0, 1)),
-            classes: vec![TrafficClass::Factor],
-            ..FaultPlanConfig::default()
-        },
-        2,
-    ));
+    let plan = Arc::new(FaultPlan::new(vec![Fault {
+        class: TrafficClass::Factor,
+        attempt: 0,
+        kind: FaultKind::RankLoss,
+        culprit: 1,
+    }]));
     let errors: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = ThreadComm::create(2)
             .into_iter()
@@ -333,14 +314,8 @@ fn rank_loss_in_the_factor_exchange_is_returned_not_absorbed() {
 
 #[test]
 fn failed_eigen_allgather_keeps_the_group_identically_stale() {
-    let plan = fault_exchange_of_iteration_2(
-        TrafficClass::Eigen,
-        FaultPlanConfig {
-            timeout_prob: 0.2,
-            timeout_ops: 1,
-            ..FaultPlanConfig::default()
-        },
-    );
+    let plan =
+        fault_exchange_of_iteration_2(TrafficClass::Eigen, FaultKind::Outage { attempts: 1 });
     let clean = run_pair(None);
     let faulty = run_pair(Some(plan));
 
@@ -372,13 +347,10 @@ fn silently_corrupted_eigen_payload_lands_identically_on_every_rank() {
     // One exponent bit of one gathered word flips, the same on every
     // rank's copy — the owner of that word included, which must install
     // what the group received rather than keep its clean local result.
-    let plan = fault_exchange_of_iteration_2(
-        TrafficClass::Eigen,
-        FaultPlanConfig {
-            bitflip_prob: 0.2,
-            ..FaultPlanConfig::default()
-        },
-    );
+    // Word 3 of rank 1's partition is the second eigenvalue of its first
+    // factor.
+    let plan =
+        fault_exchange_of_iteration_2(TrafficClass::Eigen, FaultKind::BitFlip { word: 3, bit: 30 });
     let clean = run_pair(None);
     let faulty = run_pair(Some(plan));
     assert_ne!(eigen(&faulty[0], 2), eigen(&clean[0], 2), "no flip landed");

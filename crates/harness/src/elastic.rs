@@ -28,8 +28,7 @@ use kfac_collectives::{Communicator, Elastic, ReduceOp, ThreadComm};
 use kfac_data::{batch_of, synthetic_cifar, Dataset, ShardedSampler, SyntheticImages};
 use kfac_nn::{resnet::resnet_cifar, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::Sgd;
-use kfac_telemetry::watchdog::names;
-use kfac_telemetry::{FlightRecorder, Registry, Watchdog, WatchdogConfig};
+use kfac_telemetry::{FlightRecorder, Registry};
 use kfac_tensor::Rng64;
 use std::path::{Path, PathBuf};
 use std::thread;
@@ -120,8 +119,8 @@ impl ElasticSpec {
     }
 }
 
-/// The trial model: the 3-stage depth-1 CIFAR ResNet every chaos
-/// scenario trains (same seed, so cross-experiment numbers line up).
+/// The trial model: the 3-stage depth-1 CIFAR ResNet, from a fixed seed
+/// so the survivors' run and the reference run line up.
 pub fn demo_model() -> Sequential {
     let mut rng = Rng64::new(MODEL_SEED);
     resnet_cifar(1, 4, 10, 3, &mut rng)
@@ -267,12 +266,10 @@ type ShrunkGroup = (Box<dyn Communicator>, u64);
 /// the fabric: `die` is what the victim does at the kill step (thread:
 /// inject the death observation and return; proc: exit the process),
 /// `shrink` produces the survivor communicator from the culprit hint.
-#[allow(clippy::too_many_arguments)]
 fn survivor_loop(
     comm: &dyn Communicator,
     spec: &ElasticSpec,
     train_ds: &(dyn Dataset + Sync),
-    registry: &Registry,
     dump_path: Option<PathBuf>,
     die: &dyn Fn(),
     shrink: &dyn Fn(&[usize]) -> ShrunkGroup,
@@ -312,16 +309,6 @@ fn survivor_loop(
             StepOutcome::Stepped => i += 1,
             StepOutcome::SkippedStep => panic!("elastic trial skipped a step at iteration {i}"),
             StepOutcome::RankLost(culprit) => {
-                // Surface the death the way production detection does,
-                // and check the watchdog → ladder wiring end to end:
-                // a dead peer must recommend leaving this group.
-                registry.gauge(names::DEAD_PEERS).set(1.0);
-                let report = Watchdog::new(registry.clone(), WatchdogConfig::default()).evaluate();
-                assert_eq!(
-                    tr.apply_watchdog(&report),
-                    Some(StepOutcome::RankLost(rank)),
-                    "watchdog must escalate a dead peer off this group"
-                );
                 let blob = tr
                     .latest_checkpoint()
                     .expect("rank lost before the first checkpoint")
@@ -388,7 +375,6 @@ pub fn run_thread_trial(
                         &comm,
                         spec,
                         train_ds,
-                        registry,
                         if rank == 0 { dump_path.clone() } else { None },
                         &die,
                         &shrink,
@@ -493,7 +479,7 @@ pub fn proc_elastic_worker(comm: &ProcComm, spec: &ElasticSpec, ckpt_path: &Path
         let epoch = shrunk.epoch();
         (Box::new(shrunk) as Box<dyn Communicator>, epoch)
     };
-    match survivor_loop(comm, spec, &train_ds, &registry, None, &die, &shrink) {
+    match survivor_loop(comm, spec, &train_ds, None, &die, &shrink) {
         Some((resumed, blob, epoch)) => {
             if rank == 0 {
                 // Persist the restore blob (atomic write-to-temp +

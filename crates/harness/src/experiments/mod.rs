@@ -11,7 +11,6 @@
 //! | [`table6`] | Table VI — per-worker eig imbalance (+ LPT placement ablation) |
 //! | [`fig10`] | Fig. 10 — factor computation time vs model size (measured + projected) |
 //! | [`overlap`] | §V — overlapped vs sequential execution (measured + projected) |
-//! | [`chaos`] | fault matrix — resilient 4-rank training under injected faults |
 //! | [`elastic`] | elastic membership — kill a rank mid-run, shrink, bitwise resume |
 //! | [`randeig`] | randomized vs exact eigensolver — 4-rank CIFAR loss parity |
 //! | [`mixed`] | mixed precision — f32 vs bf16 policy loss parity + wire-byte halving |
@@ -21,7 +20,6 @@
 //! `results/`.
 
 pub mod ablations;
-pub mod chaos;
 pub mod correctness;
 pub mod elastic;
 pub mod fig10;
@@ -84,7 +82,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig10",
     "ablations",
     "overlap",
-    "chaos",
     "elastic",
     "randeig",
     "mixed",
@@ -106,7 +103,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentOutput> {
         "fig10" => Some(fig10::run(scale)),
         "ablations" => Some(ablations::run(scale)),
         "overlap" => Some(overlap::run(scale)),
-        "chaos" => Some(chaos::run(scale)),
         "elastic" => Some(elastic::run(scale)),
         "randeig" => Some(randeig::run(scale)),
         "mixed" => Some(mixed::run(scale)),

@@ -132,19 +132,16 @@ impl Handoff {
     }
 }
 
-/// Closes the hand-off when backward ends, however it ends: a panicking
-/// backward abandons the queued buckets and lets the exchange thread
-/// finish, so the panic propagates instead of hanging the join.
+/// Closes the hand-off when backward ends, however it ends: after a
+/// panicking backward the exchange thread reduces what was queued and
+/// finishes, so the panic propagates instead of hanging the join. It must
+/// not drop queued buckets: a peer whose exchange thread already took the
+/// same bucket would wait in that allreduce until its deadline.
 struct CloseOnDrop<'a>(&'a Handoff);
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
-        let mut queue = self.0.queue.lock();
-        if std::thread::panicking() {
-            queue.buckets.clear();
-        }
-        queue.closed = true;
-        drop(queue);
+        self.0.queue.lock().closed = true;
         self.0.ready.notify_one();
     }
 }

@@ -1,11 +1,11 @@
-//! Chaos regression over the TCP fabric: the existing timeout and
-//! rank-loss `FaultPlan`s, run through `FaultyCommunicator<ProcComm>`,
+//! Fault-ladder regression over the TCP fabric: placed outage, rank-loss
+//! and healing `FaultPlan`s, run through `FaultyCommunicator<ProcComm>`,
 //! must land on exactly the same degradation-ladder rungs as the same
 //! plans over `ThreadComm` — same per-iteration outcomes, same
 //! degradation counters, and (because both fabrics reduce in the same
 //! pinned order) bitwise-identical parameters.
 //!
-//! Fault decisions are pure functions of `(seed, op_index)` evaluated in
+//! Fault decisions are pure functions of `(class, attempt)` evaluated in
 //! the wrapper *before* the inner communicator is touched, so a clean
 //! fabric swap underneath is exactly what the design promises — this
 //! test pins that promise.
@@ -13,7 +13,7 @@
 use kfac::{Kfac, KfacConfig};
 use kfac_collectives::proc::ProcComm;
 use kfac_collectives::{
-    Communicator, FaultPlan, FaultPlanConfig, FaultyCommunicator, RetryPolicy, ThreadComm,
+    Communicator, Fault, FaultKind, FaultPlan, FaultyCommunicator, RetryPolicy, ThreadComm,
     TrafficClass,
 };
 use kfac_harness::{FaultTolerance, ResilientTrainer, StepOutcome};
@@ -121,9 +121,19 @@ fn fast_retry(max_attempts: u32) -> RetryPolicy {
     }
 }
 
+/// `kind` on attempt `attempt` of `class`, blaming `culprit`.
+fn fault(class: TrafficClass, attempt: u64, kind: FaultKind, culprit: usize) -> Fault {
+    Fault {
+        class,
+        attempt,
+        kind,
+        culprit,
+    }
+}
+
 /// Run one plan over both fabrics and require identical ladder traces.
-fn assert_fabrics_agree(cfg: FaultPlanConfig, ft: FaultTolerance) -> Vec<LadderTrace> {
-    let plan = Arc::new(FaultPlan::new(cfg, WORLD));
+fn assert_fabrics_agree(faults: Vec<Fault>, ft: FaultTolerance) -> Vec<LadderTrace> {
+    let plan = Arc::new(FaultPlan::new(faults));
     let thread_traces = run_ladder(ThreadComm::create(WORLD), &plan, ft);
     let proc_traces = run_ladder(ProcComm::create_local(WORLD), &plan, ft);
     assert_eq!(
@@ -137,19 +147,19 @@ fn assert_fabrics_agree(cfg: FaultPlanConfig, ft: FaultTolerance) -> Vec<LadderT
     thread_traces
 }
 
-/// The chaos driver's K-FAC timeout plan (seed 23): long outages on
-/// factor/eigen traffic degrade to stale factors on both fabrics, with
-/// gradient traffic untouched (no skipped steps, all steps land).
+/// Outages that outlast the retry budget on factor/eigen traffic — the
+/// Factor allreduce of iteration 2 (attempts 1 and 2), the Eigen allgather
+/// of iteration 4 (attempts 2 and 3) — degrade to stale factors on both
+/// fabrics, with gradient traffic untouched (no skipped steps, all steps
+/// land).
 #[test]
 fn timeout_plan_degrades_identically_on_both_fabrics() {
+    let outage = FaultKind::Outage { attempts: 2 };
     let traces = assert_fabrics_agree(
-        FaultPlanConfig {
-            seed: 23,
-            timeout_prob: 0.3,
-            timeout_ops: 30,
-            classes: vec![TrafficClass::Factor, TrafficClass::Eigen],
-            ..FaultPlanConfig::default()
-        },
+        vec![
+            fault(TrafficClass::Factor, 1, outage, 0),
+            fault(TrafficClass::Eigen, 2, outage, 0),
+        ],
         FaultTolerance {
             retry: fast_retry(2),
             ..FaultTolerance::default()
@@ -165,16 +175,12 @@ fn timeout_plan_degrades_identically_on_both_fabrics() {
     }
 }
 
-/// The chaos driver's rank-loss plan (seed 25): the permanent loss of
-/// rank 2 aborts every rank at the same iteration on both fabrics.
+/// The permanent loss of rank 2 in iteration 5's gradient exchange
+/// aborts every rank at the same iteration on both fabrics.
 #[test]
 fn rank_loss_plan_aborts_identically_on_both_fabrics() {
     let traces = assert_fabrics_agree(
-        FaultPlanConfig {
-            seed: 25,
-            rank_loss_at: Some((3 * ITERS as u64 / 2, 2)),
-            ..FaultPlanConfig::default()
-        },
+        vec![fault(TrafficClass::Gradient, 5, FaultKind::RankLoss, 2)],
         FaultTolerance::default(),
     );
     for t in &traces {
@@ -195,17 +201,28 @@ fn transient_plan_heals_bitwise_on_proc_fabric() {
         retry: fast_retry(10),
         ..FaultTolerance::default()
     };
-    let clean_plan = Arc::new(FaultPlan::new(FaultPlanConfig::default(), WORLD));
-    let clean = run_ladder(ProcComm::create_local(WORLD), &clean_plan, ft);
-    let faulty_plan = Arc::new(FaultPlan::new(
-        FaultPlanConfig {
-            seed: 22,
-            transient_prob: 0.15,
-            transient_ops: 2,
-            ..FaultPlanConfig::default()
-        },
-        WORLD,
-    ));
+    let clean = run_ladder(ProcComm::create_local(WORLD), &Arc::default(), ft);
+    let faulty_plan = Arc::new(FaultPlan::new(vec![
+        fault(
+            TrafficClass::Gradient,
+            1,
+            FaultKind::Outage { attempts: 2 },
+            0,
+        ),
+        fault(
+            TrafficClass::Factor,
+            1,
+            FaultKind::Outage { attempts: 3 },
+            0,
+        ),
+        fault(TrafficClass::Eigen, 2, FaultKind::Corrupt, 3),
+        fault(
+            TrafficClass::Gradient,
+            6,
+            FaultKind::Delay { micros: 300 },
+            1,
+        ),
+    ]));
     let faulty = run_ladder(ProcComm::create_local(WORLD), &faulty_plan, ft);
     for (c, f) in clean.iter().zip(&faulty) {
         assert_eq!(

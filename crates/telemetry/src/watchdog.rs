@@ -4,9 +4,7 @@
 //! staleness gauges, retry counters), so the watchdog has no coupling to
 //! the trainer beyond the metric-name contract. Each evaluation produces
 //! a [`HealthReport`] — served as JSON by the metrics server's `/health`
-//! endpoint — and the typed [`RuleKind`] on each finding lets the
-//! degradation ladder in the harness map watchdog verdicts onto the same
-//! fault signals collective errors already raise.
+//! endpoint — with a typed [`RuleKind`] on each finding.
 
 use std::time::Instant;
 
@@ -31,14 +29,9 @@ pub mod names {
     /// Gauge: current membership epoch (0 = boot group; +1 per
     /// committed shrink).
     pub const MEMBERSHIP_EPOCH: &str = "comm/membership_epoch";
-    /// Gauge: peers currently observed dead and not yet fenced out by a
-    /// membership shrink. Non-zero means the group is broken and must
-    /// reconfigure (or abort).
-    pub const DEAD_PEERS: &str = "comm/dead_peers";
 }
 
-/// Which rule produced a finding. The harness maps these onto
-/// degradation-ladder signals.
+/// Which rule produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleKind {
     /// No iteration heartbeat within the configured stall window.
@@ -49,10 +42,6 @@ pub enum RuleKind {
     StalenessCeiling,
     /// Collective retry rate above threshold (flaky fabric).
     RetryRate,
-    /// A peer rank is observed dead and not yet fenced out by a
-    /// membership shrink: the group cannot complete collectives until it
-    /// reconfigures.
-    PeerDead,
 }
 
 impl RuleKind {
@@ -62,7 +51,6 @@ impl RuleKind {
             RuleKind::NonFinite => "non_finite",
             RuleKind::StalenessCeiling => "staleness_ceiling",
             RuleKind::RetryRate => "retry_rate",
-            RuleKind::PeerDead => "peer_dead",
         }
     }
 }
@@ -254,23 +242,6 @@ impl Watchdog {
             }
         }
 
-        // Rule 5: dead peers. The communicator layer sets this gauge when
-        // a rank is observed permanently failed; a successful membership
-        // shrink fences the dead ranks and resets it to zero. Non-zero is
-        // always critical — no collective can complete.
-        let dead_peers = self.registry.gauge(names::DEAD_PEERS).get();
-        if dead_peers.is_finite() && dead_peers > 0.0 {
-            let epoch = self.registry.gauge(names::MEMBERSHIP_EPOCH).get();
-            findings.push(Finding {
-                rule: RuleKind::PeerDead,
-                severity: Severity::Critical,
-                message: format!(
-                    "{dead_peers:.0} peer(s) observed dead at membership epoch {epoch:.0}; \
-                     group must shrink or abort"
-                ),
-            });
-        }
-
         findings.sort_by_key(|f| std::cmp::Reverse(f.severity));
         let severity = findings.first().map(|f| f.severity).unwrap_or(Severity::Ok);
         HealthReport {
@@ -349,21 +320,6 @@ mod tests {
         assert_eq!(wd(&registry).evaluate().severity, Severity::Warn);
         registry.gauge(names::STALENESS_AGE).set(25.0);
         assert_eq!(wd(&registry).evaluate().severity, Severity::Critical);
-    }
-
-    #[test]
-    fn dead_peer_goes_critical_until_fenced() {
-        let registry = Registry::new();
-        registry.gauge(names::DEAD_PEERS).set(1.0);
-        registry.gauge(names::MEMBERSHIP_EPOCH).set(0.0);
-        let report = wd(&registry).evaluate();
-        assert_eq!(report.severity, Severity::Critical);
-        assert_eq!(report.findings[0].rule, RuleKind::PeerDead);
-        // A successful shrink fences the dead rank and bumps the epoch:
-        // the rule clears.
-        registry.gauge(names::DEAD_PEERS).set(0.0);
-        registry.gauge(names::MEMBERSHIP_EPOCH).set(1.0);
-        assert_eq!(wd(&registry).evaluate().severity, Severity::Ok);
     }
 
     #[test]
