@@ -175,91 +175,18 @@ pub fn load_from_file(path: &std::path::Path) -> std::io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kfac::KfacConfig;
-    use kfac_nn::{layer::Mode, CrossEntropyLoss, Linear, Sequential};
-    use kfac_optim::Optimizer;
-    use kfac_tensor::{Rng64, Tensor4};
+    use kfac_nn::{Linear, Sequential};
+    use kfac_tensor::Rng64;
 
     fn model(seed: u64) -> Sequential {
         let mut rng = Rng64::new(seed);
         Sequential::from_layers(vec![Box::new(Linear::new("fc", 6, 4, true, &mut rng))])
     }
 
-    fn one_iter(m: &mut Sequential, opt: &mut Sgd, k: &mut Option<Kfac>, seed: u64) {
-        let mut rng = Rng64::new(seed);
-        let x = Tensor4::from_vec(4, 6, 1, 1, (0..24).map(|_| rng.normal_f32()).collect());
-        m.zero_grad();
-        m.set_capture(k.as_ref().map(|k| k.needs_capture()).unwrap_or(false));
-        let out = m.forward(&x, Mode::Train);
-        let (_, g) = CrossEntropyLoss::new().forward(&out, &[0, 1, 2, 3]);
-        let _ = m.backward(&g);
-        if let Some(k) = k {
-            k.step(m, &kfac_collectives::LocalComm::new(), 0.05);
-        }
-        opt.step(m, 0.05);
-    }
-
     fn flat_params(m: &mut Sequential) -> Vec<f32> {
         let mut p = Vec::new();
         m.visit_params("", &mut |_, w, _| p.extend_from_slice(w));
         p
-    }
-
-    /// Satellite: checkpoint → restore must continue training with
-    /// bitwise-identical parameters versus the uninterrupted run.
-    #[test]
-    fn roundtrip_resumes_bitwise_identical() {
-        // Uninterrupted reference: 6 iterations.
-        let mut m_a = model(3);
-        let mut opt_a = Sgd::new(0.9, 1e-4);
-        let mut k_a = Some(Kfac::new(
-            &mut m_a,
-            KfacConfig {
-                update_freq: 2,
-                ..KfacConfig::default()
-            },
-        ));
-        for i in 0..6 {
-            one_iter(&mut m_a, &mut opt_a, &mut k_a, 100 + i);
-        }
-
-        // Interrupted run: 3 iterations, checkpoint, restore into fresh
-        // instances, 3 more iterations.
-        let mut m_b = model(3);
-        let mut opt_b = Sgd::new(0.9, 1e-4);
-        let mut k_b = Some(Kfac::new(
-            &mut m_b,
-            KfacConfig {
-                update_freq: 2,
-                ..KfacConfig::default()
-            },
-        ));
-        for i in 0..3 {
-            one_iter(&mut m_b, &mut opt_b, &mut k_b, 100 + i);
-        }
-        let blob = save(&mut m_b, &opt_b, k_b.as_ref(), 3, 0);
-
-        let mut m_c = model(999); // different init — must be overwritten
-        let mut opt_c = Sgd::new(0.9, 1e-4);
-        let mut k_c = Some(Kfac::new(
-            &mut m_c,
-            KfacConfig {
-                update_freq: 2,
-                ..KfacConfig::default()
-            },
-        ));
-        let (it, ep) = restore(&blob, &mut m_c, &mut opt_c, k_c.as_mut()).unwrap();
-        assert_eq!((it, ep), (3, 0));
-        for i in it..6 {
-            one_iter(&mut m_c, &mut opt_c, &mut k_c, 100 + i);
-        }
-
-        let pa = flat_params(&mut m_a);
-        let pc = flat_params(&mut m_c);
-        assert_eq!(pa.len(), pc.len());
-        for (a, c) in pa.iter().zip(&pc) {
-            assert_eq!(a.to_bits(), c.to_bits(), "resumed trajectory diverged");
-        }
     }
 
     #[test]

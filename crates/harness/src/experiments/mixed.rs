@@ -17,6 +17,7 @@
 
 use crate::experiments::ExperimentOutput;
 use crate::presets::{CifarSetup, Scale};
+use crate::procrun::params_bit_hash;
 use crate::report::{pct, Table};
 use crate::trainer::{train, TrainConfig, TrainResult};
 use kfac::{KfacConfig, PrecisionPolicy};
@@ -76,31 +77,15 @@ fn run_with(
     }
 }
 
-/// FNV-1a over the final parameters' bit patterns — the cross-fabric
-/// bitwise-identity witness, compact enough for the table.
-fn params_hash(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in params {
-        for b in p.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn final_loss(r: &TrainResult) -> f64 {
     r.epochs.last().map(|e| e.train_loss).unwrap_or(f64::NAN)
 }
 
-/// Loss trajectories agree bit-for-bit (per-epoch f64 bits).
-fn bitwise_equal(a: &TrainResult, b: &TrainResult) -> bool {
-    a.final_params == b.final_params
-        && a.epochs.len() == b.epochs.len()
-        && a.epochs
-            .iter()
-            .zip(&b.epochs)
-            .all(|(x, y)| x.train_loss.to_bits() == y.train_loss.to_bits())
+/// The cross-fabric witness: per-epoch loss bits and the final
+/// parameters' bit-hash, the one the table prints.
+fn trajectory(r: &TrainResult) -> (Vec<u64>, u64) {
+    let losses = r.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
+    (losses, params_bit_hash(&r.final_params))
 }
 
 /// Run the experiment.
@@ -154,7 +139,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
                 format!("{:.1}", t.factor_bytes as f64 / 1024.0),
                 format!("{:.1}", t.eigen_bytes as f64 / 1024.0),
                 format!("{:.2}", arm.result.total_s),
-                format!("{:016x}", params_hash(&arm.result.final_params)),
+                format!("{:016x}", params_bit_hash(&arm.result.final_params)),
             ]);
             runs.push(arm);
         }
@@ -163,7 +148,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
 
     // 1) Cross-fabric bitwise identity per policy.
     for (pname, runs) in &by_policy {
-        if bitwise_equal(&runs[0].result, &runs[1].result) {
+        if trajectory(&runs[0].result) == trajectory(&runs[1].result) {
             notes.push(format!(
                 "Shape holds: {pname} trajectory bitwise identical on thread and proc fabrics."
             ));

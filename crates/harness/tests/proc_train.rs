@@ -1,73 +1,14 @@
-//! The PR's acceptance criterion, end to end: a 4-process `ProcComm`
-//! K-FAC CIFAR run driven through the `xp` binary produces the same loss
-//! trajectory — bitwise — as the 4-rank `ThreadComm` run. Also covers
-//! the in-process proc backend (`TrainConfig::with_backend`) and the
-//! bucketed gradient exchange over the TCP fabric.
+//! The multi-process check, end to end: a 4-process `ProcComm` K-FAC
+//! CIFAR run driven through the `xp` binary produces the same loss
+//! trajectory — bitwise — as the 4-rank `ThreadComm` run. The in-process
+//! TCP fabric is one axis of `tests/pins.rs`.
 
-use kfac::DistStrategy;
-use kfac_collectives::CommBackend;
 use kfac_harness::procrun::{
     cifar_demo_config, cifar_demo_data, cifar_demo_model, params_bit_hash,
 };
-use kfac_harness::{train, ExecStrategy};
+use kfac_harness::train;
 use kfac_telemetry::json::Json;
 use std::process::Command;
-
-/// In-process check: the same `train()` call on the thread fabric and on
-/// the TCP proc fabric yields bit-identical losses and final weights.
-#[test]
-fn proc_backend_train_matches_thread_backend_bitwise() {
-    let (train_ds, val_ds) = cifar_demo_data();
-    let cfg = cifar_demo_config(4);
-    let reference = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
-
-    let proc_cfg = cfg.clone().with_backend(CommBackend::Proc);
-    let got = train(cifar_demo_model, &train_ds, &val_ds, &proc_cfg);
-
-    assert_eq!(reference.epochs.len(), got.epochs.len());
-    for (r, g) in reference.epochs.iter().zip(&got.epochs) {
-        assert_eq!(
-            r.train_loss.to_bits(),
-            g.train_loss.to_bits(),
-            "epoch {} loss diverges across fabrics",
-            r.epoch
-        );
-        assert_eq!(r.val_acc.to_bits(), g.val_acc.to_bits());
-    }
-    assert_eq!(
-        reference.final_params, got.final_params,
-        "final weights diverge across fabrics"
-    );
-}
-
-/// The bucketed exchange allreduces its gradient buckets in order on a
-/// background thread; over the proc fabric it must still reproduce the
-/// sequential thread-fabric oracle bit for bit, under either distribution
-/// strategy.
-#[test]
-fn overlapped_exec_over_proc_fabric_matches_sequential_oracle() {
-    let (train_ds, val_ds) = cifar_demo_data();
-    for strategy in [DistStrategy::Opt, DistStrategy::Lw] {
-        let mut cfg = cifar_demo_config(2);
-        cfg.kfac.as_mut().expect("demo runs K-FAC").strategy = strategy;
-        let reference = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
-
-        let overlapped_proc = cfg
-            .clone()
-            .with_backend(CommBackend::Proc)
-            .with_exec(ExecStrategy::Overlapped { compute_workers: 1 });
-        let got = train(cifar_demo_model, &train_ds, &val_ds, &overlapped_proc);
-
-        assert_eq!(reference.final_params, got.final_params, "{strategy:?}");
-        for (r, g) in reference.epochs.iter().zip(&got.epochs) {
-            assert_eq!(
-                r.train_loss.to_bits(),
-                g.train_loss.to_bits(),
-                "{strategy:?}"
-            );
-        }
-    }
-}
 
 /// True multi-process check: spawn `xp proc-train --ranks 4` (four OS
 /// processes, localhost TCP mesh) and compare its reported trajectory
