@@ -1,25 +1,19 @@
-//! Calibrate the α/β collective cost model against *measured* fabric
+//! Check the α/β collective cost model against *measured* fabric
 //! timings.
 //!
 //! `xp bench-allreduce` times pipelined-ring and halving-doubling
 //! allreduces across real OS processes on the TCP fabric and writes
 //! `BENCH_allreduce.json` (committed at the repo root). This module
-//! closes the loop: it parses that report, turns the affine fit into a
-//! [`LinkSpec`], checks the analytic ring model against the raw
-//! measurements, and re-runs the scaling projections with the fitted
-//! constants in place of the Frontera presets.
+//! parses that report, turns the affine fit into a [`LinkSpec`], checks
+//! the analytic ring model against the raw measurements, and reads the
+//! halving-doubling → ring crossover off them.
 //!
-//! The point is falsifiability: the simulator's collective prices are no
-//! longer purely literature constants — on this host they are anchored
-//! to timings the repo itself can regenerate with
+//! The point is falsifiability: the collective prices and the
+//! allreduce policy's size threshold are tested against timings the repo
+//! itself can regenerate with
 //! `cargo run --release -p kfac-harness --bin xp -- bench-allreduce`.
 
-use crate::hardware::{ClusterSpec, GpuSpec};
-use crate::iteration::{IterationModel, KfacRunConfig};
-use crate::profile::ModelProfile;
-use crate::scaling::{paper_update_freq, ScalingPoint, TrainingBudget};
 use kfac_collectives::LinkSpec;
-use kfac_nn::arch::ModelArch;
 use kfac_telemetry::json::Json;
 
 /// One timed allreduce from the bench report.
@@ -148,58 +142,9 @@ pub fn crossover_bracket(points: &[MeasuredPoint]) -> Option<(u64, u64)> {
     }
 }
 
-/// A cluster spec using the paper's V100 compute rates but *this host's*
-/// measured interconnect.
-pub fn calibrated_cluster(gpus: usize, link: LinkSpec) -> ClusterSpec {
-    ClusterSpec {
-        gpus,
-        link,
-        gpu: GpuSpec::v100(),
-    }
-}
-
-/// [`crate::scaling::time_to_solution`] with the fitted link in place of
-/// the Frontera preset.
-pub fn time_to_solution_calibrated(
-    arch: &ModelArch,
-    gpus: usize,
-    budget: TrainingBudget,
-    link: LinkSpec,
-) -> ScalingPoint {
-    let profile = ModelProfile::from_arch(arch);
-    let model = IterationModel::new(profile, calibrated_cluster(gpus, link), budget.local_batch);
-    let iters_per_epoch = budget.dataset / (gpus * budget.local_batch);
-    let cfg = KfacRunConfig::with_freq(paper_update_freq(gpus));
-
-    let sgd_iter = model.sgd_iteration().total();
-    let lw_iter = model.kfac_lw_iteration(cfg).total();
-    let opt_iter = model.kfac_opt_iteration(cfg).total();
-
-    ScalingPoint {
-        gpus,
-        sgd_s: sgd_iter * (iters_per_epoch * budget.sgd_epochs) as f64,
-        lw_s: lw_iter * (iters_per_epoch * budget.kfac_epochs) as f64,
-        opt_s: opt_iter * (iters_per_epoch * budget.kfac_epochs) as f64,
-    }
-}
-
-/// Full {16, …, 256} sweep on the fitted link.
-pub fn scaling_sweep_calibrated(
-    arch: &ModelArch,
-    budget: TrainingBudget,
-    link: LinkSpec,
-) -> Vec<ScalingPoint> {
-    [16usize, 32, 64, 128, 256]
-        .iter()
-        .map(|&g| time_to_solution_calibrated(arch, g, budget, link))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaling::time_to_solution;
-    use kfac_nn::arch::resnet50;
 
     fn committed_report() -> BenchReport {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_allreduce.json");
@@ -222,30 +167,6 @@ mod tests {
             err < 0.5,
             "fitted model off by {err:.2} median relative error"
         );
-    }
-
-    /// Localhost TCP is far slower per byte than the Frontera EDR preset,
-    /// so calibrated projections must price communication visibly higher
-    /// while staying finite and ordered.
-    #[test]
-    fn calibrated_projection_responds_to_measured_link() {
-        let report = committed_report();
-        let budget = TrainingBudget::default();
-        let arch = resnet50();
-        let preset = time_to_solution(&arch, 64, budget);
-        let fitted = time_to_solution_calibrated(&arch, 64, budget, report.link);
-        for t in [fitted.sgd_s, fitted.lw_s, fitted.opt_s] {
-            assert!(t.is_finite() && t > 0.0);
-        }
-        assert!(
-            fitted.sgd_s > preset.sgd_s,
-            "measured localhost link ({:.2e} s/B) should cost more than the \
-             EDR preset ({:.2e} s/B)",
-            report.link.beta_s_per_byte,
-            ClusterSpec::frontera(64).link.beta_s_per_byte,
-        );
-        let sweep = scaling_sweep_calibrated(&arch, budget, report.link);
-        assert_eq!(sweep.len(), 5);
     }
 
     /// `AlgoPolicy`'s size threshold is a constant read off the committed

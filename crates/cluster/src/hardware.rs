@@ -95,75 +95,6 @@ impl ClusterSpec {
     }
 }
 
-/// Measure this host's actual kernel rates so simulator constants can be
-/// anchored to local reality (used by the calibration bench; the default
-/// experiments use [`GpuSpec::v100`] so results are machine-independent).
-/// Host anchors use exponent 1.0 (pure FLOP proportionality) since the
-/// paper's memory-hierarchy effects are GPU-specific.
-pub fn calibrate_host() -> GpuSpec {
-    use kfac_tensor::{eigh, Matrix, Rng64};
-    use std::time::Instant;
-
-    let mut rng = Rng64::new(1);
-
-    // GEMM rate: 256×256×256 product.
-    let n = 256;
-    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.normal_f32()).collect());
-    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.normal_f32()).collect());
-    let t0 = Instant::now();
-    let reps = 4;
-    for _ in 0..reps {
-        std::hint::black_box(a.matmul(&b));
-    }
-    let gemm = (reps * 2 * n * n * n) as f64 / t0.elapsed().as_secs_f64();
-
-    // Gram rate (factor computation pattern): 2048×128 → 128×128.
-    let rows = 2048;
-    let cols = 128;
-    let x = Matrix::from_vec(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| rng.normal_f32()).collect(),
-    );
-    let t1 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(x.gram());
-    }
-    let gram = (reps * rows * cols * cols) as f64 / t1.elapsed().as_secs_f64();
-
-    // Eig rate: 96×96 symmetric eigendecomposition (9n³ convention).
-    let m = 96;
-    let mut s = x.gram();
-    s.scale(1.0 / rows as f32);
-    let small = {
-        let mut t = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                t[(i, j)] = s[(i, j)];
-            }
-        }
-        t
-    };
-    let t2 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(eigh(&small).expect("calibration eig"));
-    }
-    let eig = (reps * 9 * m * m * m) as f64 / t2.elapsed().as_secs_f64();
-
-    // Express the anchors through the measured rates and the ResNet-50
-    // reference workload.
-    let (r50_factor_flops, _r50_layers) = crate::profile::resnet50_reference();
-    GpuSpec {
-        gemm_flops: gemm,
-        eig_flops: eig,
-        framework_overhead_s: 0.0,
-        factor_anchor_s: 32.0 * r50_factor_flops / gram,
-        factor_exponent: 1.0,
-        precond_anchor_s: crate::profile::resnet50_precond_flops() / gemm,
-        precond_exponent: 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,14 +115,5 @@ mod tests {
         // Effective bandwidth between 1 and 12.5 GB/s (shared EDR).
         let bw = 1.0 / c.link.beta_s_per_byte;
         assert!(bw > 1e9 && bw < 12.5e9);
-    }
-
-    #[test]
-    fn host_calibration_produces_sane_rates() {
-        let g = calibrate_host();
-        for rate in [g.gemm_flops, g.eig_flops] {
-            assert!(rate > 1e7 && rate < 1e13, "rate {rate}");
-        }
-        assert!(g.factor_anchor_s > 0.0 && g.precond_anchor_s > 0.0);
     }
 }

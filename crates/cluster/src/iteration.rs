@@ -89,40 +89,6 @@ impl StageTimes {
     }
 }
 
-/// Straggler distribution: each rank independently runs `slowdown`×
-/// slower than nominal with probability `prob` on any given iteration.
-///
-/// Synchronous collectives complete at the pace of the slowest
-/// participant, so the expected per-iteration communication penalty is
-/// the expected maximum over ranks:
-///
-/// ```text
-/// E[factor] = 1 + (1 − (1−p)^world) · slowdown
-/// ```
-///
-/// i.e. the probability *any* rank straggles times its extra cost. The
-/// factor grows monotonically with both `prob` and world size —
-/// stragglers hurt more at scale, which is why the fault-tolerance
-/// ladder (see `kfac-harness::resilient`) bounds every collective with
-/// a deadline instead of waiting indefinitely.
-#[derive(Debug, Clone, Copy)]
-pub struct StragglerDist {
-    /// Per-rank, per-iteration probability of straggling.
-    pub prob: f64,
-    /// Extra time a straggling rank adds, as a multiple of the nominal
-    /// stage time (`1.0` = twice as slow).
-    pub slowdown: f64,
-}
-
-impl StragglerDist {
-    /// Expected slowest-rank slowdown factor for a `world`-rank
-    /// synchronous collective (≥ 1).
-    pub fn expected_max_factor(&self, world: usize) -> f64 {
-        let p_any = 1.0 - (1.0 - self.prob.clamp(0.0, 1.0)).powi(world as i32);
-        1.0 + p_any * self.slowdown.max(0.0)
-    }
-}
-
 /// The iteration model for one (model, cluster, local-batch) triple.
 #[derive(Debug, Clone)]
 pub struct IterationModel {
@@ -132,9 +98,6 @@ pub struct IterationModel {
     pub cluster: ClusterSpec,
     /// Per-GPU mini-batch (paper: 32).
     pub local_batch: usize,
-    /// Optional straggler distribution scaling all synchronous
-    /// communication stages by the expected slowest-rank factor.
-    pub stragglers: Option<StragglerDist>,
 }
 
 impl IterationModel {
@@ -144,22 +107,7 @@ impl IterationModel {
             profile,
             cluster,
             local_batch,
-            stragglers: None,
         }
-    }
-
-    /// Price iterations under a straggler distribution: every
-    /// synchronous communication stage is scaled by
-    /// [`StragglerDist::expected_max_factor`] for this cluster's size.
-    pub fn with_stragglers(mut self, dist: StragglerDist) -> Self {
-        self.stragglers = Some(dist);
-        self
-    }
-
-    fn comm_scale(&self) -> f64 {
-        self.stragglers
-            .map(|s| s.expected_max_factor(self.cluster.gpus))
-            .unwrap_or(1.0)
     }
 
     fn fwd_s(&self) -> f64 {
@@ -172,11 +120,9 @@ impl IterationModel {
     }
 
     fn grad_comm_s(&self) -> f64 {
-        self.comm_scale()
-            * self
-                .cluster
-                .link
-                .allreduce_s(self.profile.grad_bytes(), self.cluster.gpus)
+        self.cluster
+            .link
+            .allreduce_s(self.profile.grad_bytes(), self.cluster.gpus)
     }
 
     /// Un-amortized factor-stage times `(comp, comm)` for one factor
@@ -190,11 +136,10 @@ impl IterationModel {
         let comp = gpu.factor_anchor_s
             * (self.local_batch as f64 / 32.0)
             * ratio.powf(gpu.factor_exponent);
-        let comm = self.comm_scale()
-            * self
-                .cluster
-                .link
-                .allreduce_s(self.profile.factor_bytes(), self.cluster.gpus);
+        let comm = self
+            .cluster
+            .link
+            .allreduce_s(self.profile.factor_bytes(), self.cluster.gpus);
         (comp, comm)
     }
 
@@ -207,11 +152,10 @@ impl IterationModel {
         let makespan_flops =
             9 * kfac::distribution::makespan(&self.profile.factors, &assignment, world);
         let comp = makespan_flops as f64 / self.cluster.gpu.eig_flops;
-        let comm = self.comm_scale()
-            * self
-                .cluster
-                .link
-                .allgather_s(self.profile.eig_bytes(), world);
+        let comm = self
+            .cluster
+            .link
+            .allgather_s(self.profile.eig_bytes(), world);
         (comp, comm)
     }
 
@@ -469,38 +413,5 @@ mod tests {
             c152 / c50,
             flop_ratio
         );
-    }
-
-    #[test]
-    fn straggler_penalty_is_monotone_in_prob_and_scale() {
-        let dist = |p| StragglerDist {
-            prob: p,
-            slowdown: 2.0,
-        };
-        // Factor grows with straggle probability…
-        let f = |p| dist(p).expected_max_factor(64);
-        assert_eq!(f(0.0), 1.0);
-        assert!(f(0.01) < f(0.05) && f(0.05) < f(0.5));
-        // …and with world size: more ranks, more chances the slowest
-        // one straggles.
-        let at = |world| dist(0.02).expected_max_factor(world);
-        assert!(at(16) < at(64) && at(64) < at(256));
-        assert!(at(256) <= 3.0, "bounded by 1 + slowdown");
-
-        // Stragglers tax exactly the synchronous communication stages.
-        let clean = model_at(64);
-        let straggled = model_at(64).with_stragglers(dist(0.1));
-        let (a, b) = (
-            clean.kfac_opt_iteration(KfacRunConfig::with_freq(100)),
-            straggled.kfac_opt_iteration(KfacRunConfig::with_freq(100)),
-        );
-        assert!(b.grad_comm > a.grad_comm);
-        assert!(b.factor_comm > a.factor_comm);
-        assert!(b.eig_comm > a.eig_comm);
-        assert_eq!(a.fwd, b.fwd);
-        assert_eq!(a.bwd, b.bwd);
-        assert_eq!(a.factor_comp, b.factor_comp);
-        assert_eq!(a.eig_comp, b.eig_comp);
-        assert!(b.total() > a.total());
     }
 }

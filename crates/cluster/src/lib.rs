@@ -31,14 +31,11 @@ pub mod profile;
 pub mod scaling;
 pub mod trace;
 
-pub use calibrate::{
-    calibrated_cluster, scaling_sweep_calibrated, time_to_solution_calibrated, BenchReport,
-};
-pub use hardware::{calibrate_host, ClusterSpec, GpuSpec};
-pub use iteration::{IterationModel, KfacRunConfig, StageTimes, StragglerDist};
+pub use calibrate::BenchReport;
+pub use hardware::{ClusterSpec, GpuSpec};
+pub use iteration::{IterationModel, KfacRunConfig, StageTimes};
 pub use profile::ModelProfile;
 pub use scaling::{
-    crossover_scale, efficiency, paper_update_freq, scaling_sweep, time_to_solution, ScalingPoint,
-    TrainingBudget,
+    efficiency, paper_update_freq, scaling_sweep, time_to_solution, ScalingPoint, TrainingBudget,
 };
 pub use trace::{emit_kfac_opt_overlap_trace, emit_kfac_opt_trace};

@@ -62,19 +62,6 @@ impl ModelProfile {
     pub fn eig_flops_total(&self) -> u64 {
         self.factors.iter().map(|f| 9 * f.eig_cost()).sum()
     }
-
-    /// Per-example FLOPs to precondition every layer's gradient
-    /// (Eq. 13–15: four GEMMs of `dG²·dA` / `dG·dA²` per layer) — not
-    /// batch-dependent, but computed per iteration on every rank.
-    pub fn precond_flops(&self) -> u64 {
-        self.layer_dims
-            .iter()
-            .map(|&(da, dg)| {
-                let (da, dg) = (da as u64, dg as u64);
-                2 * (2 * dg * dg * da + 2 * dg * da * da)
-            })
-            .sum()
-    }
 }
 
 /// ResNet-50 reference quantities used as calibration anchors:
@@ -82,11 +69,6 @@ impl ModelProfile {
 pub fn resnet50_reference() -> (f64, usize) {
     let arch = kfac_nn::arch::resnet50();
     (arch.factor_flops() as f64, arch.layers.len())
-}
-
-/// ResNet-50 per-iteration preconditioning FLOPs (calibration anchor).
-pub fn resnet50_precond_flops() -> f64 {
-    ModelProfile::from_arch(&kfac_nn::arch::resnet50()).precond_flops() as f64
 }
 
 #[cfg(test)]

@@ -94,25 +94,6 @@ pub fn scaling_sweep(arch: &ModelArch, budget: TrainingBudget) -> Vec<ScalingPoi
         .collect()
 }
 
-/// Find the GPU count at which K-FAC-opt stops beating SGD for a model
-/// (binary search over powers of two in `[16, max_gpus]`). Returns
-/// `None` if K-FAC still wins at `max_gpus`.
-///
-/// This answers the practical question the paper's Fig. 9 raises: *how
-/// far* can each model scale before the second-order overheads eat the
-/// 55-vs-90-epoch advantage?
-pub fn crossover_scale(arch: &ModelArch, budget: TrainingBudget, max_gpus: usize) -> Option<usize> {
-    let mut gpus = 16usize;
-    while gpus <= max_gpus {
-        let p = time_to_solution(arch, gpus, budget);
-        if p.opt_improvement() <= 0.0 {
-            return Some(gpus);
-        }
-        gpus *= 2;
-    }
-    None
-}
-
 /// Scaling efficiency of a series relative to its smallest scale:
 /// `eff(N) = T(16)·16 / (T(N)·N)`.
 pub fn efficiency(points: &[ScalingPoint], extract: impl Fn(&ScalingPoint) -> f64) -> Vec<f64> {
@@ -203,17 +184,6 @@ mod tests {
         for w in eff.windows(2) {
             assert!(w[1] <= w[0] + 1e-9, "efficiency must not increase: {eff:?}");
         }
-    }
-
-    #[test]
-    fn crossover_only_for_the_deepest_model() {
-        // Fig. 9's message: ResNet-152 crosses over within the paper's
-        // sweep range; ResNet-50 does not.
-        let b = TrainingBudget::default();
-        assert_eq!(crossover_scale(&resnet50(), b, 256), None);
-        let c152 = crossover_scale(&resnet152(), b, 1024);
-        assert!(c152.is_some(), "ResNet-152 must cross over by 1024 GPUs");
-        assert!(c152.unwrap() >= 128, "but not before 128 GPUs: {c152:?}");
     }
 
     #[test]

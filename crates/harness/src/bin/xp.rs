@@ -27,7 +27,7 @@
 //! thread also refreshes the live stage table on stderr every few
 //! seconds so long runs stay observable without a scraper.
 
-use kfac_harness::experiments::{self, ALL_EXPERIMENTS};
+use kfac_harness::experiments::{self, ALL_EXPERIMENTS, SUBCOMMANDS};
 use kfac_harness::presets::Scale;
 use kfac_harness::report::append_to_file;
 use kfac_harness::{runtime, ExecStrategy, RuntimeConfig};
@@ -72,6 +72,10 @@ fn main() {
         usage_and_exit();
     }
     let target = args[0].as_str();
+    if !ALL_EXPERIMENTS.contains(&target) && !SUBCOMMANDS.contains(&target) {
+        eprintln!("unknown experiment '{target}'");
+        usage_and_exit();
+    }
     if target == "list" {
         println!("available experiments: {}", ALL_EXPERIMENTS.join(", "));
         return;
@@ -478,10 +482,12 @@ fn flag_error(msg: &str) -> ! {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: xp <experiment|all|list|bench-kernels|bench-eig|bench-allreduce|proc-train|prom-lint FILE> \
+        "usage: xp <experiment|{}> \
          [--scale smoke|quick|full] [--out DIR] [--trace-out FILE] [--overlap] \
-         [--serve-metrics [PORT]] [--json [FILE]] [--ranks N] [--iters K]\n\
+         [--serve-metrics [PORT]] [--json [FILE]] [--ranks N] [--iters K]\n       \
+         xp prom-lint FILE\n\
          experiments: {}",
+        SUBCOMMANDS.join("|"),
         ALL_EXPERIMENTS.join(", ")
     );
     std::process::exit(2);

@@ -87,6 +87,20 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "mixed",
 ];
 
+/// The words `xp` accepts in place of an experiment id: `all`, `list`
+/// and the standalone tools. `xp` refuses any first argument that is in
+/// neither this list nor [`ALL_EXPERIMENTS`], and the documentation's
+/// command lines are checked against both.
+pub const SUBCOMMANDS: &[&str] = &[
+    "all",
+    "list",
+    "prom-lint",
+    "bench-kernels",
+    "bench-eig",
+    "bench-allreduce",
+    "proc-train",
+];
+
 /// Dispatch one experiment by id.
 pub fn run(id: &str, scale: Scale) -> Option<ExperimentOutput> {
     match id {

@@ -7,7 +7,7 @@ use kfac_suite::cluster::{
     ModelProfile, TrainingBudget,
 };
 use kfac_suite::kfac::PlacementPolicy;
-use kfac_suite::nn::arch::{resnet101, resnet152, resnet50};
+use kfac_suite::nn::arch::{resnet101, resnet152, resnet50, ModelArch};
 
 #[test]
 fn table_iv_improvement_bands() {
@@ -47,6 +47,23 @@ fn fig7_strategy_ordering_and_epoch_budgets() {
             p.sgd_s
         );
     }
+}
+
+#[test]
+fn fig9_crossover_only_for_the_deepest_model() {
+    // Fig. 9's message: K-FAC-opt keeps its 55-vs-90-epoch advantage over
+    // the whole sweep on ResNet-50, while on ResNet-152 the second-order
+    // overheads eat it — but not before 128 GPUs.
+    let b = TrainingBudget::default();
+    let first_crossover = |arch: &ModelArch, max_gpus: usize| {
+        std::iter::successors(Some(16usize), |g| Some(2 * g))
+            .take_while(|&g| g <= max_gpus)
+            .find(|&g| time_to_solution(arch, g, b).opt_improvement() <= 0.0)
+    };
+    assert_eq!(first_crossover(&resnet50(), 256), None);
+    let c152 = first_crossover(&resnet152(), 1024);
+    assert!(c152.is_some(), "ResNet-152 must cross over by 1024 GPUs");
+    assert!(c152.unwrap() >= 128, "but not before 128 GPUs: {c152:?}");
 }
 
 #[test]
@@ -108,7 +125,7 @@ fn update_interval_schedule_keeps_updates_per_epoch_constant() {
 
 #[test]
 fn fig10_superlinear_factor_growth() {
-    let at = |arch: &kfac_suite::nn::arch::ModelArch| {
+    let at = |arch: &ModelArch| {
         IterationModel::new(ModelProfile::from_arch(arch), ClusterSpec::frontera(16), 32)
             .factor_stage_s()
             .0
