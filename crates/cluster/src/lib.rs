@@ -29,7 +29,6 @@ pub mod hardware;
 pub mod iteration;
 pub mod profile;
 pub mod scaling;
-pub mod trace;
 
 pub use calibrate::BenchReport;
 pub use hardware::{ClusterSpec, GpuSpec};
@@ -38,4 +37,3 @@ pub use profile::ModelProfile;
 pub use scaling::{
     efficiency, paper_update_freq, scaling_sweep, time_to_solution, ScalingPoint, TrainingBudget,
 };
-pub use trace::{emit_kfac_opt_overlap_trace, emit_kfac_opt_trace};

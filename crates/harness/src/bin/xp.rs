@@ -11,13 +11,14 @@
 //! With `--overlap`, every training run an experiment drives exchanges
 //! its gradients per bucket on a background thread while backward is
 //! still running, instead of after backward. Results are bitwise
-//! identical either way (see the `overlap` experiment).
+//! identical either way (the `Schedule` relation of
+//! `crates/harness/tests/pins.rs`).
 //!
-//! With `--trace-out`, every run (measured CPU training and simulator
-//! projections alike) records spans into one shared telemetry registry;
-//! at exit the timeline is written as Chrome trace-event JSON (open in
-//! `chrome://tracing` or Perfetto) and a per-stage breakdown table with
-//! p50/p95/p99 is printed to stderr.
+//! Every training run records its spans into one shared telemetry
+//! registry; at exit a per-stage breakdown table with p50/p95/p99 is
+//! printed to stderr, and with `--trace-out` the timeline is written as
+//! Chrome trace-event JSON (open in `chrome://tracing` or Perfetto).
+//! Simulator projections time nothing and record nothing.
 //!
 //! With `--serve-metrics`, the same registry is additionally served live
 //! over localhost HTTP while the experiments run: `/metrics` in
@@ -27,7 +28,7 @@
 //! thread also refreshes the live stage table on stderr every few
 //! seconds so long runs stay observable without a scraper.
 
-use kfac_harness::experiments::{self, ALL_EXPERIMENTS, SUBCOMMANDS};
+use kfac_harness::experiments::{self, ALL_EXPERIMENTS, SUBCOMMANDS, XP_ALL};
 use kfac_harness::presets::Scale;
 use kfac_harness::report::append_to_file;
 use kfac_harness::{runtime, ExecStrategy, RuntimeConfig};
@@ -143,9 +144,8 @@ fn main() {
     start(config);
 
     // One registry for the whole invocation: installing it on the main
-    // thread makes it ambient, so every train() the drivers launch (and
-    // every simulator trace) lands on the same timeline — and the same
-    // live /metrics endpoint.
+    // thread makes it ambient, so every train() the drivers launch lands
+    // on the same timeline — and the same live /metrics endpoint.
     let registry = Registry::new();
     let telemetry_guard = registry.install(0);
 
@@ -187,17 +187,9 @@ fn main() {
             .expect("spawn stage refresh thread");
     }
 
-    let ids: Vec<&str> = if target == "all" {
-        // Deduplicate aliases (table2/fig4 and table3/fig6 share drivers).
-        vec![
-            "table1", "table2", "fig5", "table3", "fig7", "fig8", "fig9", "table4", "table5",
-            "table6", "fig10", "overlap",
-        ]
-    } else {
-        vec![target]
-    };
+    let ids: &[&str] = if target == "all" { XP_ALL } else { &[target] };
 
-    for id in ids {
+    for &id in ids {
         eprintln!("=== running {id} (scale: {scale:?}) ===");
         let started = std::time::Instant::now();
         match experiments::run(id, scale) {

@@ -6,10 +6,7 @@
 
 use crate::experiments::ExperimentOutput;
 use crate::report::{hms, pct, Table};
-use kfac_cluster::{
-    efficiency, emit_kfac_opt_trace, scaling_sweep, ClusterSpec, IterationModel, KfacRunConfig,
-    ModelProfile, ScalingPoint, TrainingBudget,
-};
+use kfac_cluster::{efficiency, scaling_sweep, ScalingPoint, TrainingBudget};
 use kfac_nn::arch::{resnet101, resnet152, resnet50, ModelArch};
 
 fn arch_for(depth: usize) -> ModelArch {
@@ -25,18 +22,6 @@ fn arch_for(depth: usize) -> ModelArch {
 pub fn run_model(depth: usize) -> ExperimentOutput {
     let arch = arch_for(depth);
     let points = scaling_sweep(&arch, TrainingBudget::default());
-
-    // When the caller (xp --trace-out) has telemetry installed, render a
-    // short synthetic 16-GPU timeline through the same span API the real
-    // trainer uses: `sim/*` lanes land in the same Chrome trace.
-    if let Some((registry, _)) = kfac_telemetry::current() {
-        let model = IterationModel::new(
-            ModelProfile::from_arch(&arch),
-            ClusterSpec::frontera(16),
-            32,
-        );
-        emit_kfac_opt_trace(&registry, &model, KfacRunConfig::with_freq(4), 8);
-    }
 
     let fig_id: &'static str = match depth {
         50 => "fig7",

@@ -230,86 +230,6 @@ fn bottleneck_arch(name: &str, blocks: [usize; 4]) -> ModelArch {
     }
 }
 
-/// Build a full-size *basic-block* ResNet arch on 224×224 inputs
-/// (ResNet-18/34 family; the paper used ResNet-34 during development).
-fn basic_arch(name: &str, blocks: [usize; 4]) -> ModelArch {
-    let mut layers = Vec::new();
-    let mut bn_params = 0usize;
-    let mut bn = |c: usize| bn_params += 2 * c;
-
-    layers.push(LayerSpec::Conv {
-        name: "stem.conv".into(),
-        c_in: 3,
-        c_out: 64,
-        k: 7,
-        h_out: 112,
-        w_out: 112,
-    });
-    bn(64);
-
-    let mut c_in = 64usize;
-    let mut spatial = 56usize;
-    for (si, &nblocks) in blocks.iter().enumerate() {
-        let width = 64 << si;
-        for bi in 0..nblocks {
-            let stride = if si > 0 && bi == 0 { 2 } else { 1 };
-            let out_sp = spatial / stride;
-            let p = format!("s{si}.b{bi}");
-            layers.push(LayerSpec::Conv {
-                name: format!("{p}.conv1"),
-                c_in,
-                c_out: width,
-                k: 3,
-                h_out: out_sp,
-                w_out: out_sp,
-            });
-            bn(width);
-            layers.push(LayerSpec::Conv {
-                name: format!("{p}.conv2"),
-                c_in: width,
-                c_out: width,
-                k: 3,
-                h_out: out_sp,
-                w_out: out_sp,
-            });
-            bn(width);
-            if stride != 1 || c_in != width {
-                layers.push(LayerSpec::Conv {
-                    name: format!("{p}.down"),
-                    c_in,
-                    c_out: width,
-                    k: 1,
-                    h_out: out_sp,
-                    w_out: out_sp,
-                });
-                bn(width);
-            }
-            c_in = width;
-            spatial = out_sp;
-        }
-    }
-    layers.push(LayerSpec::Linear {
-        name: "fc".into(),
-        in_features: 512,
-        out_features: 1000,
-    });
-    ModelArch {
-        name: name.into(),
-        layers,
-        bn_params,
-    }
-}
-
-/// Full-size ResNet-18.
-pub fn resnet18() -> ModelArch {
-    basic_arch("ResNet-18", [2, 2, 2, 2])
-}
-
-/// Full-size ResNet-34 (the paper's development model, §VI-B).
-pub fn resnet34() -> ModelArch {
-    basic_arch("ResNet-34", [3, 4, 6, 3])
-}
-
 /// Full-size ResNet-50 on ImageNet (224×224, 1000 classes).
 pub fn resnet50() -> ModelArch {
     bottleneck_arch("ResNet-50", [3, 4, 6, 3])
@@ -325,70 +245,6 @@ pub fn resnet152() -> ModelArch {
     bottleneck_arch("ResNet-152", [3, 8, 36, 3])
 }
 
-/// Full-size CIFAR ResNet-32 (the paper's correctness model).
-pub fn resnet32_cifar() -> ModelArch {
-    let mut layers = Vec::new();
-    let mut bn_params = 0usize;
-    layers.push(LayerSpec::Conv {
-        name: "stem.conv".into(),
-        c_in: 3,
-        c_out: 16,
-        k: 3,
-        h_out: 32,
-        w_out: 32,
-    });
-    bn_params += 32;
-    let mut c_in = 16usize;
-    let mut spatial = 32usize;
-    for (si, width) in [16usize, 32, 64].into_iter().enumerate() {
-        for bi in 0..5 {
-            let stride = if si > 0 && bi == 0 { 2 } else { 1 };
-            let out_sp = spatial / stride;
-            let p = format!("s{si}.b{bi}");
-            layers.push(LayerSpec::Conv {
-                name: format!("{p}.conv1"),
-                c_in,
-                c_out: width,
-                k: 3,
-                h_out: out_sp,
-                w_out: out_sp,
-            });
-            layers.push(LayerSpec::Conv {
-                name: format!("{p}.conv2"),
-                c_in: width,
-                c_out: width,
-                k: 3,
-                h_out: out_sp,
-                w_out: out_sp,
-            });
-            bn_params += 4 * width;
-            if stride != 1 || c_in != width {
-                layers.push(LayerSpec::Conv {
-                    name: format!("{p}.down"),
-                    c_in,
-                    c_out: width,
-                    k: 1,
-                    h_out: out_sp,
-                    w_out: out_sp,
-                });
-                bn_params += 2 * width;
-            }
-            c_in = width;
-            spatial = out_sp;
-        }
-    }
-    layers.push(LayerSpec::Linear {
-        name: "fc".into(),
-        in_features: 64,
-        out_features: 10,
-    });
-    ModelArch {
-        name: "ResNet-32".into(),
-        layers,
-        bn_params,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,23 +258,6 @@ mod tests {
             (25_000_000..26_100_000).contains(&p),
             "ResNet-50 params {p} out of expected range"
         );
-    }
-
-    #[test]
-    fn resnet18_and_34_reference_counts() {
-        // torchvision: 11,689,512 and 21,797,672.
-        let p18 = resnet18().total_params();
-        let p34 = resnet34().total_params();
-        assert!((11_400_000..11_900_000).contains(&p18), "{p18}");
-        assert!((21_400_000..22_100_000).contains(&p34), "{p34}");
-    }
-
-    #[test]
-    fn basic_arch_layer_counts() {
-        // ResNet-18: stem + 16 block convs + 3 projections + fc.
-        assert_eq!(resnet18().layers.len(), 1 + 16 + 3 + 1);
-        // ResNet-34: stem + 32 block convs + 3 projections + fc.
-        assert_eq!(resnet34().layers.len(), 1 + 32 + 3 + 1);
     }
 
     #[test]
@@ -446,7 +285,6 @@ mod tests {
         assert_eq!(resnet50().layers.len(), 1 + 48 + 4 + 1);
         assert_eq!(resnet101().layers.len(), 1 + 99 + 4 + 1);
         assert_eq!(resnet152().layers.len(), 1 + 150 + 4 + 1);
-        assert_eq!(resnet32_cifar().layers.len(), 1 + 30 + 2 + 1);
     }
 
     #[test]
@@ -475,13 +313,6 @@ mod tests {
             f152 / f50 > 0.9 * (p152 / p50),
             "factor work should grow at least about as fast as params"
         );
-    }
-
-    #[test]
-    fn cifar_resnet32_param_count() {
-        // Reference ResNet-32 has ~0.46M params.
-        let p = resnet32_cifar().total_params();
-        assert!((420_000..500_000).contains(&p), "{p}");
     }
 
     #[test]

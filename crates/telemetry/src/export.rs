@@ -1,6 +1,6 @@
 //! Exporters over a recorded span set: Chrome trace-event JSON (openable
-//! in `chrome://tracing` / Perfetto), a JSONL event log, and a
-//! human-readable per-stage breakdown table.
+//! in `chrome://tracing` / Perfetto) and a human-readable per-stage
+//! breakdown table.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -111,37 +111,6 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
         out.push_str("}}");
     }
     out.push_str("\n]}\n");
-    out
-}
-
-/// Render events as JSONL: one flat JSON object per line, in
-/// `(rank, lane, start, seq)` order (lane breaks cross-thread `seq`
-/// ties, keeping the document deterministic). Grep-friendly
-/// counterpart of the trace.
-pub fn jsonl(events: &[SpanEvent]) -> String {
-    let mut sorted: Vec<&SpanEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| (e.rank, e.lane.is_some(), e.lane, e.start_us, e.seq));
-    let mut out = String::with_capacity(events.len() * 96);
-    for ev in sorted {
-        out.push_str("{\"name\": ");
-        escape_into(&mut out, ev.name);
-        let _ = write!(
-            out,
-            ", \"rank\": {}, \"depth\": {}, \"ts_us\": {}, \"dur_us\": {}",
-            ev.rank, ev.depth, ev.start_us, ev.dur_us
-        );
-        if let Some(lane) = ev.lane {
-            out.push_str(", \"lane\": ");
-            escape_into(&mut out, lane);
-        }
-        for (k, v) in sorted_attrs(ev) {
-            out.push_str(", ");
-            escape_into(&mut out, k);
-            out.push_str(": ");
-            push_attr_value(&mut out, v);
-        }
-        out.push_str("}\n");
-    }
     out
 }
 
@@ -609,17 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_each_parse() {
-        let doc = jsonl(&sample_events());
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 6);
-        for line in lines {
-            let v = Json::parse(line).expect("valid JSONL line");
-            assert!(v.get("name").is_some() && v.get("dur_us").is_some());
-        }
-    }
-
-    #[test]
     fn stage_rows_aggregate_and_percentiles() {
         let rows = stage_rows(&sample_events());
         assert_eq!(rows[0].name, "train/iteration"); // largest total first
@@ -692,18 +650,7 @@ mod tests {
         reversed[0] = b; // same event as `a`, attrs in the other order
 
         assert_eq!(chrome_trace(&events), chrome_trace(&reversed));
-        assert_eq!(jsonl(&events), jsonl(&reversed));
 
-        // Round-trip: every JSONL line parses and the hostile string
-        // comes back intact, with attrs in sorted key order.
-        let doc = jsonl(&events);
-        let hostile = doc
-            .lines()
-            .map(|l| Json::parse(l).expect("valid line"))
-            .find(|v| v.get("zeta").is_some())
-            .expect("event with hostile attr present");
-        assert_eq!(hostile.get("zeta").unwrap().as_str(), Some("a\"b\\c\nd"));
-        assert_eq!(hostile.get("alpha").unwrap().as_f64(), Some(2.5));
         let trace = Json::parse(&chrome_trace(&events)).expect("valid trace");
         let args: Vec<&Json> = trace
             .get("traceEvents")
@@ -728,7 +675,10 @@ mod tests {
         for v in [10.0, 20.0, 20.0, 4000.0] {
             h.record(v);
         }
-        registry.record_raw(ev("train/iteration", 0, 0, 0, 0, 100));
+        {
+            let _guard = registry.install(0);
+            let _span = crate::Span::enter("train/iteration");
+        }
 
         let doc = prometheus(&registry);
         lint_prometheus(&doc).expect("self-emitted exposition lints clean");

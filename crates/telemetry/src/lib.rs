@@ -36,9 +36,8 @@
 //! log-scale with bounded-error percentile queries.
 //!
 //! Exporters live in [`export`]: Chrome trace-event JSON (one timeline
-//! thread per rank, loadable in Perfetto), JSONL, Prometheus text
-//! exposition, and the per-stage breakdown table printed at the end of
-//! `xp` runs.
+//! thread per rank, loadable in Perfetto), Prometheus text exposition,
+//! and the per-stage breakdown table printed at the end of `xp` runs.
 //!
 //! The *live* observability layer builds on the same registry:
 //! [`server::MetricsServer`] serves `/metrics` and `/health` over

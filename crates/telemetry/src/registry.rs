@@ -250,17 +250,6 @@ impl Registry {
         self.inner.pending.push(batch);
     }
 
-    /// Record a single pre-built event directly. Used by the cluster
-    /// simulator to emit synthetic timelines through the same registry
-    /// the live trainer uses.
-    pub fn record_raw(&self, event: SpanEvent) {
-        self.inner
-            .collected
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event);
-    }
-
     /// Snapshot of every recorded span, sorted by `(rank, start_us, seq)`.
     ///
     /// Spans still buffered thread-locally by live [`crate::InstallGuard`]s
