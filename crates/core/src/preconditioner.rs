@@ -139,6 +139,10 @@ pub struct Kfac {
     /// where averages are read.
     #[cfg(test)]
     exchange_every_fold: bool,
+    /// Test oracle: fold through the layer's full mirrored factors and
+    /// [`Matrix::axpby`], the two passes the upper-triangle fold replaced.
+    #[cfg(test)]
+    two_pass_fold: bool,
 }
 
 impl Kfac {
@@ -185,6 +189,8 @@ impl Kfac {
             unexchanged_folds: false,
             #[cfg(test)]
             exchange_every_fold: false,
+            #[cfg(test)]
+            two_pass_fold: false,
         }
     }
 
@@ -531,8 +537,12 @@ impl Kfac {
         Ok(1)
     }
 
-    /// Phase: compute K-FAC-eligible layer `li`'s Kronecker factors from
-    /// its capture and fold them into the running averages (Eq. 16–17).
+    /// Phase: fold K-FAC-eligible layer `li`'s captured factor sums into
+    /// its running averages (Eq. 16–17): `avg = ξ·(s/m) + (1 − ξ)·avg`,
+    /// or `avg = s/m` for the first fold. One pass over the upper
+    /// triangle, the only part of an average anything reads (see
+    /// [`Kfac::factor_pack`], [`Kfac::save_state`] and the
+    /// decompositions, which mirror where they need a full matrix).
     /// Layers are independent, so calls may run in any order / in
     /// parallel across `li`.
     pub fn factor_update_layer(&mut self, li: usize, layer: &dyn KfacEligible) {
@@ -544,20 +554,48 @@ impl Kfac {
             li,
             layer.kfac_name()
         );
+        #[cfg(test)]
+        if self.two_pass_fold {
+            self.two_pass_fold_layer(li, layer);
+            self.unexchanged_folds = true;
+            return;
+        }
+        let sums = layer.factor_sums();
+        let inv_m = 1.0 / sums.rows() as f32;
+        let (xi, keep) = (self.cfg.running_avg, 1.0 - self.cfg.running_avg);
+        for (id, sum) in [(2 * li, sums.a()), (2 * li + 1, sums.g())] {
+            let n = sum.rows();
+            let slot = &mut self.averages[id];
+            let first = slot.is_none();
+            let avg = slot.get_or_insert_with(|| Matrix::zeros(n, n));
+            for i in 0..n {
+                let (dst, src) = (&mut avg.row_mut(i)[i..], &sum.row(i)[i..]);
+                if first {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = s * inv_m;
+                    }
+                } else {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = xi * (s * inv_m) + keep * *d;
+                    }
+                }
+            }
+        }
+        self.unexchanged_folds = true;
+    }
+
+    /// Test oracle: the fold as two full passes, the layer's mirrored
+    /// factors and then [`Matrix::axpby`] over all `n²` entries.
+    #[cfg(test)]
+    fn two_pass_fold_layer(&mut self, li: usize, layer: &dyn KfacEligible) {
         let (a, g) = layer.compute_factors();
         let xi = self.cfg.running_avg;
         for (id, new) in [(2 * li, a), (2 * li + 1, g)] {
             match &mut self.averages[id] {
-                Some(avg) => {
-                    avg.axpby(xi, &new, 1.0 - xi);
-                    // `new` came from the layer's arena scratch; return it
-                    // so steady-state factor updates allocate nothing.
-                    arena::recycle_matrix(new);
-                }
+                Some(avg) => avg.axpby(xi, &new, 1.0 - xi),
                 slot @ None => *slot = Some(new),
             }
         }
-        self.unexchanged_folds = true;
     }
 
     /// Phase: pack what this iteration's factor exchange carries into one
@@ -567,7 +605,8 @@ impl Kfac {
     /// which [`wire::try_allreduce_half`] does not send and
     /// [`Kfac::factor_unpack`] does not read — otherwise. With
     /// `triangular_factor_comm` only the upper triangle travels: factors
-    /// are symmetric, so this halves the payload exactly.
+    /// are symmetric, so this halves the payload exactly. Without it
+    /// each average travels whole, mirrored from its upper triangle.
     pub fn factor_pack(&self) -> Vec<f32> {
         if !self.factor_exchange_due() {
             return Vec::new();
@@ -583,22 +622,22 @@ impl Kfac {
         let mut fused = Vec::with_capacity(self.averages.iter().flatten().map(packed_len).sum());
         for avg in self.averages.iter().flatten() {
             if triangular {
-                let n = avg.rows();
-                for i in 0..n {
+                for i in 0..avg.rows() {
                     fused.extend_from_slice(&avg.row(i)[i..]);
                 }
             } else {
-                fused.extend_from_slice(avg.as_slice());
+                let full = mirrored(avg);
+                fused.extend_from_slice(full.as_slice());
+                arena::recycle_matrix(full);
             }
         }
         fused
     }
 
     /// Phase: write an allreduced fused payload (from
-    /// [`Kfac::factor_pack`]) back into the running averages, mirroring
-    /// the lower triangle when triangular packing is on; the averages are
-    /// then the group's ([`Kfac::factors_in_sync`]). An empty payload —
-    /// no exchange was due — touches nothing.
+    /// [`Kfac::factor_pack`]) back into the running averages; the
+    /// averages are then the group's ([`Kfac::factors_in_sync`]). An
+    /// empty payload — no exchange was due — touches nothing.
     pub fn factor_unpack(&mut self, fused: &[f32]) {
         if fused.is_empty() {
             return;
@@ -613,7 +652,6 @@ impl Kfac {
                     avg.row_mut(i)[i..].copy_from_slice(&fused[off..off + len]);
                     off += len;
                 }
-                mirror_upper_to_lower(avg.as_mut_slice(), n);
             } else {
                 let len = avg.len();
                 avg.as_mut_slice().copy_from_slice(&fused[off..off + len]);
@@ -695,41 +733,37 @@ impl Kfac {
     /// decomposition degrades to the damped identity instead of
     /// panicking; the fallback is counted in `kfac/eig_fallbacks`.
     fn compute_second_order(&mut self, id: usize) -> FactorSecondOrder {
+        // The solvers read a full symmetric matrix: mirrored once per
+        // update, into scratch.
+        let full = mirrored(
+            self.averages[id]
+                .as_ref()
+                .expect("factor average exists before second-order update"),
+        );
         let so = match self.cfg.inversion {
             InversionMethod::Eigen => {
-                let (eig, trace) = {
-                    let avg = self.averages[id]
-                        .as_ref()
-                        .expect("factor average exists before second-order update");
-                    let trace = avg.trace() as f64;
-                    let eig = match self.cfg.eigen_solver {
-                        EigenSolver::Randomized => {
-                            decompose_factor_randomized(avg, &self.cfg.rand_eig)
-                        }
-                        solver => decompose_factor_with(avg, solver),
+                let eig = match self.cfg.eigen_solver {
+                    EigenSolver::Randomized => {
+                        decompose_factor_randomized(&full, &self.cfg.rand_eig)
                     }
-                    .ok()
-                    .filter(|e| {
-                        e.eigenvalues.iter().all(|v| v.is_finite())
-                            && e.eigenvectors.as_slice().iter().all(|v| v.is_finite())
-                    });
-                    (eig, trace)
-                };
+                    solver => decompose_factor_with(&full, solver),
+                }
+                .ok()
+                .filter(|e| {
+                    e.eigenvalues.iter().all(|v| v.is_finite())
+                        && e.eigenvectors.as_slice().iter().all(|v| v.is_finite())
+                });
                 if let Some(e) = &eig {
-                    self.record_spectrum(id, e, trace);
+                    self.record_spectrum(id, e, full.trace() as f64);
                 }
                 eig.map(FactorSecondOrder::Eigen)
             }
-            InversionMethod::ExplicitInverse => {
-                let avg = self.averages[id]
-                    .as_ref()
-                    .expect("factor average exists before second-order update");
-                invert_factor(avg, self.damping)
-                    .ok()
-                    .filter(|m| m.as_slice().iter().all(|v| v.is_finite()))
-                    .map(FactorSecondOrder::Inverse)
-            }
+            InversionMethod::ExplicitInverse => invert_factor(&full, self.damping)
+                .ok()
+                .filter(|m| m.as_slice().iter().all(|v| v.is_finite()))
+                .map(FactorSecondOrder::Inverse),
         };
+        arena::recycle_matrix(full);
         match so {
             Some(so) => so,
             None => {
@@ -1070,8 +1104,11 @@ impl Kfac {
         for avg in &self.averages {
             match avg {
                 Some(m) => {
+                    // Format version 2 stores the full symmetric matrix.
                     out.push(1);
-                    put_f32s(&mut out, m.as_slice());
+                    let full = mirrored(m);
+                    put_f32s(&mut out, full.as_slice());
+                    arena::recycle_matrix(full);
                 }
                 None => out.push(0),
             }
@@ -1169,12 +1206,22 @@ impl Kfac {
     }
 }
 
+/// The symmetric matrix whose upper triangle the running average `avg`
+/// holds, in arena scratch (hand it back with `arena::recycle_matrix`).
+fn mirrored(avg: &Matrix) -> Matrix {
+    let n = avg.rows();
+    let mut full = arena::take_matrix(n, n);
+    full.as_mut_slice().copy_from_slice(avg.as_slice());
+    mirror_upper_to_lower(full.as_mut_slice(), n);
+    full
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precision::PrecisionPolicy;
     use kfac_collectives::ThreadComm;
-    use kfac_nn::{layer::Mode, CrossEntropyLoss, Linear, ReLU, Sequential};
+    use kfac_nn::{layer::Mode, Conv2d, CrossEntropyLoss, Flatten, Linear, ReLU, Sequential};
     use kfac_tensor::{Rng64, Tensor4};
 
     /// Factor dimensions 7, 8, 9, 4.
@@ -1230,7 +1277,10 @@ mod tests {
                             kfac.step(&mut m, &comm, 0.1);
                             if decomposes {
                                 assert!(kfac.factors_in_sync());
-                                snapshots.push(kfac.averages.iter().flatten().cloned().collect());
+                                // An average is its upper triangle: compare
+                                // the symmetric matrices they stand for.
+                                snapshots
+                                    .push(kfac.averages.iter().flatten().map(mirrored).collect());
                             }
                         }
                         snapshots
@@ -1324,6 +1374,121 @@ mod tests {
                 "world {world}: one rounding per update ({lazy_err}) should sit closer \
                  to f32 than one per fold ({eager_err})"
             );
+        }
+    }
+
+    /// Factor dimensions 28, 4 (a conv whose 288 positions span three
+    /// blocks, the last one ragged) and 145, 3.
+    fn conv_model() -> Sequential {
+        let mut rng = Rng64::new(7);
+        Sequential::from_layers(vec![
+            Box::new(Conv2d::new("conv", 3, 4, 3, 1, 1, true, &mut rng)),
+            Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new("fc", 4 * 6 * 6, 3, true, &mut rng)),
+        ])
+    }
+
+    /// One capturing forward + backward of `conv_model` on data of `seed`.
+    fn capture(m: &mut Sequential, seed: u64) {
+        let mut rng = Rng64::new(seed);
+        let x = Tensor4::from_vec(
+            8,
+            3,
+            6,
+            6,
+            (0..8 * 3 * 36).map(|_| rng.normal_f32()).collect(),
+        );
+        let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
+        m.zero_grad();
+        m.set_capture(true);
+        let out = m.forward(&x, Mode::Train);
+        let (_, g) = CrossEntropyLoss::new().forward(&out, &labels);
+        let _ = m.backward(&g);
+    }
+
+    /// The upper-triangle fold keeps every bit of the two-pass fold it
+    /// replaced (the layer's mirrored factors, then `axpby` over all `n²`
+    /// entries): on both ranks of a group, the saved state — the full
+    /// symmetric averages and the decompositions read from them — is
+    /// byte-equal after the first fold, each warm fold, each factor
+    /// exchange and decomposition, and each fold after a restore, with
+    /// and without triangular packing.
+    #[test]
+    fn upper_triangle_fold_matches_the_two_pass_oracle() {
+        for triangular in [true, false] {
+            let cfg = KfacConfig {
+                update_freq: 4,
+                factor_freq_multiplier: 4,
+                triangular_factor_comm: triangular,
+                ..KfacConfig::default()
+            };
+            let fresh = |m: &mut Sequential, oracle: bool| {
+                let mut k = Kfac::new(m, cfg.clone());
+                k.two_pass_fold = oracle;
+                k
+            };
+            std::thread::scope(|s| {
+                for comm in ThreadComm::create(2) {
+                    s.spawn(move || {
+                        let mut m = conv_model();
+                        let mut kfacs = [fresh(&mut m, false), fresh(&mut m, true)];
+                        let same = |kfacs: &[Kfac; 2], what: &str, it: u64| {
+                            assert!(
+                                kfacs[0].save_state() == kfacs[1].save_state(),
+                                "triangular {triangular}, rank {}: state differs after \
+                                 the {what} of iteration {it}",
+                                comm.rank()
+                            );
+                        };
+                        for it in 0..10 {
+                            if it == 6 {
+                                // Both resume from their own checkpoints.
+                                kfacs = kfacs.map(|k| {
+                                    let mut resumed = fresh(&mut m, k.two_pass_fold);
+                                    resumed.restore_state(&k.save_state()).unwrap();
+                                    resumed
+                                });
+                            }
+                            capture(&mut m, 100 * it + comm.rank() as u64);
+                            let mut layers = Vec::new();
+                            m.collect_kfac(&mut layers);
+                            for k in &mut kfacs {
+                                for (li, layer) in layers.iter().enumerate() {
+                                    k.factor_update_layer(li, &**layer);
+                                }
+                            }
+                            same(&kfacs, "fold", it);
+                            if kfacs[0].factor_exchange_due() {
+                                for k in &mut kfacs {
+                                    let mut fused = k.factor_pack();
+                                    wire::try_allreduce_half(
+                                        &comm,
+                                        &mut fused,
+                                        ReduceOp::Average,
+                                        TrafficClass::Factor,
+                                        cfg.precision.factor_wire,
+                                    )
+                                    .unwrap();
+                                    k.factor_unpack(&fused);
+                                }
+                                same(&kfacs, "exchange", it);
+                            }
+                            if kfacs[0].is_eig_iteration() {
+                                for k in &mut kfacs {
+                                    for id in 0..k.factors().len() {
+                                        k.eig_compute_one(id);
+                                    }
+                                }
+                                same(&kfacs, "decomposition", it);
+                            }
+                            for k in &mut kfacs {
+                                k.advance();
+                            }
+                        }
+                    });
+                }
+            });
         }
     }
 }

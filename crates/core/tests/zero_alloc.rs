@@ -143,8 +143,9 @@ fn into_kernels_allocate_nothing_when_warm() {
     );
 }
 
-/// The K-FAC factor update: `compute_factors` (arena-backed Grams) folded
-/// into warm running averages must be allocation-free.
+/// The K-FAC factor update folds each layer's captured factor sums into
+/// its running averages in place, upper triangle only: once the averages
+/// exist, it must be allocation-free.
 #[test]
 #[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
 fn factor_update_allocates_nothing_when_warm() {
@@ -176,13 +177,10 @@ fn factor_update_allocates_nothing_when_warm() {
     let mut layers = Vec::new();
     model.collect_kfac(&mut layers);
 
-    // Warm-up 1 stores the first factors (they escape into the running
-    // averages); warm-up 2 allocates transients and recycles them into the
-    // arena; the armed pass must be served entirely from the arena.
-    for _ in 0..2 {
-        for (li, layer) in layers.iter().enumerate() {
-            kfac.factor_update_layer(li, &**layer);
-        }
+    // The first fold creates the running averages; every later one
+    // writes into them and needs no scratch at all.
+    for (li, layer) in layers.iter().enumerate() {
+        kfac.factor_update_layer(li, &**layer);
     }
 
     let (_, allocs) = armed(|| {

@@ -10,71 +10,40 @@
 //! summed inside the backward block loop, while the block it multiplies
 //! is still cache-resident, so no whole-batch capture ever exists.
 
-use crate::layer::{KfacEligible, Layer, Mode};
+use crate::layer::{FactorSums, KfacEligible, Layer, Mode};
 use crate::lowering::{
     build_patches, conv_out_dim, gather_block, scatter_block, scatter_patches, Blocked, Geometry,
     BLOCK,
 };
 use kfac_tensor::arena;
-use kfac_tensor::gemm::{gemm_into, gemm_upper_into, mirror_upper_to_lower, View};
+use kfac_tensor::gemm::{gemm_into, View};
 use kfac_tensor::{init, Matrix, Rng64, Tensor4};
 
-/// The K-FAC capture of a `Conv2d`: the two factor Grams themselves,
-/// summed block by block by a capturing `backward`. They are the layer's
-/// own until the next capturing `forward` — the preconditioner only reads
-/// them, after the trainer's health gate has seen the batch.
-struct FactorSums {
-    enabled: bool,
-    /// `Σ_b P_b·P_bᵀ` (ones row included) and `Σ_b (n·gy_b)(n·gy_b)ᵀ`:
-    /// tiles on or above the diagonal only, neither mirrored nor scaled.
-    a: Matrix,
-    g: Matrix,
-    /// Positions summed, the `m` of both factors; 0 from a capturing
-    /// `forward` until its `backward` completes.
-    rows: usize,
-}
-
-impl FactorSums {
-    /// Add one block of `len` positions to both sums: `block · blockᵀ`
-    /// and `(scale·gy)(scale·gy)ᵀ`. A block is one `KC`-deep piece of
-    /// each Gram's reduction, so the sums over blocks carry the bits of
-    /// one Gram over all positions.
-    fn add_block(&mut self, block: &[f32], gy: &[f32], len: usize, scale: f32, first: bool) {
-        let mut scaled = arena::take_f32(gy.len());
-        for (d, &v) in scaled.iter_mut().zip(gy) {
-            *d = v * scale;
-        }
-        Self::add(&mut self.g, &scaled, len, first);
-        Self::add(&mut self.a, block, len, first);
-        arena::recycle_f32(scaled);
+/// Add one block of `len` positions to both factor sums while it is
+/// cache-resident: `block · blockᵀ` (ones row included) and
+/// `(scale·gy)(scale·gy)ᵀ`, `block` and `gy` being `features × len`
+/// row-major. Out of line: inlined into the block loop, the capture
+/// branch slowed the non-capturing backward.
+#[inline(never)]
+fn capture_block(
+    sums: &mut FactorSums,
+    block: &[f32],
+    gy: &[f32],
+    len: usize,
+    scale: f32,
+    first: bool,
+) {
+    let mut scaled = arena::take_f32(gy.len());
+    for (d, &v) in scaled.iter_mut().zip(gy) {
+        *d = v * scale;
     }
-
-    /// `sum (+)= rows · rowsᵀ` above the diagonal, `rows` being
-    /// `features × len` row-major.
-    fn add(sum: &mut Matrix, rows: &[f32], len: usize, first: bool) {
-        let f = rows.len() / len;
-        if first {
-            sum.reset_for(f, f);
-        }
-        let (x, xt) = (View::new(rows, f, len), View::t(rows, f, len));
-        gemm_upper_into(x, xt, sum.as_mut_slice(), first);
-    }
-
-    /// The factor a finished sum stands for: each row from its diagonal
-    /// on, over `m`, then mirrored once.
-    fn factor(&self, sum: &Matrix) -> Matrix {
-        let n = sum.rows();
-        let inv_m = 1.0 / self.rows as f32;
-        // Arena scratch the preconditioner recycles after its fold.
-        let mut f = arena::take_matrix(n, n);
-        for i in 0..n {
-            for (d, &s) in f.row_mut(i)[i..].iter_mut().zip(&sum.row(i)[i..]) {
-                *d = s * inv_m;
-            }
-        }
-        mirror_upper_to_lower(f.as_mut_slice(), n);
-        f
-    }
+    let (f, c) = (block.len() / len, gy.len() / len);
+    sums.add(
+        [View::new(block, f, len), View::t(block, f, len)],
+        [View::new(&scaled, c, len), View::t(&scaled, c, len)],
+        first,
+    );
+    arena::recycle_f32(scaled);
 }
 
 /// `Conv2d(c_in → c_out, k×k, stride, pad)`, square kernels.
@@ -129,12 +98,7 @@ impl Conv2d {
             bias: bias_v,
             patches: None,
             spare: Vec::new(),
-            capture: FactorSums {
-                enabled: false,
-                a: Matrix::zeros(0, 0),
-                g: Matrix::zeros(0, 0),
-                rows: 0,
-            },
+            capture: FactorSums::default(),
         }
     }
 
@@ -152,7 +116,7 @@ impl Layer for Conv2d {
         let mut out = Tensor4::zeros(g.n, c_out, g.oh, g.ow);
         if mode == Mode::Train && self.capture.enabled {
             // This pass replaces the previous capture.
-            self.capture.rows = 0;
+            self.capture.restart();
         }
 
         let features = fan_in + usize::from(self.bias.is_some());
@@ -210,7 +174,7 @@ impl Layer for Conv2d {
             let gy = &mut gy[..c_out * len];
             gather_block(grad_output, q.clone(), gy);
             if self.capture.enabled {
-                self.capture.add_block(block, gy, len, scale, q.start == 0);
+                capture_block(&mut self.capture, block, gy, len, scale, q.start == 0);
             }
 
             // dW_b = gy_b · P_bᵀ  (c_out × c_in·k·k)
@@ -247,7 +211,7 @@ impl Layer for Conv2d {
         arena::recycle_f32(gy);
 
         if self.capture.enabled {
-            self.capture.rows = positions;
+            self.capture.finish(positions);
         }
         self.spare = patches.into_storage();
         dx
@@ -276,7 +240,7 @@ impl Layer for Conv2d {
         self.capture.enabled = on;
         if on {
             // Re-enabling starts a fresh capture.
-            self.capture.rows = 0;
+            self.capture.restart();
         }
     }
 
@@ -297,14 +261,8 @@ impl KfacEligible for Conv2d {
         )
     }
 
-    fn has_capture(&self) -> bool {
-        self.capture.rows > 0
-    }
-
-    fn compute_factors(&self) -> (Matrix, Matrix) {
-        assert!(self.has_capture(), "{}: factors not captured", self.name);
-        let sums = &self.capture;
-        (sums.factor(&sums.a), sums.factor(&sums.g))
+    fn factor_sums(&self) -> &FactorSums {
+        &self.capture
     }
 
     fn grad_matrix(&self) -> Matrix {

@@ -7,14 +7,16 @@
 //! when capture is enabled, K-FAC-eligible layers ([`KfacEligible`]) take
 //! what the Kronecker factors `A = āᵀā / m` and `G` need from the
 //! bias-augmented input activations `ā` and the output gradients `g`:
-//! `Linear` stashes the rows during `forward` / `backward` and multiplies
-//! on demand, `Conv2d` sums both Grams block by block inside `backward`.
+//! each sums both Grams inside its capturing `backward` into a
+//! [`FactorSums`] it owns — `Conv2d` block by block, `Linear` in one
+//! product each.
 //!
 //! Only `Linear` and `Conv2d` are K-FAC eligible, matching §V: "Our
 //! implementation supports K-FAC updates for Linear and Conv2D layers. All
 //! unsupported layers are ignored by the K-FAC preconditioner and updated
 //! normally using the user's choice of optimizer."
 
+use kfac_tensor::gemm::{gemm_upper_into, mirror_upper_to_lower, View};
 use kfac_tensor::{Matrix, Tensor4};
 
 /// Whether the network is training (batch statistics, capture allowed) or
@@ -87,10 +89,11 @@ pub trait Layer: Send {
 
 /// A layer the K-FAC preconditioner can handle (Linear, Conv2d).
 ///
-/// The preconditioner drives these methods from Algorithm 1:
-/// `compute_factors` (line 6), then after the eigendecompositions are
-/// exchanged, `grad_matrix`/`set_grad_matrix` around the local
-/// preconditioning (line 20).
+/// The preconditioner drives these methods from Algorithm 1: it folds
+/// [`factor_sums`](KfacEligible::factor_sums) into its running averages
+/// (lines 4–7), then after the eigendecompositions are exchanged,
+/// `grad_matrix`/`set_grad_matrix` around the local preconditioning
+/// (line 20).
 pub trait KfacEligible {
     /// Debug identifier.
     fn kfac_name(&self) -> String;
@@ -100,20 +103,46 @@ pub trait KfacEligible {
     /// features).
     fn factor_dims(&self) -> (usize, usize);
 
+    /// The capture of the last capturing forward + backward: both factor
+    /// Grams, upper triangle only and not yet scaled by `1/m`.
+    fn factor_sums(&self) -> &FactorSums;
+
     /// True when both activation and gradient captures from the same
     /// iteration are available.
-    fn has_capture(&self) -> bool;
+    fn has_capture(&self) -> bool {
+        self.factor_sums().rows() > 0
+    }
 
-    /// Compute the Kronecker factors `(A, G)` from the captured tensors.
-    ///
-    /// `A = āᵀ ā / m` over the `m` captured rows (batch for Linear,
-    /// batch × spatial positions for Conv2d, per Grosse & Martens'
-    /// convolutional factorization) and `G = ĝᵀ ĝ / m` with the
-    /// mean-loss scaling folded in.
+    /// The Kronecker factors `(A, G)` of the capture as full symmetric
+    /// matrices: `A = āᵀ ā / m` over the `m` captured rows (batch for
+    /// Linear, batch × spatial positions for Conv2d, per Grosse &
+    /// Martens' convolutional factorization) and `G = ĝᵀ ĝ / m` with the
+    /// mean-loss scaling folded in. The preconditioner folds the sums
+    /// directly and never calls this; it is for benchmarks and tests.
     ///
     /// # Panics
     /// Panics if `has_capture()` is false.
-    fn compute_factors(&self) -> (Matrix, Matrix);
+    fn compute_factors(&self) -> (Matrix, Matrix) {
+        assert!(
+            self.has_capture(),
+            "{}: factors not captured",
+            self.kfac_name()
+        );
+        let sums = self.factor_sums();
+        let inv_m = 1.0 / sums.rows() as f32;
+        let factor = |sum: &Matrix| {
+            let n = sum.rows();
+            let mut f = Matrix::zeros(n, n);
+            for i in 0..n {
+                for (d, &s) in f.row_mut(i)[i..].iter_mut().zip(&sum.row(i)[i..]) {
+                    *d = s * inv_m;
+                }
+            }
+            mirror_upper_to_lower(f.as_mut_slice(), n);
+            f
+        };
+        (factor(sums.a()), factor(sums.g()))
+    }
 
     /// The combined weight(+bias) gradient as the `dim_G × dim_A` matrix
     /// the preconditioner operates on (bias gradient is the final column).
@@ -131,97 +160,74 @@ pub trait KfacEligible {
     }
 }
 
-/// `Linear`'s capture: the row-major activation and output-gradient
-/// rows of one iteration, copied as the passes run. (`Conv2d` keeps no
-/// rows — it sums the factor Grams inside its backward block loop.)
-#[derive(Debug, Default)]
-pub struct Capture {
+/// The K-FAC capture of an eligible layer: the two factor Grams
+/// `Σ āāᵀ` and `Σ ĝĝᵀ` over the `m` rows of one capturing forward +
+/// backward, summed by the layer's `backward` into storage it owns. Only
+/// entries on and above the diagonal are defined; the sums are neither
+/// mirrored nor scaled. They stay the layer's until the next capturing
+/// `forward` — the preconditioner only reads them, after the trainer's
+/// health gate has seen the batch.
+#[derive(Debug)]
+pub struct FactorSums {
     /// Whether capture is currently enabled.
     pub enabled: bool,
-    /// Bias-augmented activation rows `ā` (dim_A features).
-    pub a: Option<Matrix>,
-    /// Output-gradient rows `ĝ` (dim_G features), mean-loss scaling
-    /// already undone (multiplied by batch size).
-    pub g: Option<Matrix>,
+    a: Matrix,
+    g: Matrix,
+    /// Rows summed, the `m` of both factors; 0 from a capturing `forward`
+    /// until its `backward` completes.
+    rows: usize,
 }
 
-impl Capture {
-    /// Both halves captured?
-    pub fn complete(&self) -> bool {
-        self.a.is_some() && self.g.is_some()
-    }
-
-    /// Drop stale captures (called when capture is re-enabled).
-    pub fn clear(&mut self) {
-        self.a = None;
-        self.clear_g();
-    }
-
-    /// Drop only the gradient half (a forward pass invalidates the
-    /// previous iteration's `g` but keeps its own fresh `a`).
-    pub fn clear_g(&mut self) {
-        self.g = None;
-    }
-
-    /// The factors `(A, G) = (āᵀā/m, ĝᵀĝ/m)` of the captured rows.
-    pub fn factors(&self) -> (Matrix, Matrix) {
-        // Arena-backed factor scratch, recycled by the preconditioner
-        // after the running-average fold (see `Kfac::factor_update_layer`).
-        fn factor(rows: &Matrix) -> Matrix {
-            let mut f = kfac_tensor::arena::take_matrix(rows.cols(), rows.cols());
-            rows.gram_into(&mut f);
-            f.scale(1.0 / rows.rows() as f32);
-            f
+impl Default for FactorSums {
+    fn default() -> Self {
+        FactorSums {
+            enabled: false,
+            a: Matrix::zeros(0, 0),
+            g: Matrix::zeros(0, 0),
+            rows: 0,
         }
-        let a = self.a.as_ref().expect("activation not captured");
-        let g = self.g.as_ref().expect("gradient not captured");
-        (factor(a), factor(g))
+    }
+}
+
+impl FactorSums {
+    /// Drop the capture: a capturing `forward` replaces it, and
+    /// re-enabling capture starts afresh.
+    pub fn restart(&mut self) {
+        self.rows = 0;
     }
 
-    /// Stash the activation rows, appending a homogeneous `1` column when
-    /// `bias` is set (the bias-folding trick of §II-C). Reuses the
-    /// previous capture's allocation, so steady-state capture iterations
-    /// allocate nothing.
-    pub fn store_a_augmented(&mut self, x: &Matrix, bias: bool) {
-        let extra = usize::from(bias);
-        let mut a = self.a.take().unwrap_or_else(|| Matrix::zeros(0, 0));
-        a.reset_for(x.rows(), x.cols() + extra);
-        for r in 0..x.rows() {
-            let row = a.row_mut(r);
-            row[..x.cols()].copy_from_slice(x.row(r));
-            if extra == 1 {
-                row[x.cols()] = 1.0;
+    /// Add one piece of the reduction to both sums, `a · aᵀ` and
+    /// `g · gᵀ`, each operand given as a view and its transpose. `first`
+    /// stores into sums resized to the operands' rows; later pieces add.
+    /// Pieces that are multiples of `KC` deep, fed in ascending order,
+    /// leave the bits of one Gram over the whole reduction
+    /// ([`gemm_upper_into`]).
+    pub fn add(&mut self, a: [View<'_, f32>; 2], g: [View<'_, f32>; 2], first: bool) {
+        for (sum, [x, xt]) in [(&mut self.g, g), (&mut self.a, a)] {
+            if first {
+                sum.reset_for(x.rows(), x.rows());
             }
+            gemm_upper_into(x, xt, sum.as_mut_slice(), first);
         }
-        self.a = Some(a);
     }
 
-    /// Stash the output-gradient rows scaled by `scale` (the batch size,
-    /// undoing the mean-loss 1/batch). Reuses the previous capture's
-    /// allocation.
-    pub fn store_g_scaled(&mut self, gy: &Matrix, scale: f32) {
-        let mut g = self.g.take().unwrap_or_else(|| Matrix::zeros(0, 0));
-        g.reset_for(gy.rows(), gy.cols());
-        for (d, &s) in g.as_mut_slice().iter_mut().zip(gy.as_slice()) {
-            *d = s * scale;
-        }
-        self.g = Some(g);
+    /// The backward pass is done: the sums cover `rows` rows.
+    pub fn finish(&mut self, rows: usize) {
+        self.rows = rows;
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// The `m` the sums cover; 0 when there is no complete capture.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
 
-    #[test]
-    fn capture_lifecycle() {
-        let mut c = Capture::default();
-        assert!(!c.complete());
-        c.a = Some(Matrix::zeros(2, 2));
-        assert!(!c.complete());
-        c.g = Some(Matrix::zeros(2, 3));
-        assert!(c.complete());
-        c.clear();
-        assert!(!c.complete());
+    /// `Σ āāᵀ`, upper triangle.
+    pub fn a(&self) -> &Matrix {
+        &self.a
+    }
+
+    /// `Σ ĝĝᵀ`, upper triangle.
+    pub fn g(&self) -> &Matrix {
+        &self.g
     }
 }

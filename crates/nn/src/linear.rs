@@ -5,7 +5,7 @@
 //! and `G = g gᵀ` over the gradients of this layer's output, both averaged
 //! over the mini-batch (Eq. 5, 16–17).
 
-use crate::layer::{Capture, KfacEligible, Layer, Mode};
+use crate::layer::{FactorSums, KfacEligible, Layer, Mode};
 use kfac_tensor::arena;
 use kfac_tensor::gemm::{gemm_into, View};
 use kfac_tensor::{init, Matrix, Rng64, Tensor4};
@@ -22,7 +22,7 @@ pub struct Linear {
     grad_bias: Option<Vec<f32>>,
     /// Cached training input (N × in), needed for dW = gᵀ x.
     input: Option<Matrix>,
-    capture: Capture,
+    capture: FactorSums,
     /// Retired input buffer, reused by the next forward.
     input_pool: Option<Matrix>,
     /// Persistent scratch for the backward gradient rows.
@@ -57,7 +57,7 @@ impl Linear {
             weight,
             bias: bias_v,
             input: None,
-            capture: Capture::default(),
+            capture: FactorSums::default(),
             input_pool: None,
             gy_rows: Matrix::zeros(0, 0),
         }
@@ -88,6 +88,38 @@ impl Linear {
         );
         m.reset_for(n, in_features);
         m.as_mut_slice().copy_from_slice(input.as_slice());
+    }
+
+    /// Sum both factor Grams of one batch, `āᵀā` over the bias-augmented
+    /// activations (the homogeneous-coordinate trick that folds `b` into
+    /// `W`, §II-C) and `ĝᵀĝ` over the output gradients times the batch
+    /// size, which undoes the mean loss's `1/batch` so `G` is the
+    /// paper's per-example-gradient covariance (kfac-pytorch convention).
+    fn capture_sums(capture: &mut FactorSums, bias: bool, x: &Matrix, gy: &Matrix) {
+        let (n, extra) = (x.rows(), usize::from(bias));
+        let (da, dg) = (x.cols() + extra, gy.cols());
+        let mut a = arena::take_f32(n * da);
+        for (row, xr) in a
+            .chunks_exact_mut(da)
+            .zip(x.as_slice().chunks_exact(x.cols()))
+        {
+            row[..x.cols()].copy_from_slice(xr);
+            if extra == 1 {
+                row[x.cols()] = 1.0;
+            }
+        }
+        let mut g = arena::take_f32(n * dg);
+        for (d, &v) in g.iter_mut().zip(gy.as_slice()) {
+            *d = v * n as f32;
+        }
+        capture.add(
+            [View::t(&a, n, da), View::new(&a, n, da)],
+            [View::t(&g, n, dg), View::new(&g, n, dg)],
+            true,
+        );
+        capture.finish(n);
+        arena::recycle_f32(g);
+        arena::recycle_f32(a);
     }
 }
 
@@ -122,10 +154,8 @@ impl Layer for Linear {
 
         if mode == Mode::Train {
             if self.capture.enabled {
-                // ā: bias-augmented activations (the homogeneous-coordinate
-                // trick that folds b into W, §II-C).
-                self.capture.store_a_augmented(&x, self.bias.is_some());
-                self.capture.clear_g();
+                // This pass replaces the previous capture.
+                self.capture.restart();
             }
             self.input = Some(x);
         } else {
@@ -149,9 +179,7 @@ impl Layer for Linear {
             .expect("backward without matching forward");
 
         if self.capture.enabled {
-            // Undo the 1/batch of the mean loss so G matches the paper's
-            // per-example-gradient covariance (kfac-pytorch convention).
-            self.capture.store_g_scaled(gy, n as f32);
+            Self::capture_sums(&mut self.capture, self.bias.is_some(), &x, gy);
         }
 
         // dW = gyᵀ x  (out × in): arena scratch, accumulated into the
@@ -202,7 +230,7 @@ impl Layer for Linear {
     fn set_capture(&mut self, on: bool) {
         self.capture.enabled = on;
         if on {
-            self.capture.clear();
+            self.capture.restart();
         }
     }
 
@@ -223,12 +251,8 @@ impl KfacEligible for Linear {
         )
     }
 
-    fn has_capture(&self) -> bool {
-        self.capture.complete()
-    }
-
-    fn compute_factors(&self) -> (Matrix, Matrix) {
-        self.capture.factors()
+    fn factor_sums(&self) -> &FactorSums {
+        &self.capture
     }
 
     fn grad_matrix(&self) -> Matrix {
