@@ -19,13 +19,13 @@
 
 use kfac::{DistStrategy, EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ProcComm, ThreadComm, Traffic};
-use kfac_data::{batch_of, Dataset};
+use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_harness::procrun::{
     cifar_demo_config, cifar_demo_data, cifar_demo_model, params_bit_hash,
 };
 use kfac_harness::trainer::{allreduce_gradients_fused, train_iteration};
 use kfac_harness::{
-    checkpoint, train, ExecStrategy, FaultTolerance, ResilientTrainer, StepOutcome,
+    checkpoint, train, ExecStrategy, FaultTolerance, ResilientTrainer, StepOutcome, TrainConfig,
 };
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::Optimizer;
@@ -54,14 +54,16 @@ axis!(Sched: Fused, Bucketed);
 axis!(Fab: Thread, Tcp);
 // `train()`; `train_iteration` stepped by hand; `ResilientTrainer::step`
 // on a clean fabric; `allreduce_gradients_fused → Kfac::step → opt.step`.
+// The three hand-driven ones draw each batch, its learning rate and the
+// epoch as `train()` does.
 axis!(Drv: Train, ByHand, Ladder, Listing1);
 // Where a hand-driven run stops, checkpoints and restores into a
 // differently seeded replica: nowhere, right after a factor exchange, or
 // between two exchanges (each rank then saves averages of its own).
 axis!(Cut: Uncut, InSync, Between);
 // A subject cell and the oracle cell it must equal: fused == bucketed,
-// thread == loopback TCP, resumed == uninterrupted, ladder and by hand ==
-// Listing-1 loop, and one cell run twice.
+// thread == loopback TCP, resumed == uninterrupted, `train()`, ladder and
+// by hand == Listing-1 loop, and one cell run twice.
 axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism);
 
 use Bases::*;
@@ -87,10 +89,6 @@ const BASES: usize = 2;
 const EVERY: usize = 3;
 const DRIVER: usize = 7;
 const CUT: usize = 8;
-
-/// Iterations of a hand-driven run: at interval 5, exchanges at 0 and 5.
-const ITERS: u64 = 7;
-const LR: f32 = 0.05;
 
 impl Cell {
     /// SGD has no second-order state to vary, only `train_iteration`
@@ -164,7 +162,7 @@ impl Rel {
                 Schedule => s == Bucketed && cut == Uncut,
                 Fabric => f == Tcp && cut == Uncut,
                 Resume => cut != Uncut,
-                Driver => matches!(d, ByHand | Ladder) && s == Fused && cut == Uncut,
+                Driver => d != Listing1 && s == Fused && cut == Uncut,
                 Determinism => cut == Uncut,
             }
     }
@@ -236,6 +234,11 @@ const TABLE: &[(Rel, Cell)] = &[
     (Driver,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Ladder,   Uncut)),
     (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Ladder,   Uncut)),
     (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut)),
+    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Train,    Uncut)),
+    (Driver,      Cell(Opt,    Bf16, Complete, 2,    Fused,    Thread, 4,    Train,    Uncut)),
+    (Driver,      Cell(Opt,    F32,  Short,    5,    Fused,    Tcp,    2,    Train,    Uncut)),
+    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 2,    Train,    Uncut)),
+    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut)),
 
     (Determinism, Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut)),
     (Determinism, Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut)),
@@ -285,29 +288,53 @@ fn bytes(t: Traffic) -> [u64; 4] {
     ]
 }
 
+/// The run every cell trains: the demo configuration at the cell's world,
+/// schedule and preconditioner, for three epochs — at 4 ranks, 9
+/// iterations, so that the cut after the exchange at 5 leaves some to run.
+fn config(cell: Cell) -> TrainConfig {
+    let Cell(.., f, world, _, _) = cell;
+    let mut cfg = cifar_demo_config(world).with_exec(cell.exec());
+    cfg.epochs = 3;
+    cfg.kfac = cell.kfac();
+    cfg.backend = [CommBackend::Thread, CommBackend::Proc][f as usize];
+    cfg
+}
+
 /// One rank's model, optimizer, preconditioner and ladder, stepped by
 /// hand so that a run can be cut.
 struct Replica(Sequential, kfac_optim::Sgd, Option<Kfac>, ResilientTrainer);
 
 impl Replica {
     fn new(cell: Cell, seed: u64) -> Replica {
+        let cfg = config(cell);
         let mut model = cifar_demo_model(seed);
-        let kfac = cell.kfac().map(|cfg| Kfac::new(&mut model, cfg));
+        let kfac = cfg.kfac.map(|k| Kfac::new(&mut model, k));
         let ft = FaultTolerance {
             checkpoint_every: cell.cut_at().unwrap_or(0) as usize,
             ..FaultTolerance::default()
         };
-        let (optimizer, ladder) = (kfac_optim::Sgd::new(0.9, 1e-4), ResilientTrainer::new(ft));
-        Replica(model, optimizer, kfac, ladder)
+        let optimizer = kfac_optim::Sgd::new(cfg.momentum, cfg.weight_decay);
+        Replica(model, optimizer, kfac, ResilientTrainer::new(ft))
     }
 
     /// Iteration `it` on this rank's shard, as the cell's driver runs it.
+    /// The batch, its variant, the learning rate and the epoch are drawn
+    /// the way `train()` draws them.
     fn step(&mut self, cell: Cell, data: &dyn Dataset, it: u64, comm: &dyn Communicator) -> u64 {
-        let first = 8 * (it as usize * comm.size() + comm.rank());
-        let indices: Vec<usize> = (0..8).map(|i| (first + i) % data.len()).collect();
-        let (x, labels) = batch_of(data, &indices, 1);
-        let criterion = CrossEntropyLoss::new();
+        let cfg = config(cell);
+        let (world, rank) = (comm.size(), comm.rank());
+        let sampler =
+            ShardedSampler::new(data.len(), world, rank, cfg.local_batch, cfg.seed ^ 0x5a5a);
+        let per_epoch = sampler.batches_per_epoch();
+        let (epoch, bi) = (it as usize / per_epoch, it as usize % per_epoch);
+        let indices = &sampler.epoch_batches(epoch)[bi];
+        let (x, labels) = batch_of(data, indices, epoch as u64 + 1);
+        let lr = cfg.lr.lr_at(epoch as f32 + bi as f32 / per_epoch as f32);
+        let criterion = CrossEntropyLoss::with_smoothing(cfg.label_smoothing);
         let Replica(model, optimizer, kfac, ladder) = self;
+        if let (Some(k), 0) = (kfac.as_mut(), bi) {
+            k.set_epoch(epoch);
+        }
         let loss = match cell.7 {
             Train => unreachable!("train() is not stepped by hand"),
             ByHand => {
@@ -319,7 +346,7 @@ impl Replica {
                     &x,
                     &labels,
                     &criterion,
-                    LR,
+                    lr,
                     None,
                     cell.exec().exec_mode(),
                     &FaultTolerance::default(),
@@ -329,7 +356,7 @@ impl Replica {
             }
             Ladder => {
                 let (loss, outcome) =
-                    ladder.step(model, kfac, optimizer, comm, &x, &labels, &criterion, LR);
+                    ladder.step(model, kfac, optimizer, comm, &x, &labels, &criterion, lr);
                 assert_eq!(outcome, StepOutcome::Stepped);
                 assert_eq!((ladder.skipped_steps, ladder.comm_faults), (0, 0));
                 loss
@@ -343,9 +370,9 @@ impl Replica {
                 let wire = kfac.as_ref().map(Kfac::precision).unwrap_or_default();
                 allreduce_gradients_fused(model, comm, None, wire.grad_wire);
                 if let Some(k) = kfac {
-                    k.step(model, comm, LR);
+                    k.step(model, comm, lr);
                 }
-                optimizer.step(model, LR);
+                optimizer.step(model, lr);
                 loss
             }
         };
@@ -353,16 +380,20 @@ impl Replica {
     }
 }
 
-/// One rank of a hand-driven run: `ITERS` iterations, or up to the cut,
-/// a checkpoint, a restore into a replica seeded otherwise, and the rest.
+/// One rank of a hand-driven run: every iteration of `train()`'s epochs,
+/// or up to the cut, a checkpoint, a restore into a replica seeded
+/// otherwise, and the rest.
 fn run_rank(cell: Cell, data: &dyn Dataset, comm: &dyn Communicator) -> Witness {
-    let mut replica = Replica::new(cell, 3);
+    let cfg = config(cell);
+    let iters = (cfg.epochs * (data.len() / comm.size() / cfg.local_batch)) as u64;
+    let mut replica = Replica::new(cell, cfg.seed);
     let cut = cell.cut_at();
     let mut losses = Vec::new();
-    for it in 0..cut.unwrap_or(ITERS) {
+    for it in 0..cut.unwrap_or(iters) {
         losses.push(replica.step(cell, data, it, comm));
     }
     if let Some(cut) = cut {
+        assert!(cut < iters, "{cell:?}: nothing runs after the cut at {cut}");
         let Replica(model, optimizer, kfac, ladder) = &mut replica;
         if let Some(k) = kfac {
             assert_eq!(k.factors_in_sync(), cell.8 == InSync, "{cell:?} at {cut}");
@@ -375,7 +406,7 @@ fn run_rank(cell: Cell, data: &dyn Dataset, comm: &dyn Communicator) -> Witness 
         let Replica(model, optimizer, kfac, _) = &mut replica;
         let (it, _) = checkpoint::restore(&blob, model, optimizer, kfac.as_mut()).expect("restore");
         assert_eq!(it, cut, "{cell:?}");
-        for it in cut..ITERS {
+        for it in cut..iters {
             losses.push(replica.step(cell, data, it, comm));
         }
     }
@@ -412,9 +443,7 @@ fn run(cell: Cell) -> Vec<Witness> {
     let ends = match (d, f) {
         (Train, _) => {
             let (train_ds, val_ds) = cifar_demo_data();
-            let mut cfg = cifar_demo_config(world).with_exec(cell.exec());
-            cfg.kfac = cell.kfac();
-            cfg.backend = [CommBackend::Thread, CommBackend::Proc][f as usize];
+            let mut cfg = config(cell);
             cfg.telemetry = Some(registry.clone());
             let r = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
             let epochs = r.epochs.iter();
@@ -471,18 +500,29 @@ fn check(rel: Rel) {
             }
             _ => witness(cell),
         };
-        assert_eq!(oracle.len(), subject.len());
+        // `train()` returns rank 0's witness alone, with per-epoch losses
+        // and no K-FAC state: against a hand-driven oracle, only its
+        // parameters and bytes per class compare.
+        let by_hand = rel.oracle(cell).7 != Train;
+        let train_vs_hand = cell.7 == Train && by_hand;
+        assert!(
+            oracle.len() == subject.len() || train_vs_hand,
+            "{rel:?} {cell:?}"
+        );
         for (rank, (o, s)) in oracle.iter().zip(subject).enumerate() {
             let at = format!("{rel:?} {cell:?} rank {rank}");
             let first = o.0.iter().zip(&s.0).position(|(a, b)| a != b);
-            assert!(o.0 == s.0, "{at}: losses differ from {first:?}");
+            assert!(
+                o.0 == s.0 || train_vs_hand,
+                "{at}: losses differ from {first:?}"
+            );
             let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (want, got) = (params_bit_hash(&o.1), params_bit_hash(&s.1));
             assert!(
                 bits(&o.1) == bits(&s.1),
                 "{at}: parameters {want:016x} != {got:016x}"
             );
-            assert!(o.2 == s.2, "{at}: K-FAC state differs");
+            assert!(o.2 == s.2 || train_vs_hand, "{at}: K-FAC state differs");
             let (mut want, mut got) = (o.3, s.3);
             if rel == Schedule && cell.1 == Bf16 {
                 // A bf16 message carries a length word and pads to whole
