@@ -29,8 +29,8 @@ pub const MIN_FUSION_BYTES: usize = 4 << 10;
 /// must stay under the wire frame ceiling with room to spare.
 pub const MAX_FUSION_BYTES: usize = 512 << 20;
 
-/// The effective flush threshold: the caller's configured value (e.g.
-/// `TrainConfig::fusion_threshold_bytes`), else [`DEFAULT_FUSION_BYTES`],
+/// The effective flush threshold: the caller's configured value, else
+/// [`DEFAULT_FUSION_BYTES`],
 /// clamped to `[MIN_FUSION_BYTES, MAX_FUSION_BYTES]` so no setting can
 /// stall flushing or overflow a single wire frame. A tensor larger than
 /// the threshold still goes out in one message: `push` flushes the whole

@@ -11,36 +11,33 @@
 //! parameter bits) to a from-scratch group of the shrunken size
 //! restored from the same checkpoint blob.
 //!
-//! Everything that determines the math lives here once and is shared by
-//! the thread-fabric trial, the proc-fabric worker
-//! (`xp` job `train-elastic`), and the reference run:
-//! [`post_shrink_resume`] re-derives the batch plan from the *new*
-//! `(rank, world)` — the same world-parameterized recompute the K-FAC
-//! factor assignment performs internally — so survivors and reference
-//! consume identical batches.
+//! The trial trains the [`Demo`] row and walks it with the trainer's one
+//! loop, [`run_plan`], over the rank's [`batch_plan`]: the victim runs
+//! the plan up to the kill step and dies; a survivor runs the whole
+//! budget, stops at the lost rank, shrinks, restores, and runs the rest
+//! of the plan re-derived from its new `(rank, world)` — the same
+//! world-parameterized recompute the K-FAC factor assignment performs
+//! internally. The reference makes that last call on a fresh group of
+//! the shrunken size, so survivors and reference consume identical
+//! batches. The thread-fabric trial, the proc-fabric worker (`xp` job
+//! `train-elastic`) and the reference share all of it.
+//!
+//! [`StepOutcome::RankLost`]: crate::resilient::StepOutcome::RankLost
 
 use crate::checkpoint;
+use crate::presets::Demo;
 use crate::procrun::params_bit_hash;
-use crate::resilient::{FaultTolerance, ResilientTrainer, StepOutcome};
-use kfac::{Kfac, KfacConfig};
+use crate::resilient::{FaultTolerance, ResilientTrainer};
+use crate::trainer::{batch_plan, run_plan, TrainConfig};
+use kfac::Kfac;
 use kfac_collectives::proc::ProcComm;
 use kfac_collectives::{Communicator, Elastic, ReduceOp, ThreadComm};
-use kfac_data::{batch_of, synthetic_cifar, Dataset, ShardedSampler, SyntheticImages};
-use kfac_nn::{resnet::resnet_cifar, CrossEntropyLoss, Layer, Sequential};
+use kfac_data::Dataset;
+use kfac_nn::Layer;
 use kfac_optim::Sgd;
 use kfac_telemetry::{FlightRecorder, Registry};
-use kfac_tensor::Rng64;
 use std::path::{Path, PathBuf};
 use std::thread;
-
-const LOCAL_BATCH: usize = 4;
-const MODEL_SEED: u64 = 3;
-const DATA_SEED: u64 = 11;
-const LR: f32 = 0.02;
-/// The trial preconditioner's eigen-update interval. Factors fold every
-/// iteration (interval / 10 rounds down to 1) and are exchanged on
-/// multiples of this, which is where checkpoints can be taken.
-const UPDATE_FREQ: usize = 2;
 
 /// One elastic scenario: a `world`-rank run of `iters` iterations that
 /// loses `kill_rank` at the start of iteration `kill_step`.
@@ -72,12 +69,25 @@ impl ElasticSpec {
         }
     }
 
+    /// The [`Demo`] row at `world` ranks, with an epoch per iteration of
+    /// the budget: every epoch holds at least one batch, so the plan
+    /// covers it.
+    fn config(&self, world: usize) -> TrainConfig {
+        TrainConfig {
+            epochs: self.iters,
+            ..Demo::config(world)
+        }
+    }
+
     /// The iteration the first checkpoint resumes at: it comes due once
     /// `checkpoint_every` steps are done and is taken after the first
     /// iteration from there on that exchanges the factor averages — until
     /// then each rank's are its own, and survivors need identical blobs.
+    /// The row's factors fold every iteration and are exchanged on
+    /// multiples of its eigen-update interval.
     fn first_checkpoint(&self) -> usize {
-        (self.checkpoint_every - 1).next_multiple_of(UPDATE_FREQ) + 1
+        let update_freq = self.config(self.world).kfac.map_or(1, |k| k.update_freq);
+        (self.checkpoint_every - 1).next_multiple_of(update_freq) + 1
     }
 
     /// Structural sanity: the kill must land after the first checkpoint
@@ -102,8 +112,7 @@ impl ElasticSpec {
         if self.kill_step < self.first_checkpoint() {
             return Err(format!(
                 "kill_step {} precedes the first checkpoint: due every {} steps, taken \
-                 where factors are next exchanged (every {UPDATE_FREQ}), so none exists \
-                 before iteration {}",
+                 where factors are next exchanged, so none exists before iteration {}",
                 self.kill_step,
                 self.checkpoint_every,
                 self.first_checkpoint()
@@ -117,55 +126,6 @@ impl ElasticSpec {
         }
         Ok(())
     }
-}
-
-/// The trial model: the 3-stage depth-1 CIFAR ResNet, from a fixed seed
-/// so the survivors' run and the reference run line up.
-pub fn demo_model() -> Sequential {
-    let mut rng = Rng64::new(MODEL_SEED);
-    resnet_cifar(1, 4, 10, 3, &mut rng)
-}
-
-/// The trial preconditioner configuration.
-pub fn demo_kfac(model: &mut Sequential) -> Kfac {
-    Kfac::new(
-        model,
-        KfacConfig {
-            update_freq: UPDATE_FREQ,
-            damping: 0.003,
-            ..KfacConfig::default()
-        },
-    )
-}
-
-/// The trial dataset (deterministic synthetic CIFAR, training split).
-pub fn demo_data() -> SyntheticImages {
-    synthetic_cifar(8, 96, 32, DATA_SEED).0
-}
-
-/// Per-rank batch index sequence for `iters` iterations, parameterized
-/// on `(world, rank)` so a shrunken group re-derives its data sharding
-/// from the new view — the elastic analogue of recomputing the K-FAC
-/// factor assignment.
-pub fn batch_plan(
-    ds_len: usize,
-    world: usize,
-    rank: usize,
-    iters: usize,
-) -> Vec<(Vec<usize>, u64)> {
-    let sampler = ShardedSampler::new(ds_len, world, rank, LOCAL_BATCH, DATA_SEED ^ 0x5a5a);
-    let mut plan = Vec::with_capacity(iters);
-    let mut epoch = 0usize;
-    while plan.len() < iters {
-        for indices in sampler.epoch_batches(epoch) {
-            plan.push((indices, epoch as u64 + 1));
-            if plan.len() == iters {
-                break;
-            }
-        }
-        epoch += 1;
-    }
-    plan
 }
 
 /// What one survivor (or one reference rank) produced after the shrink
@@ -200,60 +160,51 @@ impl ResumeResult {
     }
 }
 
-/// Restore `blob` into fresh training state and finish the budget on
-/// `comm` — the shared recovery path: survivors call it with their
-/// [`Elastic::shrink`] result, the reference calls it with a fresh
-/// boot group of the shrunken size. The batch plan, K-FAC factor
-/// assignment, and fusion sharding all re-derive from `comm`'s
-/// `(rank, size)`, which is what makes the two bitwise comparable.
-pub fn post_shrink_resume(
+/// Restore `blob` into fresh training state and run the rest of the
+/// budget on `comm`: a survivor on its [`Elastic::shrink`] result, the
+/// reference on a fresh group of the shrunken size. The plan, the K-FAC
+/// factor assignment and the fusion sharding all re-derive from
+/// `comm`'s `(rank, size)`, which is what makes the two bitwise
+/// comparable.
+fn resume_from(
     comm: &dyn Communicator,
     blob: &[u8],
     spec: &ElasticSpec,
-    train_ds: &(dyn Dataset + Sync),
+    train_ds: &dyn Dataset,
 ) -> ResumeResult {
-    let mut model = demo_model();
-    let mut optimizer = Sgd::new(0.9, 1e-4);
-    let mut kfac = Some(demo_kfac(&mut model));
+    let cfg = spec.config(comm.size());
+    let mut model = Demo::model(cfg.seed);
+    let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
+    let mut kfac = cfg.kfac.clone().map(|k| Kfac::new(&mut model, k));
     let (it, _) = checkpoint::restore(blob, &mut model, &mut optimizer, kfac.as_mut())
         .expect("checkpoint restores on the shrunken world");
-    let batches = batch_plan(train_ds.len(), comm.size(), comm.rank(), spec.iters);
-    let criterion = CrossEntropyLoss::new();
-    let mut tr = ResilientTrainer::new(FaultTolerance::default());
-    let mut post_losses = Vec::with_capacity(spec.iters - it as usize);
-    for (j, (indices, variant)) in batches
-        .iter()
-        .enumerate()
-        .take(spec.iters)
-        .skip(it as usize)
-    {
-        let (x, labels) = batch_of(train_ds, indices, *variant);
-        let (loss, outcome) = tr.step(
-            &mut model,
-            &mut kfac,
-            &mut optimizer,
-            comm,
-            &x,
-            &labels,
-            &criterion,
-            LR,
-        );
-        assert_eq!(
-            outcome,
-            StepOutcome::Stepped,
-            "shrunken group degraded at iteration {j}"
-        );
-        // Each rank's loss is over its own shard; average so the
-        // recorded trajectory is rank-invariant (and bitwise so).
-        let mut global = [loss];
-        comm.allreduce(&mut global, ReduceOp::Average);
-        post_losses.push(global[0] as f64);
-    }
+    let plan = batch_plan(&cfg, train_ds.len(), comm.size(), comm.rank());
+    let mut ladder = ResilientTrainer::new(FaultTolerance::default());
+    let (mut losses, lost) = run_plan(
+        &mut ladder,
+        &mut model,
+        &mut kfac,
+        &mut optimizer,
+        comm,
+        train_ds,
+        &plan[it as usize..spec.iters],
+        &cfg,
+    );
+    assert_eq!(
+        (lost, ladder.skipped_steps),
+        (None, 0),
+        "shrunken group degraded after iteration {it}"
+    );
+    // Each rank's loss is over its own shard; average so the recorded
+    // trajectory is rank-invariant (and bitwise so): reduction is
+    // element-wise in rank order, so one vector allreduce gives each
+    // iteration's bits.
+    comm.allreduce(&mut losses, ReduceOp::Average);
     let mut params = Vec::new();
     model.visit_params("", &mut |_, w, _| params.extend_from_slice(w));
     ResumeResult {
         restore_iteration: it,
-        post_losses,
+        post_losses: losses.into_iter().map(f64::from).collect(),
         params,
     }
 }
@@ -262,69 +213,67 @@ pub fn post_shrink_resume(
 /// the communicator plus the membership epoch it is fenced to.
 type ShrunkGroup = (Box<dyn Communicator>, u64);
 
-/// Drive one rank's pre-kill iterations and the recovery. Generic over
-/// the fabric: `die` is what the victim does at the kill step (thread:
-/// inject the death observation and return; proc: exit the process),
-/// `shrink` produces the survivor communicator from the culprit hint.
-fn survivor_loop(
+/// One rank of the trial, generic over the fabric: `die` is what the
+/// victim does at the kill step (thread: inject the death observation
+/// and return; proc: exit the process), `shrink` produces the survivor
+/// communicator from the culprit hint. A survivor returns its resumed
+/// trajectory, the blob it restored, and the membership epoch.
+fn trial_rank(
     comm: &dyn Communicator,
     spec: &ElasticSpec,
-    train_ds: &(dyn Dataset + Sync),
+    train_ds: &dyn Dataset,
     dump_path: Option<PathBuf>,
     die: &dyn Fn(),
     shrink: &dyn Fn(&[usize]) -> ShrunkGroup,
 ) -> Option<(ResumeResult, Vec<u8>, u64)> {
     let rank = comm.rank();
-    let batches = batch_plan(train_ds.len(), spec.world, rank, spec.iters);
-    let mut model = demo_model();
-    let mut optimizer = Sgd::new(0.9, 1e-4);
-    let mut kfac = Some(demo_kfac(&mut model));
-    let criterion = CrossEntropyLoss::new();
-    let mut tr = ResilientTrainer::new(FaultTolerance {
+    let cfg = spec.config(spec.world);
+    let plan = batch_plan(&cfg, train_ds.len(), spec.world, rank);
+    let mut model = Demo::model(cfg.seed);
+    let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
+    let mut kfac = cfg.kfac.clone().map(|k| Kfac::new(&mut model, k));
+    let mut ladder = ResilientTrainer::new(FaultTolerance {
         checkpoint_every: spec.checkpoint_every,
         ..FaultTolerance::default()
     });
     if rank == 0 {
-        tr.set_flight_recorder(FlightRecorder::default(), dump_path);
+        ladder.set_flight_recorder(FlightRecorder::default(), dump_path);
     }
-    let mut i = 0usize;
-    while i < spec.iters {
-        if rank == spec.kill_rank && i == spec.kill_step {
-            die();
-            return None;
-        }
-        let (indices, variant) = &batches[i];
-        let (x, labels) = batch_of(train_ds, indices, *variant);
-        let (_, outcome) = tr.step(
-            &mut model,
-            &mut kfac,
-            &mut optimizer,
-            comm,
-            &x,
-            &labels,
-            &criterion,
-            LR,
-        );
-        match outcome {
-            StepOutcome::Stepped => i += 1,
-            StepOutcome::SkippedStep => panic!("elastic trial skipped a step at iteration {i}"),
-            StepOutcome::RankLost(culprit) => {
-                let blob = tr
-                    .latest_checkpoint()
-                    .expect("rank lost before the first checkpoint")
-                    .to_vec();
-                let (shrunk, epoch) = shrink(&[culprit]);
-                assert_eq!(shrunk.size(), spec.world - 1, "one rank was lost");
-                tr.note_shrink_resume(epoch);
-                let resumed = post_shrink_resume(&*shrunk, &blob, spec, train_ds);
-                return Some((resumed, blob, epoch));
-            }
-        }
-    }
-    panic!(
-        "rank {rank}: the kill at iteration {} never landed",
+    let end = if rank == spec.kill_rank {
         spec.kill_step
+    } else {
+        spec.iters
+    };
+    let (_, lost) = run_plan(
+        &mut ladder,
+        &mut model,
+        &mut kfac,
+        &mut optimizer,
+        comm,
+        train_ds,
+        &plan[..end],
+        &cfg,
     );
+    assert_eq!(ladder.skipped_steps, 0, "elastic trial skipped a step");
+    if rank == spec.kill_rank {
+        die();
+        return None;
+    }
+    let Some(culprit) = lost else {
+        panic!(
+            "rank {rank}: the kill at iteration {} never landed",
+            spec.kill_step
+        );
+    };
+    let blob = ladder
+        .latest_checkpoint()
+        .expect("rank lost before the first checkpoint")
+        .to_vec();
+    let (shrunk, epoch) = shrink(&[culprit]);
+    assert_eq!(shrunk.size(), spec.world - 1, "one rank was lost");
+    ladder.note_shrink_resume(epoch);
+    let resumed = resume_from(&*shrunk, &blob, spec, train_ds);
+    Some((resumed, blob, epoch))
 }
 
 /// Outcome of a whole-group elastic trial (every survivor agreed
@@ -371,7 +320,7 @@ pub fn run_thread_trial(
                         let epoch = shrunk.view().epoch;
                         (Box::new(shrunk) as Box<dyn Communicator>, epoch)
                     };
-                    survivor_loop(
+                    trial_rank(
                         &comm,
                         spec,
                         train_ds,
@@ -421,7 +370,7 @@ pub fn run_reference(
     let results: Vec<ResumeResult> = thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
-            .map(|comm| s.spawn(move || post_shrink_resume(&comm, blob, spec, train_ds)))
+            .map(|comm| s.spawn(move || resume_from(&comm, blob, spec, train_ds)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -466,7 +415,7 @@ pub fn proc_elastic_worker(comm: &ProcComm, spec: &ElasticSpec, ckpt_path: &Path
         );
         return 2;
     }
-    let train_ds = demo_data();
+    let (train_ds, _) = Demo::data();
     let registry = Registry::new();
     let _telemetry = registry.install(comm.rank());
     let rank = comm.rank();
@@ -479,7 +428,7 @@ pub fn proc_elastic_worker(comm: &ProcComm, spec: &ElasticSpec, ckpt_path: &Path
         let epoch = shrunk.epoch();
         (Box::new(shrunk) as Box<dyn Communicator>, epoch)
     };
-    match survivor_loop(comm, spec, &train_ds, None, &die, &shrink) {
+    match trial_rank(comm, spec, &train_ds, None, &die, &shrink) {
         Some((resumed, blob, epoch)) => {
             if rank == 0 {
                 // Persist the restore blob (atomic write-to-temp +

@@ -42,7 +42,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
         Scale::Full => 20,
     };
     let spec = ElasticSpec::canonical(iters);
-    let train_ds = crate::elastic::demo_data();
+    let (train_ds, _) = crate::presets::Demo::data();
     let mut notes = Vec::new();
     let mut table = Table::new(
         "Elastic membership — kill one of 4 ranks mid-run, shrink, resume",

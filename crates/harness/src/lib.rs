@@ -52,7 +52,7 @@ pub mod runtime;
 pub mod trainer;
 
 pub use overlap::ExecStrategy;
-pub use presets::{CifarSetup, ImagenetSetup, Scale};
+pub use presets::{CifarSetup, Demo, ImagenetSetup, Scale};
 pub use resilient::{FaultTolerance, ResilientTrainer, StepOutcome};
 pub use runtime::RuntimeConfig;
 pub use trainer::{train, train_with_comm, TrainConfig, TrainResult};

@@ -15,7 +15,8 @@
 //! communicator reduces in rank order per element, independent of
 //! framing.
 
-use crate::trainer::{expect_no_fault, train_iteration, NO_FAULT_TOLERANCE};
+use crate::resilient::StepOutcome;
+use crate::trainer::{train_iteration, NO_FAULT_TOLERANCE};
 use kfac::Kfac;
 use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
 use kfac_exec::ExecMode;
@@ -83,11 +84,13 @@ pub fn overlap_iteration(
         labels,
         criterion,
         lr,
-        None,
         Some(mode),
         &NO_FAULT_TOLERANCE,
     );
-    expect_no_fault(outcome, faults);
+    if let StepOutcome::RankLost(r) = outcome {
+        panic!("rank {r} failed permanently");
+    }
+    assert_eq!(faults, 0, "collective failed with no fault tolerance");
     loss
 }
 

@@ -1,16 +1,20 @@
-//! Experiment presets: model/dataset/budget combinations at three scales.
+//! Experiment presets: model/dataset/budget combinations at three scales,
+//! and the [`Demo`] row the bitwise checks share.
 //!
 //! Every experiment driver accepts a [`Scale`] so the same code path runs
-//! as a seconds-long smoke test (CI, Criterion benches), a minutes-long
+//! as a seconds-long smoke test (CI), a minutes-long
 //! default reproduction (`xp <experiment>`), or a longer full run.
 //! All sizes are CPU-tractable stand-ins per DESIGN.md §1; the *ratios*
 //! the paper's experiments depend on (K-FAC's epoch budget = 55/90 of
 //! SGD's, batch/LR linear scaling, update-frequency scaling) are
 //! preserved exactly.
 
+use crate::trainer::TrainConfig;
+use kfac::KfacConfig;
 use kfac_data::{synthetic_cifar, synthetic_imagenet, SyntheticImages};
 use kfac_nn::resnet::{bottleneck_blocks, resnet_bottleneck, resnet_cifar};
 use kfac_nn::Sequential;
+use kfac_optim::LrSchedule;
 use kfac_tensor::Rng64;
 
 /// Experiment size preset.
@@ -33,6 +37,38 @@ impl Scale {
             "full" => Some(Scale::Full),
             _ => None,
         }
+    }
+}
+
+/// The demo run, one row: a depth-1, width-4 CIFAR ResNet on 96
+/// synthetic 8 × 8 images, trained with K-FAC (an eigen update every 2
+/// iterations) at local batch 8 for 2 epochs. `xp proc-train`, the
+/// elastic trial and the relational pins all train it, so each compares
+/// bit for bit with a plain [`train`](crate::train) of the same row.
+pub struct Demo;
+
+impl Demo {
+    /// The model replica built from `seed` (`train` passes
+    /// [`TrainConfig::seed`]).
+    pub fn model(seed: u64) -> Sequential {
+        let mut rng = Rng64::new(seed);
+        resnet_cifar(1, 4, 10, 3, &mut rng)
+    }
+
+    /// Training and validation splits.
+    pub fn data() -> (SyntheticImages, SyntheticImages) {
+        synthetic_cifar(8, 96, 32, 11)
+    }
+
+    /// The run at `ranks` workers.
+    pub fn config(ranks: usize) -> TrainConfig {
+        let mut cfg = TrainConfig::new(ranks, 8, 2, LrSchedule::paper_steps(0.05, vec![4]));
+        cfg.lr.warmup_epochs = 1.0;
+        cfg.kfac = Some(KfacConfig {
+            update_freq: 2,
+            ..KfacConfig::default()
+        });
+        cfg
     }
 }
 

@@ -14,12 +14,12 @@
 //!   converts the pipelined-ring fit into α/β link constants for the
 //!   `kfac-cluster` simulator, and brackets the halving/doubling↔ring
 //!   crossover between two measured sizes (`BENCH_allreduce.json`).
-//! * `train-cifar` — the canonical 4-process K-FAC CIFAR demo behind
-//!   `xp proc-train`: each worker trains the shared [`cifar_demo_config`]
-//!   over its `ProcComm`, and rank 0 emits the loss trajectory (exact
-//!   round-trip `f64` repr) plus a parameter bit-hash. The
-//!   `proc_train` integration test compares this byte-for-byte against
-//!   the in-process `ThreadComm` run — the end-to-end witness that both
+//! * `train-cifar` — the 4-process K-FAC CIFAR demo behind
+//!   `xp proc-train`: each worker trains the [`Demo`] row over its
+//!   `ProcComm`, and rank 0 emits the loss trajectory (exact round-trip
+//!   `f64` repr) plus a parameter bit-hash. The `proc_train` integration
+//!   test compares this byte-for-byte against `train` of the same row on
+//!   the in-process `ThreadComm` — the end-to-end witness that both
 //!   fabrics compute the same training trajectory.
 //! * `train-elastic` — the shrink-world recovery trial behind
 //!   `xp elastic`: the victim rank exits cold mid-run, the survivors'
@@ -27,16 +27,12 @@
 //!   training resumes from the latest checkpoint on the smaller world
 //!   (see [`crate::elastic`]).
 
+use crate::presets::Demo;
 use crate::runtime::{self, Job, RuntimeConfig, WorkerSpec};
-use crate::trainer::{train_with_comm, TrainConfig, TrainResult};
-use kfac::KfacConfig;
+use crate::trainer::{train_with_comm, TrainResult};
 use kfac_cluster::calibrate::{crossover_bracket, MeasuredPoint};
 use kfac_collectives::proc::{ProcComm, ProcConfig};
 use kfac_collectives::{CollectiveAlgo, Communicator, ReduceOp, TrafficClass};
-use kfac_data::{synthetic_cifar, SyntheticImages};
-use kfac_nn::{resnet::resnet_cifar, Sequential};
-use kfac_optim::LrSchedule;
-use kfac_tensor::Rng64;
 use std::io;
 use std::process::{Command, Output, Stdio};
 use std::time::Instant;
@@ -382,31 +378,6 @@ impl BenchOutcome {
 // train-cifar
 // ---------------------------------------------------------------------
 
-/// The canonical demo model: 3-stage depth-1 CIFAR ResNet.
-pub fn cifar_demo_model(seed: u64) -> Sequential {
-    let mut rng = Rng64::new(seed);
-    resnet_cifar(1, 4, 10, 3, &mut rng)
-}
-
-/// The canonical demo datasets (deterministic synthetic CIFAR).
-pub fn cifar_demo_data() -> (SyntheticImages, SyntheticImages) {
-    synthetic_cifar(8, 96, 32, 11)
-}
-
-/// The canonical demo config: 2 epochs of K-FAC training at local batch
-/// 8. Shared verbatim by the proc worker, `xp proc-train` and the
-/// `proc_train` bitwise integration test, so every party trains the
-/// exact same run.
-pub fn cifar_demo_config(ranks: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::new(ranks, 8, 2, LrSchedule::paper_steps(0.05, vec![4]));
-    cfg.lr.warmup_epochs = 1.0;
-    cfg.kfac = Some(KfacConfig {
-        update_freq: 2,
-        ..KfacConfig::default()
-    });
-    cfg
-}
-
 /// FNV-style bit-hash of a parameter vector: equal iff every f32 is
 /// bit-equal, and cheap enough to print in a summary line.
 pub fn params_bit_hash(params: &[f32]) -> u64 {
@@ -438,12 +409,12 @@ pub fn train_summary_json(ranks: usize, backend: &str, result: &TrainResult) -> 
     )
 }
 
-/// Worker half of `xp proc-train`: train the shared demo over the
+/// Worker half of `xp proc-train`: train the [`Demo`] row over the
 /// process mesh; rank 0 prints the trajectory summary.
 fn train_worker(comm: &ProcComm) -> i32 {
-    let cfg = cifar_demo_config(comm.size());
-    let (train_ds, val_ds) = cifar_demo_data();
-    if let Some(result) = train_with_comm(comm, &cifar_demo_model, &train_ds, &val_ds, &cfg) {
+    let cfg = Demo::config(comm.size());
+    let (train_ds, val_ds) = Demo::data();
+    if let Some(result) = train_with_comm(comm, &Demo::model, &train_ds, &val_ds, &cfg) {
         println!("{}", train_summary_json(comm.size(), "proc", &result));
     }
     0

@@ -4,10 +4,11 @@
 //! against a communicator that may fail (typically a
 //! [`FaultyCommunicator`](kfac_collectives::FaultyCommunicator) under a
 //! placed fault plan), degrading instead of crashing. The iteration
-//! itself is [`train_iteration`] — the same function the plain trainer
-//! runs — called with this trainer's [`FaultTolerance`]; what lives here
-//! is the ladder's bookkeeping (counters, checkpoint cadence, flight
-//! recorder). The rungs:
+//! itself is [`train_iteration`], called with this trainer's
+//! [`FaultTolerance`]; what lives here is the ladder's bookkeeping
+//! (counters, checkpoint cadence, flight recorder). Every training loop
+//! steps through it ([`run_plan`](crate::trainer::run_plan)); `train`
+//! on a ladder with no tolerance. The rungs:
 //!
 //! 1. **Retry** — every collective runs under the configured
 //!    [`RetryPolicy`]; transient faults and short outages heal here and
@@ -183,33 +184,18 @@ impl ResilientTrainer {
     }
 
     /// Run one training iteration under the degradation ladder:
-    /// [`train_iteration`] with this trainer's tolerance, plus the
-    /// ladder's bookkeeping. Returns the local batch loss and what
-    /// happened. All ranks of a group must call this in lockstep with
-    /// the same fault plan so degradation decisions agree group-wide.
+    /// [`train_iteration`] on gradient-exchange schedule `exec`, with
+    /// this trainer's tolerance, plus the ladder's bookkeeping. Returns
+    /// the local batch loss and what happened. All ranks of a group must
+    /// call this in lockstep with the same fault plan so degradation
+    /// decisions agree group-wide. `epoch` is the epoch of the iteration;
+    /// a checkpoint taken after it records it as its loop position.
     ///
     /// With a flight recorder attached, every step captures a metrics
     /// snapshot, and an escalated outcome (skipped step or rank loss)
     /// dumps the recorder automatically.
     #[allow(clippy::too_many_arguments)]
     pub fn step(
-        &mut self,
-        model: &mut Sequential,
-        kfac: &mut Option<Kfac>,
-        optimizer: &mut Sgd,
-        comm: &dyn Communicator,
-        x: &Tensor4,
-        labels: &[usize],
-        criterion: &CrossEntropyLoss,
-        lr: f32,
-    ) -> (f32, StepOutcome) {
-        self.step_on(None, model, kfac, optimizer, comm, x, labels, criterion, lr)
-    }
-
-    /// [`step`](Self::step) on either gradient-exchange schedule (`exec`
-    /// as [`train_iteration`] takes it).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_on(
         &mut self,
         exec: Option<ExecMode>,
         model: &mut Sequential,
@@ -220,9 +206,10 @@ impl ResilientTrainer {
         labels: &[usize],
         criterion: &CrossEntropyLoss,
         lr: f32,
+        epoch: usize,
     ) -> (f32, StepOutcome) {
         let (loss, outcome, faults) = train_iteration(
-            model, kfac, optimizer, comm, x, labels, criterion, lr, None, exec, &self.ft,
+            model, kfac, optimizer, comm, x, labels, criterion, lr, exec, &self.ft,
         );
         self.comm_faults += u64::from(faults);
         if let (Some((recorder, _)), Some((registry, _))) = (&self.recorder, &self.telemetry) {
@@ -244,7 +231,7 @@ impl ResilientTrainer {
                         optimizer,
                         kfac.as_ref(),
                         self.steps_done,
-                        0,
+                        epoch as u64,
                     ));
                 }
             }
@@ -351,9 +338,9 @@ mod tests {
                         let (mut attempts, mut checkpoints) = (Vec::new(), Vec::new());
                         for round in 0..iters {
                             let (x, labels) = batch(round);
-                            let (loss, outcome) = tr.step_on(
+                            let (loss, outcome) = tr.step(
                                 exec, &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion,
-                                0.05,
+                                0.05, 0,
                             );
                             losses.push(loss.to_bits());
                             outcomes.push(outcome);
@@ -582,7 +569,6 @@ mod tests {
                                 &labels,
                                 &CrossEntropyLoss::new(),
                                 0.05,
-                                None,
                                 SCHEDULES[1],
                                 &FaultTolerance::default(),
                             );
@@ -618,8 +604,8 @@ mod tests {
             let comm = kfac_collectives::LocalComm::new();
             let mut tr = ResilientTrainer::new(FaultTolerance::default());
             let (x, labels) = batch(0);
-            let (_, outcome) = tr.step_on(
-                exec, &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05,
+            let (_, outcome) = tr.step(
+                exec, &mut m, &mut k, &mut opt, &comm, &x, &labels, &criterion, 0.05, 0,
             );
             assert_eq!(outcome, StepOutcome::Stepped);
             // The serialized state holds the running averages whole.
@@ -629,8 +615,8 @@ mod tests {
             );
 
             let poisoned = Tensor4::from_vec(4, 6, 1, 1, vec![f32::NAN; 24]);
-            let (loss, outcome) = tr.step_on(
-                exec, &mut m, &mut k, &mut opt, &comm, &poisoned, &labels, &criterion, 0.05,
+            let (loss, outcome) = tr.step(
+                exec, &mut m, &mut k, &mut opt, &comm, &poisoned, &labels, &criterion, 0.05, 0,
             );
             assert!(loss.is_nan());
             assert_eq!(outcome, StepOutcome::SkippedStep, "{exec:?}");
@@ -672,8 +658,8 @@ mod tests {
             let mut tr = ResilientTrainer::new(FaultTolerance::default());
             let labels = [0, 1, 2, 3];
             let mut step = |k: &mut Option<Kfac>, x: &Tensor4| {
-                tr.step_on(
-                    exec, &mut m, k, &mut opt, &comm, x, &labels, &criterion, 0.05,
+                tr.step(
+                    exec, &mut m, k, &mut opt, &comm, x, &labels, &criterion, 0.05, 0,
                 )
                 .1
             };
@@ -756,7 +742,8 @@ mod tests {
                                 // Distinct shards: local averages differ.
                                 let (x, labels) = batch(2 * round + rank);
                                 let (_, outcome) = tr.step(
-                                    &mut m, &mut k, &mut opt, &*comm, &x, &labels, &criterion, 0.05,
+                                    None, &mut m, &mut k, &mut opt, &*comm, &x, &labels,
+                                    &criterion, 0.05, 0,
                                 );
                                 assert_eq!(outcome, StepOutcome::Stepped);
                                 let blob = tr.latest_checkpoint().expect("step 0 saves").to_vec();
@@ -831,6 +818,7 @@ mod tests {
         let criterion = CrossEntropyLoss::new();
         let (x, labels) = batch(0);
         let (_, outcome) = tr.step(
+            None,
             &mut m,
             &mut k,
             &mut opt,
@@ -839,6 +827,7 @@ mod tests {
             &labels,
             &criterion,
             0.05,
+            0,
         );
         assert_eq!(outcome, StepOutcome::SkippedStep);
         assert_eq!(tr.flight_recorder().unwrap().len(), 1, "one snapshot");
@@ -869,6 +858,7 @@ mod tests {
                     }
                     let comm = FaultyCommunicator::new(comm, Arc::clone(plan));
                     let (_, outcome) = tr.step(
+                        None,
                         &mut model(3),
                         &mut None,
                         &mut Sgd::new(0.9, 1e-4),
@@ -877,6 +867,7 @@ mod tests {
                         labels,
                         criterion,
                         0.05,
+                        0,
                     );
                     assert_eq!(outcome, StepOutcome::RankLost(1));
                 });

@@ -6,13 +6,14 @@
 //! forward/backward on its local mini-batch, allreduces gradients,
 //! optionally applies the K-FAC preconditioner, and takes an SGD step —
 //! [`train_iteration`], the one definition of that iteration on both
-//! gradient-exchange schedules, which the fault ladder
-//! ([`ResilientTrainer`](crate::resilient::ResilientTrainer)) also
-//! drives. Validation accuracy is computed with sharded evaluation and
-//! count allreduce at the end of each epoch.
+//! gradient-exchange schedules. One loop, [`run_plan`], walks a slice of
+//! the rank's [`batch_plan`] through the fault ladder
+//! ([`ResilientTrainer`]) around it: [`train`] once per epoch with no
+//! fault tolerance, then sharded validation; the elastic trial
+//! ([`elastic`](crate::elastic)) before and after a shrink.
 
 use crate::overlap::{backward_exchanging_buckets, ExecStrategy};
-use crate::resilient::{FaultTolerance, StepOutcome};
+use crate::resilient::{FaultTolerance, ResilientTrainer, StepOutcome};
 use kfac::{Kfac, KfacConfig, StageStats};
 use kfac_collectives::{
     CollectiveError, CommBackend, Communicator, FusionBuffer, LocalComm, ProcComm, ReduceOp,
@@ -22,7 +23,7 @@ use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_exec::ExecMode;
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::{LrSchedule, Optimizer, Sgd};
-use kfac_telemetry::{Registry, Span};
+use kfac_telemetry::{watchdog::names, Registry, Span};
 use kfac_tensor::{Dtype, Tensor4};
 use std::time::Instant;
 
@@ -62,10 +63,10 @@ pub struct TrainConfig {
     /// trajectory is bitwise identical — the algorithm layer pins one
     /// reduction order.
     pub backend: CommBackend,
-    /// Gradient fusion-buffer flush threshold in bytes; `None` is
-    /// Horovod's 16 MiB default. Clamped by the collectives crate so an
-    /// oversized tensor still flushes in one message. The fused exchange
-    /// reads it; the bucketed one (`exec`) sends one message per child.
+    /// Unused: nothing sets it, and [`train`] refuses `Some`; the fused
+    /// exchange flushes at the collectives' default threshold. It stays
+    /// only because the frozen benchmark package reads it
+    /// (`stepbench/src/traced.rs`); ROADMAP item 1 deletes it.
     pub fusion_threshold_bytes: Option<usize>,
 }
 
@@ -258,19 +259,18 @@ fn gradients_within(model: &mut dyn Layer, limit: f32) -> bool {
     ok
 }
 
-/// One synchronous training iteration — the definition every caller
-/// shares ([`train`] with no fault tolerance,
-/// [`ResilientTrainer`](crate::resilient::ResilientTrainer) with the
-/// ladder's): zero-grad, forward, loss, backward and the gradient
-/// allreduce at `grad_wire` width, health gate, [`Kfac::try_step`], the
-/// gate again on the preconditioned gradients, optimizer step. Every
-/// collective runs under `ft.retry`.
+/// One synchronous training iteration — the definition the ladder
+/// ([`ResilientTrainer::step`]) runs under its [`FaultTolerance`], and
+/// [`train`] through it with none: zero-grad, forward, loss, backward
+/// and the gradient allreduce at `grad_wire` width, health gate,
+/// [`Kfac::try_step`], the gate again on the preconditioned gradients,
+/// optimizer step. Every collective runs under `ft.retry`.
 ///
 /// `exec` picks the gradient-exchange schedule and nothing else: `None`
 /// is backward followed by the fused exchange; `Some(_)` (either
 /// [`ExecMode`]) allreduces per-child buckets while backward is still
 /// running ([`overlap`](crate::overlap), pinned bitwise to the fused
-/// exchange) and ignores `fusion_threshold`.
+/// exchange).
 ///
 /// Returns the local batch loss, what happened, and how many collectives
 /// failed for good (exhausted retries or delivered a corrupted payload):
@@ -295,7 +295,6 @@ pub fn train_iteration(
     labels: &[usize],
     criterion: &CrossEntropyLoss,
     lr: f32,
-    fusion_threshold: Option<usize>,
     exec: Option<ExecMode>,
     ft: &FaultTolerance,
 ) -> (f32, StepOutcome, u32) {
@@ -333,7 +332,7 @@ pub fn train_iteration(
                 let _ = model.backward(&grad);
             }
             let _span = Span::enter("train/grad_allreduce");
-            try_allreduce_gradients_fused(model, comm, fusion_threshold, grad_wire, &ft.retry)
+            try_allreduce_gradients_fused(model, comm, None, grad_wire, &ft.retry)
         }
         Some(_) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry),
     };
@@ -400,26 +399,108 @@ fn validate(
     counts[0] as f64 / counts[1] as f64
 }
 
-/// What [`train`] passes to [`train_iteration`]: no retries, no
-/// gradient-magnitude limit, no checkpoints.
+/// The ladder [`train`] runs on: no retries, no gradient-magnitude
+/// limit, no checkpoints.
 pub(crate) const NO_FAULT_TOLERANCE: FaultTolerance = FaultTolerance {
     retry: RetryPolicy::none(),
     grad_limit: f32::INFINITY,
     checkpoint_every: 0,
 };
 
-/// Without a ladder around it, a failed collective is fatal; only the
-/// health gate may skip a step.
-pub(crate) fn expect_no_fault(outcome: StepOutcome, faults: u32) {
-    if let StepOutcome::RankLost(r) = outcome {
-        panic!("rank {r} failed permanently");
-    }
-    assert_eq!(faults, 0, "collective failed with no fault tolerance");
+/// One planned iteration of a rank: its sample indices, its epoch (the
+/// batch is drawn as variant `epoch + 1`) and its learning rate.
+#[derive(Debug, Clone)]
+pub struct Planned {
+    pub indices: Vec<usize>,
+    pub epoch: usize,
+    pub lr: f32,
 }
 
-/// Run one rank's training loop.
+/// Every iteration `rank` of `world` runs over `cfg.epochs` epochs of a
+/// `ds_len`-sample training set: the sharded sampler's epochs flattened
+/// in order, each batch at the schedule's learning rate for
+/// `epoch + bi / iters_per_epoch`. A shrunken group re-derives its plan
+/// from the new `(world, rank)`, as K-FAC recomputes its factor
+/// assignment.
+pub fn batch_plan(cfg: &TrainConfig, ds_len: usize, world: usize, rank: usize) -> Vec<Planned> {
+    let sampler = ShardedSampler::new(ds_len, world, rank, cfg.local_batch, cfg.seed ^ 0x5a5a);
+    let iters_per_epoch = sampler.batches_per_epoch();
+    (0..cfg.epochs)
+        .flat_map(|epoch| {
+            let batches = sampler.epoch_batches(epoch).into_iter().enumerate();
+            batches.map(move |(bi, indices)| Planned {
+                indices,
+                epoch,
+                lr: cfg
+                    .lr
+                    .lr_at(epoch as f32 + bi as f32 / iters_per_epoch as f32),
+            })
+        })
+        .collect()
+}
+
+/// The one loop that walks training batches through the ladder: step
+/// `ladder` over `plan` on `comm`, on `cfg`'s gradient-exchange schedule
+/// and loss, drawing each batch from `ds`. Stops at the first
+/// [`StepOutcome::RankLost`]; returns the local losses of the iterations
+/// run and the lost rank, if any. Each iteration is a `train/iteration`
+/// span and updates the ambient registry's loss, heartbeat and
+/// iteration-time probes.
+#[allow(clippy::too_many_arguments)]
+pub fn run_plan(
+    ladder: &mut ResilientTrainer,
+    model: &mut Sequential,
+    kfac: &mut Option<Kfac>,
+    optimizer: &mut Sgd,
+    comm: &dyn Communicator,
+    ds: &dyn Dataset,
+    plan: &[Planned],
+    cfg: &TrainConfig,
+) -> (Vec<f32>, Option<usize>) {
+    let criterion = CrossEntropyLoss::with_smoothing(cfg.label_smoothing);
+    let registry = kfac_telemetry::current().map(|(r, _)| r);
+    let mut losses = Vec::with_capacity(plan.len());
+    for (i, batch) in plan.iter().enumerate() {
+        let t_iter = Instant::now();
+        let _iter_span = Span::enter("train/iteration")
+            .with("epoch", batch.epoch)
+            .with("iter", i);
+        let (x, labels) = batch_of(ds, &batch.indices, batch.epoch as u64 + 1);
+        let (loss, outcome) = ladder.step(
+            cfg.exec.exec_mode(),
+            model,
+            kfac,
+            optimizer,
+            comm,
+            &x,
+            &labels,
+            &criterion,
+            batch.lr,
+            batch.epoch,
+        );
+        if let StepOutcome::RankLost(r) = outcome {
+            return (losses, Some(r));
+        }
+        losses.push(loss);
+        // Liveness + trajectory probes for the watchdog and the live
+        // metrics plane. Pure reads of already-computed values: the
+        // training math never consumes them.
+        if let Some(registry) = &registry {
+            registry.gauge(names::LOSS).set(loss as f64);
+            let now = registry.micros_at(Instant::now());
+            registry.gauge(names::HEARTBEAT_US).set(now as f64);
+            let iter_us = t_iter.elapsed().as_micros();
+            registry
+                .histogram("train/iter_time_us")
+                .record(iter_us as f64);
+        }
+    }
+    (losses, None)
+}
+
+/// Run one rank's training loop: per epoch, [`run_plan`] over that
+/// epoch's batches, then validation.
 fn run_rank(
-    rank: usize,
     comm: &dyn Communicator,
     build_model: &(dyn Fn(u64) -> Sequential + Sync),
     train_ds: &dyn Dataset,
@@ -427,9 +508,14 @@ fn run_rank(
     cfg: &TrainConfig,
     registry: &Registry,
 ) -> Option<TrainResult> {
+    assert!(
+        cfg.fusion_threshold_bytes.is_none(),
+        "TrainConfig::fusion_threshold_bytes is unused and must stay None"
+    );
     // Record this thread's spans into the run registry as `rank`; the
-    // guard flushes on scope exit. Must precede Kfac::new, which
-    // captures the ambient recorder for its stats view.
+    // guard flushes on scope exit. Must precede Kfac::new and the
+    // ladder, which capture the ambient recorder.
+    let rank = comm.rank();
     let _telemetry = registry.install(rank);
     let setup_span = Span::enter("train/setup").with("ranks", cfg.ranks);
     // Identical replicas: every rank builds from the same seed (the
@@ -451,72 +537,48 @@ fn run_rank(
                 .set((dtype.size_of() * 8) as f64);
         }
     }
-    let criterion = CrossEntropyLoss::with_smoothing(cfg.label_smoothing);
-    let sampler = ShardedSampler::new(
-        train_ds.len(),
-        comm.size(),
-        rank,
-        cfg.local_batch,
-        cfg.seed ^ 0x5a5a,
-    );
-    let iters_per_epoch = sampler.batches_per_epoch();
+    let plan = batch_plan(cfg, train_ds.len(), comm.size(), rank);
+    let mut ladder = ResilientTrainer::new(NO_FAULT_TOLERANCE);
     drop(setup_span);
 
     let mut records = Vec::with_capacity(cfg.epochs);
     let t_start = Instant::now();
 
-    for epoch in 0..cfg.epochs {
+    for batches in plan.chunk_by(|a, b| a.epoch == b.epoch) {
+        let epoch = batches[0].epoch;
         let t_epoch = Instant::now();
         if let Some(k) = &mut kfac {
             k.set_epoch(epoch);
         }
-        let mut loss_sum = 0.0f64;
-        for (bi, indices) in sampler.epoch_batches(epoch).into_iter().enumerate() {
-            let lr = cfg
-                .lr
-                .lr_at(epoch as f32 + bi as f32 / iters_per_epoch as f32);
-            let t_iter = Instant::now();
-            let _iter_span = Span::enter("train/iteration")
-                .with("epoch", epoch)
-                .with("iter", bi);
-            let (x, labels) = batch_of(train_ds, &indices, epoch as u64 + 1);
-            let (loss, outcome, faults) = train_iteration(
-                &mut model,
-                &mut kfac,
-                &mut optimizer,
-                comm,
-                &x,
-                &labels,
-                &criterion,
-                lr,
-                cfg.fusion_threshold_bytes,
-                cfg.exec.exec_mode(),
-                &NO_FAULT_TOLERANCE,
-            );
-            expect_no_fault(outcome, faults);
-            loss_sum += loss as f64;
-            // Liveness + trajectory probes for the watchdog and the live
-            // metrics plane. Pure reads of already-computed values: the
-            // training math never consumes them.
-            registry
-                .gauge(kfac_telemetry::watchdog::names::LOSS)
-                .set(loss as f64);
-            registry
-                .gauge(kfac_telemetry::watchdog::names::HEARTBEAT_US)
-                .set(registry.micros_at(Instant::now()) as f64);
-            registry
-                .histogram("train/iter_time_us")
-                .record(t_iter.elapsed().as_micros() as f64);
+        let (losses, lost) = run_plan(
+            &mut ladder,
+            &mut model,
+            &mut kfac,
+            &mut optimizer,
+            comm,
+            train_ds,
+            batches,
+            cfg,
+        );
+        // Without fault tolerance a lost rank or a failed collective is
+        // fatal; only the health gate may skip a step.
+        if let Some(r) = lost {
+            panic!("rank {r} failed permanently");
         }
+        assert_eq!(
+            ladder.comm_faults, 0,
+            "collective failed with no fault tolerance"
+        );
         let wall_s = t_epoch.elapsed().as_secs_f64();
 
         let val_acc = {
             let _span = Span::enter("train/eval").with("epoch", epoch);
             validate(&mut model, val_ds, comm, cfg.local_batch.max(32))
         };
+        let loss_sum = losses.iter().fold(0.0f64, |sum, &l| sum + l as f64);
         records.push(EpochRecord {
             epoch,
-            train_loss: loss_sum / iters_per_epoch.max(1) as f64,
+            train_loss: loss_sum / batches.len() as f64,
             val_acc,
             wall_s,
         });
@@ -555,20 +617,17 @@ pub fn train_with_comm(
     val_ds: &dyn Dataset,
     cfg: &TrainConfig,
 ) -> Option<TrainResult> {
-    let registry = cfg
-        .telemetry
+    run_rank(comm, build_model, train_ds, val_ds, cfg, &run_registry(cfg))
+}
+
+/// The registry a run records into: `cfg`'s, else the calling thread's
+/// ambient one (so `xp --trace-out` captures every run it drives without
+/// each driver threading a handle), else a fresh one.
+fn run_registry(cfg: &TrainConfig) -> Registry {
+    cfg.telemetry
         .clone()
         .or_else(|| kfac_telemetry::current().map(|(r, _)| r))
-        .unwrap_or_default();
-    run_rank(
-        comm.rank(),
-        comm,
-        build_model,
-        train_ds,
-        val_ds,
-        cfg,
-        &registry,
-    )
+        .unwrap_or_default()
 }
 
 /// Train a model across `cfg.ranks` simulated workers.
@@ -582,17 +641,10 @@ pub fn train(
     cfg: &TrainConfig,
 ) -> TrainResult {
     assert!(cfg.ranks >= 1);
-    // Precedence: explicit per-run registry, else the calling thread's
-    // ambient one (so `xp --trace-out` captures every run it drives
-    // without each driver threading a handle), else a fresh registry.
-    let registry = cfg
-        .telemetry
-        .clone()
-        .or_else(|| kfac_telemetry::current().map(|(r, _)| r))
-        .unwrap_or_default();
+    let registry = run_registry(cfg);
     if cfg.ranks == 1 {
         let comm = LocalComm::new();
-        return run_rank(0, &comm, &build_model, train_ds, val_ds, cfg, &registry)
+        return run_rank(&comm, &build_model, train_ds, val_ds, cfg, &registry)
             .expect("rank 0 returns");
     }
     // Both fabrics run the same collective stack under the same policy.
@@ -636,17 +688,7 @@ fn drive_group<C: Communicator + Sync>(
         let handles: Vec<_> = comms
             .iter()
             .map(|comm| {
-                s.spawn(move || {
-                    run_rank(
-                        comm.rank(),
-                        comm,
-                        build_model,
-                        train_ds,
-                        val_ds,
-                        cfg,
-                        registry,
-                    )
-                })
+                s.spawn(move || run_rank(comm, build_model, train_ds, val_ds, cfg, registry))
             })
             .collect();
         let mut result = None;
@@ -800,6 +842,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A checkpoint the ladder takes in epoch 1 of the loop records that
+    /// epoch beside the iteration it resumes at.
+    #[test]
+    fn ladder_checkpoint_records_the_epoch_of_its_step() {
+        // 64 samples at local batch 16: four iterations per epoch.
+        let (train_ds, _) = synthetic_cifar(8, 64, 16, 7);
+        let cfg = tiny_cfg(1, 2);
+        let plan = batch_plan(&cfg, train_ds.len(), 1, 0);
+        let epochs: Vec<usize> = plan.iter().map(|b| b.epoch).collect();
+        assert_eq!(epochs, [0, 0, 0, 0, 1, 1, 1, 1]);
+        let mut model = build(cfg.seed);
+        let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
+        let mut ladder = ResilientTrainer::new(FaultTolerance {
+            checkpoint_every: 3,
+            ..FaultTolerance::default()
+        });
+        let comm = LocalComm::new();
+        let (losses, lost) = run_plan(
+            &mut ladder,
+            &mut model,
+            &mut None,
+            &mut optimizer,
+            &comm,
+            &train_ds,
+            &plan,
+            &cfg,
+        );
+        assert_eq!((losses.len(), lost), (8, None));
+        // Taken after steps 3 and 6; step 6 is iteration 5, in epoch 1.
+        let blob = ladder.latest_checkpoint().expect("a checkpoint was taken");
+        let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
+        let position = crate::checkpoint::restore(blob, &mut build(0), &mut optimizer, None);
+        assert_eq!(position, Ok((6, 1)));
+    }
+
+    /// Nothing reads `fusion_threshold_bytes`, so `train` refuses a value
+    /// rather than ignore it.
+    #[test]
+    #[should_panic(expected = "fusion_threshold_bytes")]
+    fn train_refuses_a_fusion_threshold() {
+        let (train_ds, val_ds) = synthetic_cifar(8, 32, 8, 7);
+        let mut cfg = tiny_cfg(1, 1);
+        cfg.fusion_threshold_bytes = Some(1 << 20);
+        train(build, &train_ds, &val_ds, &cfg);
     }
 
     /// The gate's predicate at its edges: the limit is inclusive and

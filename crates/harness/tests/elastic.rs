@@ -9,7 +9,8 @@
 //! through the spawned `xp` binary, exactly as CI's
 //! `xp elastic --scale smoke` does.
 
-use kfac_harness::elastic::{demo_data, run_reference, run_thread_trial, ElasticSpec};
+use kfac_harness::elastic::{run_reference, run_thread_trial, ElasticSpec};
+use kfac_harness::Demo;
 use std::process::Command;
 
 fn small_spec() -> ElasticSpec {
@@ -27,7 +28,7 @@ fn small_spec() -> ElasticSpec {
 #[test]
 fn shrink_world_resume_matches_reference_bitwise() {
     let spec = small_spec();
-    let train_ds = demo_data();
+    let (train_ds, _) = Demo::data();
     let trial = run_thread_trial(&spec, &train_ds, None);
 
     // A checkpoint comes due after step 2, but iteration 1 folded
@@ -56,7 +57,7 @@ fn shrink_world_resume_survives_losing_the_last_rank() {
         kill_rank: 3,
         ..small_spec()
     };
-    let train_ds = demo_data();
+    let (train_ds, _) = Demo::data();
     let trial = run_thread_trial(&spec, &train_ds, None);
     let reference = run_reference(&spec, &trial.checkpoint, &train_ds);
     assert!(trial.resumed.bitwise_eq(&reference));

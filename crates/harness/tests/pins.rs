@@ -20,12 +20,11 @@
 use kfac::{DistStrategy, EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ProcComm, ThreadComm, Traffic};
 use kfac_data::{batch_of, Dataset, ShardedSampler};
-use kfac_harness::procrun::{
-    cifar_demo_config, cifar_demo_data, cifar_demo_model, params_bit_hash,
-};
+use kfac_harness::procrun::params_bit_hash;
 use kfac_harness::trainer::{allreduce_gradients_fused, train_iteration};
 use kfac_harness::{
-    checkpoint, train, ExecStrategy, FaultTolerance, ResilientTrainer, StepOutcome, TrainConfig,
+    checkpoint, train, Demo, ExecStrategy, FaultTolerance, ResilientTrainer, StepOutcome,
+    TrainConfig,
 };
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::Optimizer;
@@ -293,7 +292,7 @@ fn bytes(t: Traffic) -> [u64; 4] {
 /// iterations, so that the cut after the exchange at 5 leaves some to run.
 fn config(cell: Cell) -> TrainConfig {
     let Cell(.., f, world, _, _) = cell;
-    let mut cfg = cifar_demo_config(world).with_exec(cell.exec());
+    let mut cfg = Demo::config(world).with_exec(cell.exec());
     cfg.epochs = 3;
     cfg.kfac = cell.kfac();
     cfg.backend = [CommBackend::Thread, CommBackend::Proc][f as usize];
@@ -307,7 +306,7 @@ struct Replica(Sequential, kfac_optim::Sgd, Option<Kfac>, ResilientTrainer);
 impl Replica {
     fn new(cell: Cell, seed: u64) -> Replica {
         let cfg = config(cell);
-        let mut model = cifar_demo_model(seed);
+        let mut model = Demo::model(seed);
         let kfac = cfg.kfac.map(|k| Kfac::new(&mut model, k));
         let ft = FaultTolerance {
             checkpoint_every: cell.cut_at().unwrap_or(0) as usize,
@@ -347,7 +346,6 @@ impl Replica {
                     &labels,
                     &criterion,
                     lr,
-                    None,
                     cell.exec().exec_mode(),
                     &FaultTolerance::default(),
                 );
@@ -355,8 +353,18 @@ impl Replica {
                 loss
             }
             Ladder => {
-                let (loss, outcome) =
-                    ladder.step(model, kfac, optimizer, comm, &x, &labels, &criterion, lr);
+                let (loss, outcome) = ladder.step(
+                    cell.exec().exec_mode(),
+                    model,
+                    kfac,
+                    optimizer,
+                    comm,
+                    &x,
+                    &labels,
+                    &criterion,
+                    lr,
+                    epoch,
+                );
                 assert_eq!(outcome, StepOutcome::Stepped);
                 assert_eq!((ladder.skipped_steps, ladder.comm_faults), (0, 0));
                 loss
@@ -418,7 +426,7 @@ fn run_rank(cell: Cell, data: &dyn Dataset, comm: &dyn Communicator) -> Witness 
 }
 
 fn run_group<C: Communicator + Sync>(cell: Cell, comms: &[C], registry: &Registry) -> Vec<Witness> {
-    let (train_ds, _) = cifar_demo_data();
+    let (train_ds, _) = Demo::data();
     std::thread::scope(|s| {
         let ranks: Vec<_> = comms
             .iter()
@@ -442,10 +450,10 @@ fn run(cell: Cell) -> Vec<Witness> {
     let registry = Registry::new();
     let ends = match (d, f) {
         (Train, _) => {
-            let (train_ds, val_ds) = cifar_demo_data();
+            let (train_ds, val_ds) = Demo::data();
             let mut cfg = config(cell);
             cfg.telemetry = Some(registry.clone());
-            let r = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+            let r = train(Demo::model, &train_ds, &val_ds, &cfg);
             let epochs = r.epochs.iter();
             let losses = epochs.flat_map(|e| [e.train_loss.to_bits(), e.val_acc.to_bits()]);
             let losses = losses.collect();
@@ -455,7 +463,7 @@ fn run(cell: Cell) -> Vec<Witness> {
         (_, Tcp) => run_group(cell, &ProcComm::create_local(world), &registry),
     };
     if b == Short {
-        let mut model = cifar_demo_model(0);
+        let mut model = Demo::model(0);
         let mut layers = Vec::new();
         model.collect_kfac(&mut layers);
         let short = layers.iter().enumerate().any(|(li, layer)| {
@@ -560,7 +568,7 @@ relation_tests! {
 #[test]
 fn version_1_state_blob_is_refused() {
     let cell = Cell(Opt, F32, Short, 2, Fused, Thread, 1, ByHand, Uncut);
-    let (train_ds, _) = cifar_demo_data();
+    let (train_ds, _) = Demo::data();
     let mut replica = Replica::new(cell, 3);
     replica.step(cell, &train_ds, 0, &LocalComm::new());
     let kfac = replica.2.as_mut().unwrap();

@@ -82,7 +82,8 @@ fn run_ladder<C: Communicator + Send>(
                     for round in 0..ITERS {
                         let (x, labels) = batch(round);
                         let (loss, outcome) = tr.step(
-                            &mut m, &mut k, &mut opt, &faulty, &x, &labels, &criterion, 0.05,
+                            None, &mut m, &mut k, &mut opt, &faulty, &x, &labels, &criterion, 0.05,
+                            0,
                         );
                         assert!(loss.is_finite());
                         match outcome {

@@ -3,10 +3,8 @@
 //! trajectory — bitwise — as the 4-rank `ThreadComm` run. The in-process
 //! TCP fabric is one axis of `tests/pins.rs`.
 
-use kfac_harness::procrun::{
-    cifar_demo_config, cifar_demo_data, cifar_demo_model, params_bit_hash,
-};
-use kfac_harness::train;
+use kfac_harness::procrun::params_bit_hash;
+use kfac_harness::{train, Demo};
 use kfac_telemetry::json::Json;
 use std::process::Command;
 
@@ -32,9 +30,9 @@ fn spawned_proc_train_matches_thread_trajectory_bitwise() {
         .unwrap_or_else(|| panic!("no summary JSON in output: {stdout:?}"));
     let summary = Json::parse(summary_line.trim()).expect("summary parses as JSON");
 
-    let (train_ds, val_ds) = cifar_demo_data();
-    let cfg = cifar_demo_config(4);
-    let reference = train(cifar_demo_model, &train_ds, &val_ds, &cfg);
+    let (train_ds, val_ds) = Demo::data();
+    let cfg = Demo::config(4);
+    let reference = train(Demo::model, &train_ds, &val_ds, &cfg);
 
     let losses = summary
         .get("train_loss")
