@@ -186,10 +186,13 @@ pub struct KfacConfig {
     /// in order (§V-C: "at fixed training epochs, we decrease
     /// kfac-update-freq").
     pub update_freq_schedule: Vec<(usize, usize)>,
-    /// Exchange only the upper triangle of each (symmetric) factor in the
-    /// fused allreduce, cutting factor traffic almost in half — an
-    /// implementation of the paper's stated future work to "reduce
-    /// communication quantity" (§VII).
+    /// Must stay `true` ([`KfacConfig::validate`] refuses `false`): each
+    /// running average is stored, exchanged and checkpointed as its
+    /// packed upper triangle, so factor traffic is always about half the
+    /// full matrices — the paper's future work to "reduce communication
+    /// quantity" (§VII). Nothing reads it; it stays only because the
+    /// frozen benchmark package sets it (`stepbench/src/workload.rs`),
+    /// and ROADMAP item 1 deletes it.
     pub triangular_factor_comm: bool,
     /// Wire precision policy (gradient and K-FAC collective dtypes). The
     /// default — f32 on both — is bitwise identical to builds predating
@@ -251,6 +254,18 @@ impl KfacConfig {
     pub fn validate(&self) {
         assert!(self.damping > 0.0, "damping must be positive");
         assert!(self.update_freq >= 1, "update_freq must be ≥ 1");
+        assert!(
+            self.update_freq_schedule.iter().all(|&(_, f)| f >= 1),
+            "update_freq_schedule intervals must be ≥ 1"
+        );
+        assert!(
+            self.damping_decay_factor.is_finite() && self.damping_decay_factor > 0.0,
+            "damping_decay_factor must be finite and positive"
+        );
+        assert!(
+            self.triangular_factor_comm,
+            "triangular_factor_comm: false is unsupported (averages are packed triangles)"
+        );
         assert!(
             self.factor_freq_multiplier >= 1,
             "factor_freq_multiplier must be ≥ 1"
@@ -326,6 +341,37 @@ mod tests {
     fn zero_damping_rejected() {
         KfacConfig {
             damping: 0.0,
+            ..KfacConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "update_freq_schedule intervals must be ≥ 1")]
+    fn zero_scheduled_update_freq_rejected() {
+        KfacConfig {
+            update_freq_schedule: vec![(1, 0)],
+            ..KfacConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "damping_decay_factor must be finite and positive")]
+    fn zero_damping_decay_factor_rejected() {
+        KfacConfig {
+            damping_decay_epochs: vec![1],
+            damping_decay_factor: 0.0,
+            ..KfacConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "triangular_factor_comm")]
+    fn full_factor_comm_rejected() {
+        KfacConfig {
+            triangular_factor_comm: false,
             ..KfacConfig::default()
         }
         .validate();

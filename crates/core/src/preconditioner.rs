@@ -82,8 +82,10 @@ pub struct Kfac {
     /// `(dim_A, dim_G)` per K-FAC-eligible layer, in structural order.
     layer_dims: Vec<(usize, usize)>,
     factors: Vec<FactorDesc>,
-    /// Running-average factors, indexed by factor id.
-    averages: Vec<Option<Matrix>>,
+    /// Running-average factors, indexed by factor id: each is its upper
+    /// triangle as `n(n+1)/2` packed rows (row `i` from column `i` on),
+    /// empty before the factor's first fold.
+    averages: Vec<Vec<f32>>,
     /// Second-order state (eig or inverse), indexed by factor id.
     second_order: Vec<FactorSecondOrder>,
     iteration: u64,
@@ -140,7 +142,7 @@ pub struct Kfac {
     #[cfg(test)]
     exchange_every_fold: bool,
     /// Test oracle: fold through the layer's full mirrored factors and
-    /// [`Matrix::axpby`], the two passes the upper-triangle fold replaced.
+    /// [`Matrix::axpby`], the two passes the packed fold replaced.
     #[cfg(test)]
     two_pass_fold: bool,
 }
@@ -165,7 +167,7 @@ impl Kfac {
             cfg,
             layer_dims,
             factors,
-            averages: vec![None; n_factors],
+            averages: vec![Vec::new(); n_factors],
             second_order: (0..n_factors).map(|_| FactorSecondOrder::None).collect(),
             iteration: 0,
             epoch: 0,
@@ -540,11 +542,9 @@ impl Kfac {
     /// Phase: fold K-FAC-eligible layer `li`'s captured factor sums into
     /// its running averages (Eq. 16–17): `avg = ξ·(s/m) + (1 − ξ)·avg`,
     /// or `avg = s/m` for the first fold. One pass over the upper
-    /// triangle, the only part of an average anything reads (see
-    /// [`Kfac::factor_pack`], [`Kfac::save_state`] and the
-    /// decompositions, which mirror where they need a full matrix).
-    /// Layers are independent, so calls may run in any order / in
-    /// parallel across `li`.
+    /// triangle, row tail by row tail into the packed average. Layers are
+    /// independent, so calls may run in any order / in parallel across
+    /// `li`.
     pub fn factor_update_layer(&mut self, li: usize, layer: &dyn KfacEligible) {
         assert!(
             layer.has_capture(),
@@ -565,11 +565,13 @@ impl Kfac {
         let (xi, keep) = (self.cfg.running_avg, 1.0 - self.cfg.running_avg);
         for (id, sum) in [(2 * li, sums.a()), (2 * li + 1, sums.g())] {
             let n = sum.rows();
-            let slot = &mut self.averages[id];
-            let first = slot.is_none();
-            let avg = slot.get_or_insert_with(|| Matrix::zeros(n, n));
+            let avg = &mut self.averages[id];
+            let first = avg.is_empty();
+            avg.resize(n * (n + 1) / 2, 0.0);
+            let mut off = 0;
             for i in 0..n {
-                let (dst, src) = (&mut avg.row_mut(i)[i..], &sum.row(i)[i..]);
+                let (dst, src) = (&mut avg[off..off + n - i], &sum.row(i)[i..]);
+                off += n - i;
                 if first {
                     for (d, &s) in dst.iter_mut().zip(src) {
                         *d = s * inv_m;
@@ -585,16 +587,22 @@ impl Kfac {
     }
 
     /// Test oracle: the fold as two full passes, the layer's mirrored
-    /// factors and then [`Matrix::axpby`] over all `n²` entries.
+    /// factors and then [`Matrix::axpby`] over all `n²` entries of the
+    /// unpacked average, packed again.
     #[cfg(test)]
     fn two_pass_fold_layer(&mut self, li: usize, layer: &dyn KfacEligible) {
         let (a, g) = layer.compute_factors();
         let xi = self.cfg.running_avg;
         for (id, new) in [(2 * li, a), (2 * li + 1, g)] {
-            match &mut self.averages[id] {
-                Some(avg) => avg.axpby(xi, &new, 1.0 - xi),
-                slot @ None => *slot = Some(new),
-            }
+            let full = if self.averages[id].is_empty() {
+                new
+            } else {
+                let mut avg = self.unpacked(id);
+                avg.axpby(xi, &new, 1.0 - xi);
+                avg
+            };
+            let n = full.rows();
+            self.averages[id] = (0..n).flat_map(|i| &full.row(i)[i..]).copied().collect();
         }
     }
 
@@ -603,35 +611,14 @@ impl Kfac {
     /// of §II-D; factors are small and numerous): every running average
     /// when [`Kfac::factor_exchange_due`], nothing — an empty payload,
     /// which [`wire::try_allreduce_half`] does not send and
-    /// [`Kfac::factor_unpack`] does not read — otherwise. With
-    /// `triangular_factor_comm` only the upper triangle travels: factors
-    /// are symmetric, so this halves the payload exactly. Without it
-    /// each average travels whole, mirrored from its upper triangle.
+    /// [`Kfac::factor_unpack`] does not read — otherwise. The payload is
+    /// the packed averages end to end: factors are symmetric, so their
+    /// upper triangles carry them whole at about half the words.
     pub fn factor_pack(&self) -> Vec<f32> {
         if !self.factor_exchange_due() {
             return Vec::new();
         }
-        let triangular = self.cfg.triangular_factor_comm;
-        let packed_len = |avg: &Matrix| {
-            if triangular {
-                avg.rows() * (avg.rows() + 1) / 2
-            } else {
-                avg.len()
-            }
-        };
-        let mut fused = Vec::with_capacity(self.averages.iter().flatten().map(packed_len).sum());
-        for avg in self.averages.iter().flatten() {
-            if triangular {
-                for i in 0..avg.rows() {
-                    fused.extend_from_slice(&avg.row(i)[i..]);
-                }
-            } else {
-                let full = mirrored(avg);
-                fused.extend_from_slice(full.as_slice());
-                arena::recycle_matrix(full);
-            }
-        }
-        fused
+        self.averages.concat()
     }
 
     /// Phase: write an allreduced fused payload (from
@@ -642,21 +629,11 @@ impl Kfac {
         if fused.is_empty() {
             return;
         }
-        let triangular = self.cfg.triangular_factor_comm;
-        let mut off = 0;
-        for avg in self.averages.iter_mut().flatten() {
-            if triangular {
-                let n = avg.rows();
-                for i in 0..n {
-                    let len = n - i;
-                    avg.row_mut(i)[i..].copy_from_slice(&fused[off..off + len]);
-                    off += len;
-                }
-            } else {
-                let len = avg.len();
-                avg.as_mut_slice().copy_from_slice(&fused[off..off + len]);
-                off += len;
-            }
+        let mut rest = fused;
+        for avg in &mut self.averages {
+            let (words, tail) = rest.split_at(avg.len());
+            avg.copy_from_slice(words);
+            rest = tail;
         }
         self.unexchanged_folds = false;
     }
@@ -733,13 +710,7 @@ impl Kfac {
     /// decomposition degrades to the damped identity instead of
     /// panicking; the fallback is counted in `kfac/eig_fallbacks`.
     fn compute_second_order(&mut self, id: usize) -> FactorSecondOrder {
-        // The solvers read a full symmetric matrix: mirrored once per
-        // update, into scratch.
-        let full = mirrored(
-            self.averages[id]
-                .as_ref()
-                .expect("factor average exists before second-order update"),
-        );
+        let full = self.unpacked(id);
         let so = match self.cfg.inversion {
             InversionMethod::Eigen => {
                 let eig = match self.cfg.eigen_solver {
@@ -771,6 +742,27 @@ impl Kfac {
                 self.identity_second_order(id)
             }
         }
+    }
+
+    /// Factor `id`'s running average as the full symmetric matrix its
+    /// packed upper triangle stands for, in arena scratch (hand it back
+    /// with `arena::recycle_matrix`): the solvers read a square matrix,
+    /// built once per update.
+    fn unpacked(&self, id: usize) -> Matrix {
+        let n = self.factors[id].dim;
+        let packed = &self.averages[id];
+        assert!(
+            !packed.is_empty(),
+            "factor average exists before second-order update"
+        );
+        let mut full = arena::take_matrix(n, n);
+        let mut off = 0;
+        for i in 0..n {
+            full.row_mut(i)[i..].copy_from_slice(&packed[off..off + n - i]);
+            off += n - i;
+        }
+        mirror_upper_to_lower(full.as_mut_slice(), n);
+        full
     }
 
     /// Probe: per-factor eigen-spectrum summary — λ_min, λ_max,
@@ -1086,7 +1078,9 @@ impl Kfac {
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"KFAC");
-        put_u64(&mut out, 2); // format version (1 stored every eigenbasis n × n)
+        // Format version 3: packed averages (2 stored them n × n, 1 also
+        // every eigenbasis).
+        put_u64(&mut out, 3);
         put_u64(&mut out, self.iteration);
         put_u64(&mut out, self.epoch as u64);
         out.extend_from_slice(&self.damping.to_le_bytes());
@@ -1102,16 +1096,8 @@ impl Kfac {
         );
         put_u64(&mut out, self.factors.len() as u64);
         for avg in &self.averages {
-            match avg {
-                Some(m) => {
-                    // Format version 2 stores the full symmetric matrix.
-                    out.push(1);
-                    let full = mirrored(m);
-                    put_f32s(&mut out, full.as_slice());
-                    arena::recycle_matrix(full);
-                }
-                None => out.push(0),
-            }
+            out.push(u8::from(!avg.is_empty()));
+            put_f32s(&mut out, avg);
         }
         for so in &self.second_order {
             match so {
@@ -1141,7 +1127,7 @@ impl Kfac {
         if r.take(4)? != b"KFAC" {
             return Err("not a kfac state blob".into());
         }
-        if r.u64()? != 2 {
+        if r.u64()? != 3 {
             return Err("unsupported kfac state version".into());
         }
         self.iteration = r.u64()?;
@@ -1168,8 +1154,8 @@ impl Kfac {
         for id in 0..n_factors {
             let n = self.factors[id].dim;
             self.averages[id] = match r.u8()? {
-                0 => None,
-                1 => Some(Matrix::from_vec(n, n, r.f32s(n * n)?)),
+                0 => Vec::new(),
+                1 => r.f32s(n * (n + 1) / 2)?,
                 t => return Err(format!("bad average tag {t}")),
             };
         }
@@ -1206,16 +1192,6 @@ impl Kfac {
     }
 }
 
-/// The symmetric matrix whose upper triangle the running average `avg`
-/// holds, in arena scratch (hand it back with `arena::recycle_matrix`).
-fn mirrored(avg: &Matrix) -> Matrix {
-    let n = avg.rows();
-    let mut full = arena::take_matrix(n, n);
-    full.as_mut_slice().copy_from_slice(avg.as_slice());
-    mirror_upper_to_lower(full.as_mut_slice(), n);
-    full
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1234,9 +1210,9 @@ mod tests {
         ])
     }
 
-    /// `[rank][eigen update][factor]`: the running averages each rank held
-    /// when an eigen update had just decomposed them.
-    type Snapshots = Vec<Vec<Vec<Matrix>>>;
+    /// `[rank][eigen update][factor]`: the packed running averages each
+    /// rank held when an eigen update had just decomposed them.
+    type Snapshots = Vec<Vec<Vec<Vec<f32>>>>;
 
     /// `iters` steps on a `world`-rank thread group, every rank on its own
     /// data, under the schedule in force (`eager` = the every-fold
@@ -1277,10 +1253,7 @@ mod tests {
                             kfac.step(&mut m, &comm, 0.1);
                             if decomposes {
                                 assert!(kfac.factors_in_sync());
-                                // An average is its upper triangle: compare
-                                // the symmetric matrices they stand for.
-                                snapshots
-                                    .push(kfac.averages.iter().flatten().map(mirrored).collect());
+                                snapshots.push(kfac.averages.clone());
                             }
                         }
                         snapshots
@@ -1293,15 +1266,11 @@ mod tests {
 
     /// Largest entry-wise distance between two factors, relative to the
     /// reference's largest magnitude.
-    fn distance(got: &Matrix, reference: &Matrix) -> f64 {
-        let scale = reference
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, v| m.max(v.abs()));
+    fn distance(got: &[f32], reference: &[f32]) -> f64 {
+        let scale = reference.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let diff = got
-            .as_slice()
             .iter()
-            .zip(reference.as_slice())
+            .zip(reference)
             .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
         f64::from(diff) / f64::from(scale)
     }
@@ -1310,7 +1279,7 @@ mod tests {
         for rank in &s[1..] {
             for (mine, theirs) in rank.iter().flatten().zip(s[0].iter().flatten()) {
                 assert!(
-                    mine.as_slice() == theirs.as_slice(),
+                    mine == theirs,
                     "{what}: ranks decomposed different averages"
                 );
             }
@@ -1409,86 +1378,104 @@ mod tests {
 
     /// The upper-triangle fold keeps every bit of the two-pass fold it
     /// replaced (the layer's mirrored factors, then `axpby` over all `n²`
-    /// entries): on both ranks of a group, the saved state — the full
-    /// symmetric averages and the decompositions read from them — is
-    /// byte-equal after the first fold, each warm fold, each factor
-    /// exchange and decomposition, and each fold after a restore, with
-    /// and without triangular packing.
+    /// entries of the unpacked average): on both ranks of a group, the
+    /// saved state — the packed averages and the decompositions read from
+    /// them — is byte-equal after the first fold, each warm fold, each
+    /// factor exchange and decomposition, and each fold after a restore.
     #[test]
     fn upper_triangle_fold_matches_the_two_pass_oracle() {
-        for triangular in [true, false] {
-            let cfg = KfacConfig {
-                update_freq: 4,
-                factor_freq_multiplier: 4,
-                triangular_factor_comm: triangular,
-                ..KfacConfig::default()
-            };
-            let fresh = |m: &mut Sequential, oracle: bool| {
-                let mut k = Kfac::new(m, cfg.clone());
-                k.two_pass_fold = oracle;
-                k
-            };
-            std::thread::scope(|s| {
-                for comm in ThreadComm::create(2) {
-                    s.spawn(move || {
-                        let mut m = conv_model();
-                        let mut kfacs = [fresh(&mut m, false), fresh(&mut m, true)];
-                        let same = |kfacs: &[Kfac; 2], what: &str, it: u64| {
-                            assert!(
-                                kfacs[0].save_state() == kfacs[1].save_state(),
-                                "triangular {triangular}, rank {}: state differs after \
-                                 the {what} of iteration {it}",
-                                comm.rank()
-                            );
-                        };
-                        for it in 0..10 {
-                            if it == 6 {
-                                // Both resume from their own checkpoints.
-                                kfacs = kfacs.map(|k| {
-                                    let mut resumed = fresh(&mut m, k.two_pass_fold);
-                                    resumed.restore_state(&k.save_state()).unwrap();
-                                    resumed
-                                });
-                            }
-                            capture(&mut m, 100 * it + comm.rank() as u64);
-                            let mut layers = Vec::new();
-                            m.collect_kfac(&mut layers);
-                            for k in &mut kfacs {
-                                for (li, layer) in layers.iter().enumerate() {
-                                    k.factor_update_layer(li, &**layer);
-                                }
-                            }
-                            same(&kfacs, "fold", it);
-                            if kfacs[0].factor_exchange_due() {
-                                for k in &mut kfacs {
-                                    let mut fused = k.factor_pack();
-                                    wire::try_allreduce_half(
-                                        &comm,
-                                        &mut fused,
-                                        ReduceOp::Average,
-                                        TrafficClass::Factor,
-                                        cfg.precision.factor_wire,
-                                    )
-                                    .unwrap();
-                                    k.factor_unpack(&fused);
-                                }
-                                same(&kfacs, "exchange", it);
-                            }
-                            if kfacs[0].is_eig_iteration() {
-                                for k in &mut kfacs {
-                                    for id in 0..k.factors().len() {
-                                        k.eig_compute_one(id);
-                                    }
-                                }
-                                same(&kfacs, "decomposition", it);
-                            }
-                            for k in &mut kfacs {
-                                k.advance();
+        let cfg = KfacConfig {
+            update_freq: 4,
+            factor_freq_multiplier: 4,
+            ..KfacConfig::default()
+        };
+        let fresh = |m: &mut Sequential, oracle: bool| {
+            let mut k = Kfac::new(m, cfg.clone());
+            k.two_pass_fold = oracle;
+            k
+        };
+        std::thread::scope(|s| {
+            for comm in ThreadComm::create(2) {
+                s.spawn(move || {
+                    let mut m = conv_model();
+                    let mut kfacs = [fresh(&mut m, false), fresh(&mut m, true)];
+                    let same = |kfacs: &[Kfac; 2], what: &str, it: u64| {
+                        assert!(
+                            kfacs[0].save_state() == kfacs[1].save_state(),
+                            "rank {}: state differs after the {what} of iteration {it}",
+                            comm.rank()
+                        );
+                    };
+                    for it in 0..10 {
+                        if it == 6 {
+                            // Both resume from their own checkpoints.
+                            kfacs = kfacs.map(|k| {
+                                let mut resumed = fresh(&mut m, k.two_pass_fold);
+                                resumed.restore_state(&k.save_state()).unwrap();
+                                resumed
+                            });
+                        }
+                        capture(&mut m, 100 * it + comm.rank() as u64);
+                        let mut layers = Vec::new();
+                        m.collect_kfac(&mut layers);
+                        for k in &mut kfacs {
+                            for (li, layer) in layers.iter().enumerate() {
+                                k.factor_update_layer(li, &**layer);
                             }
                         }
-                    });
-                }
-            });
+                        same(&kfacs, "fold", it);
+                        if kfacs[0].factor_exchange_due() {
+                            for k in &mut kfacs {
+                                let mut fused = k.factor_pack();
+                                wire::try_allreduce_half(
+                                    &comm,
+                                    &mut fused,
+                                    ReduceOp::Average,
+                                    TrafficClass::Factor,
+                                    cfg.precision.factor_wire,
+                                )
+                                .unwrap();
+                                k.factor_unpack(&fused);
+                            }
+                            same(&kfacs, "exchange", it);
+                        }
+                        if kfacs[0].is_eig_iteration() {
+                            for k in &mut kfacs {
+                                for id in 0..k.factors().len() {
+                                    k.eig_compute_one(id);
+                                }
+                            }
+                            same(&kfacs, "decomposition", it);
+                        }
+                        for k in &mut kfacs {
+                            k.advance();
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// A running average is stored as its packed upper triangle: after
+    /// one fold the state is the header, then per factor a tag and
+    /// `n(n+1)/2` f32 words, then one tag per (still empty) second-order
+    /// slot.
+    #[test]
+    fn saved_state_holds_each_average_as_its_packed_triangle() {
+        let mut m = conv_model();
+        let mut kfac = Kfac::new(&mut m, KfacConfig::default());
+        capture(&mut m, 1);
+        let mut layers = Vec::new();
+        m.collect_kfac(&mut layers);
+        for (li, layer) in layers.iter().enumerate() {
+            kfac.factor_update_layer(li, &**layer);
         }
+        let header = 4 + 10 * 8 + 4; // magic, ten u64 words, damping
+        let factors = kfac.factors();
+        let averages: usize = factors
+            .iter()
+            .map(|f| 1 + 4 * f.dim * (f.dim + 1) / 2)
+            .sum();
+        assert_eq!(kfac.save_state().len(), header + averages + factors.len());
     }
 }

@@ -808,7 +808,7 @@ mod tests {
             let payload: u64 = {
                 let mut model = build(cfg.seed);
                 let kfac = Kfac::new(&mut model, KfacConfig::default());
-                // Upper triangles (`triangular_factor_comm`), f32 words.
+                // The packed upper triangles, f32 words.
                 let triangle = |n: usize| (4 * n * (n + 1) / 2) as u64;
                 kfac.factors().iter().map(|f| triangle(f.dim)).sum()
             };

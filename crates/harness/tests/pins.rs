@@ -564,20 +564,28 @@ relation_tests! {
     a_cell_run_twice_is_the_same_run: Determinism,
 }
 
-/// Version 1 stored every basis n × n; nothing reads that layout now.
+/// Version 1 stored every basis n × n and version 2 every average; the
+/// state is version 3 (packed averages) and nothing reads the older
+/// layouts.
 #[test]
-fn version_1_state_blob_is_refused() {
+fn older_state_versions_are_refused() {
     let cell = Cell(Opt, F32, Short, 2, Fused, Thread, 1, ByHand, Uncut);
     let (train_ds, _) = Demo::data();
     let mut replica = Replica::new(cell, 3);
     replica.step(cell, &train_ds, 0, &LocalComm::new());
     let kfac = replica.2.as_mut().unwrap();
-    let mut blob = kfac.save_state();
-    assert_eq!(blob[4..12], 2u64.to_le_bytes(), "version after magic");
+    let blob = kfac.save_state();
+    assert_eq!(blob[4..12], 3u64.to_le_bytes(), "version after magic");
     kfac.restore_state(&blob).expect("own blob restores");
-    blob[4..12].copy_from_slice(&1u64.to_le_bytes());
-    let refused = kfac.restore_state(&blob).unwrap_err();
-    assert_eq!(refused, "unsupported kfac state version");
+    for version in [1u64, 2] {
+        let mut old = blob.clone();
+        old[4..12].copy_from_slice(&version.to_le_bytes());
+        let refused = kfac.restore_state(&old).unwrap_err();
+        assert_eq!(
+            refused, "unsupported kfac state version",
+            "version {version}"
+        );
+    }
 }
 
 /// Every cell of [`TABLE`] is a subject of its relation; together they
