@@ -60,11 +60,6 @@ impl ScalingPoint {
     pub fn opt_improvement(&self) -> f64 {
         (self.sgd_s - self.opt_s) / self.sgd_s
     }
-
-    /// K-FAC-lw improvement over SGD.
-    pub fn lw_improvement(&self) -> f64 {
-        (self.sgd_s - self.lw_s) / self.sgd_s
-    }
 }
 
 /// Project time-to-solution for one model at one scale.

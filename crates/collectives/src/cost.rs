@@ -99,8 +99,8 @@ mod tests {
 
     #[test]
     fn small_messages_are_latency_bound() {
-        // The motivation for the fusion buffer: at 4 KB the latency term
-        // dominates; at 16 MB bandwidth dominates.
+        // The motivation for sending each fused exchange as one message:
+        // at 4 KB the latency term dominates; at 16 MB bandwidth dominates.
         let l = LinkSpec::infiniband_edr();
         let p = 64;
         let latency_part = 2.0 * 63.0 * l.alpha_s;

@@ -18,9 +18,6 @@
 //!   when everyone blocks), which is what the correctness experiments
 //!   need.
 //! * [`LocalComm`] — the trivial single-rank communicator.
-//! * [`fusion::FusionBuffer`] — Horovod's fusion buffer (§II-D): small
-//!   tensors are coalesced and reduced in one operation once a byte
-//!   threshold is reached.
 //! * [`error`] — [`CollectiveError`], the typed outcome of every fallible
 //!   (`try_*`) collective.
 //! * [`cost`] — the α/β analytic cost model for ring allreduce /
@@ -56,10 +53,10 @@
 //!   permanent rank loss reconfigure and continue instead of aborting.
 //! * [`backend`] — [`CommBackend`], the one switch (`KFAC_COMM_BACKEND`)
 //!   that picks the fabric everywhere.
-//! * [`wire`] — half-width wire payloads: bf16/f16 encode/decode for
-//!   gradient fusion and factor/eigen exchange, halving measured bytes
-//!   on both fabrics with non-finite rejection on decode and per-dtype
-//!   byte accounting.
+//! * [`wire`] — half-width wire payloads: bf16 encode/decode for the
+//!   gradient and factor/eigen exchanges, halving measured bytes on both
+//!   fabrics with non-finite rejection on decode and per-dtype byte
+//!   accounting.
 
 pub mod algo;
 pub mod backend;
@@ -84,7 +81,6 @@ pub use communicator::{Communicator, ReduceOp};
 pub use cost::LinkSpec;
 pub use error::CollectiveError;
 pub use faults::{Fault, FaultKind, FaultPlan, FaultyCommunicator};
-pub use fusion::FusionBuffer;
 pub use local::LocalComm;
 pub use mailbox::{FailOn, Mailbox};
 pub use membership::{Elastic, GroupView, Membership, ShrunkComm, ViewTransport};

@@ -1,8 +1,8 @@
 //! Half-width wire payloads: bf16 encode/decode for collectives.
 //!
-//! The measured bottleneck on both fabrics is bytes on the wire —
-//! gradient fusion buffers and factor/eigen allgather payloads are all
-//! `f32` today. This module is the codec layer that halves them:
+//! The measured bottleneck on both fabrics is bytes on the wire — the
+//! fused gradient message and the factor/eigen payloads are `f32` by
+//! default. This module is the codec layer that halves them:
 //!
 //! * [`encode_payload`] packs an `f32` slice into half-width words (two
 //!   bf16 values per `f32` wire word, RNE conversion, plus one

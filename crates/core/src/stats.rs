@@ -66,39 +66,12 @@ impl StageStats {
         Self::default()
     }
 
-    /// Mean factor-computation time per factor update, in milliseconds.
-    pub fn factor_comp_ms(&self) -> f64 {
-        if self.factor_updates == 0 {
-            0.0
-        } else {
-            self.factor_comp.as_secs_f64() * 1e3 / self.factor_updates as f64
-        }
-    }
-
-    /// Mean factor-communication time per factor update, in milliseconds.
-    pub fn factor_comm_ms(&self) -> f64 {
-        if self.factor_updates == 0 {
-            0.0
-        } else {
-            self.factor_comm.as_secs_f64() * 1e3 / self.factor_updates as f64
-        }
-    }
-
     /// Mean eigendecomposition time per eig update, in milliseconds.
     pub fn eig_comp_ms(&self) -> f64 {
         if self.eig_updates == 0 {
             0.0
         } else {
             self.eig_comp.as_secs_f64() * 1e3 / self.eig_updates as f64
-        }
-    }
-
-    /// Mean eig-communication time per eig update, in milliseconds.
-    pub fn eig_comm_ms(&self) -> f64 {
-        if self.eig_updates == 0 {
-            0.0
-        } else {
-            self.eig_comm.as_secs_f64() * 1e3 / self.eig_updates as f64
         }
     }
 
@@ -146,15 +119,11 @@ mod tests {
     #[test]
     fn averages_divide_by_update_counts() {
         let mut s = StageStats::new();
-        s.factor_comp = Duration::from_millis(100);
-        s.factor_updates = 4;
         s.eig_comp = Duration::from_millis(90);
         s.eig_updates = 3;
-        assert!((s.factor_comp_ms() - 25.0).abs() < 1e-9);
         assert!((s.eig_comp_ms() - 30.0).abs() < 1e-9);
         // No division by zero.
-        assert_eq!(StageStats::new().factor_comp_ms(), 0.0);
-        assert_eq!(StageStats::new().eig_comm_ms(), 0.0);
+        assert_eq!(StageStats::new().eig_comp_ms(), 0.0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! and a background exchange thread allreduces the buckets in that order
 //! while earlier layers are still in backprop. Everything after the
 //! exchange (health gate, K-FAC step, optimizer step) is
-//! [`train_iteration`]'s own straight-line code on both schedules.
+//! [`train_iteration`]'s own straight-line code on both schedules, and
+//! both average gradients through [`reduce_bucket`]: the fused one sends
+//! the whole model as one bucket.
 //!
 //! **Numerics are bitwise identical to the fused exchange.** Per-bucket
 //! `Average` allreduces equal the one fused allreduce element-wise: the
@@ -215,20 +217,7 @@ fn exchange_buckets(
     let mut reduced = Vec::new();
     let mut failures = Vec::new();
     while let Some((c, bucket)) = handoff.pop() {
-        // A failed allreduce leaves its buffer unspecified, so each
-        // attempt reduces a fresh copy of the bucket.
-        let averaged = retry.run(|| {
-            let mut attempt = bucket.clone();
-            wire::try_allreduce_half(
-                comm,
-                &mut attempt,
-                ReduceOp::Average,
-                TrafficClass::Gradient,
-                grad_wire,
-            )?;
-            Ok(attempt)
-        });
-        match averaged {
+        match reduce_bucket(comm, &bucket, grad_wire, retry) {
             Ok(averaged) => reduced.push((c, averaged)),
             Err(e) => failures.push(e),
         }
@@ -237,4 +226,28 @@ fn exchange_buckets(
         .iter()
         .find(|e| matches!(e, CollectiveError::RankFailed(_)));
     lost.or(failures.first()).map_or(Ok(reduced), |&e| Err(e))
+}
+
+/// One bucket of gradients averaged across the group at `grad_wire`
+/// width under `retry` — the unit both schedules exchange: the fused one
+/// sends the whole model as one bucket, the bucketed one each child's. A
+/// failed allreduce leaves its buffer unspecified, so each attempt
+/// reduces a fresh copy of `bucket`.
+pub(crate) fn reduce_bucket(
+    comm: &dyn Communicator,
+    bucket: &[f32],
+    grad_wire: Dtype,
+    retry: &RetryPolicy,
+) -> Result<Vec<f32>, CollectiveError> {
+    retry.run(|| {
+        let mut attempt = bucket.to_vec();
+        wire::try_allreduce_half(
+            comm,
+            &mut attempt,
+            ReduceOp::Average,
+            TrafficClass::Gradient,
+            grad_wire,
+        )?;
+        Ok(attempt)
+    })
 }

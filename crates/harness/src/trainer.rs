@@ -12,12 +12,12 @@
 //! fault tolerance, then sharded validation; the elastic trial
 //! ([`elastic`](crate::elastic)) before and after a shrink.
 
-use crate::overlap::{backward_exchanging_buckets, ExecStrategy};
+use crate::overlap::{backward_exchanging_buckets, reduce_bucket, ExecStrategy};
 use crate::resilient::{FaultTolerance, ResilientTrainer, StepOutcome};
 use kfac::{Kfac, KfacConfig, StageStats};
 use kfac_collectives::{
-    CollectiveError, CommBackend, Communicator, FusionBuffer, LocalComm, ProcComm, ReduceOp,
-    RetryPolicy, ThreadComm, Traffic, TrafficClass,
+    CollectiveError, CommBackend, Communicator, LocalComm, ProcComm, ReduceOp, RetryPolicy,
+    ThreadComm, Traffic, TrafficClass,
 };
 use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_exec::ExecMode;
@@ -64,9 +64,9 @@ pub struct TrainConfig {
     /// reduction order.
     pub backend: CommBackend,
     /// Unused: nothing sets it, and [`train`] refuses `Some`; the fused
-    /// exchange flushes at the collectives' default threshold. It stays
-    /// only because the frozen benchmark package reads it
-    /// (`stepbench/src/traced.rs`); ROADMAP item 1 deletes it.
+    /// exchange is one message. It stays only because the frozen
+    /// benchmark package reads it (`stepbench/src/traced.rs`); ROADMAP
+    /// item 1 deletes it.
     pub fusion_threshold_bytes: Option<usize>,
 }
 
@@ -168,73 +168,54 @@ impl TrainResult {
     }
 }
 
-/// Average the model's gradients across ranks through a fusion buffer —
-/// the `optimizer.synchronize()` step of Listing 1. With the default
-/// 16 MiB threshold every CPU-scale model here still goes out as one
-/// fused message; a smaller configured threshold splits the exchange into
-/// several bandwidth-sized collectives. The split never changes the
-/// result bits: reduction is element-wise in pinned rank order, so the
-/// message partitioning is invisible to the math.
+/// Average the model's gradients across ranks — the
+/// `optimizer.synchronize()` step of Listing 1 — as one concatenated
+/// message at `wire_dtype` width: the whole model as one bucket. The
+/// fused exchange has no threshold to split it by, so `threshold_bytes`
+/// must be `None`.
 ///
 /// # Panics
-/// Panics on a collective fault; [`train_iteration`] runs the same
-/// exchange fallibly.
+/// Panics on a `Some` threshold or a collective fault; [`train_iteration`]
+/// runs the same exchange fallibly.
 pub fn allreduce_gradients_fused(
     model: &mut dyn Layer,
     comm: &dyn Communicator,
     threshold_bytes: Option<usize>,
     wire_dtype: Dtype,
 ) {
-    try_allreduce_gradients_fused(
-        model,
-        comm,
-        threshold_bytes,
-        wire_dtype,
-        &RetryPolicy::none(),
-    )
-    .unwrap_or_else(|e| panic!("fusion flush failed: {e}"));
+    assert!(
+        threshold_bytes.is_none(),
+        "the fused gradient exchange is one message and takes no fusion threshold"
+    );
+    try_allreduce_gradients_fused(model, comm, wire_dtype, &RetryPolicy::none())
+        .unwrap_or_else(|e| panic!("fused gradient exchange failed: {e}"));
 }
 
-/// The fused gradient exchange with every flush under `retry`. On `Err`
-/// the model's gradients are untouched (still this rank's local ones).
+/// The fused gradient exchange under `retry`: every gradient, flattened
+/// in `visit_params` order, averaged by one [`reduce_bucket`] and written
+/// back. On `Err` the model's gradients are untouched (still this rank's
+/// local ones).
 fn try_allreduce_gradients_fused(
     model: &mut dyn Layer,
     comm: &dyn Communicator,
-    threshold_bytes: Option<usize>,
     wire_dtype: Dtype,
     retry: &RetryPolicy,
 ) -> Result<(), CollectiveError> {
     if comm.size() == 1 {
         return Ok(());
     }
-    // `wire_dtype` selects the wire width of each fused message
-    // (`PrecisionPolicy::grad_wire`); `Dtype::F32` is the plain tagged
-    // allreduce, bit-for-bit.
-    let mut fb =
-        FusionBuffer::with_configured(threshold_bytes, ReduceOp::Average, TrafficClass::Gradient)
-            .with_dtype(wire_dtype);
-    let mut next_id = 0usize;
-    let mut flushed = Ok(());
+    let mut bucket = Vec::with_capacity(model.num_params());
+    model.visit_params("", &mut |_, _, g| bucket.extend_from_slice(g));
+    let averaged = reduce_bucket(comm, &bucket, wire_dtype, retry)?;
+    let mut off = 0;
     model.visit_params("", &mut |_, _, g| {
-        if flushed.is_ok() && fb.queue(next_id, g.to_vec()) {
-            flushed = retry.run(|| fb.try_flush(comm));
-        }
-        next_id += 1;
-    });
-    flushed?;
-    retry.run(|| fb.try_flush(comm))?;
-    let mut done = fb.take_completed();
-    done.sort_unstable_by_key(|(id, _)| *id);
-    let mut reduced = done.into_iter();
-    model.visit_params("", &mut |_, _, g| {
-        let (_, data) = reduced.next().expect("one reduced tensor per parameter");
-        g.copy_from_slice(&data);
+        g.copy_from_slice(&averaged[off..off + g.len()]);
+        off += g.len();
     });
     Ok(())
 }
 
-/// [`allreduce_gradients_fused`] at the default threshold and
-/// full-width (f32) wire.
+/// [`allreduce_gradients_fused`] at full-width (f32) wire.
 pub fn allreduce_gradients(model: &mut dyn Layer, comm: &dyn Communicator) {
     allreduce_gradients_fused(model, comm, None, Dtype::F32);
 }
@@ -332,7 +313,7 @@ pub fn train_iteration(
                 let _ = model.backward(&grad);
             }
             let _span = Span::enter("train/grad_allreduce");
-            try_allreduce_gradients_fused(model, comm, None, grad_wire, &ft.retry)
+            try_allreduce_gradients_fused(model, comm, grad_wire, &ft.retry)
         }
         Some(_) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry),
     };
@@ -888,6 +869,64 @@ mod tests {
         let mut cfg = tiny_cfg(1, 1);
         cfg.fusion_threshold_bytes = Some(1 << 20);
         train(build, &train_ds, &val_ds, &cfg);
+    }
+
+    /// The fused exchange is one gradient message at either wire width:
+    /// one collective per rank, charged what `try_allreduce_half` charges
+    /// for every parameter at once, and each tensor averaged bit for bit
+    /// as its own `try_allreduce_half` averages it (the fold is
+    /// element-wise in rank order, so framing cannot move a bit).
+    #[test]
+    fn fused_exchange_is_one_gradient_message() {
+        use crate::presets::Demo;
+        use kfac_collectives::wire::try_allreduce_half;
+        for wire in [Dtype::F32, Dtype::Bf16] {
+            let comms = ThreadComm::create(2);
+            std::thread::scope(|s| {
+                for (rank, comm) in comms.iter().enumerate() {
+                    s.spawn(move || {
+                        let mut model = Demo::model(3);
+                        let mut rng = Rng64::new(17 + rank as u64);
+                        let mut local = Vec::new();
+                        model.visit_params("", &mut |_, _, g| {
+                            g.iter_mut().for_each(|v| *v = rng.normal_f32());
+                            local.push(g.to_vec());
+                        });
+                        // Traffic and the average of `buf` as `try_allreduce_half` sends it.
+                        let average = |mut buf: Vec<f32>| {
+                            let before = comm.traffic();
+                            try_allreduce_half(
+                                comm,
+                                &mut buf,
+                                ReduceOp::Average,
+                                TrafficClass::Gradient,
+                                wire,
+                            )
+                            .unwrap();
+                            let after = comm.traffic();
+                            (buf, after.gradient_bytes - before.gradient_bytes)
+                        };
+
+                        let before = comm.traffic();
+                        allreduce_gradients_fused(&mut model, comm, None, wire);
+                        let after = comm.traffic();
+                        assert_eq!(after.ops - before.ops, 1, "{wire:?} rank {rank}");
+                        assert_eq!(
+                            after.gradient_bytes - before.gradient_bytes,
+                            average(local.concat()).1,
+                            "{wire:?} rank {rank}: the bytes of one message of every parameter"
+                        );
+
+                        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        let mut tensors = local.into_iter();
+                        model.visit_params("", &mut |name, _, g| {
+                            let (alone, _) = average(tensors.next().unwrap());
+                            assert_eq!(bits(g), bits(&alone), "{wire:?} rank {rank} {name}");
+                        });
+                    });
+                }
+            });
+        }
     }
 
     /// The gate's predicate at its edges: the limit is inclusive and

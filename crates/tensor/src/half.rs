@@ -6,7 +6,7 @@
 //! the wire share:
 //!
 //! * [`Dtype`] — the storage/wire format vocabulary shared by the
-//!   precision policies, the fusion buffer, and the traffic accounting
+//!   precision policies, the wire codec, and the traffic accounting
 //!   (every byte count in the stack routes through [`Dtype::size_of`]).
 //! * Scalar conversions: `f32 ↔ bf16` (truncate-with-round-to-nearest-
 //!   even on the top 16 bits; widening is exact, `bits << 16`).
@@ -40,8 +40,7 @@ pub enum Dtype {
 
 impl Dtype {
     /// Element size in bytes — the single helper all byte accounting
-    /// (fusion thresholds, traffic counters, wire payload sizing) routes
-    /// through.
+    /// (traffic counters, wire payload sizing) routes through.
     pub fn size_of(self) -> usize {
         match self {
             Dtype::F32 => 4,
@@ -92,14 +91,6 @@ pub fn bf16_to_f32(h: u16) -> f32 {
 pub fn round_bf16_in_place(x: &mut [f32]) {
     for v in x {
         *v = bf16_to_f32(f32_to_bf16(*v));
-    }
-}
-
-/// Encode a slice to bf16 words (RNE), appending onto `dst`.
-pub fn encode_bf16(src: &[f32], dst: &mut Vec<u16>) {
-    dst.reserve(src.len());
-    for &v in src {
-        dst.push(f32_to_bf16(v));
     }
 }
 
