@@ -9,7 +9,6 @@
 //!   `2 (p−1) α + 2 n β (p−1)/p`
 //! * ring allgather where each rank contributes `n/p` of the final `n`
 //!   bytes: `(p−1) α + n β (p−1)/p`
-//! * binomial-tree broadcast: `⌈log₂ p⌉ (α + n β)`
 //!
 //! with `α` the per-message latency (seconds) and `β` the inverse
 //! bandwidth (seconds/byte).
@@ -33,14 +32,6 @@ impl LinkSpec {
         }
     }
 
-    /// A slower 10 GbE-like link for sensitivity studies.
-    pub fn ethernet_10g() -> Self {
-        LinkSpec {
-            alpha_s: 20.0e-6,
-            beta_s_per_byte: 1.0 / 1.25e9,
-        }
-    }
-
     /// Ring allreduce of `bytes` across `p` ranks (bandwidth-optimal
     /// scatter-reduce + allgather, the algorithm Horovod implements).
     pub fn allreduce_s(&self, bytes: u64, p: usize) -> f64 {
@@ -60,15 +51,6 @@ impl LinkSpec {
         let p_f = p as f64;
         (p_f - 1.0) * self.alpha_s + total_bytes as f64 * self.beta_s_per_byte * (p_f - 1.0) / p_f
     }
-
-    /// Binomial-tree broadcast of `bytes` to `p` ranks.
-    pub fn broadcast_s(&self, bytes: u64, p: usize) -> f64 {
-        if p <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        let rounds = (p as f64).log2().ceil();
-        rounds * (self.alpha_s + bytes as f64 * self.beta_s_per_byte)
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +62,6 @@ mod tests {
         let l = LinkSpec::infiniband_edr();
         assert_eq!(l.allreduce_s(1 << 20, 1), 0.0);
         assert_eq!(l.allgather_s(1 << 20, 1), 0.0);
-        assert_eq!(l.broadcast_s(1 << 20, 1), 0.0);
     }
 
     #[test]
@@ -119,19 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_scales_logarithmically() {
-        let l = LinkSpec::infiniband_edr();
-        let n = 1 << 20;
-        let t2 = l.broadcast_s(n, 2);
-        let t16 = l.broadcast_s(n, 16);
-        assert!((t16 / t2 - 4.0).abs() < 1e-9, "log2(16)/log2(2) = 4");
-    }
-
-    #[test]
     fn monotone_in_bytes() {
-        let l = LinkSpec::ethernet_10g();
+        let l = LinkSpec::infiniband_edr();
         assert!(l.allreduce_s(2000, 8) > l.allreduce_s(1000, 8));
         assert!(l.allgather_s(2000, 8) > l.allgather_s(1000, 8));
-        assert!(l.broadcast_s(2000, 8) > l.broadcast_s(1000, 8));
     }
 }

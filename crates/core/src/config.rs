@@ -40,22 +40,11 @@ pub enum EigenSolver {
 }
 
 impl EigenSolver {
-    /// Stable name used in telemetry tags and accepted by [`EigenSolver::parse`].
+    /// Stable name used in telemetry tags.
     pub fn name(self) -> &'static str {
         match self {
             EigenSolver::TridiagonalQl => "tridiag",
             EigenSolver::Randomized => "randomized",
-        }
-    }
-
-    /// Parse the `KFAC_EIG_BACKEND` spelling (aliases accepted).
-    pub fn parse(s: &str) -> Option<EigenSolver> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tridiag" | "ql" | "tridiagonal-ql" | "tridiagonal_ql" => {
-                Some(EigenSolver::TridiagonalQl)
-            }
-            "randomized" | "rand" | "rsvd" => Some(EigenSolver::Randomized),
-            _ => None,
         }
     }
 }
@@ -149,7 +138,7 @@ pub enum PlacementPolicy {
 }
 
 /// Full preconditioner configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KfacConfig {
     /// Tikhonov damping γ added to the Kronecker eigenvalue products
     /// (paper default 0.001 for ImageNet, §VI-C1).
@@ -192,7 +181,7 @@ pub struct KfacConfig {
     /// full matrices — the paper's future work to "reduce communication
     /// quantity" (§VII). Nothing reads it; it stays only because the
     /// frozen benchmark package sets it (`stepbench/src/workload.rs`),
-    /// and ROADMAP item 1 deletes it.
+    /// and ROADMAP item 2 deletes it.
     pub triangular_factor_comm: bool,
     /// Wire precision policy (gradient and K-FAC collective dtypes). The
     /// default — f32 on both — is bitwise identical to builds predating
@@ -375,17 +364,6 @@ mod tests {
             ..KfacConfig::default()
         }
         .validate();
-    }
-
-    #[test]
-    fn eigen_solver_names_round_trip() {
-        for s in [EigenSolver::TridiagonalQl, EigenSolver::Randomized] {
-            assert_eq!(EigenSolver::parse(s.name()), Some(s));
-        }
-        assert_eq!(EigenSolver::parse("ql"), Some(EigenSolver::TridiagonalQl));
-        assert_eq!(EigenSolver::parse("rsvd"), Some(EigenSolver::Randomized));
-        assert_eq!(EigenSolver::parse("lapack"), None);
-        assert_eq!(EigenSolver::parse("jacobi"), None, "oracle only");
     }
 
     #[test]

@@ -334,8 +334,8 @@ impl Kfac {
     }
 
     /// Finish the current iteration. [`Kfac::step`] calls this
-    /// internally; phase-level drivers (the overlapped execution graph)
-    /// call it once after their last phase.
+    /// internally; phase-level drivers (`stepbench`'s traced pass, the
+    /// phase tests) call it once after their last phase.
     pub fn advance(&mut self) {
         self.iteration += 1;
     }

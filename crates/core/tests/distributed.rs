@@ -315,8 +315,8 @@ fn eigen_solver_backends_agree() {
 }
 
 /// Same as [`run_rank`] but driving the public phase methods directly —
-/// the exact composition the overlapped execution graph uses. Must be
-/// bitwise identical to `Kfac::step`.
+/// the composition `stepbench`'s traced pass times, phase by phase. Must
+/// be bitwise identical to `Kfac::step`.
 fn run_rank_phases(comm: &dyn Communicator, cfg: KfacConfig, steps: usize) -> Vec<f32> {
     use kfac_collectives::{wire, ReduceOp, TrafficClass};
     use kfac_tensor::{Dtype, Matrix};

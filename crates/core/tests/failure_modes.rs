@@ -495,16 +495,6 @@ fn state_roundtrip_is_identical() {
 }
 
 #[test]
-fn removed_precision_stages_are_unknown_names() {
-    // The four compute/storage stages are gone from the policy; naming
-    // one is told which two are left.
-    for removed in ["capture", "factor_ema", "eig", "precond", "factor_gram"] {
-        let e = kfac::PrecisionPolicy::parse(&format!("{removed}=bf16")).unwrap_err();
-        assert!(e.contains("grad_wire|factor_wire"), "{removed}: {e}");
-    }
-}
-
-#[test]
 fn gradients_stay_finite_under_extreme_damping_and_lr() {
     // Numerical robustness: pathological hyper-parameters may train
     // badly but must never produce NaN/Inf gradients.

@@ -55,9 +55,6 @@ fn run_with(
     backend: CommBackend,
 ) -> Arm {
     let mut cfg = base.clone().with_backend(backend);
-    // Assigned directly, which pins the policy (`RuntimeConfig`'s
-    // precedence rule): `with_kfac` would substitute an installed
-    // `KFAC_PRECISION` into both arms of the comparison.
     cfg.kfac = Some(KfacConfig {
         update_freq: 4,
         damping: 0.05,

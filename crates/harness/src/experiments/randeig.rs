@@ -27,9 +27,6 @@ const RANKS: usize = 4;
 
 fn run_with(setup: &CifarSetup, base: &TrainConfig, solver: EigenSolver) -> TrainResult {
     let mut cfg = base.clone();
-    // Assigned directly, which pins the solver (`RuntimeConfig`'s
-    // precedence rule): `with_kfac` would substitute an installed
-    // `KFAC_EIG_BACKEND` into both arms of the comparison.
     cfg.kfac = Some(KfacConfig {
         update_freq: 10,
         damping: 0.05,

@@ -12,7 +12,6 @@
 
 use crate::elastic::ElasticSpec;
 use crate::overlap::ExecStrategy;
-use kfac::{EigenSolver, PrecisionPolicy};
 use kfac_collectives::{AlgoPolicy, CollectiveAlgo, CommBackend, HeartbeatConfig, ProcConfig};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -23,11 +22,9 @@ use std::time::Duration;
 /// Every `KFAC_*` variable there is. A variable named `KFAC_*` that is not
 /// listed here is an error, not a silent default; README's "Configuration"
 /// table documents exactly these (a test holds the two equal).
-pub const KNOWN: [&str; 12] = [
+pub const KNOWN: [&str; 10] = [
     "KFAC_COMM_BACKEND",
     "KFAC_COMM_ALGO",
-    "KFAC_EIG_BACKEND",
-    "KFAC_PRECISION",
     "KFAC_POOL_THREADS",
     "KFAC_HEARTBEAT_MS",
     "KFAC_HEARTBEAT_TIMEOUT_MS",
@@ -193,18 +190,13 @@ pub struct WorkerSpec {
 ///
 /// # Precedence
 ///
-/// The installed config is
-///
-/// * the **default** for what [`TrainConfig::new`](crate::TrainConfig::new)
-///   fills — [`backend`](Self::backend) and [`exec`](Self::exec) — so
-///   `with_backend` / `with_exec` (or assigning the field) win over it;
-/// * the **override** [`TrainConfig::with_kfac`](crate::TrainConfig::with_kfac)
-///   applies to the `eigen_solver` and `precision` of the `KfacConfig` it is
-///   handed, whenever [`eig`](Self::eig) / [`precision`](Self::precision)
-///   are `Some` — which is what lets `KFAC_EIG_BACKEND=randomized xp table1`
-///   re-run an experiment under another solver without a rebuild;
-/// * bypassed by assigning `cfg.kfac` directly, which pins both (what the
-///   two-arm comparisons `randeig` and `mixed` do).
+/// The installed config is the **default** for what
+/// [`TrainConfig::new`](crate::TrainConfig::new) fills —
+/// [`backend`](Self::backend) and [`exec`](Self::exec) — so `with_backend` /
+/// `with_exec` (or assigning the field) win over it. It overrides nothing:
+/// no variable reaches a `KfacConfig`, and none of the others (fabric,
+/// algorithm, pool size, heartbeats, timeouts, rendezvous) changes a bit of
+/// a trajectory.
 ///
 /// With nothing installed — every library test, `stepbench` —
 /// [`current`] is [`RuntimeConfig::default`], the built-in defaults.
@@ -216,10 +208,6 @@ pub struct RuntimeConfig {
     /// and the workers build, on either fabric (thresholds stay
     /// [`AlgoPolicy::default`]'s).
     pub algo: CollectiveAlgo,
-    /// `KFAC_EIG_BACKEND`: eigensolver `with_kfac` substitutes.
-    pub eig: Option<EigenSolver>,
-    /// `KFAC_PRECISION`: precision policy `with_kfac` substitutes.
-    pub precision: Option<PrecisionPolicy>,
     /// `KFAC_POOL_THREADS`: GEMM pool size. Validated and reported here;
     /// the `rayon` shim reads the variable itself, lazily, once.
     pub pool_threads: Option<usize>,
@@ -242,8 +230,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             backend: CommBackend::Thread,
             algo: CollectiveAlgo::Auto,
-            eig: None,
-            precision: None,
             pool_threads: None,
             heartbeat: HeartbeatConfig::default(),
             proc_timeout: ProcConfig::DEFAULT_TIMEOUT,
@@ -306,10 +292,6 @@ impl RuntimeConfig {
         })? {
             cfg.algo = v;
         }
-        cfg.eig = var(&set, "KFAC_EIG_BACKEND", |s| {
-            EigenSolver::parse(s).ok_or("tridiag|randomized".into())
-        })?;
-        cfg.precision = var(&set, "KFAC_PRECISION", PrecisionPolicy::parse)?;
         cfg.pool_threads = var(&set, "KFAC_POOL_THREADS", index("a thread count"))?;
         if let Some(v) = var(&set, "KFAC_HEARTBEAT_MS", millis)? {
             cfg.heartbeat.interval = v;
@@ -375,12 +357,6 @@ impl RuntimeConfig {
             ("KFAC_HEARTBEAT_TIMEOUT_MS", ms(self.heartbeat.timeout)),
             ("KFAC_PROC_TIMEOUT_MS", ms(self.proc_timeout)),
         ];
-        if let Some(solver) = self.eig {
-            env.push(("KFAC_EIG_BACKEND", solver.name().to_string()));
-        }
-        if let Some(policy) = self.precision {
-            env.push(("KFAC_PRECISION", policy.spec_string()));
-        }
         if let Some(n) = self.pool_threads {
             env.push(("KFAC_POOL_THREADS", n.to_string()));
         }
@@ -404,8 +380,8 @@ impl RuntimeConfig {
 }
 
 /// The resolved config on one line: every variable as `NAME=value` in
-/// [`KNOWN`] order (`-` where unset leaves the choice to each
-/// experiment; the rendezvous four only in a worker), then `exec=`. What
+/// [`KNOWN`] order (`-` for an unset pool size, which leaves it to the
+/// `rayon` shim; the rendezvous four only in a worker), then `exec=`. What
 /// `xp` prints at start-up, `/metrics` exports as
 /// `kfac_runtime_config_info` and flight-recorder dumps carry as `config`.
 impl fmt::Display for RuntimeConfig {
@@ -490,16 +466,9 @@ mod tests {
 
     /// One row per known variable: a valid value with its canonical
     /// `to_env` spelling, and a malformed one.
-    const TABLE: [(&str, &str, &str, &str); 12] = [
+    const TABLE: [(&str, &str, &str, &str); 10] = [
         ("KFAC_COMM_BACKEND", " Proc ", "proc", "mpi"),
         ("KFAC_COMM_ALGO", "hd", "halving-doubling", "nccl"),
-        ("KFAC_EIG_BACKEND", "ql", "tridiag", "lapack"),
-        (
-            "KFAC_PRECISION",
-            "bf16,factor_wire=f32",
-            "grad_wire=bf16,factor_wire=f32",
-            "capture=bf16",
-        ),
         ("KFAC_POOL_THREADS", "3", "3", "many"),
         ("KFAC_HEARTBEAT_MS", "0", "0", "fast"),
         ("KFAC_HEARTBEAT_TIMEOUT_MS", "2500", "2500", "-1"),
@@ -523,10 +492,7 @@ mod tests {
         assert_eq!(clean, RuntimeConfig::default());
         assert_eq!(clean.backend, CommBackend::Thread);
         assert_eq!(clean.algo_policy().algo, CollectiveAlgo::Auto);
-        assert_eq!(
-            (clean.eig, clean.precision, clean.pool_threads),
-            (None, None, None)
-        );
+        assert_eq!(clean.pool_threads, None);
         assert_eq!(clean.heartbeat, HeartbeatConfig::default());
         assert_eq!(clean.proc_timeout, ProcConfig::DEFAULT_TIMEOUT);
         assert_eq!(clean.worker, None);
@@ -557,13 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn value_parsers_keep_their_aliases_and_messages() {
-        let cfg = RuntimeConfig::parse(vars(&[
-            ("KFAC_COMM_ALGO", "ring"),
-            ("KFAC_EIG_BACKEND", "rsvd"),
-            ("KFAC_PRECISION", "factor_wire=bf16"),
-        ]))
-        .unwrap();
+    fn the_algorithm_alias_resolves_over_the_default_thresholds() {
+        let cfg = RuntimeConfig::parse(vars(&[("KFAC_COMM_ALGO", "ring")])).unwrap();
         assert_eq!(cfg.algo_policy().algo, CollectiveAlgo::PipelinedRing);
         // Only the algorithm is a variable; the thresholds are the defaults.
         assert_eq!(
@@ -574,25 +535,6 @@ mod tests {
             cfg.algo_policy().hd_max_bytes,
             AlgoPolicy::default().hd_max_bytes
         );
-        assert_eq!(cfg.eig, Some(EigenSolver::Randomized));
-        assert_eq!(cfg.precision.unwrap().factor_wire, kfac_tensor::Dtype::Bf16);
-        assert_eq!(cfg.precision.unwrap().grad_wire, kfac_tensor::Dtype::F32);
-        // A removed precision stage is told the two left; f16 is no dtype.
-        let msg = |value| {
-            RuntimeConfig::parse(vars(&[("KFAC_PRECISION", value)]))
-                .unwrap_err()
-                .to_string()
-        };
-        assert!(msg("capture=bf16").contains("grad_wire|factor_wire"));
-        assert!(msg("grad_wire=f16").contains("f32|bf16"));
-        let msg = RuntimeConfig::parse(vars(&[("KFAC_EIG_BACKEND", "lapack")]))
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("expected tridiag|randomized"), "{msg}");
-        let msg = RuntimeConfig::parse(vars(&[("KFAC_EIG_BACKEND", "jacobi")]))
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("expected tridiag|randomized"), "{msg}");
     }
 
     #[test]
@@ -702,8 +644,6 @@ mod tests {
             let cfg = RuntimeConfig {
                 backend: CommBackend::Proc,
                 algo: CollectiveAlgo::PipelinedRing,
-                eig: Some(EigenSolver::Randomized),
-                precision: Some(PrecisionPolicy::parse("bf16,grad_wire=f32").unwrap()),
                 pool_threads: Some(1),
                 heartbeat: HeartbeatConfig {
                     interval: Duration::from_millis(50),
@@ -730,8 +670,8 @@ mod tests {
         assert_eq!(back, Ok(clean.clone()));
         assert_eq!(
             clean.to_string(),
-            "KFAC_COMM_BACKEND=thread KFAC_COMM_ALGO=auto KFAC_EIG_BACKEND=- KFAC_PRECISION=- \
-             KFAC_POOL_THREADS=- KFAC_HEARTBEAT_MS=500 KFAC_HEARTBEAT_TIMEOUT_MS=15000 \
+            "KFAC_COMM_BACKEND=thread KFAC_COMM_ALGO=auto KFAC_POOL_THREADS=- \
+             KFAC_HEARTBEAT_MS=500 KFAC_HEARTBEAT_TIMEOUT_MS=15000 \
              KFAC_PROC_TIMEOUT_MS=30000 exec=sequential"
         );
     }

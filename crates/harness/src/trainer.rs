@@ -66,7 +66,7 @@ pub struct TrainConfig {
     /// Unused: nothing sets it, and [`train`] refuses `Some`; the fused
     /// exchange is one message. It stays only because the frozen
     /// benchmark package reads it (`stepbench/src/traced.rs`); ROADMAP
-    /// item 1 deletes it.
+    /// item 2 deletes it.
     pub fusion_threshold_bytes: Option<usize>,
 }
 
@@ -93,18 +93,8 @@ impl TrainConfig {
         }
     }
 
-    /// Attach a K-FAC preconditioner, with the installed
-    /// [`RuntimeConfig`](crate::RuntimeConfig)'s eigensolver and precision
-    /// policy — when it carries them — substituted for `cfg`'s (see its
-    /// precedence rule; assign `self.kfac` directly to pin both).
-    pub fn with_kfac(mut self, mut cfg: KfacConfig) -> Self {
-        let runtime = crate::runtime::current();
-        if let Some(solver) = runtime.eig {
-            cfg.eigen_solver = solver;
-        }
-        if let Some(policy) = runtime.precision {
-            cfg.precision = policy;
-        }
+    /// Attach a K-FAC preconditioner configured by `cfg`, as given.
+    pub fn with_kfac(mut self, cfg: KfacConfig) -> Self {
         self.kfac = Some(cfg);
         self
     }

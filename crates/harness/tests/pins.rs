@@ -2,8 +2,9 @@
 //!
 //! The distributed design rests on equivalences: K-FAC-opt and K-FAC-lw
 //! compute the same update, and the gradient-exchange schedule, the
-//! fabric, a checkpoint and the loop that drives an iteration change when
-//! work runs, not what it computes. Each is pinned bitwise here as a
+//! fabric, a checkpoint, the loop that drives an iteration and the rank an
+//! eigendecomposition is placed on change when or where work runs, not
+//! what it computes. Each is pinned bitwise here as a
 //! relation from a subject cell to the oracle cell it must equal, on one
 //! witness — loss bits, parameter bits, `Kfac::save_state` bytes wherever
 //! the driver holds the `Kfac`, and bytes per traffic class — compared on
@@ -15,9 +16,12 @@
 //! [`FULL_PRODUCTS`] where a past bug lived ([`cells_cover_every_pair`]).
 //! Shrink-resume stays in `tests/elastic.rs`: its `ElasticSpec` fixes every
 //! axis, so it is the one cell (Opt, f32, complete, 2, fused, thread, 4 → 3
-//! ranks, ladder, in-sync cut).
+//! ranks, ladder, in-sync cut, round-robin).
 
-use kfac::{DistStrategy, EigenSolver, Kfac, KfacConfig, PrecisionPolicy, RandEigPolicy};
+use kfac::{
+    assign_factors, factor_descs, DistStrategy, EigenSolver, Kfac, KfacConfig, PlacementPolicy,
+    PrecisionPolicy, RandEigPolicy,
+};
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ProcComm, ThreadComm, Traffic};
 use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_harness::procrun::params_bit_hash;
@@ -60,27 +64,43 @@ axis!(Drv: Train, ByHand, Ladder, Listing1);
 // differently seeded replica: nowhere, right after a factor exchange, or
 // between two exchanges (each rank then saves averages of its own).
 axis!(Cut: Uncut, InSync, Between);
+// Which rank decomposes each factor: `PlacementPolicy::{RoundRobin,
+// SizeBalanced}`.
+axis!(Place: RoundRobin, SizeBalanced);
 // A subject cell and the oracle cell it must equal: fused == bucketed,
 // thread == loopback TCP, resumed == uninterrupted, `train()`, ladder and
-// by hand == Listing-1 loop, and one cell run twice.
-axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism);
+// by hand == Listing-1 loop, one cell run twice, and size-balanced ==
+// round-robin placement.
+axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism, Placement);
 
 use Bases::*;
 use Cut::*;
 use Drv::*;
 use Fab::*;
+use Place::*;
 use Precond::*;
 use Rel::*;
 use Sched::*;
 use Wire::*;
 
 /// Preconditioner, wire, bases, eigen interval, schedule, fabric, world,
-/// driver, cut.
+/// driver, cut, placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Cell(Precond, Wire, Bases, usize, Sched, Fab, usize, Drv, Cut);
+struct Cell(
+    Precond,
+    Wire,
+    Bases,
+    usize,
+    Sched,
+    Fab,
+    usize,
+    Drv,
+    Cut,
+    Place,
+);
 
-const AXES: [&str; 9] = [
-    "precond", "wire", "bases", "every", "sched", "fabric", "world", "driver", "cut",
+const AXES: [&str; 10] = [
+    "precond", "wire", "bases", "every", "sched", "fabric", "world", "driver", "cut", "place",
 ];
 const PRECOND: usize = 0;
 const WIRE: usize = 1;
@@ -94,8 +114,8 @@ impl Cell {
     /// takes the bucketed schedule by hand, `train()` cannot stop, and the
     /// ladder checkpoints only in sync.
     fn valid(self) -> bool {
-        let Cell(p, w, b, every, s, _, _, d, cut) = self;
-        (p != Sgd || (w, b, every) == (F32, Complete, 2))
+        let Cell(p, w, b, every, s, _, _, d, cut, place) = self;
+        (p != Sgd || (w, b, every, place) == (F32, Complete, 2, RoundRobin))
             && (s == Fused || matches!(d, Train | ByHand))
             && (d != Train || cut == Uncut)
             && (cut != Between || (p != Sgd && d != Ladder))
@@ -116,10 +136,12 @@ impl Cell {
         let Cell(p, w, b, every, ..) = self;
         let strategy = [None, Some(DistStrategy::Opt), Some(DistStrategy::Lw)][p as usize]?;
         let precision = [PrecisionPolicy::f32(), PrecisionPolicy::bf16()][w as usize];
+        let placement = [PlacementPolicy::RoundRobin, PlacementPolicy::SizeBalanced];
         let mut cfg = KfacConfig {
             update_freq: every,
             strategy,
             precision,
+            placement: placement[self.9 as usize],
             ..KfacConfig::default()
         };
         if b == Short {
@@ -145,24 +167,30 @@ impl Cell {
     }
 
     /// Each axis's value as an index, in [`AXES`] order.
-    fn coords(self) -> [usize; 9] {
-        let Cell(p, w, b, every, s, f, world, d, cut) = self;
+    fn coords(self) -> [usize; 10] {
+        let Cell(p, w, b, every, s, f, world, d, cut, place) = self;
         let (every, world) = ((every == 5) as usize, (world == 4) as usize);
         let [p, w, b, s, f, d, cut] = [p as _, w as _, b as _, s as _, f as _, d as _, cut as _];
-        [p, w, b, every, s, f, world, d, cut]
+        [p, w, b, every, s, f, world, d, cut, place as _]
     }
 }
 
 impl Rel {
+    /// Placement is read by `Kfac::new` alone, which every driver calls
+    /// with the cell's `KfacConfig`: its relation runs by hand, where the
+    /// witness holds every rank and the K-FAC state, and the others at the
+    /// default placement.
     fn admits(self, c: Cell) -> bool {
-        let Cell(.., s, f, _, d, cut) = c;
+        let Cell(p, .., s, f, _, d, cut, place) = c;
         c.valid()
+            && (place == SizeBalanced) == (self == Placement)
             && match self {
                 Schedule => s == Bucketed && cut == Uncut,
                 Fabric => f == Tcp && cut == Uncut,
                 Resume => cut != Uncut,
                 Driver => d != Listing1 && s == Fused && cut == Uncut,
                 Determinism => cut == Uncut,
+                Placement => p == Opt && d == ByHand && cut == Uncut,
             }
     }
 
@@ -173,6 +201,7 @@ impl Rel {
             Resume => c.8 = Uncut,
             Driver => c.7 = Listing1,
             Determinism => {}
+            Placement => c.9 = RoundRobin,
         }
         c
     }
@@ -181,76 +210,83 @@ impl Rel {
 /// Every relation's subject cells.
 #[rustfmt::skip]
 const TABLE: &[(Rel, Cell)] = &[
-    // relation        precond wire  bases     every sched     fabric  world driver    cut
-    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut)),
-    (Schedule,    Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut)),
-    (Schedule,    Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut)),
-    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   Uncut)),
-    (Schedule,    Cell(Opt,    Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut)),
-    (Schedule,    Cell(Opt,    F32,  Complete, 5,    Bucketed, Tcp,    2,    ByHand,   Uncut)),
-    (Schedule,    Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Uncut)),
-    (Schedule,    Cell(Lw,     Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut)),
-    (Schedule,    Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut)),
-    (Schedule,    Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut)),
+    // relation        precond wire  bases     every sched     fabric  world driver    cut      place
+    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    F32,  Complete, 5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
 
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    4,    Train,    Uncut)),
-    (Fabric,      Cell(Opt,    Bf16, Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut)),
-    (Fabric,      Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    Train,    Uncut)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   Uncut)),
-    (Fabric,      Cell(Opt,    F32,  Short,    2,    Bucketed, Tcp,    2,    ByHand,   Uncut)),
-    (Fabric,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut)),
-    (Fabric,      Cell(Opt,    Bf16, Short,    2,    Fused,    Tcp,    2,    Ladder,   Uncut)),
-    (Fabric,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    2,    Ladder,   Uncut)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut)),
-    (Fabric,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Listing1, Uncut)),
-    (Fabric,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Uncut)),
+    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Bf16, Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    F32,  Short,    2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Bf16, Short,    2,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
 
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    ByHand,   InSync)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   InSync)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   InSync)),
-    (Resume,      Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Between)),
-    (Resume,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Thread, 2,    ByHand,   Between)),
-    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   InSync)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   InSync)),
-    (Resume,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   InSync)),
-    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   InSync)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    Listing1, InSync)),
-    (Resume,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Between)),
-    (Resume,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Between)),
-    (Resume,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Listing1, InSync)),
+    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
+    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    Listing1, InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Listing1, InSync,  RoundRobin)),
 
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut)),
-    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Driver,      Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Driver,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Tcp,    2,    ByHand,   Uncut)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut)),
-    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut)),
-    (Driver,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Ladder,   Uncut)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Ladder,   Uncut)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Train,    Uncut)),
-    (Driver,      Cell(Opt,    Bf16, Complete, 2,    Fused,    Thread, 4,    Train,    Uncut)),
-    (Driver,      Cell(Opt,    F32,  Short,    5,    Fused,    Tcp,    2,    Train,    Uncut)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 2,    Train,    Uncut)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut)),
+    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Bf16, Complete, 2,    Fused,    Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    F32,  Short,    5,    Fused,    Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
 
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut)),
-    (Determinism, Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut)),
-    (Determinism, Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 4,    Train,    Uncut)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut)),
-    (Determinism, Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut)),
-    (Determinism, Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   Uncut)),
-    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut)),
-    (Determinism, Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut)),
-    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    Listing1, Uncut)),
-    (Determinism, Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    Listing1, Uncut)),
+    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
+
+    (Placement,   Cell(Opt,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Placement,   Cell(Opt,    Bf16, Short,    5,    Bucketed, Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+    (Placement,   Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Placement,   Cell(Opt,    Bf16, Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
+    (Placement,   Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
+    (Placement,   Cell(Opt,    F32,  Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
 ];
 
 /// Axis sets a relation covers in full, not pairwise, because a past bug
@@ -291,7 +327,7 @@ fn bytes(t: Traffic) -> [u64; 4] {
 /// schedule and preconditioner, for three epochs — at 4 ranks, 9
 /// iterations, so that the cut after the exchange at 5 leaves some to run.
 fn config(cell: Cell) -> TrainConfig {
-    let Cell(.., f, world, _, _) = cell;
+    let Cell(.., f, world, _, _, _) = cell;
     let mut cfg = Demo::config(world).with_exec(cell.exec());
     cfg.epochs = 3;
     cfg.kfac = cell.kfac();
@@ -444,9 +480,11 @@ fn run_group<C: Communicator + Sync>(cell: Cell, comms: &[C], registry: &Registr
 
 /// The driver: run `cell` and return the witness of every rank it sees,
 /// after asserting the cell's own preconditions — a short-bases cell
-/// truncates some factor, and only a -lw cell moves precond bytes.
+/// truncates some factor, a size-balanced cell places some factor on
+/// another rank than round-robin does, and only a -lw cell moves precond
+/// bytes.
 fn run(cell: Cell) -> Vec<Witness> {
-    let Cell(p, _, b, _, _, f, world, d, _) = cell;
+    let Cell(p, _, b, _, _, f, world, d, _, place) = cell;
     let registry = Registry::new();
     let ends = match (d, f) {
         (Train, _) => {
@@ -462,10 +500,16 @@ fn run(cell: Cell) -> Vec<Witness> {
         (_, Thread) => run_group(cell, &ThreadComm::create(world), &registry),
         (_, Tcp) => run_group(cell, &ProcComm::create_local(world), &registry),
     };
+    let mut model = Demo::model(0);
+    let mut layers = Vec::new();
+    model.collect_kfac(&mut layers);
+    if place == SizeBalanced {
+        let dims: Vec<_> = layers.iter().map(|layer| layer.factor_dims()).collect();
+        let owners = |policy| assign_factors(policy, &factor_descs(&dims), world);
+        let moved = owners(PlacementPolicy::SizeBalanced) != owners(PlacementPolicy::RoundRobin);
+        assert!(moved, "{cell:?}: placement moves no factor");
+    }
     if b == Short {
-        let mut model = Demo::model(0);
-        let mut layers = Vec::new();
-        model.collect_kfac(&mut layers);
         let short = layers.iter().enumerate().any(|(li, layer)| {
             let (dim_a, dim_g) = layer.factor_dims();
             let rank = |kind| {
@@ -517,6 +561,12 @@ fn check(rel: Rel) {
             oracle.len() == subject.len() || train_vs_hand,
             "{rel:?} {cell:?}"
         );
+        if rel == Placement {
+            // Each rank sends the bases it decomposed, so placement moves
+            // eigen bytes between ranks; the group sends the same total.
+            let eigen = |w: &[Witness]| w.iter().map(|w| w.3[2]).sum::<u64>();
+            assert_eq!(eigen(oracle), eigen(subject), "{cell:?}: eigen bytes");
+        }
         for (rank, (o, s)) in oracle.iter().zip(subject).enumerate() {
             let at = format!("{rel:?} {cell:?} rank {rank}");
             let first = o.0.iter().zip(&s.0).position(|(a, b)| a != b);
@@ -538,6 +588,9 @@ fn check(rel: Rel) {
                 // frame the same payload in more bytes.
                 assert!(got[0] > want[0], "{at}: gradient bytes {got:?} {want:?}");
                 (want[0], got[0]) = (0, 0);
+            }
+            if rel == Placement {
+                (want[2], got[2]) = (0, 0);
             }
             assert_eq!(want, got, "{at}: bytes per class");
         }
@@ -562,6 +615,7 @@ relation_tests! {
     resumed_equals_uninterrupted: Resume,
     ladder_and_by_hand_equal_listing1: Driver,
     a_cell_run_twice_is_the_same_run: Determinism,
+    size_balanced_equals_round_robin: Placement,
 }
 
 /// Version 1 stored every basis n × n and version 2 every average; the
@@ -569,7 +623,9 @@ relation_tests! {
 /// layouts.
 #[test]
 fn older_state_versions_are_refused() {
-    let cell = Cell(Opt, F32, Short, 2, Fused, Thread, 1, ByHand, Uncut);
+    let cell = Cell(
+        Opt, F32, Short, 2, Fused, Thread, 1, ByHand, Uncut, RoundRobin,
+    );
     let (train_ds, _) = Demo::data();
     let mut replica = Replica::new(cell, 3);
     replica.step(cell, &train_ds, 0, &LocalComm::new());
@@ -600,17 +656,28 @@ fn cells_cover_every_pair() {
         value
     }
     let mut universe = Vec::new();
-    for mut k in 0..3 * 2 * 2 * 2 * 2 * 2 * 2 * 4 * 3 {
+    for mut k in 0..3 * 2 * 2 * 2 * 2 * 2 * 2 * 4 * 3 * 2 {
         let k = &mut k;
         let (p, w, every) = (pick(k, Precond::ALL), pick(k, Wire::ALL), pick(k, &[2, 5]));
         let (b, s, f) = (pick(k, Bases::ALL), pick(k, Sched::ALL), pick(k, Fab::ALL));
         let (world, d, cut) = (pick(k, &[2, 4]), pick(k, Drv::ALL), pick(k, Cut::ALL));
-        universe.push(Cell(p, w, b, every, s, f, world, d, cut));
+        universe.push(Cell(
+            p,
+            w,
+            b,
+            every,
+            s,
+            f,
+            world,
+            d,
+            cut,
+            pick(k, Place::ALL),
+        ));
     }
     for &rel in Rel::ALL {
         let mut sets: Vec<Vec<usize>> = Vec::new();
-        for i in 0..9 {
-            sets.extend((i + 1..9).map(|j| vec![i, j]));
+        for i in 0..AXES.len() {
+            sets.extend((i + 1..AXES.len()).map(|j| vec![i, j]));
         }
         for (r, axes) in FULL_PRODUCTS {
             if *r == rel {

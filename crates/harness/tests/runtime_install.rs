@@ -1,8 +1,9 @@
-//! The precedence rule of `RuntimeConfig`, and its one `Display` reaching
-//! every exporter. Installation is process-wide and happens once, so this
+//! The precedence rule of `RuntimeConfig` — a default for what
+//! `TrainConfig::new` fills, and nothing else — and its one `Display`
+//! reaching every exporter. Installation is process-wide and happens once, so this
 //! file holds exactly one test (its own process).
 
-use kfac::{EigenSolver, KfacConfig, PrecisionPolicy};
+use kfac::{EigenSolver, KfacConfig, PlacementPolicy, PrecisionPolicy};
 use kfac_collectives::{CollectiveAlgo, CommBackend};
 use kfac_harness::runtime::{self, RuntimeConfig};
 use kfac_harness::{ExecStrategy, TrainConfig};
@@ -14,25 +15,30 @@ fn new_config() -> TrainConfig {
 }
 
 #[test]
-fn installed_config_is_default_for_new_and_override_for_with_kfac() {
+fn installed_config_is_default_for_new_and_never_touches_with_kfac() {
+    // Off the default in solver, wire precision, placement and damping.
+    let handed = KfacConfig {
+        eigen_solver: EigenSolver::Randomized,
+        precision: PrecisionPolicy::bf16(),
+        placement: PlacementPolicy::SizeBalanced,
+        damping: 0.05,
+        ..KfacConfig::default()
+    };
     // Nothing installed: the built-in defaults, and `with_kfac` keeps
     // what it is handed.
     assert_eq!(runtime::current(), RuntimeConfig::default());
-    let cfg = new_config().with_kfac(KfacConfig {
-        eigen_solver: EigenSolver::Randomized,
-        ..KfacConfig::default()
-    });
+    let cfg = new_config().with_kfac(handed.clone());
     assert_eq!(cfg.backend, CommBackend::Thread);
     assert_eq!(cfg.exec, ExecStrategy::Sequential);
-    assert_eq!(cfg.kfac.unwrap().eigen_solver, EigenSolver::Randomized);
+    assert_eq!(cfg.kfac, Some(handed.clone()));
     assert!(!export::prometheus(&Registry::new()).contains("kfac_runtime_config_info"));
 
     let installed = RuntimeConfig::parse(
         [
             ("KFAC_COMM_BACKEND", "proc"),
             ("KFAC_COMM_ALGO", "flat"),
-            ("KFAC_EIG_BACKEND", "tridiag"),
-            ("KFAC_PRECISION", "bf16"),
+            ("KFAC_POOL_THREADS", "1"),
+            ("KFAC_HEARTBEAT_MS", "250"),
         ]
         .map(|(k, v)| (k.to_string(), v.to_string())),
     )
@@ -59,27 +65,16 @@ fn installed_config_is_default_for_new_and_override_for_with_kfac() {
     assert_eq!(cfg.backend, CommBackend::Thread);
     assert_eq!(cfg.exec, ExecStrategy::Sequential);
 
-    // Override for the solver and precision `with_kfac` is handed …
-    let handed = KfacConfig {
-        eigen_solver: EigenSolver::Randomized,
-        damping: 0.05,
-        ..KfacConfig::default()
-    };
-    let kfac = cfg.clone().with_kfac(handed.clone()).kfac.unwrap();
-    assert_eq!(kfac.eigen_solver, EigenSolver::TridiagonalQl);
-    assert_eq!(kfac.precision, PrecisionPolicy::bf16());
-    assert_eq!(kfac.damping, 0.05, "nothing else is touched");
-    // … and direct assignment pins both.
-    let mut pinned = cfg;
-    pinned.kfac = Some(handed);
-    let kfac = pinned.kfac.unwrap();
-    assert_eq!(kfac.eigen_solver, EigenSolver::Randomized);
-    assert_eq!(kfac.precision, PrecisionPolicy::f32());
+    // A non-default installed config overrides nothing `with_kfac` is
+    // handed, default or not: the run computes what its `TrainConfig` says.
+    assert_eq!(cfg.clone().with_kfac(handed.clone()).kfac, Some(handed));
+    let default = KfacConfig::default();
+    assert_eq!(cfg.with_kfac(default.clone()).kfac, Some(default));
 
     // One `Display`, everywhere: /metrics and the flight-recorder dump.
     let line = installed.to_string();
     assert!(
-        line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_EIG_BACKEND=tridiag ")
+        line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_POOL_THREADS=1 ")
             && line.ends_with(" exec=overlapped"),
         "{line}"
     );

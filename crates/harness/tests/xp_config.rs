@@ -23,22 +23,43 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn a_misspelt_variable_name_stops_xp_before_anything_runs() {
-    let typo = "KFAC_EIG_BACKEND".replace("BACKEND", "BACKND");
+    let typo = "KFAC_COMM_BACKEND".replace("BACKEND", "BACKND");
     let out = xp(&["list"], &[(&typo, "tridiag")]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "nothing ran");
     let err = stderr(&out);
     assert!(
-        err.contains(&format!("unknown variable {typo};")) && err.contains("KFAC_EIG_BACKEND"),
+        err.contains(&format!("unknown variable {typo};")) && err.contains("KFAC_COMM_BACKEND"),
         "names the variable and lists the known ones: {err}"
     );
     assert!(xp(&["list"], &[]).status.success());
 }
 
+/// The eigensolver and the wire precision are `KfacConfig` fields, set in
+/// code; the environment has no say in what a run computes.
+#[test]
+fn the_removed_solver_and_precision_variables_are_unknown_names() {
+    for (name, value) in [
+        ("KFAC_EIG_BACKEND", "randomized"),
+        ("KFAC_PRECISION", "bf16"),
+    ] {
+        let out = xp(&["list"], &[(name, value)]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(out.stdout.is_empty(), "nothing ran");
+        let err = stderr(&out);
+        let known = err
+            .split_once(&format!("unknown variable {name}; known: "))
+            .unwrap_or_else(|| panic!("{name}: {err}"))
+            .1;
+        assert_eq!(known.trim_end().split(", ").count(), 10, "{err}");
+        assert!(!known.contains(name), "{err}");
+    }
+}
+
 #[test]
 fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
-    // A launcher (`xp table1`) in the first five rows, a worker world of
-    // one in the last two: the offending variable on top of a rendezvous.
+    // A launcher (`xp table1`) in the first row, a worker world of one in
+    // the last two: the offending variable on top of a rendezvous.
     let worker = [
         ("KFAC_PROC_RANK", "0"),
         ("KFAC_PROC_WORLD", "1"),
@@ -46,16 +67,6 @@ fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
         ("KFAC_PROC_JOB", "train-cifar"),
     ];
     let cases = [
-        (false, "KFAC_EIG_BACKEND", "lapack", "tridiag|randomized"),
-        // The oracle is not a backend, and a removed stage is not a wire.
-        (false, "KFAC_EIG_BACKEND", "jacobi", "tridiag|randomized"),
-        (
-            false,
-            "KFAC_PRECISION",
-            "capture=bf16",
-            "grad_wire|factor_wire",
-        ),
-        (false, "KFAC_PRECISION", "grad_wire=f16", "f32|bf16"),
         (false, "KFAC_COMM_BACKEND", "mpi", "thread|proc"),
         // Used to surface as `CollectiveError::Mismatch` from the mesh.
         (true, "KFAC_HEARTBEAT_MS", "fast", "millisecond"),
@@ -90,7 +101,7 @@ fn malformed_values_are_one_typed_error_in_launcher_and_worker() {
 fn the_resolved_config_is_printed_once_and_redirects_the_run() {
     let out = xp(
         &["table1", "--scale", "smoke", "--overlap"],
-        &[("KFAC_EIG_BACKEND", "ql"), ("KFAC_COMM_ALGO", "ring")],
+        &[("KFAC_POOL_THREADS", "1"), ("KFAC_COMM_ALGO", "ring")],
     );
     let err = stderr(&out);
     assert!(out.status.success(), "{err}");
@@ -99,7 +110,7 @@ fn the_resolved_config_is_printed_once_and_redirects_the_run() {
         lines,
         [
             "config: KFAC_COMM_BACKEND=thread KFAC_COMM_ALGO=pipelined-ring \
-          KFAC_EIG_BACKEND=tridiag KFAC_PRECISION=- KFAC_POOL_THREADS=- KFAC_HEARTBEAT_MS=500 \
+          KFAC_POOL_THREADS=1 KFAC_HEARTBEAT_MS=500 \
           KFAC_HEARTBEAT_TIMEOUT_MS=15000 KFAC_PROC_TIMEOUT_MS=30000 exec=overlapped"
         ],
         "{err}"

@@ -43,12 +43,6 @@ impl Accuracy {
         self.total += targets.len();
     }
 
-    /// Merge counts from another accumulator (cross-rank reduction).
-    pub fn merge_counts(&mut self, correct: usize, total: usize) {
-        self.correct += correct;
-        self.total += total;
-    }
-
     /// Raw `(correct, total)` counts.
     pub fn counts(&self) -> (usize, usize) {
         (self.correct, self.total)
@@ -82,8 +76,7 @@ mod tests {
         let logits = tensor_from(2, 2, 1, 1, &[1.0, 0.0, 1.0, 0.0]);
         acc.update(&logits, &[0, 1]); // one right, one wrong
         assert_eq!(acc.counts(), (1, 2));
-        acc.merge_counts(3, 4);
-        assert!((acc.value() - 4.0 / 6.0).abs() < 1e-12);
+        assert!((acc.value() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! SGD with momentum, weight decay and optional Nesterov acceleration.
+//! SGD with momentum and weight decay.
 //!
 //! The paper's baseline optimizer and the rule that consumes K-FAC's
 //! preconditioned gradients (Eq. 1 plus momentum 0.9, §VI-C1). The update
@@ -7,8 +7,7 @@
 //! ```text
 //! g ← g + wd·w
 //! v ← μ·v + g
-//! w ← w − lr · (g + μ·v)   (nesterov)
-//! w ← w − lr · v            (classic)
+//! w ← w − lr · v
 //! ```
 
 use crate::optimizer::Optimizer;
@@ -19,7 +18,6 @@ use std::collections::HashMap;
 pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
-    nesterov: bool,
     velocity: HashMap<String, Vec<f32>>,
 }
 
@@ -29,15 +27,8 @@ impl Sgd {
         Sgd {
             momentum,
             weight_decay,
-            nesterov: false,
             velocity: HashMap::new(),
         }
-    }
-
-    /// Enable Nesterov momentum.
-    pub fn nesterov(mut self) -> Self {
-        self.nesterov = true;
-        self
     }
 
     /// The paper's configuration: momentum 0.9 (§VI-C1), weight decay as
@@ -72,7 +63,6 @@ impl Optimizer for Sgd {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
         let momentum = self.momentum;
         let weight_decay = self.weight_decay;
-        let nesterov = self.nesterov;
         let velocity = &mut self.velocity;
 
         model.visit_params("", &mut |name, w, g| {
@@ -83,12 +73,7 @@ impl Optimizer for Sgd {
             for i in 0..w.len() {
                 let grad = g[i] + weight_decay * w[i];
                 v[i] = momentum * v[i] + grad;
-                let upd = if nesterov {
-                    grad + momentum * v[i]
-                } else {
-                    v[i]
-                };
-                w[i] -= lr * upd;
+                w[i] -= lr * v[i];
             }
         });
     }
@@ -171,26 +156,5 @@ mod tests {
             s
         };
         assert!(norm_after < norm_before);
-    }
-
-    #[test]
-    fn nesterov_differs_from_classic() {
-        let run = |nesterov: bool| {
-            let mut q = Quadratic::new(5);
-            let mut opt = if nesterov {
-                Sgd::new(0.9, 0.0).nesterov()
-            } else {
-                Sgd::new(0.9, 0.0)
-            };
-            for _ in 0..5 {
-                let _ = q.loss_and_grad();
-                opt.step(&mut q.model, 0.01);
-            }
-            let mut w = Vec::new();
-            q.model
-                .visit_params("", &mut |_, v, _| w.extend_from_slice(v));
-            w
-        };
-        assert_ne!(run(true), run(false));
     }
 }

@@ -93,14 +93,6 @@ impl Cholesky {
         inv.symmetrize();
         inv
     }
-
-    /// `log det A = 2 Σ log L[i,i]` (diagnostic for damping studies).
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows())
-            .map(|i| (self.l[(i, i)] as f64).ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// Convenience: SPD inverse in one call (factor + invert).
@@ -170,12 +162,5 @@ mod tests {
             Cholesky::factor(&a).unwrap_err(),
             LinAlgError::NotPositiveDefinite
         );
-    }
-
-    #[test]
-    fn log_det_matches_eigenvalues() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - (24.0f64).ln()).abs() < 1e-6);
     }
 }

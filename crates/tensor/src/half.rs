@@ -48,20 +48,11 @@ impl Dtype {
         }
     }
 
-    /// Stable lowercase label (metric names, policy parsing).
+    /// Stable lowercase label (metric names, the policy's spec string).
     pub fn name(self) -> &'static str {
         match self {
             Dtype::F32 => "f32",
             Dtype::Bf16 => "bf16",
-        }
-    }
-
-    /// Parse the [`Dtype::name`] spelling.
-    pub fn parse(s: &str) -> Option<Dtype> {
-        match s {
-            "f32" => Some(Dtype::F32),
-            "bf16" => Some(Dtype::Bf16),
-            _ => None,
         }
     }
 }
@@ -247,11 +238,6 @@ mod tests {
     fn dtype_helpers() {
         assert_eq!(Dtype::F32.size_of(), 4);
         assert_eq!(Dtype::Bf16.size_of(), 2);
-        for d in [Dtype::F32, Dtype::Bf16] {
-            assert_eq!(Dtype::parse(d.name()), Some(d));
-        }
-        assert_eq!(Dtype::parse("f16"), None);
-        assert_eq!(Dtype::parse("f64"), None);
         assert_eq!(Dtype::default(), Dtype::F32);
     }
 

@@ -28,14 +28,6 @@ pub fn kaiming_normal(xs: &mut [f32], fan_in: usize, rng: &mut Rng64) {
     fill_normal(xs, 0.0, std, rng);
 }
 
-/// Xavier/Glorot uniform initialization:
-/// `U[−a, a]` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(xs: &mut [f32], fan_in: usize, fan_out: usize, rng: &mut Rng64) {
-    assert!(fan_in + fan_out > 0);
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    fill_uniform(xs, -a, a, rng);
-}
-
 /// PyTorch's `Linear` default: `U[−1/√fan_in, 1/√fan_in)` for weights and
 /// biases alike.
 pub fn linear_default(xs: &mut [f32], fan_in: usize, rng: &mut Rng64) {
@@ -67,15 +59,6 @@ mod tests {
         let (mean, var) = stats(&xs);
         assert!(mean.abs() < 0.005);
         assert!((var - 2.0 / 50.0).abs() < 0.002, "var {}", var);
-    }
-
-    #[test]
-    fn xavier_bounds() {
-        let mut rng = Rng64::new(2);
-        let mut xs = vec![0.0f32; 10_000];
-        xavier_uniform(&mut xs, 30, 70, &mut rng);
-        let a = (6.0f32 / 100.0).sqrt();
-        assert!(xs.iter().all(|&x| x >= -a && x < a));
     }
 
     #[test]

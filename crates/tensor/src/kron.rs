@@ -41,11 +41,6 @@ pub fn vec_rowmajor(x: &Matrix) -> Vec<f32> {
     x.as_slice().to_vec()
 }
 
-/// Inverse of [`vec_rowmajor`].
-pub fn unvec_rowmajor(rows: usize, cols: usize, v: &[f32]) -> Matrix {
-    Matrix::from_vec(rows, cols, v.to_vec())
-}
-
 /// Apply `(A ⊗ B)` to `vec(X)` *without* materializing the Kronecker
 /// product, via the identity `(A ⊗ B) vec(X) = vec(A X Bᵀ)` (row-major
 /// vec). `X` must be `A.cols() × B.cols()`.
@@ -146,13 +141,5 @@ mod tests {
         let lhs = kron(&a, &b).matmul(&kron(&c, &d));
         let rhs = kron(&a.matmul(&c), &b.matmul(&d));
         assert!(lhs.max_abs_diff(&rhs) < 1e-4);
-    }
-
-    #[test]
-    fn unvec_round_trip() {
-        let mut rng = Rng64::new(45);
-        let x = random(4, 6, &mut rng);
-        let v = vec_rowmajor(&x);
-        assert_eq!(unvec_rowmajor(4, 6, &v), x);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! These are the small kernels the K-FAC update is assembled from: scaled
 //! running-average accumulation of factors (Eq. 16–17), damping
-//! (`M + γI`, Eq. 11), the element-wise divide of the eigen path
-//! (Eq. 14), and the norms used by KL-clipping (Eq. 18).
+//! (`M + γI`, Eq. 11), and the norms used by KL-clipping (Eq. 18).
 
 use crate::Matrix;
 
@@ -13,14 +12,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add_assign");
         for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
-        }
-    }
-
-    /// `self -= other`, element-wise.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in sub_assign");
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a -= b;
         }
     }
 
@@ -90,19 +81,6 @@ impl Matrix {
         Matrix::from_vec(self.rows(), self.cols(), data)
     }
 
-    /// Element-wise division `self[i,j] /= denom[i,j]` — the eigen-path
-    /// rescale `V₂ = V₁ / (v_G v_Aᵀ + γ)` of Eq. 14.
-    pub fn div_assign_elem(&mut self, denom: &Matrix) {
-        assert_eq!(
-            self.shape(),
-            denom.shape(),
-            "shape mismatch in div_assign_elem"
-        );
-        for (a, d) in self.as_mut_slice().iter_mut().zip(denom.as_slice()) {
-            *a /= d;
-        }
-    }
-
     /// Build the rank-one outer-product matrix `u vᵀ` (used to form the
     /// `v_G v_Aᵀ + γ` denominator of Eq. 14).
     pub fn outer(u: &[f32], v: &[f32]) -> Matrix {
@@ -132,21 +110,6 @@ impl Matrix {
 
 /// BLAS-1 helpers over plain slices (parameter vectors in the optimizers).
 pub mod slice {
-    /// `y += alpha * x`.
-    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "length mismatch in axpy");
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-
-    /// `x *= alpha`.
-    pub fn scal(alpha: f32, x: &mut [f32]) {
-        for xi in x {
-            *xi *= alpha;
-        }
-    }
-
     /// Dot product with `f64` accumulation.
     pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         assert_eq!(x.len(), y.len(), "length mismatch in dot");
@@ -171,14 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn add_and_scale() {
         let mut a = m2();
         a.add_assign(&m2());
         assert_eq!(a[(1, 1)], 8.0);
-        a.sub_assign(&m2());
-        assert_eq!(a[(1, 1)], 4.0);
         a.scale(0.5);
-        assert_eq!(a[(0, 0)], 0.5);
+        assert_eq!(a[(0, 0)], 1.0);
     }
 
     #[test]
@@ -216,13 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn outer_and_div() {
+    fn outer_product() {
         let d = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(d[(1, 0)], 6.0);
-        let mut v = Matrix::filled(2, 2, 12.0);
-        v.div_assign_elem(&d);
-        assert_eq!(v[(0, 0)], 4.0);
-        assert_eq!(v[(1, 1)], 1.5);
+        assert_eq!(d[(1, 1)], 8.0);
     }
 
     #[test]
@@ -234,11 +192,6 @@ mod tests {
     #[test]
     fn slice_kernels() {
         let x = [1.0f32, 2.0, 3.0];
-        let mut y = [1.0f32, 1.0, 1.0];
-        slice::axpy(2.0, &x, &mut y);
-        assert_eq!(y, [3.0, 5.0, 7.0]);
-        slice::scal(0.5, &mut y);
-        assert_eq!(y, [1.5, 2.5, 3.5]);
         assert!((slice::dot(&x, &x) - 14.0).abs() < 1e-6);
         assert!((slice::nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
