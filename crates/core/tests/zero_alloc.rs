@@ -115,9 +115,26 @@ fn into_kernels_allocate_nothing_when_warm() {
     let mut gram_nt = Matrix::zeros(0, 0);
     let mut gram16 = Matrix::zeros(0, 0);
     let mut out16 = Matrix::zeros(0, 0);
-    let geom = Geometry::new(x.shape(), 3, 1, 1);
-    let mut patches = vec![0.0f32; geom.fan_in() * geom.positions()];
-    let mut dx = Tensor4::zeros(4, 3, 12, 12);
+    // Patch lowering on each of its paths: a shifted copy (stride 1 over
+    // 12×12 planes and over 2×2 ones, where a block holds many samples)
+    // and per-row gathers (stride 2).
+    let small = Tensor4::from_vec(
+        40,
+        3,
+        2,
+        2,
+        (0..40 * 3 * 2 * 2).map(|_| rng.normal_f32()).collect(),
+    );
+    let mut lowerings: Vec<(&Tensor4, Geometry, Vec<f32>, Tensor4)> =
+        [(&x, 1), (&x, 2), (&small, 1)]
+            .into_iter()
+            .map(|(input, stride)| {
+                let geom = Geometry::new(input.shape(), 3, stride, 1);
+                let patches = vec![0.0f32; geom.fan_in() * geom.positions()];
+                let (n, c, h, w) = input.shape();
+                (input, geom, patches, Tensor4::zeros(n, c, h, w))
+            })
+            .collect();
 
     let mut pass = |arena_warm: bool| {
         a.matmul_into(&b, &mut out);
@@ -127,8 +144,10 @@ fn into_kernels_allocate_nothing_when_warm() {
         a.gram_nt_into(&mut gram_nt);
         a16.gram_into(&mut gram16);
         a16.matmul_nt_into(&bt16, &mut out16);
-        build_patches(&x, &geom, 0..geom.positions(), &mut patches);
-        scatter_patches(&mut patches, &geom, 0..geom.positions(), &mut dx);
+        for (input, geom, patches, dx) in &mut lowerings {
+            build_patches(input, geom, 0..geom.positions(), patches);
+            scatter_patches(patches, geom, 0..geom.positions(), dx);
+        }
         arena_warm
     };
 

@@ -9,10 +9,12 @@
 //! whole `Conv2d` forward + backward per ResNet-32 stage beside the three
 //! bare GEMMs it is made of, plain and as a K-FAC factor iteration runs
 //! it (capturing, then `compute_factors`) beside those GEMMs plus the two
-//! bare factor Grams. Results go to stdout as a table and, with
-//! `--json`, to `BENCH_kernels.json`; the CI `perf` job gates on absolute
-//! statements about that file (see [`to_json`]).
+//! bare factor Grams, and the patch lowering (`build_patches` +
+//! `scatter_patches`) over the same layer. Results go to stdout as a
+//! table and, with `--json`, to `BENCH_kernels.json`; the CI `perf` job
+//! gates on absolute statements about that file (see [`to_json`]).
 
+use kfac_nn::lowering::{build_patches, scatter_patches, Geometry, BLOCK};
 use kfac_nn::{Conv2d, KfacEligible, Layer, Mode};
 use kfac_tensor::{HalfMatrix, Matrix, Rng64, Tensor4};
 use std::time::Instant;
@@ -97,15 +99,23 @@ pub fn cases() -> Vec<(&'static str, Kind, usize, usize, usize)> {
         ("rn32_conv_s1", Kind::MatmulNt, 8192, 144, 16),
         ("rn32_conv_s2", Kind::MatmulNt, 2048, 288, 32),
         ("rn32_conv_s3", Kind::MatmulNt, 512, 576, 64),
+        // Stage 3 over 4×4 planes (16×16 images, as `stepbench` trains),
+        // and the stage-2 downsampling conv (16 → 32 channels, stride 2).
+        ("rn32_conv_s3x4", Kind::MatmulNt, 128, 576, 64),
+        ("rn32_conv_d2", Kind::MatmulNt, 2048, 144, 32),
         // Weight gradients, dW = gᵀ · patches, and input gradients,
         // dP = g · weight: with the forward rows, the three products of
         // each [`LAYER_CASES`] entry.
         ("rn32_dw_s1", Kind::MatmulTn, 16, 8192, 144),
         ("rn32_dw_s2", Kind::MatmulTn, 32, 2048, 288),
         ("rn32_dw_s3", Kind::MatmulTn, 64, 512, 576),
+        ("rn32_dw_s3x4", Kind::MatmulTn, 64, 128, 576),
+        ("rn32_dw_d2", Kind::MatmulTn, 32, 2048, 144),
         ("rn32_dx_s1", Kind::Matmul, 8192, 16, 144),
         ("rn32_dx_s2", Kind::Matmul, 2048, 32, 288),
         ("rn32_dx_s3", Kind::Matmul, 512, 64, 576),
+        ("rn32_dx_s3x4", Kind::Matmul, 128, 64, 576),
+        ("rn32_dx_d2", Kind::Matmul, 2048, 32, 144),
         // Kronecker factors: activation Grams (bias-augmented patches)
         // and a gradient Gram.
         ("rn32_afactor_s2", Kind::Gram, 0, 2048, 289),
@@ -118,8 +128,10 @@ pub fn cases() -> Vec<(&'static str, Kind, usize, usize, usize)> {
 /// GEMMs of the same run: what the lowering around the products costs.
 pub struct LayerCase {
     pub name: &'static str,
-    /// `Conv2d(channels → channels, 3×3, stride 1, pad 1)` …
+    /// `Conv2d(channels → out_channels, 3×3, stride, pad 1)` …
     pub channels: usize,
+    pub out_channels: usize,
+    pub stride: usize,
     /// … over a `batch × channels × side × side` input.
     pub batch: usize,
     pub side: usize,
@@ -132,22 +144,29 @@ pub struct LayerCase {
     /// factor Grams summed block by block) and `compute_factors`.
     pub capture_ns: f64,
     /// The two Grams as single calls over whole-batch rows: the A factor
-    /// (`positions × 9·channels`) plus the G factor (`positions × channels`).
+    /// (`positions × 9·channels`) plus the G factor (`positions ×
+    /// out_channels`).
     pub gram_ns: f64,
+    /// The layer's patch lowering alone, block by block as forward and
+    /// backward run it: `build_patches` …
+    pub build_ns: f64,
+    /// … and `scatter_patches`.
+    pub scatter_ns: f64,
 }
 
 impl LayerCase {
     /// Multiply-adds of the three products.
     pub fn madds(&self) -> u64 {
-        let c = self.channels;
-        3 * (self.batch * self.side * self.side * 9 * c * c) as u64
+        let out_side = self.side / self.stride;
+        let positions = self.batch * out_side * out_side;
+        3 * (positions * 9 * self.channels * self.out_channels) as u64
     }
     /// Effective rate of the whole layer over its GEMM FLOPs.
     pub fn gflops(&self) -> f64 {
         2.0 * self.madds() as f64 / self.layer_ns
     }
     /// Layer time over the time of its bare GEMMs (1.0 = free lowering);
-    /// the CI `perf` job fails above 2.0.
+    /// the CI `perf` job fails above 1.8.
     pub fn over_gemm(&self) -> f64 {
         self.layer_ns / self.gemm_ns
     }
@@ -160,11 +179,16 @@ impl LayerCase {
 }
 
 /// The ResNet-32 stage layers (batch 8, as the GEMM rows): row name, the
-/// stage suffix of its GEMM rows, channels, feature-map side.
-pub const LAYER_CASES: [(&str, &str, usize, usize); 3] = [
-    ("rn32_layer_s1", "s1", 16, 32),
-    ("rn32_layer_s2", "s2", 32, 16),
-    ("rn32_layer_s3", "s3", 64, 8),
+/// suffix of its GEMM rows, input and output channels, stride, input
+/// feature-map side. `s3x4` is stage 3 over the 4×4 planes of 16×16
+/// images, where the lowering weighs most against the products; `d2` the
+/// stage-2 downsampling conv, the strided lowering.
+pub const LAYER_CASES: [(&str, &str, usize, usize, usize, usize); 5] = [
+    ("rn32_layer_s1", "s1", 16, 16, 1, 32),
+    ("rn32_layer_s2", "s2", 32, 32, 1, 16),
+    ("rn32_layer_s3", "s3", 64, 64, 1, 8),
+    ("rn32_layer_s3x4", "s3x4", 64, 64, 1, 4),
+    ("rn32_layer_d2", "d2", 16, 32, 2, 32),
 ];
 
 /// Time one `Conv2d` forward + backward per stage, plain and capturing;
@@ -179,10 +203,19 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
     };
     LAYER_CASES
         .into_iter()
-        .map(|(name, stage, channels, side)| {
-            let mut conv = Conv2d::new("conv", channels, channels, 3, 1, 1, false, &mut rng);
+        .map(|(name, stage, channels, out_channels, stride, side)| {
+            let mut conv = Conv2d::new(
+                "conv",
+                channels,
+                out_channels,
+                3,
+                stride,
+                1,
+                false,
+                &mut rng,
+            );
             let x = random_tensor(channels, side, &mut rng);
-            let gy = random_tensor(channels, side, &mut rng);
+            let gy = random_tensor(out_channels, side / stride, &mut rng);
             let layer_ns = time_ns(|| {
                 std::hint::black_box(conv.forward(&x, Mode::Train));
                 std::hint::black_box(conv.backward(&gy));
@@ -195,9 +228,11 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
                 kfac_tensor::arena::recycle_matrix(a);
                 kfac_tensor::arena::recycle_matrix(g);
             });
-            let positions = BATCH * side * side;
+            let g = Geometry::new(x.shape(), 3, stride, 1);
+            let positions = g.positions();
+            let (build_ns, scatter_ns) = time_lowering(&x, &g, &mut rng);
             let mut scratch = Matrix::zeros(1, 1);
-            let gram_ns: f64 = [9 * channels, channels]
+            let gram_ns: f64 = [9 * channels, out_channels]
                 .into_iter()
                 .map(|features| {
                     let rows = random_matrix(positions, features, &mut rng);
@@ -216,15 +251,45 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
             LayerCase {
                 name,
                 channels,
+                out_channels,
+                stride,
                 batch: BATCH,
                 side,
                 layer_ns,
                 gemm_ns,
                 capture_ns,
                 gram_ns,
+                build_ns,
+                scatter_ns,
             }
         })
         .collect()
+}
+
+/// ns per pass of `build_patches` and of `scatter_patches` over every
+/// block of `g`, as the layer's forward and backward run them.
+fn time_lowering(x: &Tensor4, g: &Geometry, rng: &mut Rng64) -> (f64, f64) {
+    let (features, positions) = (g.fan_in(), g.positions());
+    let blocks: Vec<_> = (0..positions)
+        .step_by(BLOCK)
+        .map(|q0| q0..(q0 + BLOCK).min(positions))
+        .collect();
+    let mut patches = vec![0.0; features * BLOCK.min(positions)];
+    let dp: Vec<f32> = (0..patches.len()).map(|_| rng.normal_f32()).collect();
+    let (n, c, h, w) = g.in_shape();
+    let mut dx = Tensor4::zeros(n, c, h, w);
+    let build_ns = time_ns(|| {
+        for q in &blocks {
+            build_patches(x, g, q.clone(), &mut patches[..features * q.len()]);
+        }
+    });
+    let scatter_ns = time_ns(|| {
+        for q in &blocks {
+            scatter_patches(&dp[..features * q.len()], g, q.clone(), &mut dx);
+        }
+    });
+    std::hint::black_box((&patches, &dx));
+    (build_ns, scatter_ns)
 }
 
 fn random_matrix(r: usize, c: usize, rng: &mut Rng64) -> Matrix {
@@ -385,13 +450,14 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         ));
     }
     s.push_str(&format!(
-        "\n{:<18} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>9} {:>12} {:>12} {:>9}\n",
+        "\n{:<18} {:>6} {:>7} {:>6} {:>12} {:>12} {:>12} {:>9} {:>9} {:>12} {:>12} {:>9}\n",
         "conv layer",
         "batch",
-        "chan",
+        "chan/s",
         "side",
         "fwd+bwd ns",
         "3 GEMMs ns",
+        "lowering ns",
         "GFLOP/s",
         "layer/G",
         "+factors ns",
@@ -400,13 +466,14 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     ));
     for l in layers {
         s.push_str(&format!(
-            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>12.0} {:>9.2} {:>8.2}x {:>12.0} {:>12.0} {:>8.2}x\n",
+            "{:<18} {:>6} {:>7} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>9.2} {:>8.2}x {:>12.0} {:>12.0} {:>8.2}x\n",
             l.name,
             l.batch,
-            l.channels,
+            format!("{}/{}", l.channels, l.stride),
             l.side,
             l.layer_ns,
             l.gemm_ns,
+            l.build_ns + l.scatter_ns,
             l.gflops(),
             l.over_gemm(),
             l.capture_ns,
@@ -421,8 +488,8 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
 ///
 /// Besides the rows it carries the three aggregates the CI `perf` job
 /// asserts on — `max_bf16_over_f32` (≤ 1.1: the worst paired bf16/f32
-/// time ratio over [`BF16_GATE_CASES`]), `max_layer_over_gemm` and
-/// `max_capture_over_gemm` (both ≤ 2.0) — each a failing value when a
+/// time ratio over [`BF16_GATE_CASES`]), `max_layer_over_gemm` (≤ 1.8)
+/// and `max_capture_over_gemm` (≤ 2.0) — each a failing value when a
 /// row it needs is missing. The fourth gate reads the rows themselves: the square shapes' f32 GFLOP/s
 /// against 0.6 × the committed `BENCH_kernels.json`.
 pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
@@ -455,17 +522,25 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     s.push_str("  ],\n  \"conv_layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"batch\": {}, \"channels\": {}, \"side\": {}, \
+            "    {{\"name\": \"{}\", \"batch\": {}, \"channels\": {}, \"out_channels\": {}, \
+             \"stride\": {}, \"side\": {}, \
              \"fwd_bwd_ns_per_iter\": {:.1}, \"gemm_sum_ns_per_iter\": {:.1}, \
+             \"lowering_ns_per_iter\": {:.1}, \"build_ns_per_iter\": {:.1}, \
+             \"scatter_ns_per_iter\": {:.1}, \
              \"gflops\": {:.3}, \"layer_over_gemm\": {:.3}, \
              \"fwd_bwd_factors_ns_per_iter\": {:.1}, \"gram_sum_ns_per_iter\": {:.1}, \
              \"capture_over_gemm\": {:.3}}}{}\n",
             l.name,
             l.batch,
             l.channels,
+            l.out_channels,
+            l.stride,
             l.side,
             l.layer_ns,
             l.gemm_ns,
+            l.build_ns + l.scatter_ns,
+            l.build_ns,
+            l.scatter_ns,
             l.gflops(),
             l.over_gemm(),
             l.capture_ns,
@@ -536,17 +611,22 @@ mod tests {
         let layers = [LayerCase {
             name: "rn32_layer_s1",
             channels: 16,
+            out_channels: 16,
+            stride: 1,
             batch: 8,
             side: 32,
             layer_ns: 3000.0,
             gemm_ns: 2000.0,
             capture_ns: 5000.0,
             gram_ns: 2000.0,
+            build_ns: 400.0,
+            scatter_ns: 300.0,
         }];
         let json = to_json(&cases, &layers);
         assert!(json.contains("\"layer_over_gemm\": 1.500"));
         assert!(json.contains("\"max_layer_over_gemm\": 1.500"));
         assert!(json.contains("\"capture_over_gemm\": 1.250"));
+        assert!(json.contains("\"lowering_ns_per_iter\": 700.0"));
         assert!(json.contains("\"max_capture_over_gemm\": 1.250"));
         // No layer rows → the loud failure value, not a passing 0.
         assert!(to_json(&cases, &[]).contains("\"max_layer_over_gemm\": 999.000"));

@@ -16,7 +16,7 @@ use crate::lowering::{
     BLOCK,
 };
 use kfac_tensor::arena;
-use kfac_tensor::gemm::{gemm_into, View};
+use kfac_tensor::gemm::{gemm_acc_into, gemm_into, View};
 use kfac_tensor::{init, Matrix, Rng64, Tensor4};
 
 /// Add one block of `len` positions to both factor sums while it is
@@ -164,10 +164,11 @@ impl Layer for Conv2d {
         let block_len = BLOCK.min(positions);
         let mut gy = arena::take_f32(c_out * block_len);
         let mut dp = arena::take_f32(fan_in * block_len);
-        // dW is a reduction over positions: one product per block, summed
-        // in block order, then added to the persistent gradient.
+        // dW is a reduction over positions: each block is one `KC`-deep
+        // piece of it, stored by the first and added by the rest in the
+        // GEMM's own order; the sum is then added to the persistent
+        // gradient.
         let mut dw = arena::take_f32(c_out * fan_in);
-        let mut dw_block = arena::take_f32(c_out * fan_in);
         for (q, block) in patches.blocks() {
             let len = q.len();
             let p = &block[..fan_in * len];
@@ -177,14 +178,9 @@ impl Layer for Conv2d {
                 capture_block(&mut self.capture, block, gy, len, scale, q.start == 0);
             }
 
-            // dW_b = gy_b · P_bᵀ  (c_out × c_in·k·k)
-            let dst = if q.start == 0 { &mut dw } else { &mut dw_block };
-            gemm_into(View::new(gy, c_out, len), View::t(p, fan_in, len), dst);
-            if q.start > 0 {
-                for (d, &v) in dw.iter_mut().zip(dw_block.iter()) {
-                    *d += v;
-                }
-            }
+            // dW += gy_b · P_bᵀ  (c_out × c_in·k·k)
+            let (gy_b, p_b) = (View::new(gy, c_out, len), View::t(p, fan_in, len));
+            gemm_acc_into(gy_b, p_b, &mut dw, q.start == 0);
             if let Some(gb) = &mut self.grad_bias {
                 for (b, row) in gb.iter_mut().zip(gy.chunks_exact(len)) {
                     for &v in row {
@@ -205,7 +201,6 @@ impl Layer for Conv2d {
         for (gw, &d) in self.grad_weight.iter_mut().zip(dw.iter()) {
             *gw += d;
         }
-        arena::recycle_f32(dw_block);
         arena::recycle_f32(dw);
         arena::recycle_f32(dp);
         arena::recycle_f32(gy);

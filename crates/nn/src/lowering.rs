@@ -11,9 +11,11 @@
 //!
 //! Feature-major is what makes the surrounding data movement cheap:
 //!
-//! * a patch row is built from **row runs** — for one tap, one output row
-//!   is one contiguous (stride 1) or strided run of one input row, so
-//!   patches are copied a run at a time, not gathered element by element;
+//! * a patch row is built a sample at a time — for one tap, a sample's
+//!   positions read its input plane shifted by a constant (stride 1,
+//!   output as wide as the input) or at a fixed stride, so each channel's
+//!   row is one plain pass per sample, the tap's clip against the padding
+//!   worked out once for all channels;
 //! * the product `W·P_b` is `c_out × positions`, i.e. channel-major: a
 //!   sample's share of it *is* its NCHW output planes, so results move in
 //!   and out of tensors by run copies too ([`gather_block`],
@@ -57,25 +59,6 @@ pub struct Geometry {
     pub ow: usize,
 }
 
-/// The part of one output row that falls inside a block: positions
-/// `ox..ox + len` of output row `oy` of sample `ni`, at column `at` of
-/// the block.
-struct RowRun {
-    ni: usize,
-    oy: usize,
-    ox: usize,
-    len: usize,
-    at: usize,
-}
-
-impl RowRun {
-    /// The run's columns that lie in `valid` (the others read padding).
-    fn clip(&self, valid: &Range<usize>) -> Range<usize> {
-        let lo = valid.start.clamp(self.ox, self.ox + self.len);
-        lo..valid.end.clamp(lo, self.ox + self.len)
-    }
-}
-
 impl Geometry {
     /// Geometry of a `k×k` / `stride` / `pad` convolution over `in_shape`.
     pub fn new(
@@ -113,37 +96,6 @@ impl Geometry {
         (self.n, self.c, self.h, self.w)
     }
 
-    /// The output-row runs covering positions `q`, in order.
-    fn row_runs(&self, q: Range<usize>) -> impl Iterator<Item = RowRun> {
-        let (oh, ow) = (self.oh, self.ow);
-        let (start, end) = (q.start, q.end);
-        let mut pos = start;
-        // (sample, output row, output column) of `pos`, advanced without
-        // dividing again.
-        let (mut ni, mut oy, mut ox) = (pos / (oh * ow), pos / ow % oh, pos % ow);
-        std::iter::from_fn(move || {
-            if pos >= end {
-                return None;
-            }
-            let len = (ow - ox).min(end - pos);
-            let run = RowRun {
-                ni,
-                oy,
-                ox,
-                len,
-                at: pos - start,
-            };
-            pos += len;
-            ox = 0;
-            oy += 1;
-            if oy == oh {
-                oy = 0;
-                ni += 1;
-            }
-            Some(run)
-        })
-    }
-
     /// Stride 1 and an output as wide as the input: output position `p` of
     /// a sample (`oy·ow + ox`) then reads input offset `p + (ky − pad)·w +
     /// (kx − pad)` for every tap, so a whole plane of patches is one
@@ -152,63 +104,156 @@ impl Geometry {
         self.stride == 1 && self.ow == self.w
     }
 
-    /// In shift geometry: the positions of `within` (a range inside one
-    /// sample's plane) from the first to the last that reads the image
-    /// under kernel row `ky` and columns `valid`. Positions outside read
-    /// padding; inside, only columns outside `valid` do.
-    fn shift_span(&self, ky: usize, valid: &Range<usize>, within: Range<usize>) -> Range<usize> {
-        let oy_lo = self.pad.saturating_sub(ky);
-        let oy_hi = (self.h + self.pad).saturating_sub(ky).min(self.oh);
-        if oy_lo >= oy_hi || valid.is_empty() {
-            return within.start..within.start;
+    /// Kernel offset `(ky, kx)` of patch row `tap % (k·k)`, with the
+    /// output rows and columns whose input pixel lies inside the image.
+    fn tap(&self, tap: usize) -> Tap {
+        let (ky, kx) = (tap / self.k % self.k, tap % self.k);
+        Tap {
+            ky,
+            kx,
+            rows: valid_out(self.h, self.oh, self.stride, self.pad, ky),
+            cols: valid_out(self.w, self.ow, self.stride, self.pad, kx),
         }
-        let first = oy_lo * self.ow + valid.start;
-        let last = (oy_hi - 1) * self.ow + valid.end;
-        let start = first.clamp(within.start, within.end);
-        start..last.clamp(start, within.end)
+    }
+}
+
+/// For kernel offset `kk` along one axis of an `input`-long image: the
+/// outputs `o < out` whose input `o·stride + kk − pad` lies inside it
+/// (the others read padding).
+fn valid_out(input: usize, out: usize, stride: usize, pad: usize, kk: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(kk).div_ceil(stride);
+    let hi = if input + pad > kk {
+        ((input + pad - kk - 1) / stride + 1).min(out)
+    } else {
+        0
+    };
+    lo..hi.max(lo)
+}
+
+/// A kernel offset `(ky, kx)` — one patch row per input channel — and the
+/// output rectangle `rows × cols` that reads the image under it; every
+/// other output position reads padding.
+struct Tap {
+    ky: usize,
+    kx: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl Tap {
+    /// Offset of this tap's row within a channel's `k·k` patch rows.
+    fn index(&self, g: &Geometry) -> usize {
+        self.ky * g.k + self.kx
     }
 
-    /// In shift geometry: zero the entries of `row` (positions `p0..`)
-    /// that lie in `span` but in a column outside `valid` — where the
-    /// shifted copy wrapped onto a neighbouring image row.
-    fn zero_wrapped_columns(
-        &self,
-        row: &mut [f32],
-        p0: usize,
-        span: &Range<usize>,
-        valid: &Range<usize>,
-    ) {
-        if span.is_empty() || (valid.start == 0 && valid.end == self.ow) {
-            return;
+    /// In shift geometry, for the positions `p0..p0 + run` of one sample's
+    /// plane: the part `lo..hi` (counted from `p0`) that lies between the
+    /// first and the last position reading the image, and the input
+    /// offset it starts at. Inside it only columns outside `cols` read
+    /// padding — there the shifted copy wraps onto a neighbouring row.
+    fn shift_span(&self, g: &Geometry, p0: usize, run: usize) -> (Range<usize>, usize) {
+        if self.rows.is_empty() || self.cols.is_empty() {
+            return (0..0, 0);
         }
-        for oy in span.start / self.ow..=(span.end - 1) / self.ow {
-            for ox in (0..valid.start).chain(valid.end..self.ow) {
-                let p = oy * self.ow + ox;
-                if span.contains(&p) {
-                    row[p - p0] = 0.0;
-                }
+        let first = self.rows.start * g.ow + self.cols.start;
+        let last = (self.rows.end - 1) * g.ow + self.cols.end;
+        let lo = first.clamp(p0, p0 + run);
+        let hi = last.clamp(lo, p0 + run);
+        if lo == hi {
+            return (0..0, 0);
+        }
+        // Position p reads input p + (ky − pad)·w + (kx − pad) ≥ 0 here.
+        let from = lo + self.ky * g.w + self.kx - g.pad * g.w - g.pad;
+        (lo - p0..hi - p0, from)
+    }
+
+    /// Whether a shifted copy wraps: some output columns read padding.
+    fn wraps(&self, g: &Geometry) -> bool {
+        self.cols != (0..g.ow)
+    }
+
+    /// Whether output column `ox` reads the image.
+    #[inline(always)]
+    fn keeps(&self, ox: u32) -> bool {
+        contains_u32(&self.cols, ox)
+    }
+
+    /// Outside shift geometry: for each of the first `len` positions of
+    /// `at`, the offset in its sample's channel plane of the pixel under
+    /// this tap, or `u32::MAX` where the tap reads padding.
+    fn sources(&self, g: &Geometry, at: &Outputs, len: usize) -> [u32; BLOCK] {
+        let (w, s) = (g.w as u32, g.stride as u32);
+        // (oy·s + ky − pad)·w + ox·s + kx − pad in wrapping arithmetic:
+        // exact wherever the tap reads the image, the plane being smaller
+        // than `u32::MAX`.
+        let (ky, kx, pad) = (self.ky as u32, self.kx as u32, g.pad as u32);
+        let base = (ky.wrapping_sub(pad))
+            .wrapping_mul(w)
+            .wrapping_add(kx.wrapping_sub(pad));
+        let mut src = [u32::MAX; BLOCK];
+        for ((j, &oy), &ox) in src[..len].iter_mut().zip(&at.oy).zip(&at.ox) {
+            let inside = contains_u32(&self.rows, oy) && contains_u32(&self.cols, ox);
+            let from = (oy.wrapping_mul(s).wrapping_mul(w))
+                .wrapping_add(ox.wrapping_mul(s))
+                .wrapping_add(base);
+            *j = if inside { from } else { u32::MAX };
+        }
+        src
+    }
+}
+
+/// `r.contains(&v)` as one wrapping compare, which vectorizes.
+#[inline(always)]
+fn contains_u32(r: &Range<usize>, v: u32) -> bool {
+    v.wrapping_sub(r.start as u32) < (r.end - r.start) as u32
+}
+
+/// Output row and column, within its sample's plane, of each position of
+/// one piece of a block (at most [`BLOCK`]): the tables a tap's pass
+/// selects by.
+struct Outputs {
+    oy: [u32; BLOCK],
+    ox: [u32; BLOCK],
+}
+
+impl Outputs {
+    fn new(g: &Geometry, q: &Range<usize>) -> Self {
+        let mut t = Outputs {
+            oy: [0; BLOCK],
+            ox: [0; BLOCK],
+        };
+        let within = q.start % (g.oh * g.ow);
+        let (mut oy, mut ox) = (within / g.ow, within % g.ow);
+        for (ty, tx) in t.oy[..q.len()].iter_mut().zip(&mut t.ox[..q.len()]) {
+            (*ty, *tx) = (oy as u32, ox as u32);
+            ox += 1;
+            if ox == g.ow {
+                ox = 0;
+                oy = if oy + 1 == g.oh { 0 } else { oy + 1 };
             }
         }
+        t
     }
+}
 
-    /// For kernel column `kx`: the output columns whose input column
-    /// `ox·stride + kx − pad` lies inside the image (the others read
-    /// padding).
-    fn valid_ox(&self, kx: usize) -> Range<usize> {
-        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
-        let hi = if self.w + self.pad > kx {
-            ((self.w + self.pad - kx - 1) / self.stride + 1).min(self.ow)
-        } else {
-            0
-        };
-        lo..hi.max(lo)
-    }
+/// Positions `q` cut into pieces of at most [`BLOCK`], each with its
+/// offset in `q`.
+fn chunks(q: &Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> {
+    let (start, end) = (q.start, q.end);
+    (start..end)
+        .step_by(BLOCK)
+        .map(move |s| (s..(s + BLOCK).min(end), s - start))
 }
 
 /// Build the patch block of positions `q`: `out` is the row-major
 /// `fan_in × q.len()` matrix whose row `(ci·k + ky)·k + kx` holds, for
 /// each position, the input value under that kernel tap (zero where the
 /// tap reads padding). Every element of `out` is written.
+///
+/// A tap's clip is worked out once per [`BLOCK`] positions; then each
+/// channel's patch row takes one pass per sample: in shift geometry a
+/// copy of the plane, shifted, its wrapped columns selected to zero in
+/// the same loop; otherwise a gather through the tap's source table.
 pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, out: &mut [f32]) {
     assert_eq!(input.shape(), g.in_shape(), "input does not match geometry");
     assert!(
@@ -217,49 +262,47 @@ pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, out: &mut [
     );
     let len = q.len();
     assert_eq!(out.len(), g.fan_in() * len, "patch block length mismatch");
-    let (c, h, w, k, s, pad) = (g.c, g.h, g.w, g.k, g.stride, g.pad);
+    let (c, kk, hw) = (g.c, g.k * g.k, g.h * g.w);
+    assert!(
+        hw < u32::MAX as usize,
+        "input plane too large for u32 offsets"
+    );
     let x = input.as_slice();
-    for (tap, row) in out.chunks_exact_mut(len).enumerate() {
-        let (ci, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-        let valid = g.valid_ox(kx);
-        if g.is_shift() {
-            // One copy per sample: the tap's row is the plane, shifted.
-            for (ni, p0, run, at) in plane_runs(g.oh * g.ow, q.clone()) {
-                let dst = &mut row[at..at + run];
-                let span = g.shift_span(ky, &valid, p0..p0 + run);
-                if span.is_empty() {
-                    dst.fill(0.0);
+    for (part, off) in chunks(&q) {
+        let outputs = Outputs::new(g, &part);
+        for t in (0..kk).map(|tap| g.tap(tap)) {
+            let row = t.index(g) * len + off;
+            let sources = (!g.is_shift()).then(|| t.sources(g, &outputs, part.len()));
+            for (ni, p0, run, at) in plane_runs(g.oh * g.ow, part.clone()) {
+                let dsts = per_channel_mut(out, kk * len, row + at..row + at + run);
+                let channels = dsts.zip(x[ni * c * hw..(ni + 1) * c * hw].chunks_exact(hw));
+                if let Some(sources) = &sources {
+                    let sources = &sources[at..at + run];
+                    for (dst, plane) in channels {
+                        for (d, &j) in dst.iter_mut().zip(sources) {
+                            *d = plane.get(j as usize).copied().unwrap_or(0.0);
+                        }
+                    }
                     continue;
                 }
-                dst[..span.start - p0].fill(0.0);
-                dst[span.end - p0..].fill(0.0);
-                let plane = &x[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
-                // Source of position p: p + (ky − pad)·w + (kx − pad).
-                let from = span.start + ky * w + kx - pad * w - pad;
-                dst[span.start - p0..span.end - p0]
-                    .copy_from_slice(&plane[from..from + span.len()]);
-                g.zero_wrapped_columns(dst, p0, &span, &valid);
-            }
-            continue;
-        }
-        for run in g.row_runs(q.clone()) {
-            let dst = &mut row[run.at..run.at + run.len];
-            let iy = run.oy * s + ky;
-            if iy < pad || iy - pad >= h {
-                dst.fill(0.0);
-                continue;
-            }
-            let base = ((run.ni * c + ci) * h + iy - pad) * w;
-            let src = &x[base..base + w];
-            let Range { start: lo, end: hi } = run.clip(&valid);
-            dst[..lo - run.ox].fill(0.0);
-            dst[hi - run.ox..].fill(0.0);
-            let mid = &mut dst[lo - run.ox..hi - run.ox];
-            if s == 1 {
-                mid.copy_from_slice(&src[lo + kx - pad..hi + kx - pad]);
-            } else {
-                for (d, ox) in mid.iter_mut().zip(lo..hi) {
-                    *d = src[ox * s + kx - pad];
+                let (span, from) = t.shift_span(g, p0, run);
+                let keep = t
+                    .wraps(g)
+                    .then(|| &outputs.ox[at + span.start..at + span.end]);
+                for (dst, plane) in channels {
+                    let (head, rest) = dst.split_at_mut(span.start);
+                    let (mid, tail) = rest.split_at_mut(span.len());
+                    head.fill(0.0);
+                    tail.fill(0.0);
+                    let src = &plane[from..from + mid.len()];
+                    match keep {
+                        None => mid.copy_from_slice(src),
+                        Some(keep) => {
+                            for ((d, &v), &ox) in mid.iter_mut().zip(src).zip(keep) {
+                                *d = if t.keeps(ox) { v } else { 0.0 };
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -267,15 +310,18 @@ pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, out: &mut [
 }
 
 /// Scatter-add a patch-gradient block back onto the input gradient: the
-/// adjoint of [`build_patches`]. `dp` is `fan_in × q.len()` and is used
-/// up as scratch; `dx` must already have the input's shape (zeroed
-/// before the first block).
+/// adjoint of [`build_patches`]. `dp` is `fan_in × q.len()`; `dx` must
+/// already have the input's shape (zeroed before the first block).
 ///
 /// Taps are walked in descending `(ky, kx)` order, which makes each input
 /// pixel receive its contributions in ascending `(oy, ox)` order — block
 /// after block, the order of a position-by-position scatter over the
-/// whole batch, so the sums round identically.
-pub fn scatter_patches(dp: &mut [f32], g: &Geometry, q: Range<usize>, dx: &mut Tensor4) {
+/// whole batch, so the sums round identically. A tap adds one pass per
+/// channel and sample in shift geometry, one per output row otherwise;
+/// pixels a pass crosses without a contribution get `+0.0` (the wrapped
+/// columns of a shifted pass, the pixel between two targets of a stride-2
+/// row), which leaves every sum that starts from `+0.0` unchanged.
+pub fn scatter_patches(dp: &[f32], g: &Geometry, q: Range<usize>, dx: &mut Tensor4) {
     assert_eq!(dx.shape(), g.in_shape(), "gradient does not match geometry");
     assert!(
         q.end <= g.positions() && !q.is_empty(),
@@ -283,52 +329,52 @@ pub fn scatter_patches(dp: &mut [f32], g: &Geometry, q: Range<usize>, dx: &mut T
     );
     let len = q.len();
     assert_eq!(dp.len(), g.fan_in() * len, "patch block length mismatch");
-    let (c, h, w, k, s, pad) = (g.c, g.h, g.w, g.k, g.stride, g.pad);
+    let (c, kk, hw, w, s, pad) = (g.c, g.k * g.k, g.h * g.w, g.w, g.stride, g.pad);
     let x = dx.as_mut_slice();
-    for ci in 0..c {
-        for ky in (0..k).rev() {
-            for kx in (0..k).rev() {
-                let tap = (ci * k + ky) * k + kx;
-                let row = &mut dp[tap * len..(tap + 1) * len];
-                let valid = g.valid_ox(kx);
+    for (part, off) in chunks(&q) {
+        let outputs = Outputs::new(g, &part);
+        for t in (0..kk).rev().map(|tap| g.tap(tap)) {
+            let row = t.index(g) * len + off;
+            for (ni, p0, run, at) in plane_runs(g.oh * g.ow, part.clone()) {
+                let planes = &mut x[ni * c * hw..(ni + 1) * c * hw];
+                // Positions `r` of this run in each channel's row of `dp`.
+                let srcs = |r: Range<usize>| {
+                    let r = row + at + r.start..row + at + r.end;
+                    dp.chunks_exact(kk * len).map(move |taps| &taps[r.clone()])
+                };
                 if g.is_shift() {
-                    for (ni, p0, run, at) in plane_runs(g.oh * g.ow, q.clone()) {
-                        let src = &mut row[at..at + run];
-                        let span = g.shift_span(ky, &valid, p0..p0 + run);
-                        if span.is_empty() {
-                            continue;
-                        }
-                        // Padding taps contribute nothing: zero them and
-                        // add the span in one run (x + 0.0 is x).
-                        g.zero_wrapped_columns(src, p0, &span, &valid);
-                        let plane = &mut x[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
-                        let to = span.start + ky * w + kx - pad * w - pad;
-                        for (d, &v) in plane[to..to + span.len()]
-                            .iter_mut()
-                            .zip(&src[span.start - p0..span.end - p0])
-                        {
-                            *d += v;
+                    let (span, to) = t.shift_span(g, p0, run);
+                    let keep = t
+                        .wraps(g)
+                        .then(|| &outputs.ox[at + span.start..at + span.end]);
+                    for (src, plane) in srcs(span).zip(planes.chunks_exact_mut(hw)) {
+                        let dst = &mut plane[to..to + src.len()];
+                        match keep {
+                            None => {
+                                for (d, &v) in dst.iter_mut().zip(src) {
+                                    *d += v;
+                                }
+                            }
+                            Some(keep) => {
+                                for ((d, &v), &ox) in dst.iter_mut().zip(src).zip(keep) {
+                                    *d += if t.keeps(ox) { v } else { 0.0 };
+                                }
+                            }
                         }
                     }
                     continue;
                 }
-                for run in g.row_runs(q.clone()) {
-                    let iy = run.oy * s + ky;
-                    if iy < pad || iy - pad >= h {
+                for (oy, ox0, n, i) in rows_of(g, p0, run) {
+                    let (lo, hi) = (t.cols.start.max(ox0), t.cols.end.min(ox0 + n));
+                    if !t.rows.contains(&oy) || lo >= hi {
                         continue;
                     }
-                    let base = ((run.ni * c + ci) * h + iy - pad) * w;
-                    let dst = &mut x[base..base + w];
-                    let Range { start: lo, end: hi } = run.clip(&valid);
-                    let mid = &row[run.at + lo - run.ox..run.at + hi - run.ox];
-                    if s == 1 {
-                        for (d, &v) in dst[lo + kx - pad..hi + kx - pad].iter_mut().zip(mid) {
-                            *d += v;
-                        }
-                    } else {
-                        for (&v, ox) in mid.iter().zip(lo..hi) {
-                            dst[ox * s + kx - pad] += v;
-                        }
+                    let to = (oy * s + t.ky - pad) * w + lo * s + t.kx - pad;
+                    let span = (hi - lo - 1) * s + 1;
+                    for (src, plane) in
+                        srcs(i + lo - ox0..i + hi - ox0).zip(planes.chunks_exact_mut(hw))
+                    {
+                        strided_add(&mut plane[to..to + span], src, s);
                     }
                 }
             }
@@ -336,20 +382,71 @@ pub fn scatter_patches(dp: &mut [f32], g: &Geometry, q: Range<usize>, dx: &mut T
     }
 }
 
+/// `dst[m·s] += src[m]` for every `m` (`dst` is `(src.len() − 1)·s + 1`
+/// long). At stride 2 the pixel between two targets gets `+0.0`, so the
+/// loop is a run of whole pairs.
+fn strided_add(dst: &mut [f32], src: &[f32], s: usize) {
+    match s {
+        2 => {
+            let (last, pairs) = src.split_last().expect("a row adds at least one pixel");
+            for (pair, &v) in dst.chunks_exact_mut(2).zip(pairs) {
+                pair[0] += v;
+                pair[1] += 0.0;
+            }
+            dst[dst.len() - 1] += last;
+        }
+        _ => {
+            for (d, &v) in dst.chunks_mut(s).zip(src) {
+                d[0] += v;
+            }
+        }
+    }
+}
+
+/// The output rows of a sample's positions `p0..p0 + run`: `(oy, first
+/// column, length, offset from p0)` per row.
+fn rows_of(
+    g: &Geometry,
+    p0: usize,
+    run: usize,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let ow = g.ow;
+    let (mut oy, mut ox0, mut i) = (p0 / ow, p0 % ow, 0);
+    std::iter::from_fn(move || {
+        if i >= run {
+            return None;
+        }
+        let n = (ow - ox0).min(run - i);
+        let row = (oy, ox0, n, i);
+        (oy, ox0, i) = (oy + 1, 0, i + n);
+        Some(row)
+    })
+}
+
+/// Columns `cols` of each `group`-long piece of `data`: one channel's
+/// patch row over some positions, for every channel.
+fn per_channel_mut(
+    data: &mut [f32],
+    group: usize,
+    cols: Range<usize>,
+) -> impl Iterator<Item = &mut [f32]> {
+    data.chunks_exact_mut(group)
+        .map(move |g| &mut g[cols.clone()])
+}
+
 /// The runs of positions `q` that fall inside single samples:
 /// `(sample, first position within the sample's plane, length, column
 /// in the block)`.
 fn plane_runs(plane: usize, q: Range<usize>) -> impl Iterator<Item = (usize, usize, usize, usize)> {
     let (start, end) = (q.start, q.end);
-    let mut pos = start;
+    let (mut pos, mut ni, mut within) = (start, start / plane, start % plane);
     std::iter::from_fn(move || {
         if pos >= end {
             return None;
         }
-        let (ni, within) = (pos / plane, pos % plane);
         let len = (plane - within).min(end - pos);
         let run = (ni, within, len, pos - start);
-        pos += len;
+        (pos, ni, within) = (pos + len, ni + 1, 0);
         Some(run)
     })
 }
@@ -477,25 +574,41 @@ mod tests {
 
     #[test]
     fn blocks_need_not_align_with_rows_or_samples() {
-        // Any cut of the position range yields the same patch columns.
+        // Any cut of the position range yields the same patch columns, and
+        // scattering the pieces in order the same input gradient, bit for
+        // bit — across more than one BLOCK, too.
         let mut rng = Rng64::new(1);
-        let x = random_tensor((3, 2, 5, 7), &mut rng);
+        let x = random_tensor((7, 2, 5, 7), &mut rng);
+        let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (k, stride, pad) in [(3, 1, 1), (3, 2, 1), (1, 2, 0), (3, 1, 0)] {
             let g = Geometry::new(x.shape(), k, stride, pad);
             let (f, total) = (g.fan_in(), g.positions());
             let mut whole = vec![f32::NAN; f * total];
             build_patches(&x, &g, 0..total, &mut whole);
+            let dp: Vec<f32> = (0..f * total).map(|_| rng.normal_f32()).collect();
+            let mut dx_whole = Tensor4::zeros(7, 2, 5, 7);
+            scatter_patches(&dp, &g, 0..total, &mut dx_whole);
             for cut in [1, 4, total / 2, total - 1] {
+                let mut dx = Tensor4::zeros(7, 2, 5, 7);
                 for q in [0..cut, cut..total] {
                     let mut part = vec![f32::NAN; f * q.len()];
                     build_patches(&x, &g, q.clone(), &mut part);
+                    let mut dp_part = vec![0.0; f * q.len()];
                     for tap in 0..f {
                         assert_eq!(
                             part[tap * q.len()..(tap + 1) * q.len()],
                             whole[tap * total + q.start..tap * total + q.end]
                         );
+                        dp_part[tap * q.len()..(tap + 1) * q.len()]
+                            .copy_from_slice(&dp[tap * total + q.start..tap * total + q.end]);
                     }
+                    scatter_patches(&dp_part, &g, q, &mut dx);
                 }
+                assert_eq!(
+                    bits(&dx),
+                    bits(&dx_whole),
+                    "k={k} stride={stride} cut={cut}"
+                );
             }
         }
     }
@@ -512,7 +625,7 @@ mod tests {
             build_patches(&x, &g, 0..g.positions(), &mut fx);
             let y: Vec<f32> = (0..len).map(|_| rng.normal_f32()).collect();
             let mut aty = Tensor4::zeros(2, 2, 4, 5);
-            scatter_patches(&mut y.clone(), &g, 0..g.positions(), &mut aty);
+            scatter_patches(&y, &g, 0..g.positions(), &mut aty);
             let dot = |a: &[f32], b: &[f32]| -> f64 {
                 a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum()
             };

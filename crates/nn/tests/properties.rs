@@ -321,10 +321,24 @@ fn check_conv_against_oracle(
     y.len() / c_out
 }
 
+/// `(n, h, w)` of a property-test convolution, from a family and three
+/// raw draws: half the cases batches of up to 7 over 4–11 planes (up to
+/// four blocks with ragged ends); then planes of side 1–3 in batches of up
+/// to 40, so one block holds many whole samples (`kfac_steady`'s last
+/// stage runs 2×2 planes); then 16–17 planes, each sample spanning blocks.
+fn conv_shape((family, n, h, w): (usize, usize, usize, usize)) -> (usize, usize, usize) {
+    match family {
+        0 | 1 => (1 + n % 7, 4 + h % 8, 4 + w % 8),
+        2 => (1 + n, 1 + h % 3, 1 + w % 3),
+        _ => (1 + n % 3, 16 + h % 2, 16 + w % 2),
+    }
+}
+
 /// Batches that do not divide the block: the first block boundary falls
-/// inside a sample and inside an output row (405 = 256 + 149 positions,
-/// 256 = 3·81 + 13), at a sample boundary of a strided layer, and in a
-/// pointwise projection.
+/// inside a sample and inside an output row (405 = 3·128 + 21 positions,
+/// 128 = 81 + 47), at a sample boundary of a strided layer, in a
+/// pointwise projection, after 32 whole 2×2 samples, and inside a 16×17
+/// plane downsampled by stride 2.
 #[test]
 fn conv_matches_im2col_across_ragged_block_boundaries() {
     for pool in [1, 2] {
@@ -334,6 +348,8 @@ fn conv_matches_im2col_across_ragged_block_boundaries() {
             ((2, 5), (3, 2, 1), (19, 7, 9)),
             ((4, 3), (1, 2, 0), (7, 13, 11)),
             ((2, 2), (3, 1, 0), (6, 10, 9)),
+            ((4, 3), (3, 1, 1), (41, 2, 2)),
+            ((3, 2), (3, 2, 1), (3, 16, 17)),
         ] {
             for bias in [false, true] {
                 let positions = check_conv_against_oracle(chans, kernel, shape, bias, 99);
@@ -370,22 +386,26 @@ proptest! {
 
     /// The blocked lowering equals the whole-batch im2col lowering (see
     /// `check_conv_against_oracle` for the bounds) over k ∈ {1, 3},
-    /// stride ∈ {1, 2}, pad ∈ {0, 1}, odd and even H/W, bias on/off,
-    /// pool sizes 1 and 2, and batches of up to 7·11·11 positions, so
-    /// one to four blocks with ragged ends.
+    /// stride ∈ {1, 2}, pad ∈ {0, 1, 2} (2 pads past "same": whole rows
+    /// and columns of padding), odd and even H/W, bias on/off,
+    /// pool sizes 1 and 2, and the plane sizes of [`conv_shape`]: one to
+    /// four blocks with ragged ends, blocks that each hold many whole
+    /// samples, and samples that each span blocks.
     #[test]
     fn blocked_conv_equals_im2col_conv(
         chans in (1usize..5, 1usize..5),
         k3 in any::<bool>(),
         stride in 1usize..3,
-        pad in 0usize..2,
-        shape in (1usize..8, 4usize..12, 4usize..12),
+        pad in 0usize..3,
+        shape in (0usize..4, 0usize..40, 0usize..64, 0usize..64).prop_map(conv_shape),
         bias in any::<bool>(),
         pool in 1usize..3,
         seed in any::<u64>(),
     ) {
         rayon::set_pool_threads(pool);
         let k = if k3 { 3 } else { 1 };
+        let (_, h, w) = shape;
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         check_conv_against_oracle(chans, (k, stride, pad), shape, bias, seed);
     }
 

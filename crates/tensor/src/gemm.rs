@@ -209,6 +209,16 @@ pub fn gemm_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32]) {
     gemm_impl(a, b, out, false, true);
 }
 
+/// One piece of a product whose reduction dimension arrives in pieces:
+/// `a · b` is stored into `out` when `first`, and added to what `out`
+/// holds otherwise — the store-or-add the `KC` loop does between its own
+/// blocks, carried across calls. Pieces that are multiples of [`KC`]
+/// deep, fed in ascending order, therefore leave the bits one
+/// [`gemm_into`] over the whole reduction computes.
+pub fn gemm_acc_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32], first: bool) {
+    gemm_impl(a, b, out, false, first);
+}
+
 /// Like [`gemm_into`] for a product known to be symmetric (a Gram
 /// product `XᵀX` or `XXᵀ`): only tiles touching or above the diagonal
 /// are computed, then the strict upper triangle is mirrored onto the
@@ -937,6 +947,42 @@ mod tests {
     fn upper_pieces_plus_one_mirror_equal_one_symmetric_call() {
         upper_pieces_match_one_call::<f32>();
         upper_pieces_match_one_call::<u16>();
+    }
+
+    /// `gemm_acc_into` over `KC`-deep pieces of the reduction (the last
+    /// one ragged) against one `gemm_into` over all of it, in the weight
+    /// gradient's shape `gy · Pᵀ` with each piece a feature-major block.
+    #[test]
+    fn acc_pieces_equal_one_call() {
+        let mut rng = Rng64::new(10);
+        let k = 3 * KC + 37;
+        // Both sides of the small-product cutoff.
+        for (m, n) in [(3, 5), (16, 27), (32, 288), (65, 145)] {
+            let gy = random::<f32>(m * k, &mut rng);
+            let p = random::<f32>(n * k, &mut rng);
+            // Columns k0..k0 + len of a row-major `rows × k` matrix.
+            let piece = |x: &[f32], rows: usize, k0: usize, len: usize| -> Vec<f32> {
+                (0..rows)
+                    .flat_map(|r| x[r * k + k0..r * k + k0 + len].to_vec())
+                    .collect()
+            };
+            for pool in [1, 2] {
+                rayon::set_pool_threads(pool);
+                let mut acc = vec![f32::NAN; m * n];
+                for k0 in (0..k).step_by(KC) {
+                    let len = KC.min(k - k0);
+                    let (g, q) = (piece(&gy, m, k0, len), piece(&p, n, k0, len));
+                    gemm_acc_into(
+                        View::new(&g, m, len),
+                        View::t(&q, n, len),
+                        &mut acc,
+                        k0 == 0,
+                    );
+                }
+                let one = product(View::new(&gy, m, k), View::t(&p, n, k));
+                assert_eq!(bits(&acc), bits(&one), "m={m} n={n} pool={pool}");
+            }
+        }
     }
 
     #[test]

@@ -36,11 +36,6 @@ pub fn kron(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Row-major vectorization `vec(X)`: rows of `X` concatenated.
-pub fn vec_rowmajor(x: &Matrix) -> Vec<f32> {
-    x.as_slice().to_vec()
-}
-
 /// Apply `(A ⊗ B)` to `vec(X)` *without* materializing the Kronecker
 /// product, via the identity `(A ⊗ B) vec(X) = vec(A X Bᵀ)` (row-major
 /// vec). `X` must be `A.cols() × B.cols()`.
@@ -106,10 +101,10 @@ mod tests {
         let b = random(2, 5, &mut rng);
         let x = random(4, 5, &mut rng);
         let fast = kron_matvec(&a, &b, &x);
-        let dense = kron(&a, &b).matvec(&vec_rowmajor(&x));
-        let fast_vec = vec_rowmajor(&fast);
+        // Row-major storage is the row-major vec(X).
+        let dense = kron(&a, &b).matvec(x.as_slice());
         assert_eq!(fast.shape(), (3, 2));
-        for (f, d) in fast_vec.iter().zip(&dense) {
+        for (f, d) in fast.as_slice().iter().zip(&dense) {
             assert!((f - d).abs() < 1e-4, "{} vs {}", f, d);
         }
     }
