@@ -137,8 +137,8 @@ pub struct LayerCase {
     pub side: usize,
     /// Training forward + backward of the layer, ns per iteration.
     pub layer_ns: f64,
-    /// Sum of the packed timings of the layer's forward, weight-gradient
-    /// and input-gradient GEMM rows (`rn32_{conv,dw,dx}_<stage>`).
+    /// The layer's forward, weight-gradient and input-gradient products
+    /// as three bare GEMMs of its `rn32_{conv,dw,dx}_<stage>` row shapes.
     pub gemm_ns: f64,
     /// A factor iteration of the layer: forward, capturing backward (the
     /// factor Grams summed block by block) and `compute_factors`.
@@ -152,6 +152,13 @@ pub struct LayerCase {
     pub build_ns: f64,
     /// … and `scatter_patches`.
     pub scatter_ns: f64,
+    /// Layer time over the time of its bare GEMMs (1.0 = free lowering);
+    /// the CI `perf` job fails above 1.8.
+    pub over_gemm: f64,
+    /// Factor-iteration time over its three bare GEMMs plus its two bare
+    /// Grams (1.0 = free lowering *and* free block-wise factor sums); the
+    /// CI `perf` job fails above 2.0.
+    pub capture_over_gemm: f64,
 }
 
 impl LayerCase {
@@ -164,17 +171,6 @@ impl LayerCase {
     /// Effective rate of the whole layer over its GEMM FLOPs.
     pub fn gflops(&self) -> f64 {
         2.0 * self.madds() as f64 / self.layer_ns
-    }
-    /// Layer time over the time of its bare GEMMs (1.0 = free lowering);
-    /// the CI `perf` job fails above 1.8.
-    pub fn over_gemm(&self) -> f64 {
-        self.layer_ns / self.gemm_ns
-    }
-    /// Factor-iteration time over its three bare GEMMs plus its two bare
-    /// Grams (1.0 = free lowering *and* free block-wise factor sums); the
-    /// CI `perf` job fails above 2.0.
-    pub fn capture_over_gemm(&self) -> f64 {
-        self.capture_ns / (self.gemm_ns + self.gram_ns)
     }
 }
 
@@ -191,9 +187,15 @@ pub const LAYER_CASES: [(&str, &str, usize, usize, usize, usize); 5] = [
     ("rn32_layer_d2", "d2", 16, 32, 2, 32),
 ];
 
-/// Time one `Conv2d` forward + backward per stage, plain and capturing;
-/// `cases` supplies the bare GEMM timings of the same run.
-pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
+/// Paired repetitions per conv layer: each times the layer, its three
+/// bare GEMMs, the factor iteration and its two bare Grams back to back,
+/// so a ratio divides timings taken seconds apart, not a minute apart;
+/// every reported value is the median over the reps.
+const LAYER_REPS: usize = 5;
+
+/// Time one `Conv2d` forward + backward per stage, plain and capturing,
+/// beside its bare GEMMs and Grams in paired reps ([`LAYER_REPS`]).
+pub fn run_layers() -> Vec<LayerCase> {
     const BATCH: usize = 8;
     let mut rng = Rng64::new(0x1A7E5);
     let random_tensor = |c: usize, side: usize, rng: &mut Rng64| {
@@ -201,6 +203,7 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
         let data = (0..len).map(|_| rng.normal_f32()).collect();
         Tensor4::from_vec(BATCH, c, side, side, data)
     };
+    let all = cases();
     LAYER_CASES
         .into_iter()
         .map(|(name, stage, channels, out_channels, stride, side)| {
@@ -216,38 +219,58 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
             );
             let x = random_tensor(channels, side, &mut rng);
             let gy = random_tensor(out_channels, side / stride, &mut rng);
-            let layer_ns = time_ns(|| {
-                std::hint::black_box(conv.forward(&x, Mode::Train));
-                std::hint::black_box(conv.backward(&gy));
-            });
-            conv.set_capture(true);
-            let capture_ns = time_ns(|| {
-                std::hint::black_box(conv.forward(&x, Mode::Train));
-                std::hint::black_box(conv.backward(&gy));
-                let (a, g) = conv.compute_factors();
-                kfac_tensor::arena::recycle_matrix(a);
-                kfac_tensor::arena::recycle_matrix(g);
-            });
             let g = Geometry::new(x.shape(), 3, stride, 1);
             let positions = g.positions();
-            let (build_ns, scatter_ns) = time_lowering(&x, &g, &mut rng);
-            let mut scratch = Matrix::zeros(1, 1);
-            let gram_ns: f64 = [9 * channels, out_channels]
-                .into_iter()
-                .map(|features| {
-                    let rows = random_matrix(positions, features, &mut rng);
-                    time_ns(|| rows.gram_into(&mut scratch))
-                })
-                .sum();
-            let gemm_ns = ["conv", "dw", "dx"]
+            let gemms: Vec<Operands> = ["conv", "dw", "dx"]
                 .iter()
                 .map(|product| {
                     let row = format!("rn32_{product}_{stage}");
-                    let case = cases.iter().find(|c| c.name == row);
-                    case.unwrap_or_else(|| panic!("no GEMM row {row}"))
-                        .packed_ns
+                    let case = all.iter().find(|c| c.0 == row);
+                    let &(_, kind, m, k, n) = case.unwrap_or_else(|| panic!("no GEMM row {row}"));
+                    Operands::random(kind, m, k, n, &mut rng)
                 })
-                .sum();
+                .collect();
+            let grams: Vec<Matrix> = [9 * channels, out_channels]
+                .into_iter()
+                .map(|features| random_matrix(positions, features, &mut rng))
+                .collect();
+            let mut scratch = Matrix::zeros(1, 1);
+            let mut reps: [Vec<f64>; 6] = Default::default();
+            for _ in 0..LAYER_REPS {
+                conv.set_capture(false);
+                let layer_ns = time_ns(|| {
+                    std::hint::black_box(conv.forward(&x, Mode::Train));
+                    std::hint::black_box(conv.backward(&gy));
+                });
+                let gemm_ns: f64 = gemms.iter().map(|o| time_ns(|| o.run(&mut scratch))).sum();
+                conv.set_capture(true);
+                let capture_ns = time_ns(|| {
+                    std::hint::black_box(conv.forward(&x, Mode::Train));
+                    std::hint::black_box(conv.backward(&gy));
+                    let (a, g) = conv.compute_factors();
+                    kfac_tensor::arena::recycle_matrix(a);
+                    kfac_tensor::arena::recycle_matrix(g);
+                });
+                let gram_ns: f64 = grams
+                    .iter()
+                    .map(|r| time_ns(|| r.gram_into(&mut scratch)))
+                    .sum();
+                let values = [
+                    layer_ns,
+                    gemm_ns,
+                    capture_ns,
+                    gram_ns,
+                    layer_ns / gemm_ns,
+                    capture_ns / (gemm_ns + gram_ns),
+                ];
+                for (rep, v) in reps.iter_mut().zip(values) {
+                    rep.push(v);
+                }
+            }
+            std::hint::black_box(&scratch);
+            let [layer_ns, gemm_ns, capture_ns, gram_ns, over_gemm, capture_over_gemm] =
+                reps.map(median);
+            let (build_ns, scatter_ns) = time_lowering(&x, &g, &mut rng);
             LayerCase {
                 name,
                 channels,
@@ -261,6 +284,8 @@ pub fn run_layers(cases: &[BenchCase]) -> Vec<LayerCase> {
                 gram_ns,
                 build_ns,
                 scatter_ns,
+                over_gemm,
+                capture_over_gemm,
             }
         })
         .collect()
@@ -327,67 +352,65 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
+/// Random operands of one case's product, `a` and `b` (empty for the
+/// Grams), with its multiply-add count.
+struct Operands {
+    kind: Kind,
+    a: Matrix,
+    b: Matrix,
+    madds: u64,
+}
+
+impl Operands {
+    fn random(kind: Kind, m: usize, k: usize, n: usize, rng: &mut Rng64) -> Operands {
+        let mut random = |r, c| random_matrix(r, c, rng);
+        let (a, b, madds) = match kind {
+            Kind::Matmul => (random(m, k), random(k, n), m * k * n),
+            Kind::MatmulTn => (random(k, m), random(k, n), m * k * n),
+            Kind::MatmulNt => (random(m, k), random(n, k), m * k * n),
+            // X is k×n; count only the computed triangle.
+            Kind::Gram => (random(k, n), Matrix::zeros(0, 0), k * n * (n + 1) / 2),
+            Kind::GramNt => (random(m, k), Matrix::zeros(0, 0), k * m * (m + 1) / 2),
+        };
+        let madds = madds as u64;
+        Operands { kind, a, b, madds }
+    }
+
+    /// One f32 product into `out`.
+    fn run(&self, out: &mut Matrix) {
+        let (a, b) = (&self.a, &self.b);
+        match self.kind {
+            Kind::Matmul => a.matmul_into(b, out),
+            Kind::MatmulTn => a.matmul_tn_into(b, out),
+            Kind::MatmulNt => a.matmul_nt_into(b, out),
+            Kind::Gram => a.gram_into(out),
+            Kind::GramNt => a.gram_nt_into(out),
+        }
+    }
+}
+
 /// Run the full suite.
 pub fn run_all() -> Vec<BenchCase> {
     let mut rng = Rng64::new(0x5EED);
     let mut out = Vec::new();
     for (name, kind, m, k, n) in cases() {
-        let (a, b, madds);
-        match kind {
-            Kind::Matmul => {
-                a = random_matrix(m, k, &mut rng);
-                b = random_matrix(k, n, &mut rng);
-                madds = (m * k * n) as u64;
-            }
-            Kind::MatmulTn => {
-                a = random_matrix(k, m, &mut rng);
-                b = random_matrix(k, n, &mut rng);
-                madds = (m * k * n) as u64;
-            }
-            Kind::MatmulNt => {
-                a = random_matrix(m, k, &mut rng);
-                b = random_matrix(n, k, &mut rng);
-                madds = (m * k * n) as u64;
-            }
-            Kind::Gram => {
-                // X is k×n; count only the computed triangle.
-                a = random_matrix(k, n, &mut rng);
-                b = Matrix::zeros(0, 0);
-                madds = (k * n * (n + 1) / 2) as u64;
-            }
-            Kind::GramNt => {
-                a = random_matrix(m, k, &mut rng);
-                b = Matrix::zeros(0, 0);
-                madds = (k * m * (m + 1) / 2) as u64;
-            }
-        }
-
+        let ops = Operands::random(kind, m, k, n, &mut rng);
+        let (a, b, madds) = (&ops.a, &ops.b, ops.madds);
         let mut scratch = Matrix::zeros(1, 1);
-        let packed_ns = time_ns(|| match kind {
-            Kind::Matmul => a.matmul_into(&b, &mut scratch),
-            Kind::MatmulTn => a.matmul_tn_into(&b, &mut scratch),
-            Kind::MatmulNt => a.matmul_nt_into(&b, &mut scratch),
-            Kind::Gram => a.gram_into(&mut scratch),
-            Kind::GramNt => a.gram_nt_into(&mut scratch),
-        });
+        let packed_ns = time_ns(|| ops.run(&mut scratch));
         // bf16 rows for three kinds: Gram (activation factors), GramNt
         // (gradient factors, via the full-matrix A·Aᵀ product), and
         // MatmulNt (conv forward).
         // Interleaved paired reps; see BF16_REPS.
         let bf16 = match kind {
             Kind::Gram | Kind::GramNt | Kind::MatmulNt => {
-                let ha = HalfMatrix::from_matrix(&a);
-                let hb = matches!(kind, Kind::MatmulNt).then(|| HalfMatrix::from_matrix(&b));
+                let ha = HalfMatrix::from_matrix(a);
+                let hb = matches!(kind, Kind::MatmulNt).then(|| HalfMatrix::from_matrix(b));
                 let mut out16 = Matrix::zeros(1, 1);
                 let mut ns16 = Vec::with_capacity(BF16_REPS);
                 let mut ratios = Vec::with_capacity(BF16_REPS);
                 for _ in 0..BF16_REPS {
-                    let t32 = time_ns(|| match kind {
-                        Kind::Gram => a.gram_into(&mut scratch),
-                        Kind::GramNt => a.gram_nt_into(&mut scratch),
-                        Kind::MatmulNt => a.matmul_nt_into(&b, &mut scratch),
-                        _ => unreachable!(),
-                    });
+                    let t32 = time_ns(|| ops.run(&mut scratch));
                     let t16 = time_ns(|| match kind {
                         Kind::Gram => ha.gram_into(&mut out16),
                         Kind::GramNt => ha.matmul_nt_into(&ha, &mut out16),
@@ -475,10 +498,10 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
             l.gemm_ns,
             l.build_ns + l.scatter_ns,
             l.gflops(),
-            l.over_gemm(),
+            l.over_gemm,
             l.capture_ns,
             l.gram_ns,
-            l.capture_over_gemm()
+            l.capture_over_gemm
         ));
     }
     s
@@ -542,10 +565,10 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
             l.build_ns,
             l.scatter_ns,
             l.gflops(),
-            l.over_gemm(),
+            l.over_gemm,
             l.capture_ns,
             l.gram_ns,
-            l.capture_over_gemm(),
+            l.capture_over_gemm,
             if i + 1 < layers.len() { "," } else { "" }
         ));
     }
@@ -566,8 +589,8 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         "  \"max_bf16_over_f32\": {:.3},\n  \"max_layer_over_gemm\": {:.3},\n  \
          \"max_capture_over_gemm\": {:.3},\n  \"pool_threads\": {}\n}}\n",
         bf16_gate,
-        worst(LayerCase::over_gemm),
-        worst(LayerCase::capture_over_gemm),
+        worst(|l| l.over_gemm),
+        worst(|l| l.capture_over_gemm),
         rayon::current_num_threads()
     ));
     s
@@ -621,6 +644,8 @@ mod tests {
             gram_ns: 2000.0,
             build_ns: 400.0,
             scatter_ns: 300.0,
+            over_gemm: 1.5,
+            capture_over_gemm: 1.25,
         }];
         let json = to_json(&cases, &layers);
         assert!(json.contains("\"layer_over_gemm\": 1.500"));

@@ -294,7 +294,7 @@ fn run_bench_kernels(args: &[String]) {
     );
     let started = std::time::Instant::now();
     let cases = kfac_harness::benchkernels::run_all();
-    let layers = kfac_harness::benchkernels::run_layers(&cases);
+    let layers = kfac_harness::benchkernels::run_layers();
     print!(
         "{}",
         kfac_harness::benchkernels::render_table(&cases, &layers)

@@ -1,10 +1,10 @@
 //! The relational pins as one matrix.
 //!
 //! The distributed design rests on equivalences: K-FAC-opt and K-FAC-lw
-//! compute the same update, and the gradient-exchange schedule, the
-//! fabric, a checkpoint, the loop that drives an iteration and the rank an
-//! eigendecomposition is placed on change when or where work runs, not
-//! what it computes. Each is pinned bitwise here as a
+//! compute the same update (on the f32 wire), and the gradient-exchange
+//! schedule, the fabric, a checkpoint, the loop that drives an iteration
+//! and the rank an eigendecomposition is placed on change when or where
+//! work runs, not what it computes. Each is pinned bitwise here as a
 //! relation from a subject cell to the oracle cell it must equal, on one
 //! witness — loss bits, parameter bits, `Kfac::save_state` bytes wherever
 //! the driver holds the `Kfac`, and bytes per traffic class — compared on
@@ -69,9 +69,9 @@ axis!(Cut: Uncut, InSync, Between);
 axis!(Place: RoundRobin, SizeBalanced);
 // A subject cell and the oracle cell it must equal: fused == bucketed,
 // thread == loopback TCP, resumed == uninterrupted, `train()`, ladder and
-// by hand == Listing-1 loop, one cell run twice, and size-balanced ==
-// round-robin placement.
-axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism, Placement);
+// by hand == Listing-1 loop, one cell run twice, size-balanced ==
+// round-robin placement, and K-FAC-lw == K-FAC-opt.
+axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism, Placement, Strategy);
 
 use Bases::*;
 use Cut::*;
@@ -179,9 +179,10 @@ impl Rel {
     /// Placement is read by `Kfac::new` alone, which every driver calls
     /// with the cell's `KfacConfig`: its relation runs by hand, where the
     /// witness holds every rank and the K-FAC state, and the others at the
-    /// default placement.
+    /// default placement. -lw is held to -opt on the f32 wire, where
+    /// neither strategy's messages round.
     fn admits(self, c: Cell) -> bool {
-        let Cell(p, .., s, f, _, d, cut, place) = c;
+        let Cell(p, w, .., s, f, _, d, cut, place) = c;
         c.valid()
             && (place == SizeBalanced) == (self == Placement)
             && match self {
@@ -191,6 +192,7 @@ impl Rel {
                 Driver => d != Listing1 && s == Fused && cut == Uncut,
                 Determinism => cut == Uncut,
                 Placement => p == Opt && d == ByHand && cut == Uncut,
+                Strategy => p == Lw && w == F32 && cut == Uncut,
             }
     }
 
@@ -202,6 +204,7 @@ impl Rel {
             Driver => c.7 = Listing1,
             Determinism => {}
             Placement => c.9 = RoundRobin,
+            Strategy => c.0 = Opt,
         }
         c
     }
@@ -287,6 +290,15 @@ const TABLE: &[(Rel, Cell)] = &[
     (Placement,   Cell(Opt,    Bf16, Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
     (Placement,   Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
     (Placement,   Cell(Opt,    F32,  Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+
+    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Uncut,   RoundRobin)),
+    (Strategy,    Cell(Lw,     F32,  Short,    2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
 ];
 
 /// Axis sets a relation covers in full, not pairwise, because a past bug
@@ -580,7 +592,9 @@ fn check(rel: Rel) {
                 bits(&o.1) == bits(&s.1),
                 "{at}: parameters {want:016x} != {got:016x}"
             );
-            assert!(o.2 == s.2 || train_vs_hand, "{at}: K-FAC state differs");
+            // -lw keeps a layer's second-order state with its owner alone.
+            let state = train_vs_hand || rel == Strategy;
+            assert!(o.2 == s.2 || state, "{at}: K-FAC state differs");
             let (mut want, mut got) = (o.3, s.3);
             if rel == Schedule && cell.1 == Bf16 {
                 // A bf16 message carries a length word and pads to whole
@@ -591,6 +605,10 @@ fn check(rel: Rel) {
             }
             if rel == Placement {
                 (want[2], got[2]) = (0, 0);
+            }
+            if rel == Strategy {
+                // -lw sends preconditioned gradients, not eigenbases.
+                (want[2], got[2], want[3], got[3]) = (0, 0, 0, 0);
             }
             assert_eq!(want, got, "{at}: bytes per class");
         }
@@ -616,6 +634,7 @@ relation_tests! {
     ladder_and_by_hand_equal_listing1: Driver,
     a_cell_run_twice_is_the_same_run: Determinism,
     size_balanced_equals_round_robin: Placement,
+    lw_equals_opt: Strategy,
 }
 
 /// Version 1 stored every basis n × n and version 2 every average; the

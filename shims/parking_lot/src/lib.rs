@@ -2,10 +2,11 @@
 //!
 //! The build container has no access to crates.io, so the workspace
 //! patches `parking_lot` to this crate. It wraps `std::sync` primitives
-//! behind parking_lot's poison-free API: `Mutex::lock` returns a guard
-//! directly (a poisoned std lock is recovered, matching parking_lot's
-//! behaviour of not propagating panics through locks), and
-//! `Condvar::wait` takes the guard by `&mut` instead of by value.
+//! behind the part of parking_lot's poison-free API the workspace calls:
+//! `Mutex::lock` returns a guard directly (a poisoned std lock is
+//! recovered, matching parking_lot's behaviour of not propagating panics
+//! through locks), and `Condvar::{wait, wait_for}` take the guard by
+//! `&mut` instead of by value.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -31,13 +32,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -46,22 +40,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -75,19 +53,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard present outside wait")
-    }
-}
-
-/// Result of a timed wait on a [`Condvar`]; mirrors parking_lot's type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// `true` when the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
     }
 }
 
@@ -118,23 +83,16 @@ impl Condvar {
     }
 
     /// Atomically release the guard's lock and wait for a notification or
-    /// the timeout, re-acquiring before returning. Mirrors parking_lot's
-    /// `wait_for`; callers still loop on their predicate because spurious
-    /// wakeups are possible.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
+    /// the timeout, re-acquiring before returning. Unlike parking_lot's
+    /// `wait_for` it reports nothing: callers loop on their predicate and
+    /// their own deadline, because spurious wakeups are possible.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
         let inner = guard.inner.take().expect("guard present before wait");
-        let (inner, result) = self
+        let (inner, _) = self
             .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(inner);
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
     }
 
     /// Wake one waiter.
@@ -158,7 +116,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
     }
 
     #[test]
@@ -190,20 +147,13 @@ mod tests {
         let m = Mutex::new(false);
         let cv = Condvar::new();
         let mut guard = m.lock();
-        let r = cv.wait_for(&mut guard, std::time::Duration::from_millis(10));
-        assert!(r.timed_out());
+        let timeout = std::time::Duration::from_millis(10);
+        let start = std::time::Instant::now();
+        cv.wait_for(&mut guard, timeout);
+        assert!(start.elapsed() >= timeout);
         // The guard is usable again after the timed wait.
         *guard = true;
         drop(guard);
         assert!(*m.lock());
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(());
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 }

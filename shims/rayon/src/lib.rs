@@ -2,49 +2,31 @@
 //!
 //! The build container has no access to crates.io, so the workspace
 //! patches `rayon` to this crate (see the root `Cargo.toml`). It provides
-//! exactly the data-parallel subset the kfac-rs kernels use —
-//! `par_chunks_mut`, `into_par_iter` over ranges, `map`/`for_each`/
-//! `collect`, and [`current_num_threads`] — with semantics matching rayon
-//! where it matters for the kernels: items are processed exactly once,
-//! `collect` preserves input order, closures only need `Sync` (they are
-//! shared by reference across workers), and a panic inside a worker
-//! closure propagates to the caller of the parallel operation.
+//! exactly what the workspace calls: one chunked fan-out over a mutable
+//! slice, `slice.par_chunks_mut(n).enumerate().for_each(|(i, chunk)| …)`
+//! (the GEMM's row blocks), plus [`current_num_threads`] and the test hook
+//! [`set_pool_threads`]. As in rayon, every chunk is visited exactly once,
+//! the closure only needs `Sync`, and a panic inside it propagates to the
+//! caller.
 //!
-//! Unlike the original shim, which spawned fresh scoped OS threads on
-//! every parallel call, this version keeps one lazily-started global pool
-//! of parked workers for the life of the process, so fine-grained
-//! parallel calls inside the GEMM/im2col kernels pay a queue push and a
-//! wake instead of `clone(2)` per call.
-//!
-//! ## Scheduling model
-//!
-//! Each parallel call splits its items into contiguous chunks and
-//! publishes one shared *batch* descriptor. Workers (and the calling
-//! thread itself) claim chunk indices from an atomic cursor and process
-//! them; the caller always participates, so a call makes progress even
-//! when every pool worker is busy with other batches — nested parallel
-//! calls therefore cannot deadlock. The caller returns only once every
-//! chunk of its batch has completed, which is what makes the borrowed
-//! (non-`'static`) closures sound.
-//!
-//! ## Configuration
+//! One lazily-started global pool of parked workers lives for the life of
+//! the process, so a call pays a queue push and a wake, not a thread
+//! spawn. Workers and the calling thread claim chunk indices one at a time
+//! from an atomic cursor; the caller always participates, so a call makes
+//! progress even when every worker is busy and nested calls cannot
+//! deadlock. The caller returns only once every chunk has completed, which
+//! is what makes the borrowed slice and closure sound.
 //!
 //! The pool size defaults to the machine's available parallelism and can
-//! be pinned with the `KFAC_POOL_THREADS` environment variable (read
-//! once, at first use; `KFAC_POOL_THREADS=1` forces the inline sequential
-//! path, which CI exercises). Tests may resize the pool at runtime with
-//! [`set_pool_threads`] — kernel results are bitwise independent of the
-//! pool size by construction, and the determinism suite verifies that.
+//! be pinned with `KFAC_POOL_THREADS` (read once, at first use; `1` forces
+//! the inline sequential path, which CI exercises). Kernel results are
+//! bitwise independent of the pool size, and the determinism suite
+//! checks that across [`set_pool_threads`] sizes.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-// ---------------------------------------------------------------------------
-// The persistent pool.
-// ---------------------------------------------------------------------------
 
 /// A queued unit of pool work: "help execute this batch". The closure is
 /// `'static` because it only captures an `Arc` to the batch descriptor.
@@ -65,11 +47,9 @@ struct Pool {
 }
 
 impl Pool {
-    fn push_jobs(&self, jobs: Vec<HelpJob>) {
+    fn push_jobs(&self, jobs: impl Iterator<Item = HelpJob>) {
         let mut st = self.state.lock().expect("pool mutex");
-        for job in jobs {
-            st.queue.push_back(job);
-        }
+        st.queue.extend(jobs);
         self.spawn_up_to_target(&mut st);
         drop(st);
         self.work_ready.notify_all();
@@ -153,41 +133,27 @@ pub fn set_pool_threads(n: usize) {
     p.work_ready.notify_all();
 }
 
-// ---------------------------------------------------------------------------
-// Batch execution: one parallel call = one Batch shared with the pool.
-// ---------------------------------------------------------------------------
-
-/// Everything a worker needs to help with one parallel call. Items and
-/// the closure live on the caller's stack; `Batch` erases their
-/// lifetimes behind raw pointers. The `Batch` itself is shared via `Arc`
-/// so a stale help job (one that starts after the call already finished)
-/// can still safely observe the exhausted cursor and return; the raw
-/// `ctx` pointer is only ever dereferenced for a *claimed* chunk, and the
-/// caller cannot return before every chunk is claimed and completed.
 /// Panic payload captured from a worker closure, re-raised on the caller.
 type ChunkPanic = Box<dyn std::any::Any + Send>;
 
+/// Everything a worker needs to help with one parallel call. The slice
+/// and the closure live on the caller's stack behind `run`, whose
+/// lifetime is erased: `run` is only ever called for a *claimed* chunk,
+/// and the caller cannot return before every chunk is completed.
 struct Batch {
     /// Next chunk index to claim.
     cursor: AtomicUsize,
-    /// Chunks fully processed.
-    completed: AtomicUsize,
     chunks: usize,
-    chunk_size: usize,
-    items: usize,
-    /// Type-erased `&(items_ptr, results_ptr, closure_ptr)` tuple owned by
-    /// the caller's stack frame; `run_chunk` downcasts it.
-    ctx: *const (),
-    run_chunk: fn(*const (), Range<usize>) -> Result<(), ChunkPanic>,
-    done: Mutex<bool>,
+    /// Runs the caller's closure on chunk `c`; `c` must be claimed.
+    run: *const (dyn Fn(usize) + Sync),
+    /// Chunks completed so far and the first panic among them.
+    progress: Mutex<(usize, Option<ChunkPanic>)>,
     done_cv: Condvar,
-    /// Set when a closure panicked; remaining chunks are drained (items
-    /// dropped, results skipped) and the caller re-panics.
-    poisoned: AtomicUsize,
-    /// First panic payload, re-raised on the calling thread.
-    panic_payload: Mutex<Option<ChunkPanic>>,
 }
 
+// SAFETY: `run` points at a `Sync` closure that the caller keeps alive
+// until every claimed chunk is counted, and is never called otherwise;
+// the cursor is atomic, and `progress` and `done_cv` are `Send + Sync`.
 unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
@@ -200,269 +166,27 @@ impl Batch {
             if c >= self.chunks {
                 return;
             }
-            let start = c * self.chunk_size;
-            let end = ((c + 1) * self.chunk_size).min(self.items);
-            if let Err(payload) = (self.run_chunk)(self.ctx, start..end) {
-                let mut slot = self.panic_payload.lock().expect("panic slot");
-                slot.get_or_insert(payload);
-                drop(slot);
-                self.poisoned.store(1, Ordering::Release);
+            // SAFETY: the caller keeps `run` alive until `c` is counted.
+            let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.run)(c) }));
+            let mut p = self.progress.lock().expect("batch mutex");
+            if let Err(payload) = result {
+                p.1.get_or_insert(payload);
             }
-            let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
-            if done == self.chunks {
-                let mut flag = self.done.lock().expect("batch mutex");
-                *flag = true;
-                drop(flag);
+            p.0 += 1;
+            if p.0 == self.chunks {
+                drop(p);
                 self.done_cv.notify_all();
             }
         }
     }
 
-    fn wait(&self) {
-        let mut flag = self.done.lock().expect("batch mutex");
-        while !*flag {
-            flag = self.done_cv.wait(flag).expect("batch condvar");
+    /// Block until every chunk has completed; return the first panic.
+    fn wait(&self) -> Option<ChunkPanic> {
+        let mut p = self.progress.lock().expect("batch mutex");
+        while p.0 < self.chunks {
+            p = self.done_cv.wait(p).expect("batch condvar");
         }
-    }
-}
-
-/// Run `f` over `items` on the pool, returning outputs in input order.
-/// Panics in `f` propagate to the caller (after all chunks finish).
-fn execute<I, R, F>(items: Vec<I>, f: &F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(I) -> R + Sync,
-{
-    let n = items.len();
-    let workers = current_num_threads().min(n);
-    if workers <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    // Split into ~4 chunks per worker so an early-finishing worker can
-    // keep helping; the chunk boundaries never influence results (each
-    // item is mapped independently, outputs land in fixed slots).
-    let chunks = (workers * 4).min(n);
-    let chunk_size = n.div_ceil(chunks);
-    let chunks = n.div_ceil(chunk_size);
-
-    let mut items = items;
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-
-    {
-        // Context shared with workers: raw pointers into this frame.
-        struct Ctx<I, R, F> {
-            items: *mut I,
-            results: *mut Option<R>,
-            f: *const F,
-        }
-        let ctx = Ctx {
-            items: items.as_mut_ptr(),
-            results: results.as_mut_ptr(),
-            f: f as *const F,
-        };
-
-        fn run_chunk<I, R, F>(ctx: *const (), range: Range<usize>) -> Result<(), ChunkPanic>
-        where
-            F: Fn(I) -> R + Sync,
-        {
-            let ctx = unsafe { &*(ctx as *const Ctx<I, R, F>) };
-            let f = unsafe { &*ctx.f };
-            catch_unwind(AssertUnwindSafe(|| {
-                for i in range {
-                    // Each index is claimed by exactly one chunk, so this
-                    // reads/writes each slot exactly once.
-                    unsafe {
-                        let item = std::ptr::read(ctx.items.add(i));
-                        std::ptr::write(ctx.results.add(i), Some(f(item)));
-                    }
-                }
-            }))
-        }
-
-        let batch = Arc::new(Batch {
-            cursor: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            chunks,
-            chunk_size,
-            items: n,
-            ctx: &ctx as *const Ctx<I, R, F> as *const (),
-            run_chunk: run_chunk::<I, R, F>,
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-            poisoned: AtomicUsize::new(0),
-            panic_payload: Mutex::new(None),
-        });
-
-        // Publish help jobs: each is a thin shim that calls batch.help()
-        // through its own Arc, so a job that only starts after this call
-        // finished merely observes the exhausted cursor and returns —
-        // without ever touching the (then dangling) `ctx` pointer.
-        let helpers = (workers - 1).min(chunks.saturating_sub(1));
-        let mut jobs: Vec<HelpJob> = Vec::with_capacity(helpers);
-        for _ in 0..helpers {
-            let b = Arc::clone(&batch);
-            jobs.push(Box::new(move || b.help()));
-        }
-        pool().push_jobs(jobs);
-
-        // The caller is a full participant; this also guarantees the call
-        // completes even if no pool worker ever picks up a help job (a
-        // saturated pool, or one resized to a single thread mid-call).
-        batch.help();
-        batch.wait();
-
-        let poisoned = batch.poisoned.load(Ordering::Acquire) != 0;
-        // Items were moved out by ptr::read; stop the Vec from dropping them.
-        unsafe { items.set_len(0) };
-        if poisoned {
-            // Results written so far drop normally via the Option slots;
-            // items in panicked chunks leak their tail, matching the
-            // "abort the parallel op" semantics of a propagated panic.
-            drop(results);
-            let payload = batch
-                .panic_payload
-                .lock()
-                .expect("panic slot")
-                .take()
-                .unwrap_or_else(|| Box::new("rayon-shim worker panicked"));
-            resume_unwind(payload);
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk completed"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Public iterator surface (unchanged API).
-// ---------------------------------------------------------------------------
-
-/// An eagerly materialized parallel iterator: adapters reshape the item
-/// list; the terminal `for_each`/`collect` runs across the pool.
-pub struct ParIter<I> {
-    items: Vec<I>,
-}
-
-impl<I: Send> ParIter<I> {
-    /// Pair each item with its index, like `Iterator::enumerate`.
-    pub fn enumerate(self) -> ParIter<(usize, I)> {
-        ParIter {
-            items: self.items.into_iter().enumerate().collect(),
-        }
-    }
-
-    /// Keep every `step`-th item, like `Iterator::step_by`.
-    pub fn step_by(self, step: usize) -> ParIter<I> {
-        ParIter {
-            items: self.items.into_iter().step_by(step.max(1)).collect(),
-        }
-    }
-
-    /// Lazily map items; the closure runs on the pool workers.
-    pub fn map<R, F>(self, f: F) -> ParMap<I, F>
-    where
-        R: Send,
-        F: Fn(I) -> R + Sync,
-    {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Apply `f` to every item across the pool workers.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(I) + Sync,
-    {
-        execute(self.items, &|item| f(item));
-    }
-
-    /// Collect the items (no-op parallelism; order preserved).
-    pub fn collect<C: FromIterator<I>>(self) -> C {
-        self.items.into_iter().collect()
-    }
-}
-
-/// Result of [`ParIter::map`]; terminal ops run the closure in parallel.
-pub struct ParMap<I, F> {
-    items: Vec<I>,
-    f: F,
-}
-
-impl<I, F> ParMap<I, F> {
-    /// Run the map across pool workers and collect in input order.
-    pub fn collect<R, C>(self) -> C
-    where
-        I: Send,
-        R: Send,
-        F: Fn(I) -> R + Sync,
-        C: FromIterator<R>,
-    {
-        execute(self.items, &self.f).into_iter().collect()
-    }
-
-    /// Apply the mapped closure to every item for its side effects.
-    pub fn for_each<R>(self)
-    where
-        I: Send,
-        R: Send,
-        F: Fn(I) -> R + Sync,
-    {
-        execute(self.items, &self.f);
-    }
-}
-
-/// Conversion into a [`ParIter`] — implemented for the types the kernels
-/// iterate in parallel (index ranges and vectors).
-pub trait IntoParallelIterator {
-    /// The produced item type.
-    type Item: Send;
-    /// Materialize the parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    fn into_par_iter(self) -> ParIter<usize> {
-        ParIter {
-            items: self.collect(),
-        }
-    }
-}
-
-impl IntoParallelIterator for Range<u64> {
-    type Item = u64;
-    fn into_par_iter(self) -> ParIter<u64> {
-        ParIter {
-            items: self.collect(),
-        }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-/// `par_chunks` over shared slices.
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel counterpart of `slice::chunks`.
-    fn par_chunks(&self, size: usize) -> ParIter<&[T]>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, size: usize) -> ParIter<&[T]> {
-        ParIter {
-            items: self.chunks(size.max(1)).collect(),
-        }
+        p.1.take()
     }
 }
 
@@ -470,20 +194,88 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 /// owns its chunk exclusively.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel counterpart of `slice::chunks_mut`.
-    fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]>;
+    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]> {
-        ParIter {
-            items: self.chunks_mut(size.max(1)).collect(),
+    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
+        ParChunksMut { slice: self, size }
+    }
+}
+
+/// The chunks of a mutable slice, awaiting [`ParChunksMut::enumerate`].
+pub struct ParChunksMut<'a, T> {
+    slice: &'a mut [T],
+    size: usize,
+}
+
+impl<'a, T: Send> ParChunksMut<'a, T> {
+    /// Pair each chunk with its index, like `Iterator::enumerate`.
+    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
+        EnumerateChunksMut(self)
+    }
+}
+
+/// Indexed chunks of a mutable slice; [`EnumerateChunksMut::for_each`]
+/// runs across the pool.
+pub struct EnumerateChunksMut<'a, T>(ParChunksMut<'a, T>);
+
+impl<T: Send> EnumerateChunksMut<'_, T> {
+    /// Apply `f` to every `(index, chunk)` across the pool workers.
+    /// Panics in `f` propagate to the caller (after all chunks finish).
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync,
+    {
+        let ParChunksMut { slice, size } = self.0;
+        assert!(size != 0, "chunk size must be non-zero");
+        let (len, chunks) = (slice.len(), slice.len().div_ceil(size));
+        let workers = current_num_threads().min(chunks);
+        if workers <= 1 {
+            slice.chunks_mut(size).enumerate().for_each(f);
+            return;
+        }
+
+        // The base address crosses threads as an integer; each claimed
+        // chunk index rebuilds its own disjoint `&mut` chunk from it.
+        let base = slice.as_mut_ptr() as usize;
+        let run = |c: usize| {
+            let start = c * size;
+            // SAFETY: chunk `c` is claimed once, so this `&mut` is exclusive.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut((base as *mut T).add(start), size.min(len - start))
+            };
+            f((c, chunk))
+        };
+        let run: &(dyn Fn(usize) + Sync) = &run;
+        let batch = Arc::new(Batch {
+            cursor: AtomicUsize::new(0),
+            chunks,
+            // SAFETY: only the lifetime changes; see `Batch`.
+            run: unsafe { std::mem::transmute::<_, *const (dyn Fn(usize) + Sync + 'static)>(run) },
+            progress: Mutex::new((0, None)),
+            done_cv: Condvar::new(),
+        });
+
+        // Each help job holds its own Arc: one that starts after this call
+        // returned sees the exhausted cursor and never touches `run`.
+        pool().push_jobs((1..workers).map(|_| {
+            let b = Arc::clone(&batch);
+            Box::new(move || b.help()) as HelpJob
+        }));
+
+        // The caller is a full participant, so the call completes even if
+        // no worker ever picks up a help job (a saturated or shrunk pool).
+        batch.help();
+        if let Some(payload) = batch.wait() {
+            resume_unwind(payload);
         }
     }
 }
 
 /// The glob-import surface (`use rayon::prelude::*`), mirroring rayon's.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::ParallelSliceMut;
 }
 
 #[cfg(test)]
@@ -491,18 +283,22 @@ mod tests {
     use super::prelude::*;
     use super::*;
 
-    #[test]
-    fn par_chunks_mut_touches_every_chunk_once() {
-        set_pool_threads(4);
-        let mut data = vec![0u32; 1000];
-        data.as_mut_slice()
-            .par_chunks_mut(7)
+    /// Add `1 + chunk index` to every element, in chunks of `size`.
+    fn mark_chunks(data: &mut [u32], size: usize) {
+        data.par_chunks_mut(size)
             .enumerate()
             .for_each(|(i, chunk)| {
                 for v in chunk.iter_mut() {
                     *v += 1 + i as u32;
                 }
             });
+    }
+
+    #[test]
+    fn par_chunks_mut_touches_every_chunk_once() {
+        set_pool_threads(4);
+        let mut data = vec![0u32; 1000];
+        mark_chunks(&mut data, 7);
         // Every element written exactly once, with its chunk index.
         for (j, v) in data.iter().enumerate() {
             assert_eq!(*v, 1 + (j / 7) as u32);
@@ -510,25 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn range_map_collect_preserves_order() {
-        set_pool_threads(4);
-        let out: Vec<usize> = (0..100usize).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn step_by_matches_sequential() {
-        let out: Vec<usize> = (0..20usize).into_par_iter().step_by(6).collect();
-        assert_eq!(out, vec![0, 6, 12, 18]);
-    }
-
-    #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u64> = (0..0u64).into_par_iter().map(|i| i).collect();
-        assert!(out.is_empty());
+        set_pool_threads(4);
         Vec::<u32>::new()
-            .as_mut_slice()
             .par_chunks_mut(4)
+            .enumerate()
             .for_each(|_| panic!("no chunks expected"));
     }
 
@@ -541,7 +323,8 @@ mod tests {
     fn panic_propagates_to_caller() {
         set_pool_threads(4);
         let result = std::panic::catch_unwind(|| {
-            (0..64usize).into_par_iter().for_each(|i| {
+            let mut data = vec![0u32; 64];
+            data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
                 if i == 13 {
                     panic!("boom");
                 }
@@ -549,37 +332,43 @@ mod tests {
         });
         assert!(result.is_err());
         // The pool survives a propagated panic.
-        let out: Vec<usize> = (0..32usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(out[31], 32);
+        let mut data = vec![0u32; 32];
+        mark_chunks(&mut data, 1);
+        assert_eq!(data[31], 32);
     }
 
     #[test]
     fn nested_parallel_calls_complete() {
         set_pool_threads(4);
-        let out: Vec<usize> = (0..8usize)
-            .into_par_iter()
-            .map(|i| {
-                let prods: Vec<usize> = (0..64usize).into_par_iter().map(|j| i * j).collect();
-                prods.iter().sum::<usize>()
-            })
-            .collect();
+        let mut out = [0usize; 8];
+        out.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+            let mut prods = vec![0usize; 64];
+            prods
+                .par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(j, p)| p[0] = i * j);
+            slot[0] = prods.iter().sum();
+        });
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i * (0..64).sum::<usize>());
         }
     }
 
+    /// Sibling tests resize the one global pool concurrently, so this
+    /// never asserts the pool size itself: only that the result does not
+    /// depend on it.
     #[test]
-    fn resize_pool_up_and_down() {
-        set_pool_threads(8);
-        assert_eq!(current_num_threads(), 8);
-        let a: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 3).collect();
-        set_pool_threads(2);
-        assert_eq!(current_num_threads(), 2);
-        let b: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 3).collect();
-        assert_eq!(a, b);
-        set_pool_threads(1);
-        let c: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 3).collect();
-        assert_eq!(a, c);
+    fn results_do_not_depend_on_pool_size() {
+        let mut expected = vec![0u32; 1000];
+        for (i, chunk) in expected.chunks_mut(3).enumerate() {
+            chunk.fill(1 + i as u32);
+        }
+        for threads in [1, 2, 4, 8, 2, 1] {
+            set_pool_threads(threads);
+            let mut data = vec![0u32; 1000];
+            mark_chunks(&mut data, 3);
+            assert_eq!(data, expected, "pool of {threads}");
+        }
     }
 
     #[test]
@@ -588,8 +377,9 @@ mod tests {
         // Regression guard for the spawn-per-call behaviour this pool
         // replaces: 10k tiny calls should complete quickly.
         for _ in 0..10_000 {
-            let v: Vec<usize> = (0..8usize).into_par_iter().map(|i| i).collect();
-            assert_eq!(v.iter().sum::<usize>(), 28);
+            let mut data = vec![0u32; 8];
+            mark_chunks(&mut data, 1);
+            assert_eq!(data.iter().sum::<u32>(), 36);
         }
     }
 }
