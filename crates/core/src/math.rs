@@ -20,8 +20,10 @@
 //!   separately, a different and cruder regularization).
 
 use crate::config::{EigenSolver, RandEigPolicy};
+use crate::distribution::FactorKind;
+use kfac_tensor::gemm::{gemm_into, Packed, Side, View};
 use kfac_tensor::{
-    eigh_exact, eigh_randomized, EigenDecomposition, LinAlgError, Matrix, RandEigOptions,
+    arena, eigh_exact, eigh_randomized, EigenDecomposition, LinAlgError, Matrix, RandEigOptions,
 };
 
 /// Eigendecompose one (symmetrized) factor with the default backend
@@ -204,9 +206,49 @@ fn invert_f32(a: &Matrix) -> Result<Matrix, LinAlgError> {
     Ok(Matrix::from_vec(n, n, inv))
 }
 
+/// An eigenbasis as the preconditioner holds it: the decomposition, and
+/// its `n × r` basis packed, once, in the two panel layouts the products
+/// of [`precondition_bases`] read it in — `Q_A` for the right side of
+/// `T·Q_A` and `U·Q_Aᵀ`, `Q_G` for the left side of `Q_Gᵀ·∇L` and `Q_G·V`.
+/// The packs are derived state: built wherever a basis is installed,
+/// never sent or saved.
+pub struct Basis {
+    pub eig: EigenDecomposition,
+    packs: [Packed; 2],
+}
+
+impl Basis {
+    /// `eig`, the decomposition of a factor of `kind`, with its packs.
+    pub fn new(kind: FactorKind, eig: EigenDecomposition) -> Self {
+        let q = &eig.eigenvectors;
+        let (n, r) = q.shape();
+        let (plain, t) = (View::new(q.as_slice(), n, r), View::t(q.as_slice(), n, r));
+        let packs = match kind {
+            FactorKind::A => [Packed::of(Side::Right, plain), Packed::of(Side::Right, t)],
+            FactorKind::G => [Packed::of(Side::Left, t), Packed::of(Side::Left, plain)],
+        };
+        Basis { eig, packs }
+    }
+}
+
 /// Eigen-path preconditioned gradient (Eq. 13–15) from the
 /// eigendecompositions `a` of the activation factor and `g` of the
-/// gradient factor, each an `n × r` basis with `r ≤ n`.
+/// gradient factor: [`precondition_bases`] over bases packed for this
+/// one call.
+pub fn precondition_eigen(
+    a: &EigenDecomposition,
+    g: &EigenDecomposition,
+    grad: &Matrix,
+    damping: f32,
+) -> Matrix {
+    let a = Basis::new(FactorKind::A, a.clone());
+    let g = Basis::new(FactorKind::G, g.clone());
+    precondition_bases(&a, &g, grad, damping)
+}
+
+/// Eigen-path preconditioned gradient (Eq. 13–15) from the bases `a` of
+/// the activation factor and `g` of the gradient factor, each an `n × r`
+/// basis with `r ≤ n`, read from the packs they were installed with.
 ///
 /// A short basis (`r < n`, the randomized backend) spans the modes that
 /// were kept; the discarded ones all carry eigenvalue ≈ 0, so every
@@ -217,27 +259,37 @@ fn invert_f32(a: &Matrix) -> Result<Matrix, LinAlgError> {
 /// `C_ij = 1/(λ_Gi λ_Aj + γ) − 1/γ = −λ_Gi λ_Aj / (γ (λ_Gi λ_Aj + γ))`,
 /// evaluated in the second form, which does not cancel. Two complete
 /// bases take the plain `Q_G (V₁ ⊘ (λ_G λ_Aᵀ + γ)) Q_Aᵀ`, operation for
-/// operation what it has always been.
-pub fn precondition_eigen(
-    a: &EigenDecomposition,
-    g: &EigenDecomposition,
-    grad: &Matrix,
-    damping: f32,
-) -> Matrix {
+/// operation what it has always been. Warm, the call allocates only the
+/// matrix it returns.
+pub fn precondition_bases(a: &Basis, g: &Basis, grad: &Matrix, damping: f32) -> Matrix {
     let (dg, da) = grad.shape();
-    assert_eq!(g.eigenvectors.rows(), dg, "G dimension mismatch");
-    assert_eq!(a.eigenvectors.rows(), da, "A dimension mismatch");
-    let short = a.truncated_rank().is_some() || g.truncated_rank().is_some();
+    let (ea, eg) = (&a.eig, &g.eig);
+    assert_eq!(eg.eigenvectors.rows(), dg, "G dimension mismatch");
+    assert_eq!(ea.eigenvectors.rows(), da, "A dimension mismatch");
+    let (rg, ra) = (eg.eigenvectors.cols(), ea.eigenvectors.cols());
+    let short = ea.truncated_rank().is_some() || eg.truncated_rank().is_some();
 
     // V₁ = Q_Gᵀ ∇L Q_A (r_G × r_A)
-    let mut v = g.eigenvectors.matmul_tn(grad).matmul(&a.eigenvectors);
+    let mut t = arena::take_matrix(rg, da);
+    gemm_into(
+        g.packs[0].view(),
+        View::new(grad.as_slice(), dg, da),
+        t.as_mut_slice(),
+    );
+    let mut v = arena::take_matrix(rg, ra);
+    gemm_into(
+        View::new(t.as_slice(), rg, da),
+        a.packs[0].view(),
+        v.as_mut_slice(),
+    );
+    arena::recycle_matrix(t);
 
     // V₂ = V₁ ⊘ (v_G v_Aᵀ + γ), or V₁ ⊙ C. Clamp eigenvalues at zero:
     // factors are PSD in exact arithmetic; tiny negative round-off must
     // not flip the sign of the damped denominator.
-    for (i, &lg) in g.eigenvalues.iter().enumerate() {
+    for (i, &lg) in eg.eigenvalues.iter().enumerate() {
         let lg = lg.max(0.0);
-        for (x, &la) in v.row_mut(i).iter_mut().zip(&a.eigenvalues) {
+        for (x, &la) in v.row_mut(i).iter_mut().zip(&ea.eigenvalues) {
             let s = lg * la.max(0.0);
             if short {
                 *x *= -s / (damping * (s + damping));
@@ -247,7 +299,20 @@ pub fn precondition_eigen(
         }
     }
 
-    let mut out = g.eigenvectors.matmul(&v).matmul_nt(&a.eigenvectors);
+    let mut u = arena::take_matrix(dg, ra);
+    gemm_into(
+        g.packs[1].view(),
+        View::new(v.as_slice(), rg, ra),
+        u.as_mut_slice(),
+    );
+    arena::recycle_matrix(v);
+    let mut out = Matrix::zeros(dg, da);
+    gemm_into(
+        View::new(u.as_slice(), dg, ra),
+        a.packs[1].view(),
+        out.as_mut_slice(),
+    );
+    arena::recycle_matrix(u);
     if short {
         for (o, raw) in out.as_mut_slice().iter_mut().zip(grad.as_slice()) {
             *o += raw / damping;

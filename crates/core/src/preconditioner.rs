@@ -60,7 +60,7 @@ use crate::config::{DistStrategy, EigenSolver, InversionMethod, KfacConfig};
 use crate::distribution::{assign_factors, assign_layers_lw, factor_descs, FactorDesc};
 use crate::math::{
     decompose_factor_randomized, decompose_factor_with, invert_factor, kl_clip_nu,
-    precondition_eigen, precondition_inverse,
+    precondition_bases, precondition_inverse, Basis,
 };
 use crate::stats::StageStats;
 use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
@@ -69,10 +69,12 @@ use kfac_telemetry::{Registry, Span};
 use kfac_tensor::gemm::mirror_upper_to_lower;
 use kfac_tensor::{arena, EigenDecomposition, Matrix};
 
-/// Per-factor second-order state.
+/// Per-factor second-order state. An eigenbasis is packed when it is
+/// installed ([`Basis::new`]), however it arrives: computed here,
+/// gathered from its owner, or restored from a checkpoint.
 enum FactorSecondOrder {
     None,
-    Eigen(EigenDecomposition),
+    Eigen(Basis),
     Inverse(Matrix),
 }
 
@@ -685,16 +687,25 @@ impl Kfac {
     fn identity_second_order(&self, id: usize) -> FactorSecondOrder {
         let n = self.factors[id].dim;
         match self.cfg.inversion {
-            InversionMethod::Eigen => FactorSecondOrder::Eigen(EigenDecomposition {
-                eigenvalues: vec![1.0; n],
-                eigenvectors: Matrix::identity(n),
-            }),
+            InversionMethod::Eigen => self.eigen_state(
+                id,
+                EigenDecomposition {
+                    eigenvalues: vec![1.0; n],
+                    eigenvectors: Matrix::identity(n),
+                },
+            ),
             InversionMethod::ExplicitInverse => {
                 let mut m = Matrix::identity(n);
                 m.scale(1.0 / (1.0 + self.damping));
                 FactorSecondOrder::Inverse(m)
             }
         }
+    }
+
+    /// Factor `id`'s eigendecomposition installed as its second-order
+    /// state, packed for the products that read it.
+    fn eigen_state(&self, id: usize, eig: EigenDecomposition) -> FactorSecondOrder {
+        FactorSecondOrder::Eigen(Basis::new(self.factors[id].kind, eig))
     }
 
     /// Record one damped-identity fallback (statistics + telemetry).
@@ -727,7 +738,7 @@ impl Kfac {
                 if let Some(e) = &eig {
                     self.record_spectrum(id, e, full.trace() as f64);
                 }
-                eig.map(FactorSecondOrder::Eigen)
+                eig.map(|e| self.eigen_state(id, e))
             }
             InversionMethod::ExplicitInverse => invert_factor(&full, self.damping)
                 .ok()
@@ -827,7 +838,7 @@ impl Kfac {
 
     fn encode_second_order(&self, so: &FactorSecondOrder, out: &mut Vec<f32>) {
         match so {
-            FactorSecondOrder::Eigen(e) => out.extend_from_slice(&e.to_bytes_f32()),
+            FactorSecondOrder::Eigen(b) => out.extend_from_slice(&b.eig.to_bytes_f32()),
             FactorSecondOrder::Inverse(m) => out.extend_from_slice(m.as_slice()),
             FactorSecondOrder::None => unreachable!("encoding empty second-order state"),
         }
@@ -850,7 +861,7 @@ impl Kfac {
         let (so, rest) = match self.cfg.inversion {
             InversionMethod::Eigen => {
                 let (eig, rest) = EigenDecomposition::from_bytes_f32(n, words)?;
-                (FactorSecondOrder::Eigen(eig), rest)
+                (self.eigen_state(id, eig), rest)
             }
             InversionMethod::ExplicitInverse => {
                 let (frame, rest) = words.split_at_checked(n * n)?;
@@ -980,7 +991,7 @@ impl Kfac {
     pub fn precondition_one(&self, li: usize, grad: &Matrix) -> Matrix {
         match (&self.second_order[2 * li], &self.second_order[2 * li + 1]) {
             (FactorSecondOrder::Eigen(a), FactorSecondOrder::Eigen(g)) => {
-                precondition_eigen(a, g, grad, self.damping)
+                precondition_bases(a, g, grad, self.damping)
             }
             (FactorSecondOrder::Inverse(a), FactorSecondOrder::Inverse(g)) => {
                 precondition_inverse(a, g, grad)
@@ -1102,7 +1113,7 @@ impl Kfac {
         for so in &self.second_order {
             match so {
                 FactorSecondOrder::None => out.push(0),
-                FactorSecondOrder::Eigen(e) => {
+                FactorSecondOrder::Eigen(Basis { eig: e, .. }) => {
                     out.push(1);
                     put_u64(&mut out, e.eigenvalues.len() as u64);
                     put_f32s(&mut out, &e.eigenvalues);
@@ -1171,10 +1182,11 @@ impl Kfac {
                         ));
                     }
                     let rank = rank as usize;
-                    FactorSecondOrder::Eigen(EigenDecomposition {
+                    let eig = EigenDecomposition {
                         eigenvalues: r.f32s(rank)?,
                         eigenvectors: Matrix::from_vec(n, rank, r.f32s(n * rank)?),
-                    })
+                    };
+                    self.eigen_state(id, eig)
                 }
                 2 => FactorSecondOrder::Inverse(Matrix::from_vec(n, n, r.f32s(n * n)?)),
                 t => return Err(format!("bad second-order tag {t}")),

@@ -18,9 +18,10 @@
 //! cargo test -p kfac --test zero_alloc -- --ignored
 //! ```
 
-use kfac::{Kfac, KfacConfig};
+use kfac::{EigenSolver, Kfac, KfacConfig, RandEigPolicy};
 use kfac_nn::lowering::{build_patches, scatter_patches, Geometry};
 use kfac_nn::{Conv2d, CrossEntropyLoss, Flatten, Layer, Linear, Mode, ReLU, Sequential};
+use kfac_tensor::gemm::{packed_len, Side};
 use kfac_tensor::{eigh_tridiag, HalfMatrix, Matrix, Rng64, Tensor4};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,16 +126,19 @@ fn into_kernels_allocate_nothing_when_warm() {
         2,
         (0..40 * 3 * 2 * 2).map(|_| rng.normal_f32()).collect(),
     );
-    let mut lowerings: Vec<(&Tensor4, Geometry, Vec<f32>, Tensor4)> =
-        [(&x, 1), (&x, 2), (&small, 1)]
-            .into_iter()
-            .map(|(input, stride)| {
-                let geom = Geometry::new(input.shape(), 3, stride, 1);
-                let patches = vec![0.0f32; geom.fan_in() * geom.positions()];
-                let (n, c, h, w) = input.shape();
-                (input, geom, patches, Tensor4::zeros(n, c, h, w))
-            })
-            .collect();
+    // Input, geometry, packed patches, patch gradient, input gradient.
+    type Lowering<'a> = (&'a Tensor4, Geometry, Vec<f32>, Vec<f32>, Tensor4);
+    let mut lowerings: Vec<Lowering> = [(&x, 1), (&x, 2), (&small, 1)]
+        .into_iter()
+        .map(|(input, stride)| {
+            let geom = Geometry::new(input.shape(), 3, stride, 1);
+            let (f, positions) = (geom.fan_in(), geom.positions());
+            let patches = vec![0.0f32; packed_len(Side::Right, f + 1, positions)];
+            let dp = vec![0.5f32; f * positions];
+            let (n, c, h, w) = input.shape();
+            (input, geom, patches, dp, Tensor4::zeros(n, c, h, w))
+        })
+        .collect();
 
     let mut pass = |arena_warm: bool| {
         a.matmul_into(&b, &mut out);
@@ -144,9 +148,9 @@ fn into_kernels_allocate_nothing_when_warm() {
         a.gram_nt_into(&mut gram_nt);
         a16.gram_into(&mut gram16);
         a16.matmul_nt_into(&bt16, &mut out16);
-        for (input, geom, patches, dx) in &mut lowerings {
-            build_patches(input, geom, 0..geom.positions(), patches);
-            scatter_patches(patches, geom, 0..geom.positions(), dx);
+        for (input, geom, patches, dp, dx) in &mut lowerings {
+            build_patches(input, geom, 0..geom.positions(), true, patches);
+            scatter_patches(dp, geom, 0..geom.positions(), dx);
         }
         arena_warm
     };
@@ -295,4 +299,75 @@ fn eigh_tridiag_allocates_only_its_result_when_warm() {
             "warm eigh_tridiag(n={n}) performed {allocs} heap allocations, expected its 2 outputs"
         );
     }
+}
+
+/// Preconditioning reads every eigenbasis from the packs it was installed
+/// with: a warm `Kfac::precondition_one` allocates only the matrix it
+/// returns — on complete bases and on short ones alike.
+#[test]
+#[ignore = "run explicitly: cargo test -p kfac --test zero_alloc -- --ignored"]
+fn precondition_one_allocates_only_its_result_when_warm() {
+    rayon::set_pool_threads(1);
+    let mut state_len = Vec::new();
+    for solver in [EigenSolver::TridiagonalQl, EigenSolver::Randomized] {
+        let mut rng = Rng64::new(19);
+        let mut model = Sequential::from_layers(vec![
+            Box::new(Conv2d::new("conv", 8, 8, 3, 1, 1, false, &mut rng)),
+            Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new("fc", 8 * 8 * 8, 10, true, &mut rng)),
+        ]);
+        let cfg = KfacConfig {
+            eigen_solver: solver,
+            // Short bases on the 72-wide conv factor and the fc's 513-wide
+            // one: the policy's smallest dimension and rank cap let it
+            // truncate where the default keeps everything.
+            rand_eig: RandEigPolicy {
+                min_dim: 1,
+                max_rank_frac: 0.5,
+                ..RandEigPolicy::default()
+            },
+            ..KfacConfig::default()
+        };
+        let mut kfac = Kfac::new(&mut model, cfg);
+        let x = Tensor4::from_vec(
+            4,
+            8,
+            8,
+            8,
+            (0..4 * 8 * 8 * 8).map(|_| rng.normal_f32()).collect(),
+        );
+        let targets: Vec<usize> = (0..4).map(|i| i % 10).collect();
+        model.zero_grad();
+        model.set_capture(true);
+        let out = model.forward(&x, Mode::Train);
+        let (_, grad) = CrossEntropyLoss::new().forward(&out, &targets);
+        let _ = model.backward(&grad);
+        let mut layers = Vec::new();
+        model.collect_kfac(&mut layers);
+        for (li, layer) in layers.iter().enumerate() {
+            kfac.factor_update_layer(li, &**layer);
+        }
+        for id in 0..2 * layers.len() {
+            kfac.eig_compute_one(id);
+        }
+        // A checkpoint holds each basis as it is, `n × r`.
+        state_len.push(kfac.save_state().len());
+        let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
+        for (li, g) in grads.iter().enumerate() {
+            drop(kfac.precondition_one(li, g));
+        }
+        for (li, g) in grads.iter().enumerate() {
+            let (pg, allocs) = armed(|| kfac.precondition_one(li, g));
+            assert_eq!(pg.shape(), g.shape());
+            assert_eq!(
+                allocs, 1,
+                "{solver:?} layer {li}: warm precondition_one performed {allocs} heap allocations, expected its result"
+            );
+        }
+    }
+    assert!(
+        state_len[1] < state_len[0],
+        "the randomized cell must hold short bases: state {state_len:?}"
+    );
 }

@@ -21,14 +21,14 @@
 //! the tridiagonal's eigenvectors, back-transform, output), the layer
 //! under `kfac.eig_comp_ms`. Beside the cost of *computing* a basis sits
 //! the cost of *using* it, paid every iteration: one
-//! `precondition_eigen` of a 64-row gradient against the exact basis
+//! `precondition_bases` of a 64-row gradient against the exact basis
 //! (`apply_exact_ns`) and against the adaptive one at the rank it kept
-//! (`apply_rand_ns`). Results go to
+//! (`apply_rand_ns`), both packed once beforehand, as installed. Results go to
 //! stdout as a table and, with `--json`, to `BENCH_eig.json` for the CI
 //! bench-smoke job.
 
-use kfac::math::{decompose_factor, decompose_factor_randomized, precondition_eigen};
-use kfac::RandEigPolicy;
+use kfac::math::{decompose_factor, decompose_factor_randomized, precondition_bases, Basis};
+use kfac::{FactorKind, RandEigPolicy};
 use kfac_tensor::tridiag::{eigh_tridiag_phases, PHASES};
 use kfac_tensor::{eigh, eigh_randomized, eigh_tridiag, Matrix, RandEigOptions, Rng64};
 use std::time::Instant;
@@ -65,8 +65,8 @@ pub struct EigBenchCase {
     pub rand_rank: usize,
     /// Spectral mass captured at that rank.
     pub rand_mass: f64,
-    /// One `precondition_eigen` of an [`APPLY_ROWS`]`× n` gradient with
-    /// the exact basis as the A side.
+    /// One `precondition_bases` of an [`APPLY_ROWS`]`× n` gradient with
+    /// the exact basis, packed as installed, as the A side.
     pub apply_exact_ns: f64,
     /// The same with the adaptive basis (`n × rand_rank`).
     pub apply_rand_ns: f64,
@@ -181,7 +181,10 @@ pub fn bench_policy() -> RandEigPolicy {
 /// Run the full suite.
 pub fn run_all() -> Vec<EigBenchCase> {
     let mut out = Vec::new();
-    let g_side = decompose_factor(&bench_factor(APPLY_ROWS, 0x5EED)).expect("ql");
+    let g_side = Basis::new(
+        FactorKind::G,
+        decompose_factor(&bench_factor(APPLY_ROWS, 0x5EED)).expect("ql"),
+    );
     for (name, n) in cases() {
         let f = bench_factor(n, 0x5EED ^ n as u64);
         let trace = f.trace() as f64;
@@ -224,9 +227,12 @@ pub fn run_all() -> Vec<EigBenchCase> {
             n,
             (0..APPLY_ROWS * n).map(|_| rng.normal_f32()).collect(),
         );
-        let [apply_exact_ns, apply_rand_ns] = [&exact, &adaptive].map(|a_side| {
+        // The bases as the preconditioner installs them: packed once,
+        // outside the timed calls.
+        let [apply_exact_ns, apply_rand_ns] = [exact, adaptive].map(|a_side| {
+            let a_side = Basis::new(FactorKind::A, a_side);
             time_ns(|| {
-                std::hint::black_box(precondition_eigen(a_side, &g_side, &grad, 0.03));
+                std::hint::black_box(precondition_bases(&a_side, &g_side, &grad, 0.03));
             })
         });
 

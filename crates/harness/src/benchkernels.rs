@@ -16,6 +16,7 @@
 
 use kfac_nn::lowering::{build_patches, scatter_patches, Geometry, BLOCK};
 use kfac_nn::{Conv2d, KfacEligible, Layer, Mode};
+use kfac_tensor::gemm::{packed_len, Side};
 use kfac_tensor::{HalfMatrix, Matrix, Rng64, Tensor4};
 use std::time::Instant;
 
@@ -58,7 +59,8 @@ pub struct BenchCase {
     pub n: usize,
     /// Multiply-add count per iteration (2 flops each).
     pub madds: u64,
-    /// ns/iter over f32-stored operands.
+    /// ns/iter over f32-stored operands; on a row with bf16 timings, the
+    /// median of the f32 halves of its paired reps.
     pub packed_ns: f64,
     /// bf16-storage timing; `None` for plain / TN matmuls.
     pub bf16: Option<Bf16Timing>,
@@ -299,13 +301,16 @@ fn time_lowering(x: &Tensor4, g: &Geometry, rng: &mut Rng64) -> (f64, f64) {
         .step_by(BLOCK)
         .map(|q0| q0..(q0 + BLOCK).min(positions))
         .collect();
-    let mut patches = vec![0.0; features * BLOCK.min(positions)];
-    let dp: Vec<f32> = (0..patches.len()).map(|_| rng.normal_f32()).collect();
+    let mut patches = vec![0.0; packed_len(Side::Right, features, BLOCK.min(positions))];
+    let dp: Vec<f32> = (0..features * BLOCK.min(positions))
+        .map(|_| rng.normal_f32())
+        .collect();
     let (n, c, h, w) = g.in_shape();
     let mut dx = Tensor4::zeros(n, c, h, w);
     let build_ns = time_ns(|| {
         for q in &blocks {
-            build_patches(x, g, q.clone(), &mut patches[..features * q.len()]);
+            let len = packed_len(Side::Right, features, q.len());
+            build_patches(x, g, q.clone(), false, &mut patches[..len]);
         }
     });
     let scatter_ns = time_ns(|| {
@@ -397,16 +402,16 @@ pub fn run_all() -> Vec<BenchCase> {
         let ops = Operands::random(kind, m, k, n, &mut rng);
         let (a, b, madds) = (&ops.a, &ops.b, ops.madds);
         let mut scratch = Matrix::zeros(1, 1);
-        let packed_ns = time_ns(|| ops.run(&mut scratch));
         // bf16 rows for three kinds: Gram (activation factors), GramNt
         // (gradient factors, via the full-matrix A·Aᵀ product), and
         // MatmulNt (conv forward).
         // Interleaved paired reps; see BF16_REPS.
-        let bf16 = match kind {
+        let (packed_ns, bf16) = match kind {
             Kind::Gram | Kind::GramNt | Kind::MatmulNt => {
                 let ha = HalfMatrix::from_matrix(a);
                 let hb = matches!(kind, Kind::MatmulNt).then(|| HalfMatrix::from_matrix(b));
                 let mut out16 = Matrix::zeros(1, 1);
+                let mut ns32 = Vec::with_capacity(BF16_REPS);
                 let mut ns16 = Vec::with_capacity(BF16_REPS);
                 let mut ratios = Vec::with_capacity(BF16_REPS);
                 for _ in 0..BF16_REPS {
@@ -417,16 +422,20 @@ pub fn run_all() -> Vec<BenchCase> {
                         Kind::MatmulNt => ha.matmul_nt_into(hb.as_ref().unwrap(), &mut out16),
                         _ => unreachable!(),
                     });
+                    ns32.push(t32);
                     ns16.push(t16);
                     ratios.push(t16 / t32);
                 }
                 std::hint::black_box(&out16);
-                Some(Bf16Timing {
+                // A paired row's f32 time is the median of its own reps,
+                // so its GFLOP/s agrees with the bf16 columns.
+                let bf16 = Bf16Timing {
                     ns: median(ns16),
                     over_f32: median(ratios),
-                })
+                };
+                (median(ns32), Some(bf16))
             }
-            Kind::Matmul | Kind::MatmulTn => None,
+            Kind::Matmul | Kind::MatmulTn => (time_ns(|| ops.run(&mut scratch)), None),
         };
         std::hint::black_box(&scratch);
         out.push(BenchCase {

@@ -56,6 +56,46 @@ impl BatchNorm2d {
     }
 }
 
+/// Independent f64 partial sums per channel statistic. One `+=` chain
+/// waits out every add's latency; eight lanes, added lane by lane, are
+/// the form the compiler vectorizes.
+const LANES: usize = 8;
+
+/// Channel sums `Σ a` and `Σ a·b` (in f64), carried across planes in
+/// [`LANES`] lanes each.
+#[derive(Default)]
+struct LaneSums {
+    sum: [f64; LANES],
+    dot: [f64; LANES],
+}
+
+impl LaneSums {
+    /// Add one plane: element `i` of each chunk of eight goes to lane `i`,
+    /// a ragged tail to the first lanes.
+    fn add(&mut self, a: &[f32], b: &[f32]) {
+        let (mut ca, mut cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        for (x, y) in (&mut ca).zip(&mut cb) {
+            let x: [f64; LANES] = std::array::from_fn(|i| x[i] as f64);
+            let y: [f64; LANES] = std::array::from_fn(|i| y[i] as f64);
+            for i in 0..LANES {
+                self.sum[i] += x[i];
+                self.dot[i] += x[i] * y[i];
+            }
+        }
+        for (i, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
+            self.sum[i] += x as f64;
+            self.dot[i] += x as f64 * y as f64;
+        }
+    }
+
+    /// `(Σ a, Σ a·b)`, each lane set folded pairwise.
+    fn totals(&self) -> (f64, f64) {
+        let fold =
+            |l: &[f64; LANES]| ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+        (fold(&self.sum), fold(&self.dot))
+    }
+}
+
 impl Layer for BatchNorm2d {
     // Per-channel statistics loops index several buffers by `ci`; the
     // range form mirrors the math.
@@ -64,61 +104,58 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = input.shape();
         assert_eq!(c, self.channels, "channel mismatch in {}", self.name);
         let m = (n * h * w) as f32;
-        let mut out = Tensor4::zeros(n, c, h, w);
+        // Written first-touch, plane by plane in memory order.
+        let mut out = Vec::with_capacity(input.len());
 
         match mode {
             Mode::Train => {
-                let xhat = &mut self.xhat;
-                xhat.reset_for(n, c, h, w);
+                let mut mean = vec![0.0f32; c];
                 let mut inv_std = vec![0.0f32; c];
                 for ci in 0..c {
                     // Batch statistics over (N, H, W).
-                    let mut sum = 0.0f64;
-                    let mut sumsq = 0.0f64;
+                    let mut lanes = LaneSums::default();
                     for ni in 0..n {
-                        for &v in input.plane(ni, ci) {
-                            sum += v as f64;
-                            sumsq += v as f64 * v as f64;
-                        }
+                        let x = input.plane(ni, ci);
+                        lanes.add(x, x);
                     }
-                    let mean = (sum / m as f64) as f32;
-                    let var = ((sumsq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
-                    let istd = 1.0 / (var + self.eps).sqrt();
-                    inv_std[ci] = istd;
+                    let (sum, sumsq) = lanes.totals();
+                    let mu = (sum / m as f64) as f32;
+                    let var = ((sumsq / m as f64) - (mu as f64) * (mu as f64)).max(0.0) as f32;
+                    (mean[ci], inv_std[ci]) = (mu, 1.0 / (var + self.eps).sqrt());
 
                     self.running_mean[ci] =
-                        (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
+                        (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mu;
                     self.running_var[ci] =
                         (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
-
-                    let g = self.gamma[ci];
-                    let b = self.beta[ci];
-                    for ni in 0..n {
-                        let planes = xhat.plane_mut(ni, ci).iter_mut().zip(out.plane_mut(ni, ci));
-                        for ((hv, o), &v) in planes.zip(input.plane(ni, ci)) {
-                            *hv = (v - mean) * istd;
-                            *o = g * *hv + b;
+                }
+                let xhat = &mut self.xhat;
+                xhat.reset_for(n, c, h, w);
+                for ni in 0..n {
+                    for ci in 0..c {
+                        let (mu, istd) = (mean[ci], inv_std[ci]);
+                        let (g, b) = (self.gamma[ci], self.beta[ci]);
+                        let hp = xhat.plane_mut(ni, ci);
+                        for (hv, &v) in hp.iter_mut().zip(input.plane(ni, ci)) {
+                            *hv = (v - mu) * istd;
                         }
+                        out.extend(hp.iter().map(|&hv| g * hv + b));
                     }
                 }
                 self.inv_std = Some(inv_std);
             }
             Mode::Eval => {
-                for ci in 0..c {
-                    let mean = self.running_mean[ci];
-                    let istd = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-                    let g = self.gamma[ci];
-                    let b = self.beta[ci];
-                    for ni in 0..n {
+                for ni in 0..n {
+                    for ci in 0..c {
+                        let mean = self.running_mean[ci];
+                        let istd = 1.0 / (self.running_var[ci] + self.eps).sqrt();
+                        let (g, b) = (self.gamma[ci], self.beta[ci]);
                         let xp = input.plane(ni, ci);
-                        for (o, &v) in out.plane_mut(ni, ci).iter_mut().zip(xp) {
-                            *o = g * (v - mean) * istd + b;
-                        }
+                        out.extend(xp.iter().map(|&v| g * (v - mean) * istd + b));
                     }
                 }
             }
         }
-        out
+        Tensor4::from_vec(n, c, h, w, out)
     }
 
     #[allow(clippy::needless_range_loop)]
@@ -130,34 +167,39 @@ impl Layer for BatchNorm2d {
         let xhat = &self.xhat;
         let (n, c, h, w) = grad_output.shape();
         let m = (n * h * w) as f32;
-        let mut dx = Tensor4::zeros(n, c, h, w);
 
+        // Per channel: γ·istd, mean(dy) and mean(dy·x̂).
+        let mut coef = vec![(0.0f32, 0.0f32, 0.0f32); c];
         for ci in 0..c {
             // Accumulate the two channel sums the backward formula needs.
-            let mut sum_dy = 0.0f64;
-            let mut sum_dy_xhat = 0.0f64;
+            let mut lanes = LaneSums::default();
             for ni in 0..n {
-                for (&dy, &hv) in grad_output.plane(ni, ci).iter().zip(xhat.plane(ni, ci)) {
-                    sum_dy += dy as f64;
-                    sum_dy_xhat += dy as f64 * hv as f64;
-                }
+                lanes.add(grad_output.plane(ni, ci), xhat.plane(ni, ci));
             }
+            let (sum_dy, sum_dy_xhat) = lanes.totals();
             self.grad_beta[ci] += sum_dy as f32;
             self.grad_gamma[ci] += sum_dy_xhat as f32;
+            coef[ci] = (
+                self.gamma[ci] * inv_std[ci],
+                (sum_dy / m as f64) as f32,
+                (sum_dy_xhat / m as f64) as f32,
+            );
+        }
 
-            // dx = γ·istd · (dy − mean(dy) − x̂ · mean(dy·x̂))
-            let g_istd = self.gamma[ci] * inv_std[ci];
-            let mean_dy = (sum_dy / m as f64) as f32;
-            let mean_dy_xhat = (sum_dy_xhat / m as f64) as f32;
-            for ni in 0..n {
-                let dyp = grad_output.plane(ni, ci);
-                let hp = xhat.plane(ni, ci);
-                for ((o, &dy), &hv) in dx.plane_mut(ni, ci).iter_mut().zip(dyp).zip(hp) {
-                    *o = g_istd * (dy - mean_dy - hv * mean_dy_xhat);
-                }
+        // dx = γ·istd · (dy − mean(dy) − x̂ · mean(dy·x̂)), first-touch.
+        let mut dx = Vec::with_capacity(grad_output.len());
+        for ni in 0..n {
+            for ci in 0..c {
+                let (g_istd, mean_dy, mean_dy_xhat) = coef[ci];
+                let (dyp, hp) = (grad_output.plane(ni, ci), xhat.plane(ni, ci));
+                dx.extend(
+                    dyp.iter()
+                        .zip(hp)
+                        .map(|(&dy, &hv)| g_istd * (dy - mean_dy - hv * mean_dy_xhat)),
+                );
             }
         }
-        dx
+        Tensor4::from_vec(n, c, h, w, dx)
     }
 
     fn output_shape(&self, input: (usize, usize, usize, usize)) -> (usize, usize, usize, usize) {

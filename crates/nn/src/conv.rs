@@ -16,18 +16,19 @@ use crate::lowering::{
     BLOCK,
 };
 use kfac_tensor::arena;
-use kfac_tensor::gemm::{gemm_acc_into, gemm_into, View};
+use kfac_tensor::gemm::{gemm_acc_into, gemm_into, Packed, Side, View};
 use kfac_tensor::{init, Matrix, Rng64, Tensor4};
 
 /// Add one block of `len` positions to both factor sums while it is
-/// cache-resident: `block · blockᵀ` (ones row included) and
-/// `(scale·gy)(scale·gy)ᵀ`, `block` and `gy` being `features × len`
-/// row-major. Out of line: inlined into the block loop, the capture
+/// cache-resident: `P_b·P_bᵀ` (ones row included) and
+/// `(scale·gy)(scale·gy)ᵀ`, `pt` holding `P_bᵀ` packed for the right side
+/// (its transposed view is `P_b`) and `gy` the row-major `c_out × len`
+/// gradient block. Out of line: inlined into the block loop, the capture
 /// branch slowed the non-capturing backward.
 #[inline(never)]
 fn capture_block(
     sums: &mut FactorSums,
-    block: &[f32],
+    pt: &Packed,
     gy: &[f32],
     len: usize,
     scale: f32,
@@ -37,9 +38,9 @@ fn capture_block(
     for (d, &v) in scaled.iter_mut().zip(gy) {
         *d = v * scale;
     }
-    let (f, c) = (block.len() / len, gy.len() / len);
+    let c = gy.len() / len;
     sums.add(
-        [View::new(block, f, len), View::t(block, f, len)],
+        [pt.view().transposed(), pt.view()],
         [View::new(&scaled, c, len), View::t(&scaled, c, len)],
         first,
     );
@@ -119,25 +120,25 @@ impl Layer for Conv2d {
             self.capture.restart();
         }
 
-        let features = fan_in + usize::from(self.bias.is_some());
+        let ones = self.bias.is_some();
+        let features = fan_in + usize::from(ones);
         let mut patches =
             Blocked::from_storage(std::mem::take(&mut self.spare), features, positions);
+        // `W`, packed once for every block's product.
+        let w = Packed::scratch(Side::Left, View::new(&self.weight, c_out, fan_in));
         let mut y = arena::take_f32(c_out * BLOCK.min(positions));
         for (q, block) in patches.blocks_mut() {
-            let (p, ones) = block.split_at_mut(fan_in * q.len());
-            build_patches(input, &g, q.clone(), p);
-            ones.fill(1.0);
-            // y_b = W · P_b is channel-major: it goes to the output planes
-            // by run copies.
-            let y = &mut y[..c_out * q.len()];
-            gemm_into(
-                View::new(&self.weight, c_out, fan_in),
-                View::new(p, fan_in, q.len()),
-                y,
-            );
+            let len = q.len();
+            build_patches(input, &g, q.clone(), ones, block);
+            // y_b = W · P_b, both operands read as packed, is
+            // channel-major: it goes to the output planes by run copies.
+            let y = &mut y[..c_out * len];
+            let p = View::packed(block, Side::Right, features, len).leading(fan_in, len);
+            gemm_into(w.view(), p, y);
             scatter_block(y, self.bias.as_deref(), q, &mut out);
         }
         arena::recycle_f32(y);
+        w.recycle();
 
         if mode == Mode::Train {
             self.patches = Some((patches, g));
@@ -156,6 +157,7 @@ impl Layer for Conv2d {
             self.name
         );
         let (c_out, fan_in, positions) = (self.c_out, g.fan_in(), g.positions());
+        let features = fan_in + usize::from(self.bias.is_some());
         // Undo the mean-loss 1/batch so G is the per-example gradient
         // covariance; batch is n, not n·oh·ow.
         let scale = g.n as f32;
@@ -169,18 +171,22 @@ impl Layer for Conv2d {
         // GEMM's own order; the sum is then added to the persistent
         // gradient.
         let mut dw = arena::take_f32(c_out * fan_in);
+        // `Wᵀ`, packed once for every block's product.
+        let wt = Packed::scratch(Side::Left, View::t(&self.weight, c_out, fan_in));
         for (q, block) in patches.blocks() {
             let len = q.len();
-            let p = &block[..fan_in * len];
             let gy = &mut gy[..c_out * len];
             gather_block(grad_output, q.clone(), gy);
+            // `P_bᵀ`, packed once for dW and the activation Gram.
+            let p = View::packed(block, Side::Right, features, len);
+            let pt = Packed::scratch(Side::Right, p.transposed());
             if self.capture.enabled {
-                capture_block(&mut self.capture, block, gy, len, scale, q.start == 0);
+                capture_block(&mut self.capture, &pt, gy, len, scale, q.start == 0);
             }
 
             // dW += gy_b · P_bᵀ  (c_out × c_in·k·k)
-            let (gy_b, p_b) = (View::new(gy, c_out, len), View::t(p, fan_in, len));
-            gemm_acc_into(gy_b, p_b, &mut dw, q.start == 0);
+            let (gy_b, p_t) = (View::new(gy, c_out, len), pt.view().leading(len, fan_in));
+            gemm_acc_into(gy_b, p_t, &mut dw, q.start == 0);
             if let Some(gb) = &mut self.grad_bias {
                 for (b, row) in gb.iter_mut().zip(gy.chunks_exact(len)) {
                     for &v in row {
@@ -191,12 +197,9 @@ impl Layer for Conv2d {
 
             // dX += scatter(Wᵀ · gy_b)
             let dp = &mut dp[..fan_in * len];
-            gemm_into(
-                View::t(&self.weight, c_out, fan_in),
-                View::new(gy, c_out, len),
-                dp,
-            );
+            gemm_into(wt.view(), View::new(gy, c_out, len), dp);
             scatter_patches(dp, &g, q, &mut dx);
+            pt.recycle();
         }
         for (gw, &d) in self.grad_weight.iter_mut().zip(dw.iter()) {
             *gw += d;
@@ -204,6 +207,7 @@ impl Layer for Conv2d {
         arena::recycle_f32(dw);
         arena::recycle_f32(dp);
         arena::recycle_f32(gy);
+        wt.recycle();
 
         if self.capture.enabled {
             self.capture.finish(positions);

@@ -8,6 +8,8 @@
 //! `c·k·k` rows × `BLOCK` columns — and multiplies against it while it is
 //! still cache-resident: `W·P_b` (forward), `gy_b·P_bᵀ` (weight
 //! gradient), `Wᵀ·gy_b` scattered back to the input (input gradient).
+//! `P_b` is stored the way the forward product reads it, packed for the
+//! right side of a GEMM ([`Blocked`]), so that product packs nothing.
 //!
 //! Feature-major is what makes the surrounding data movement cheap:
 //!
@@ -29,7 +31,7 @@
 //! is bit-identical to one Gram over the whole patch matrix (see
 //! `kfac_tensor::gemm::gemm_upper_into`).
 
-use kfac_tensor::gemm::KC;
+use kfac_tensor::gemm::{packed_len, panel_offset, Side, KC, NR};
 use kfac_tensor::Tensor4;
 use std::ops::Range;
 
@@ -178,10 +180,10 @@ impl Tap {
         contains_u32(&self.cols, ox)
     }
 
-    /// Outside shift geometry: for each of the first `len` positions of
-    /// `at`, the offset in its sample's channel plane of the pixel under
-    /// this tap, or `u32::MAX` where the tap reads padding.
-    fn sources(&self, g: &Geometry, at: &Outputs, len: usize) -> [u32; BLOCK] {
+    /// For each position `cols` of `at`, the offset in its sample's
+    /// channel plane of the pixel under this tap, or `u32::MAX` where the
+    /// tap reads padding.
+    fn sources(&self, g: &Geometry, at: &Outputs, cols: Range<usize>) -> [u32; NR] {
         let (w, s) = (g.w as u32, g.stride as u32);
         // (oy·s + ky − pad)·w + ox·s + kx − pad in wrapping arithmetic:
         // exact wherever the tap reads the image, the plane being smaller
@@ -190,8 +192,9 @@ impl Tap {
         let base = (ky.wrapping_sub(pad))
             .wrapping_mul(w)
             .wrapping_add(kx.wrapping_sub(pad));
-        let mut src = [u32::MAX; BLOCK];
-        for ((j, &oy), &ox) in src[..len].iter_mut().zip(&at.oy).zip(&at.ox) {
+        let mut src = [u32::MAX; NR];
+        let (oy, ox) = (&at.oy[cols.clone()], &at.ox[cols]);
+        for ((j, &oy), &ox) in src.iter_mut().zip(oy).zip(ox) {
             let inside = contains_u32(&self.rows, oy) && contains_u32(&self.cols, ox);
             let from = (oy.wrapping_mul(s).wrapping_mul(w))
                 .wrapping_add(ox.wrapping_mul(s))
@@ -245,61 +248,75 @@ fn chunks(q: &Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> {
         .map(move |s| (s..(s + BLOCK).min(end), s - start))
 }
 
-/// Build the patch block of positions `q`: `out` is the row-major
-/// `fan_in × q.len()` matrix whose row `(ci·k + ky)·k + kx` holds, for
-/// each position, the input value under that kernel tap (zero where the
-/// tap reads padding). Every element of `out` is written.
+/// Build the patch block of positions `q` straight into the panel layout
+/// the forward product `W·P_b` reads it in: `out` holds, packed for the
+/// right side of a product ([`Side::Right`]), the `rows × q.len()` matrix
+/// whose row `(ci·k + ky)·k + kx` holds, for each position, the input
+/// value under that kernel tap (zero where the tap reads padding), and —
+/// when `ones`, for a layer with a bias — a last row of ones, so
+/// `rows = fan_in + ones`. Every element of `out` is written.
 ///
-/// A tap's clip is worked out once per [`BLOCK`] positions; then each
-/// channel's patch row takes one pass per sample: in shift geometry a
-/// copy of the plane, shifted, its wrapped columns selected to zero in
-/// the same loop; otherwise a gather through the tap's source table.
-pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, out: &mut [f32]) {
+/// The block is filled one [`NR`]-wide panel at a time, every row of it
+/// before the next (a patch row's positions lie next to each other only
+/// within a panel). Per panel and tap a source table names each
+/// position's input pixel; each channel's row then takes one pass per
+/// sample: in shift geometry a select over the contiguous stretch of the
+/// input the shifted positions read, padding cleared to `+0.0`; otherwise
+/// a gather through the table.
+pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, ones: bool, out: &mut [f32]) {
     assert_eq!(input.shape(), g.in_shape(), "input does not match geometry");
     assert!(
         q.end <= g.positions() && !q.is_empty(),
         "bad position range"
     );
     let len = q.len();
-    assert_eq!(out.len(), g.fan_in() * len, "patch block length mismatch");
+    let rows = g.fan_in() + usize::from(ones);
+    assert_eq!(
+        out.len(),
+        packed_len(Side::Right, rows, len),
+        "patch block length mismatch"
+    );
     let (c, kk, hw) = (g.c, g.k * g.k, g.h * g.w);
     assert!(
         hw < u32::MAX as usize,
         "input plane too large for u32 offsets"
     );
     let x = input.as_slice();
+    let at = |row: usize, col: usize| panel_offset(Side::Right, rows, len, row, col);
     for (part, off) in chunks(&q) {
         let outputs = Outputs::new(g, &part);
-        for t in (0..kk).map(|tap| g.tap(tap)) {
-            let row = t.index(g) * len + off;
-            let sources = (!g.is_shift()).then(|| t.sources(g, &outputs, part.len()));
-            for (ni, p0, run, at) in plane_runs(g.oh * g.ow, part.clone()) {
-                let dsts = per_channel_mut(out, kk * len, row + at..row + at + run);
-                let channels = dsts.zip(x[ni * c * hw..(ni + 1) * c * hw].chunks_exact(hw));
-                if let Some(sources) = &sources {
-                    let sources = &sources[at..at + run];
-                    for (dst, plane) in channels {
-                        for (d, &j) in dst.iter_mut().zip(sources) {
-                            *d = plane.get(j as usize).copied().unwrap_or(0.0);
-                        }
-                    }
-                    continue;
-                }
-                let (span, from) = t.shift_span(g, p0, run);
-                let keep = t
-                    .wraps(g)
-                    .then(|| &outputs.ox[at + span.start..at + span.end]);
-                for (dst, plane) in channels {
-                    let (head, rest) = dst.split_at_mut(span.start);
-                    let (mid, tail) = rest.split_at_mut(span.len());
-                    head.fill(0.0);
-                    tail.fill(0.0);
-                    let src = &plane[from..from + mid.len()];
-                    match keep {
-                        None => mid.copy_from_slice(src),
-                        Some(keep) => {
-                            for ((d, &v), &ox) in mid.iter_mut().zip(src).zip(keep) {
-                                *d = if t.keeps(ox) { v } else { 0.0 };
+        // One panel at a time, every row of it: the writes fill one
+        // contiguous stretch of `out` before moving on.
+        for (i, n) in panel_pieces(off, part.len()) {
+            // Columns `i..i + n` of the block, `ip..ip + n` of `part`.
+            let ip = i - off;
+            let piece = part.start + ip..part.start + ip + n;
+            for t in (0..kk).map(|tap| g.tap(tap)) {
+                let tap = t.index(g);
+                let sources = t.sources(g, &outputs, ip..ip + n);
+                // In shift geometry position `p` of a plane reads input
+                // `p + shift`.
+                let shift = (t.ky * g.w + t.kx) as isize - (g.pad * (g.w + 1)) as isize;
+                for (ni, p0, run, j0) in plane_runs(g.oh * g.ow, piece.clone()) {
+                    let sources = &sources[j0..j0 + run];
+                    for ci in 0..c {
+                        let plane = (ni * c + ci) * hw;
+                        let o = at(ci * kk + tap, i + j0);
+                        let dst = &mut out[o..o + run];
+                        // The run's inputs as one contiguous stretch of
+                        // `x`: positions that read padding land on some
+                        // other pixel, and the select zeroes them. Only at
+                        // the ends of `x` can the stretch fall outside it.
+                        let shifted = (g.is_shift())
+                            .then(|| (plane + p0) as isize + shift)
+                            .filter(|&s| s >= 0 && s as usize + run <= x.len());
+                        match shifted {
+                            Some(s) => select(dst, &x[s as usize..s as usize + run], sources),
+                            None => {
+                                let plane = &x[plane..plane + hw];
+                                for (d, &j) in dst.iter_mut().zip(sources) {
+                                    *d = plane.get(j as usize).copied().unwrap_or(0.0);
+                                }
                             }
                         }
                     }
@@ -307,6 +324,77 @@ pub fn build_patches(input: &Tensor4, g: &Geometry, q: Range<usize>, out: &mut [
             }
         }
     }
+    for (i, n) in panel_pieces(0, len) {
+        if ones {
+            let o = at(rows - 1, i);
+            out[o..o + n].fill(1.0);
+        }
+        // The last panel's columns past `len` are padding.
+        if n < NR && i + n == len {
+            for row in 0..rows {
+                let o = at(row, i + n);
+                out[o..o + NR - n].fill(0.0);
+            }
+        }
+    }
+}
+
+/// `dst[j] = src[j]` where `sources[j]` names a pixel, `+0.0` where it
+/// marks padding (`u32::MAX`).
+#[inline(always)]
+fn select(dst: &mut [f32], src: &[f32], sources: &[u32]) {
+    assert!(src.len() == dst.len() && sources.len() == dst.len());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2 checked; all three slices are `dst.len()` long.
+        unsafe { select_avx2(dst, src, sources) };
+        return;
+    }
+    for ((d, &v), &j) in dst.iter_mut().zip(src).zip(sources) {
+        *d = if j != u32::MAX { v } else { 0.0 };
+    }
+}
+
+/// [`select`] eight lanes at a time: a panel row is only [`NR`] long, too
+/// short for the compiler's vectorized loops to leave their scalar
+/// remainder. Clearing the bits of a padding lane is the `+0.0` the
+/// scalar loop writes.
+///
+/// # Safety
+/// Requires AVX2; `src` and `sources` must be at least `dst.len()` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn select_avx2(dst: &mut [f32], src: &[f32], sources: &[u32]) {
+    use std::arch::x86_64::*;
+    let n = dst.len();
+    let padding = _mm256_set1_epi32(-1);
+    let mut j = 0;
+    while j + 8 <= n {
+        let at = sources.as_ptr().add(j) as *const __m256i;
+        let pad = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_loadu_si256(at), padding));
+        let v = _mm256_andnot_ps(pad, _mm256_loadu_ps(src.as_ptr().add(j)));
+        _mm256_storeu_ps(dst.as_mut_ptr().add(j), v);
+        j += 8;
+    }
+    for j in j..n {
+        dst[j] = if sources[j] != u32::MAX { src[j] } else { 0.0 };
+    }
+}
+
+/// Columns `start..start + len` cut where an [`NR`]-wide panel ends:
+/// `(first column, length)` per piece.
+fn panel_pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = start + len;
+    let mut i = start;
+    std::iter::from_fn(move || {
+        if i >= end {
+            return None;
+        }
+        let n = (NR - i % NR).min(end - i);
+        let piece = (i, n);
+        i += n;
+        Some(piece)
+    })
 }
 
 /// Scatter-add a patch-gradient block back onto the input gradient: the
@@ -384,10 +472,19 @@ pub fn scatter_patches(dp: &[f32], g: &Geometry, q: Range<usize>, dx: &mut Tenso
 
 /// `dst[m·s] += src[m]` for every `m` (`dst` is `(src.len() − 1)·s + 1`
 /// long). At stride 2 the pixel between two targets gets `+0.0`, so the
-/// loop is a run of whole pairs.
+/// row is one pass of whole pairs: eight at a time in vector registers,
+/// as `src` interleaved with zeros, where AVX2 is there.
+#[inline(always)]
 fn strided_add(dst: &mut [f32], src: &[f32], s: usize) {
     match s {
         2 => {
+            assert_eq!(dst.len(), 2 * src.len() - 1, "a stride-2 row");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 checked; `dst` is `2·src.len() − 1` long.
+                unsafe { strided2_add_avx2(dst, src) };
+                return;
+            }
             let (last, pairs) = src.split_last().expect("a row adds at least one pixel");
             for (pair, &v) in dst.chunks_exact_mut(2).zip(pairs) {
                 pair[0] += v;
@@ -400,6 +497,52 @@ fn strided_add(dst: &mut [f32], src: &[f32], s: usize) {
                 d[0] += v;
             }
         }
+    }
+}
+
+/// The stride-2 [`strided_add`]: each eight values of `src` are
+/// interleaved with eight zeros and added to sixteen pixels, the last
+/// group's pixels past the row masked off — every pixel takes the one add
+/// the scalar pass gives it.
+///
+/// # Safety
+/// Requires AVX2; `dst` must be `2·src.len() − 1` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strided2_add_avx2(dst: &mut [f32], src: &[f32]) {
+    use std::arch::x86_64::*;
+    let (n, len) = (src.len(), dst.len());
+    let zero = _mm256_setzero_ps();
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let first = |c: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(c as i32), lanes);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    let mut m = 0;
+    while m < n {
+        let v = match n - m {
+            8.. => _mm256_loadu_ps(sp.add(m)),
+            k => _mm256_maskload_ps(sp.add(m), first(k)),
+        };
+        // [v0 0 v1 0 v2 0 v3 0] and [v4 0 v5 0 v6 0 v7 0].
+        let (lo, hi) = (_mm256_unpacklo_ps(v, zero), _mm256_unpackhi_ps(v, zero));
+        let pairs = [
+            _mm256_permute2f128_ps(lo, hi, 0x20),
+            _mm256_permute2f128_ps(lo, hi, 0x31),
+        ];
+        for (h, add) in pairs.into_iter().enumerate() {
+            let at = 2 * m + 8 * h;
+            if at >= len {
+                break;
+            }
+            let p = dp.add(at);
+            match len - at {
+                8.. => _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), add)),
+                c => {
+                    let mask = first(c);
+                    _mm256_maskstore_ps(p, mask, _mm256_add_ps(_mm256_maskload_ps(p, mask), add));
+                }
+            }
+        }
+        m += 8;
     }
 }
 
@@ -421,17 +564,6 @@ fn rows_of(
         (oy, ox0, i) = (oy + 1, 0, i + n);
         Some(row)
     })
-}
-
-/// Columns `cols` of each `group`-long piece of `data`: one channel's
-/// patch row over some positions, for every channel.
-fn per_channel_mut(
-    data: &mut [f32],
-    group: usize,
-    cols: Range<usize>,
-) -> impl Iterator<Item = &mut [f32]> {
-    data.chunks_exact_mut(group)
-        .map(move |g| &mut g[cols.clone()])
 }
 
 /// The runs of positions `q` that fall inside single samples:
@@ -494,40 +626,60 @@ pub fn scatter_block(block: &[f32], bias: Option<&[f32]>, q: Range<usize>, t: &m
     }
 }
 
-/// A `features × positions` matrix stored block by block: block `b` is
-/// the row-major `features × len_b` matrix of positions
-/// `b·BLOCK..b·BLOCK + len_b` (`len_b = BLOCK` for every block but
-/// possibly the last). The storage of the patch matrix.
+/// Position range and packed length of block `b` of a `features ×
+/// positions` [`Blocked`] matrix.
+fn block_at(features: usize, positions: usize, b: usize) -> (Range<usize>, usize) {
+    let q = b * BLOCK..((b + 1) * BLOCK).min(positions);
+    let len = packed_len(Side::Right, features, q.len());
+    (q, len)
+}
+
+/// A `features × positions` matrix stored block by block: block `b` holds
+/// the `features × len_b` matrix of positions `b·BLOCK..b·BLOCK + len_b`
+/// (`len_b = BLOCK` for every block but possibly the last), packed for the
+/// right side of a product ([`build_patches`]). The storage of the patch
+/// matrix.
 #[derive(Debug)]
 pub struct Blocked {
     data: Vec<f32>,
     features: usize,
+    positions: usize,
 }
 
 impl Blocked {
     /// A `features × positions` matrix in `data`'s allocation (kept when
     /// large enough). Contents are unspecified; callers write every block.
     pub fn from_storage(mut data: Vec<f32>, features: usize, positions: usize) -> Self {
-        data.resize(features * positions, 0.0);
-        Blocked { data, features }
+        data.resize(features * positions.next_multiple_of(BLOCK), 0.0);
+        Blocked {
+            data,
+            features,
+            positions,
+        }
     }
 
     /// The blocks in order, each with its position range.
     pub fn blocks(&self) -> impl Iterator<Item = (Range<usize>, &[f32])> {
-        let f = self.features;
+        let (f, positions) = (self.features, self.positions);
         self.data
             .chunks((f * BLOCK).max(1))
             .enumerate()
-            .map(move |(b, blk)| (b * BLOCK..b * BLOCK + blk.len() / f, blk))
+            .map(move |(b, blk)| {
+                let (q, len) = block_at(f, positions, b);
+                (q, &blk[..len])
+            })
     }
 
     /// Mutable twin of [`blocks`](Self::blocks).
     pub fn blocks_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut [f32])> {
-        let f = self.features;
+        let (f, positions) = (self.features, self.positions);
         self.data
             .chunks_mut((f * BLOCK).max(1))
             .enumerate()
-            .map(move |(b, blk)| (b * BLOCK..b * BLOCK + blk.len() / f, blk))
+            .map(move |(b, blk)| {
+                let (q, len) = block_at(f, positions, b);
+                (q, &mut blk[..len])
+            })
     }
 
     /// Give the allocation back.
@@ -542,6 +694,21 @@ mod tests {
     use crate::testutil::random_tensor;
     use kfac_tensor::Rng64;
 
+    /// The row-major `rows × len` patch block of positions `q` (with a
+    /// ones row when `ones`), read back out of its panel layout.
+    fn patches(x: &Tensor4, g: &Geometry, q: Range<usize>, ones: bool) -> Vec<f32> {
+        let (rows, len) = (g.fan_in() + usize::from(ones), q.len());
+        let mut packed = vec![f32::NAN; packed_len(Side::Right, rows, len)];
+        build_patches(x, g, q, ones, &mut packed);
+        assert!(
+            packed.iter().all(|v| !v.is_nan()),
+            "an element was not written"
+        );
+        (0..rows * len)
+            .map(|e| packed[panel_offset(Side::Right, rows, len, e / len, e % len)])
+            .collect()
+    }
+
     #[test]
     fn out_dim_formula() {
         assert_eq!(conv_out_dim(8, 3, 1, 1), 8); // same-padding 3x3
@@ -555,17 +722,18 @@ mod tests {
         // 1x1 kernel, no padding: the patch block is the input, channel-major.
         let t = Tensor4::from_vec(1, 2, 2, 2, (0..8).map(|i| i as f32).collect());
         let g = Geometry::new(t.shape(), 1, 1, 0);
-        let mut p = vec![f32::NAN; 8];
-        build_patches(&t, &g, 0..4, &mut p);
-        assert_eq!(p, t.as_slice());
+        assert_eq!(patches(&t, &g, 0..4, false), t.as_slice());
+        // A bias adds a row of ones under them.
+        let with_ones = patches(&t, &g, 0..4, true);
+        assert_eq!(&with_ones[..8], t.as_slice());
+        assert_eq!(with_ones[8..], [1.0; 4]);
     }
 
     #[test]
     fn padding_zero_fills() {
         let t = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let g = Geometry::new(t.shape(), 3, 1, 1);
-        let mut p = vec![f32::NAN; 9 * 4];
-        build_patches(&t, &g, 0..4, &mut p);
+        let p = patches(&t, &g, 0..4, false);
         // Column 0 (top-left position): only the bottom-right 2x2 of the
         // kernel sees data.
         let col0: Vec<f32> = (0..9).map(|tap| p[tap * 4]).collect();
@@ -583,16 +751,14 @@ mod tests {
         for (k, stride, pad) in [(3, 1, 1), (3, 2, 1), (1, 2, 0), (3, 1, 0)] {
             let g = Geometry::new(x.shape(), k, stride, pad);
             let (f, total) = (g.fan_in(), g.positions());
-            let mut whole = vec![f32::NAN; f * total];
-            build_patches(&x, &g, 0..total, &mut whole);
+            let whole = patches(&x, &g, 0..total, false);
             let dp: Vec<f32> = (0..f * total).map(|_| rng.normal_f32()).collect();
             let mut dx_whole = Tensor4::zeros(7, 2, 5, 7);
             scatter_patches(&dp, &g, 0..total, &mut dx_whole);
             for cut in [1, 4, total / 2, total - 1] {
                 let mut dx = Tensor4::zeros(7, 2, 5, 7);
                 for q in [0..cut, cut..total] {
-                    let mut part = vec![f32::NAN; f * q.len()];
-                    build_patches(&x, &g, q.clone(), &mut part);
+                    let part = patches(&x, &g, q.clone(), false);
                     let mut dp_part = vec![0.0; f * q.len()];
                     for tap in 0..f {
                         assert_eq!(
@@ -621,8 +787,7 @@ mod tests {
         for (k, stride, pad) in [(3, 1, 1), (3, 2, 1), (1, 2, 0), (1, 1, 0), (3, 1, 0)] {
             let g = Geometry::new(x.shape(), k, stride, pad);
             let len = g.fan_in() * g.positions();
-            let mut fx = vec![f32::NAN; len];
-            build_patches(&x, &g, 0..g.positions(), &mut fx);
+            let fx = patches(&x, &g, 0..g.positions(), false);
             let y: Vec<f32> = (0..len).map(|_| rng.normal_f32()).collect();
             let mut aty = Tensor4::zeros(2, 2, 4, 5);
             scatter_patches(&y, &g, 0..g.positions(), &mut aty);

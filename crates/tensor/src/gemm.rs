@@ -8,7 +8,9 @@
 //!   [`NR`] columns (zero-padded), laid out so the micro-kernel streams it
 //!   with unit stride; `A` is packed per row-block into [`MR`]-row panels.
 //!   Packing pays one extra pass over the operands and buys perfectly
-//!   contiguous, aligned inner loops — the classic GotoBLAS trade.
+//!   contiguous, aligned inner loops — the classic GotoBLAS trade. An
+//!   operand that many products read is packed once instead ([`Packed`],
+//!   [`View::packed`]) and each product reads its panels as they lie.
 //! * **Stored element ≠ computed element.** Operands are [`View`]s over
 //!   `f32` values or bf16 words (`u16`); the packers widen whatever is
 //!   stored to `f32` on the way into the panels ([`Element`]), so a bf16
@@ -100,6 +102,10 @@ pub trait Element: Copy + Send + Sync + sealed::Sealed {
     #[doc(hidden)]
     #[cfg(target_arch = "x86_64")]
     unsafe fn transpose8(rows: [*const Self; 8], dst: *mut f32, stride: usize);
+
+    /// The storage as panels, which only `f32` views hold.
+    #[doc(hidden)]
+    fn panels(data: &[Self]) -> &[f32];
 }
 
 impl Element for f32 {
@@ -114,6 +120,10 @@ impl Element for f32 {
     #[inline(always)]
     unsafe fn transpose8(rows: [*const f32; 8], dst: *mut f32, stride: usize) {
         simd::transpose_f32_8x8(rows, dst, stride)
+    }
+
+    fn panels(data: &[f32]) -> &[f32] {
+        data
     }
 }
 
@@ -130,26 +140,108 @@ impl Element for u16 {
     unsafe fn transpose8(rows: [*const u16; 8], dst: *mut f32, stride: usize) {
         simd::widen_transpose_bf16_8x16(rows, dst, stride)
     }
+
+    fn panels(_: &[u16]) -> &[f32] {
+        unreachable!("panel storage is f32")
+    }
 }
 
-/// Storage orientation of a [`View`].
+/// The side of a product `a · b` a packed operand is laid out for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The left operand `a` (`m × k`): [`KC`]-deep blocks of [`MR`]-row
+    /// panels, element `(i, p)` of a panel at `panel[p*MR + i]`.
+    Left,
+    /// The right operand `b` (`k × n`): [`KC`]-deep blocks of [`NR`]-column
+    /// panels, element `(p, j)` of a panel at `panel[p*NR + j]`.
+    Right,
+}
+
+/// Length of the panel storage of a `rows × cols` matrix packed for
+/// `side`: the panels zero-pad the non-depth dimension to a whole tile.
+pub fn packed_len(side: Side, rows: usize, cols: usize) -> usize {
+    match side {
+        Side::Left => rows.div_ceil(MR) * MR * cols,
+        Side::Right => rows * cols.div_ceil(NR) * NR,
+    }
+}
+
+/// Where element `(r, c)` of a `rows × cols` matrix packed for `side`
+/// lies in its panel storage. Block `k0..k0 + kc` of the depth (columns
+/// of a left operand, rows of a right one) starts at `k0` times the padded
+/// other dimension, and its panels are `kc` deep — so the first element
+/// of a panel is where the engine's micro-kernel starts reading it.
+#[inline(always)]
+pub fn panel_offset(side: Side, rows: usize, cols: usize, r: usize, c: usize) -> usize {
+    match side {
+        Side::Left => {
+            let k0 = c - c % KC;
+            let kc = KC.min(cols - k0);
+            k0 * rows.div_ceil(MR) * MR + (r / MR) * kc * MR + (c - k0) * MR + r % MR
+        }
+        Side::Right => {
+            let k0 = r - r % KC;
+            let kc = KC.min(rows - k0);
+            k0 * cols.div_ceil(NR) * NR + (c / NR) * kc * NR + (r - k0) * NR + c % NR
+        }
+    }
+}
+
+/// How the matrix under a [`View`] is stored.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Op {
-    /// Logical `(r, c)` is stored at `data[r * ld + c]`.
-    NoTrans,
-    /// Logical `(r, c)` is stored at `data[c * ld + r]`.
-    Trans,
+enum Storage {
+    /// Row-major with leading dimension `ld`: `(r, c)` at `data[r * ld + c]`.
+    Dense { ld: usize },
+    /// A `rows × cols` matrix in the panel layout of `side`
+    /// ([`panel_offset`]).
+    Panels {
+        side: Side,
+        rows: usize,
+        cols: usize,
+    },
 }
 
-/// A borrowed matrix operand: storage slice, leading dimension, logical
-/// shape, and orientation. `View::new` is a plain row-major matrix;
-/// `View::t` presents the same storage transposed. `E` is what the slice
-/// stores — `f32`, or bf16 words as `u16`.
+impl Storage {
+    fn is_dense(&self) -> bool {
+        matches!(self, Storage::Dense { .. })
+    }
+
+    #[inline(always)]
+    fn offset(&self, r: usize, c: usize) -> usize {
+        match *self {
+            Storage::Dense { ld } => r * ld + c,
+            Storage::Panels { side, rows, cols } => panel_offset(side, rows, cols, r, c),
+        }
+    }
+
+    /// How many of a stored row's columns `c..c + len` lie next to each
+    /// other from column `c` on.
+    #[inline(always)]
+    fn run(&self, c: usize, len: usize) -> usize {
+        match *self {
+            Storage::Dense { .. } => len,
+            Storage::Panels {
+                side: Side::Right, ..
+            } => len.min(NR - c % NR),
+            Storage::Panels {
+                side: Side::Left, ..
+            } => 1,
+        }
+    }
+}
+
+/// A borrowed matrix operand: storage, its layout, and the logical shape.
+/// `View::new` is a plain row-major matrix; `View::t` presents the same
+/// storage transposed; [`View::packed`] and [`Packed::view`] present panel
+/// storage, which a product on the side it was packed for reads as is. `E`
+/// is what the slice stores — `f32`, or bf16 words as `u16`; panel storage
+/// is always `f32`.
 #[derive(Clone, Copy)]
 pub struct View<'a, E> {
     data: &'a [E],
-    ld: usize,
-    op: Op,
+    storage: Storage,
+    /// Logical `(r, c)` is stored at `(c, r)`.
+    trans: bool,
     rows: usize,
     cols: usize,
 }
@@ -160,8 +252,8 @@ impl<'a, E: Element> View<'a, E> {
         assert_eq!(data.len(), rows * cols, "view shape mismatch");
         View {
             data,
-            ld: cols,
-            op: Op::NoTrans,
+            storage: Storage::Dense { ld: cols },
+            trans: false,
             rows,
             cols,
         }
@@ -170,14 +262,26 @@ impl<'a, E: Element> View<'a, E> {
     /// Transposed view: `data` stores `rows × cols` row-major, presented
     /// as its `cols × rows` transpose.
     pub fn t(data: &'a [E], rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "view shape mismatch");
+        View::new(data, rows, cols).transposed()
+    }
+
+    /// The same storage presented transposed.
+    pub fn transposed(self) -> Self {
         View {
-            data,
-            ld: cols,
-            op: Op::Trans,
-            rows: cols,
-            cols: rows,
+            trans: !self.trans,
+            rows: self.cols,
+            cols: self.rows,
+            ..self
         }
+    }
+
+    /// The leading `rows × cols` block of this view.
+    pub fn leading(self, rows: usize, cols: usize) -> Self {
+        assert!(
+            rows <= self.rows && cols <= self.cols,
+            "leading block larger than the view"
+        );
+        View { rows, cols, ..self }
     }
 
     /// Logical row count.
@@ -190,12 +294,126 @@ impl<'a, E: Element> View<'a, E> {
         self.cols
     }
 
+    /// Stored position of logical `(r, c)`.
+    #[inline(always)]
+    fn offset(&self, r: usize, c: usize) -> usize {
+        match self.trans {
+            false => self.storage.offset(r, c),
+            true => self.storage.offset(c, r),
+        }
+    }
+
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
-        match self.op {
-            Op::NoTrans => self.data[r * self.ld + c].widen(),
-            Op::Trans => self.data[c * self.ld + r].widen(),
+        self.data[self.offset(r, c)].widen()
+    }
+
+    /// The panel storage and stored shape, when this view is a leading
+    /// block of a matrix packed for `side` — what a product reads without
+    /// packing it again.
+    fn panels(&self, side: Side) -> Option<(&'a [f32], usize, usize)> {
+        match self.storage {
+            Storage::Panels {
+                side: s,
+                rows,
+                cols,
+            } if s == side && !self.trans => Some((E::panels(self.data), rows, cols)),
+            _ => None,
         }
+    }
+}
+
+impl<'a> View<'a, f32> {
+    /// `data` holding a `rows × cols` matrix packed for `side`
+    /// ([`panel_offset`]), as a view.
+    pub fn packed(data: &'a [f32], side: Side, rows: usize, cols: usize) -> Self {
+        assert_eq!(
+            data.len(),
+            packed_len(side, rows, cols),
+            "packed view shape mismatch"
+        );
+        View {
+            data,
+            storage: Storage::Panels { side, rows, cols },
+            trans: false,
+            rows,
+            cols,
+        }
+    }
+}
+
+/// Pack `src` for `side` into `dst` (`packed_len(side, rows, cols)` long),
+/// writing every element of it: the layout a product on that side reads
+/// without packing it again ([`View::packed`], [`Packed`]).
+fn pack_into<E: Element>(src: View<'_, E>, side: Side, dst: &mut [f32]) {
+    let (rows, cols) = (src.rows(), src.cols());
+    let pad = match side {
+        Side::Left => rows.div_ceil(MR) * MR,
+        Side::Right => cols.div_ceil(NR) * NR,
+    };
+    let depth = match side {
+        Side::Left => cols,
+        Side::Right => rows,
+    };
+    assert_eq!(dst.len(), pad * depth, "packed length mismatch");
+    let mut k0 = 0usize;
+    while k0 < depth {
+        let kc = KC.min(depth - k0);
+        let block = &mut dst[k0 * pad..(k0 + kc) * pad];
+        match side {
+            Side::Left => pack_a_block(src, 0, rows, k0, kc, block),
+            Side::Right => pack_b_block(src, k0, kc, cols, block),
+        }
+        k0 += kc;
+    }
+}
+
+/// An operand packed once and read by many products: the matrix in the
+/// panel layout of one side.
+#[derive(Debug, Clone)]
+pub struct Packed {
+    data: Vec<f32>,
+    side: Side,
+    rows: usize,
+    cols: usize,
+}
+
+impl Packed {
+    /// `src` packed for `side`.
+    pub fn of<E: Element>(side: Side, src: View<'_, E>) -> Self {
+        Packed::pack_in(side, src, Vec::new())
+    }
+
+    /// `src` packed for `side` in storage from the thread's arena, for a
+    /// pack that lives for one call; give it back with
+    /// [`recycle`](Packed::recycle). One buffer, reused by every layer,
+    /// stays in cache where a buffer per layer would not.
+    pub fn scratch<E: Element>(side: Side, src: View<'_, E>) -> Self {
+        let len = packed_len(side, src.rows(), src.cols());
+        Packed::pack_in(side, src, arena::take_f32(len))
+    }
+
+    /// `src` packed for `side` into `data`'s allocation.
+    fn pack_in<E: Element>(side: Side, src: View<'_, E>, mut data: Vec<f32>) -> Self {
+        let (rows, cols) = (src.rows(), src.cols());
+        data.resize(packed_len(side, rows, cols), 0.0);
+        pack_into(src, side, &mut data);
+        Packed {
+            data,
+            side,
+            rows,
+            cols,
+        }
+    }
+
+    /// Hand the storage of a [`scratch`](Packed::scratch) pack back.
+    pub fn recycle(self) {
+        arena::recycle_f32(self.data);
+    }
+
+    /// The packed matrix as an operand.
+    pub fn view(&self) -> View<'_, f32> {
+        View::packed(&self.data, self.side, self.rows, self.cols)
     }
 }
 
@@ -268,38 +486,49 @@ fn gemm_impl<E: Element>(
         }
         return;
     }
-    if m * n * k <= SMALL_FLOP_CUTOFF {
+    // Panel storage has no setup left to skip, and the triple loop would
+    // look up each of its elements through the panel layout. Both paths
+    // round alike, so the choice is speed only.
+    let dense = a.storage.is_dense() && b.storage.is_dense();
+    if m * n * k <= SMALL_FLOP_CUTOFF && dense {
         gemm_naive(a, b, out, upper_only, first);
         return;
     }
 
-    // ---- Pack B once: KC-deep blocks of NR-column panels. ----
-    let n_pad = n.div_ceil(NR) * NR;
-    let mut bpack = arena::take_f32(k * n_pad);
-    {
-        let bp = &mut bpack[..];
-        let mut base = 0usize;
-        let mut k0 = 0usize;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            pack_b_block(b, k0, kc, n, &mut bp[base..base + kc * n_pad]);
-            base += kc * n_pad;
-            k0 += kc;
-        }
-    }
+    // ---- B panels: the operand itself when it is packed, else packed
+    // once here. ----
+    let b_own = b.panels(Side::Right).is_none().then(|| {
+        let mut bpack = arena::take_f32(packed_len(Side::Right, k, n));
+        pack_into(b, Side::Right, &mut bpack);
+        bpack
+    });
+    let (bdata, b_rows, b_cols) = match &b_own {
+        Some(bpack) => (&bpack[..], k, n),
+        None => b.panels(Side::Right).expect("packed right operand"),
+    };
+    let a_packed = a.panels(Side::Left);
 
     // ---- Parallel over MC-row blocks of C; each task owns its rows. ----
-    let bpack_ref = &bpack[..];
     let run_block = |i0: usize, out_block: &mut [f32]| {
         let mc = MC.min(m - i0);
         let mc_pad = mc.div_ceil(MR) * MR;
-        let mut apack = arena::take_f32(mc_pad * KC);
-        let mut base = 0usize;
+        let mut apack = match a_packed {
+            Some(_) => Vec::new(),
+            None => arena::take_f32(mc_pad * KC),
+        };
         let mut k0 = 0usize;
         let mut first = first;
         while k0 < k {
             let kc = KC.min(k - k0);
-            pack_a_block(a, i0, mc, k0, kc, &mut apack[..mc_pad * kc]);
+            // A panels of this row block and depth block: where the packed
+            // operand holds them, or a pack of just them.
+            let (adata, a_rows, a_cols, ai0, ak0) = match a_packed {
+                Some((data, rows, cols)) => (data, rows, cols, i0, k0),
+                None => {
+                    pack_a_block(a, i0, mc, k0, kc, &mut apack[..mc_pad * kc]);
+                    (&apack[..mc_pad * kc], mc, kc, 0, 0)
+                }
+            };
             // Gram products skip every tile strictly below the diagonal —
             // whole panels left of this row block, and under each panel
             // the row tiles that start past its last column; the mirror
@@ -308,18 +537,19 @@ fn gemm_impl<E: Element>(
             let mut j0 = j_start;
             while j0 < n {
                 let nr = NR.min(n - j0);
-                let bpanel = &bpack_ref[base + j0 * kc..base + j0 * kc + kc * NR];
+                let at = panel_offset(Side::Right, b_rows, b_cols, k0, j0);
+                let bpanel = &bdata[at..at + kc * NR];
                 let rows = if upper_only { mc.min(j0 + NR - i0) } else { mc };
                 let mut ii = 0usize;
                 while ii < rows {
                     let mr = MR.min(mc - ii);
-                    let apanel = &apack[ii * kc..ii * kc + kc * MR];
+                    let at = panel_offset(Side::Left, a_rows, a_cols, ai0 + ii, ak0);
+                    let apanel = &adata[at..at + kc * MR];
                     micro_kernel(kc, apanel, bpanel, out_block, ii, n, j0, mr, nr, first);
                     ii += MR;
                 }
                 j0 += NR;
             }
-            base += kc * n_pad;
             k0 += kc;
             first = false;
         }
@@ -335,7 +565,9 @@ fn gemm_impl<E: Element>(
             run_block(t * MC, out_block);
         }
     }
-    arena::recycle_f32(bpack);
+    if let Some(bpack) = b_own {
+        arena::recycle_f32(bpack);
+    }
 }
 
 /// Widen a contiguous run of stored elements into the front of a panel
@@ -349,6 +581,76 @@ fn widen_run<E: Element>(src: &[E], dst: &mut [f32]) {
     pad.fill(0.0);
 }
 
+/// The with-the-grain pack step over any storage: stored rows
+/// `r0..r0 + rows`, each one's columns `c0..c0 + len` widened into the
+/// front of its `width`-long piece of `dst`, the rest of the piece zeroed.
+/// `r0..r0 + rows` lie in one `KC`-aligned block of rows, so in every
+/// storage where the columns lie next to each other the rows start a fixed
+/// step apart.
+#[inline(always)]
+fn copy_stored<E: Element>(
+    v: &View<'_, E>,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    len: usize,
+    dst: &mut [f32],
+    width: usize,
+) {
+    let dst = dst.chunks_exact_mut(width).take(rows);
+    if v.storage.run(c0, len) == len {
+        let at = v.storage.offset(r0, c0);
+        let step = if rows > 1 {
+            v.storage.offset(r0 + 1, c0) - at
+        } else {
+            0
+        };
+        for (p, d) in dst.enumerate() {
+            let at = at + p * step;
+            widen_run(&v.data[at..at + len], d);
+        }
+    } else {
+        for (p, d) in dst.enumerate() {
+            for (j, d) in d.iter_mut().enumerate() {
+                *d = if j < len {
+                    v.data[v.storage.offset(r0 + p, c0 + j)].widen()
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+}
+
+/// The against-the-grain pack step over any storage: stored rows
+/// `r0..r0 + rows` (`rows ≤ 8`, `r0` a multiple of 8), stored columns
+/// `c0..c0 + len`, element `(i, p)` widened to `dst[p * stride + i]` —
+/// [`interleave_rows`] over each run of columns that lie next to each
+/// other. Such a group of rows lies in one `MR` panel and one `KC` block of
+/// rows, so in every storage its rows start a fixed step apart.
+fn interleave_stored<E: Element>(
+    v: &View<'_, E>,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    len: usize,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    let step = if rows > 1 {
+        v.storage.offset(r0 + 1, c0) - v.storage.offset(r0, c0)
+    } else {
+        0
+    };
+    let mut p = 0usize;
+    while p < len {
+        let seg = v.storage.run(c0 + p, len - p);
+        let at = v.storage.offset(r0, c0 + p);
+        interleave_rows(v.data, at, step, rows, seg, &mut dst[p * stride..], stride);
+        p += seg;
+    }
+}
+
 /// Pack rows `k0..k0+kc` of `b` into NR-column panels: panel `jp` holds
 /// columns `jp*NR..` with element `(p, jj)` at `panel[p*NR + jj]`,
 /// zero-padded past `n`. Every packed element is written (first-touch).
@@ -356,26 +658,18 @@ fn pack_b_block<E: Element>(b: View<'_, E>, k0: usize, kc: usize, n: usize, dst:
     for (jp, panel) in dst.chunks_exact_mut(kc * NR).enumerate() {
         let j0 = jp * NR;
         let nr = NR.min(n - j0);
-        match b.op {
-            Op::NoTrans => {
-                for p in 0..kc {
-                    let src_row = &b.data[(k0 + p) * b.ld + j0..(k0 + p) * b.ld + j0 + nr];
-                    widen_run(src_row, &mut panel[p * NR..p * NR + NR]);
-                }
-            }
-            Op::Trans => {
-                // Logical (p, j) lives at data[j * ld + p]: each logical
-                // column is a contiguous storage row, interleaved into
-                // the panel eight columns at a time.
-                for jj0 in (0..nr).step_by(8) {
-                    let at = |jj: usize| (j0 + jj0 + jj) * b.ld + k0;
-                    interleave_rows(b.data, at, 8.min(nr - jj0), kc, &mut panel[jj0..], NR);
-                }
-                if nr < NR {
-                    for p in 0..kc {
-                        panel[p * NR + nr..(p + 1) * NR].fill(0.0);
-                    }
-                }
+        if !b.trans {
+            copy_stored(&b, k0, kc, j0, nr, panel, NR);
+            continue;
+        }
+        // Logical (p, j) is stored at (j, p): each logical column is a
+        // stored row, interleaved into the panel eight columns at a time.
+        for jj0 in (0..nr).step_by(8) {
+            interleave_stored(&b, j0 + jj0, 8.min(nr - jj0), k0, kc, &mut panel[jj0..], NR);
+        }
+        if nr < NR {
+            for p in 0..kc {
+                panel[p * NR + nr..(p + 1) * NR].fill(0.0);
             }
         }
     }
@@ -395,58 +689,55 @@ fn pack_a_block<E: Element>(
     for (ip, panel) in dst.chunks_exact_mut(kc * MR).enumerate() {
         let ii0 = ip * MR;
         let mr = MR.min(mc - ii0);
-        match a.op {
-            Op::NoTrans => {
-                let at = |ii: usize| (i0 + ii0 + ii) * a.ld + k0;
-                interleave_rows(a.data, at, mr, kc, panel, MR);
-                if mr < MR {
-                    for p in 0..kc {
-                        panel[p * MR + mr..(p + 1) * MR].fill(0.0);
-                    }
-                }
-            }
-            Op::Trans => {
-                // Logical (i, p) lives at data[p * ld + i]: each depth step
-                // reads a contiguous run of logical rows.
-                for p in 0..kc {
-                    let src = &a.data[(k0 + p) * a.ld + i0 + ii0..(k0 + p) * a.ld + i0 + ii0 + mr];
-                    widen_run(src, &mut panel[p * MR..p * MR + MR]);
-                }
+        if a.trans {
+            // Logical (i, p) is stored at (p, i): each depth step reads a
+            // run of logical rows that lie next to each other.
+            copy_stored(&a, k0, kc, i0 + ii0, mr, panel, MR);
+            continue;
+        }
+        interleave_stored(&a, i0 + ii0, mr, k0, kc, panel, MR);
+        if mr < MR {
+            for p in 0..kc {
+                panel[p * MR + mr..(p + 1) * MR].fill(0.0);
             }
         }
     }
 }
 
 /// Interleave up to eight storage rows into panel layout: row `i`
-/// (`rows ≤ 8`) starts at `data[at(i)]`, is `kc` long, and its element
-/// `p` lands, widened, at `dst[p * stride + i]` — the transposition both
-/// "against the grain" packs need (`pack_a` of a row-major operand,
-/// `pack_b` of a transposed one). Full groups of eight rows go through
-/// the element type's register transpose; pure data movement either way,
-/// so the packed values and every product are unchanged.
+/// (`rows ≤ 8`) starts at `data[at + i * step]`, is `kc` long, and its
+/// element `p` lands, widened, at `dst[p * stride + i]` — the
+/// transposition both "against the grain" packs need (`pack_a` of a
+/// row-major operand, `pack_b` of a transposed one). Full groups of eight
+/// rows go through the element type's register transpose; pure data
+/// movement either way, so the packed values and every product are
+/// unchanged.
 fn interleave_rows<E: Element>(
     data: &[E],
-    at: impl Fn(usize) -> usize,
+    at: usize,
+    step: usize,
     rows: usize,
     kc: usize,
     dst: &mut [f32],
     stride: usize,
 ) {
     debug_assert!(rows <= 8 && stride >= 8);
+    // One slice proves every row readable for `kc` elements.
+    let src = &data[at..at + (rows - 1) * step + kc];
     let mut done = 0usize;
     #[cfg(target_arch = "x86_64")]
     if rows == 8 && kc >= E::LANES && std::arch::is_x86_feature_detected!("avx2") {
-        // The slices below prove every row readable for `kc` elements and
-        // `dst` writable up to the last element the transposes store.
-        let src: [&[E]; 8] = std::array::from_fn(|i| &data[at(i)..at(i) + kc]);
+        // The reslice proves `dst` writable up to the last element the
+        // transposes store.
         let dst = &mut dst[..(kc - 1) * stride + 8];
         while done + E::LANES <= kc {
-            // SAFETY: avx2 checked; each `src[i]` has `done + LANES ≤ kc`
-            // elements, and the stores cover `dst[(done + p) * stride..][..8]`
-            // for `p < LANES`, within the length asserted by the reslice above.
+            // SAFETY: avx2 checked; row `i` reads `src[i * step + done..]`
+            // for `LANES` elements, `done + LANES ≤ kc`, inside `src`; the
+            // stores cover `dst[(done + p) * stride..][..8]` for
+            // `p < LANES`, within the length asserted by the reslice above.
             unsafe {
                 E::transpose8(
-                    src.map(|r| r.as_ptr().add(done)),
+                    std::array::from_fn(|i| src.as_ptr().add(i * step + done)),
                     dst.as_mut_ptr().add(done * stride),
                     stride,
                 );
@@ -454,9 +745,12 @@ fn interleave_rows<E: Element>(
             done += E::LANES;
         }
     }
+    if done == kc {
+        return;
+    }
     for i in 0..rows {
-        let src = &data[at(i) + done..at(i) + kc];
-        for (p, &v) in src.iter().enumerate() {
+        let row = &src[i * step + done..i * step + kc];
+        for (p, &v) in row.iter().enumerate() {
             dst[(done + p) * stride + i] = v.widen();
         }
     }
@@ -481,6 +775,18 @@ fn micro_kernel(
     nr: usize,
     first: bool,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if mr == MR && nr == NR && std::arch::is_x86_feature_detected!("avx512f") {
+        // A whole tile goes from registers to `out`: at a shallow `kc` (a
+        // conv layer's `Wᵀ·gy_b` is `c_out` deep) the trip through `acc`
+        // costs a third of the tile.
+        let out = &mut out[row0 * ldc + j0..(row0 + MR - 1) * ldc + j0 + NR];
+        assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
+        // SAFETY: feature checked; the panels are `kc` deep and `out` holds
+        // `MR` rows of `NR` at stride `ldc` (both asserted above).
+        unsafe { simd::tile_avx512_into(kc, apanel, bpanel, out, ldc, first) };
+        return;
+    }
     let mut acc = [[0.0f32; NR]; MR];
     compute_tile(kc, apanel, bpanel, &mut acc);
     if first {
@@ -562,6 +868,50 @@ mod simd {
         bpanel: &[f32],
         acc: &mut [[f32; NR]; MR],
     ) {
+        let v = accumulate_avx512(kc, apanel, bpanel);
+        for (row, vi) in acc.iter_mut().zip(v.iter()) {
+            _mm512_storeu_ps(row.as_mut_ptr(), vi[0]);
+            _mm512_storeu_ps(row.as_mut_ptr().add(16), vi[1]);
+        }
+    }
+
+    /// [`tile_avx512`] stored (`first`) or added straight into `out`, row
+    /// `i` of the tile at `out[i * ldc..][..NR]`: the adds are the ones
+    /// `micro_kernel` makes from `acc`, so the bits are too.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; the panels must be `kc` deep and `out` must hold
+    /// `(MR − 1) · ldc + NR` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tile_avx512_into(
+        kc: usize,
+        apanel: &[f32],
+        bpanel: &[f32],
+        out: &mut [f32],
+        ldc: usize,
+        first: bool,
+    ) {
+        assert!(out.len() >= (MR - 1) * ldc + NR);
+        let v = accumulate_avx512(kc, apanel, bpanel);
+        for (i, vi) in v.iter().enumerate() {
+            let row = out.as_mut_ptr().add(i * ldc);
+            for (h, &vh) in vi.iter().enumerate() {
+                let at = row.add(16 * h);
+                let sum = if first {
+                    vh
+                } else {
+                    _mm512_add_ps(_mm512_loadu_ps(at), vh)
+                };
+                _mm512_storeu_ps(at, sum);
+            }
+        }
+    }
+
+    /// The tile's accumulators: two zmm registers per row, over `kc`
+    /// depth steps.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn accumulate_avx512(kc: usize, apanel: &[f32], bpanel: &[f32]) -> [[__m512; 2]; MR] {
         let mut v = [[_mm512_setzero_ps(); 2]; MR];
         for p in 0..kc {
             let b0 = _mm512_loadu_ps(bpanel.as_ptr().add(p * NR));
@@ -572,10 +922,7 @@ mod simd {
                 vi[1] = _mm512_fmadd_ps(a, b1, vi[1]);
             }
         }
-        for (row, vi) in acc.iter_mut().zip(v.iter()) {
-            _mm512_storeu_ps(row.as_mut_ptr(), vi[0]);
-            _mm512_storeu_ps(row.as_mut_ptr().add(16), vi[1]);
-        }
+        v
     }
 
     /// 8-lane variant: a tile row is four ymm registers, processed in

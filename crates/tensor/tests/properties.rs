@@ -4,6 +4,7 @@
 //! Kronecker identities of §II-C, spectral reconstruction, and
 //! factorization round-trips.
 
+use kfac_tensor::gemm::{gemm_acc_into, gemm_into, gemm_upper_into, Packed, Side, View};
 use kfac_tensor::matmul::reference_matmul;
 use kfac_tensor::{
     eigh, eigh_tridiag, invert, kron, kron_matvec, EigenDecomposition, Matrix, Rng64,
@@ -275,6 +276,134 @@ fn packed_gemm_crosses_kc_blocks() {
             "({m},{k},{n}) diff {}",
             c.max_abs_diff(&r)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pre-packed operands: an operand packed once for its side of the product
+// (`gemm::Packed`, `gemm::View::packed`) is read as it lies; the result must
+// carry the bits the same product computes from the unpacked operand.
+// ---------------------------------------------------------------------------
+
+/// Dimensions straddling MR 8, NR 32, MC 64 and KC 128.
+fn panel_dim() -> impl Strategy<Value = usize> {
+    const DIMS: [usize; 12] = [1, 7, 8, 9, 31, 33, 63, 65, 127, 128, 129, 200];
+    (0usize..DIMS.len()).prop_map(|i| DIMS[i])
+}
+
+fn bit_vec(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits on and above the diagonal of the `n × n` matrix `x`: all
+/// `gemm_upper_into` defines (below it, a packed operand and a plain one
+/// may take different paths through the engine).
+fn upper(x: &[f32], n: usize) -> Vec<u32> {
+    (0..n)
+        .flat_map(|i| x[i * n + i..(i + 1) * n].iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Every way an operand of one product can arrive: as stored, packed for
+/// its side, and packed from panel storage of its transpose (the conv
+/// layer's patch blocks), read transposed or through a leading block.
+fn operand_forms<'a>(
+    plain: View<'a, f32>,
+    packs: &'a [Packed; 3],
+) -> Vec<(&'static str, View<'a, f32>)> {
+    let (rows, cols) = (plain.rows(), plain.cols());
+    vec![
+        ("plain", plain),
+        ("packed", packs[0].view()),
+        // `packs[1]` holds the operand's transpose packed for the right
+        // side; its transposed view is the operand again.
+        ("panels-t", packs[1].view().transposed()),
+        // `packs[2]` holds the operand grown by one row and one column.
+        ("leading", packs[2].view().leading(rows, cols)),
+    ]
+}
+
+/// `x` as the `rows × cols` operand it stores, transposed when `trans`.
+fn stored_view(x: &[f32], rows: usize, cols: usize, trans: bool) -> View<'_, f32> {
+    if trans {
+        View::t(x, cols, rows)
+    } else {
+        View::new(x, rows, cols)
+    }
+}
+
+/// The three packs [`operand_forms`] reads for `x` (`rows × cols`, stored
+/// transposed when `trans`).
+fn packs_of(x: &[f32], rows: usize, cols: usize, trans: bool, side: Side) -> [Packed; 3] {
+    let plain = stored_view(x, rows, cols, trans);
+    let xt = Packed::of(Side::Right, plain.transposed());
+    let mut grown = vec![0.0f32; (rows + 1) * (cols + 1)];
+    for r in 0..rows {
+        for c in 0..cols {
+            grown[r * (cols + 1) + c] = x[if trans { c * rows + r } else { r * cols + c }];
+        }
+    }
+    let grown = Packed::of(side, View::new(&grown, rows + 1, cols + 1));
+    [Packed::of(side, plain), xt, grown]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `gemm_into`, `gemm_acc_into` (first and accumulating) and
+    /// `gemm_upper_into` give the same bits whichever form each operand
+    /// arrives in, both orientations of both operands, on pools of 1, 2
+    /// and 4 threads.
+    #[test]
+    fn packed_operands_give_the_bits_of_plain_ones(
+        m in panel_dim(), k in panel_dim(), n in panel_dim(),
+        a_trans in any::<bool>(), b_trans in any::<bool>(),
+        pool in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
+        seed in any::<u64>(),
+    ) {
+        rayon::set_pool_threads(pool);
+        let a = seeded(m, k, seed).as_slice().to_vec();
+        let b = seeded(k, n, seed ^ 0x51ed).as_slice().to_vec();
+        // The square case reuses `a`'s rows against a `k × m` right side.
+        let b_sq = seeded(k, m, seed ^ 0x2545).as_slice().to_vec();
+        let start = seeded(m, n, seed ^ 0x7f4a).as_slice().to_vec();
+        let start_sq = seeded(m, m, seed ^ 0x7f4b).as_slice().to_vec();
+        let a_packs = packs_of(&a, m, k, a_trans, Side::Left);
+        let b_packs = packs_of(&b, k, n, b_trans, Side::Right);
+        let sq_packs = packs_of(&b_sq, k, m, b_trans, Side::Right);
+        let av = stored_view(&a, m, k, a_trans);
+        let (bv, bsq) = (stored_view(&b, k, n, b_trans), stored_view(&b_sq, k, m, b_trans));
+
+        let mut want = vec![f32::NAN; m * n];
+        gemm_into(av, bv, &mut want);
+        let mut want_acc = start.clone();
+        gemm_acc_into(av, bv, &mut want_acc, false);
+        let mut want_up = start_sq.clone();
+        gemm_upper_into(av, bsq, &mut want_up, false);
+        let mut want_up_first = start_sq.clone();
+        gemm_upper_into(av, bsq, &mut want_up_first, true);
+
+        for (an, a_op) in operand_forms(av, &a_packs) {
+            for ((bn, b_op), (_, bsq_op)) in operand_forms(bv, &b_packs)
+                .into_iter()
+                .zip(operand_forms(bsq, &sq_packs))
+            {
+                let cell = format!("{an}·{bn} ({m},{k},{n}) pool {pool}");
+                let mut got = vec![f32::NAN; m * n];
+                gemm_into(a_op, b_op, &mut got);
+                prop_assert_eq!(bit_vec(&got), bit_vec(&want), "gemm_into {}", &cell);
+                let mut acc = start.clone();
+                gemm_acc_into(a_op, b_op, &mut acc, false);
+                prop_assert_eq!(bit_vec(&acc), bit_vec(&want_acc), "gemm_acc_into {}", &cell);
+                let mut up = start_sq.clone();
+                gemm_upper_into(a_op, bsq_op, &mut up, false);
+                prop_assert_eq!(upper(&up, m), upper(&want_up, m), "gemm_upper_into {}", &cell);
+                let mut up = start_sq.clone();
+                gemm_upper_into(a_op, bsq_op, &mut up, true);
+                prop_assert_eq!(upper(&up, m), upper(&want_up_first, m), "first upper {}", &cell);
+            }
+        }
+        rayon::set_pool_threads(1);
     }
 }
 
