@@ -8,8 +8,7 @@
 //! * **factor computation** — constant in GPU count (Table V), priced by
 //!   the calibrated power law of [`GpuSpec`](crate::hardware::GpuSpec);
 //! * **eigendecomposition** — bounded by the slowest worker (Table VI),
-//!   computed from the *real* placement code over the *real* factor
-//!   inventory;
+//!   computed from the *real* [`Plan`] over the *real* factor inventory;
 //! * **preconditioning** — every iteration, priced by the calibrated
 //!   depth power law;
 //!
@@ -19,7 +18,7 @@
 
 use crate::hardware::ClusterSpec;
 use crate::profile::{resnet50_reference, ModelProfile};
-use kfac::distribution::{assign_factors, assign_layers_lw, per_rank_cost};
+use kfac::distribution::{makespan, per_rank_cost, Plan};
 use kfac::PlacementPolicy;
 
 /// K-FAC amortization and distribution knobs for the model.
@@ -148,15 +147,18 @@ impl IterationModel {
     /// Table V's other half.
     pub fn eig_stage_s(&self, placement: PlacementPolicy) -> (f64, f64) {
         let world = self.cluster.gpus;
-        let assignment = assign_factors(placement, &self.profile.factors, world);
-        let makespan_flops =
-            9 * kfac::distribution::makespan(&self.profile.factors, &assignment, world);
-        let comp = makespan_flops as f64 / self.cluster.gpu.eig_flops;
+        let comp = self.eig_makespan_s(&Plan::opt(placement, &self.profile.factors, world));
         let comm = self
             .cluster
             .link
             .allgather_s(self.profile.eig_bytes(), world);
         (comp, comm)
+    }
+
+    /// The slowest rank's eigendecompositions under `plan`, one update.
+    fn eig_makespan_s(&self, plan: &Plan) -> f64 {
+        let load = makespan(&self.profile.factors, &plan.eig_owner, self.cluster.gpus);
+        (9 * load) as f64 / self.cluster.gpu.eig_flops
     }
 
     /// Per-rank eigendecomposition times for one update (Table VI's
@@ -167,15 +169,12 @@ impl IterationModel {
     pub fn eig_worker_times_s(&self, placement: PlacementPolicy) -> Vec<f64> {
         const PER_FACTOR_OVERHEAD_S: f64 = 0.5e-3;
         let world = self.cluster.gpus;
-        let assignment = assign_factors(placement, &self.profile.factors, world);
-        let mut counts = vec![0usize; world];
-        for f in &self.profile.factors {
-            counts[assignment[f.id]] += 1;
-        }
+        let assignment = Plan::opt(placement, &self.profile.factors, world).eig_owner;
         per_rank_cost(&self.profile.factors, &assignment, world)
             .into_iter()
-            .zip(counts)
-            .map(|(load, n)| {
+            .enumerate()
+            .map(|(rank, load)| {
+                let n = assignment.iter().filter(|&&owner| owner == rank).count();
                 9.0 * load as f64 / self.cluster.gpu.eig_flops + n as f64 * PER_FACTOR_OVERHEAD_S
             })
             .collect()
@@ -237,13 +236,7 @@ impl IterationModel {
 
         // Layer-granularity eig makespan: the owner decomposes both of a
         // layer's factors — half the work granularity of K-FAC-opt.
-        let owners = assign_layers_lw(n_layers, world);
-        let mut load = vec![0u64; world];
-        for (li, &(da, dg)) in self.profile.layer_dims.iter().enumerate() {
-            load[owners[li]] += 9 * ((da as u64).pow(3) + (dg as u64).pow(3));
-        }
-        let eig_makespan =
-            *load.iter().max().expect("nonempty") as f64 / self.cluster.gpu.eig_flops;
+        let eig_makespan = self.eig_makespan_s(&Plan::lw(&self.profile.factors, world));
 
         // Owners precondition only their own layers (≤ ⌈L/p⌉ of them)…
         let layers_per_rank = n_layers.div_ceil(world);

@@ -108,7 +108,8 @@ impl RandEigPolicy {
     }
 }
 
-/// How K-FAC work is distributed across ranks.
+/// How K-FAC work is distributed across ranks: which constructor of
+/// [`Plan`](crate::distribution::Plan) the step runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistStrategy {
     /// The paper's optimized scheme (K-FAC-opt): each *factor* is
@@ -181,7 +182,7 @@ pub struct KfacConfig {
     /// full matrices — the paper's future work to "reduce communication
     /// quantity" (§VII). Nothing reads it; it stays only because the
     /// frozen benchmark package sets it (`stepbench/src/workload.rs`),
-    /// and ROADMAP item 2 deletes it.
+    /// and ROADMAP's "`stepbench` re-baseline" deletes it.
     pub triangular_factor_comm: bool,
     /// Wire precision policy (gradient and K-FAC collective dtypes). The
     /// default — f32 on both — is bitwise identical to builds predating

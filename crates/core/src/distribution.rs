@@ -1,4 +1,4 @@
-//! Work distribution: assigning factors (or layers) to ranks.
+//! Work distribution: which rank does which K-FAC work.
 //!
 //! The heart of the paper's scalability story. K-FAC-opt assigns each
 //! *factor* to a rank in "a greedy, round-robin fashion" (§VI-C4), which
@@ -6,9 +6,10 @@
 //! imbalance quantified in Table VI (min vs max worker speedup). The
 //! size-balanced LPT policy implements the paper's proposed fix: "a
 //! placement policy that uses factor size as a heuristic for the eigen
-//! decomposition time".
+//! decomposition time". A [`Plan`] holds the whole decision; K-FAC-opt
+//! and K-FAC-lw are its two constructors.
 
-use crate::config::PlacementPolicy;
+use crate::config::{DistStrategy, KfacConfig, PlacementPolicy};
 
 /// Which half of a layer's Kronecker pair a factor is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +98,47 @@ pub fn assign_factors(
     }
 }
 
-/// Assignment of *layers* to ranks for the K-FAC-lw strategy: layer `i`
-/// is owned by rank `i mod world` (the Osawa et al. \[6\] scheme).
-pub fn assign_layers_lw(num_layers: usize, world_size: usize) -> Vec<usize> {
-    assert!(world_size > 0);
-    (0..num_layers).map(|l| l % world_size).collect()
+/// Who does which K-FAC work in a `world`-rank group. Like
+/// [`assign_factors`], a pure function of its inputs: every rank builds
+/// the same plan without communicating, and a shrunk group builds the
+/// survivors' plan from the new world size alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// `eig_owner[factor_id]`: the rank that decomposes the factor.
+    pub eig_owner: Vec<usize>,
+    /// `precond_owner[layer]`: `None` if every rank preconditions the
+    /// layer from allgathered bases; `Some(rank)` if that rank alone does,
+    /// having decomposed both factors, and its result is gathered.
+    pub precond_owner: Vec<Option<usize>>,
+}
+
+impl Plan {
+    /// The plan `cfg`'s strategy and placement name, for `factors` from
+    /// [`factor_descs`].
+    pub fn new(cfg: &KfacConfig, factors: &[FactorDesc], world: usize) -> Plan {
+        match cfg.strategy {
+            DistStrategy::Opt => Plan::opt(cfg.placement, factors, world),
+            DistStrategy::Lw => Plan::lw(factors, world),
+        }
+    }
+
+    /// K-FAC-opt: factors placed by `placement`, every layer
+    /// preconditioned on every rank.
+    pub fn opt(placement: PlacementPolicy, factors: &[FactorDesc], world: usize) -> Plan {
+        Plan {
+            eig_owner: assign_factors(placement, factors, world),
+            precond_owner: vec![None; factors.len() / 2],
+        }
+    }
+
+    /// K-FAC-lw (Osawa et al. \[6\]): layer `l`, both its factors and its
+    /// preconditioning, on rank `l mod world`.
+    pub fn lw(factors: &[FactorDesc], world: usize) -> Plan {
+        Plan {
+            eig_owner: factors.iter().map(|f| f.layer % world).collect(),
+            precond_owner: (0..factors.len() / 2).map(|l| Some(l % world)).collect(),
+        }
+    }
 }
 
 /// Per-rank eigendecomposition cost under an assignment — the quantity
@@ -196,12 +233,6 @@ mod tests {
             max / min
         };
         assert!(cost(8) > cost(2), "imbalance ratio should grow with scale");
-    }
-
-    #[test]
-    fn lw_assignment_is_per_layer() {
-        let a = assign_layers_lw(5, 2);
-        assert_eq!(a, vec![0, 1, 0, 1, 0]);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!    Algorithm 1 lines 4–7).
 //! 2. **Second-order update** (every `update_freq` iterations):
 //!    allreduces the running averages (line 8 — see below for why it
-//!    runs here and not after every fold), assigns each factor to a rank
-//!    (round-robin, Fig. 3 step 2), eigendecomposes (or explicitly
-//!    inverts) the locally-assigned factors, and allgathers the results
-//!    (lines 10–18).
+//!    runs here and not after every fold), eigendecomposes (or
+//!    explicitly inverts) the factors the [`Plan`] gives this rank (Fig. 3
+//!    step 2), and allgathers the results (lines 10–18).
 //! 3. **Preconditioning** (every iteration): computes
-//!    `(F̂ + γI)⁻¹ ∇L` locally for all layers (Eq. 13–15), applies the
+//!    `(F̂ + γI)⁻¹ ∇L` for every layer (Eq. 13–15), applies the
 //!    KL-clip ν (Eq. 18), and writes the result back into the layers'
 //!    gradients, ready for any first-order optimizer (lines 19–21).
 //!
@@ -31,10 +30,13 @@
 //! to rounding ([`Kfac::factor_exchange_due`]). Between exchanges each
 //! rank's averages are its own ([`Kfac::factors_in_sync`]).
 //!
-//! The K-FAC-lw strategy of Osawa et al. \[6\] is implemented alongside
-//! for the Fig. 7–9 comparison: there, a layer's owner computes both
-//! decompositions *and* the preconditioned gradient, which is then
-//! exchanged every iteration.
+//! Who does which work is one [`Plan`], rebuilt from the group's size on
+//! every step. K-FAC-opt shares every layer: each factor has an owner,
+//! the bases are allgathered and every rank preconditions every layer.
+//! K-FAC-lw (Osawa et al. \[6\], for the Fig. 7–9 comparison) gives each
+//! layer one owner, which computes both decompositions *and* the
+//! preconditioned gradient; the gradients are then exchanged every
+//! iteration. The step is the same code for both.
 //!
 //! ## Graceful degradation
 //!
@@ -56,8 +58,8 @@
 //! recovery.
 
 use crate::codec::{put_f32s, put_u64, Reader};
-use crate::config::{DistStrategy, EigenSolver, InversionMethod, KfacConfig};
-use crate::distribution::{assign_factors, assign_layers_lw, factor_descs, FactorDesc};
+use crate::config::{EigenSolver, InversionMethod, KfacConfig};
+use crate::distribution::{factor_descs, FactorDesc, Plan};
 use crate::math::{
     decompose_factor_randomized, decompose_factor_with, invert_factor, kl_clip_nu,
     precondition_bases, precondition_inverse, Basis,
@@ -196,11 +198,6 @@ impl Kfac {
             #[cfg(test)]
             two_pass_fold: false,
         }
-    }
-
-    /// Number of K-FAC-eligible layers.
-    pub fn num_layers(&self) -> usize {
-        self.layer_dims.len()
     }
 
     /// The wire precision policy this instance runs under (for the
@@ -356,8 +353,8 @@ impl Kfac {
     }
 
     /// One preconditioning step with every collective fallible: the
-    /// straight-line composition of the phase methods below, for both
-    /// distribution strategies. Each K-FAC collective travels at
+    /// straight-line composition of the phase methods below, for any
+    /// [`Plan`]. Each K-FAC collective travels at
     /// `precision.factor_wire` width under `retry`. Returns how many
     /// exchanges degraded:
     ///
@@ -390,7 +387,7 @@ impl Kfac {
             "model structure changed since Kfac::new"
         );
         let (world, rank) = (comm.size(), comm.rank());
-        let strategy = self.cfg.strategy;
+        let plan = Plan::new(&self.cfg, &self.factors, world);
         let wire_dtype = self.cfg.precision.factor_wire;
         let mut degraded = 0u32;
 
@@ -432,17 +429,11 @@ impl Kfac {
             }
         }
 
-        // Lines 9–18: owners decompose their factors; K-FAC-opt
-        // allgathers the results, K-FAC-lw keeps them with the layer's
-        // owner (its preconditioned gradients travel instead).
+        // Lines 9–18: owners decompose their factors. The bases of shared
+        // layers are allgathered; an owned layer's stay with its owner
+        // (its preconditioned gradient travels instead).
         if self.is_eig_iteration() {
-            let assignment = match strategy {
-                DistStrategy::Opt => self.eig_assignment(world),
-                DistStrategy::Lw => {
-                    let owners = assign_layers_lw(self.num_layers(), world);
-                    (0..self.factors.len()).map(|id| owners[id / 2]).collect()
-                }
-            };
+            let assignment = &plan.eig_owner;
             let mine: Vec<usize> = (0..self.factors.len())
                 .filter(|&id| assignment[id] == rank)
                 .collect();
@@ -459,15 +450,16 @@ impl Kfac {
             drop(comp_span);
 
             let mut refreshed = true;
-            if strategy == DistStrategy::Opt {
+            // Every basis travels if some layer is shared; no constructor mixes.
+            if plan.precond_owner.contains(&None) {
                 let _comm_span = Span::enter("kfac/eig_comm").with("iter", self.iteration);
                 if world > 1 {
-                    let payload = self.eig_local_payload(&assignment, rank);
+                    let payload = self.eig_local_payload(assignment, rank);
                     let gathered = retry.run(|| {
                         wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, wire_dtype)
                     });
                     match gathered {
-                        Ok(gathered) => self.eig_apply_gathered(&assignment, rank, &gathered),
+                        Ok(gathered) => self.eig_apply_gathered(assignment, rank, &gathered),
                         Err(e) => {
                             // Every rank puts its own entries back, so
                             // the group stays identically stale.
@@ -485,46 +477,37 @@ impl Kfac {
             }
         }
 
-        // Lines 19–21: precondition every layer, then KL-clip.
+        // Lines 19–21: precondition every layer, then KL-clip. Owners
+        // precondition their layers and the results are allgathered — the
+        // per-iteration communication that §IV-C eliminates in K-FAC-opt.
         let _span = Span::enter("kfac/precond").with("iter", self.iteration);
         let grads: Vec<Matrix> = layers.iter().map(|l| l.grad_matrix()).collect();
-        let preconds: Vec<Matrix> = match strategy {
-            DistStrategy::Opt => grads
-                .iter()
-                .enumerate()
-                .map(|(li, g)| self.precondition_one(li, g))
-                .collect(),
-            // K-FAC-lw: owners precondition their layers and the results
-            // are allgathered — the per-iteration communication that
-            // §IV-C eliminates in K-FAC-opt.
-            DistStrategy::Lw => {
-                let owners = assign_layers_lw(self.num_layers(), world);
-                let mut payload = Vec::new();
-                for (li, grad) in grads.iter().enumerate() {
-                    if owners[li] == rank {
-                        payload.extend_from_slice(self.precondition_one(li, grad).as_slice());
-                    }
-                }
-                let gathered = if world > 1 {
-                    retry.run(|| {
-                        wire::try_allgather_half(comm, &payload, TrafficClass::Precond, wire_dtype)
-                    })?
-                } else {
-                    vec![payload]
-                };
-                let mut offsets = vec![0usize; world];
-                self.layer_dims
-                    .iter()
-                    .zip(&owners)
-                    .map(|(&(da, dg), &owner)| {
-                        let start = offsets[owner];
-                        offsets[owner] += da * dg;
-                        let data = &gathered[owner][start..offsets[owner]];
-                        Matrix::from_vec(dg, da, data.to_vec())
-                    })
-                    .collect()
+        let mut payload = Vec::new();
+        for (li, grad) in grads.iter().enumerate() {
+            if plan.precond_owner[li] == Some(rank) {
+                payload.extend_from_slice(self.precondition_one(li, grad).as_slice());
             }
+        }
+        let gathered = if world > 1 && plan.precond_owner.iter().any(Option::is_some) {
+            retry.run(|| {
+                wire::try_allgather_half(comm, &payload, TrafficClass::Precond, wire_dtype)
+            })?
+        } else {
+            vec![payload]
         };
+        let mut offsets = vec![0usize; world];
+        let preconds: Vec<Matrix> = (grads.iter().enumerate())
+            .map(|(li, grad)| match plan.precond_owner[li] {
+                None => self.precondition_one(li, grad),
+                Some(owner) => {
+                    let (da, dg) = self.layer_dims[li];
+                    let start = offsets[owner];
+                    offsets[owner] += da * dg;
+                    let data = &gathered[owner][start..offsets[owner]];
+                    Matrix::from_vec(dg, da, data.to_vec())
+                }
+            })
+            .collect();
         self.apply_with_clip(&mut layers, &preconds, &grads, lr);
         self.advance();
         Ok(degraded)
@@ -814,26 +797,21 @@ impl Kfac {
         let (registry, _) = self.telemetry.as_ref().expect("checked above");
         let li = id / 2;
         let kind = if id.is_multiple_of(2) { "a" } else { "g" };
-        registry
-            .gauge(&format!("kfac/layer{li}/{kind}_lambda_min"))
-            .set(lo);
-        registry
-            .gauge(&format!("kfac/layer{li}/{kind}_lambda_max"))
-            .set(hi);
-        registry
-            .gauge(&format!("kfac/layer{li}/{kind}_cond"))
-            .set(cond);
-        registry
-            .gauge(&format!("kfac/layer{li}/{kind}_eig_rank"))
-            .set(rank as f64);
-        registry
-            .gauge(&format!("kfac/layer{li}/{kind}_eig_mass"))
-            .set(mass);
-        registry.histogram("kfac/lambda_min").record(lo);
-        registry.histogram("kfac/lambda_max").record(hi);
-        registry.histogram("kfac/cond").record(cond);
-        registry.histogram("kfac/eig_rank").record(rank as f64);
-        registry.histogram("kfac/eig_mass").record(mass);
+        let probes = [
+            ("lambda_min", lo),
+            ("lambda_max", hi),
+            ("cond", cond),
+            ("eig_rank", rank as f64),
+            ("eig_mass", mass),
+        ];
+        for (name, value) in probes {
+            registry
+                .gauge(&format!("kfac/layer{li}/{kind}_{name}"))
+                .set(value);
+        }
+        for (name, value) in probes {
+            registry.histogram(&format!("kfac/{name}")).record(value);
+        }
     }
 
     fn encode_second_order(&self, so: &FactorSecondOrder, out: &mut Vec<f32>) {
@@ -878,11 +856,11 @@ impl Kfac {
         }
     }
 
-    /// Phase: the factor→rank ownership map for a `world`-rank group
-    /// (round-robin / cost-balanced per the placement policy, Fig. 3
-    /// step 2). Deterministic: every rank computes the same map.
+    /// Phase: the factor→rank ownership map for a `world`-rank group,
+    /// the plan's eig owners (Fig. 3 step 2). Deterministic: every rank
+    /// computes the same map.
     pub fn eig_assignment(&self, world: usize) -> Vec<usize> {
-        assign_factors(self.cfg.placement, &self.factors, world)
+        Plan::new(&self.cfg, &self.factors, world).eig_owner
     }
 
     /// Phase: eigendecompose (or invert) factor `id` from its running
@@ -1038,20 +1016,11 @@ impl Kfac {
             registry
                 .gauge("kfac/staleness_age")
                 .set(self.iteration.saturating_sub(self.last_eig_iter) as f64);
-            let mut pg_sq = 0.0f64;
-            let mut g_sq = 0.0f64;
-            for (pg, g) in preconds.iter().zip(grads.iter()) {
-                pg_sq += pg
-                    .as_slice()
-                    .iter()
-                    .map(|&v| (v as f64) * v as f64)
-                    .sum::<f64>();
-                g_sq += g
-                    .as_slice()
-                    .iter()
-                    .map(|&v| (v as f64) * v as f64)
-                    .sum::<f64>();
-            }
+            // Per layer, then over layers in order.
+            let squares =
+                |m: &Matrix| -> f64 { m.as_slice().iter().map(|&v| (v as f64) * v as f64).sum() };
+            let sq = |ms: &[Matrix]| ms.iter().fold(0.0f64, |acc, m| acc + squares(m));
+            let (pg_sq, g_sq) = (sq(preconds), sq(grads));
             let ratio = if g_sq > 0.0 {
                 (pg_sq / g_sq).sqrt()
             } else {
@@ -1489,5 +1458,21 @@ mod tests {
             .map(|f| 1 + 4 * f.dim * (f.dim + 1) / 2)
             .sum();
         assert_eq!(kfac.save_state().len(), header + averages + factors.len());
+    }
+
+    /// Under -lw the owner map is the one the step decomposes with: both
+    /// factors of layer `l` on rank `l mod world`.
+    #[test]
+    fn lw_eig_assignment_gives_both_factors_to_the_layer_owner() {
+        let mut m = conv_model();
+        let cfg = KfacConfig {
+            strategy: crate::config::DistStrategy::Lw,
+            ..KfacConfig::default()
+        };
+        let owners = Kfac::new(&mut m, cfg).eig_assignment(2);
+        assert_eq!(owners.len(), 4, "two layers");
+        for l in 0..2 {
+            assert_eq!([owners[2 * l], owners[2 * l + 1]], [l % 2; 2], "layer {l}");
+        }
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests for the K-FAC math and distribution invariants.
 
 use kfac::config::PlacementPolicy;
-use kfac::distribution::{assign_factors, assign_layers_lw, factor_descs, makespan, per_rank_cost};
+use kfac::distribution::{assign_factors, factor_descs, makespan, per_rank_cost, FactorDesc, Plan};
 use kfac::math::{
     decompose_factor, invert_factor, kl_clip_nu, precondition_eigen, precondition_inverse,
 };
 use kfac_tensor::{kron, Matrix};
 use proptest::prelude::*;
+
+/// A plan constructor, applied at a world size.
+type PlanAt = fn(&[FactorDesc], usize) -> Plan;
 
 /// Strategy: a random SPD factor of dimension `n`.
 fn spd(n: usize) -> impl Strategy<Value = Matrix> {
@@ -149,87 +152,86 @@ proptest! {
         prop_assert!(ms <= bound * 1.0001, "makespan {ms} exceeds LPT bound {bound}");
     }
 
-    /// Layer-wise assignment covers all layers and wraps ranks.
+    /// The -opt plan decomposes where the placement says and shares
+    /// every layer; the -lw plan gives layer `l`, both its factors and its
+    /// preconditioning, to rank `l mod world`. Every owner is a rank.
     #[test]
-    fn lw_assignment_covers(num_layers in 1usize..200, world in 1usize..32) {
-        let owners = assign_layers_lw(num_layers, world);
-        prop_assert_eq!(owners.len(), num_layers);
-        prop_assert!(owners.iter().all(|&r| r < world));
-        // Consecutive layers go to consecutive ranks.
-        for (li, &o) in owners.iter().enumerate() {
-            prop_assert_eq!(o, li % world);
+    fn plan_constructors_follow_their_schemes(
+        dims in proptest::collection::vec((1usize..300, 1usize..300), 1..200),
+        world in 1usize..32,
+    ) {
+        let factors = factor_descs(&dims);
+        for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::SizeBalanced] {
+            let opt = Plan::opt(policy, &factors, world);
+            prop_assert_eq!(&opt.eig_owner, &assign_factors(policy, &factors, world));
+            prop_assert_eq!(&opt.precond_owner, &vec![None; dims.len()]);
+            prop_assert!(opt.eig_owner.iter().all(|&r| r < world));
         }
+        let lw = Plan::lw(&factors, world);
+        prop_assert_eq!(lw.precond_owner.len(), dims.len());
+        for (l, &owner) in lw.precond_owner.iter().enumerate() {
+            prop_assert_eq!(owner, Some(l % world));
+            prop_assert_eq!(lw.eig_owner[2 * l], l % world);
+            prop_assert_eq!(lw.eig_owner[2 * l + 1], l % world);
+        }
+        prop_assert_eq!(lw.eig_owner.len(), factors.len());
     }
 
-    /// Elastic shrink contract: after any single rank of worlds 2–8 is
-    /// removed and the survivors re-rank contiguously, recomputing the
-    /// factor assignment at the new world size is **total** (every
-    /// factor owned exactly once), **contiguous** (owners fall in
-    /// `0..world-1`, with every surviving rank used when there are
-    /// enough factors), and **deterministic in the new size alone** —
-    /// survivors agree bitwise no matter which rank died, without
-    /// communicating. Shrink-world recovery restores from a checkpoint
-    /// and recomputes assignments locally; this is the property that
-    /// makes that sound.
+    /// Elastic shrink contract, for both plan constructors: after any
+    /// single rank of worlds 2–8 is removed and the survivors re-rank
+    /// contiguously, re-deriving the plan at the new world size is
+    /// **total** (every factor owned exactly once), **contiguous**
+    /// (owners fall in `0..world-1`, with every surviving rank used when
+    /// there are enough factors — for -lw, enough layers), and
+    /// **deterministic in the new size alone** — survivors agree bitwise
+    /// no matter which rank died, without communicating. Shrink-world
+    /// recovery restores from a checkpoint and re-derives the plan
+    /// locally; this is the property that makes that sound.
     #[test]
     fn factor_assignment_remaps_cleanly_under_any_single_rank_removal(
         dims in proptest::collection::vec((1usize..128, 1usize..128), 1..16),
         world in 2usize..9,
     ) {
         let factors = factor_descs(&dims);
-        for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::SizeBalanced] {
-            let boot = assign_factors(policy, &factors, world);
+        let constructors: [(&str, PlanAt); 3] = [
+            ("opt round-robin", |f, w| Plan::opt(PlacementPolicy::RoundRobin, f, w)),
+            ("opt size-balanced", |f, w| Plan::opt(PlacementPolicy::SizeBalanced, f, w)),
+            ("lw", Plan::lw),
+        ];
+        for (name, plan) in constructors {
+            let boot = plan(&factors, world);
+            // -lw gives whole layers, so a rank idles once layers run out.
+            let units = if name == "lw" { dims.len() } else { factors.len() };
             let mut shrunk_views = Vec::new();
             for removed in 0..world {
                 // Each survivor recomputes from only (factors, new world).
-                let remapped = assign_factors(policy, &factors, world - 1);
+                let remapped = plan(&factors, world - 1);
                 // Total: every factor assigned exactly once.
-                prop_assert_eq!(remapped.len(), factors.len());
+                prop_assert_eq!(remapped.eig_owner.len(), factors.len());
+                prop_assert_eq!(remapped.precond_owner.len(), dims.len());
                 // Contiguous: owners are valid new ranks…
-                prop_assert!(remapped.iter().all(|&r| r < world - 1));
+                prop_assert!(remapped.eig_owner.iter().all(|&r| r < world - 1));
+                prop_assert!(remapped.precond_owner.iter().flatten().all(|&r| r < world - 1));
                 // …and no surviving rank is idle when work suffices.
-                if factors.len() >= world - 1 {
+                if units >= world - 1 {
                     for r in 0..world - 1 {
                         prop_assert!(
-                            remapped.contains(&r),
-                            "rank {} idle after removing {} (policy {:?})",
-                            r, removed, policy
+                            remapped.eig_owner.contains(&r),
+                            "rank {} idle after removing {} ({})",
+                            r, removed, name
                         );
                     }
                 }
                 shrunk_views.push(remapped);
             }
             // Removal-invariant + deterministic: every survivor lands on
-            // the identical assignment regardless of which rank died.
+            // the identical plan regardless of which rank died.
             for v in &shrunk_views[1..] {
                 prop_assert_eq!(v, &shrunk_views[0]);
             }
-            // And the boot assignment itself is reproducible (survivors
+            // And the boot plan itself is reproducible (survivors
             // recomputing the *old* view for fencing agree too).
-            prop_assert_eq!(&boot, &assign_factors(policy, &factors, world));
-        }
-    }
-
-    /// The same shrink contract for the layer-wise strategy.
-    #[test]
-    fn lw_assignment_remaps_cleanly_under_any_single_rank_removal(
-        num_layers in 1usize..64,
-        world in 2usize..9,
-    ) {
-        let mut shrunk_views = Vec::new();
-        for _removed in 0..world {
-            let remapped = assign_layers_lw(num_layers, world - 1);
-            prop_assert_eq!(remapped.len(), num_layers);
-            prop_assert!(remapped.iter().all(|&r| r < world - 1));
-            if num_layers >= world - 1 {
-                for r in 0..world - 1 {
-                    prop_assert!(remapped.contains(&r));
-                }
-            }
-            shrunk_views.push(remapped);
-        }
-        for v in &shrunk_views[1..] {
-            prop_assert_eq!(v, &shrunk_views[0]);
+            prop_assert_eq!(&boot, &plan(&factors, world));
         }
     }
 }

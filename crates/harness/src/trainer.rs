@@ -65,8 +65,8 @@ pub struct TrainConfig {
     pub backend: CommBackend,
     /// Unused: nothing sets it, and [`train`] refuses `Some`; the fused
     /// exchange is one message. It stays only because the frozen
-    /// benchmark package reads it (`stepbench/src/traced.rs`); ROADMAP
-    /// item 2 deletes it.
+    /// benchmark package reads it (`stepbench/src/traced.rs`); ROADMAP's
+    /// "`stepbench` re-baseline" deletes it.
     pub fusion_threshold_bytes: Option<usize>,
 }
 

@@ -69,9 +69,9 @@ axis!(Cut: Uncut, InSync, Between);
 axis!(Place: RoundRobin, SizeBalanced);
 // A subject cell and the oracle cell it must equal: fused == bucketed,
 // thread == loopback TCP, resumed == uninterrupted, `train()`, ladder and
-// by hand == Listing-1 loop, one cell run twice, size-balanced ==
-// round-robin placement, and K-FAC-lw == K-FAC-opt.
-axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism, Placement, Strategy);
+// by hand == Listing-1 loop, one cell run twice, and every K-FAC plan —
+// size-balanced -opt, -lw — == round-robin -opt.
+axis!(Rel: Schedule, Fabric, Resume, Driver, Determinism, Plan);
 
 use Bases::*;
 use Cut::*;
@@ -177,22 +177,21 @@ impl Cell {
 
 impl Rel {
     /// Placement is read by `Kfac::new` alone, which every driver calls
-    /// with the cell's `KfacConfig`: its relation runs by hand, where the
-    /// witness holds every rank and the K-FAC state, and the others at the
-    /// default placement. -lw is held to -opt on the f32 wire, where
-    /// neither strategy's messages round.
+    /// with the cell's `KfacConfig`: a size-balanced -opt plan runs by
+    /// hand, where the witness holds every rank and the K-FAC state, and
+    /// the other relations at the default placement. -lw is held to -opt
+    /// on the f32 wire, where neither plan's messages round.
     fn admits(self, c: Cell) -> bool {
         let Cell(p, w, .., s, f, _, d, cut, place) = c;
         c.valid()
-            && (place == SizeBalanced) == (self == Placement)
+            && (place == SizeBalanced) == (self == Plan && p == Opt && d == ByHand)
             && match self {
                 Schedule => s == Bucketed && cut == Uncut,
                 Fabric => f == Tcp && cut == Uncut,
                 Resume => cut != Uncut,
                 Driver => d != Listing1 && s == Fused && cut == Uncut,
                 Determinism => cut == Uncut,
-                Placement => p == Opt && d == ByHand && cut == Uncut,
-                Strategy => p == Lw && w == F32 && cut == Uncut,
+                Plan => cut == Uncut && (place == SizeBalanced || (p == Lw && w == F32)),
             }
     }
 
@@ -203,8 +202,7 @@ impl Rel {
             Resume => c.8 = Uncut,
             Driver => c.7 = Listing1,
             Determinism => {}
-            Placement => c.9 = RoundRobin,
-            Strategy => c.0 = Opt,
+            Plan => (c.0, c.9) = (Opt, RoundRobin),
         }
         c
     }
@@ -284,21 +282,20 @@ const TABLE: &[(Rel, Cell)] = &[
     (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
     (Determinism, Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
 
-    (Placement,   Cell(Opt,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
-    (Placement,   Cell(Opt,    Bf16, Short,    5,    Bucketed, Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
-    (Placement,   Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
-    (Placement,   Cell(Opt,    Bf16, Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
-    (Placement,   Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
-    (Placement,   Cell(Opt,    F32,  Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
-
-    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Uncut,   RoundRobin)),
-    (Strategy,    Cell(Lw,     F32,  Short,    2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
+    (Plan,        Cell(Opt,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Bf16, Short,    5,    Bucketed, Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Bf16, Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    F32,  Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Lw,     F32,  Complete, 2,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     F32,  Short,    2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
 ];
 
 /// Axis sets a relation covers in full, not pairwise, because a past bug
@@ -573,7 +570,9 @@ fn check(rel: Rel) {
             oracle.len() == subject.len() || train_vs_hand,
             "{rel:?} {cell:?}"
         );
-        if rel == Placement {
+        // -lw keeps bases with their owners and sends preconditioned gradients.
+        let lw = rel == Plan && cell.0 == Lw;
+        if rel == Plan && !lw {
             // Each rank sends the bases it decomposed, so placement moves
             // eigen bytes between ranks; the group sends the same total.
             let eigen = |w: &[Witness]| w.iter().map(|w| w.3[2]).sum::<u64>();
@@ -592,8 +591,7 @@ fn check(rel: Rel) {
                 bits(&o.1) == bits(&s.1),
                 "{at}: parameters {want:016x} != {got:016x}"
             );
-            // -lw keeps a layer's second-order state with its owner alone.
-            let state = train_vs_hand || rel == Strategy;
+            let state = train_vs_hand || lw;
             assert!(o.2 == s.2 || state, "{at}: K-FAC state differs");
             let (mut want, mut got) = (o.3, s.3);
             if rel == Schedule && cell.1 == Bf16 {
@@ -603,12 +601,11 @@ fn check(rel: Rel) {
                 assert!(got[0] > want[0], "{at}: gradient bytes {got:?} {want:?}");
                 (want[0], got[0]) = (0, 0);
             }
-            if rel == Placement {
+            if rel == Plan {
                 (want[2], got[2]) = (0, 0);
             }
-            if rel == Strategy {
-                // -lw sends preconditioned gradients, not eigenbases.
-                (want[2], got[2], want[3], got[3]) = (0, 0, 0, 0);
+            if lw {
+                (want[3], got[3]) = (0, 0);
             }
             assert_eq!(want, got, "{at}: bytes per class");
         }
@@ -633,8 +630,7 @@ relation_tests! {
     resumed_equals_uninterrupted: Resume,
     ladder_and_by_hand_equal_listing1: Driver,
     a_cell_run_twice_is_the_same_run: Determinism,
-    size_balanced_equals_round_robin: Placement,
-    lw_equals_opt: Strategy,
+    every_plan_equals_round_robin_opt: Plan,
 }
 
 /// Version 1 stored every basis n × n and version 2 every average; the
@@ -694,9 +690,11 @@ fn cells_cover_every_pair() {
         ));
     }
     for &rel in Rel::ALL {
+        // Each plan meets every pair on its own.
+        let plan: &[usize] = if rel == Plan { &[PRECOND] } else { &[] };
         let mut sets: Vec<Vec<usize>> = Vec::new();
         for i in 0..AXES.len() {
-            sets.extend((i + 1..AXES.len()).map(|j| vec![i, j]));
+            sets.extend((i + 1..AXES.len()).map(|j| [plan, &[i, j]].concat()));
         }
         for (r, axes) in FULL_PRODUCTS {
             if *r == rel {
