@@ -53,10 +53,8 @@
 //!   permanent rank loss reconfigure and continue instead of aborting.
 //! * [`backend`] — [`CommBackend`], the one switch (`KFAC_COMM_BACKEND`)
 //!   that picks the fabric everywhere.
-//! * [`wire`] — half-width wire payloads: bf16 encode/decode for the
-//!   gradient and factor/eigen exchanges, halving measured bytes on both
-//!   fabrics with non-finite rejection on decode and per-dtype byte
-//!   accounting.
+//! * [`wire`] — the two f32-only wire entry points the frozen benchmark
+//!   package calls; every collective travels as f32.
 
 pub mod algo;
 pub mod backend;

@@ -182,53 +182,51 @@ fn traffic_is_recorded_per_class<T: Membership + 'static>(make: &Make<T>) {
     }
 }
 
-/// An allreduce of nothing is a non-event at both wire widths: `Ok`, no
-/// traffic, no op, and no sequence number — rank 0 "calls" it three times
-/// more often than rank 1, and the real allreduce that follows still
-/// pairs up. Under `Dtype::Bf16` that also means no length-prefix word:
-/// without the early return every rank would ship a one-word frame for
-/// every factor iteration that exchanges nothing.
+/// An allreduce of nothing is a non-event: `Ok`, no traffic, no op, and
+/// no sequence number — rank 0 "calls" it three times more often than
+/// rank 1, and the real allreduce that follows still pairs up.
 fn empty_allreduce_is_a_non_event<T: Membership + 'static>(make: &Make<T>) {
-    for dtype in [Dtype::F32, Dtype::Bf16] {
-        let results = run_group(make(2, SHORT), |rank, comm| {
-            for _ in 0..(1 + 3 * (1 - rank)) {
-                wire::try_allreduce_half(
-                    comm,
-                    &mut [],
-                    ReduceOp::Average,
-                    TrafficClass::Factor,
-                    dtype,
-                )
-                .expect("nothing to exchange");
-            }
-            assert_eq!(comm.traffic(), Traffic::default(), "{dtype:?}");
-            let mut buf = [rank as f32, 4.0];
-            wire::try_allreduce_half(comm, &mut buf, ReduceOp::Sum, TrafficClass::Factor, dtype)
-                .expect("sequence numbers still agree");
-            (buf, comm.traffic())
-        });
-        for (buf, traffic) in results {
-            assert_eq!(buf, [1.0, 8.0], "{dtype:?}");
-            assert_eq!(traffic.ops, 1, "{dtype:?}");
-            let words = wire::wire_words(2, dtype) as u64;
-            assert_eq!(traffic.factor_bytes, 4 * words, "{dtype:?}");
+    let results = run_group(make(2, SHORT), |rank, comm| {
+        for _ in 0..(1 + 3 * (1 - rank)) {
+            wire::try_allreduce_half(
+                comm,
+                &mut [],
+                ReduceOp::Average,
+                TrafficClass::Factor,
+                Dtype::F32,
+            )
+            .expect("nothing to exchange");
         }
+        assert_eq!(comm.traffic(), Traffic::default());
+        let mut buf = [rank as f32, 4.0];
+        wire::try_allreduce_half(
+            comm,
+            &mut buf,
+            ReduceOp::Sum,
+            TrafficClass::Factor,
+            Dtype::F32,
+        )
+        .expect("sequence numbers still agree");
+        (buf, comm.traffic())
+    });
+    for (buf, traffic) in results {
+        assert_eq!(buf, [1.0, 8.0]);
+        assert_eq!(traffic.ops, 1);
+        assert_eq!(traffic.factor_bytes, 4 * 2);
     }
 }
 
 /// The allgather has no such shortcut, and must not: lengths differ by
 /// rank (a rank that owns no factor contributes nothing to the Eigen
-/// allgather), so an empty contribution still takes part — as a bare
-/// length prefix under `Dtype::Bf16` — and everyone receives it as empty.
+/// allgather), so an empty contribution still takes part, and everyone
+/// receives it as empty.
 fn empty_allgather_contribution_still_takes_part<T: Membership + 'static>(make: &Make<T>) {
-    for dtype in [Dtype::F32, Dtype::Bf16] {
-        let results = run_group(make(3, PATIENT), |rank, comm| {
-            let payload = vec![rank as f32; rank]; // rank 0 sends nothing
-            wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, dtype).unwrap()
-        });
-        for gathered in results {
-            assert_eq!(gathered, [vec![], vec![1.0], vec![2.0, 2.0]], "{dtype:?}");
-        }
+    let results = run_group(make(3, PATIENT), |rank, comm| {
+        let payload = vec![rank as f32; rank]; // rank 0 sends nothing
+        wire::try_allgather_half(comm, &payload, TrafficClass::Eigen, Dtype::F32).unwrap()
+    });
+    for gathered in results {
+        assert_eq!(gathered, [vec![], vec![1.0], vec![2.0, 2.0]]);
     }
 }
 

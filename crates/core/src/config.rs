@@ -184,9 +184,10 @@ pub struct KfacConfig {
     /// frozen benchmark package sets it (`stepbench/src/workload.rs`),
     /// and ROADMAP's "`stepbench` re-baseline" deletes it.
     pub triangular_factor_comm: bool,
-    /// Wire precision policy (gradient and K-FAC collective dtypes). The
-    /// default — f32 on both — is bitwise identical to builds predating
-    /// the half-width wire.
+    /// Must stay f32 on both wires ([`KfacConfig::validate`] refuses any
+    /// other width): every collective travels as f32. It stays only
+    /// because the frozen benchmark package sets it, and ROADMAP's
+    /// "`stepbench` re-baseline" deletes it.
     pub precision: crate::precision::PrecisionPolicy,
 }
 
@@ -255,6 +256,11 @@ impl KfacConfig {
         assert!(
             self.triangular_factor_comm,
             "triangular_factor_comm: false is unsupported (averages are packed triangles)"
+        );
+        assert!(
+            self.precision == crate::precision::PrecisionPolicy::f32(),
+            "precision: only the f32 wire exists, got {}",
+            self.precision.spec_string()
         );
         assert!(
             self.factor_freq_multiplier >= 1,
@@ -362,6 +368,21 @@ mod tests {
     fn full_factor_comm_rejected() {
         KfacConfig {
             triangular_factor_comm: false,
+            ..KfacConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "precision: only the f32 wire exists")]
+    fn bf16_wire_rejected() {
+        use crate::precision::PrecisionPolicy;
+        use kfac_tensor::Dtype;
+        KfacConfig {
+            precision: PrecisionPolicy {
+                grad_wire: Dtype::F32,
+                factor_wire: Dtype::Bf16,
+            },
             ..KfacConfig::default()
         }
         .validate();

@@ -55,9 +55,8 @@
 //! * [`distribution`] — round-robin factor placement (the paper's), the
 //!   layer-wise scheme of Osawa et al. \[6\] for K-FAC-lw, and the
 //!   size-balanced LPT policy the paper proposes as future work.
-//! * [`precision`] — [`PrecisionPolicy`]: the width (f32 | bf16) of the
-//!   gradient wire and of the K-FAC collectives' wire, with f32 on both
-//!   as the bitwise-identical default.
+//! * [`precision`] — [`PrecisionPolicy`]: the two wires' width, f32 on
+//!   both, the only policy [`KfacConfig::validate`] accepts.
 //! * [`preconditioner`] — [`Kfac`]: Algorithm 1 end-to-end over a
 //!   [`Communicator`](kfac_collectives::Communicator).
 //! * [`stats`] — per-stage timing (Table V / Fig. 10 instrumentation).

@@ -7,7 +7,6 @@ use kfac_collectives::{
     ThreadComm, TrafficClass,
 };
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Linear, Sequential};
-use kfac_tensor::half::round_bf16_in_place;
 use kfac_tensor::{Dtype, EigenDecomposition, Matrix, Rng64, Tensor4};
 use std::sync::Arc;
 
@@ -431,9 +430,9 @@ fn two_layer_replica() -> (Sequential, Kfac) {
 }
 
 #[test]
-fn eigenbasis_frame_round_trips_a_bf16_wire_at_n_577() {
-    // 577 = 2·256 + 65 is not a bf16 value, and neither is 72 + 577·72:
-    // the rank has to travel as digits a bf16 word can hold.
+fn eigenbasis_frame_round_trips_the_f32_wire_at_n_577() {
+    // 577 = 2·256 + 65 needs both base-256 digits of the rank word, and
+    // the frame spells every rank from none to full.
     let n = 577;
     for r in [0, 72, 577] {
         let mut rng = Rng64::new(r as u64);
@@ -445,23 +444,15 @@ fn eigenbasis_frame_round_trips_a_bf16_wire_at_n_577() {
             &LocalComm::new(),
             &sent.to_bytes_f32(),
             TrafficClass::Eigen,
-            Dtype::Bf16,
+            Dtype::F32,
         )
         .expect("allgather");
         let (got, rest) = EigenDecomposition::from_bytes_f32(n, &gathered[0]).expect("a frame");
         assert!(rest.is_empty());
         assert_eq!(got.eigenvectors.shape(), (n, r));
         assert_eq!(got.truncated_rank(), (r < n).then_some(r));
-        let rounded = |words: &[f32]| {
-            let mut words = words.to_vec();
-            round_bf16_in_place(&mut words);
-            words
-        };
-        assert_eq!(got.eigenvalues, rounded(&sent.eigenvalues));
-        assert_eq!(
-            got.eigenvectors.as_slice(),
-            rounded(sent.eigenvectors.as_slice())
-        );
+        assert_eq!(got.eigenvalues, sent.eigenvalues);
+        assert_eq!(got.eigenvectors.as_slice(), sent.eigenvectors.as_slice());
     }
 }
 

@@ -12,7 +12,6 @@
 //! | [`fig10`] | Fig. 10 — factor computation time vs model size (measured + projected) |
 //! | [`elastic`] | elastic membership — kill a rank mid-run, shrink, bitwise resume |
 //! | [`randeig`] | randomized vs exact eigensolver — 4-rank CIFAR loss parity |
-//! | [`mixed`] | mixed precision — f32 vs bf16 policy loss parity + wire-byte halving |
 //!
 //! Each driver returns an [`ExperimentOutput`] of markdown tables plus
 //! free-form notes; the `xp` binary prints them and appends to
@@ -24,7 +23,6 @@ pub mod elastic;
 pub mod fig10;
 pub mod fig5;
 pub mod freq;
-pub mod mixed;
 pub mod randeig;
 pub mod scaling;
 pub mod table1;
@@ -81,7 +79,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "ablations",
     "elastic",
     "randeig",
-    "mixed",
 ];
 
 /// The words `xp` accepts in place of an experiment id: `all`, `list`
@@ -122,7 +119,6 @@ fn driver(id: &str) -> Option<fn(Scale) -> ExperimentOutput> {
         "ablations" => ablations::run,
         "elastic" => elastic::run,
         "randeig" => randeig::run,
-        "mixed" => mixed::run,
         _ => return None,
     };
     Some(run)

@@ -20,12 +20,12 @@
 use crate::resilient::StepOutcome;
 use crate::trainer::{train_iteration, NO_FAULT_TOLERANCE};
 use kfac::Kfac;
-use kfac_collectives::{wire, CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
+use kfac_collectives::{CollectiveError, Communicator, ReduceOp, RetryPolicy, TrafficClass};
 use kfac_exec::ExecMode;
 use kfac_nn::{CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::Sgd;
 use kfac_telemetry::Span;
-use kfac_tensor::{Dtype, Tensor4};
+use kfac_tensor::Tensor4;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
@@ -152,8 +152,8 @@ impl Drop for CloseOnDrop<'_> {
 }
 
 /// Backward from `loss_grad` with the gradient exchange overlapped: one
-/// bucket per parameterized top-level child, averaged at `grad_wire`
-/// width under `retry` on a scoped exchange thread while the sweep is
+/// bucket per parameterized top-level child, averaged under `retry` on
+/// a scoped exchange thread while the sweep is
 /// still running, then written back. On `Err` — a bucket failed for good
 /// — the model's gradients are untouched (still this rank's local ones),
 /// as after a failed fused exchange; the remaining buckets still ran, so
@@ -163,7 +163,6 @@ pub(crate) fn backward_exchanging_buckets(
     model: &mut Sequential,
     loss_grad: &Tensor4,
     comm: &dyn Communicator,
-    grad_wire: Dtype,
     retry: &RetryPolicy,
 ) -> Result<(), CollectiveError> {
     if comm.size() == 1 {
@@ -179,7 +178,7 @@ pub(crate) fn backward_exchanging_buckets(
             let _lane = telemetry
                 .as_ref()
                 .map(|(registry, rank)| registry.install_lane(*rank, "comm"));
-            exchange_buckets(&handoff, comm, grad_wire, retry)
+            exchange_buckets(&handoff, comm, retry)
         });
         {
             let _close = CloseOnDrop(&handoff);
@@ -211,13 +210,12 @@ pub(crate) fn backward_exchanging_buckets(
 fn exchange_buckets(
     handoff: &Handoff,
     comm: &dyn Communicator,
-    grad_wire: Dtype,
     retry: &RetryPolicy,
 ) -> Result<Vec<Bucket>, CollectiveError> {
     let mut reduced = Vec::new();
     let mut failures = Vec::new();
     while let Some((c, bucket)) = handoff.pop() {
-        match reduce_bucket(comm, &bucket, grad_wire, retry) {
+        match reduce_bucket(comm, &bucket, retry) {
             Ok(averaged) => reduced.push((c, averaged)),
             Err(e) => failures.push(e),
         }
@@ -228,26 +226,19 @@ fn exchange_buckets(
     lost.or(failures.first()).map_or(Ok(reduced), |&e| Err(e))
 }
 
-/// One bucket of gradients averaged across the group at `grad_wire`
-/// width under `retry` — the unit both schedules exchange: the fused one
+/// One bucket of gradients averaged across the group under `retry` —
+/// the unit both schedules exchange: the fused one
 /// sends the whole model as one bucket, the bucketed one each child's. A
 /// failed allreduce leaves its buffer unspecified, so each attempt
 /// reduces a fresh copy of `bucket`.
 pub(crate) fn reduce_bucket(
     comm: &dyn Communicator,
     bucket: &[f32],
-    grad_wire: Dtype,
     retry: &RetryPolicy,
 ) -> Result<Vec<f32>, CollectiveError> {
     retry.run(|| {
         let mut attempt = bucket.to_vec();
-        wire::try_allreduce_half(
-            comm,
-            &mut attempt,
-            ReduceOp::Average,
-            TrafficClass::Gradient,
-            grad_wire,
-        )?;
+        comm.try_allreduce_tagged(&mut attempt, ReduceOp::Average, TrafficClass::Gradient)?;
         Ok(attempt)
     })
 }

@@ -159,14 +159,15 @@ impl TrainResult {
 }
 
 /// Average the model's gradients across ranks — the
-/// `optimizer.synchronize()` step of Listing 1 — as one concatenated
-/// message at `wire_dtype` width: the whole model as one bucket. The
-/// fused exchange has no threshold to split it by, so `threshold_bytes`
-/// must be `None`.
+/// `optimizer.synchronize()` step of Listing 1 — as one concatenated f32
+/// message: the whole model as one bucket. The fused exchange has no
+/// threshold to split it by and one wire width, so `threshold_bytes`
+/// must be `None` and `wire_dtype` [`Dtype::F32`]; both arguments stay
+/// only because the frozen benchmark package passes them.
 ///
 /// # Panics
-/// Panics on a `Some` threshold or a collective fault; [`train_iteration`]
-/// runs the same exchange fallibly.
+/// Panics on a `Some` threshold, a width other than f32 or a collective
+/// fault; [`train_iteration`] runs the same exchange fallibly.
 pub fn allreduce_gradients_fused(
     model: &mut dyn Layer,
     comm: &dyn Communicator,
@@ -177,7 +178,12 @@ pub fn allreduce_gradients_fused(
         threshold_bytes.is_none(),
         "the fused gradient exchange is one message and takes no fusion threshold"
     );
-    try_allreduce_gradients_fused(model, comm, wire_dtype, &RetryPolicy::none())
+    assert!(
+        wire_dtype == Dtype::F32,
+        "the fused gradient exchange travels as f32, not {}",
+        wire_dtype.name()
+    );
+    try_allreduce_gradients_fused(model, comm, &RetryPolicy::none())
         .unwrap_or_else(|e| panic!("fused gradient exchange failed: {e}"));
 }
 
@@ -188,7 +194,6 @@ pub fn allreduce_gradients_fused(
 fn try_allreduce_gradients_fused(
     model: &mut dyn Layer,
     comm: &dyn Communicator,
-    wire_dtype: Dtype,
     retry: &RetryPolicy,
 ) -> Result<(), CollectiveError> {
     if comm.size() == 1 {
@@ -196,7 +201,7 @@ fn try_allreduce_gradients_fused(
     }
     let mut bucket = Vec::with_capacity(model.num_params());
     model.visit_params("", &mut |_, _, g| bucket.extend_from_slice(g));
-    let averaged = reduce_bucket(comm, &bucket, wire_dtype, retry)?;
+    let averaged = reduce_bucket(comm, &bucket, retry)?;
     let mut off = 0;
     model.visit_params("", &mut |_, _, g| {
         g.copy_from_slice(&averaged[off..off + g.len()]);
@@ -205,7 +210,7 @@ fn try_allreduce_gradients_fused(
     Ok(())
 }
 
-/// [`allreduce_gradients_fused`] at full-width (f32) wire.
+/// [`allreduce_gradients_fused`] with its fixed arguments filled in.
 pub fn allreduce_gradients(model: &mut dyn Layer, comm: &dyn Communicator) {
     allreduce_gradients_fused(model, comm, None, Dtype::F32);
 }
@@ -233,7 +238,7 @@ fn gradients_within(model: &mut dyn Layer, limit: f32) -> bool {
 /// One synchronous training iteration — the definition the ladder
 /// ([`ResilientTrainer::step`]) runs under its [`FaultTolerance`], and
 /// [`train`] through it with none: zero-grad, forward, loss, backward
-/// and the gradient allreduce at `grad_wire` width, health gate,
+/// and the gradient allreduce, health gate,
 /// [`Kfac::try_step`], the gate again on the preconditioned gradients,
 /// optimizer step. Every collective runs under `ft.retry`.
 ///
@@ -270,11 +275,6 @@ pub fn train_iteration(
     ft: &FaultTolerance,
 ) -> (f32, StepOutcome, u32) {
     let capture = kfac.as_ref().is_some_and(|k| k.needs_capture());
-    let grad_wire = kfac
-        .as_ref()
-        .map(|k| k.precision())
-        .unwrap_or_default()
-        .grad_wire;
     let skipped = |loss, faults| {
         if let Some((registry, _)) = kfac_telemetry::current() {
             registry.counter("train/skipped_steps").inc();
@@ -303,9 +303,9 @@ pub fn train_iteration(
                 let _ = model.backward(&grad);
             }
             let _span = Span::enter("train/grad_allreduce");
-            try_allreduce_gradients_fused(model, comm, grad_wire, &ft.retry)
+            try_allreduce_gradients_fused(model, comm, &ft.retry)
         }
-        Some(_) => backward_exchanging_buckets(model, &grad, comm, grad_wire, &ft.retry),
+        Some(_) => backward_exchanging_buckets(model, &grad, comm, &ft.retry),
     };
     if let Err(e) = exchanged {
         return failed(loss, e);
@@ -495,19 +495,6 @@ fn run_rank(
     let mut model = build_model(cfg.seed);
     let mut optimizer = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut kfac = cfg.kfac.clone().map(|k| Kfac::new(&mut model, k));
-    let precision = cfg.kfac.as_ref().map(|k| k.precision).unwrap_or_default();
-    if !precision.is_all_f32() {
-        // Policy gauges for the live metrics plane: one per wire, value
-        // = width in bits (32 or 16).
-        for (stage, dtype) in [
-            ("grad_wire", precision.grad_wire),
-            ("factor_wire", precision.factor_wire),
-        ] {
-            registry
-                .gauge(&format!("kfac/precision/{stage}_bits"))
-                .set((dtype.size_of() * 8) as f64);
-        }
-    }
     let plan = batch_plan(cfg, train_ds.len(), comm.size(), rank);
     let mut ladder = ResilientTrainer::new(NO_FAULT_TOLERANCE);
     drop(setup_span);
@@ -861,7 +848,16 @@ mod tests {
         train(build, &train_ds, &val_ds, &cfg);
     }
 
-    /// The fused exchange is one gradient message at either wire width:
+    /// Every gradient travels as f32: the fused exchange refuses a bf16
+    /// wire rather than send what it names.
+    #[test]
+    #[should_panic(expected = "travels as f32, not bf16")]
+    fn fused_exchange_refuses_a_bf16_wire() {
+        let mut model = build(1);
+        allreduce_gradients_fused(&mut model, &LocalComm::new(), None, Dtype::Bf16);
+    }
+
+    /// The fused exchange is one gradient message:
     /// one collective per rank, charged what `try_allreduce_half` charges
     /// for every parameter at once, and each tensor averaged bit for bit
     /// as its own `try_allreduce_half` averages it (the fold is
@@ -870,53 +866,52 @@ mod tests {
     fn fused_exchange_is_one_gradient_message() {
         use crate::presets::Demo;
         use kfac_collectives::wire::try_allreduce_half;
-        for wire in [Dtype::F32, Dtype::Bf16] {
-            let comms = ThreadComm::create(2);
-            std::thread::scope(|s| {
-                for (rank, comm) in comms.iter().enumerate() {
-                    s.spawn(move || {
-                        let mut model = Demo::model(3);
-                        let mut rng = Rng64::new(17 + rank as u64);
-                        let mut local = Vec::new();
-                        model.visit_params("", &mut |_, _, g| {
-                            g.iter_mut().for_each(|v| *v = rng.normal_f32());
-                            local.push(g.to_vec());
-                        });
-                        // Traffic and the average of `buf` as `try_allreduce_half` sends it.
-                        let average = |mut buf: Vec<f32>| {
-                            let before = comm.traffic();
-                            try_allreduce_half(
-                                comm,
-                                &mut buf,
-                                ReduceOp::Average,
-                                TrafficClass::Gradient,
-                                wire,
-                            )
-                            .unwrap();
-                            let after = comm.traffic();
-                            (buf, after.gradient_bytes - before.gradient_bytes)
-                        };
-
-                        let before = comm.traffic();
-                        allreduce_gradients_fused(&mut model, comm, None, wire);
-                        let after = comm.traffic();
-                        assert_eq!(after.ops - before.ops, 1, "{wire:?} rank {rank}");
-                        assert_eq!(
-                            after.gradient_bytes - before.gradient_bytes,
-                            average(local.concat()).1,
-                            "{wire:?} rank {rank}: the bytes of one message of every parameter"
-                        );
-
-                        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        let mut tensors = local.into_iter();
-                        model.visit_params("", &mut |name, _, g| {
-                            let (alone, _) = average(tensors.next().unwrap());
-                            assert_eq!(bits(g), bits(&alone), "{wire:?} rank {rank} {name}");
-                        });
+        let wire = Dtype::F32;
+        let comms = ThreadComm::create(2);
+        std::thread::scope(|s| {
+            for (rank, comm) in comms.iter().enumerate() {
+                s.spawn(move || {
+                    let mut model = Demo::model(3);
+                    let mut rng = Rng64::new(17 + rank as u64);
+                    let mut local = Vec::new();
+                    model.visit_params("", &mut |_, _, g| {
+                        g.iter_mut().for_each(|v| *v = rng.normal_f32());
+                        local.push(g.to_vec());
                     });
-                }
-            });
-        }
+                    // Traffic and the average of `buf` as `try_allreduce_half` sends it.
+                    let average = |mut buf: Vec<f32>| {
+                        let before = comm.traffic();
+                        try_allreduce_half(
+                            comm,
+                            &mut buf,
+                            ReduceOp::Average,
+                            TrafficClass::Gradient,
+                            wire,
+                        )
+                        .unwrap();
+                        let after = comm.traffic();
+                        (buf, after.gradient_bytes - before.gradient_bytes)
+                    };
+
+                    let before = comm.traffic();
+                    allreduce_gradients_fused(&mut model, comm, None, wire);
+                    let after = comm.traffic();
+                    assert_eq!(after.ops - before.ops, 1, "{wire:?} rank {rank}");
+                    assert_eq!(
+                        after.gradient_bytes - before.gradient_bytes,
+                        average(local.concat()).1,
+                        "{wire:?} rank {rank}: the bytes of one message of every parameter"
+                    );
+
+                    let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let mut tensors = local.into_iter();
+                    model.visit_params("", &mut |name, _, g| {
+                        let (alone, _) = average(tensors.next().unwrap());
+                        assert_eq!(bits(g), bits(&alone), "{wire:?} rank {rank} {name}");
+                    });
+                });
+            }
+        });
     }
 
     /// The gate's predicate at its edges: the limit is inclusive and

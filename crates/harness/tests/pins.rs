@@ -1,7 +1,7 @@
 //! The relational pins as one matrix.
 //!
 //! The distributed design rests on equivalences: K-FAC-opt and K-FAC-lw
-//! compute the same update (on the f32 wire), and the gradient-exchange
+//! compute the same update, and the gradient-exchange
 //! schedule, the fabric, a checkpoint, the loop that drives an iteration
 //! and the rank an eigendecomposition is placed on change when or where
 //! work runs, not what it computes. Each is pinned bitwise here as a
@@ -15,12 +15,12 @@
 //! free meets in some cell, with the full product of the axes in
 //! [`FULL_PRODUCTS`] where a past bug lived ([`cells_cover_every_pair`]).
 //! Shrink-resume stays in `tests/elastic.rs`: its `ElasticSpec` fixes every
-//! axis, so it is the one cell (Opt, f32, complete, 2, fused, thread, 4 → 3
+//! axis, so it is the one cell (Opt, complete, 2, fused, thread, 4 → 3
 //! ranks, ladder, in-sync cut, round-robin).
 
 use kfac::{
     assign_factors, factor_descs, DistStrategy, EigenSolver, Kfac, KfacConfig, PlacementPolicy,
-    PrecisionPolicy, RandEigPolicy,
+    RandEigPolicy,
 };
 use kfac_collectives::{CommBackend, Communicator, LocalComm, ProcComm, ThreadComm, Traffic};
 use kfac_data::{batch_of, Dataset, ShardedSampler};
@@ -33,6 +33,7 @@ use kfac_harness::{
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::Optimizer;
 use kfac_telemetry::Registry;
+use kfac_tensor::Dtype;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};
 
@@ -50,7 +51,6 @@ macro_rules! axis {
 }
 
 axis!(Precond: Sgd, Opt, Lw);
-axis!(Wire: F32, Bf16);
 // Complete eigenbases, or short ones from the randomized solver.
 axis!(Bases: Complete, Short);
 axis!(Sched: Fused, Bucketed);
@@ -81,41 +81,27 @@ use Place::*;
 use Precond::*;
 use Rel::*;
 use Sched::*;
-use Wire::*;
 
-/// Preconditioner, wire, bases, eigen interval, schedule, fabric, world,
+/// Preconditioner, bases, eigen interval, schedule, fabric, world,
 /// driver, cut, placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Cell(
-    Precond,
-    Wire,
-    Bases,
-    usize,
-    Sched,
-    Fab,
-    usize,
-    Drv,
-    Cut,
-    Place,
-);
+struct Cell(Precond, Bases, usize, Sched, Fab, usize, Drv, Cut, Place);
 
-const AXES: [&str; 10] = [
-    "precond", "wire", "bases", "every", "sched", "fabric", "world", "driver", "cut", "place",
+const AXES: [&str; 9] = [
+    "precond", "bases", "every", "sched", "fabric", "world", "driver", "cut", "place",
 ];
 const PRECOND: usize = 0;
-const WIRE: usize = 1;
-const BASES: usize = 2;
-const EVERY: usize = 3;
-const DRIVER: usize = 7;
-const CUT: usize = 8;
+const EVERY: usize = 2;
+const DRIVER: usize = 6;
+const CUT: usize = 7;
 
 impl Cell {
     /// SGD has no second-order state to vary, only `train_iteration`
     /// takes the bucketed schedule by hand, `train()` cannot stop, and the
     /// ladder checkpoints only in sync.
     fn valid(self) -> bool {
-        let Cell(p, w, b, every, s, _, _, d, cut, place) = self;
-        (p != Sgd || (w, b, every, place) == (F32, Complete, 2, RoundRobin))
+        let Cell(p, b, every, s, _, _, d, cut, place) = self;
+        (p != Sgd || (b, every, place) == (Complete, 2, RoundRobin))
             && (s == Fused || matches!(d, Train | ByHand))
             && (d != Train || cut == Uncut)
             && (cut != Between || (p != Sgd && d != Ladder))
@@ -124,8 +110,8 @@ impl Cell {
     /// The first iteration from 2 on that does, or does not, follow an
     /// exchange: at interval 2, 3 and 2; at interval 5, 6 and 2.
     fn cut_at(self) -> Option<u64> {
-        let in_sync = |k: &u64| (k - 1).is_multiple_of(self.3 as u64);
-        match self.8 {
+        let in_sync = |k: &u64| (k - 1).is_multiple_of(self.2 as u64);
+        match self.7 {
             Uncut => None,
             InSync => (2..).find(in_sync),
             Between => (2..).find(|k| !in_sync(k)),
@@ -133,15 +119,13 @@ impl Cell {
     }
 
     fn kfac(self) -> Option<KfacConfig> {
-        let Cell(p, w, b, every, ..) = self;
+        let Cell(p, b, every, ..) = self;
         let strategy = [None, Some(DistStrategy::Opt), Some(DistStrategy::Lw)][p as usize]?;
-        let precision = [PrecisionPolicy::f32(), PrecisionPolicy::bf16()][w as usize];
         let placement = [PlacementPolicy::RoundRobin, PlacementPolicy::SizeBalanced];
         let mut cfg = KfacConfig {
             update_freq: every,
             strategy,
-            precision,
-            placement: placement[self.9 as usize],
+            placement: placement[self.8 as usize],
             ..KfacConfig::default()
         };
         if b == Short {
@@ -163,15 +147,15 @@ impl Cell {
 
     fn exec(self) -> ExecStrategy {
         let bucketed = ExecStrategy::Overlapped { compute_workers: 1 };
-        [ExecStrategy::Sequential, bucketed][self.4 as usize]
+        [ExecStrategy::Sequential, bucketed][self.3 as usize]
     }
 
     /// Each axis's value as an index, in [`AXES`] order.
-    fn coords(self) -> [usize; 10] {
-        let Cell(p, w, b, every, s, f, world, d, cut, place) = self;
+    fn coords(self) -> [usize; 9] {
+        let Cell(p, b, every, s, f, world, d, cut, place) = self;
         let (every, world) = ((every == 5) as usize, (world == 4) as usize);
-        let [p, w, b, s, f, d, cut] = [p as _, w as _, b as _, s as _, f as _, d as _, cut as _];
-        [p, w, b, every, s, f, world, d, cut, place as _]
+        let [p, b, s, f, d, cut] = [p as _, b as _, s as _, f as _, d as _, cut as _];
+        [p, b, every, s, f, world, d, cut, place as _]
     }
 }
 
@@ -179,10 +163,9 @@ impl Rel {
     /// Placement is read by `Kfac::new` alone, which every driver calls
     /// with the cell's `KfacConfig`: a size-balanced -opt plan runs by
     /// hand, where the witness holds every rank and the K-FAC state, and
-    /// the other relations at the default placement. -lw is held to -opt
-    /// on the f32 wire, where neither plan's messages round.
+    /// the other relations at the default placement.
     fn admits(self, c: Cell) -> bool {
-        let Cell(p, w, .., s, f, _, d, cut, place) = c;
+        let Cell(p, .., s, f, _, d, cut, place) = c;
         c.valid()
             && (place == SizeBalanced) == (self == Plan && p == Opt && d == ByHand)
             && match self {
@@ -191,18 +174,18 @@ impl Rel {
                 Resume => cut != Uncut,
                 Driver => d != Listing1 && s == Fused && cut == Uncut,
                 Determinism => cut == Uncut,
-                Plan => cut == Uncut && (place == SizeBalanced || (p == Lw && w == F32)),
+                Plan => cut == Uncut && (place == SizeBalanced || p == Lw),
             }
     }
 
     fn oracle(self, mut c: Cell) -> Cell {
         match self {
-            Schedule => c.4 = Fused,
-            Fabric => c.5 = Thread,
-            Resume => c.8 = Uncut,
-            Driver => c.7 = Listing1,
+            Schedule => c.3 = Fused,
+            Fabric => c.4 = Thread,
+            Resume => c.7 = Uncut,
+            Driver => c.6 = Listing1,
             Determinism => {}
-            Plan => (c.0, c.9) = (Opt, RoundRobin),
+            Plan => (c.0, c.8) = (Opt, RoundRobin),
         }
         c
     }
@@ -211,109 +194,91 @@ impl Rel {
 /// Every relation's subject cells.
 #[rustfmt::skip]
 const TABLE: &[(Rel, Cell)] = &[
-    // relation        precond wire  bases     every sched     fabric  world driver    cut      place
-    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
-    (Schedule,    Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
-    (Schedule,    Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Schedule,    Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Opt,    Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Opt,    F32,  Complete, 5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Lw,     Bf16, Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Schedule,    Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    // relation        precond bases     every sched     fabric  world driver    cut      place
+    (Schedule,    Cell(Sgd,    Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Schedule,    Cell(Sgd,    Complete, 2,    Bucketed, Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    Complete, 5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Opt,    Short,    2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Schedule,    Cell(Lw,     Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
 
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Fabric,      Cell(Opt,    Bf16, Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Fabric,      Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Opt,    F32,  Short,    2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Opt,    Bf16, Short,    2,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
-    (Fabric,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
-    (Fabric,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
-    (Fabric,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    Complete, 2,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Short,    5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Short,    2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Short,    2,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Complete, 5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Fabric,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
+    (Fabric,      Cell(Opt,    Short,    5,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
+    (Fabric,      Cell(Lw,     Complete, 2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
 
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    ByHand,   InSync,  RoundRobin)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Bucketed, Thread, 4,    ByHand,   InSync,  RoundRobin)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    ByHand,   InSync,  RoundRobin)),
-    (Resume,      Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
-    (Resume,      Cell(Lw,     Bf16, Short,    5,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
-    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   InSync,  RoundRobin)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   InSync,  RoundRobin)),
-    (Resume,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   InSync,  RoundRobin)),
-    (Resume,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   InSync,  RoundRobin)),
-    (Resume,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    Listing1, InSync,  RoundRobin)),
-    (Resume,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Between, RoundRobin)),
-    (Resume,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Tcp,    2,    Listing1, Between, RoundRobin)),
-    (Resume,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Listing1, InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    Complete, 2,    Bucketed, Tcp,    2,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    Complete, 2,    Bucketed, Thread, 4,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    Short,    2,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Short,    5,    Bucketed, Thread, 2,    ByHand,   Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Complete, 5,    Fused,    Thread, 2,    ByHand,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    Complete, 2,    Fused,    Thread, 4,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    Short,    5,    Fused,    Tcp,    2,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Lw,     Complete, 5,    Fused,    Thread, 2,    Ladder,   InSync,  RoundRobin)),
+    (Resume,      Cell(Sgd,    Complete, 2,    Fused,    Thread, 2,    Listing1, InSync,  RoundRobin)),
+    (Resume,      Cell(Opt,    Complete, 5,    Fused,    Thread, 4,    Listing1, Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Complete, 2,    Fused,    Tcp,    2,    Listing1, Between, RoundRobin)),
+    (Resume,      Cell(Lw,     Short,    5,    Fused,    Thread, 4,    Listing1, InSync,  RoundRobin)),
 
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    F32,  Complete, 5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
-    (Driver,      Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    Bf16, Complete, 2,    Fused,    Thread, 4,    Train,    Uncut,   RoundRobin)),
-    (Driver,      Cell(Opt,    F32,  Short,    5,    Fused,    Tcp,    2,    Train,    Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     Bf16, Short,    5,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
-    (Driver,      Cell(Lw,     F32,  Complete, 5,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Short,    5,    Fused,    Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Complete, 5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Short,    5,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Driver,      Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Opt,    Short,    5,    Fused,    Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Driver,      Cell(Lw,     Short,    5,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
 
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
-    (Determinism, Cell(Opt,    Bf16, Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
-    (Determinism, Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 4,    Train,    Uncut,   RoundRobin)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Opt,    F32,  Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Lw,     Bf16, Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
-    (Determinism, Cell(Sgd,    F32,  Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
-    (Determinism, Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
-    (Determinism, Cell(Lw,     Bf16, Complete, 2,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    Complete, 2,    Bucketed, Tcp,    2,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Complete, 5,    Bucketed, Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Short,    5,    Fused,    Thread, 4,    Train,    Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    Complete, 2,    Fused,    Thread, 4,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Short,    2,    Fused,    Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Short,    5,    Bucketed, Tcp,    2,    ByHand,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    Complete, 2,    Fused,    Thread, 4,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Short,    5,    Fused,    Tcp,    2,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Complete, 5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Determinism, Cell(Sgd,    Complete, 2,    Fused,    Tcp,    4,    Listing1, Uncut,   RoundRobin)),
+    (Determinism, Cell(Opt,    Short,    5,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
+    (Determinism, Cell(Lw,     Complete, 2,    Fused,    Thread, 2,    Listing1, Uncut,   RoundRobin)),
 
-    (Plan,        Cell(Opt,    F32,  Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Opt,    Bf16, Short,    5,    Bucketed, Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Opt,    Bf16, Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Opt,    Bf16, Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Opt,    F32,  Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Opt,    F32,  Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
-    (Plan,        Cell(Lw,     F32,  Complete, 2,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Short,    5,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Short,    5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Complete, 5,    Fused,    Thread, 4,    Listing1, Uncut,   RoundRobin)),
-    (Plan,        Cell(Lw,     F32,  Short,    2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
+    (Plan,        Cell(Opt,    Complete, 2,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Short,    5,    Bucketed, Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Short,    5,    Fused,    Thread, 2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Complete, 2,    Bucketed, Tcp,    2,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Short,    2,    Bucketed, Thread, 4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Opt,    Complete, 5,    Fused,    Tcp,    4,    ByHand,   Uncut,   SizeBalanced)),
+    (Plan,        Cell(Lw,     Complete, 2,    Fused,    Thread, 2,    Train,    Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Short,    5,    Bucketed, Tcp,    4,    Train,    Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Complete, 2,    Bucketed, Thread, 2,    ByHand,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Short,    5,    Fused,    Tcp,    4,    ByHand,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Complete, 2,    Fused,    Tcp,    4,    Ladder,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Short,    5,    Fused,    Thread, 2,    Ladder,   Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Complete, 5,    Fused,    Thread, 4,    Listing1, Uncut,   RoundRobin)),
+    (Plan,        Cell(Lw,     Short,    2,    Fused,    Tcp,    2,    Listing1, Uncut,   RoundRobin)),
 ];
 
 /// Axis sets a relation covers in full, not pairwise, because a past bug
 /// lived in their product.
 const FULL_PRODUCTS: &[(Rel, [usize; 3])] = &[
-    // The bucketed schedule spelt the K-FAC step out again, without the
-    // health gate, until it ran `train_iteration`'s for -opt and -lw alike
-    // (0e1d203).
-    (Schedule, [PRECOND, WIRE, EVERY]),
-    // Variable-length Eigen frames of short bases on a real socket
-    // (7743bf1).
-    (Fabric, [BASES, WIRE, EVERY]),
     // A checkpoint after a dropped exchange held rank-local averages
     // (c93f323).
     (Resume, [DRIVER, EVERY, CUT]),
-    // A private copy of the iteration in the ladder ignored reduced wires
-    // (8ddef30).
-    (Driver, [DRIVER, WIRE, PRECOND]),
 ];
 
 /// What a run ends with on one rank: loss bits per iteration (for
@@ -379,7 +344,7 @@ impl Replica {
         if let (Some(k), 0) = (kfac.as_mut(), bi) {
             k.set_epoch(epoch);
         }
-        let loss = match cell.7 {
+        let loss = match cell.6 {
             Train => unreachable!("train() is not stepped by hand"),
             ByHand => {
                 let (loss, outcome, faults) = train_iteration(
@@ -420,8 +385,7 @@ impl Replica {
                 let out = model.forward(&x, Mode::Train);
                 let (loss, grad) = criterion.forward(&out, &labels);
                 let _ = model.backward(&grad);
-                let wire = kfac.as_ref().map(Kfac::precision).unwrap_or_default();
-                allreduce_gradients_fused(model, comm, None, wire.grad_wire);
+                allreduce_gradients_fused(model, comm, None, Dtype::F32);
                 if let Some(k) = kfac {
                     k.step(model, comm, lr);
                 }
@@ -449,9 +413,9 @@ fn run_rank(cell: Cell, data: &dyn Dataset, comm: &dyn Communicator) -> Witness 
         assert!(cut < iters, "{cell:?}: nothing runs after the cut at {cut}");
         let Replica(model, optimizer, kfac, ladder) = &mut replica;
         if let Some(k) = kfac {
-            assert_eq!(k.factors_in_sync(), cell.8 == InSync, "{cell:?} at {cut}");
+            assert_eq!(k.factors_in_sync(), cell.7 == InSync, "{cell:?} at {cut}");
         }
-        let blob = match cell.7 {
+        let blob = match cell.6 {
             Ladder => ladder.latest_checkpoint().expect("taken in sync").to_vec(),
             _ => checkpoint::save(model, optimizer, kfac.as_ref(), cut, 0),
         };
@@ -493,7 +457,7 @@ fn run_group<C: Communicator + Sync>(cell: Cell, comms: &[C], registry: &Registr
 /// another rank than round-robin does, and only a -lw cell moves precond
 /// bytes.
 fn run(cell: Cell) -> Vec<Witness> {
-    let Cell(p, _, b, _, _, f, world, d, _, place) = cell;
+    let Cell(p, b, _, _, f, world, d, _, place) = cell;
     let registry = Registry::new();
     let ends = match (d, f) {
         (Train, _) => {
@@ -564,8 +528,8 @@ fn check(rel: Rel) {
         // `train()` returns rank 0's witness alone, with per-epoch losses
         // and no K-FAC state: against a hand-driven oracle, only its
         // parameters and bytes per class compare.
-        let by_hand = rel.oracle(cell).7 != Train;
-        let train_vs_hand = cell.7 == Train && by_hand;
+        let by_hand = rel.oracle(cell).6 != Train;
+        let train_vs_hand = cell.6 == Train && by_hand;
         assert!(
             oracle.len() == subject.len() || train_vs_hand,
             "{rel:?} {cell:?}"
@@ -594,13 +558,6 @@ fn check(rel: Rel) {
             let state = train_vs_hand || lw;
             assert!(o.2 == s.2 || state, "{at}: K-FAC state differs");
             let (mut want, mut got) = (o.3, s.3);
-            if rel == Schedule && cell.1 == Bf16 {
-                // A bf16 message carries a length word and pads to whole
-                // words: the bucketed schedule's extra gradient messages
-                // frame the same payload in more bytes.
-                assert!(got[0] > want[0], "{at}: gradient bytes {got:?} {want:?}");
-                (want[0], got[0]) = (0, 0);
-            }
             if rel == Plan {
                 (want[2], got[2]) = (0, 0);
             }
@@ -638,9 +595,7 @@ relation_tests! {
 /// layouts.
 #[test]
 fn older_state_versions_are_refused() {
-    let cell = Cell(
-        Opt, F32, Short, 2, Fused, Thread, 1, ByHand, Uncut, RoundRobin,
-    );
+    let cell = Cell(Opt, Short, 2, Fused, Thread, 1, ByHand, Uncut, RoundRobin);
     let (train_ds, _) = Demo::data();
     let mut replica = Replica::new(cell, 3);
     replica.step(cell, &train_ds, 0, &LocalComm::new());
@@ -671,23 +626,12 @@ fn cells_cover_every_pair() {
         value
     }
     let mut universe = Vec::new();
-    for mut k in 0..3 * 2 * 2 * 2 * 2 * 2 * 2 * 4 * 3 * 2 {
+    for mut k in 0..3 * 2 * 2 * 2 * 2 * 2 * 4 * 3 * 2 {
         let k = &mut k;
-        let (p, w, every) = (pick(k, Precond::ALL), pick(k, Wire::ALL), pick(k, &[2, 5]));
+        let (p, every) = (pick(k, Precond::ALL), pick(k, &[2, 5]));
         let (b, s, f) = (pick(k, Bases::ALL), pick(k, Sched::ALL), pick(k, Fab::ALL));
         let (world, d, cut) = (pick(k, &[2, 4]), pick(k, Drv::ALL), pick(k, Cut::ALL));
-        universe.push(Cell(
-            p,
-            w,
-            b,
-            every,
-            s,
-            f,
-            world,
-            d,
-            cut,
-            pick(k, Place::ALL),
-        ));
+        universe.push(Cell(p, b, every, s, f, world, d, cut, pick(k, Place::ALL)));
     }
     for &rel in Rel::ALL {
         // Each plan meets every pair on its own.

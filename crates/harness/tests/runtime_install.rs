@@ -3,7 +3,7 @@
 //! reaching every exporter. Installation is process-wide and happens once, so this
 //! file holds exactly one test (its own process).
 
-use kfac::{EigenSolver, KfacConfig, PlacementPolicy, PrecisionPolicy};
+use kfac::{EigenSolver, KfacConfig, PlacementPolicy};
 use kfac_collectives::{CollectiveAlgo, CommBackend};
 use kfac_harness::runtime::{self, RuntimeConfig};
 use kfac_harness::{ExecStrategy, TrainConfig};
@@ -16,10 +16,9 @@ fn new_config() -> TrainConfig {
 
 #[test]
 fn installed_config_is_default_for_new_and_never_touches_with_kfac() {
-    // Off the default in solver, wire precision, placement and damping.
+    // Off the default in solver, placement and damping.
     let handed = KfacConfig {
         eigen_solver: EigenSolver::Randomized,
-        precision: PrecisionPolicy::bf16(),
         placement: PlacementPolicy::SizeBalanced,
         damping: 0.05,
         ..KfacConfig::default()

@@ -35,8 +35,8 @@ fn a_misspelt_variable_name_stops_xp_before_anything_runs() {
     assert!(xp(&["list"], &[]).status.success());
 }
 
-/// The eigensolver and the wire precision are `KfacConfig` fields, set in
-/// code; the environment has no say in what a run computes.
+/// The eigensolver is a `KfacConfig` field, set in code, and every wire is
+/// f32; the environment has no say in what a run computes.
 #[test]
 fn the_removed_solver_and_precision_variables_are_unknown_names() {
     for (name, value) in [

@@ -693,30 +693,27 @@ mod tests {
         assert!(doc.contains("kfac_stage_count{stage=\"train/iteration\"} 1"));
     }
 
-    /// The wire-precision metric families — per-dtype wire-byte counters
-    /// and the two policy gauges — must survive name sanitization and
-    /// lint clean, since CI scrapes them off the live `/metrics`
-    /// endpoint.
+    /// Slash-separated metric families with a path segment per class
+    /// or layer — the per-class byte counters and the per-layer rank
+    /// gauges — must survive name sanitization and lint clean, since CI
+    /// scrapes them off the live `/metrics` endpoint.
     #[test]
-    fn wire_precision_families_export_and_lint_clean() {
+    fn path_named_families_export_and_lint_clean() {
         let registry = Registry::new();
-        for (name, bytes) in [
-            ("comm/bytes/dtype/f32", 4096u64),
-            ("comm/bytes/dtype/bf16", 2052),
-        ] {
+        for (name, bytes) in [("comm/bytes/gradient", 4096u64), ("comm/bytes/eigen", 2052)] {
             registry.counter(name).add(bytes);
         }
-        for stage in ["grad_wire", "factor_wire"] {
+        for kind in ["a", "g"] {
             registry
-                .gauge(&format!("kfac/precision/{stage}_bits"))
+                .gauge(&format!("kfac/layer0/{kind}_eig_rank"))
                 .set(16.0);
         }
 
         let doc = prometheus(&registry);
-        lint_prometheus(&doc).expect("wire-precision families lint clean");
-        assert!(doc.contains("# TYPE comm_bytes_dtype_bf16 counter"));
-        assert!(doc.contains("comm_bytes_dtype_bf16 2052"));
-        assert!(doc.contains("kfac_precision_grad_wire_bits 16"));
+        lint_prometheus(&doc).expect("path-named families lint clean");
+        assert!(doc.contains("# TYPE comm_bytes_eigen counter"));
+        assert!(doc.contains("comm_bytes_eigen 2052"));
+        assert!(doc.contains("kfac_layer0_a_eig_rank 16"));
     }
 
     #[test]

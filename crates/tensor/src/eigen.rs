@@ -54,9 +54,10 @@ impl EigenDecomposition {
 
     /// Serialize as `[r / 256, r % 256, eigenvalues..., eigenvectors
     /// row-major...]` — the frame the distributed K-FAC step allgathers in
-    /// Algorithm 1 line 18. The rank travels as two base-256 digits
-    /// because a bf16 wire rounds every word to eight significant bits: a
-    /// digit survives it, 577 would not.
+    /// Algorithm 1 line 18. Every wire is f32, which carries any rank
+    /// exactly; the rank still travels as two base-256 digits so that the
+    /// Eigen payload keeps its pinned bytes (the frame dates from a bf16
+    /// wire, which kept only eight significant bits of a word).
     pub fn to_bytes_f32(&self) -> Vec<f32> {
         let (n, r) = self.eigenvectors.shape();
         assert!(r < 1 << 16, "rank {r} does not fit two base-256 digits");

@@ -1,13 +1,13 @@
 //! Half-precision storage: the `bf16` scalar format and matrices of it.
 //!
 //! The packed GEMM engine always multiplies and accumulates in f32; what
-//! it *streams* — GEMM operands, collective payloads — is bounded by
-//! memory bandwidth. bf16 is the one half-width format the engine and
-//! the wire share:
+//! it *streams* is bounded by memory bandwidth. bf16 is the one
+//! half-width format the engine can store (every collective travels as
+//! f32):
 //!
-//! * [`Dtype`] — the storage/wire format vocabulary shared by the
-//!   precision policies, the wire codec, and the traffic accounting
-//!   (every byte count in the stack routes through [`Dtype::size_of`]).
+//! * [`Dtype`] — the element format vocabulary; the f32-only wire names
+//!   that the frozen benchmark package spells take one and refuse
+//!   anything but [`Dtype::F32`].
 //! * Scalar conversions: `f32 ↔ bf16` (truncate-with-round-to-nearest-
 //!   even on the top 16 bits; widening is exact, `bits << 16`).
 //! * [`HalfMatrix`] — a `rows × cols` matrix stored as bf16 words,
@@ -27,11 +27,10 @@ use crate::arena;
 use crate::gemm::{gemm_into, gemm_symmetric_into, View};
 use crate::Matrix;
 
-/// Storage / wire element format.
+/// Element storage format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dtype {
-    /// IEEE binary32 — the default everywhere; bitwise-identical to the
-    /// pre-mixed-precision stack.
+    /// IEEE binary32 — the default everywhere, and the only wire format.
     #[default]
     F32,
     /// bfloat16: f32's exponent range, 8-bit significand.
@@ -39,15 +38,6 @@ pub enum Dtype {
 }
 
 impl Dtype {
-    /// Element size in bytes — the single helper all byte accounting
-    /// (traffic counters, wire payload sizing) routes through.
-    pub fn size_of(self) -> usize {
-        match self {
-            Dtype::F32 => 4,
-            Dtype::Bf16 => 2,
-        }
-    }
-
     /// Stable lowercase label (metric names, the policy's spec string).
     pub fn name(self) -> &'static str {
         match self {
@@ -236,8 +226,8 @@ mod tests {
 
     #[test]
     fn dtype_helpers() {
-        assert_eq!(Dtype::F32.size_of(), 4);
-        assert_eq!(Dtype::Bf16.size_of(), 2);
+        assert_eq!(Dtype::F32.name(), "f32");
+        assert_eq!(Dtype::Bf16.name(), "bf16");
         assert_eq!(Dtype::default(), Dtype::F32);
     }
 
