@@ -72,8 +72,8 @@ impl RetryPolicy {
                     if !e.is_retryable() || tried >= self.max_attempts.max(1) {
                         return Err(e);
                     }
-                    // Feed the watchdog's retry-rate rule: count only
-                    // retries actually taken (not terminal failures).
+                    // Count only retries actually taken (not terminal
+                    // failures); flight-recorder snapshots carry it.
                     if let Some((registry, _)) = kfac_telemetry::current() {
                         registry.counter("comm/retries").inc();
                     }

@@ -39,7 +39,8 @@ impl TrafficClass {
     }
 
     /// Registry counter name for this class's byte volume, as mirrored
-    /// into the ambient telemetry registry and served at `/metrics`.
+    /// into the ambient telemetry registry (and snapshotted by the
+    /// flight recorder).
     pub fn byte_counter_name(self) -> &'static str {
         match self {
             TrafficClass::Gradient => "comm/bytes/gradient",

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! xp <experiment> [--scale smoke|quick|full] [--out results/] [--trace-out trace.json]
-//!                 [--overlap] [--serve-metrics [PORT]]
+//!                 [--overlap]
 //! xp all [--scale …]        # everything
 //! xp list                   # available experiment ids
-//! xp prom-lint FILE         # validate a Prometheus exposition snapshot
 //! ```
 //!
 //! With `--overlap`, every training run an experiment drives exchanges
@@ -19,30 +18,13 @@
 //! printed to stderr, and with `--trace-out` the timeline is written as
 //! Chrome trace-event JSON (open in `chrome://tracing` or Perfetto).
 //! Simulator projections time nothing and record nothing.
-//!
-//! With `--serve-metrics`, the same registry is additionally served live
-//! over localhost HTTP while the experiments run: `/metrics` in
-//! Prometheus text exposition format (counters, gauges, histograms and
-//! per-stage span timings, aggregated across all ranks) and `/health` as
-//! the watchdog's JSON verdict (HTTP 503 when critical). A background
-//! thread also refreshes the live stage table on stderr every few
-//! seconds so long runs stay observable without a scraper.
 
 use kfac_harness::experiments::{self, ALL_EXPERIMENTS, SUBCOMMANDS, XP_ALL};
 use kfac_harness::presets::Scale;
 use kfac_harness::report::append_to_file;
 use kfac_harness::{runtime, ExecStrategy, RuntimeConfig};
-use kfac_telemetry::{export, MetricsServer, Registry, Watchdog, WatchdogConfig};
+use kfac_telemetry::{export, Registry};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Default `--serve-metrics` port when none is given.
-const DEFAULT_METRICS_PORT: u16 = 9184;
-
-/// Seconds between live stage-table refreshes while serving metrics.
-const STAGE_TABLE_REFRESH_S: u64 = 10;
 
 /// Install the resolved config for the rest of the process and say what
 /// it is (in a worker world, rank 0 speaks for the group).
@@ -81,10 +63,6 @@ fn main() {
         println!("available experiments: {}", ALL_EXPERIMENTS.join(", "));
         return;
     }
-    if target == "prom-lint" {
-        run_prom_lint(&args[1..]);
-        return;
-    }
     let subcommand: Option<fn(&[String])> = match target {
         "bench-kernels" => Some(run_bench_kernels),
         "bench-eig" => Some(run_bench_eig),
@@ -101,7 +79,6 @@ fn main() {
     let mut scale = Scale::Quick;
     let mut out_dir: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut serve_metrics: Option<u16> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -125,16 +102,6 @@ fn main() {
                         flag_error("--trace-out needs a file path")
                     })));
             }
-            "--serve-metrics" => {
-                // Optional port; defaults to DEFAULT_METRICS_PORT.
-                serve_metrics = Some(match args.get(i + 1).and_then(|s| s.parse::<u16>().ok()) {
-                    Some(p) => {
-                        i += 1;
-                        p
-                    }
-                    None => DEFAULT_METRICS_PORT,
-                });
-            }
             "--overlap" => config.exec = ExecStrategy::Overlapped { compute_workers: 1 },
             other => flag_error(&format!("unknown flag {other}")),
         }
@@ -145,47 +112,9 @@ fn main() {
 
     // One registry for the whole invocation: installing it on the main
     // thread makes it ambient, so every train() the drivers launch lands
-    // on the same timeline — and the same live /metrics endpoint.
+    // on the same timeline.
     let registry = Registry::new();
     let telemetry_guard = registry.install(0);
-
-    let mut server = None;
-    let refresh_stop = Arc::new(AtomicBool::new(false));
-    if let Some(port) = serve_metrics {
-        let watchdog = Watchdog::new(registry.clone(), WatchdogConfig::default());
-        match MetricsServer::start(registry.clone(), port, Some(watchdog)) {
-            Ok(s) => {
-                eprintln!(
-                    "serving metrics on http://{}/metrics (health: /health)",
-                    s.addr()
-                );
-                server = Some(s);
-            }
-            Err(e) => {
-                eprintln!("failed to bind metrics server on port {port}: {e}");
-                std::process::exit(1);
-            }
-        }
-        // Live stage-table refresh: long runs print their per-stage
-        // breakdown periodically instead of only at exit.
-        let registry = registry.clone();
-        let stop = Arc::clone(&refresh_stop);
-        std::thread::Builder::new()
-            .name("kfac-stage-refresh".into())
-            .spawn(move || loop {
-                for _ in 0..STAGE_TABLE_REFRESH_S * 4 {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(250));
-                }
-                let events = registry.events();
-                if !events.is_empty() {
-                    eprintln!("--- live stage table ---\n{}", export::stage_table(&events));
-                }
-            })
-            .expect("spawn stage refresh thread");
-    }
 
     let ids: &[&str] = if target == "all" { XP_ALL } else { &[target] };
 
@@ -214,7 +143,6 @@ fn main() {
         }
     }
 
-    refresh_stop.store(true, Ordering::Relaxed);
     drop(telemetry_guard);
     let events = registry.events();
     if !events.is_empty() {
@@ -231,33 +159,6 @@ fn main() {
                 eprintln!("failed to write {}: {e}", path.display());
                 std::process::exit(1);
             }
-        }
-    }
-    // Server (if any) shuts down on drop, after the final table so a
-    // scraper can read the complete run.
-    drop(server);
-}
-
-/// `xp prom-lint FILE` — validate a saved `/metrics` snapshot against
-/// the Prometheus text exposition rules the exporter promises (HELP/TYPE
-/// present, cumulative buckets monotone and capped by `+Inf`, `_count`
-/// consistency). Exit 0 on a clean document, 1 with the violation
-/// otherwise. CI curls `/metrics` during a smoke run and lints it here.
-fn run_prom_lint(args: &[String]) {
-    let [path] = args else {
-        flag_error("prom-lint takes exactly one FILE argument");
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("failed to read {path}: {e}");
-        std::process::exit(1);
-    });
-    match export::lint_prometheus(&text) {
-        Ok(()) => {
-            eprintln!("{path}: exposition OK ({} lines)", text.lines().count());
-        }
-        Err(e) => {
-            eprintln!("{path}: exposition INVALID: {e}");
-            std::process::exit(1);
         }
     }
 }
@@ -476,8 +377,7 @@ fn usage_and_exit() -> ! {
     eprintln!(
         "usage: xp <experiment|{}> \
          [--scale smoke|quick|full] [--out DIR] [--trace-out FILE] [--overlap] \
-         [--serve-metrics [PORT]] [--json [FILE]] [--ranks N] [--iters K]\n       \
-         xp prom-lint FILE\n\
+         [--json [FILE]] [--ranks N] [--iters K]\n\
          experiments: {}",
         SUBCOMMANDS.join("|"),
         ALL_EXPERIMENTS.join(", ")

@@ -88,7 +88,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 pub const SUBCOMMANDS: &[&str] = &[
     "all",
     "list",
-    "prom-lint",
     "bench-kernels",
     "bench-eig",
     "bench-allreduce",
@@ -142,7 +141,7 @@ mod tests {
         assert!(run("nonsense", Scale::Smoke).is_none());
         // The projection-only experiments run instantly. They are numbers,
         // not measurements: with a registry installed they record no span,
-        // so a trace or `/metrics` holds only timed work.
+        // so a trace or a stage table holds only timed work.
         for id in ["fig7", "fig8", "fig9", "table4", "table5", "table6"] {
             let registry = Registry::new();
             let guard = registry.install(0);

@@ -169,16 +169,12 @@ impl ResilientTrainer {
     /// Record a completed shrink-world resume (rung 5): the surviving
     /// ranks fenced the dead, re-formed at membership `epoch`, and
     /// restored the latest checkpoint. Bumps `train/shrink_resumes`,
-    /// publishes the new epoch to the
-    /// [`comm/membership_epoch`](kfac_telemetry::watchdog::names::MEMBERSHIP_EPOCH)
-    /// gauge, and dumps the flight recorder so the reconfiguration leaves
-    /// evidence.
+    /// publishes the new epoch to the `comm/membership_epoch` gauge, and
+    /// dumps the flight recorder so the reconfiguration leaves evidence.
     pub fn note_shrink_resume(&mut self, epoch: u64) {
         if let Some((registry, _)) = &self.telemetry {
             registry.counter("train/shrink_resumes").inc();
-            registry
-                .gauge(kfac_telemetry::watchdog::names::MEMBERSHIP_EPOCH)
-                .set(epoch as f64);
+            registry.gauge("comm/membership_epoch").set(epoch as f64);
         }
         self.dump_recorder(&format!("shrink_resume_epoch_{epoch}"));
     }
@@ -781,13 +777,12 @@ mod tests {
     /// epoch.
     #[test]
     fn shrink_resume_updates_membership_telemetry() {
-        use kfac_telemetry::watchdog::names;
         let registry = kfac_telemetry::Registry::new();
         let _guard = registry.install(0);
         let mut tr = ResilientTrainer::new(FaultTolerance::default());
         tr.note_shrink_resume(2);
         let gauges: std::collections::HashMap<_, _> = registry.gauges().into_iter().collect();
-        assert_eq!(gauges[names::MEMBERSHIP_EPOCH], 2.0);
+        assert_eq!(gauges["comm/membership_epoch"], 2.0);
         let counters: std::collections::HashMap<_, _> = registry.counters().into_iter().collect();
         assert_eq!(counters["train/shrink_resumes"], 1);
     }

@@ -382,8 +382,7 @@ impl RuntimeConfig {
 /// The resolved config on one line: every variable as `NAME=value` in
 /// [`KNOWN`] order (`-` for an unset pool size, which leaves it to the
 /// `rayon` shim; the rendezvous four only in a worker), then `exec=`. What
-/// `xp` prints at start-up, `/metrics` exports as
-/// `kfac_runtime_config_info` and flight-recorder dumps carry as `config`.
+/// `xp` prints at start-up and flight-recorder dumps carry as `config`.
 impl fmt::Display for RuntimeConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let env = self.to_env();

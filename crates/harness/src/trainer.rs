@@ -23,7 +23,7 @@ use kfac_data::{batch_of, Dataset, ShardedSampler};
 use kfac_exec::ExecMode;
 use kfac_nn::{layer::Mode, CrossEntropyLoss, Layer, Sequential};
 use kfac_optim::{LrSchedule, Optimizer, Sgd};
-use kfac_telemetry::{watchdog::names, Registry, Span};
+use kfac_telemetry::{Registry, Span};
 use kfac_tensor::{Dtype, Tensor4};
 use std::time::Instant;
 
@@ -415,8 +415,8 @@ pub fn batch_plan(cfg: &TrainConfig, ds_len: usize, world: usize, rank: usize) -
 /// and loss, drawing each batch from `ds`. Stops at the first
 /// [`StepOutcome::RankLost`]; returns the local losses of the iterations
 /// run and the lost rank, if any. Each iteration is a `train/iteration`
-/// span and updates the ambient registry's loss, heartbeat and
-/// iteration-time probes.
+/// span and updates the ambient registry's loss and iteration-time
+/// probes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan(
     ladder: &mut ResilientTrainer,
@@ -453,13 +453,11 @@ pub fn run_plan(
             return (losses, Some(r));
         }
         losses.push(loss);
-        // Liveness + trajectory probes for the watchdog and the live
-        // metrics plane. Pure reads of already-computed values: the
-        // training math never consumes them.
+        // Trajectory probes for the flight recorder's snapshots. Pure
+        // reads of already-computed values: the training math never
+        // consumes them.
         if let Some(registry) = &registry {
-            registry.gauge(names::LOSS).set(loss as f64);
-            let now = registry.micros_at(Instant::now());
-            registry.gauge(names::HEARTBEAT_US).set(now as f64);
+            registry.gauge("train/loss").set(loss as f64);
             let iter_us = t_iter.elapsed().as_micros();
             registry
                 .histogram("train/iter_time_us")

@@ -1,17 +1,27 @@
 //! The precedence rule of `RuntimeConfig` — a default for what
 //! `TrainConfig::new` fills, and nothing else — and its one `Display`
-//! reaching every exporter. Installation is process-wide and happens once, so this
-//! file holds exactly one test (its own process).
+//! heading every flight-recorder dump. Installation is process-wide and
+//! happens once, so this file holds exactly one test (its own process).
 
 use kfac::{EigenSolver, KfacConfig, PlacementPolicy};
 use kfac_collectives::{CollectiveAlgo, CommBackend};
 use kfac_harness::runtime::{self, RuntimeConfig};
 use kfac_harness::{ExecStrategy, TrainConfig};
 use kfac_optim::LrSchedule;
-use kfac_telemetry::{export, FlightRecorder, Registry};
+use kfac_telemetry::json::Json;
+use kfac_telemetry::{FlightRecorder, Registry};
 
 fn new_config() -> TrainConfig {
     TrainConfig::new(2, 8, 1, LrSchedule::paper_steps(0.1, vec![1]))
+}
+
+/// The `config` header of a flight-recorder dump, if it has one.
+fn dumped_config() -> Option<String> {
+    let dump = FlightRecorder::default().dump_json(&Registry::new(), "test");
+    let dump = Json::parse(&dump).expect("dump is JSON");
+    dump.get("config")
+        .and_then(|v| v.as_str())
+        .map(str::to_string)
 }
 
 #[test]
@@ -30,7 +40,7 @@ fn installed_config_is_default_for_new_and_never_touches_with_kfac() {
     assert_eq!(cfg.backend, CommBackend::Thread);
     assert_eq!(cfg.exec, ExecStrategy::Sequential);
     assert_eq!(cfg.kfac, Some(handed.clone()));
-    assert!(!export::prometheus(&Registry::new()).contains("kfac_runtime_config_info"));
+    assert_eq!(dumped_config(), None);
 
     let installed = RuntimeConfig::parse(
         [
@@ -70,21 +80,12 @@ fn installed_config_is_default_for_new_and_never_touches_with_kfac() {
     let default = KfacConfig::default();
     assert_eq!(cfg.with_kfac(default.clone()).kfac, Some(default));
 
-    // One `Display`, everywhere: /metrics and the flight-recorder dump.
+    // One `Display`, in the flight-recorder dump.
     let line = installed.to_string();
     assert!(
         line.starts_with("KFAC_COMM_BACKEND=proc KFAC_COMM_ALGO=flat KFAC_POOL_THREADS=1 ")
             && line.ends_with(" exec=overlapped"),
         "{line}"
     );
-    let registry = Registry::new();
-    let doc = export::prometheus(&registry);
-    export::lint_prometheus(&doc).expect("exposition with the info series lints clean");
-    assert!(
-        doc.contains(&format!("kfac_runtime_config_info{{config=\"{line}\"}} 1")),
-        "{doc}"
-    );
-    let dump = FlightRecorder::default().dump_json(&registry, "test");
-    let dump = kfac_telemetry::json::Json::parse(&dump).expect("dump is JSON");
-    assert_eq!(dump.get("config").and_then(|v| v.as_str()), Some(&*line));
+    assert_eq!(dumped_config(), Some(line));
 }

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::json::{escape_into, number};
-use crate::registry::{AttrValue, Registry, SpanEvent};
+use crate::registry::{AttrValue, SpanEvent};
 
 fn push_attr_value(out: &mut String, v: &AttrValue) {
     match v {
@@ -246,275 +246,6 @@ pub fn stage_table(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Sanitize a metric name for Prometheus: `[a-zA-Z0-9_:]` pass through,
-/// everything else becomes `_`, and a leading digit gets a `_` prefix.
-/// `kfac/eig_comp` → `kfac_eig_comp`.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
-/// Escape a Prometheus label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
-fn prom_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an `f64` for Prometheus exposition (which, unlike JSON, has
-/// spellings for the non-finite values).
-fn prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-fn prom_family(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-/// The info series carrying the process's resolved run configuration
-/// ([`crate::run_config`]) as its one label.
-fn prom_run_config(out: &mut String, config: &str) {
-    let name = "kfac_runtime_config_info";
-    prom_family(out, name, "gauge", "resolved run configuration");
-    let _ = writeln!(out, "{name}{{config=\"{}\"}} 1", prom_label(config));
-}
-
-/// Render the registry's metrics — counters, gauges, histograms (with
-/// cumulative buckets, `_sum`/`_count`, and p50/p95/p99 gauge series) and
-/// per-stage span aggregates — as a Prometheus text exposition document,
-/// led by the run-configuration info series when one was recorded.
-///
-/// The registry is shared by every rank of a run, so counter and
-/// histogram values are already the cross-rank aggregate; per-stage
-/// series carry a `stage` label. Metric names are sanitized with the
-/// slash convention mapped to underscores (`kfac/cond` → `kfac_cond`).
-pub fn prometheus(registry: &Registry) -> String {
-    let mut out = String::with_capacity(4096);
-    if let Some(config) = crate::run_config() {
-        prom_run_config(&mut out, config);
-    }
-
-    for (name, value) in registry.counters() {
-        let n = prom_name(&name);
-        prom_family(&mut out, &n, "counter", "monotonic counter");
-        let _ = writeln!(out, "{n} {value}");
-    }
-
-    for (name, value) in registry.gauges() {
-        let n = prom_name(&name);
-        prom_family(&mut out, &n, "gauge", "last-write-wins gauge");
-        let _ = writeln!(out, "{n} {}", prom_f64(value));
-    }
-
-    for (name, hist) in registry.histograms() {
-        let n = prom_name(&name);
-        prom_family(&mut out, &n, "histogram", "log-scale histogram");
-        let count = hist.count();
-        for (bound, cumulative) in hist.cumulative_buckets() {
-            let _ = writeln!(out, "{n}_bucket{{le=\"{}\"}} {cumulative}", prom_f64(bound));
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {count}");
-        let _ = writeln!(out, "{n}_sum {}", prom_f64(hist.sum()));
-        let _ = writeln!(out, "{n}_count {count}");
-        for (suffix, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
-            let qn = format!("{n}_{suffix}");
-            prom_family(&mut out, &qn, "gauge", "histogram percentile estimate");
-            let _ = writeln!(out, "{qn} {}", prom_f64(hist.percentile(p)));
-        }
-    }
-
-    let events = registry.events();
-    if !events.is_empty() {
-        let rows = stage_rows(&events);
-        type StageSeries = (&'static str, &'static str, fn(&StageRow) -> String);
-        let series: [StageSeries; 5] = [
-            ("kfac_stage_count", "counter", |r| r.count.to_string()),
-            ("kfac_stage_total_seconds", "gauge", |r| {
-                prom_f64(r.total.as_secs_f64())
-            }),
-            ("kfac_stage_p50_seconds", "gauge", |r| {
-                prom_f64(r.p50.as_secs_f64())
-            }),
-            ("kfac_stage_p95_seconds", "gauge", |r| {
-                prom_f64(r.p95.as_secs_f64())
-            }),
-            ("kfac_stage_p99_seconds", "gauge", |r| {
-                prom_f64(r.p99.as_secs_f64())
-            }),
-        ];
-        for (name, kind, project) in series {
-            prom_family(&mut out, name, kind, "per-stage span aggregate");
-            for row in &rows {
-                let _ = writeln!(
-                    out,
-                    "{name}{{stage=\"{}\"}} {}",
-                    prom_label(&row.name),
-                    project(row)
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Validate a Prometheus text exposition document: every sample series
-/// must be introduced by `# HELP` and `# TYPE` lines, histogram bucket
-/// counts must be monotone over ascending `le` bounds, and each
-/// histogram's `+Inf` bucket must equal its `_count`. Returns the first
-/// violation as an error string.
-pub fn lint_prometheus(text: &str) -> Result<(), String> {
-    use std::collections::BTreeMap;
-    let mut helped: BTreeSet<String> = BTreeSet::new();
-    let mut typed: BTreeMap<String, String> = BTreeMap::new();
-    // Histogram state keyed by (family, labels-without-le).
-    let mut buckets: BTreeMap<(String, String), Vec<(f64, u64)>> = BTreeMap::new();
-    let mut counts: BTreeMap<(String, String), u64> = BTreeMap::new();
-
-    for (lineno, line) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().unwrap_or("");
-            helped.insert(name.to_string());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().unwrap_or("").to_string();
-            let kind = it.next().unwrap_or("").to_string();
-            if !matches!(kind.as_str(), "counter" | "gauge" | "histogram" | "summary") {
-                return Err(format!("line {lineno}: unknown TYPE '{kind}'"));
-            }
-            typed.insert(name, kind);
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // plain comment
-        }
-
-        // Sample line: name[{labels}] value
-        let (series, value) = match line.rfind(' ') {
-            Some(i) => (&line[..i], line[i + 1..].trim()),
-            None => return Err(format!("line {lineno}: malformed sample '{line}'")),
-        };
-        let (name, labels) = match series.find('{') {
-            Some(i) => {
-                let rest = &series[i..];
-                if !rest.ends_with('}') {
-                    return Err(format!("line {lineno}: unclosed label set"));
-                }
-                (&series[..i], &rest[1..rest.len() - 1])
-            }
-            None => (series, ""),
-        };
-        if value.parse::<f64>().is_err() && !matches!(value, "NaN" | "+Inf" | "-Inf" | "Inf") {
-            return Err(format!("line {lineno}: bad sample value '{value}'"));
-        }
-
-        // Resolve the declared family: histogram child series (_bucket,
-        // _sum, _count) belong to their base metric's declaration.
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                let base = name.strip_suffix(suffix)?;
-                (typed.get(base).map(String::as_str) == Some("histogram")).then_some(base)
-            })
-            .unwrap_or(name)
-            .to_string();
-        if !typed.contains_key(&family) {
-            return Err(format!("line {lineno}: '{name}' has no # TYPE line"));
-        }
-        if !helped.contains(&family) {
-            return Err(format!("line {lineno}: '{name}' has no # HELP line"));
-        }
-
-        if typed.get(&family).map(String::as_str) == Some("histogram") {
-            let non_le: String = labels
-                .split(',')
-                .filter(|l| !l.trim_start().starts_with("le="))
-                .collect::<Vec<_>>()
-                .join(",");
-            let key = (family.clone(), non_le);
-            if name.ends_with("_bucket") {
-                let le = labels
-                    .split(',')
-                    .find_map(|l| l.trim().strip_prefix("le=\"")?.strip_suffix('"'))
-                    .ok_or_else(|| format!("line {lineno}: bucket without le label"))?;
-                let bound = match le {
-                    "+Inf" => f64::INFINITY,
-                    s => s
-                        .parse::<f64>()
-                        .map_err(|_| format!("line {lineno}: bad le '{s}'"))?,
-                };
-                let cumulative = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("line {lineno}: non-integer bucket count"))?;
-                let series = buckets.entry(key).or_default();
-                if let Some(&(prev_bound, prev_count)) = series.last() {
-                    if bound <= prev_bound {
-                        return Err(format!("line {lineno}: le bounds not ascending"));
-                    }
-                    if cumulative < prev_count {
-                        return Err(format!("line {lineno}: bucket counts not monotone"));
-                    }
-                }
-                series.push((bound, cumulative));
-            } else if name.ends_with("_count") {
-                counts.insert(
-                    key,
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("line {lineno}: non-integer _count"))?,
-                );
-            }
-        }
-    }
-
-    for (key, series) in &buckets {
-        let Some(&(last_bound, last_count)) = series.last() else {
-            continue;
-        };
-        if last_bound != f64::INFINITY {
-            return Err(format!("histogram '{}': missing +Inf bucket", key.0));
-        }
-        if let Some(&count) = counts.get(key) {
-            if count != last_count {
-                return Err(format!(
-                    "histogram '{}': _count {count} != +Inf bucket {last_count}",
-                    key.0
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,90 +394,5 @@ mod tests {
             .collect();
         assert_eq!(args.len(), 1);
         assert_eq!(args[0].get("zeta").unwrap().as_str(), Some("a\"b\\c\nd"));
-    }
-
-    #[test]
-    fn prometheus_exposition_is_valid_and_lints_clean() {
-        let registry = Registry::new();
-        registry.counter("comm/ops").add(17);
-        registry.gauge("kfac/damping").set(0.003);
-        registry.gauge("train/loss").set(f64::NAN); // non-finite survives
-        let h = registry.histogram("train/iter_time_us");
-        for v in [10.0, 20.0, 20.0, 4000.0] {
-            h.record(v);
-        }
-        {
-            let _guard = registry.install(0);
-            let _span = crate::Span::enter("train/iteration");
-        }
-
-        let doc = prometheus(&registry);
-        lint_prometheus(&doc).expect("self-emitted exposition lints clean");
-        assert!(doc.contains("# TYPE comm_ops counter"));
-        assert!(doc.contains("comm_ops 17"));
-        assert!(doc.contains("kfac_damping 0.003"));
-        assert!(doc.contains("train_loss NaN"));
-        assert!(doc.contains("# TYPE train_iter_time_us histogram"));
-        assert!(doc.contains("train_iter_time_us_bucket{le=\"+Inf\"} 4"));
-        assert!(doc.contains("train_iter_time_us_count 4"));
-        assert!(doc.contains("train_iter_time_us_p50"));
-        assert!(doc.contains("kfac_stage_count{stage=\"train/iteration\"} 1"));
-    }
-
-    /// Slash-separated metric families with a path segment per class
-    /// or layer — the per-class byte counters and the per-layer rank
-    /// gauges — must survive name sanitization and lint clean, since CI
-    /// scrapes them off the live `/metrics` endpoint.
-    #[test]
-    fn path_named_families_export_and_lint_clean() {
-        let registry = Registry::new();
-        for (name, bytes) in [("comm/bytes/gradient", 4096u64), ("comm/bytes/eigen", 2052)] {
-            registry.counter(name).add(bytes);
-        }
-        for kind in ["a", "g"] {
-            registry
-                .gauge(&format!("kfac/layer0/{kind}_eig_rank"))
-                .set(16.0);
-        }
-
-        let doc = prometheus(&registry);
-        lint_prometheus(&doc).expect("path-named families lint clean");
-        assert!(doc.contains("# TYPE comm_bytes_eigen counter"));
-        assert!(doc.contains("comm_bytes_eigen 2052"));
-        assert!(doc.contains("kfac_layer0_a_eig_rank 16"));
-    }
-
-    #[test]
-    fn prometheus_lint_rejects_violations() {
-        // Sample without TYPE.
-        assert!(lint_prometheus("foo 1\n").is_err());
-        // TYPE but no HELP.
-        assert!(lint_prometheus("# TYPE foo counter\nfoo 1\n").is_err());
-        // Non-monotone cumulative buckets.
-        let bad = "# HELP h x\n# TYPE h histogram\n\
-                   h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n";
-        assert!(lint_prometheus(bad).unwrap_err().contains("monotone"));
-        // Missing +Inf bucket.
-        let bad = "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\n";
-        assert!(lint_prometheus(bad).unwrap_err().contains("+Inf"));
-        // _count disagreeing with the +Inf bucket.
-        let bad = "# HELP h x\n# TYPE h histogram\n\
-                   h_bucket{le=\"+Inf\"} 5\nh_count 4\n";
-        assert!(lint_prometheus(bad).unwrap_err().contains("_count"));
-        // A correct document passes.
-        let good = "# HELP h x\n# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 5\nh_sum 9.5\nh_count 5\n";
-        lint_prometheus(good).expect("good doc");
-        // So does the run-configuration info series: one labelled sample
-        // whose value holds spaces, `=`, `{` and an escaped quote.
-        let mut info = String::new();
-        prom_run_config(
-            &mut info,
-            "KFAC_COMM_BACKEND=proc job={a \"b\"} exec=sequential",
-        );
-        assert!(info.contains(
-            "kfac_runtime_config_info{config=\"KFAC_COMM_BACKEND=proc job={a \\\"b\\\"} exec=sequential\"} 1"
-        ));
-        lint_prometheus(&(info + good)).expect("info series lints clean");
     }
 }

@@ -32,21 +32,21 @@
 //! answer stats queries from the same data the trace exporters see.
 //!
 //! Metrics ([`Counter`], [`Gauge`], [`Histogram`]) are named handles
-//! obtained from the registry (or used standalone); histograms are
-//! log-scale with bounded-error percentile queries.
+//! obtained from the registry; histograms are log-scale with
+//! bounded-error percentile queries.
 //!
-//! Exporters live in [`export`]: Chrome trace-event JSON (one timeline
-//! thread per rank, loadable in Perfetto), Prometheus text exposition,
-//! and the per-stage breakdown table printed at the end of `xp` runs.
+//! Everything here answers one of three questions from an artefact a
+//! run leaves behind:
 //!
-//! The *live* observability layer builds on the same registry:
-//! [`server::MetricsServer`] serves `/metrics` and `/health` over
-//! localhost HTTP while a run is in flight, [`watchdog::Watchdog`]
-//! evaluates health rules (heartbeat stall, non-finite values, factor
-//! staleness, collective retry rate) over the metric names in
-//! [`watchdog::names`], and [`recorder::FlightRecorder`] keeps a
-//! bounded black box of recent snapshots + span tail for post-fault
-//! dumps.
+//! * *where a step's time went* — the per-stage breakdown table
+//!   ([`export::stage_table`], printed at the end of `xp` runs) and the
+//!   Chrome trace-event timeline ([`export::chrome_trace`], one row per
+//!   rank and lane, loadable in Perfetto);
+//! * *which config ran* — the run-configuration line
+//!   ([`set_run_config`]) that heads every flight-recorder dump;
+//! * *why the fault-handling ladder escalated* — the
+//!   [`recorder::FlightRecorder`] dump: a bounded black box of recent
+//!   counter, gauge and histogram snapshots plus the span tail.
 
 #![warn(missing_docs)]
 
@@ -55,14 +55,10 @@ pub mod json;
 mod metrics;
 pub mod recorder;
 mod registry;
-pub mod server;
-pub mod watchdog;
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use recorder::{FlightRecorder, MetricsSnapshot};
 pub use registry::{AttrValue, Registry, SpanAgg, SpanEvent};
-pub use server::MetricsServer;
-pub use watchdog::{HealthReport, Severity, Watchdog, WatchdogConfig};
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -72,10 +68,9 @@ static RUN_CONFIG: OnceLock<String> = OnceLock::new();
 
 /// Record the one-line resolved configuration this process runs under
 /// (`xp` passes its `RuntimeConfig`'s `Display`). Process-wide and
-/// write-once — the first call wins — so every exporter, whichever
-/// registry it reads, reports the same line: the
-/// `kfac_runtime_config_info` series of [`export::prometheus`] and the
-/// `config` header of [`FlightRecorder::dump_json`].
+/// write-once — the first call wins — so every flight-recorder dump,
+/// whichever registry it reads, carries the same line as its `config`
+/// header ([`FlightRecorder::dump_json`]).
 pub fn set_run_config(line: String) {
     let _ = RUN_CONFIG.set(line);
 }

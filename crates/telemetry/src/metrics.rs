@@ -13,11 +13,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -50,11 +45,6 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Overwrite the value.
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
@@ -78,7 +68,6 @@ const NBUCKETS: usize = ((MAX_EXP - MIN_EXP) * SUB) as usize; // 1024
 struct HistInner {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    sum_bits: AtomicU64, // f64 sum, CAS-updated
 }
 
 /// Lock-free log-scale histogram over positive `f64` samples, with
@@ -95,7 +84,6 @@ impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
             .field("count", &self.count())
-            .field("sum", &self.sum())
             .finish()
     }
 }
@@ -106,7 +94,6 @@ impl Default for Histogram {
             inner: Arc::new(HistInner {
                 buckets: (0..NBUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
             }),
         }
     }
@@ -126,56 +113,16 @@ fn bucket_midpoint(idx: usize) -> f64 {
     (lo + 0.5 / SUB).exp2()
 }
 
-fn bucket_upper_bound(idx: usize) -> f64 {
-    (MIN_EXP + (idx as f64 + 1.0) / SUB).exp2()
-}
-
 impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one sample.
     pub fn record(&self, v: f64) {
         self.inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
-        if v.is_finite() {
-            // CAS loop: f64 addition has no native atomic.
-            let mut cur = self.inner.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match self.inner.sum_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-        }
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
     }
 
     /// Estimate the `p`-th percentile (`p` in 0..=100). Returns 0 for an
@@ -203,24 +150,6 @@ impl Histogram {
         // load and the bucket walk; answer with the top occupied bucket.
         bucket_midpoint(NBUCKETS - 1)
     }
-
-    /// Occupied buckets as `(upper_bound, cumulative_count)` pairs in
-    /// ascending bound order — the cumulative-bucket view Prometheus
-    /// exposition wants. Counts are monotonically non-decreasing; the
-    /// last entry's count equals [`Histogram::count`] at snapshot time
-    /// (modulo concurrent recording).
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::new();
-        let mut cumulative = 0u64;
-        for (idx, b) in self.inner.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                cumulative += c;
-                out.push((bucket_upper_bound(idx), cumulative));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +158,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::new();
+        let c = Counter::default();
         let c2 = c.clone();
         c.add(40);
         c2.inc();
@@ -239,7 +168,7 @@ mod tests {
 
     #[test]
     fn gauge_last_write_wins() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set(1.5);
         g.set(-2.25);
         assert_eq!(g.get(), -2.25);
@@ -247,12 +176,11 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_within_bucket_error() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for i in 1..=1000 {
             h.record(i as f64);
         }
         assert_eq!(h.count(), 1000);
-        assert!((h.sum() - 500_500.0).abs() < 1e-6);
         for (p, expect) in [(50.0, 500.0), (95.0, 950.0), (99.0, 990.0)] {
             let got = h.percentile(p);
             let rel = (got - expect).abs() / expect;
@@ -262,7 +190,7 @@ mod tests {
 
     #[test]
     fn histogram_handles_empty_zero_and_extremes() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.percentile(50.0), 0.0);
         h.record(0.0);
         h.record(-3.0);
@@ -275,14 +203,14 @@ mod tests {
     #[test]
     fn percentile_edge_cases_pinned() {
         // Empty: every percentile is exactly 0, including weird p.
-        let h = Histogram::new();
+        let h = Histogram::default();
         for p in [-10.0, 0.0, 50.0, 100.0, 1e9, f64::NAN] {
             assert_eq!(h.percentile(p), 0.0, "empty hist, p={p}");
         }
 
         // Single sample: every percentile answers that sample's bucket
         // midpoint — the same value regardless of p.
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(7.0);
         let mid = h.percentile(50.0);
         assert!((mid - 7.0).abs() / 7.0 < 0.05, "midpoint {mid} not ~7");
@@ -293,7 +221,7 @@ mod tests {
         // Two well-separated samples: p≤0 pins to the low bucket,
         // p≥100 to the high bucket, and p=50 (rank ceil(0.5*2)=1) is
         // the low one under nearest-rank semantics.
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(1.0);
         h.record(1024.0);
         let lo = h.percentile(0.0);
@@ -307,29 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_buckets_are_monotone_and_complete() {
-        let h = Histogram::new();
-        for v in [0.5, 1.0, 2.0, 2.0, 1000.0] {
-            h.record(v);
-        }
-        let buckets = h.cumulative_buckets();
-        assert!(!buckets.is_empty());
-        let mut prev_bound = f64::NEG_INFINITY;
-        let mut prev_count = 0u64;
-        for &(bound, count) in &buckets {
-            assert!(bound > prev_bound, "bounds must ascend");
-            assert!(count >= prev_count, "cumulative counts must not drop");
-            prev_bound = bound;
-            prev_count = count;
-        }
-        assert_eq!(buckets.last().unwrap().1, h.count());
-        assert!(h.cumulative_buckets() == buckets, "snapshot is stable");
-        assert!(Histogram::new().cumulative_buckets().is_empty());
-    }
-
-    #[test]
-    fn histogram_concurrent_records_sum_exactly() {
-        let h = Histogram::new();
+    fn histogram_concurrent_records_count_exactly() {
+        let h = Histogram::default();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let h = h.clone();
@@ -341,6 +248,6 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 4000);
-        assert!((h.sum() - 8000.0).abs() < 1e-9);
+        assert!((h.percentile(50.0) - 2.0).abs() / 2.0 < 0.05);
     }
 }

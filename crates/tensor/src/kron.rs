@@ -3,10 +3,10 @@
 //! K-FAC approximates each layer's Fisher block as `F̂ᵢ = A_{i−1} ⊗ Gᵢ`
 //! (Eq. 5) and never materializes the product: preconditioning uses
 //! `(A ⊗ B) vec(X) = vec(A X Bᵀ)` (row-major vec; the paper's Eq. 10 is the
-//! same identity in its convention). These helpers materialize the product
-//! and the identity explicitly so the fast paths in the `kfac` crate can be
-//! property-tested against dense ground truth, exactly as the paper verifies
-//! its update rule algebraically.
+//! same identity in its convention). [`kron`] materializes the product so
+//! the fast paths in the `kfac` crate can be property-tested against dense
+//! ground truth, exactly as the paper verifies its update rule
+//! algebraically.
 
 use crate::Matrix;
 
@@ -34,18 +34,6 @@ pub fn kron(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Apply `(A ⊗ B)` to `vec(X)` *without* materializing the Kronecker
-/// product, via the identity `(A ⊗ B) vec(X) = vec(A X Bᵀ)` (row-major
-/// vec). `X` must be `A.cols() × B.cols()`.
-///
-/// This is the trick that makes K-FAC preconditioning cost two small GEMMs
-/// instead of one gigantic matvec (Eq. 10).
-pub fn kron_matvec(a: &Matrix, b: &Matrix, x: &Matrix) -> Matrix {
-    assert_eq!(x.rows(), a.cols(), "kron_matvec: X rows must equal A cols");
-    assert_eq!(x.cols(), b.cols(), "kron_matvec: X cols must equal B cols");
-    a.matmul(&x.matmul_nt(b))
 }
 
 #[cfg(test)]
@@ -100,7 +88,9 @@ mod tests {
         let a = random(3, 4, &mut rng);
         let b = random(2, 5, &mut rng);
         let x = random(4, 5, &mut rng);
-        let fast = kron_matvec(&a, &b, &x);
+        // (A ⊗ B) vec(X) = vec(A X Bᵀ) without the product: two small GEMMs
+        // in place of one gigantic matvec (Eq. 10).
+        let fast = a.matmul(&x.matmul_nt(&b));
         // Row-major storage is the row-major vec(X).
         let dense = kron(&a, &b).matvec(x.as_slice());
         assert_eq!(fast.shape(), (3, 2));

@@ -21,11 +21,12 @@
 //!   holds the cyclic Jacobi solver kept as its backstop and test oracle,
 //!   [`randeig`] the randomized truncated route for factors with
 //!   decaying spectra (Puiu, arXiv:2206.15397).
-//! * [`cholesky`] / [`inverse`] — SPD Cholesky inverse and Gauss–Jordan
-//!   inverse with partial pivoting, implementing the paper's *explicit
-//!   inverse* path (Equation 11) that Table I compares against.
-//! * [`kron`] — Kronecker products and the `(A ⊗ B) vec(X) = vec(A X Bᵀ)`
-//!   identity (Equations 6–10), used as ground truth in tests.
+//! * [`inverse`] — Gauss–Jordan inverse with partial pivoting, accumulated
+//!   in `f64`: the reference the explicit-inverse path's tests compare
+//!   against. That path itself (Equation 11, Table I) runs in the `kfac`
+//!   crate, deliberately in `f32` (`math::invert_factor`).
+//! * [`kron`] — dense Kronecker products (Equations 6–8), used as ground
+//!   truth in tests of the `(A ⊗ B) vec(X) = vec(A X Bᵀ)` identity.
 //! * [`rng`] / [`init`] — deterministic xoshiro256++ RNG, Box–Muller
 //!   normal sampling and Kaiming/Xavier initializers.
 //! * [`tensor4`] — a minimal NCHW tensor for the neural-network substrate.
@@ -35,7 +36,6 @@
 //! stability and round the results back to `f32`.
 
 pub mod arena;
-pub mod cholesky;
 pub mod eigen;
 pub mod gemm;
 pub mod half;
@@ -50,11 +50,10 @@ pub mod rng;
 pub mod tensor4;
 pub mod tridiag;
 
-pub use cholesky::Cholesky;
 pub use eigen::{eigh, EigenDecomposition};
 pub use half::{bf16_to_f32, f32_to_bf16, Dtype, HalfMatrix};
 pub use inverse::invert;
-pub use kron::{kron, kron_matvec};
+pub use kron::kron;
 pub use matrix::Matrix;
 pub use randeig::{eigh_randomized, RandEig, RandEigOptions};
 pub use rng::Rng64;
@@ -68,8 +67,8 @@ pub enum LinAlgError {
     /// The matrix is singular (or numerically singular) and cannot be
     /// inverted or factorized.
     Singular,
-    /// Cholesky factorization failed because the matrix is not positive
-    /// definite.
+    /// A Cholesky factorization (the `kfac` crate's f32 explicit inverse)
+    /// failed because the matrix is not positive definite.
     NotPositiveDefinite,
     /// An iterative method (a QL, secular-equation or Jacobi solve) failed to converge
     /// within its iteration budget.

@@ -7,7 +7,7 @@
 //! in the member crates, re-exported here for convenience:
 //!
 //! * [`tensor`] — dense linear algebra (GEMM, symmetric eigendecomposition,
-//!   Cholesky, Kronecker utilities).
+//!   reference inverse and Kronecker product for tests).
 //! * [`collectives`] — Horovod-like collective communication.
 //! * [`nn`] — neural-network layers, ResNet builders and K-FAC capture hooks.
 //! * [`data`] — synthetic CIFAR-10/ImageNet-like datasets.
