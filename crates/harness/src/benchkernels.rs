@@ -3,21 +3,19 @@
 //! `xp bench-kernels` times every GEMM/Gram shape the ResNet-32 CIFAR
 //! pipeline actually runs (convolution forward, weight-gradient and
 //! input-gradient products, Kronecker-factor Grams) plus square 256–1024
-//! stress shapes — over f32 operands and, for the Gram and conv-forward
-//! shapes, over the same values stored as bf16 (what half-width
-//! *storage* costs the one engine; training stores f32) — and then one
-//! whole `Conv2d` forward + backward per ResNet-32 stage beside the three
-//! bare GEMMs it is made of, plain and as a K-FAC factor iteration runs
-//! it (capturing, then `compute_factors`) beside those GEMMs plus the two
-//! bare factor Grams, and the patch lowering (`build_patches` +
-//! `scatter_patches`) over the same layer. Results go to stdout as a
-//! table and, with `--json`, to `BENCH_kernels.json`; the CI `perf` job
-//! gates on absolute statements about that file (see [`to_json`]).
+//! stress shapes, and then one whole `Conv2d` forward + backward per
+//! ResNet-32 stage beside the three bare GEMMs it is made of, plain and as
+//! a K-FAC factor iteration runs it (capturing, then `compute_factors`)
+//! beside those GEMMs plus the two bare factor Grams, and the patch
+//! lowering (`build_patches` + `scatter_patches`) over the same layer.
+//! Results go to stdout as a table and, with `--json`, to
+//! `BENCH_kernels.json`; the CI `perf` job gates on absolute statements
+//! about that file (see [`to_json`]).
 
 use kfac_nn::lowering::{build_patches, scatter_patches, Geometry, BLOCK};
 use kfac_nn::{Conv2d, KfacEligible, Layer, Mode};
 use kfac_tensor::gemm::{packed_len, Side};
-use kfac_tensor::{HalfMatrix, Matrix, Rng64, Tensor4};
+use kfac_tensor::{Matrix, Rng64, Tensor4};
 use std::time::Instant;
 
 /// What product a benchmark case runs.
@@ -35,22 +33,7 @@ pub enum Kind {
     GramNt,
 }
 
-/// Timing of one case over bf16-stored operands, measured paired against
-/// the f32-stored ones (see [`run_all`] for the interleaved-median
-/// protocol). Same engine, same tile: the only difference is the bytes
-/// the packers read and the widening they do on the way.
-#[derive(Clone, Copy, Debug)]
-pub struct Bf16Timing {
-    /// Median ns/iter with bf16-stored operands.
-    pub ns: f64,
-    /// Median of the per-rep `bf16_ns / f32_ns` ratios — robust to the
-    /// drift of a shared/noisy box, unlike a ratio of two medians taken
-    /// minutes apart.
-    pub over_f32: f64,
-}
-
-/// One benchmarked shape with its f32 and, for the Gram / NT kinds, bf16
-/// timings.
+/// One benchmarked shape and its timing.
 pub struct BenchCase {
     pub name: &'static str,
     pub kind: Kind,
@@ -59,11 +42,8 @@ pub struct BenchCase {
     pub n: usize,
     /// Multiply-add count per iteration (2 flops each).
     pub madds: u64,
-    /// ns/iter over f32-stored operands; on a row with bf16 timings, the
-    /// median of the f32 halves of its paired reps.
+    /// ns/iter.
     pub packed_ns: f64,
-    /// bf16-storage timing; `None` for plain / TN matmuls.
-    pub bf16: Option<Bf16Timing>,
 }
 
 impl BenchCase {
@@ -71,12 +51,6 @@ impl BenchCase {
         2.0 * self.madds as f64 / self.packed_ns
     }
 }
-
-/// The shapes the CI bf16 gate is stated over: the two bias-augmented
-/// activation-factor Grams of the deep ResNet-32 stages plus one
-/// convolution forward shape. Half-width operands must not cost time:
-/// on each, bf16 ns ≤ 1.1 × f32 ns.
-pub const BF16_GATE_CASES: [&str; 3] = ["rn32_afactor_s2", "rn32_afactor_s3", "rn32_conv_s3"];
 
 /// The benchmark suite: ResNet-32/CIFAR layer shapes (batch 8) and the
 /// square 256–1024 shapes the acceptance criteria are stated over.
@@ -346,12 +320,6 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Paired bf16-vs-f32 repetitions per case. The two storages are timed
-/// back-to-back inside each rep and the per-rep ratio is medianed, so a
-/// frequency step or noisy-neighbor burst mid-suite skews at most two
-/// of the five samples instead of one whole engine's measurement.
-const BF16_REPS: usize = 5;
-
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     v[v.len() / 2]
@@ -400,43 +368,8 @@ pub fn run_all() -> Vec<BenchCase> {
     let mut out = Vec::new();
     for (name, kind, m, k, n) in cases() {
         let ops = Operands::random(kind, m, k, n, &mut rng);
-        let (a, b, madds) = (&ops.a, &ops.b, ops.madds);
         let mut scratch = Matrix::zeros(1, 1);
-        // bf16 rows for three kinds: Gram (activation factors), GramNt
-        // (gradient factors, via the full-matrix A·Aᵀ product), and
-        // MatmulNt (conv forward).
-        // Interleaved paired reps; see BF16_REPS.
-        let (packed_ns, bf16) = match kind {
-            Kind::Gram | Kind::GramNt | Kind::MatmulNt => {
-                let ha = HalfMatrix::from_matrix(a);
-                let hb = matches!(kind, Kind::MatmulNt).then(|| HalfMatrix::from_matrix(b));
-                let mut out16 = Matrix::zeros(1, 1);
-                let mut ns32 = Vec::with_capacity(BF16_REPS);
-                let mut ns16 = Vec::with_capacity(BF16_REPS);
-                let mut ratios = Vec::with_capacity(BF16_REPS);
-                for _ in 0..BF16_REPS {
-                    let t32 = time_ns(|| ops.run(&mut scratch));
-                    let t16 = time_ns(|| match kind {
-                        Kind::Gram => ha.gram_into(&mut out16),
-                        Kind::GramNt => ha.matmul_nt_into(&ha, &mut out16),
-                        Kind::MatmulNt => ha.matmul_nt_into(hb.as_ref().unwrap(), &mut out16),
-                        _ => unreachable!(),
-                    });
-                    ns32.push(t32);
-                    ns16.push(t16);
-                    ratios.push(t16 / t32);
-                }
-                std::hint::black_box(&out16);
-                // A paired row's f32 time is the median of its own reps,
-                // so its GFLOP/s agrees with the bf16 columns.
-                let bf16 = Bf16Timing {
-                    ns: median(ns16),
-                    over_f32: median(ratios),
-                };
-                (median(ns32), Some(bf16))
-            }
-            Kind::Matmul | Kind::MatmulTn => (time_ns(|| ops.run(&mut scratch)), None),
-        };
+        let packed_ns = time_ns(|| ops.run(&mut scratch));
         std::hint::black_box(&scratch);
         out.push(BenchCase {
             name,
@@ -444,9 +377,8 @@ pub fn run_all() -> Vec<BenchCase> {
             m,
             k,
             n,
-            madds,
+            madds: ops.madds,
             packed_ns,
-            bf16,
         });
     }
     out
@@ -456,29 +388,18 @@ pub fn run_all() -> Vec<BenchCase> {
 pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "{:<18} {:>6} {:>6} {:>6} {:>12} {:>9} {:>12} {:>9} {:>9}\n",
-        "case", "m", "k", "n", "f32 ns", "GFLOP/s", "bf16 ns", "GFLOP/s", "bf16/f32"
+        "{:<18} {:>6} {:>6} {:>6} {:>12} {:>9}\n",
+        "case", "m", "k", "n", "ns", "GFLOP/s"
     ));
     for c in cases {
-        let (bf16_ns, bf16_gflops, bf16_ratio) = match c.bf16 {
-            Some(t) => (
-                format!("{:.0}", t.ns),
-                format!("{:.2}", 2.0 * c.madds as f64 / t.ns),
-                format!("{:.2}x", t.over_f32),
-            ),
-            None => ("-".to_string(), "-".to_string(), "-".to_string()),
-        };
         s.push_str(&format!(
-            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>9.2} {:>12} {:>9} {:>9}\n",
+            "{:<18} {:>6} {:>6} {:>6} {:>12.0} {:>9.2}\n",
             c.name,
             c.m,
             c.k,
             c.n,
             c.packed_ns,
-            c.packed_gflops(),
-            bf16_ns,
-            bf16_gflops,
-            bf16_ratio
+            c.packed_gflops()
         ));
     }
     s.push_str(&format!(
@@ -518,28 +439,17 @@ pub fn render_table(cases: &[BenchCase], layers: &[LayerCase]) -> String {
 
 /// Serialize the suite as JSON (hand-rolled — no serde in this tree).
 ///
-/// Besides the rows it carries the three aggregates the CI `perf` job
-/// asserts on — `max_bf16_over_f32` (≤ 1.1: the worst paired bf16/f32
-/// time ratio over [`BF16_GATE_CASES`]), `max_layer_over_gemm` (≤ 1.8)
-/// and `max_capture_over_gemm` (≤ 2.0) — each a failing value when a
-/// row it needs is missing. The fourth gate reads the rows themselves: the square shapes' f32 GFLOP/s
-/// against 0.6 × the committed `BENCH_kernels.json`.
+/// Besides the rows it carries the two aggregates the CI `perf` job
+/// asserts on — `max_layer_over_gemm` (≤ 1.8) and `max_capture_over_gemm`
+/// (≤ 2.0) — each a failing value when there is no layer row. The third
+/// gate reads the rows themselves: the square shapes' GFLOP/s against
+/// 0.6 × the committed `BENCH_kernels.json`.
 pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, c) in cases.iter().enumerate() {
-        let bf16_fields = match c.bf16 {
-            Some(t) => format!(
-                "\"bf16_ns_per_iter\": {:.1}, \"bf16_gflops\": {:.3}, \"bf16_over_f32\": {:.3}",
-                t.ns,
-                2.0 * c.madds as f64 / t.ns,
-                t.over_f32
-            ),
-            None => "\"bf16_ns_per_iter\": null, \"bf16_gflops\": null, \"bf16_over_f32\": null"
-                .to_string(),
-        };
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"kind\": \"{:?}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"packed_ns_per_iter\": {:.1}, \"packed_gflops\": {:.3}, {}}}{}\n",
+             \"packed_ns_per_iter\": {:.1}, \"packed_gflops\": {:.3}}}{}\n",
             c.name,
             c.kind,
             c.m,
@@ -547,7 +457,6 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
             c.n,
             c.packed_ns,
             c.packed_gflops(),
-            bf16_fields,
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }
@@ -587,17 +496,9 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
         let ratios = layers.iter().map(ratio);
         ratios.reduce(f64::max).unwrap_or(MISSING)
     };
-    let bf16_gate = BF16_GATE_CASES
-        .iter()
-        .map(|name| {
-            let case = cases.iter().find(|c| c.name == *name);
-            case.and_then(|c| c.bf16).map_or(MISSING, |t| t.over_f32)
-        })
-        .fold(0.0, f64::max);
     s.push_str(&format!(
-        "  \"max_bf16_over_f32\": {:.3},\n  \"max_layer_over_gemm\": {:.3},\n  \
+        "  \"max_layer_over_gemm\": {:.3},\n  \
          \"max_capture_over_gemm\": {:.3},\n  \"pool_threads\": {}\n}}\n",
-        bf16_gate,
         worst(|l| l.over_gemm),
         worst(|l| l.capture_over_gemm),
         rayon::current_num_threads()
@@ -609,37 +510,17 @@ pub fn to_json(cases: &[BenchCase], layers: &[LayerCase]) -> String {
 mod tests {
     use super::*;
 
-    fn gram_case(name: &'static str, over_f32: f64) -> BenchCase {
-        BenchCase {
-            name,
-            kind: Kind::Gram,
-            m: 0,
-            k: 2048,
-            n: 289,
-            madds: 1000,
-            packed_ns: 1000.0,
-            bf16: Some(Bf16Timing {
-                ns: 1000.0 * over_f32,
-                over_f32,
-            }),
-        }
-    }
-
     #[test]
     fn json_is_well_formed_enough() {
-        let cases = vec![
-            BenchCase {
-                name: "square_gemm_256",
-                kind: Kind::Matmul,
-                m: 256,
-                k: 256,
-                n: 256,
-                madds: 256 * 256 * 256,
-                packed_ns: 1000.0,
-                bf16: None,
-            },
-            gram_case("rn32_afactor_s2", 0.9),
-        ];
+        let cases = [BenchCase {
+            name: "square_gemm_256",
+            kind: Kind::Matmul,
+            m: 256,
+            k: 256,
+            n: 256,
+            madds: 256 * 256 * 256,
+            packed_ns: 1000.0,
+        }];
         let layers = [LayerCase {
             name: "rn32_layer_s1",
             channels: 16,
@@ -665,23 +546,7 @@ mod tests {
         // No layer rows → the loud failure value, not a passing 0.
         assert!(to_json(&cases, &[]).contains("\"max_layer_over_gemm\": 999.000"));
         assert!(to_json(&cases, &[]).contains("\"max_capture_over_gemm\": 999.000"));
-        assert!(json.contains("\"packed_gflops\": 33554.432"));
-        assert!(json.contains("\"bf16_ns_per_iter\": null"));
-        assert!(json.contains("\"bf16_over_f32\": 0.900"));
-        // Two of the three gate shapes are absent → the aggregate is the
-        // loud failure value, not the present case's 0.9.
-        assert!(json.contains("\"max_bf16_over_f32\": 999.000"));
+        assert!(json.contains("\"packed_gflops\": 33554.432}"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn bf16_gate_aggregate_is_the_worst_gate_case() {
-        let cases: Vec<BenchCase> = BF16_GATE_CASES
-            .iter()
-            .zip([0.8, 1.05, 0.95])
-            .map(|(n, r)| gram_case(n, r))
-            .collect();
-        let json = to_json(&cases, &[]);
-        assert!(json.contains("\"max_bf16_over_f32\": 1.050"), "{json}");
     }
 }

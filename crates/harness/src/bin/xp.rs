@@ -164,9 +164,8 @@ fn main() {
 }
 
 /// `xp bench-kernels [--json [FILE]]` — time the packed GEMM/Gram kernels
-/// on ResNet-32 and square stress shapes over f32- and bf16-stored
-/// operands, and a whole `Conv2d` forward + backward per stage against
-/// its bare GEMMs.
+/// on ResNet-32 and square stress shapes, and a whole `Conv2d` forward +
+/// backward per stage against its bare GEMMs.
 /// `--json` writes machine-readable results (default `BENCH_kernels.json`).
 fn run_bench_kernels(args: &[String]) {
     let mut json_path: Option<PathBuf> = None;

@@ -21,8 +21,8 @@
 //!   CIFAR-10/ResNet-32 and ImageNet/ResNet-50 setups at three scales
 //!   (smoke/quick/full), preserving the paper's budget ratios.
 //! * [`experiments`] — one driver per table and figure of §VI.
-//! * [`benchkernels`] — packed GEMM/Gram kernel benchmark (f32 and bf16 storage)
-//!   behind `xp bench-kernels`.
+//! * [`benchkernels`] — packed GEMM/Gram kernel benchmark behind
+//!   `xp bench-kernels`.
 //! * [`procrun`] — multi-process orchestration: `xp` re-executed as one
 //!   OS process per rank over the TCP collective fabric
 //!   (`xp proc-train`, `xp bench-allreduce`).

@@ -202,7 +202,7 @@ impl FactorSums {
     /// Pieces that are multiples of `KC` deep, fed in ascending order,
     /// leave the bits of one Gram over the whole reduction
     /// ([`gemm_upper_into`]).
-    pub fn add(&mut self, a: [View<'_, f32>; 2], g: [View<'_, f32>; 2], first: bool) {
+    pub fn add(&mut self, a: [View<'_>; 2], g: [View<'_>; 2], first: bool) {
         for (sum, [x, xt]) in [(&mut self.g, g), (&mut self.a, a)] {
             if first {
                 sum.reset_for(x.rows(), x.rows());

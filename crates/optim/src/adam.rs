@@ -8,11 +8,13 @@ use crate::optimizer::Optimizer;
 use kfac_nn::Layer;
 use std::collections::HashMap;
 
+/// First- and second-moment decay rates and the denominator's `ε`.
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
 /// Adam optimizer.
 pub struct Adam {
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     weight_decay: f32,
     t: u64,
     m: HashMap<String, Vec<f32>>,
@@ -23,28 +25,18 @@ impl Adam {
     /// Create with standard defaults `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`.
     pub fn new(weight_decay: f32) -> Self {
         Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay,
             t: 0,
             m: HashMap::new(),
             v: HashMap::new(),
         }
     }
-
-    /// Override the betas.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
         self.t += 1;
-        let (b1, b2, eps, wd, t) = (self.beta1, self.beta2, self.eps, self.weight_decay, self.t);
+        let (b1, b2, eps, wd, t) = (BETA1, BETA2, EPS, self.weight_decay, self.t);
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
         let m_map = &mut self.m;

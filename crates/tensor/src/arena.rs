@@ -33,7 +33,6 @@ const MAX_POOLED_BYTES: usize = 256 << 20;
 struct PoolInner {
     f32s: Vec<Vec<f32>>,
     f64s: Vec<Vec<f64>>,
-    u16s: Vec<Vec<u16>>,
     bytes: usize,
 }
 
@@ -42,13 +41,12 @@ impl PoolInner {
         PoolInner {
             f32s: Vec::new(),
             f64s: Vec::new(),
-            u16s: Vec::new(),
             bytes: 0,
         }
     }
 
     fn pooled_buffers(&self) -> usize {
-        self.f32s.len() + self.f64s.len() + self.u16s.len()
+        self.f32s.len() + self.f64s.len()
     }
 }
 
@@ -98,39 +96,6 @@ pub fn recycle_f32(buf: Vec<f32>) {
         }
         inner.bytes += bytes;
         inner.f32s.push(buf);
-    });
-}
-
-/// Take an owned `len`-element `u16` scratch buffer (bf16/f16 word
-/// storage for half-precision capture buffers, GEMM packs, and wire
-/// payloads). Contents unspecified; treat as write-first scratch.
-pub fn take_u16(len: usize) -> Vec<u16> {
-    ARENA.with(|a| {
-        let mut inner = a.borrow_mut();
-        match pop_fit(&mut inner.u16s, len) {
-            Some(mut buf) => {
-                inner.bytes -= buf.capacity() * std::mem::size_of::<u16>();
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0; len],
-        }
-    })
-}
-
-/// Return a `u16` buffer to this thread's free list.
-pub fn recycle_u16(buf: Vec<u16>) {
-    if buf.capacity() == 0 {
-        return;
-    }
-    ARENA.with(|a| {
-        let mut inner = a.borrow_mut();
-        let bytes = buf.capacity() * std::mem::size_of::<u16>();
-        if inner.pooled_buffers() >= MAX_POOLED_BUFFERS || inner.bytes + bytes > MAX_POOLED_BYTES {
-            return;
-        }
-        inner.bytes += bytes;
-        inner.u16s.push(buf);
     });
 }
 
@@ -223,17 +188,6 @@ mod tests {
         // Head may be stale (3.0), tail must be initialized (0.0 fill).
         assert!(grown[16..].iter().all(|&v| v == 0.0));
         recycle_f32(grown);
-    }
-
-    #[test]
-    fn u16_round_trip_reuses_storage() {
-        let buf = take_u16(512);
-        let ptr = buf.as_ptr();
-        recycle_u16(buf);
-        let again = take_u16(512);
-        assert_eq!(again.as_ptr(), ptr, "same capacity must be reused");
-        assert_eq!(again.len(), 512);
-        recycle_u16(again);
     }
 
     #[test]

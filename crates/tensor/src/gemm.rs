@@ -11,13 +11,6 @@
 //!   contiguous, aligned inner loops — the classic GotoBLAS trade. An
 //!   operand that many products read is packed once instead ([`Packed`],
 //!   [`View::packed`]) and each product reads its panels as they lie.
-//! * **Stored element ≠ computed element.** Operands are [`View`]s over
-//!   `f32` values or bf16 words (`u16`); the packers widen whatever is
-//!   stored to `f32` on the way into the panels ([`Element`]), so a bf16
-//!   operand streams half the bytes from memory while everything after
-//!   the pack — panels, micro-kernel, accumulators — is the same `f32`
-//!   code. bf16 → f32 is exact, so a product over bf16 words equals the
-//!   product over the widened values bit for bit.
 //! * **Register tiling.** The micro-kernel holds an `MR × NR` accumulator
 //!   tile in registers across the whole `k` extent of a cache block:
 //!   `MR·NR` fused multiply-adds per `MR + NR` loads.
@@ -72,79 +65,6 @@ const SMALL_FLOP_CUTOFF: usize = 24 * 24 * 24;
 /// thousands of 0.3–1.2 M-multiply-add products per step; forking each
 /// made a two-thread pool *slower* than one thread.
 const PAR_MIN_MADDS: usize = 1 << 22;
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for f32 {}
-    impl Sealed for u16 {}
-}
-
-/// What an operand *stores*: `f32`, or the bf16 word `u16`. The trait
-/// supplies the two things that differ between them — widening one
-/// element, and the SIMD step of the against-the-grain pack — and
-/// nothing else; every loop of the engine is written once over it.
-pub trait Element: Copy + Send + Sync + sealed::Sealed {
-    /// The stored element as the `f32` the kernels multiply (exact).
-    fn widen(self) -> f32;
-
-    /// Depth steps one [`transpose8`](Element::transpose8) covers.
-    #[doc(hidden)]
-    const LANES: usize;
-
-    /// Widen [`LANES`](Element::LANES) elements from each of eight rows
-    /// and store them transposed: element `p` of row `i` at
-    /// `dst[p * stride + i]`.
-    ///
-    /// # Safety
-    /// Requires AVX2; every `rows[i]` must expose `LANES` readable
-    /// elements and `dst` must be writable at `[p * stride, p * stride + 8)`
-    /// for every `p < LANES`.
-    #[doc(hidden)]
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn transpose8(rows: [*const Self; 8], dst: *mut f32, stride: usize);
-
-    /// The storage as panels, which only `f32` views hold.
-    #[doc(hidden)]
-    fn panels(data: &[Self]) -> &[f32];
-}
-
-impl Element for f32 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        self
-    }
-
-    const LANES: usize = 8;
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn transpose8(rows: [*const f32; 8], dst: *mut f32, stride: usize) {
-        simd::transpose_f32_8x8(rows, dst, stride)
-    }
-
-    fn panels(data: &[f32]) -> &[f32] {
-        data
-    }
-}
-
-impl Element for u16 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        crate::half::bf16_to_f32(self)
-    }
-
-    const LANES: usize = 16;
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn transpose8(rows: [*const u16; 8], dst: *mut f32, stride: usize) {
-        simd::widen_transpose_bf16_8x16(rows, dst, stride)
-    }
-
-    fn panels(_: &[u16]) -> &[f32] {
-        unreachable!("panel storage is f32")
-    }
-}
 
 /// The side of a product `a · b` a packed operand is laid out for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -233,12 +153,10 @@ impl Storage {
 /// A borrowed matrix operand: storage, its layout, and the logical shape.
 /// `View::new` is a plain row-major matrix; `View::t` presents the same
 /// storage transposed; [`View::packed`] and [`Packed::view`] present panel
-/// storage, which a product on the side it was packed for reads as is. `E`
-/// is what the slice stores — `f32`, or bf16 words as `u16`; panel storage
-/// is always `f32`.
+/// storage, which a product on the side it was packed for reads as is.
 #[derive(Clone, Copy)]
-pub struct View<'a, E> {
-    data: &'a [E],
+pub struct View<'a> {
+    data: &'a [f32],
     storage: Storage,
     /// Logical `(r, c)` is stored at `(c, r)`.
     trans: bool,
@@ -246,9 +164,9 @@ pub struct View<'a, E> {
     cols: usize,
 }
 
-impl<'a, E: Element> View<'a, E> {
+impl<'a> View<'a> {
     /// Row-major `rows × cols` view over `data`.
-    pub fn new(data: &'a [E], rows: usize, cols: usize) -> Self {
+    pub fn new(data: &'a [f32], rows: usize, cols: usize) -> Self {
         assert_eq!(data.len(), rows * cols, "view shape mismatch");
         View {
             data,
@@ -261,7 +179,7 @@ impl<'a, E: Element> View<'a, E> {
 
     /// Transposed view: `data` stores `rows × cols` row-major, presented
     /// as its `cols × rows` transpose.
-    pub fn t(data: &'a [E], rows: usize, cols: usize) -> Self {
+    pub fn t(data: &'a [f32], rows: usize, cols: usize) -> Self {
         View::new(data, rows, cols).transposed()
     }
 
@@ -305,7 +223,7 @@ impl<'a, E: Element> View<'a, E> {
 
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
-        self.data[self.offset(r, c)].widen()
+        self.data[self.offset(r, c)]
     }
 
     /// The panel storage and stored shape, when this view is a leading
@@ -317,13 +235,11 @@ impl<'a, E: Element> View<'a, E> {
                 side: s,
                 rows,
                 cols,
-            } if s == side && !self.trans => Some((E::panels(self.data), rows, cols)),
+            } if s == side && !self.trans => Some((self.data, rows, cols)),
             _ => None,
         }
     }
-}
 
-impl<'a> View<'a, f32> {
     /// `data` holding a `rows × cols` matrix packed for `side`
     /// ([`panel_offset`]), as a view.
     pub fn packed(data: &'a [f32], side: Side, rows: usize, cols: usize) -> Self {
@@ -345,7 +261,7 @@ impl<'a> View<'a, f32> {
 /// Pack `src` for `side` into `dst` (`packed_len(side, rows, cols)` long),
 /// writing every element of it: the layout a product on that side reads
 /// without packing it again ([`View::packed`], [`Packed`]).
-fn pack_into<E: Element>(src: View<'_, E>, side: Side, dst: &mut [f32]) {
+fn pack_into(src: View<'_>, side: Side, dst: &mut [f32]) {
     let (rows, cols) = (src.rows(), src.cols());
     let pad = match side {
         Side::Left => rows.div_ceil(MR) * MR,
@@ -380,7 +296,7 @@ pub struct Packed {
 
 impl Packed {
     /// `src` packed for `side`.
-    pub fn of<E: Element>(side: Side, src: View<'_, E>) -> Self {
+    pub fn of(side: Side, src: View<'_>) -> Self {
         Packed::pack_in(side, src, Vec::new())
     }
 
@@ -388,13 +304,13 @@ impl Packed {
     /// pack that lives for one call; give it back with
     /// [`recycle`](Packed::recycle). One buffer, reused by every layer,
     /// stays in cache where a buffer per layer would not.
-    pub fn scratch<E: Element>(side: Side, src: View<'_, E>) -> Self {
+    pub fn scratch(side: Side, src: View<'_>) -> Self {
         let len = packed_len(side, src.rows(), src.cols());
         Packed::pack_in(side, src, arena::take_f32(len))
     }
 
     /// `src` packed for `side` into `data`'s allocation.
-    fn pack_in<E: Element>(side: Side, src: View<'_, E>, mut data: Vec<f32>) -> Self {
+    fn pack_in(side: Side, src: View<'_>, mut data: Vec<f32>) -> Self {
         let (rows, cols) = (src.rows(), src.cols());
         data.resize(packed_len(side, rows, cols), 0.0);
         pack_into(src, side, &mut data);
@@ -412,7 +328,7 @@ impl Packed {
     }
 
     /// The packed matrix as an operand.
-    pub fn view(&self) -> View<'_, f32> {
+    pub fn view(&self) -> View<'_> {
         View::packed(&self.data, self.side, self.rows, self.cols)
     }
 }
@@ -423,7 +339,7 @@ impl Packed {
 ///
 /// # Panics
 /// Panics on inner-dimension or output-length mismatch.
-pub fn gemm_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32]) {
+pub fn gemm_into(a: View<'_>, b: View<'_>, out: &mut [f32]) {
     gemm_impl(a, b, out, false, true);
 }
 
@@ -433,7 +349,7 @@ pub fn gemm_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32]) {
 /// blocks, carried across calls. Pieces that are multiples of [`KC`]
 /// deep, fed in ascending order, therefore leave the bits one
 /// [`gemm_into`] over the whole reduction computes.
-pub fn gemm_acc_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32], first: bool) {
+pub fn gemm_acc_into(a: View<'_>, b: View<'_>, out: &mut [f32], first: bool) {
     gemm_impl(a, b, out, false, first);
 }
 
@@ -441,7 +357,7 @@ pub fn gemm_acc_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32]
 /// product `XᵀX` or `XXᵀ`): only tiles touching or above the diagonal
 /// are computed, then the strict upper triangle is mirrored onto the
 /// lower — halving the FLOPs and guaranteeing exact (bitwise) symmetry.
-pub fn gemm_symmetric_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32]) {
+pub fn gemm_symmetric_into(a: View<'_>, b: View<'_>, out: &mut [f32]) {
     gemm_upper_into(a, b, out, true);
     mirror_upper_to_lower(out, a.rows());
 }
@@ -455,18 +371,12 @@ pub fn gemm_symmetric_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut
 /// whole reduction computes above the diagonal. Below it `out` is
 /// unspecified until [`mirror_upper_to_lower`] runs, once, after the last
 /// piece.
-pub fn gemm_upper_into<E: Element>(a: View<'_, E>, b: View<'_, E>, out: &mut [f32], first: bool) {
+pub fn gemm_upper_into(a: View<'_>, b: View<'_>, out: &mut [f32], first: bool) {
     assert_eq!(a.rows(), b.cols(), "symmetric product must be square");
     gemm_impl(a, b, out, true, first);
 }
 
-fn gemm_impl<E: Element>(
-    a: View<'_, E>,
-    b: View<'_, E>,
-    out: &mut [f32],
-    upper_only: bool,
-    first: bool,
-) {
+fn gemm_impl(a: View<'_>, b: View<'_>, out: &mut [f32], upper_only: bool, first: bool) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
@@ -570,26 +480,24 @@ fn gemm_impl<E: Element>(
     }
 }
 
-/// Widen a contiguous run of stored elements into the front of a panel
+/// Copy a contiguous run of stored elements into the front of a panel
 /// row and zero the rest of it (the with-the-grain pack step).
 #[inline(always)]
-fn widen_run<E: Element>(src: &[E], dst: &mut [f32]) {
+fn copy_run(src: &[f32], dst: &mut [f32]) {
     let (head, pad) = dst.split_at_mut(src.len());
-    for (d, &v) in head.iter_mut().zip(src) {
-        *d = v.widen();
-    }
+    head.copy_from_slice(src);
     pad.fill(0.0);
 }
 
 /// The with-the-grain pack step over any storage: stored rows
-/// `r0..r0 + rows`, each one's columns `c0..c0 + len` widened into the
+/// `r0..r0 + rows`, each one's columns `c0..c0 + len` copied into the
 /// front of its `width`-long piece of `dst`, the rest of the piece zeroed.
 /// `r0..r0 + rows` lie in one `KC`-aligned block of rows, so in every
 /// storage where the columns lie next to each other the rows start a fixed
 /// step apart.
 #[inline(always)]
-fn copy_stored<E: Element>(
-    v: &View<'_, E>,
+fn copy_stored(
+    v: &View<'_>,
     r0: usize,
     rows: usize,
     c0: usize,
@@ -607,13 +515,13 @@ fn copy_stored<E: Element>(
         };
         for (p, d) in dst.enumerate() {
             let at = at + p * step;
-            widen_run(&v.data[at..at + len], d);
+            copy_run(&v.data[at..at + len], d);
         }
     } else {
         for (p, d) in dst.enumerate() {
             for (j, d) in d.iter_mut().enumerate() {
                 *d = if j < len {
-                    v.data[v.storage.offset(r0 + p, c0 + j)].widen()
+                    v.data[v.storage.offset(r0 + p, c0 + j)]
                 } else {
                     0.0
                 };
@@ -624,12 +532,12 @@ fn copy_stored<E: Element>(
 
 /// The against-the-grain pack step over any storage: stored rows
 /// `r0..r0 + rows` (`rows ≤ 8`, `r0` a multiple of 8), stored columns
-/// `c0..c0 + len`, element `(i, p)` widened to `dst[p * stride + i]` —
+/// `c0..c0 + len`, element `(i, p)` copied to `dst[p * stride + i]` —
 /// [`interleave_rows`] over each run of columns that lie next to each
 /// other. Such a group of rows lies in one `MR` panel and one `KC` block of
 /// rows, so in every storage its rows start a fixed step apart.
-fn interleave_stored<E: Element>(
-    v: &View<'_, E>,
+fn interleave_stored(
+    v: &View<'_>,
     r0: usize,
     rows: usize,
     c0: usize,
@@ -654,7 +562,7 @@ fn interleave_stored<E: Element>(
 /// Pack rows `k0..k0+kc` of `b` into NR-column panels: panel `jp` holds
 /// columns `jp*NR..` with element `(p, jj)` at `panel[p*NR + jj]`,
 /// zero-padded past `n`. Every packed element is written (first-touch).
-fn pack_b_block<E: Element>(b: View<'_, E>, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
+fn pack_b_block(b: View<'_>, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
     for (jp, panel) in dst.chunks_exact_mut(kc * NR).enumerate() {
         let j0 = jp * NR;
         let nr = NR.min(n - j0);
@@ -678,14 +586,7 @@ fn pack_b_block<E: Element>(b: View<'_, E>, k0: usize, kc: usize, n: usize, dst:
 /// Pack rows `i0..i0+mc`, depth `k0..k0+kc` of `a` into MR-row panels:
 /// panel `ip` holds rows `ip*MR..` with element `(ii, p)` at
 /// `panel[p*MR + ii]`, zero-padded past `mc`.
-fn pack_a_block<E: Element>(
-    a: View<'_, E>,
-    i0: usize,
-    mc: usize,
-    k0: usize,
-    kc: usize,
-    dst: &mut [f32],
-) {
+fn pack_a_block(a: View<'_>, i0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]) {
     for (ip, panel) in dst.chunks_exact_mut(kc * MR).enumerate() {
         let ii0 = ip * MR;
         let mr = MR.min(mc - ii0);
@@ -706,14 +607,13 @@ fn pack_a_block<E: Element>(
 
 /// Interleave up to eight storage rows into panel layout: row `i`
 /// (`rows ≤ 8`) starts at `data[at + i * step]`, is `kc` long, and its
-/// element `p` lands, widened, at `dst[p * stride + i]` — the
-/// transposition both "against the grain" packs need (`pack_a` of a
-/// row-major operand, `pack_b` of a transposed one). Full groups of eight
-/// rows go through the element type's register transpose; pure data
-/// movement either way, so the packed values and every product are
-/// unchanged.
-fn interleave_rows<E: Element>(
-    data: &[E],
+/// element `p` lands at `dst[p * stride + i]` — the transposition both
+/// "against the grain" packs need (`pack_a` of a row-major operand,
+/// `pack_b` of a transposed one). Full 8×8 blocks go through a register
+/// transpose; pure data movement either way, so the packed values and
+/// every product are unchanged.
+fn interleave_rows(
+    data: &[f32],
     at: usize,
     step: usize,
     rows: usize,
@@ -726,23 +626,23 @@ fn interleave_rows<E: Element>(
     let src = &data[at..at + (rows - 1) * step + kc];
     let mut done = 0usize;
     #[cfg(target_arch = "x86_64")]
-    if rows == 8 && kc >= E::LANES && std::arch::is_x86_feature_detected!("avx2") {
+    if rows == 8 && kc >= 8 && std::arch::is_x86_feature_detected!("avx2") {
         // The reslice proves `dst` writable up to the last element the
         // transposes store.
         let dst = &mut dst[..(kc - 1) * stride + 8];
-        while done + E::LANES <= kc {
+        while done + 8 <= kc {
             // SAFETY: avx2 checked; row `i` reads `src[i * step + done..]`
-            // for `LANES` elements, `done + LANES ≤ kc`, inside `src`; the
-            // stores cover `dst[(done + p) * stride..][..8]` for
-            // `p < LANES`, within the length asserted by the reslice above.
+            // for 8 elements, `done + 8 ≤ kc`, inside `src`; the stores
+            // cover `dst[(done + p) * stride..][..8]` for `p < 8`, within
+            // the length asserted by the reslice above.
             unsafe {
-                E::transpose8(
+                simd::transpose_f32_8x8(
                     std::array::from_fn(|i| src.as_ptr().add(i * step + done)),
                     dst.as_mut_ptr().add(done * stride),
                     stride,
                 );
             }
-            done += E::LANES;
+            done += 8;
         }
     }
     if done == kc {
@@ -751,7 +651,7 @@ fn interleave_rows<E: Element>(
     for i in 0..rows {
         let row = &src[i * step + done..i * step + kc];
         for (p, &v) in row.iter().enumerate() {
-            dst[(done + p) * stride + i] = v.widen();
+            dst[(done + p) * stride + i] = v;
         }
     }
 }
@@ -851,7 +751,7 @@ fn tile_scalar(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; 
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! Explicit-SIMD tile kernels and pack transposes. Panel layouts:
+    //! Explicit-SIMD tile kernels and the pack transpose. Panel layouts:
     //! `apanel[p*MR + i]`, `bpanel[p*NR + j]`, both `f32`; one B row per
     //! depth step is loaded contiguously and each A element is broadcast
     //! against it with a fused multiply-add.
@@ -964,34 +864,14 @@ mod simd {
     /// `dst` must be writable at `[p * stride, p * stride + 8)` for
     /// every `p < 8`.
     ///
-    /// `#[inline]` (here and on the bf16 step) makes the body available to
-    /// every codegen unit that instantiates a pack: when the partition put
-    /// this function apart from `interleave_rows::<f32>`, a call per 8×8
-    /// block cost the `A·Bᵀ` conv shapes 12–17 % (`xp bench-kernels`).
+    /// `#[inline]` makes the body available to every codegen unit that
+    /// runs a pack: when the partition put this function apart from
+    /// `interleave_rows`, a call per 8×8 block cost the `A·Bᵀ` conv shapes
+    /// 12–17 % (`xp bench-kernels`).
     #[target_feature(enable = "avx2")]
     #[inline]
     pub unsafe fn transpose_f32_8x8(rows: [*const f32; 8], dst: *mut f32, stride: usize) {
         transpose8_store(rows.map(|p| _mm256_loadu_ps(p)), dst, stride);
-    }
-
-    /// bf16 pack step: widen 16 words from each of 8 rows (`bits << 16`,
-    /// exact) and store them transposed, element `p` of row `i` at
-    /// `dst[p * stride + i]`.
-    ///
-    /// # Safety
-    /// Requires AVX2; every `rows[i]` must expose 16 readable words and
-    /// `dst` must be writable at `[p * stride, p * stride + 8)` for
-    /// every `p < 16`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub unsafe fn widen_transpose_bf16_8x16(rows: [*const u16; 8], dst: *mut f32, stride: usize) {
-        let words = rows.map(|p| _mm256_loadu_si256(p as *const __m256i));
-        let widen =
-            |w: __m128i| _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(w), 16));
-        let lo = words.map(|w| widen(_mm256_castsi256_si128(w)));
-        let hi = words.map(|w| widen(_mm256_extracti128_si256(w, 1)));
-        transpose8_store(lo, dst, stride);
-        transpose8_store(hi, dst.add(8 * stride), stride);
     }
 
     /// Classic 8×8 register transpose: lane `p` of every input row is
@@ -1030,13 +910,7 @@ mod simd {
 /// the packed path's order — [`KC`]-deep fused partial sums, stored or
 /// added in ascending order — so an element's bits do not depend on which
 /// path the shape of the *rest* of the product selected.
-fn gemm_naive<E: Element>(
-    a: View<'_, E>,
-    b: View<'_, E>,
-    out: &mut [f32],
-    upper_only: bool,
-    first: bool,
-) {
+fn gemm_naive(a: View<'_>, b: View<'_>, out: &mut [f32], upper_only: bool, first: bool) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
@@ -1085,48 +959,28 @@ pub fn mirror_upper_to_lower(out: &mut [f32], n: usize) {
 
 #[cfg(test)]
 mod tests {
-    //! One suite, run over both stored element types.
     use super::*;
-    use crate::half::f32_to_bf16;
     use crate::rng::Rng64;
 
-    trait TestElement: Element + PartialEq + std::fmt::Debug {
-        fn from_f32(v: f32) -> Self;
-    }
-    impl TestElement for f32 {
-        fn from_f32(v: f32) -> f32 {
-            v
-        }
-    }
-    impl TestElement for u16 {
-        fn from_f32(v: f32) -> u16 {
-            f32_to_bf16(v)
-        }
-    }
-
-    fn random<E: TestElement>(len: usize, rng: &mut Rng64) -> Vec<E> {
-        (0..len).map(|_| E::from_f32(rng.normal_f32())).collect()
-    }
-
-    fn widened<E: Element>(x: &[E]) -> Vec<f32> {
-        x.iter().map(|v| v.widen()).collect()
+    fn random(len: usize, rng: &mut Rng64) -> Vec<f32> {
+        (0..len).map(|_| rng.normal_f32()).collect()
     }
 
     /// The `rows × cols` transpose of `x`, which stores `cols × rows`.
-    fn transposed<E: Copy>(x: &[E], rows: usize, cols: usize) -> Vec<E> {
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         (0..rows * cols)
             .map(|i| x[(i % cols) * rows + i / cols])
             .collect()
     }
 
-    /// f64 reference over the widened values.
-    fn reference<E: Element>(a: &[E], b: &[E], m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// f64 reference.
+    fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f64;
                 for p in 0..k {
-                    acc += a[i * k + p].widen() as f64 * b[p * n + j].widen() as f64;
+                    acc += a[i * k + p] as f64 * b[p * n + j] as f64;
                 }
                 c[i * n + j] = acc as f32;
             }
@@ -1144,19 +998,20 @@ mod tests {
             .fold(0.0f32, |m, (&a, &b)| m.max((a - b).abs()))
     }
 
-    fn product<E: Element>(a: View<'_, E>, b: View<'_, E>) -> Vec<f32> {
+    fn product(a: View<'_>, b: View<'_>) -> Vec<f32> {
         let mut out = vec![f32::NAN; a.rows() * b.cols()];
         gemm_into(a, b, &mut out);
         out
     }
 
-    fn symmetric_product<E: Element>(a: View<'_, E>, b: View<'_, E>) -> Vec<f32> {
+    fn symmetric_product(a: View<'_>, b: View<'_>) -> Vec<f32> {
         let mut out = vec![f32::NAN; a.rows() * b.cols()];
         gemm_symmetric_into(a, b, &mut out);
         out
     }
 
-    fn packed_matches_reference<E: TestElement>() {
+    #[test]
+    fn packed_matches_reference_across_shapes() {
         let mut rng = Rng64::new(1);
         // Around every blocking edge: MR 8, NR 32, KC 128, MC 64.
         for (m, k, n) in [
@@ -1169,8 +1024,8 @@ mod tests {
             (100, 300, 100),
             (128, 512, 129),
         ] {
-            let a = random::<E>(m * k, &mut rng);
-            let b = random::<E>(k * n, &mut rng);
+            let a = random(m * k, &mut rng);
+            let b = random(k * n, &mut rng);
             let out = product(View::new(&a, m, k), View::new(&b, k, n));
             let d = max_diff(&out, &reference(&a, &b, m, k, n));
             assert!(d < 1e-3, "({m},{k},{n}) diff {d}");
@@ -1178,16 +1033,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_reference_across_shapes() {
-        packed_matches_reference::<f32>();
-        packed_matches_reference::<u16>();
-    }
-
-    fn transposed_views_match<E: TestElement>() {
+    fn transposed_views_match_materialized_transpose() {
         let mut rng = Rng64::new(2);
         let (m, k, n) = (70, 130, 90);
-        let at = random::<E>(k * m, &mut rng); // stores k x m, viewed as m x k
-        let bt = random::<E>(n * k, &mut rng); // stores n x k, viewed as k x n
+        let at = random(k * m, &mut rng); // stores k x m, viewed as m x k
+        let bt = random(n * k, &mut rng); // stores n x k, viewed as k x n
         let a = transposed(&at, m, k);
         let b = transposed(&bt, k, n);
         assert_eq!(
@@ -1198,25 +1048,16 @@ mod tests {
     }
 
     #[test]
-    fn transposed_views_match_materialized_transpose() {
-        transposed_views_match::<f32>();
-        transposed_views_match::<u16>();
+    fn k_zero_zeroes_output() {
+        let out = product(View::new(&[], 2, 0), View::new(&[], 0, 3));
+        assert!(out.iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn k_zero_zeroes_output() {
-        fn check<E: TestElement>() {
-            let out = product(View::<E>::new(&[], 2, 0), View::new(&[], 0, 3));
-            assert!(out.iter().all(|&v| v == 0.0));
-        }
-        check::<f32>();
-        check::<u16>();
-    }
-
-    fn symmetric_gram<E: TestElement>() {
+    fn symmetric_gram_is_bitwise_symmetric() {
         let mut rng = Rng64::new(3);
         let (k, n) = (200, 150);
-        let x = random::<E>(k * n, &mut rng);
+        let x = random(k * n, &mut rng);
         // XᵀX and XXᵀ: symmetric to the bit, and — products commute inside
         // the fused multiply-add — equal to the full product.
         for (a, b) in [
@@ -1234,25 +1075,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn symmetric_gram_is_bitwise_symmetric() {
-        symmetric_gram::<f32>();
-        symmetric_gram::<u16>();
-    }
-
     /// The reduction cut into `KC`-deep pieces (the last one ragged) and
     /// fed through the accumulating entry, then mirrored once, against
     /// one symmetric call and the full product over the whole reduction.
-    fn upper_pieces_match_one_call<E: TestElement>() {
+    #[test]
+    fn upper_pieces_plus_one_mirror_equal_one_symmetric_call() {
         let mut rng = Rng64::new(8);
         let k = 3 * KC + 37;
         // Straddling MR 8, NR 32, MC 64, and the ResNet-32 factor sides.
         for n in [8, 31, 33, 64, 65, 144, 145, 289] {
             // XᵀX: `x` stores k × n, a piece is a run of its rows.
-            let x = random::<E>(k * n, &mut rng);
+            let x = random(k * n, &mut rng);
             // XXᵀ: the same matrix feature-major, piece by piece — each
             // piece the row-major `n × len` block a conv layer holds.
-            let blocks: Vec<Vec<E>> = (0..k)
+            let blocks: Vec<Vec<f32>> = (0..k)
                 .step_by(KC)
                 .map(|k0| transposed(&x[k0 * n..(k0 + KC).min(k) * n], n, KC.min(k - k0)))
                 .collect();
@@ -1290,12 +1126,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn upper_pieces_plus_one_mirror_equal_one_symmetric_call() {
-        upper_pieces_match_one_call::<f32>();
-        upper_pieces_match_one_call::<u16>();
-    }
-
     /// `gemm_acc_into` over `KC`-deep pieces of the reduction (the last
     /// one ragged) against one `gemm_into` over all of it, in the weight
     /// gradient's shape `gy · Pᵀ` with each piece a feature-major block.
@@ -1305,8 +1135,8 @@ mod tests {
         let k = 3 * KC + 37;
         // Both sides of the small-product cutoff.
         for (m, n) in [(3, 5), (16, 27), (32, 288), (65, 145)] {
-            let gy = random::<f32>(m * k, &mut rng);
-            let p = random::<f32>(n * k, &mut rng);
+            let gy = random(m * k, &mut rng);
+            let p = random(n * k, &mut rng);
             // Columns k0..k0 + len of a row-major `rows × k` matrix.
             let piece = |x: &[f32], rows: usize, k0: usize, len: usize| -> Vec<f32> {
                 (0..rows)
@@ -1356,16 +1186,17 @@ mod tests {
         }
     }
 
-    fn small_products_round_like_packed<E: TestElement>() {
+    #[test]
+    fn small_products_round_like_packed_ones() {
         // 2×9 over k = 600 takes the naive path; the same rows against a
         // 64-column B take the packed one. Shared columns must agree bit
         // for bit, including across the KC boundaries.
         let mut rng = Rng64::new(6);
         let (m, k, n_small, n_big) = (2, 600, 9, 64);
         assert!(m * n_small * k <= SMALL_FLOP_CUTOFF && m * n_big * k > SMALL_FLOP_CUTOFF);
-        let a = random::<E>(m * k, &mut rng);
-        let b_big = random::<E>(k * n_big, &mut rng);
-        let b_small: Vec<E> = (0..k)
+        let a = random(m * k, &mut rng);
+        let b_big = random(k * n_big, &mut rng);
+        let b_small: Vec<f32> = (0..k)
             .flat_map(|p| b_big[p * n_big..p * n_big + n_small].to_vec())
             .collect();
         let small = product(View::new(&a, m, k), View::new(&b_small, k, n_small));
@@ -1379,17 +1210,11 @@ mod tests {
     }
 
     #[test]
-    fn small_products_round_like_packed_ones() {
-        small_products_round_like_packed::<f32>();
-        small_products_round_like_packed::<u16>();
-    }
-
-    #[test]
     fn simd_tiles_are_bitwise_equal_to_scalar() {
         let mut rng = Rng64::new(5);
         let kc = 97;
-        let apanel = random::<f32>(kc * MR, &mut rng);
-        let bpanel = random::<f32>(kc * NR, &mut rng);
+        let apanel = random(kc * MR, &mut rng);
+        let bpanel = random(kc * NR, &mut rng);
         let mut scalar = [[0.0f32; NR]; MR];
         tile_scalar(kc, &apanel, &bpanel, &mut scalar);
         let mut tiles = vec![[[0.0f32; NR]; MR]];
@@ -1416,12 +1241,13 @@ mod tests {
         }
     }
 
-    fn deterministic_across_pools<E: TestElement>() {
+    #[test]
+    fn deterministic_across_pool_sizes() {
         let mut rng = Rng64::new(4);
         let (m, k, n) = (300, 300, 300);
         assert!(m > MC && m * n * k >= PAR_MIN_MADDS, "must reach the pool");
-        let a = random::<E>(m * k, &mut rng);
-        let b = random::<E>(k * n, &mut rng);
+        let a = random(m * k, &mut rng);
+        let b = random(k * n, &mut rng);
         let outs: Vec<Vec<f32>> = [1usize, 2, 4, 8]
             .into_iter()
             .map(|threads| {
@@ -1431,56 +1257,6 @@ mod tests {
             .collect();
         for o in &outs[1..] {
             assert_eq!(&outs[0], o, "results must be bitwise pool-size independent");
-        }
-    }
-
-    #[test]
-    fn deterministic_across_pool_sizes() {
-        deterministic_across_pools::<f32>();
-        deterministic_across_pools::<u16>();
-    }
-
-    /// What only a single engine can promise: bf16 storage changes the
-    /// bytes an operand streams, never a bit of the result.
-    #[test]
-    fn bf16_views_equal_f32_views_of_the_widened_values_bitwise() {
-        let mut rng = Rng64::new(7);
-        rayon::set_pool_threads(2);
-        // Naive path, packed on one thread, packed across the pool.
-        for (m, k, n) in [(2, 600, 9), (70, 130, 90), (200, 300, 150)] {
-            let madds = m * k * n;
-            match n {
-                9 => assert!(madds <= SMALL_FLOP_CUTOFF),
-                90 => assert!(madds > SMALL_FLOP_CUTOFF && madds < PAR_MIN_MADDS),
-                _ => assert!(madds >= PAR_MIN_MADDS && m > MC),
-            }
-            let a16 = random::<u16>(m * k, &mut rng);
-            let b16 = random::<u16>(k * n, &mut rng);
-            let (a32, b32) = (widened(&a16), widened(&b16));
-            // General product, both orientations of both operands.
-            assert_eq!(
-                product(View::new(&a16, m, k), View::new(&b16, k, n)),
-                product(View::new(&a32, m, k), View::new(&b32, k, n)),
-                "({m},{k},{n}) NN"
-            );
-            let (at16, bt16) = (transposed(&a16, k, m), transposed(&b16, n, k));
-            let (at32, bt32) = (widened(&at16), widened(&bt16));
-            assert_eq!(
-                product(View::t(&at16, k, m), View::t(&bt16, n, k)),
-                product(View::t(&at32, k, m), View::t(&bt32, n, k)),
-                "({m},{k},{n}) TT"
-            );
-            // Symmetric product, XᵀX (k × m storage) and XXᵀ (m × k).
-            assert_eq!(
-                symmetric_product(View::t(&at16, k, m), View::new(&at16, k, m)),
-                symmetric_product(View::t(&at32, k, m), View::new(&at32, k, m)),
-                "({m},{k}) XᵀX"
-            );
-            assert_eq!(
-                symmetric_product(View::new(&a16, m, k), View::t(&a16, m, k)),
-                symmetric_product(View::new(&a32, m, k), View::t(&a32, m, k)),
-                "({m},{k}) XXᵀ"
-            );
         }
     }
 }

@@ -1,30 +1,22 @@
-//! Half-precision storage: the `bf16` scalar format and matrices of it.
+//! The `bf16` scalar format: its vocabulary and conversions.
 //!
-//! The packed GEMM engine always multiplies and accumulates in f32; what
-//! it *streams* is bounded by memory bandwidth. bf16 is the one
-//! half-width format the engine can store (every collective travels as
-//! f32):
+//! Training runs in FP32 (the paper's §VI-A): every product is the one
+//! f32 engine ([`gemm`](crate::gemm)) and every collective travels as
+//! f32. What is left of bf16 is names other code still spells:
 //!
 //! * [`Dtype`] — the element format vocabulary; the f32-only wire names
 //!   that the frozen benchmark package spells take one and refuse
 //!   anything but [`Dtype::F32`].
 //! * Scalar conversions: `f32 ↔ bf16` (truncate-with-round-to-nearest-
 //!   even on the top 16 bits; widening is exact, `bits << 16`).
-//! * [`HalfMatrix`] — a `rows × cols` matrix stored as bf16 words,
-//!   backed by the arena's `u16` pool. It is a storage format, not an
-//!   engine (only the kernel benches store one): its products are
-//!   [`gemm`](crate::gemm) calls over `View<u16>`, whose packers widen
-//!   the words on the way into the same f32 panels every f32 operand
-//!   uses — so for bf16-representable values a `HalfMatrix` product
-//!   equals the [`Matrix`] product bit for bit.
+//! * [`HalfMatrix`] — f32 values rounded to bf16 precision, with the
+//!   benchmark's one product over them, their Gram.
 //!
 //! Numerics contract: `bf16_to_f32(f32_to_bf16(x))` is exact for every
 //! bf16-representable value, and within a relative error of `2^-8` for
 //! normal-range inputs — pinned by the property suite in this module and
 //! in `tests/`.
 
-use crate::arena;
-use crate::gemm::{gemm_into, gemm_symmetric_into, View};
 use crate::Matrix;
 
 /// Element storage format.
@@ -67,92 +59,22 @@ pub fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 
-/// Round every element of `x` through bf16 storage in place — the
-/// "stored at half precision" numerics without changing the container.
-pub fn round_bf16_in_place(x: &mut [f32]) {
-    for v in x {
-        *v = bf16_to_f32(f32_to_bf16(*v));
-    }
-}
-
-/// A `rows × cols` row-major matrix stored as bf16 words — half the
-/// bytes of a [`Matrix`], exact to widen. Storage comes from the arena's
-/// `u16` pool; call [`HalfMatrix::recycle`] on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HalfMatrix {
-    data: Vec<u16>,
-    rows: usize,
-    cols: usize,
-}
+/// A matrix whose values are rounded to bf16 precision and held as the
+/// f32 they widen to (exactly). It keeps the two names the benchmark's
+/// `tensor.gram_bf16_gflops` row calls; its Gram is the f32 engine's.
+#[derive(Debug, Clone)]
+pub struct HalfMatrix(Matrix);
 
 impl HalfMatrix {
-    /// Round an f32 matrix into bf16 storage (RNE per element).
+    /// Round an f32 matrix to bf16 precision (RNE per element).
     pub fn from_matrix(m: &Matrix) -> HalfMatrix {
-        HalfMatrix::from_f32(m.as_slice(), m.rows(), m.cols())
-    }
-
-    /// Round a row-major f32 slice into bf16 storage.
-    pub fn from_f32(data: &[f32], rows: usize, cols: usize) -> HalfMatrix {
-        assert_eq!(data.len(), rows * cols, "half matrix shape mismatch");
-        let mut buf = arena::take_u16(data.len());
-        for (d, &v) in buf.iter_mut().zip(data) {
-            *d = f32_to_bf16(v);
-        }
-        HalfMatrix {
-            data: buf,
-            rows,
-            cols,
-        }
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Raw bf16 words, row-major.
-    pub fn data(&self) -> &[u16] {
-        &self.data
-    }
-
-    /// Widen back to f32 (exact).
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = arena::take_matrix(self.rows, self.cols);
-        for (d, &h) in out.as_mut_slice().iter_mut().zip(&self.data) {
-            *d = bf16_to_f32(h);
-        }
-        out
+        HalfMatrix(m.map(|v| bf16_to_f32(f32_to_bf16(v))))
     }
 
     /// Gram product `selfᵀ · self` (the K-FAC factor statistic) into a
     /// `cols × cols` f32 matrix, bitwise symmetric.
     pub fn gram_into(&self, out: &mut Matrix) {
-        out.reset_for(self.cols, self.cols);
-        gemm_symmetric_into(
-            View::t(&self.data, self.rows, self.cols),
-            View::new(&self.data, self.rows, self.cols),
-            out.as_mut_slice(),
-        );
-    }
-
-    /// `self · otherᵀ` into an f32 matrix (the conv G-factor shape).
-    pub fn matmul_nt_into(&self, other: &HalfMatrix, out: &mut Matrix) {
-        out.reset_for(self.rows, other.rows);
-        gemm_into(
-            View::new(&self.data, self.rows, self.cols),
-            View::t(&other.data, other.rows, other.cols),
-            out.as_mut_slice(),
-        );
-    }
-
-    /// Return the storage to the arena's `u16` pool.
-    pub fn recycle(self) {
-        arena::recycle_u16(self.data);
+        self.0.gram_into(out);
     }
 }
 
@@ -229,36 +151,5 @@ mod tests {
         assert_eq!(Dtype::F32.name(), "f32");
         assert_eq!(Dtype::Bf16.name(), "bf16");
         assert_eq!(Dtype::default(), Dtype::F32);
-    }
-
-    #[test]
-    fn half_matrix_round_trips_through_arena() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -0.5, 0.25, 100.0]);
-        let h = HalfMatrix::from_matrix(&m);
-        assert_eq!(h.rows(), 2);
-        assert_eq!(h.cols(), 3);
-        let back = h.to_matrix();
-        // All inputs are bf16-representable → exact round trip.
-        assert_eq!(m.as_slice(), back.as_slice());
-        h.recycle();
-        crate::arena::recycle_matrix(back);
-    }
-
-    #[test]
-    fn half_matrix_products_equal_the_f32_products_bitwise() {
-        // bf16-representable inputs: both matrices hold the same values,
-        // and the one engine multiplies them the same way.
-        let mut rng = Rng64::new(26);
-        let (m, n) = (240, 60);
-        let mut data: Vec<f32> = (0..m * n).map(|_| rng.normal_f32()).collect();
-        round_bf16_in_place(&mut data);
-        let mf = Matrix::from_vec(m, n, data);
-        let hf = HalfMatrix::from_matrix(&mf);
-        let mut out = Matrix::zeros(0, 0);
-        hf.gram_into(&mut out);
-        assert_eq!(out.as_slice(), mf.gram().as_slice());
-        hf.matmul_nt_into(&hf, &mut out);
-        assert_eq!(out.as_slice(), mf.matmul_nt(&mf).as_slice());
-        hf.recycle();
     }
 }

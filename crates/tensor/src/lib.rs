@@ -12,8 +12,9 @@
 //!   kernels ([`gram`](Matrix::gram)) used for Kronecker-factor
 //!   computation (`A = āāᵀ`, `G = ggᵀ`). Every product in the tree is a
 //!   call into the one packed engine, [`gemm`].
-//! * [`half`] — bf16 *storage* ([`HalfMatrix`], [`Dtype`]): operands the
-//!   same engine widens to `f32` as it packs them.
+//! * [`half`] — the bf16 vocabulary ([`Dtype`], the scalar conversions)
+//!   and [`HalfMatrix`], two names the benchmark calls: values rounded to
+//!   bf16 precision, held and multiplied as `f32`.
 //! * [`tridiag`] — symmetric eigendecomposition via Householder
 //!   tridiagonalization, then divide and conquer (implicit-shift QL on
 //!   small matrices), the workhorse of the paper's

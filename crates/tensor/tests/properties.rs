@@ -297,10 +297,7 @@ fn upper(x: &[f32], n: usize) -> Vec<u32> {
 /// Every way an operand of one product can arrive: as stored, packed for
 /// its side, and packed from panel storage of its transpose (the conv
 /// layer's patch blocks), read transposed or through a leading block.
-fn operand_forms<'a>(
-    plain: View<'a, f32>,
-    packs: &'a [Packed; 3],
-) -> Vec<(&'static str, View<'a, f32>)> {
+fn operand_forms<'a>(plain: View<'a>, packs: &'a [Packed; 3]) -> Vec<(&'static str, View<'a>)> {
     let (rows, cols) = (plain.rows(), plain.cols());
     vec![
         ("plain", plain),
@@ -314,7 +311,7 @@ fn operand_forms<'a>(
 }
 
 /// `x` as the `rows × cols` operand it stores, transposed when `trans`.
-fn stored_view(x: &[f32], rows: usize, cols: usize, trans: bool) -> View<'_, f32> {
+fn stored_view(x: &[f32], rows: usize, cols: usize, trans: bool) -> View<'_> {
     if trans {
         View::t(x, cols, rows)
     } else {
