@@ -132,11 +132,6 @@ pub struct Kfac {
     pending_min_mass: f64,
     /// Smallest captured spectral mass of the most recent completed pass.
     eig_captured_mass: f64,
-    /// f64 bits of the last KL-clip ν (atomic: recorded from the
-    /// `&self` apply path).
-    last_nu_bits: std::sync::atomic::AtomicU64,
-    /// f64 bits of the last ‖preconditioned‖/‖raw‖ gradient norm ratio.
-    precond_ratio_bits: std::sync::atomic::AtomicU64,
     /// A fold has entered `averages` since the last successful exchange
     /// (or `restore_state`): they are this rank's own, not the group's.
     unexchanged_folds: bool,
@@ -190,8 +185,6 @@ impl Kfac {
             eig_rank: 0,
             pending_min_mass: f64::INFINITY,
             eig_captured_mass: 0.0,
-            last_nu_bits: std::sync::atomic::AtomicU64::new(0f64.to_bits()),
-            precond_ratio_bits: std::sync::atomic::AtomicU64::new(0f64.to_bits()),
             unexchanged_folds: false,
             #[cfg(test)]
             exchange_every_fold: false,
@@ -228,16 +221,8 @@ impl Kfac {
         stats.identity_preconds = self
             .identity_preconds
             .load(std::sync::atomic::Ordering::Relaxed);
-        stats.max_cond = self.max_cond;
         stats.eig_rank = self.eig_rank;
         stats.eig_captured_mass = self.eig_captured_mass;
-        stats.last_nu =
-            f64::from_bits(self.last_nu_bits.load(std::sync::atomic::Ordering::Relaxed));
-        stats.precond_ratio = f64::from_bits(
-            self.precond_ratio_bits
-                .load(std::sync::atomic::Ordering::Relaxed),
-        );
-        stats.staleness_age = self.iteration.saturating_sub(self.last_eig_iter);
         if let Some((registry, rank)) = &self.telemetry {
             // Spans publish in batches; push this thread's tail so the
             // view is exact at the moment of the snapshot.
@@ -997,8 +982,6 @@ impl Kfac {
             Some(kappa) => kl_clip_nu(preconds.iter().zip(grads.iter()), kappa, lr),
             None => 1.0,
         };
-        self.last_nu_bits
-            .store((nu as f64).to_bits(), std::sync::atomic::Ordering::Relaxed);
         if let Some((registry, _)) = &self.telemetry {
             // Trajectory probes, once per iteration. Read-only over the
             // already-computed gradients; skipped entirely (norms never
@@ -1017,8 +1000,6 @@ impl Kfac {
             } else {
                 0.0
             };
-            self.precond_ratio_bits
-                .store(ratio.to_bits(), std::sync::atomic::Ordering::Relaxed);
             registry.gauge("kfac/precond_ratio").set(ratio);
         }
         if nu == 1.0 {
